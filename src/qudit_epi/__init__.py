@@ -6,7 +6,6 @@ and CLI around the conditional majorization identity and the conditional
 entropy power inequality with separable environments.
 """
 
-from ._kernels import BACKEND as kernels_backend
 from ._version import __version__
 from .channels import (
     partial_swap_closed,
@@ -32,7 +31,6 @@ from .harness import (
     TrialConfig,
     TrialRecord,
     run_experiment,
-    search_conjecture,
     summarize,
 )
 from .measurement import (
@@ -62,7 +60,6 @@ from .states import (
 
 __all__ = [
     "__version__",
-    "kernels_backend",
     "DensityMatrix",
     "MultipartiteState",
     "Spectrum",
@@ -104,6 +101,5 @@ __all__ = [
     "expected_entropy_power",
     "minimize_conditional_entropy_power",
     "run_experiment",
-    "search_conjecture",
     "summarize",
 ]

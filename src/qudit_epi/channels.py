@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from . import _kernels as kernels
 from .errors import BadDimension, DimensionMismatch
 from .states import (
     DensityMatrix,
@@ -21,7 +20,6 @@ from .states import (
     multipartite,
     partial_trace,
     permute_subsystems,
-    tensor,
 )
 
 __all__ = [
@@ -74,12 +72,18 @@ def _check_pair(rho1: DensityMatrix, rho2: DensityMatrix) -> int:
 def partial_swap_closed(rho1: DensityMatrix, rho2: DensityMatrix, tau: float) -> DensityMatrix:
     """Qudit addition rule tau*r1 + (1-tau)*r2 - i sqrt(tau(1-tau)) [r1, r2].
 
-    The map always yields a state; a positivity failure here signals an
-    implementation bug, not bad input.
+    The commutator term is skipped exactly at tau in {0, 1}, so the endpoints
+    return the unmixed input bit-for-bit. The map always yields a state; a
+    positivity failure here signals an implementation bug, not bad input.
     """
     _check_pair(rho1, rho2)
     tau = check_mixing(tau)
-    return make_density(kernels.pswap_closed(rho1.mat, rho2.mat, tau))
+    r1, r2 = rho1.mat, rho2.mat
+    c = math.sqrt(tau * (1.0 - tau))
+    out = tau * r1 + (1.0 - tau) * r2
+    if c != 0.0:
+        out = out - 1j * c * (r1 @ r2 - r2 @ r1)
+    return make_density(out)
 
 
 def partial_swap_conjugation(rho1: DensityMatrix, rho2: DensityMatrix, tau: float) -> DensityMatrix:

@@ -18,7 +18,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import _kernels as kernels
 from ._version import __version__
 from .errors import IoFailure, QuditEpiError, UsageError
 from .harness import (
@@ -131,7 +130,6 @@ class RunManifest:
             "rng": self.rng,
             "log_base": self.log_base,
             "timestamp": self.timestamp,
-            "kernels_backend": kernels.BACKEND,
             "conventions": {
                 "subsystem_order": "leftmost factor is the slowest-varying index",
                 "measurement_family": "haar-projective-rank1",
@@ -365,12 +363,6 @@ def dispatch(argv=None) -> int:
         manifest = RunManifest(command=args.command, config=cfg, timestamp=_resolve_timestamp())
         emit(manifest, all_records, summary, args.out)
         return 2 if summary.violations else 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except IoFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except QuditEpiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

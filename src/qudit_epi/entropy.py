@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as kernels
 from .errors import BadDimension, DimensionMismatch, NotDistribution, TotalMismatch
-from .measurement import PROB_FLOOR
+from .measurement import PROB_FLOOR, condition_projective_all
 from .rand import RandomSource, complex_gaussian, haar_unitary
 from .states import DensityMatrix, MultipartiteState, Spectrum, eigenvalues_descending, partial_trace
 
@@ -24,6 +23,8 @@ DISTRIBUTION_NEG_TOL = 1e-10
 DISTRIBUTION_SUM_TOL = 1e-9
 
 __all__ = [
+    "prefix_slack",
+    "entropy_nats",
     "majorizes",
     "shannon_entropy",
     "von_neumann_entropy",
@@ -43,6 +44,27 @@ def _as_vector(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def prefix_slack(dominating: np.ndarray, dominated: np.ndarray) -> tuple[float, float]:
+    """Majorization prefix comparison of two descending-sorted vectors.
+
+    Returns (min_k sum(dominating[:k]) - sum(dominated[:k]), total difference).
+    A nonnegative first value (up to tolerance) means dominated < dominating
+    in the majorization order.
+    """
+    diff = np.cumsum(dominating) - np.cumsum(dominated)
+    return float(diff.min()), float(diff[-1])
+
+
+def entropy_nats(p) -> float:
+    """Shannon entropy -sum p ln p in nats; zero entries contribute nothing.
+
+    Unvalidated: the caller guarantees p >= 0 (see :func:`shannon_entropy`).
+    """
+    p = np.asarray(p, dtype=np.float64)
+    p = p[p > 0.0]
+    return float(-(p * np.log(p)).sum())
+
+
 def majorizes(n, m, tol: float = MAJORIZATION_TOL) -> bool:
     """True iff m is majorized by n (every prefix of n↓ dominates m↓'s).
 
@@ -56,7 +78,7 @@ def majorizes(n, m, tol: float = MAJORIZATION_TOL) -> bool:
     mv = np.pad(mv, (0, size - len(mv)))
     nv = np.sort(nv)[::-1]
     mv = np.sort(mv)[::-1]
-    min_slack, total_diff = kernels.prefix_slack(nv, mv)
+    min_slack, total_diff = prefix_slack(nv, mv)
     if abs(total_diff) > tol:
         raise TotalMismatch(f"totals differ by {total_diff!r} (> {tol:.1e})")
     return min_slack >= -tol
@@ -70,12 +92,12 @@ def shannon_entropy(p) -> float:
     total = float(v.sum())
     if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
         raise NotDistribution(f"entries sum to {total!r}")
-    return kernels.entropy_nats(np.clip(v, 0.0, None))
+    return entropy_nats(np.clip(v, 0.0, None))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy of the spectrum, in nats; zero for pure states, ln d for I/d."""
-    return kernels.entropy_nats(eigenvalues_descending(rho).values)
+    return entropy_nats(eigenvalues_descending(rho).values)
 
 
 def entropy_power(x, kappa: float) -> float:
@@ -88,7 +110,7 @@ def entropy_power(x, kappa: float) -> float:
     if isinstance(x, DensityMatrix):
         s = von_neumann_entropy(x)
     elif isinstance(x, Spectrum):
-        s = kernels.entropy_nats(x.values)
+        s = entropy_nats(x.values)
     else:
         s = shannon_entropy(x)
     return math.exp(kappa * s)
@@ -148,7 +170,7 @@ def projective_entropy_power(rho4: np.ndarray, basis: np.ndarray, kappa: float) 
     rho4 is the (dx, de, dx, de)-reshaped joint state. This is the optimizer
     objective; outcomes at or below PROB_FLOOR contribute zero.
     """
-    blocks = kernels.condition_projective_all(rho4, basis)
+    blocks = condition_projective_all(rho4, basis)
     probs = np.trace(blocks, axis1=1, axis2=2).real
     mask = probs > PROB_FLOOR
     if not mask.any():

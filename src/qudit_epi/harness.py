@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _kernels as kernels
 from ._version import __version__
 from .channels import (
     partial_swap_closed,
@@ -38,8 +37,10 @@ from .entropy import (
     OptimizerConfig,
     _unitary_step,
     conditional_vn_entropy,
+    entropy_nats,
     kappa_bounds,
     minimize_conditional_entropy_power,
+    prefix_slack,
     projective_entropy_power,
 )
 from .errors import EmptyInput, UsageError
@@ -89,7 +90,6 @@ __all__ = [
     "run_concavity_trial",
     "run_conjecture_trial",
     "run_experiment",
-    "search_conjecture",
     "summarize",
     "run_metadata",
 ]
@@ -171,6 +171,15 @@ def validate_config(cfg: TrialConfig, experiment: str) -> None:
         raise UsageError(str(exc)) from None
     if kind == "rank" and (cfg.rank is None or not 1 <= cfg.rank):
         raise UsageError(f"state kind rank-k needs 1 <= K, got {cfg.rank}")
+    if kind == "rank" and experiment != "concavity":
+        # Smallest state sampled: qepi draws d x d states, the others draw
+        # (X, E1) and (X, E2) states (conjecture with d_e1 == 1 draws d x d).
+        smallest = cfg.d if experiment == "qepi" else cfg.d * min(cfg.d_e1, cfg.d_e2)
+        if cfg.rank > smallest:
+            raise UsageError(
+                f"state kind rank-k:{cfg.rank} exceeds the smallest sampled state dimension "
+                f"{smallest} of {experiment}"
+            )
     kappa1 = kappa_bounds(cfg.d)[0]
     if isinstance(cfg.kappa, (int, float)):
         if cfg.kappa < 0:
@@ -265,7 +274,7 @@ def run_lemma_trial(cfg: TrialConfig, index: int) -> TrialRecord:
             target = partial_swap_closed(out1[j].state, out2[k].state, tau)
             identity_resid = max(identity_resid, matrix_distance(o.state.mat, target.mat))
             mix = tau * spectra1[j] + (1.0 - tau) * spectra2[k]
-            slack, total = kernels.prefix_slack(mix, conditional_spectrum(o).values)
+            slack, total = prefix_slack(mix, conditional_spectrum(o).values)
             min_slack = min(min_slack, slack)
             total_resid = max(total_resid, abs(total))
     if not math.isfinite(min_slack):
@@ -336,13 +345,13 @@ def run_theorem_trial(cfg: TrialConfig, index: int) -> TrialRecord:
 
     def entropies(outcomes):
         return [
-            None if o.negligible else kernels.entropy_nats(conditional_spectrum(o).values)
+            None if o.negligible else entropy_nats(conditional_spectrum(o).values)
             for o in outcomes
         ]
 
     ent1 = entropies(out1)
     ent2 = entropies(out2)
-    ent_grid = [[None if o.negligible else kernels.entropy_nats(conditional_spectrum(o).values) for o in row] for row in grid]
+    ent_grid = [[None if o.negligible else entropy_nats(conditional_spectrum(o).values) for o in row] for row in grid]
     negligible = sum(1 for row in grid for o in row if o.negligible)
 
     kappas = resolve_kappas(cfg)
@@ -408,11 +417,11 @@ def run_qepi_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     lam2 = eigenvalues_descending(rho2).values
     lam_out = eigenvalues_descending(out).values
     mix = tau * lam1 + (1.0 - tau) * lam2
-    maj_slack, total = kernels.prefix_slack(mix, lam_out)
+    maj_slack, total = prefix_slack(mix, lam_out)
 
-    s1 = kernels.entropy_nats(lam1)
-    s2 = kernels.entropy_nats(lam2)
-    s_out = kernels.entropy_nats(lam_out)
+    s1 = entropy_nats(lam1)
+    s2 = entropy_nats(lam2)
+    s_out = entropy_nats(lam_out)
 
     slacks = {"qepi_majorization": maj_slack}
     flags = {
@@ -447,9 +456,9 @@ def run_concavity_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     tau = _draw_tau(cfg, index, gen)  # recorded only; concavity has no mixing step
     p = gen.dirichlet(np.ones(cfg.d))
     q = gen.dirichlet(np.ones(cfg.d))
-    hp = kernels.entropy_nats(p)
-    hq = kernels.entropy_nats(q)
-    hm = kernels.entropy_nats((p + q) / 2)
+    hp = entropy_nats(p)
+    hq = entropy_nats(q)
+    hm = entropy_nats((p + q) / 2)
 
     slacks: dict[str, float] = {}
     flags: dict[str, bool] = {}
@@ -611,22 +620,12 @@ def run_experiment(experiment: str, cfg: TrialConfig, parallel: int = 1):
     return records, summarize(records, run_metadata(cfg))
 
 
-def search_conjecture(cfg: TrialConfig, parallel: int = 1) -> Summary:
-    """Run the counterexample search and return its summary.
-
-    `run_experiment("conjecture", cfg)` gives the records as well.
-    """
-    _, summary = run_experiment("conjecture", cfg, parallel)
-    return summary
-
-
 def run_metadata(cfg: TrialConfig) -> dict:
     return {
         "samplers": normalize_state_kind(cfg.state_kind),
         "measurement_family": "haar-projective-rank1",
         "rng": RNG_ALGORITHM,
         "log_base": "natural",
-        "kernels_backend": kernels.BACKEND,
         "version": __version__,
     }
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as kernels
 from .errors import (
     BadIndex,
     DimensionMismatch,
@@ -27,7 +26,6 @@ from .states import (
     Spectrum,
     eigenvalues_descending,
     make_density,
-    partial_trace,
 )
 
 PROB_FLOOR = 1e-12
@@ -41,6 +39,7 @@ __all__ = [
     "kraus_set",
     "projective_from_unitary",
     "trivial_measurement",
+    "condition_projective_all",
     "condition",
     "condition_all",
     "condition_bilocal",
@@ -128,6 +127,21 @@ def _condition_general(rho4: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.einsum("ei,aibj,ej->ab", m, rho4, m.conj())
 
 
+def condition_projective_all(rho4: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Unnormalized conditional blocks for a rank-1 projective basis.
+
+    rho4  : (dx, de, dx, de) array, row/col axes split as (system, env).
+    basis : (de, n) array whose columns are the measurement vectors.
+    Returns (n, dx, dx) with out[j] = <psi_j| rho |psi_j> contracted over env.
+    """
+    de, n = basis.shape
+    dx = rho4.shape[0]
+    # out[j,a,b] = sum_{e,f} conj(basis[e,j]) rho4[a,e,b,f] basis[f,j]
+    env_first = rho4.transpose(1, 3, 0, 2).reshape(de * de, dx * dx)
+    pairs = (basis.conj()[:, None, :] * basis[None, :, :]).reshape(de * de, n)
+    return (pairs.T @ env_first).reshape(n, dx, dx)
+
+
 def _outcome(index, block: np.ndarray) -> ConditionalOutcome:
     p = float(np.trace(block).real)
     if p <= PROB_FLOOR:
@@ -144,7 +158,7 @@ def condition(s: MultipartiteState, m: MeasurementSet, j: int) -> ConditionalOut
         raise BadIndex(f"outcome {j} out of range for {len(m)} outcomes")
     rho4 = s.state.mat.reshape(dx, de, dx, de)
     if m.basis is not None:
-        block = kernels.condition_projective_all(rho4, m.basis[:, j : j + 1])[0]
+        block = condition_projective_all(rho4, m.basis[:, j : j + 1])[0]
     else:
         block = _condition_general(rho4, m.elements[j])
     return _outcome(j, block)
@@ -157,7 +171,7 @@ def condition_all(s: MultipartiteState, m: MeasurementSet) -> list[ConditionalOu
         raise DimensionMismatch(f"measurement dim {m.dim} does not match environment dim {de}")
     rho4 = s.state.mat.reshape(dx, de, dx, de)
     if m.basis is not None:
-        blocks = kernels.condition_projective_all(rho4, m.basis)
+        blocks = condition_projective_all(rho4, m.basis)
     else:
         blocks = [_condition_general(rho4, el) for el in m.elements]
     outcomes = [_outcome(j, block) for j, block in enumerate(blocks)]
@@ -184,7 +198,7 @@ def condition_bilocal(
     rho4 = s.state.mat.reshape(dy, e1 * e2, dy, e1 * e2)
     n1, n2 = len(m1), len(m2)
     if m1.basis is not None and m2.basis is not None:
-        blocks = kernels.condition_projective_all(rho4, np.kron(m1.basis, m2.basis))
+        blocks = condition_projective_all(rho4, np.kron(m1.basis, m2.basis))
         grid = [
             [_outcome((j, k), blocks[j * n2 + k]) for k in range(n2)]
             for j in range(n1)
@@ -215,11 +229,3 @@ def _check_normalization(probabilities) -> None:
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise NotDistribution(f"outcome probabilities sum to {total!r}")
 
-
-def environment_probabilities(s: MultipartiteState, m: MeasurementSet) -> np.ndarray:
-    """Outcome probabilities Tr(M†M rho_E) from the environment marginal."""
-    dx, de = _split_xe(s)
-    if m.dim != de:
-        raise DimensionMismatch(f"measurement dim {m.dim} does not match environment dim {de}")
-    rho_e = partial_trace(s, (1,)).state.mat
-    return np.array([float(np.trace(el.conj().T @ el @ rho_e).real) for el in m.elements])

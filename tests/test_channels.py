@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,18 @@ def test_partial_swap_unitary_endpoints():
 def test_partial_swap_unitary_is_unitary(tau):
     u = partial_swap_unitary(2, tau)
     assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("tau", [0.25, 0.5, 0.9])
+def test_partial_swap_unitary_disentangles_counterexample(tau):
+    # sqrt(tau)|01> - i sqrt(1-tau)|10> maps to the product |01>: the swap
+    # lowers the entropy of correlated inputs (README, conjecture search).
+    psi = np.zeros(4, dtype=complex)
+    psi[1] = math.sqrt(tau)
+    psi[2] = -1j * math.sqrt(1.0 - tau)
+    ket01 = np.zeros(4, dtype=complex)
+    ket01[1] = 1.0
+    assert np.abs(partial_swap_unitary(2, tau) @ psi - ket01).max() <= 1e-15
 
 
 def test_closed_endpoints(zero, plus):

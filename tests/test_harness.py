@@ -129,6 +129,21 @@ def test_validate_config_rejects_out_of_envelope():
         validate_config(TrialConfig(d=2, kappa=5.0), "qepi")
     validate_config(TrialConfig(d=2, kappa=5.0, exploratory_kappa=True), "qepi")
     validate_config(TrialConfig(d=6, d_e1=4, d_e2=4, trials=1), "conjecture")
+    # rank-k:K above the smallest state dimension each experiment samples
+    for cfg, experiment in [
+        (TrialConfig(d=2, state_kind="rank-k", rank=3), "qepi"),
+        (TrialConfig(d=2, state_kind="rank-k", rank=5), "lemma"),
+        (TrialConfig(d=2, state_kind="rank-k", rank=9), "lemma"),
+        (TrialConfig(d=3, d_e1=1, state_kind="rank-k", rank=4), "theorem"),
+        (TrialConfig(d=2, d_e1=1, state_kind="rank-k", rank=3), "conjecture"),
+        (TrialConfig(d=2, d_e1=2, d_e2=1, state_kind="rank-k", rank=3), "conjecture"),
+    ]:
+        with pytest.raises(UsageError):
+            validate_config(cfg, experiment)
+    validate_config(TrialConfig(d=2, state_kind="rank-k", rank=2), "qepi")
+    validate_config(TrialConfig(d=2, state_kind="rank-k", rank=4), "lemma")
+    validate_config(TrialConfig(d=2, d_e1=2, d_e2=2, state_kind="rank-k", rank=4), "conjecture")
+    validate_config(TrialConfig(d=2, state_kind="rank-k", rank=9), "concavity")
 
 
 def test_validate_config_total_dim_cap_is_inclusive():

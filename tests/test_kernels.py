@@ -1,19 +1,30 @@
-"""Backend parity and kernel correctness against naive in-test references."""
+"""The four hot kernels against naive in-test references.
+
+The addition rule lives in `channels`, projective conditioning in
+`measurement`, and the prefix slacks and Shannon entropy in `entropy`.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from qudit_epi._kernels import _fallback
+from qudit_epi.channels import partial_swap_closed
+from qudit_epi.entropy import entropy_nats, prefix_slack
+from qudit_epi.measurement import condition_projective_all
+from qudit_epi.states import make_density
 
-try:
-    from qudit_epi._kernels import _compiled
-except ImportError:
-    _compiled = None
 
-BACKENDS = [_fallback] + ([_compiled] if _compiled is not None else [])
-IDS = ["python"] + (["compiled"] if _compiled is not None else [])
+@pytest.fixture
+def implementation():
+    """Each kernel has one numpy implementation; the `python` parameter names
+    it in the test ids, so the ids stay stable."""
+
+
+pytestmark = [
+    pytest.mark.usefixtures("implementation"),
+    pytest.mark.parametrize("implementation", ["python"], indirect=True),
+]
 
 
 def _rand_herm(rng, d):
@@ -22,36 +33,34 @@ def _rand_herm(rng, d):
     return h / np.trace(h).real
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=IDS)
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
-def test_pswap_closed_matches_naive(impl, d):
+def test_pswap_closed_matches_naive(d):
     rng = np.random.default_rng(10 + d)
-    r1 = _rand_herm(rng, d)
-    r2 = _rand_herm(rng, d)
+    rho1 = make_density(_rand_herm(rng, d))
+    rho2 = make_density(_rand_herm(rng, d))
+    r1, r2 = rho1.mat, rho2.mat
     for tau in (0.0, 0.3, 0.5, 1.0):
-        got = impl.pswap_closed(r1, r2, tau)
+        got = partial_swap_closed(rho1, rho2, tau).mat
         want = tau * r1 + (1 - tau) * r2
         if 0 < tau < 1:
             want = want - 1j * math.sqrt(tau * (1 - tau)) * (r1 @ r2 - r2 @ r1)
         assert np.abs(got - want).max() < 1e-13
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=IDS)
-def test_pswap_closed_endpoints_exact(impl):
+def test_pswap_closed_endpoints_exact():
     rng = np.random.default_rng(3)
-    r1 = _rand_herm(rng, 3)
-    r2 = _rand_herm(rng, 3)
-    assert np.array_equal(impl.pswap_closed(r1, r2, 1.0), r1)
-    assert np.array_equal(impl.pswap_closed(r1, r2, 0.0), r2)
+    rho1 = make_density(_rand_herm(rng, 3))
+    rho2 = make_density(_rand_herm(rng, 3))
+    assert np.array_equal(partial_swap_closed(rho1, rho2, 1.0).mat, rho1.mat)
+    assert np.array_equal(partial_swap_closed(rho1, rho2, 0.0).mat, rho2.mat)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=IDS)
 @pytest.mark.parametrize("dx,de", [(2, 2), (3, 2), (4, 3), (2, 4)])
-def test_condition_projective_matches_naive(impl, dx, de):
+def test_condition_projective_matches_naive(dx, de):
     rng = np.random.default_rng(dx * 10 + de)
     rho = _rand_herm(rng, dx * de).reshape(dx, de, dx, de)
     q, _ = np.linalg.qr(rng.standard_normal((de, de)) + 1j * rng.standard_normal((de, de)))
-    got = impl.condition_projective_all(rho, q)
+    got = condition_projective_all(rho, q)
     for j in range(de):
         psi = q[:, j]
         want = np.zeros((dx, dx), dtype=complex)
@@ -63,44 +72,18 @@ def test_condition_projective_matches_naive(impl, dx, de):
         assert np.abs(got[j] - want).max() < 1e-13
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=IDS)
-def test_prefix_slack(impl):
+def test_prefix_slack():
     hi = np.array([0.7, 0.3, 0.0])
     lo = np.array([0.5, 0.3, 0.2])
-    slack, total = impl.prefix_slack(hi, lo)
+    slack, total = prefix_slack(hi, lo)
     assert slack == pytest.approx(0.0, abs=1e-15)  # k=3 prefix gap is 0
     assert total == pytest.approx(0.0, abs=1e-15)
-    slack, total = impl.prefix_slack(np.array([0.5, 0.5]), np.array([0.6, 0.4]))
+    slack, total = prefix_slack(np.array([0.5, 0.5]), np.array([0.6, 0.4]))
     assert slack == pytest.approx(-0.1)
     assert total == pytest.approx(0.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=IDS)
-def test_entropy_nats(impl):
-    assert impl.entropy_nats(np.array([1.0, 0.0])) == 0.0
-    assert impl.entropy_nats(np.array([0.5, 0.5])) == pytest.approx(math.log(2), abs=1e-15)
-    assert impl.entropy_nats(np.ones(3) / 3) == pytest.approx(math.log(3), abs=1e-14)
-
-
-@pytest.mark.skipif(_compiled is None, reason="compiled backend not built")
-def test_backends_agree():
-    rng = np.random.default_rng(99)
-    for dx, de in [(2, 2), (3, 3), (5, 4), (6, 2)]:
-        r1 = _rand_herm(rng, dx)
-        r2 = _rand_herm(rng, dx)
-        for tau in (0.0, 0.17, 0.5, 0.99, 1.0):
-            a = _fallback.pswap_closed(r1, r2, tau)
-            b = _compiled.pswap_closed(r1, r2, tau)
-            assert np.abs(a - b).max() < 1e-13
-        rho = _rand_herm(rng, dx * de).reshape(dx, de, dx, de)
-        q, _ = np.linalg.qr(rng.standard_normal((de, de)) + 1j * rng.standard_normal((de, de)))
-        ka = _fallback.condition_projective_all(rho, q)
-        kb = _compiled.condition_projective_all(rho, q)
-        assert np.abs(ka - kb).max() < 1e-13
-        p = rng.dirichlet(np.ones(dx))
-        p.sort()
-        p = p[::-1].copy()
-        assert _fallback.entropy_nats(p) == pytest.approx(_compiled.entropy_nats(p), abs=1e-13)
-        sa = _fallback.prefix_slack(p, p)
-        sb = _compiled.prefix_slack(p, p)
-        assert sa == pytest.approx(sb, abs=1e-15)
+def test_entropy_nats():
+    assert entropy_nats(np.array([1.0, 0.0])) == 0.0
+    assert entropy_nats(np.array([0.5, 0.5])) == pytest.approx(math.log(2), abs=1e-15)
+    assert entropy_nats(np.ones(3) / 3) == pytest.approx(math.log(3), abs=1e-14)
