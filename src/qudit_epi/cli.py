@@ -1,8 +1,9 @@
 """Command-line entry point: configure, run, emit JSON lines, set exit status.
 
 Output layout: line 1 is the manifest, one line per trial follows, and the
-last line is the summary. Floats are serialized with 17 significant digits so
-files round-trip exactly and repeated runs are byte-identical.
+last line is the summary. Floats are serialized in their shortest round-trip
+repr (integral floats keep their ".0"), so files round-trip exactly and
+repeated runs are byte-identical.
 
 Exit codes: 0 all hard checks passed; 2 a hard violation or a re-verified
 conjecture candidate (a finding, not a crash); 1 usage, configuration or I/O
@@ -13,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import math
+import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ._version import __version__
 from .errors import IoFailure, QuditEpiError, UsageError
@@ -42,53 +43,13 @@ __all__ = ["RunManifest", "dispatch", "emit", "main", "render_line", "parse_line
 # ---------------------------------------------------------------- serialization
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
-
-
-def _render(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, str):
-        import json
-
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        inner = ",".join(f"{_render(str(k))}:{_render(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_render(v) for v in obj) + "]"
-    try:
-        import numpy as np
-
-        if isinstance(obj, np.integer):
-            return str(int(obj))
-        if isinstance(obj, np.floating):
-            return _format_float(float(obj))
-    except ImportError:  # pragma: no cover
-        pass
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 def render_line(obj: dict) -> str:
-    """One JSON line, deterministic byte-for-byte."""
-    return _render(obj) + "\n"
+    """One compact JSON line, deterministic byte-for-byte."""
+    return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 def parse_lines(text: str) -> list[dict]:
     """Parse an emitted file back into objects (accepts NaN/Infinity tokens)."""
-    import json
-
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
@@ -109,23 +70,7 @@ class RunManifest:
         return {
             "type": "manifest",
             "command": self.command,
-            "config": {
-                "d": cfg.d,
-                "d_e1": cfg.d_e1,
-                "d_e2": cfg.d_e2,
-                "tau": cfg.tau if cfg.tau is not None else "random",
-                "kappa": cfg.kappa,
-                "state_kind": cfg.state_kind,
-                "rank": cfg.rank,
-                "trials": cfg.trials,
-                "seed": cfg.seed,
-                "tolerance": cfg.tolerance,
-                "exploratory_kappa": cfg.exploratory_kappa,
-                "min_form": cfg.min_form,
-                "opt_restarts": cfg.opt_restarts,
-                "opt_refine": cfg.opt_refine,
-                "opt_step": cfg.opt_step,
-            },
+            "config": {**asdict(cfg), "tau": cfg.tau if cfg.tau is not None else "random"},
             "version": self.version,
             "rng": self.rng,
             "log_base": self.log_base,
@@ -140,23 +85,7 @@ class RunManifest:
 
 def manifest_from_object(obj: dict) -> RunManifest:
     c = obj["config"]
-    cfg = TrialConfig(
-        d=c["d"],
-        d_e1=c["d_e1"],
-        d_e2=c["d_e2"],
-        tau=None if c["tau"] == "random" else float(c["tau"]),
-        kappa=c["kappa"],
-        state_kind=c["state_kind"],
-        rank=c["rank"],
-        trials=c["trials"],
-        seed=c["seed"],
-        tolerance=c["tolerance"],
-        exploratory_kappa=c["exploratory_kappa"],
-        min_form=c["min_form"],
-        opt_restarts=c["opt_restarts"],
-        opt_refine=c["opt_refine"],
-        opt_step=c["opt_step"],
-    )
+    cfg = TrialConfig(**{**c, "tau": None if c["tau"] == "random" else float(c["tau"])})
     return RunManifest(
         command=obj["command"],
         config=cfg,
@@ -171,11 +100,8 @@ def _resolve_timestamp() -> str:
     """Deterministic by default so repeated runs emit identical bytes.
 
     Wall-clock time only enters when the caller asks for it through
-    QUDIT_EPI_TIMESTAMP (ISO-8601) or SOURCE_DATE_EPOCH (seconds).
+    SOURCE_DATE_EPOCH (seconds).
     """
-    explicit = os.environ.get("QUDIT_EPI_TIMESTAMP")
-    if explicit:
-        return explicit
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch:
         dt = datetime.datetime.fromtimestamp(int(epoch), tz=datetime.timezone.utc)
@@ -254,7 +180,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--parallel",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker processes (QUDIT_EPI_THREADS overrides)",
+        help="worker processes, >= 1",
     )
     p.add_argument("--state-kind", default="ginibre", help="ginibre | pure | rank-k:K")
     p.add_argument(
@@ -335,16 +261,6 @@ def _config_from_args(args) -> TrialConfig:
     )
 
 
-def _resolve_parallel(args) -> int:
-    env = os.environ.get("QUDIT_EPI_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"QUDIT_EPI_THREADS must be an integer, got {env!r}") from None
-    return max(1, args.parallel)
-
-
 def dispatch(argv=None) -> int:
     """Parse one subcommand, run it, write output, and return the exit code."""
     try:
@@ -353,11 +269,12 @@ def dispatch(argv=None) -> int:
         experiments = _COMMAND_EXPERIMENTS[args.command]
         for experiment in experiments:
             validate_config(cfg, experiment)
-        parallel = _resolve_parallel(args)
+        if args.parallel < 1:
+            raise UsageError(f"--parallel must be >= 1, got {args.parallel}")
 
         all_records: list[TrialRecord] = []
         for experiment in experiments:
-            records, _ = run_experiment(experiment, cfg, parallel)
+            records, _ = run_experiment(experiment, cfg, args.parallel)
             all_records.extend(records)
         summary = summarize(all_records, run_metadata(cfg))
         manifest = RunManifest(command=args.command, config=cfg, timestamp=_resolve_timestamp())

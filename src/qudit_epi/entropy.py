@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -192,29 +193,37 @@ def _unitary_step(gen: np.random.Generator, d: int, scale: float) -> np.ndarray:
 def minimize_conditional_entropy_power(
     s: MultipartiteState, kappa: float, cfg: OptimizerConfig
 ) -> tuple[float, np.ndarray]:
-    """Approximate min over rank-1 projective bases of the expected entropy
-    power of the conditioned system.
+    """Approximate min over product projective bases U1 (x) ... (x) Un of the
+    expected entropy power of X conditioned on (E1, ..., En).
 
-    Random restarts, each refined by accept-if-better random rotations
-    U <- U exp(i * step_scale * H). The result is an upper bound on the true
-    minimum over the projective family; callers must treat it one-sidedly.
+    s is ordered (X, E1, ..., En); n >= 1 comes from s.dims. Random restarts,
+    each drawing the Haar factors U1..Un in order and then refined by
+    accept-if-better random rotations: refine step k rotates factor
+    j = k mod n, Uj <- Uj exp(i * step_scale * H). The result is an upper bound on the true
+    minimum over the product family; callers must treat it one-sidedly.
     Restart r draws from the stream rng.derive(r); ties keep the lowest r.
+    Returns the value and the product basis.
     """
-    if len(s.dims) != 2:
-        raise DimensionMismatch(f"expected a bipartite (X, E) state, got dims {s.dims}")
-    dx, de = s.dims
+    if len(s.dims) < 2:
+        raise DimensionMismatch(f"expected an (X, E1, ..., En) state, got dims {s.dims}")
+    dx, *envs = s.dims
+    de = math.prod(envs)
     rho4 = s.state.mat.reshape(dx, de, dx, de)
     best_value = math.inf
     best_basis = None
     for r in range(cfg.restarts):
         gen = cfg.rng.derive(r).generator()
-        basis = haar_unitary(de, gen)
+        factors = [haar_unitary(e, gen) for e in envs]
+        basis = reduce(np.kron, factors)
         value = projective_entropy_power(rho4, basis, kappa)
-        for _ in range(cfg.refine_steps):
-            candidate = basis @ _unitary_step(gen, de, cfg.step_scale)
+        for step in range(cfg.refine_steps):
+            i = step % len(envs)
+            cand_factors = factors.copy()
+            cand_factors[i] = factors[i] @ _unitary_step(gen, envs[i], cfg.step_scale)
+            candidate = reduce(np.kron, cand_factors)
             cand_value = projective_entropy_power(rho4, candidate, kappa)
             if cand_value < value:
-                basis, value = candidate, cand_value
+                factors, basis, value = cand_factors, candidate, cand_value
         if value < best_value:
             best_value, best_basis = value, basis
     return best_value, best_basis

@@ -22,7 +22,6 @@ index), so trials can run in any order or in parallel and replay exactly.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,13 +34,11 @@ from .channels import (
 )
 from .entropy import (
     OptimizerConfig,
-    _unitary_step,
     conditional_vn_entropy,
     entropy_nats,
     kappa_bounds,
     minimize_conditional_entropy_power,
     prefix_slack,
-    projective_entropy_power,
 )
 from .errors import EmptyInput, UsageError
 from .measurement import (
@@ -127,9 +124,11 @@ class TrialRecord:
     slacks: dict[str, float]
     residuals: dict[str, float]
     pass_flags: dict[str, bool]
-    passed: bool
+    passed: bool = field(init=False)  # all(pass_flags), set on construction
     negligible: int = 0
-    wall_time: float = 0.0  # in-memory only; never serialized
+
+    def __post_init__(self):
+        self.passed = all(self.pass_flags.values())
 
 
 @dataclass
@@ -216,12 +215,6 @@ def _draw_tau(cfg: TrialConfig, index: int, gen: np.random.Generator) -> float:
     return float(gen.uniform())
 
 
-def _finish(record: TrialRecord, t0: float) -> TrialRecord:
-    record.passed = all(record.pass_flags.values())
-    record.wall_time = time.perf_counter() - t0
-    return record
-
-
 def _bilocal_setting(cfg: TrialConfig, gen: np.random.Generator, index: int):
     """Draw order: tau, state1, state2, basis1, basis2."""
     tau = _draw_tau(cfg, index, gen)
@@ -250,7 +243,6 @@ def run_lemma_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     inputs (identity residual), and its spectrum must be majorized by the
     tau-mixture of the conditioned input spectra (prefix slacks).
     """
-    t0 = time.perf_counter()
     gen = _trial_source(cfg, "lemma", index).generator()
     tau, s1, s2, m1, m2 = _bilocal_setting(cfg, gen, index)
     _, out1, out2, grid, prob_norm = _conditioned_pieces(tau, s1, s2, m1, m2)
@@ -281,7 +273,7 @@ def run_lemma_trial(cfg: TrialConfig, index: int) -> TrialRecord:
         min_slack = 0.0
 
     tol = cfg.tolerance
-    record = TrialRecord(
+    return TrialRecord(
         experiment="lemma",
         index=index,
         tau=tau,
@@ -300,32 +292,8 @@ def run_lemma_trial(cfg: TrialConfig, index: int) -> TrialRecord:
             "factorization": factor_resid <= tol,
             "prob_norm": prob_norm <= tol,
         },
-        passed=True,
         negligible=negligible,
     )
-    return _finish(record, t0)
-
-
-def _minimize_bilocal(joint, kappa: float, cfg: TrialConfig, rng: RandomSource) -> float:
-    """Hill climb over product bases (U1, U2) for the joint conditional objective."""
-    dy, e1, e2 = joint.dims
-    rho4 = joint.state.mat.reshape(dy, e1 * e2, dy, e1 * e2)
-    best = math.inf
-    for r in range(cfg.opt_restarts):
-        gen = rng.derive(r).generator()
-        u1 = haar_unitary(e1, gen)
-        u2 = haar_unitary(e2, gen)
-        value = projective_entropy_power(rho4, np.kron(u1, u2), kappa)
-        for step in range(cfg.opt_refine):
-            if step % 2 == 0:
-                c1, c2 = u1 @ _unitary_step(gen, e1, cfg.opt_step), u2
-            else:
-                c1, c2 = u1, u2 @ _unitary_step(gen, e2, cfg.opt_step)
-            cand = projective_entropy_power(rho4, np.kron(c1, c2), kappa)
-            if cand < value:
-                u1, u2, value = c1, c2, cand
-        best = min(best, value)
-    return best
 
 
 def run_theorem_trial(cfg: TrialConfig, index: int) -> TrialRecord:
@@ -337,7 +305,6 @@ def run_theorem_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     is built from optimizer upper bounds, so a negative value there is not a
     violation of anything.
     """
-    t0 = time.perf_counter()
     source = _trial_source(cfg, "theorem", index)
     gen = source.generator()
     tau, s1, s2, m1, m2 = _bilocal_setting(cfg, gen, index)
@@ -355,6 +322,9 @@ def run_theorem_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     negligible = sum(1 for row in grid for o in row if o.negligible)
 
     kappas = resolve_kappas(cfg)
+    opt = OptimizerConfig(
+        rng=source, restarts=cfg.opt_restarts, refine_steps=cfg.opt_refine, step_scale=cfg.opt_step
+    )
     slacks: dict[str, float] = {}
     flags: dict[str, bool] = {"prob_norm": prob_norm <= cfg.tolerance}
     for t, (kappa, hard) in enumerate(kappas):
@@ -377,19 +347,16 @@ def run_theorem_trial(cfg: TrialConfig, index: int) -> TrialRecord:
             flags[key] = slack >= -cfg.tolerance
 
         if cfg.min_form and kappa > 0.0:
-            joint_best = _minimize_bilocal(joint, kappa, cfg, source.derive(_OPT_SALT, t, 0))
-            ocfg1 = OptimizerConfig(
-                rng=source.derive(_OPT_SALT, t, 1),
-                restarts=cfg.opt_restarts,
-                refine_steps=cfg.opt_refine,
-                step_scale=cfg.opt_step,
+            # Streams: 0 the joint (Y, E1, E2) output, 1 and 2 the inputs.
+            v_joint, v1, v2 = (
+                minimize_conditional_entropy_power(
+                    state, kappa, replace(opt, rng=source.derive(_OPT_SALT, t, j))
+                )[0]
+                for j, state in enumerate((joint, s1, s2))
             )
-            ocfg2 = replace(ocfg1, rng=source.derive(_OPT_SALT, t, 2))
-            v1, _ = minimize_conditional_entropy_power(s1, kappa, ocfg1)
-            v2, _ = minimize_conditional_entropy_power(s2, kappa, ocfg2)
-            slacks[f"theorem_min_form.k{t}"] = joint_best - tau * v1 - (1.0 - tau) * v2
+            slacks[f"theorem_min_form.k{t}"] = v_joint - tau * v1 - (1.0 - tau) * v2
 
-    record = TrialRecord(
+    return TrialRecord(
         experiment="theorem",
         index=index,
         tau=tau,
@@ -397,15 +364,12 @@ def run_theorem_trial(cfg: TrialConfig, index: int) -> TrialRecord:
         slacks=slacks,
         residuals={"prob_norm": prob_norm},
         pass_flags=flags,
-        passed=True,
         negligible=negligible,
     )
-    return _finish(record, t0)
 
 
 def run_qepi_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     """Unconditional entropy power inequality and spectral majorization."""
-    t0 = time.perf_counter()
     gen = _trial_source(cfg, "qepi", index).generator()
     tau = _draw_tau(cfg, index, gen)
     kind = normalize_state_kind(cfg.state_kind)
@@ -436,7 +400,7 @@ def run_qepi_trial(cfg: TrialConfig, index: int) -> TrialRecord:
         if hard:
             flags[key] = slack >= -cfg.tolerance
 
-    record = TrialRecord(
+    return TrialRecord(
         experiment="qepi",
         index=index,
         tau=tau,
@@ -444,14 +408,11 @@ def run_qepi_trial(cfg: TrialConfig, index: int) -> TrialRecord:
         slacks=slacks,
         residuals={"major_total": abs(total)},
         pass_flags=flags,
-        passed=True,
     )
-    return _finish(record, t0)
 
 
 def run_concavity_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     """Midpoint concavity of the entropy power on a random simplex pair."""
-    t0 = time.perf_counter()
     gen = _trial_source(cfg, "concavity", index).generator()
     tau = _draw_tau(cfg, index, gen)  # recorded only; concavity has no mixing step
     p = gen.dirichlet(np.ones(cfg.d))
@@ -470,7 +431,7 @@ def run_concavity_trial(cfg: TrialConfig, index: int) -> TrialRecord:
         if hard:
             flags[key] = slack >= -cfg.tolerance
 
-    record = TrialRecord(
+    return TrialRecord(
         experiment="concavity",
         index=index,
         tau=tau,
@@ -478,9 +439,7 @@ def run_concavity_trial(cfg: TrialConfig, index: int) -> TrialRecord:
         slacks=slacks,
         residuals={},
         pass_flags=flags,
-        passed=True,
     )
-    return _finish(record, t0)
 
 
 def _conjecture_slack(joint, tau: float) -> float:
@@ -516,7 +475,6 @@ def run_conjecture_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     The control arm draws product-shaped (X1,E1) x (X2,E2) inputs and reports
     (never asserts) the two-environment entropy version.
     """
-    t0 = time.perf_counter()
     gen = _trial_source(cfg, "conjecture", index).generator()
     tau = _draw_tau(cfg, index, gen)
     kind = normalize_state_kind(cfg.state_kind)
@@ -561,7 +519,7 @@ def run_conjecture_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     if de == 1:
         flags["conjecture"] = slack >= -cfg.tolerance
 
-    record = TrialRecord(
+    return TrialRecord(
         experiment="conjecture",
         index=index,
         tau=tau,
@@ -569,9 +527,7 @@ def run_conjecture_trial(cfg: TrialConfig, index: int) -> TrialRecord:
         slacks=slacks,
         residuals={},
         pass_flags=flags,
-        passed=True,
     )
-    return _finish(record, t0)
 
 
 _TRIAL_FNS = {

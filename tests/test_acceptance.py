@@ -5,7 +5,6 @@ per criterion. The heavy fixtures are shared across criteria, so this module
 is meant to run as a whole.
 """
 
-import math
 import os
 import subprocess
 import sys
@@ -20,7 +19,7 @@ from qudit_epi.channels import (
     partial_swap_global,
     partial_swap_global_closed,
 )
-from qudit_epi.entropy import OptimizerConfig, entropy_power, kappa_bounds, minimize_conditional_entropy_power
+from qudit_epi.entropy import OptimizerConfig, entropy_power, minimize_conditional_entropy_power
 from qudit_epi.harness import TrialConfig, run_conjecture_trial, run_experiment
 from qudit_epi.rand import RandomSource, sample_state
 from qudit_epi.states import make_density, matrix_distance, multipartite, tensor

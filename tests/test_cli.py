@@ -3,8 +3,6 @@ import math
 import subprocess
 import sys
 
-import pytest
-
 from qudit_epi.cli import (
     RunManifest,
     dispatch,
@@ -24,9 +22,15 @@ def _run(args, **kw):
 def test_render_line_float_precision():
     line = render_line({"x": 1 / 3, "n": 5, "b": True, "s": "hi", "v": [0.1, None]})
     parsed = json.loads(line)
-    assert parsed["x"] == 1 / 3  # 17 significant digits round-trip exactly
-    assert "0.33333333333333331" in line
+    assert parsed["x"] == 1 / 3  # the shortest repr round-trips exactly
+    assert '"x":0.3333333333333333,' in line
     assert parsed["n"] == 5 and parsed["b"] is True and parsed["v"][1] is None
+
+
+def test_integral_floats_stay_floats():
+    parsed = json.loads(render_line({"t": 0.0, "k": [1.0]}))
+    assert parsed == {"t": 0.0, "k": [1.0]}
+    assert type(parsed["t"]) is float and type(parsed["k"][0]) is float
 
 
 def test_render_line_nonfinite():
@@ -60,6 +64,8 @@ def test_dispatch_usage_errors_exit_one(capsys):
     assert dispatch(["verify-qepi", "--tau", "banana", "--trials", "1"]) == 1
     assert dispatch(["no-such-command"]) == 1
     assert dispatch(["verify-qepi", "--kappa", "9", "--trials", "1"]) == 1
+    assert dispatch(["verify-qepi", "--parallel", "0", "--trials", "1"]) == 1
+    assert "--parallel" in capsys.readouterr().err
 
 
 def test_dispatch_io_failure_exit_one(tmp_path, capsys):
@@ -82,14 +88,6 @@ def test_parallel_does_not_change_output(tmp_path):
     assert dispatch(base + ["--parallel", "1", "--out", str(a)]) == 0
     assert dispatch(base + ["--parallel", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_env_threads_overrides_parallel(tmp_path, monkeypatch):
-    out = tmp_path / "run.jsonl"
-    monkeypatch.setenv("QUDIT_EPI_THREADS", "2")
-    code = dispatch(["verify-qepi", "--trials", "6", "--seed", "2", "--parallel", "1", "--out", str(out)])
-    assert code == 0
-    assert len(parse_lines(out.read_text())) == 8
 
 
 def test_timestamp_env_override(tmp_path, monkeypatch):

@@ -155,14 +155,18 @@ def _opt_cfg(seed, **kw):
     return OptimizerConfig(rng=RandomSource(seed), **kw)
 
 
-def test_optimizer_product_state_is_exact():
+@pytest.mark.parametrize("env_dims", [(3,), (2, 3)], ids=["one-env", "two-envs"])
+def test_optimizer_product_state_is_exact(env_dims):
+    # x (x) e1 (x) ... (x) en: the climb over product bases U1 (x) ... (x) Un is exact.
     gen = RandomSource(56).generator()
     x = sample_state(gen, 2)
-    e = sample_state(gen, 3)
-    s = multipartite(tensor(x, e), (2, 3))
+    joint = x
+    for de in env_dims:
+        joint = tensor(joint, sample_state(gen, de))
+    s = multipartite(joint, (2, *env_dims))
     value, basis = minimize_conditional_entropy_power(s, 1.0, _opt_cfg(1, restarts=2, refine_steps=4))
     assert value == pytest.approx(entropy_power(x, 1.0), abs=1e-10)
-    assert basis.shape == (3, 3)
+    assert basis.shape == (math.prod(env_dims),) * 2
 
 
 def test_optimizer_kappa_zero_returns_one(bell):

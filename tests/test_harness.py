@@ -1,6 +1,6 @@
-import numpy as np
 import pytest
 
+from qudit_epi.cli import dispatch, parse_lines
 from qudit_epi.errors import EmptyInput, UsageError
 from qudit_epi.harness import (
     TrialConfig,
@@ -182,10 +182,22 @@ def test_summarize_empty_and_violations():
     assert summarize(records).violations == 1
 
 
-def test_standalone_matches_all_stream_layout():
-    # lemma records from a standalone run equal the lemma slice of `all`
-    cfg = TrialConfig(d=2, trials=4, seed=16)
-    solo, _ = run_experiment("lemma", cfg, parallel=1)
-    again, _ = run_experiment("lemma", cfg, parallel=1)
-    for a, b in zip(solo, again):
-        assert _records_equal(a, b)
+def test_standalone_matches_all_stream_layout(tmp_path):
+    # `all --seed S` emits exactly the trials of the five `verify-<name> --seed S` runs
+    common = ["--dim", "2", "--trials", "5", "--seed", "7", "--parallel", "1"]
+
+    def trial_lines(command):
+        out = tmp_path / f"{command}.jsonl"
+        assert dispatch([command, *common, "--out", str(out)]) in (0, 2)
+        return [ln for ln in parse_lines(out.read_text()) if ln["type"] == "trial"]
+
+    combined = trial_lines("all")
+    for line in combined:
+        del line["experiment"]
+    standalone = [
+        line
+        for command in ("verify-lemma", "verify-theorem", "verify-qepi", "concavity-scan", "search-conjecture")
+        for line in trial_lines(command)
+    ]
+    assert len(combined) == 25
+    assert combined == standalone
