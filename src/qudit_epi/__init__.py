@@ -36,18 +36,15 @@ from .harness import (
 from .measurement import (
     ConditionalOutcome,
     MeasurementSet,
-    condition,
     condition_all,
     condition_bilocal,
     conditional_spectrum,
-    kraus_set,
     projective_from_unitary,
 )
 from .rand import RandomSource, random_state, random_unitary
 from .states import (
     DensityMatrix,
     MultipartiteState,
-    Spectrum,
     commutator,
     eigenvalues_descending,
     make_density,
@@ -62,7 +59,6 @@ __all__ = [
     "__version__",
     "DensityMatrix",
     "MultipartiteState",
-    "Spectrum",
     "RandomSource",
     "MeasurementSet",
     "ConditionalOutcome",
@@ -86,9 +82,7 @@ __all__ = [
     "partial_swap_conjugation",
     "partial_swap_global",
     "partial_swap_global_closed",
-    "kraus_set",
     "projective_from_unitary",
-    "condition",
     "condition_all",
     "condition_bilocal",
     "conditional_spectrum",

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import BadDimension, DimensionMismatch
+from .errors import QuditEpiError
 from .states import (
     DensityMatrix,
     MultipartiteState,
@@ -44,7 +44,7 @@ def check_mixing(tau: float) -> float:
 def swap_operator(d: int) -> np.ndarray:
     """The d^2 x d^2 swap W with W(|a>⊗|b>) = |b>⊗|a>; Hermitian, W^2 = I."""
     if d < 2:
-        raise BadDimension(f"swap needs d >= 2, got {d}")
+        raise QuditEpiError(f"swap needs d >= 2, got {d}")
     w = np.zeros((d * d, d * d), dtype=np.complex128)
     for a in range(d):
         for b in range(d):
@@ -65,7 +65,7 @@ def partial_swap_unitary(d: int, tau: float) -> np.ndarray:
 
 def _check_pair(rho1: DensityMatrix, rho2: DensityMatrix) -> int:
     if rho1.dim != rho2.dim:
-        raise DimensionMismatch(f"input dims differ: {rho1.dim} vs {rho2.dim}")
+        raise QuditEpiError(f"input dims differ: {rho1.dim} vs {rho2.dim}")
     return rho1.dim
 
 
@@ -106,11 +106,11 @@ def partial_swap_global(s1: MultipartiteState, s2: MultipartiteState, tau: float
     unitary acts on (X1, X2) only. Output order is (Y, E1, E2).
     """
     if len(s1.dims) != 2 or len(s2.dims) != 2:
-        raise DimensionMismatch(f"expected bipartite inputs, got dims {s1.dims} and {s2.dims}")
+        raise QuditEpiError(f"expected bipartite inputs, got dims {s1.dims} and {s2.dims}")
     d, e1 = s1.dims
     d2, e2 = s2.dims
     if d != d2:
-        raise DimensionMismatch(f"system dims differ: {d} vs {d2}")
+        raise QuditEpiError(f"system dims differ: {d} vs {d2}")
     tau = check_mixing(tau)
     # The kron of two valid states is valid; skip re-validating the big product.
     big = DensityMatrix(np.kron(s1.state.mat, s2.state.mat))
@@ -133,11 +133,11 @@ def partial_swap_global_closed(s1: MultipartiteState, s2: MultipartiteState, tau
     i sqrt(tau(1-tau)) times the commutator of the embeddings.
     """
     if len(s1.dims) != 2 or len(s2.dims) != 2:
-        raise DimensionMismatch(f"expected bipartite inputs, got dims {s1.dims} and {s2.dims}")
+        raise QuditEpiError(f"expected bipartite inputs, got dims {s1.dims} and {s2.dims}")
     d, e1 = s1.dims
     d2, e2 = s2.dims
     if d != d2:
-        raise DimensionMismatch(f"system dims differ: {d} vs {d2}")
+        raise QuditEpiError(f"system dims differ: {d} vs {d2}")
     tau = check_mixing(tau)
 
     rho1 = s1.state.mat

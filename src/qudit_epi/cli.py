@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from ._version import __version__
-from .errors import IoFailure, QuditEpiError, UsageError
+from .errors import QuditEpiError, UsageError
 from .harness import (
     EXPERIMENTS,
     MAX_DIM,
@@ -154,7 +154,7 @@ def emit(manifest: RunManifest, records, summary: Summary, out: str) -> None:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
     except OSError as exc:
-        raise IoFailure(f"cannot write {out!r}: {exc}") from exc
+        raise QuditEpiError(f"cannot write {out!r}: {exc}") from exc
 
 
 # ------------------------------------------------------------------- arguments
@@ -269,8 +269,6 @@ def dispatch(argv=None) -> int:
         experiments = _COMMAND_EXPERIMENTS[args.command]
         for experiment in experiments:
             validate_config(cfg, experiment)
-        if args.parallel < 1:
-            raise UsageError(f"--parallel must be >= 1, got {args.parallel}")
 
         all_records: list[TrialRecord] = []
         for experiment in experiments:

@@ -14,10 +14,10 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import BadDimension, DimensionMismatch, NotDistribution, TotalMismatch
+from .errors import QuditEpiError, ValidationError
 from .measurement import PROB_FLOOR, condition_projective_all
 from .rand import RandomSource, complex_gaussian, haar_unitary
-from .states import DensityMatrix, MultipartiteState, Spectrum, eigenvalues_descending, partial_trace
+from .states import DensityMatrix, MultipartiteState, eigenvalues_descending, partial_trace
 
 MAJORIZATION_TOL = 1e-9
 DISTRIBUTION_NEG_TOL = 1e-10
@@ -37,12 +37,6 @@ __all__ = [
     "minimize_conditional_entropy_power",
     "projective_entropy_power",
 ]
-
-
-def _as_vector(x) -> np.ndarray:
-    if isinstance(x, Spectrum):
-        return np.asarray(x.values, dtype=np.float64)
-    return np.asarray(x, dtype=np.float64)
 
 
 def prefix_slack(dominating: np.ndarray, dominated: np.ndarray) -> tuple[float, float]:
@@ -72,8 +66,8 @@ def majorizes(n, m, tol: float = MAJORIZATION_TOL) -> bool:
     Vectors of unequal length are zero-padded; totals must agree within tol or
     the comparison is refused outright.
     """
-    nv = _as_vector(n)
-    mv = _as_vector(m)
+    nv = np.asarray(n, dtype=np.float64)
+    mv = np.asarray(m, dtype=np.float64)
     size = max(len(nv), len(mv))
     nv = np.pad(nv, (0, size - len(nv)))
     mv = np.pad(mv, (0, size - len(mv)))
@@ -81,28 +75,28 @@ def majorizes(n, m, tol: float = MAJORIZATION_TOL) -> bool:
     mv = np.sort(mv)[::-1]
     min_slack, total_diff = prefix_slack(nv, mv)
     if abs(total_diff) > tol:
-        raise TotalMismatch(f"totals differ by {total_diff!r} (> {tol:.1e})")
+        raise QuditEpiError(f"totals differ by {total_diff!r} (> {tol:.1e})")
     return min_slack >= -tol
 
 
 def shannon_entropy(p) -> float:
     """-sum p ln p in nats with 0 ln 0 = 0; validates p as a distribution."""
-    v = _as_vector(p)
+    v = np.asarray(p, dtype=np.float64)
     if v.size and float(v.min()) < -DISTRIBUTION_NEG_TOL:
-        raise NotDistribution(f"negative entry {float(v.min())!r}")
+        raise ValidationError(f"negative entry {float(v.min())!r}")
     total = float(v.sum())
     if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
-        raise NotDistribution(f"entries sum to {total!r}")
+        raise ValidationError(f"entries sum to {total!r}")
     return entropy_nats(np.clip(v, 0.0, None))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy of the spectrum, in nats; zero for pure states, ln d for I/d."""
-    return entropy_nats(eigenvalues_descending(rho).values)
+    return entropy_nats(eigenvalues_descending(rho))
 
 
 def entropy_power(x, kappa: float) -> float:
-    """exp(kappa * S(x)) for a state, spectrum, or probability vector.
+    """exp(kappa * S(x)) for a state or a probability vector (e.g. a spectrum).
 
     Permutation-symmetric, Schur concave, and confined to [1, d^kappa].
     """
@@ -110,8 +104,6 @@ def entropy_power(x, kappa: float) -> float:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     if isinstance(x, DensityMatrix):
         s = von_neumann_entropy(x)
-    elif isinstance(x, Spectrum):
-        s = entropy_nats(x.values)
     else:
         s = shannon_entropy(x)
     return math.exp(kappa * s)
@@ -121,14 +113,14 @@ def kappa_bounds(d: int) -> tuple[float, float]:
     """(1/(ln d)^2, 1/(d-1)): the concavity windows of the two entropic
     functionals studied here; only the first drives inequality checks."""
     if d < 2:
-        raise BadDimension(f"need d >= 2, got {d}")
+        raise QuditEpiError(f"need d >= 2, got {d}")
     return 1.0 / math.log(d) ** 2, 1.0 / (d - 1)
 
 
 def conditional_vn_entropy(s: MultipartiteState) -> float:
     """S(AB) - S(B) for a bipartite state; negative for entangled inputs."""
     if len(s.dims) != 2:
-        raise DimensionMismatch(f"expected a bipartite state, got dims {s.dims}")
+        raise QuditEpiError(f"expected a bipartite state, got dims {s.dims}")
     s_ab = von_neumann_entropy(s.state)
     s_b = von_neumann_entropy(partial_trace(s, (1,)).state)
     return s_ab - s_b
@@ -205,7 +197,7 @@ def minimize_conditional_entropy_power(
     Returns the value and the product basis.
     """
     if len(s.dims) < 2:
-        raise DimensionMismatch(f"expected an (X, E1, ..., En) state, got dims {s.dims}")
+        raise QuditEpiError(f"expected an (X, E1, ..., En) state, got dims {s.dims}")
     dx, *envs = s.dims
     de = math.prod(envs)
     rho4 = s.state.mat.reshape(dx, de, dx, de)

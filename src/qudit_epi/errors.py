@@ -1,4 +1,8 @@
-"""Exception hierarchy. Every validation error reports the measured deviation."""
+"""Exception hierarchy: three classes, one per way a caller can tell failures apart.
+
+Every message reports the measured deviation or the offending value, so the
+class only has to say what kind of failure it is.
+"""
 
 
 class QuditEpiError(Exception):
@@ -6,80 +10,8 @@ class QuditEpiError(Exception):
 
 
 class ValidationError(QuditEpiError):
-    """A state, spectrum or measurement failed one of its invariants."""
-
-
-class NotHermitian(ValidationError):
-    pass
-
-
-class NotUnitTrace(ValidationError):
-    pass
-
-
-class NotPositive(ValidationError):
-    pass
-
-
-class NotDistribution(ValidationError):
-    """A probability vector has negative entries or does not sum to one."""
-
-
-class DimensionMismatch(QuditEpiError):
-    pass
-
-
-class BadSubsystemIndex(QuditEpiError):
-    pass
-
-
-class BadPermutation(QuditEpiError):
-    pass
-
-
-class BadDimension(QuditEpiError):
-    pass
-
-
-class BadRank(QuditEpiError):
-    pass
-
-
-class BadIndex(QuditEpiError):
-    pass
-
-
-class EigenSolverFailure(QuditEpiError):
-    """The Hermitian eigensolver did not converge."""
-
-
-class DegenerateSample(QuditEpiError):
-    """A random draw failed its self-check repeatedly."""
-
-
-class NotUnitary(ValidationError):
-    pass
-
-
-class IncompleteMeasurement(ValidationError):
-    """Kraus elements do not sum to the identity."""
-
-
-class NegligibleOutcome(QuditEpiError):
-    """The outcome probability is below the floor; no conditional state exists."""
-
-
-class TotalMismatch(QuditEpiError):
-    """Majorization inputs do not share the same total."""
-
-
-class EmptyInput(QuditEpiError):
-    pass
-
-
-class IoFailure(QuditEpiError):
-    """Could not write an output file; carries path and OS detail."""
+    """A state, spectrum, distribution or unitary failed one of its invariants."""
 
 
 class UsageError(QuditEpiError):
-    """Bad command line or configuration."""
+    """Bad command line or configuration, rejected before trial 0."""

@@ -40,7 +40,7 @@ from .entropy import (
     minimize_conditional_entropy_power,
     prefix_slack,
 )
-from .errors import EmptyInput, UsageError
+from .errors import QuditEpiError, UsageError
 from .measurement import (
     condition_all,
     condition_bilocal,
@@ -218,9 +218,8 @@ def _draw_tau(cfg: TrialConfig, index: int, gen: np.random.Generator) -> float:
 def _bilocal_setting(cfg: TrialConfig, gen: np.random.Generator, index: int):
     """Draw order: tau, state1, state2, basis1, basis2."""
     tau = _draw_tau(cfg, index, gen)
-    kind = normalize_state_kind(cfg.state_kind)
-    s1 = multipartite(sample_state(gen, cfg.d * cfg.d_e1, kind, cfg.rank), (cfg.d, cfg.d_e1))
-    s2 = multipartite(sample_state(gen, cfg.d * cfg.d_e2, kind, cfg.rank), (cfg.d, cfg.d_e2))
+    s1 = multipartite(sample_state(gen, cfg.d * cfg.d_e1, cfg.state_kind, cfg.rank), (cfg.d, cfg.d_e1))
+    s2 = multipartite(sample_state(gen, cfg.d * cfg.d_e2, cfg.state_kind, cfg.rank), (cfg.d, cfg.d_e2))
     m1 = projective_from_unitary(haar_unitary(cfg.d_e1, gen))
     m2 = projective_from_unitary(haar_unitary(cfg.d_e2, gen))
     return tau, s1, s2, m1, m2
@@ -247,8 +246,8 @@ def run_lemma_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     tau, s1, s2, m1, m2 = _bilocal_setting(cfg, gen, index)
     _, out1, out2, grid, prob_norm = _conditioned_pieces(tau, s1, s2, m1, m2)
 
-    spectra1 = [None if o.negligible else conditional_spectrum(o).values for o in out1]
-    spectra2 = [None if o.negligible else conditional_spectrum(o).values for o in out2]
+    spectra1 = [None if o.negligible else conditional_spectrum(o) for o in out1]
+    spectra2 = [None if o.negligible else conditional_spectrum(o) for o in out2]
 
     identity_resid = 0.0
     factor_resid = 0.0
@@ -266,7 +265,7 @@ def run_lemma_trial(cfg: TrialConfig, index: int) -> TrialRecord:
             target = partial_swap_closed(out1[j].state, out2[k].state, tau)
             identity_resid = max(identity_resid, matrix_distance(o.state.mat, target.mat))
             mix = tau * spectra1[j] + (1.0 - tau) * spectra2[k]
-            slack, total = prefix_slack(mix, conditional_spectrum(o).values)
+            slack, total = prefix_slack(mix, conditional_spectrum(o))
             min_slack = min(min_slack, slack)
             total_resid = max(total_resid, abs(total))
     if not math.isfinite(min_slack):
@@ -312,13 +311,13 @@ def run_theorem_trial(cfg: TrialConfig, index: int) -> TrialRecord:
 
     def entropies(outcomes):
         return [
-            None if o.negligible else entropy_nats(conditional_spectrum(o).values)
+            None if o.negligible else entropy_nats(conditional_spectrum(o))
             for o in outcomes
         ]
 
     ent1 = entropies(out1)
     ent2 = entropies(out2)
-    ent_grid = [[None if o.negligible else entropy_nats(conditional_spectrum(o).values) for o in row] for row in grid]
+    ent_grid = [[None if o.negligible else entropy_nats(conditional_spectrum(o)) for o in row] for row in grid]
     negligible = sum(1 for row in grid for o in row if o.negligible)
 
     kappas = resolve_kappas(cfg)
@@ -372,14 +371,13 @@ def run_qepi_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     """Unconditional entropy power inequality and spectral majorization."""
     gen = _trial_source(cfg, "qepi", index).generator()
     tau = _draw_tau(cfg, index, gen)
-    kind = normalize_state_kind(cfg.state_kind)
-    rho1 = sample_state(gen, cfg.d, kind, cfg.rank)
-    rho2 = sample_state(gen, cfg.d, kind, cfg.rank)
+    rho1 = sample_state(gen, cfg.d, cfg.state_kind, cfg.rank)
+    rho2 = sample_state(gen, cfg.d, cfg.state_kind, cfg.rank)
     out = partial_swap_closed(rho1, rho2, tau)
 
-    lam1 = eigenvalues_descending(rho1).values
-    lam2 = eigenvalues_descending(rho2).values
-    lam_out = eigenvalues_descending(out).values
+    lam1 = eigenvalues_descending(rho1)
+    lam2 = eigenvalues_descending(rho2)
+    lam_out = eigenvalues_descending(out)
     mix = tau * lam1 + (1.0 - tau) * lam2
     maj_slack, total = prefix_slack(mix, lam_out)
 
@@ -477,15 +475,14 @@ def run_conjecture_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     """
     gen = _trial_source(cfg, "conjecture", index).generator()
     tau = _draw_tau(cfg, index, gen)
-    kind = normalize_state_kind(cfg.state_kind)
     d, de = cfg.d, cfg.d_e1
 
     if de == 1:
-        rho1 = sample_state(gen, d, kind, cfg.rank)
-        rho2 = sample_state(gen, d, kind, cfg.rank)
+        rho1 = sample_state(gen, d, cfg.state_kind, cfg.rank)
+        rho2 = sample_state(gen, d, cfg.state_kind, cfg.rank)
         joint = multipartite(make_density(np.kron(rho1.mat, rho2.mat)), (d, d, 1))
     else:
-        joint = multipartite(sample_state(gen, d * d * de, kind, cfg.rank), (d, d, de))
+        joint = multipartite(sample_state(gen, d * d * de, cfg.state_kind, cfg.rank), (d, d, de))
     slack = _conjecture_slack(joint, tau)
 
     slacks = {"conjecture": slack}
@@ -505,8 +502,8 @@ def run_conjecture_trial(cfg: TrialConfig, index: int) -> TrialRecord:
         reverified = slack_resym < -10.0 * cfg.tolerance and slack_pert < -10.0 * cfg.tolerance
 
     # Control arm: product-shaped inputs, conditioning on both environments.
-    s1 = multipartite(sample_state(gen, d * cfg.d_e1, kind, cfg.rank), (d, cfg.d_e1))
-    s2 = multipartite(sample_state(gen, d * cfg.d_e2, kind, cfg.rank), (d, cfg.d_e2))
+    s1 = multipartite(sample_state(gen, d * cfg.d_e1, cfg.state_kind, cfg.rank), (d, cfg.d_e1))
+    s2 = multipartite(sample_state(gen, d * cfg.d_e2, cfg.state_kind, cfg.rank), (d, cfg.d_e2))
     mixed = partial_swap_global(s1, s2, tau)
     control = (
         conditional_vn_entropy(as_bipartite(mixed, 1))
@@ -541,7 +538,14 @@ _TRIAL_FNS = {
 
 def _run_range(experiment: str, cfg: TrialConfig, lo: int, hi: int) -> list[TrialRecord]:
     fn = _TRIAL_FNS[experiment]
-    return [fn(cfg, i) for i in range(lo, hi)]
+    records = []
+    for i in range(lo, hi):
+        try:
+            records.append(fn(cfg, i))
+        except QuditEpiError as exc:
+            key = (cfg.seed, _STREAM_BASE[experiment] + i)
+            raise type(exc)(f"{experiment} trial {i}, stream key {key}: {exc}") from exc
+    return records
 
 
 def _run_range_star(args) -> list[TrialRecord]:
@@ -556,7 +560,9 @@ def run_experiment(experiment: str, cfg: TrialConfig, parallel: int = 1):
     index order.
     """
     validate_config(cfg, experiment)
-    workers = max(1, int(parallel))
+    workers = int(parallel)
+    if workers < 1:
+        raise UsageError(f"--parallel must be >= 1, got {parallel}")
     if workers == 1 or cfg.trials < 2 * workers:
         records = _run_range(experiment, cfg, 0, cfg.trials)
     else:
@@ -590,7 +596,7 @@ def summarize(records, metadata: dict | None = None) -> Summary:
     """Aggregate records; the result does not depend on their arrival order."""
     records = list(records)
     if not records:
-        raise EmptyInput("no records to summarize")
+        raise QuditEpiError("no records to summarize")
     violations = sum(1 for r in records if not r.passed)
     min_slack: dict[str, float] = {}
     max_residual = 0.0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimension, BadRank, DegenerateSample
+from .errors import QuditEpiError
 from .states import DensityMatrix, make_density
 
 RNG_ALGORITHM = "philox4x64"
@@ -65,7 +65,7 @@ def haar_unitary(d: int, gen: np.random.Generator) -> np.ndarray:
     resamples up to 3 times before giving up.
     """
     if d < 1:
-        raise BadDimension(f"unitary dimension must be >= 1, got {d}")
+        raise QuditEpiError(f"unitary dimension must be >= 1, got {d}")
     for _ in range(_HAAR_RETRIES):
         q, r = np.linalg.qr(complex_gaussian(gen, d, d))
         diag = np.diagonal(r)
@@ -75,7 +75,7 @@ def haar_unitary(d: int, gen: np.random.Generator) -> np.ndarray:
         u = q * (diag / mags)
         if float(np.abs(u.conj().T @ u - np.eye(d)).max()) <= UNITARY_TOL:
             return u
-    raise DegenerateSample(f"no unitary within {UNITARY_TOL:.0e} after {_HAAR_RETRIES} draws at d={d}")
+    raise QuditEpiError(f"no unitary within {UNITARY_TOL:.0e} after {_HAAR_RETRIES} draws at d={d}")
 
 
 def random_unitary(d: int, rng: RandomSource) -> np.ndarray:
@@ -92,7 +92,7 @@ def sample_state(gen: np.random.Generator, d: int, kind: str = "ginibre", rank: 
     """
     kind = normalize_state_kind(kind)
     if d < 2:
-        raise BadDimension(f"state dimension must be >= 2, got {d}")
+        raise QuditEpiError(f"state dimension must be >= 2, got {d}")
     if kind == "pure":
         psi = complex_gaussian(gen, d, 1)[:, 0]
         psi /= np.linalg.norm(psi)
@@ -101,7 +101,7 @@ def sample_state(gen: np.random.Generator, d: int, kind: str = "ginibre", rank: 
         cols = d
     else:
         if rank is None or not 1 <= int(rank) <= d:
-            raise BadRank(f"rank must satisfy 1 <= rank <= {d}, got {rank}")
+            raise QuditEpiError(f"rank must satisfy 1 <= rank <= {d}, got {rank}")
         cols = int(rank)
     g = complex_gaussian(gen, d, cols)
     m = g @ g.conj().T

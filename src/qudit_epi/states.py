@@ -9,16 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    BadPermutation,
-    BadSubsystemIndex,
-    DimensionMismatch,
-    EigenSolverFailure,
-    NotDistribution,
-    NotHermitian,
-    NotPositive,
-    NotUnitTrace,
-)
+from .errors import QuditEpiError, ValidationError
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -28,7 +19,6 @@ SPECTRUM_SUM_TOL = 1e-9
 __all__ = [
     "DensityMatrix",
     "MultipartiteState",
-    "Spectrum",
     "make_density",
     "multipartite",
     "as_bipartite",
@@ -87,29 +77,10 @@ class MultipartiteState:
         return f"MultipartiteState(dims={self.dims})"
 
 
-class Spectrum:
-    """Eigenvalues sorted non-increasing, clipped to [0, 1], summing to one."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: np.ndarray):
-        values.setflags(write=False)
-        self.values = values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __repr__(self) -> str:
-        return f"Spectrum({np.array2string(self.values, precision=6)})"
-
-
 def _as_complex_square(entries) -> np.ndarray:
     arr = np.array(entries, dtype=np.complex128, copy=True, order="C")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
+        raise QuditEpiError(f"expected a square matrix, got shape {arr.shape}")
     return arr
 
 
@@ -118,7 +89,7 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(mat)
     except np.linalg.LinAlgError as exc:
         herm = float(np.abs(mat - mat.conj().T).max())
-        raise EigenSolverFailure(
+        raise QuditEpiError(
             f"eigvalsh failed on dim={mat.shape[0]}: {exc}; "
             f"max|entry|={float(np.abs(mat).max()):.3e}, hermiticity residual={herm:.3e}"
         ) from exc
@@ -136,14 +107,14 @@ def make_density(entries, tol: float = 1e-10) -> DensityMatrix:
     arr = _as_complex_square(entries)
     herm_dev = float(np.abs(arr - arr.conj().T).max())
     if herm_dev > tol:
-        raise NotHermitian(f"max|m - m†| = {herm_dev:.3e} exceeds tol {tol:.1e}")
+        raise ValidationError(f"max|m - m†| = {herm_dev:.3e} exceeds tol {tol:.1e}")
     sym = (arr + arr.conj().T) / 2
     trace_dev = abs(complex(np.trace(sym)) - 1.0)
     if trace_dev > tol:
-        raise NotUnitTrace(f"|Tr m - 1| = {trace_dev:.3e} exceeds tol {tol:.1e}")
+        raise ValidationError(f"|Tr m - 1| = {trace_dev:.3e} exceeds tol {tol:.1e}")
     eigs = _eigvalsh(sym)
     if eigs[0] < -tol:
-        raise NotPositive(f"smallest eigenvalue {eigs[0]:.6e} below -tol {-tol:.1e}")
+        raise ValidationError(f"smallest eigenvalue {eigs[0]:.6e} below -tol {-tol:.1e}")
     return DensityMatrix(sym, eigs)
 
 
@@ -151,12 +122,12 @@ def multipartite(state: DensityMatrix, dims) -> MultipartiteState:
     """Attach subsystem dimensions to a state; their product must match."""
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
-        raise BadSubsystemIndex(f"subsystem dimensions must be >= 1, got {dims}")
+        raise QuditEpiError(f"subsystem dimensions must be >= 1, got {dims}")
     prod = 1
     for d in dims:
         prod *= d
     if prod != state.dim:
-        raise DimensionMismatch(f"product(dims)={prod} != state dim {state.dim}")
+        raise QuditEpiError(f"product(dims)={prod} != state dim {state.dim}")
     return MultipartiteState(state, dims)
 
 
@@ -166,7 +137,7 @@ def as_bipartite(s: MultipartiteState, split: int) -> MultipartiteState:
     The matrix is unchanged; only the subsystem bookkeeping is coarsened.
     """
     if not 0 < split < len(s.dims):
-        raise BadSubsystemIndex(f"split {split} not interior to dims {s.dims}")
+        raise QuditEpiError(f"split {split} not interior to dims {s.dims}")
     left = 1
     for d in s.dims[:split]:
         left *= d
@@ -200,9 +171,9 @@ def partial_trace(s: MultipartiteState, keep) -> MultipartiteState:
     keep = tuple(sorted(set(int(i) for i in keep)))
     n = len(s.dims)
     if not keep or len(keep) >= n:
-        raise BadSubsystemIndex(f"keep={keep} must be a nonempty proper subset of 0..{n - 1}")
+        raise QuditEpiError(f"keep={keep} must be a nonempty proper subset of 0..{n - 1}")
     if keep[0] < 0 or keep[-1] >= n:
-        raise BadSubsystemIndex(f"keep={keep} out of range for {n} subsystems")
+        raise QuditEpiError(f"keep={keep} out of range for {n} subsystems")
     reduced = _ptrace_mat(s.state.mat, s.dims, keep)
     return MultipartiteState(make_density(reduced), tuple(s.dims[i] for i in keep))
 
@@ -212,7 +183,7 @@ def permute_subsystems(s: MultipartiteState, perm) -> MultipartiteState:
     perm = tuple(int(p) for p in perm)
     n = len(s.dims)
     if sorted(perm) != list(range(n)):
-        raise BadPermutation(f"perm={perm} is not a permutation of 0..{n - 1}")
+        raise QuditEpiError(f"perm={perm} is not a permutation of 0..{n - 1}")
     inverse = np.argsort(perm)  # inverse[j] = old index now at position j
     axes = list(inverse) + [n + i for i in inverse]
     t = s.state.mat.reshape(s.dims + s.dims).transpose(axes)
@@ -221,8 +192,8 @@ def permute_subsystems(s: MultipartiteState, perm) -> MultipartiteState:
     return MultipartiteState(DensityMatrix(mat, s.state._eigs), new_dims)
 
 
-def eigenvalues_descending(rho: DensityMatrix) -> Spectrum:
-    """Spectrum in non-increasing order.
+def eigenvalues_descending(rho: DensityMatrix) -> np.ndarray:
+    """Eigenvalues in non-increasing order, as a write-protected array.
 
     Eigenvalues in [-1e-10, 0) are clipped to zero and the vector renormalized,
     provided the total is within 1e-9 of one; larger deviations are hard errors
@@ -230,12 +201,14 @@ def eigenvalues_descending(rho: DensityMatrix) -> Spectrum:
     """
     eigs = rho.eigenvalues_ascending()
     if eigs[0] < -POSITIVITY_TOL:
-        raise NotPositive(f"eigenvalue {eigs[0]:.6e} below -{POSITIVITY_TOL:.1e}")
+        raise ValidationError(f"eigenvalue {eigs[0]:.6e} below -{POSITIVITY_TOL:.1e}")
     vals = np.clip(eigs[::-1], 0.0, None)
     total = float(vals.sum())
     if abs(total - 1.0) > SPECTRUM_SUM_TOL:
-        raise NotDistribution(f"spectrum sums to {total!r}, off by more than {SPECTRUM_SUM_TOL:.1e}")
-    return Spectrum(vals / total)
+        raise ValidationError(f"spectrum sums to {total!r}, off by more than {SPECTRUM_SUM_TOL:.1e}")
+    vals = vals / total
+    vals.setflags(write=False)
+    return vals
 
 
 def commutator(a, b) -> np.ndarray:
@@ -243,7 +216,7 @@ def commutator(a, b) -> np.ndarray:
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
+        raise QuditEpiError(f"shapes {a.shape} and {b.shape} differ")
     return a @ b - b @ a
 
 
@@ -252,5 +225,5 @@ def matrix_distance(a, b) -> float:
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
+        raise QuditEpiError(f"shapes {a.shape} and {b.shape} differ")
     return float(np.abs(a - b).max())

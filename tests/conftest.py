@@ -1,9 +1,23 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qudit_epi
 from qudit_epi.states import make_density
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _child_processes_import_this_package():
+    """CLI tests launch `python -m qudit_epi.cli`. The `pythonpath` setting of
+    pytest only extends this process's sys.path, so hand the package's source
+    directory to child processes through PYTHONPATH."""
+    src = str(Path(qudit_epi.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from qudit_epi.channels import (
     partial_swap_unitary,
     swap_operator,
 )
-from qudit_epi.errors import DimensionMismatch
+from qudit_epi.errors import QuditEpiError
 from qudit_epi.rand import RandomSource, sample_state
 from qudit_epi.states import make_density, matrix_distance, multipartite, partial_trace, tensor
 
@@ -80,7 +80,7 @@ def test_closed_commuting_inputs():
 def test_closed_dimension_mismatch():
     a = make_density(np.eye(2) / 2)
     b = make_density(np.eye(3) / 3)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(QuditEpiError, match="input dims differ: 2 vs 3"):
         partial_swap_closed(a, b, 0.5)
 
 

@@ -1,7 +1,8 @@
 import pytest
 
+from qudit_epi import harness
 from qudit_epi.cli import dispatch, parse_lines
-from qudit_epi.errors import EmptyInput, UsageError
+from qudit_epi.errors import QuditEpiError, UsageError, ValidationError
 from qudit_epi.harness import (
     TrialConfig,
     resolve_kappas,
@@ -160,6 +161,28 @@ def test_run_experiment_parallel_matches_serial():
         assert _records_equal(a, b)
     assert sum1.min_slack == sum2.min_slack
     assert sum1.violations == sum2.violations
+    for workers in (0, -1):
+        with pytest.raises(UsageError, match=f"--parallel must be >= 1, got {workers}"):
+            run_experiment("qepi", cfg, parallel=workers)
+
+
+def test_trial_failure_names_experiment_index_and_stream_key(monkeypatch, capsys):
+    real = harness._TRIAL_FNS["qepi"]
+
+    def fails_at_three(cfg, index):
+        if index == 3:
+            raise ValidationError("smallest eigenvalue -1.0e-03 below -tol 1.0e-10")
+        return real(cfg, index)
+
+    monkeypatch.setitem(harness._TRIAL_FNS, "qepi", fails_at_three)
+    cfg = TrialConfig(d=2, trials=6, seed=21)
+    with pytest.raises(ValidationError) as err:
+        run_experiment("qepi", cfg, parallel=1)
+    key = (21, harness._STREAM_BASE["qepi"] + 3)
+    assert str(err.value) == f"qepi trial 3, stream key {key}: smallest eigenvalue -1.0e-03 below -tol 1.0e-10"
+    assert isinstance(err.value.__cause__, ValidationError)
+    assert dispatch(["verify-qepi", "--dim", "2", "--trials", "6", "--seed", "21", "--parallel", "1"]) == 1
+    assert f"error: qepi trial 3, stream key {key}: smallest eigenvalue" in capsys.readouterr().err
 
 
 def test_summarize_order_independent():
@@ -173,7 +196,7 @@ def test_summarize_order_independent():
 
 
 def test_summarize_empty_and_violations():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(QuditEpiError, match="no records to summarize"):
         summarize([])
     cfg = TrialConfig(d=2, trials=4, seed=15)
     records, summary = run_experiment("qepi", cfg, parallel=1)

@@ -1,61 +1,49 @@
 import numpy as np
 import pytest
 
-from qudit_epi.errors import (
-    BadIndex,
-    DimensionMismatch,
-    IncompleteMeasurement,
-    NegligibleOutcome,
-    NotUnitary,
-)
+from qudit_epi.errors import QuditEpiError, ValidationError
 from qudit_epi.measurement import (
     ConditionalOutcome,
-    condition,
     condition_all,
     condition_bilocal,
     conditional_spectrum,
-    kraus_set,
     projective_from_unitary,
-    trivial_measurement,
 )
 from qudit_epi.rand import RandomSource, haar_unitary, sample_state
 from qudit_epi.states import make_density, matrix_distance, multipartite, partial_trace, tensor
 
 
+def _projector(m, j):
+    return np.outer(m.basis[:, j], m.basis[:, j].conj())
+
+
 def test_projective_from_identity():
     m = projective_from_unitary(np.eye(2))
-    assert np.allclose(m.elements[0], np.diag([1.0, 0.0]))
-    assert np.allclose(m.elements[1], np.diag([0.0, 1.0]))
+    assert m.dim == 2 and len(m) == 2
+    assert np.allclose(_projector(m, 0), np.diag([1.0, 0.0]))
+    assert np.allclose(_projector(m, 1), np.diag([0.0, 1.0]))
 
 
 def test_projective_from_hadamard():
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     m = projective_from_unitary(h)
-    assert np.allclose(m.elements[0], np.full((2, 2), 0.5))
-    assert np.allclose(m.elements[1], [[0.5, -0.5], [-0.5, 0.5]])
+    assert np.allclose(_projector(m, 0), np.full((2, 2), 0.5))
+    assert np.allclose(_projector(m, 1), [[0.5, -0.5], [-0.5, 0.5]])
 
 
 def test_projective_completeness_haar():
     for d in (2, 3, 4):
         u = haar_unitary(d, RandomSource(40, d).generator())
         m = projective_from_unitary(u)
-        total = sum(el.conj().T @ el for el in m.elements)
+        assert m.dim == d and len(m) == d
+        assert np.abs(m.basis.conj().T @ m.basis - np.eye(d)).max() <= 1e-12
+        total = sum(_projector(m, j) for j in range(d))
         assert np.abs(total - np.eye(d)).max() <= 1e-12
 
 
 def test_projective_rejects_non_unitary():
-    with pytest.raises(NotUnitary):
+    with pytest.raises(ValidationError, match=r"max\|U†U - I\|"):
         projective_from_unitary(np.ones((2, 2)))
-
-
-def test_kraus_set_completeness():
-    half = np.eye(2) / np.sqrt(2)
-    m = kraus_set([half, half])
-    assert len(m) == 2 and m.basis is None
-    with pytest.raises(IncompleteMeasurement):
-        kraus_set([half])
-    with pytest.raises(IncompleteMeasurement):
-        kraus_set([])
 
 
 def test_condition_product_leaves_system_untouched():
@@ -64,21 +52,22 @@ def test_condition_product_leaves_system_untouched():
     e = sample_state(gen, 2)
     s = multipartite(tensor(x, e), (3, 2))
     m = projective_from_unitary(haar_unitary(2, gen))
+    outs = condition_all(s, m)
     for j in range(2):
-        out = condition(s, m, j)
+        out = outs[j]
         if not out.negligible:
             assert matrix_distance(out.state.mat, x.mat) <= 1e-10
-    # probabilities match Tr(M†M rho_E)
+    # probabilities match Tr(P_j rho_E)
     rho_e = partial_trace(s, (1,)).state.mat
-    for j, el in enumerate(m.elements):
-        want = float(np.trace(el.conj().T @ el @ rho_e).real)
-        assert condition(s, m, j).probability == pytest.approx(want, abs=1e-12)
+    for j in range(2):
+        want = float(np.trace(_projector(m, j) @ rho_e).real)
+        assert outs[j].probability == pytest.approx(want, abs=1e-12)
 
 
 def test_condition_bell(bell):
     s = multipartite(bell, (2, 2))
     m = projective_from_unitary(np.eye(2))
-    out = condition(s, m, 0)
+    out = condition_all(s, m)[0]
     assert out.probability == pytest.approx(0.5, abs=1e-12)
     assert matrix_distance(out.state.mat, np.diag([1.0, 0.0])) <= 1e-12
 
@@ -86,10 +75,14 @@ def test_condition_bell(bell):
 def test_condition_bad_index_and_dims(bell):
     s = multipartite(bell, (2, 2))
     m = projective_from_unitary(np.eye(2))
-    with pytest.raises(BadIndex):
-        condition(s, m, 2)
-    with pytest.raises(DimensionMismatch):
-        condition(s, projective_from_unitary(np.eye(3)), 0)
+    outs = condition_all(s, m)
+    assert len(outs) == len(m) == 2
+    with pytest.raises(IndexError):
+        outs[2]
+    with pytest.raises(QuditEpiError, match="measurement dim 3 does not match environment dim 2"):
+        condition_all(s, projective_from_unitary(np.eye(3)))
+    with pytest.raises(QuditEpiError, match="expects a bipartite"):
+        condition_all(multipartite(make_density(np.eye(8) / 8), (2, 2, 2)), m)
 
 
 def test_condition_all_diagonal_probabilities():
@@ -116,19 +109,6 @@ def test_condition_all_probabilities_sum_to_one():
         assert sum(o.probability for o in outs) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_condition_general_kraus_matches_projective():
-    gen = RandomSource(44).generator()
-    s = multipartite(sample_state(gen, 6), (3, 2))
-    u = haar_unitary(2, gen)
-    proj = projective_from_unitary(u)
-    general = kraus_set(list(proj.elements))  # same elements, no basis fast path
-    for j in range(2):
-        a = condition(s, proj, j)
-        b = condition(s, general, j)
-        assert a.probability == pytest.approx(b.probability, abs=1e-13)
-        assert matrix_distance(a.state.mat, b.state.mat) <= 1e-12
-
-
 def test_bilocal_product_environments():
     gen = RandomSource(45).generator()
     y = sample_state(gen, 2)
@@ -146,29 +126,33 @@ def test_bilocal_product_environments():
                 assert matrix_distance(o.state.mat, y.mat) <= 1e-10
     assert sum(probs) == pytest.approx(1.0, abs=1e-9)
     # joint probabilities factorize across a product environment
-    q1 = [condition(multipartite(tensor(y, e1), (2, 2)), m1, j).probability for j in range(2)]
-    q2 = [condition(multipartite(tensor(y, e2), (2, 3)), m2, k).probability for k in range(3)]
+    q1 = [o.probability for o in condition_all(multipartite(tensor(y, e1), (2, 2)), m1)]
+    q2 = [o.probability for o in condition_all(multipartite(tensor(y, e2), (2, 3)), m2)]
     for j in range(2):
         for k in range(3):
             assert grid[j][k].probability == pytest.approx(q1[j] * q2[k], abs=1e-9)
 
 
 def test_bilocal_trivial_measurements():
+    # Averaging over all outcomes undoes the conditioning: sum_jk p_jk rho_jk
+    # is the Y marginal, whatever the (entangled) environment state.
     gen = RandomSource(46).generator()
-    s = multipartite(sample_state(gen, 8), (2, 2, 2))
-    grid = condition_bilocal(s, trivial_measurement(2), trivial_measurement(2))
-    assert len(grid) == 1 and len(grid[0]) == 1
-    o = grid[0][0]
-    assert o.probability == pytest.approx(1.0, abs=1e-12)
+    s = multipartite(sample_state(gen, 12), (2, 2, 3))
+    m1 = projective_from_unitary(haar_unitary(2, gen))
+    m2 = projective_from_unitary(haar_unitary(3, gen))
+    grid = condition_bilocal(s, m1, m2)
+    assert len(grid) == 2 and all(len(row) == 3 for row in grid)
+    total = sum(o.probability * o.state.mat for row in grid for o in row if not o.negligible)
     want = partial_trace(s, (0,)).state
-    assert matrix_distance(o.state.mat, want.mat) <= 1e-12
+    assert matrix_distance(total, want.mat) <= 1e-12
 
 
 def test_conditional_spectrum(bell):
     s = multipartite(bell, (2, 2))
-    out = condition(s, projective_from_unitary(np.eye(2)), 0)
-    vals = conditional_spectrum(out).values
+    out = condition_all(s, projective_from_unitary(np.eye(2)))[0]
+    vals = conditional_spectrum(out)
     assert np.allclose(vals, [1.0, 0.0], atol=1e-12)
+    assert not vals.flags.writeable
     ghost = ConditionalOutcome(3, 0.0, None)
-    with pytest.raises(NegligibleOutcome):
+    with pytest.raises(QuditEpiError, match="outcome 3 has probability 0.0"):
         conditional_spectrum(ghost)

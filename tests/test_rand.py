@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qudit_epi.errors import BadRank
+from qudit_epi.errors import QuditEpiError
 from qudit_epi.rand import (
     RandomSource,
     haar_unitary,
@@ -47,7 +47,7 @@ def test_haar_columns_resolve_identity():
 
 def test_pure_state_spectrum():
     rho = random_state(4, "pure-haar", RandomSource(15))
-    vals = eigenvalues_descending(rho).values
+    vals = eigenvalues_descending(rho)
     assert np.abs(vals - np.array([1.0, 0.0, 0.0, 0.0])).max() <= 1e-10
 
 
@@ -59,11 +59,11 @@ def test_ginibre_state_valid_and_deterministic():
 
 def test_rank_k_states():
     rho = random_state(5, "rank-k", RandomSource(17), rank=2)
-    vals = eigenvalues_descending(rho).values
+    vals = eigenvalues_descending(rho)
     assert np.all(vals[2:] <= 1e-12)
-    with pytest.raises(BadRank):
+    with pytest.raises(QuditEpiError, match="rank must satisfy 1 <= rank <= 5, got 0"):
         random_state(5, "rank-k", RandomSource(17), rank=0)
-    with pytest.raises(BadRank):
+    with pytest.raises(QuditEpiError, match="rank must satisfy 1 <= rank <= 5, got 6"):
         random_state(5, "rank-k", RandomSource(17), rank=6)
 
 
