@@ -28,6 +28,7 @@ __all__ = [
     "partial_swap_unitary",
     "partial_swap_closed",
     "partial_swap_conjugation",
+    "partial_swap_joint",
     "partial_swap_global",
     "partial_swap_global_closed",
 ]
@@ -99,6 +100,26 @@ def partial_swap_conjugation(rho1: DensityMatrix, rho2: DensityMatrix, tau: floa
     return make_density(np.ascontiguousarray(reduced))
 
 
+def partial_swap_joint(s: MultipartiteState, tau: float) -> MultipartiteState:
+    """Partial swap on the system legs of a joint (X1, X2, E...) state.
+
+    The swap unitary acts on (X1, X2), tensored with the identity on every
+    environment leg; X2 is then traced out. Output order is (Y, E...).
+    """
+    if len(s.dims) < 2:
+        raise QuditEpiError(f"expected an (X1, X2, E...) state, got dims {s.dims}")
+    d, d2, *envs = s.dims
+    if d != d2:
+        raise QuditEpiError(f"system dims differ: {d} vs {d2}")
+    tau = check_mixing(tau)
+    u_full = np.kron(partial_swap_unitary(d, tau), np.eye(math.prod(envs), dtype=np.complex128))
+    conj = u_full @ s.state.mat @ u_full.conj().T
+    # Unitary conjugation preserves validity; the reduced output below is
+    # re-validated, so skip the expensive check on the big intermediate.
+    out = MultipartiteState(DensityMatrix(conj), s.dims)
+    return partial_trace(out, (0, *range(2, len(s.dims))))
+
+
 def partial_swap_global(s1: MultipartiteState, s2: MultipartiteState, tau: float) -> MultipartiteState:
     """Partial swap across the system legs of two system-environment states.
 
@@ -111,17 +132,10 @@ def partial_swap_global(s1: MultipartiteState, s2: MultipartiteState, tau: float
     d2, e2 = s2.dims
     if d != d2:
         raise QuditEpiError(f"system dims differ: {d} vs {d2}")
-    tau = check_mixing(tau)
     # The kron of two valid states is valid; skip re-validating the big product.
     big = DensityMatrix(np.kron(s1.state.mat, s2.state.mat))
     both = MultipartiteState(big, (d, e1, d, e2))  # (X1,E1,X2,E2)
-    ordered = permute_subsystems(both, (0, 2, 1, 3))  # -> (X1,X2,E1,E2)
-    u_full = np.kron(partial_swap_unitary(d, tau), np.eye(e1 * e2, dtype=np.complex128))
-    conj = u_full @ ordered.state.mat @ u_full.conj().T
-    # Unitary conjugation preserves validity; the reduced output below is
-    # re-validated, so skip the expensive check on the big intermediate.
-    out = MultipartiteState(DensityMatrix(conj), (d, d, e1, e2))
-    return partial_trace(out, (0, 2, 3))  # (Y,E1,E2)
+    return partial_swap_joint(permute_subsystems(both, (0, 2, 1, 3)), tau)  # (X1,X2,E1,E2) -> (Y,E1,E2)
 
 
 def partial_swap_global_closed(s1: MultipartiteState, s2: MultipartiteState, tau: float) -> MultipartiteState:

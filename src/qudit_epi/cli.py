@@ -129,15 +129,7 @@ def record_to_object(record: TrialRecord, with_experiment: bool) -> dict:
 
 
 def summary_to_object(summary: Summary) -> dict:
-    return {
-        "type": "summary",
-        "trials": summary.trials,
-        "violations": summary.violations,
-        "min_slack": dict(summary.min_slack),
-        "max_residual": summary.max_residual,
-        "histogram": summary.histogram,
-        "metadata": dict(summary.metadata),
-    }
+    return {"type": "summary", **asdict(summary)}
 
 
 def emit(manifest: RunManifest, records, summary: Summary, out: str) -> None:

@@ -17,25 +17,28 @@ Five experiment families:
 
 Every trial derives all of its randomness from (seed, experiment base + trial
 index), so trials can run in any order or in parallel and replay exactly.
+
+A trial function only computes slacks (must be >= minus the tolerance) and
+residuals (must be <= the tolerance); one verdict rule, :func:`_verdict`,
+turns them into pass flags, skipping the slacks a trial names as diagnostics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from ._version import __version__
-from .channels import (
-    partial_swap_closed,
-    partial_swap_global,
-    partial_swap_unitary,
-)
+from .channels import partial_swap_closed, partial_swap_global, partial_swap_joint
 from .entropy import (
     OptimizerConfig,
     conditional_vn_entropy,
     entropy_nats,
+    entropy_power,
+    expected_entropy_power,
     kappa_bounds,
     minimize_conditional_entropy_power,
     prefix_slack,
@@ -49,8 +52,6 @@ from .measurement import (
 )
 from .rand import RNG_ALGORITHM, RandomSource, haar_unitary, normalize_state_kind, sample_state
 from .states import (
-    DensityMatrix,
-    MultipartiteState,
     as_bipartite,
     eigenvalues_descending,
     make_density,
@@ -152,16 +153,13 @@ def validate_config(cfg: TrialConfig, experiment: str) -> None:
     for label, de in (("--env-dim1", cfg.d_e1), ("--env-dim2", cfg.d_e2)):
         if not 1 <= de <= MAX_ENV_DIM:
             raise UsageError(f"{label} must be in [1, {MAX_ENV_DIM}] (environment cap), got {de}")
-    if experiment == "conjecture":
-        total = cfg.d * cfg.d * cfg.d_e1
-    else:
-        total = cfg.d * cfg.d * cfg.d_e1 * cfg.d_e2
+    total = cfg.d * cfg.d * cfg.d_e1 * (1 if experiment == "conjecture" else cfg.d_e2)
     if total > MAX_TOTAL_DIM:
         raise UsageError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIM}")
     if cfg.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {cfg.trials}")
-    if not cfg.tolerance > 0:
-        raise UsageError(f"--tol must be > 0, got {cfg.tolerance}")
+    if not (cfg.tolerance > 0 and math.isfinite(cfg.tolerance)):
+        raise UsageError(f"--tol must be finite and > 0, got {cfg.tolerance}")
     if cfg.tau is not None and not 0.0 <= cfg.tau <= 1.0:
         raise UsageError(f"--tau must be in [0, 1], got {cfg.tau}")
     try:
@@ -179,11 +177,11 @@ def validate_config(cfg: TrialConfig, experiment: str) -> None:
                 f"state kind rank-k:{cfg.rank} exceeds the smallest sampled state dimension "
                 f"{smallest} of {experiment}"
             )
-    kappa1 = kappa_bounds(cfg.d)[0]
     if isinstance(cfg.kappa, (int, float)):
-        if cfg.kappa < 0:
-            raise UsageError(f"--kappa must be >= 0, got {cfg.kappa}")
-        if cfg.kappa > kappa1 * (1 + 1e-12) and not cfg.exploratory_kappa:
+        if not (math.isfinite(cfg.kappa) and cfg.kappa >= 0):
+            raise UsageError(f"--kappa must be finite and >= 0, got {cfg.kappa}")
+        if not resolve_kappas(cfg)[0][1] and not cfg.exploratory_kappa:
+            kappa1 = kappa_bounds(cfg.d)[0]
             raise UsageError(
                 f"--kappa {cfg.kappa} exceeds the validity window 1/(ln d)^2 = {kappa1:.6g}; "
                 "pass --exploratory-kappa to scan it as a diagnostic"
@@ -201,6 +199,19 @@ def resolve_kappas(cfg: TrialConfig) -> tuple[tuple[float, bool], ...]:
         return ((kappa1, True),)
     value = float(cfg.kappa)
     return ((value, value <= kappa1 * (1 + 1e-12)),)
+
+
+def _soft_kappas(prefix: str, kappas) -> set[str]:
+    """Slack keys `<prefix>.k<t>` of the kappas outside the validity window."""
+    return {f"{prefix}.k{t}" for t, (_, hard) in enumerate(kappas) if not hard}
+
+
+def _verdict(cfg: TrialConfig, slacks: dict, residuals: dict, soft=frozenset()) -> dict[str, bool]:
+    """The pass flags of a trial: each slack not in `soft` must be >= -tol and
+    each residual <= tol, with tol = --tol. Soft slacks are diagnostics."""
+    flags = {key: value >= -cfg.tolerance for key, value in slacks.items() if key not in soft}
+    flags.update((key, value <= cfg.tolerance) for key, value in residuals.items())
+    return flags
 
 
 def _trial_source(cfg: TrialConfig, experiment: str, index: int) -> RandomSource:
@@ -271,26 +282,21 @@ def run_lemma_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     if not math.isfinite(min_slack):
         min_slack = 0.0
 
-    tol = cfg.tolerance
+    slacks = {"lemma_majorization": min_slack}
+    residuals = {
+        "lemma_identity": identity_resid,
+        "major_total": total_resid,
+        "factorization": factor_resid,
+        "prob_norm": prob_norm,
+    }
     return TrialRecord(
         experiment="lemma",
         index=index,
         tau=tau,
         kappas=(),
-        slacks={"lemma_majorization": min_slack},
-        residuals={
-            "lemma_identity": identity_resid,
-            "major_total": total_resid,
-            "factorization": factor_resid,
-            "prob_norm": prob_norm,
-        },
-        pass_flags={
-            "lemma_majorization": min_slack >= -tol,
-            "lemma_identity": identity_resid <= tol,
-            "major_total": total_resid <= tol,
-            "factorization": factor_resid <= tol,
-            "prob_norm": prob_norm <= tol,
-        },
+        slacks=slacks,
+        residuals=residuals,
+        pass_flags=_verdict(cfg, slacks, residuals),
         negligible=negligible,
     )
 
@@ -309,41 +315,23 @@ def run_theorem_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     tau, s1, s2, m1, m2 = _bilocal_setting(cfg, gen, index)
     joint, out1, out2, grid, prob_norm = _conditioned_pieces(tau, s1, s2, m1, m2)
 
-    def entropies(outcomes):
-        return [
-            None if o.negligible else entropy_nats(conditional_spectrum(o))
-            for o in outcomes
-        ]
-
-    ent1 = entropies(out1)
-    ent2 = entropies(out2)
-    ent_grid = [[None if o.negligible else entropy_nats(conditional_spectrum(o)) for o in row] for row in grid]
     negligible = sum(1 for row in grid for o in row if o.negligible)
-
     kappas = resolve_kappas(cfg)
     opt = OptimizerConfig(
         rng=source, restarts=cfg.opt_restarts, refine_steps=cfg.opt_refine, step_scale=cfg.opt_step
     )
     slacks: dict[str, float] = {}
-    flags: dict[str, bool] = {"prob_norm": prob_norm <= cfg.tolerance}
-    for t, (kappa, hard) in enumerate(kappas):
-        lhs = 0.0
-        for j, row in enumerate(grid):
-            for k, _ in enumerate(row):
-                if ent_grid[j][k] is None or ent1[j] is None or ent2[k] is None:
-                    continue
-                lhs += out1[j].probability * out2[k].probability * math.exp(kappa * ent_grid[j][k])
-        rhs1 = sum(
-            o.probability * math.exp(kappa * e) for o, e in zip(out1, ent1) if e is not None
+    soft = _soft_kappas("theorem_measured", kappas)
+    for t, (kappa, _) in enumerate(kappas):
+        lhs = sum(
+            out1[j].probability * out2[k].probability * entropy_power(o.state, kappa)
+            for j, row in enumerate(grid)
+            for k, o in enumerate(row)
+            if not (o.negligible or out1[j].negligible or out2[k].negligible)
         )
-        rhs2 = sum(
-            o.probability * math.exp(kappa * e) for o, e in zip(out2, ent2) if e is not None
-        )
-        slack = lhs - tau * rhs1 - (1.0 - tau) * rhs2
-        key = f"theorem_measured.k{t}"
-        slacks[key] = slack
-        if hard:
-            flags[key] = slack >= -cfg.tolerance
+        rhs1 = expected_entropy_power(out1, kappa)
+        rhs2 = expected_entropy_power(out2, kappa)
+        slacks[f"theorem_measured.k{t}"] = lhs - tau * rhs1 - (1.0 - tau) * rhs2
 
         if cfg.min_form and kappa > 0.0:
             # Streams: 0 the joint (Y, E1, E2) output, 1 and 2 the inputs.
@@ -354,15 +342,17 @@ def run_theorem_trial(cfg: TrialConfig, index: int) -> TrialRecord:
                 for j, state in enumerate((joint, s1, s2))
             )
             slacks[f"theorem_min_form.k{t}"] = v_joint - tau * v1 - (1.0 - tau) * v2
+            soft.add(f"theorem_min_form.k{t}")
 
+    residuals = {"prob_norm": prob_norm}
     return TrialRecord(
         experiment="theorem",
         index=index,
         tau=tau,
         kappas=tuple(k for k, _ in kappas),
         slacks=slacks,
-        residuals={"prob_norm": prob_norm},
-        pass_flags=flags,
+        residuals=residuals,
+        pass_flags=_verdict(cfg, slacks, residuals, soft),
         negligible=negligible,
     )
 
@@ -381,31 +371,24 @@ def run_qepi_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     mix = tau * lam1 + (1.0 - tau) * lam2
     maj_slack, total = prefix_slack(mix, lam_out)
 
-    s1 = entropy_nats(lam1)
-    s2 = entropy_nats(lam2)
-    s_out = entropy_nats(lam_out)
+    s1, s2, s_out = (entropy_nats(lam) for lam in (lam1, lam2, lam_out))
 
     slacks = {"qepi_majorization": maj_slack}
-    flags = {
-        "qepi_majorization": maj_slack >= -cfg.tolerance,
-        "major_total": abs(total) <= cfg.tolerance,
-    }
     kappas = resolve_kappas(cfg)
-    for t, (kappa, hard) in enumerate(kappas):
-        slack = math.exp(kappa * s_out) - tau * math.exp(kappa * s1) - (1.0 - tau) * math.exp(kappa * s2)
-        key = f"qepi.k{t}"
-        slacks[key] = slack
-        if hard:
-            flags[key] = slack >= -cfg.tolerance
+    for t, (kappa, _) in enumerate(kappas):
+        slacks[f"qepi.k{t}"] = (
+            math.exp(kappa * s_out) - tau * math.exp(kappa * s1) - (1.0 - tau) * math.exp(kappa * s2)
+        )
 
+    residuals = {"major_total": abs(total)}
     return TrialRecord(
         experiment="qepi",
         index=index,
         tau=tau,
         kappas=tuple(k for k, _ in kappas),
         slacks=slacks,
-        residuals={"major_total": abs(total)},
-        pass_flags=flags,
+        residuals=residuals,
+        pass_flags=_verdict(cfg, slacks, residuals, _soft_kappas("qepi", kappas)),
     )
 
 
@@ -415,19 +398,13 @@ def run_concavity_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     tau = _draw_tau(cfg, index, gen)  # recorded only; concavity has no mixing step
     p = gen.dirichlet(np.ones(cfg.d))
     q = gen.dirichlet(np.ones(cfg.d))
-    hp = entropy_nats(p)
-    hq = entropy_nats(q)
-    hm = entropy_nats((p + q) / 2)
+    hp, hq, hm = (entropy_nats(v) for v in (p, q, (p + q) / 2))
 
-    slacks: dict[str, float] = {}
-    flags: dict[str, bool] = {}
     kappas = resolve_kappas(cfg)
-    for t, (kappa, hard) in enumerate(kappas):
-        slack = math.exp(kappa * hm) - (math.exp(kappa * hp) + math.exp(kappa * hq)) / 2
-        key = f"concavity.k{t}"
-        slacks[key] = slack
-        if hard:
-            flags[key] = slack >= -cfg.tolerance
+    slacks = {
+        f"concavity.k{t}": math.exp(kappa * hm) - (math.exp(kappa * hp) + math.exp(kappa * hq)) / 2
+        for t, (kappa, _) in enumerate(kappas)
+    }
 
     return TrialRecord(
         experiment="concavity",
@@ -436,7 +413,7 @@ def run_concavity_trial(cfg: TrialConfig, index: int) -> TrialRecord:
         kappas=tuple(k for k, _ in kappas),
         slacks=slacks,
         residuals={},
-        pass_flags=flags,
+        pass_flags=_verdict(cfg, slacks, {}, _soft_kappas("concavity", kappas)),
     )
 
 
@@ -446,13 +423,7 @@ def _conjecture_slack(joint, tau: float) -> float:
     The channel is the swap unitary on (X1, X2) tensored with the identity on
     E, followed by tracing out X2.
     """
-    d1, d2, de = joint.dims
-    u_full = np.kron(partial_swap_unitary(d1, tau), np.eye(de, dtype=np.complex128))
-    conj = u_full @ joint.state.mat @ u_full.conj().T
-    # Conjugation preserves validity; the reduced marginals are re-validated.
-    mixed = MultipartiteState(DensityMatrix(conj), (d1, d2, de))
-    y_e = partial_trace(mixed, (0, 2))
-    s_out = conditional_vn_entropy(y_e)
+    s_out = conditional_vn_entropy(partial_swap_joint(joint, tau))
     s_1 = conditional_vn_entropy(partial_trace(joint, (0, 2)))
     s_2 = conditional_vn_entropy(partial_trace(joint, (1, 2)))
     return s_out - tau * s_1 - (1.0 - tau) * s_2
@@ -486,36 +457,31 @@ def run_conjecture_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     slack = _conjecture_slack(joint, tau)
 
     slacks = {"conjecture": slack}
-    candidate = slack < -10.0 * cfg.tolerance
+    threshold = -10.0 * cfg.tolerance
     reverified = False
-    if candidate:
+    if slack < threshold:
         resym = multipartite(make_density(joint.state.mat), joint.dims)
-        slack_resym = _conjecture_slack(resym, tau)
+        slacks["conjecture_resym"] = _conjecture_slack(resym, tau)
         bump = sample_state(gen, d * d * de, "ginibre")
         eps = 1e-8
         perturbed = multipartite(
             make_density((1.0 - eps) * joint.state.mat + eps * bump.mat), joint.dims
         )
-        slack_pert = _conjecture_slack(perturbed, tau)
-        slacks["conjecture_resym"] = slack_resym
-        slacks["conjecture_perturbed"] = slack_pert
-        reverified = slack_resym < -10.0 * cfg.tolerance and slack_pert < -10.0 * cfg.tolerance
+        slacks["conjecture_perturbed"] = _conjecture_slack(perturbed, tau)
+        reverified = slacks["conjecture_resym"] < threshold and slacks["conjecture_perturbed"] < threshold
 
     # Control arm: product-shaped inputs, conditioning on both environments.
     s1 = multipartite(sample_state(gen, d * cfg.d_e1, cfg.state_kind, cfg.rank), (d, cfg.d_e1))
     s2 = multipartite(sample_state(gen, d * cfg.d_e2, cfg.state_kind, cfg.rank), (d, cfg.d_e2))
     mixed = partial_swap_global(s1, s2, tau)
-    control = (
+    slacks["conjecture_control"] = (
         conditional_vn_entropy(as_bipartite(mixed, 1))
         - tau * conditional_vn_entropy(s1)
         - (1.0 - tau) * conditional_vn_entropy(s2)
     )
-    slacks["conjecture_control"] = control
 
-    flags = {"reverified_candidate": not reverified}
-    if de == 1:
-        flags["conjecture"] = slack >= -cfg.tolerance
-
+    # Only the trivial-environment slack is asserted; the rest are diagnostics.
+    soft = set(slacks) - ({"conjecture"} if de == 1 else set())
     return TrialRecord(
         experiment="conjecture",
         index=index,
@@ -523,7 +489,7 @@ def run_conjecture_trial(cfg: TrialConfig, index: int) -> TrialRecord:
         kappas=(),
         slacks=slacks,
         residuals={},
-        pass_flags=flags,
+        pass_flags={"reverified_candidate": not reverified, **_verdict(cfg, slacks, {}, soft)},
     )
 
 
@@ -536,20 +502,12 @@ _TRIAL_FNS = {
 }
 
 
-def _run_range(experiment: str, cfg: TrialConfig, lo: int, hi: int) -> list[TrialRecord]:
-    fn = _TRIAL_FNS[experiment]
-    records = []
-    for i in range(lo, hi):
-        try:
-            records.append(fn(cfg, i))
-        except QuditEpiError as exc:
-            key = (cfg.seed, _STREAM_BASE[experiment] + i)
-            raise type(exc)(f"{experiment} trial {i}, stream key {key}: {exc}") from exc
-    return records
-
-
-def _run_range_star(args) -> list[TrialRecord]:
-    return _run_range(*args)
+def _run_trial(experiment: str, cfg: TrialConfig, index: int) -> TrialRecord:
+    try:
+        return _TRIAL_FNS[experiment](cfg, index)
+    except QuditEpiError as exc:
+        key = (cfg.seed, _STREAM_BASE[experiment] + index)
+        raise type(exc)(f"{experiment} trial {index}, stream key {key}: {exc}") from exc
 
 
 def run_experiment(experiment: str, cfg: TrialConfig, parallel: int = 1):
@@ -563,22 +521,14 @@ def run_experiment(experiment: str, cfg: TrialConfig, parallel: int = 1):
     workers = int(parallel)
     if workers < 1:
         raise UsageError(f"--parallel must be >= 1, got {parallel}")
+    run = partial(_run_trial, experiment, cfg)
     if workers == 1 or cfg.trials < 2 * workers:
-        records = _run_range(experiment, cfg, 0, cfg.trials)
+        records = list(map(run, range(cfg.trials)))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        bounds = np.linspace(0, cfg.trials, workers + 1).astype(int)
-        chunks = [
-            (experiment, cfg, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        records = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_range_star, chunks):
-                records.extend(part)
-    records.sort(key=lambda r: r.index)
+            records = list(pool.map(run, range(cfg.trials), chunksize=math.ceil(cfg.trials / workers)))
     return records, summarize(records, run_metadata(cfg))
 
 

@@ -8,12 +8,20 @@ from qudit_epi.channels import (
     partial_swap_conjugation,
     partial_swap_global,
     partial_swap_global_closed,
+    partial_swap_joint,
     partial_swap_unitary,
     swap_operator,
 )
 from qudit_epi.errors import QuditEpiError
 from qudit_epi.rand import RandomSource, sample_state
-from qudit_epi.states import make_density, matrix_distance, multipartite, partial_trace, tensor
+from qudit_epi.states import (
+    make_density,
+    matrix_distance,
+    multipartite,
+    partial_trace,
+    permute_subsystems,
+    tensor,
+)
 
 
 def test_swap_operator_action():
@@ -151,6 +159,36 @@ def test_global_marginal_consistency_on_products():
     got = partial_trace(out, (0,)).state
     want = partial_swap_closed(x1, x2, 0.42)
     assert matrix_distance(got.mat, want.mat) <= 1e-11
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_joint_trivial_environment_matches_conjugation(d):
+    gen = RandomSource(35, d).generator()
+    for tau in (0.0, 0.3, 0.5, 1.0):
+        r1 = sample_state(gen, d)
+        r2 = sample_state(gen, d)
+        out = partial_swap_joint(multipartite(tensor(r1, r2), (d, d, 1)), tau)
+        assert out.dims == (d, 1)
+        assert matrix_distance(out.state.mat, partial_swap_conjugation(r1, r2, tau).mat) <= 1e-12
+
+
+@pytest.mark.parametrize("d,e1,e2", [(2, 2, 2), (2, 2, 3), (3, 2, 1)])
+def test_joint_on_product_inputs_matches_global_closed(d, e1, e2):
+    gen = RandomSource(36, d * 100 + e1 * 10 + e2).generator()
+    for _ in range(5):
+        s1 = _random_joint(gen, d, e1)
+        s2 = _random_joint(gen, d, e2)
+        tau = float(gen.uniform())
+        both = multipartite(tensor(s1.state, s2.state), (d, e1, d, e2))  # (X1,E1,X2,E2)
+        out = partial_swap_joint(permute_subsystems(both, (0, 2, 1, 3)), tau)
+        assert out.dims == (d, e1, e2)
+        assert matrix_distance(out.state.mat, partial_swap_global_closed(s1, s2, tau).state.mat) <= 1e-12
+
+
+def test_joint_system_dims_must_match():
+    s = multipartite(make_density(np.eye(12) / 12), (2, 3, 2))
+    with pytest.raises(QuditEpiError, match="system dims differ: 2 vs 3"):
+        partial_swap_joint(s, 0.5)
 
 
 def test_channel_outputs_are_valid_states():

@@ -66,6 +66,10 @@ def test_dispatch_usage_errors_exit_one(capsys):
     assert dispatch(["verify-qepi", "--kappa", "9", "--trials", "1"]) == 1
     assert dispatch(["verify-qepi", "--parallel", "0", "--trials", "1"]) == 1
     assert "--parallel" in capsys.readouterr().err
+    assert dispatch(["verify-qepi", "--dim", "2", "--trials", "4", "--kappa", "nan"]) == 1
+    assert "--kappa must be finite" in capsys.readouterr().err
+    assert dispatch(["verify-qepi", "--dim", "2", "--trials", "4", "--tol", "inf"]) == 1
+    assert "--tol must be finite" in capsys.readouterr().err
 
 
 def test_dispatch_io_failure_exit_one(tmp_path, capsys):

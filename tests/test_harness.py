@@ -119,6 +119,46 @@ def test_exploratory_kappa_is_diagnostic_only():
     assert resolve_kappas(cfg) == ((3.0, False),)
 
 
+def _kappa_keys(prefix):
+    return {f"{prefix}.k{t}" for t in range(3)}
+
+
+_LEMMA_KEYS = {"lemma_majorization", "lemma_identity", "major_total", "factorization", "prob_norm"}
+_EXPLORATORY = {"kappa": 3.0, "exploratory_kappa": True}
+_OPT = {"opt_restarts": 1, "opt_refine": 2}
+
+
+@pytest.mark.parametrize(
+    "fn, cfg, expected",
+    [
+        (run_lemma_trial, TrialConfig(d=2, d_e1=2, d_e2=3), _LEMMA_KEYS),
+        (run_theorem_trial, TrialConfig(d=2, **_OPT), {"prob_norm"} | _kappa_keys("theorem_measured")),
+        (run_qepi_trial, TrialConfig(d=3), {"qepi_majorization", "major_total"} | _kappa_keys("qepi")),
+        (run_concavity_trial, TrialConfig(d=4), _kappa_keys("concavity")),
+        (run_conjecture_trial, TrialConfig(d=2, d_e1=2), {"reverified_candidate"}),
+        (run_conjecture_trial, TrialConfig(d=2, d_e1=1), {"reverified_candidate", "conjecture"}),
+        (run_theorem_trial, TrialConfig(d=2, **_OPT, **_EXPLORATORY), {"prob_norm"}),
+        (run_qepi_trial, TrialConfig(d=2, **_EXPLORATORY), {"qepi_majorization", "major_total"}),
+        (run_concavity_trial, TrialConfig(d=2, **_EXPLORATORY), set()),
+    ],
+    ids=[
+        "lemma",
+        "theorem",
+        "qepi",
+        "concavity",
+        "conjecture-env2",
+        "conjecture-env1",
+        "theorem-exploratory",
+        "qepi-exploratory",
+        "concavity-exploratory",
+    ],
+)
+def test_hard_check_key_sets(fn, cfg, expected):
+    # Exactly these checks decide a trial's verdict; every other slack is a diagnostic.
+    for i in range(5):
+        assert set(fn(cfg, i).pass_flags) == expected, i
+
+
 def test_validate_config_rejects_out_of_envelope():
     with pytest.raises(UsageError):
         validate_config(TrialConfig(d=7), "qepi")
@@ -138,6 +178,12 @@ def test_validate_config_rejects_out_of_envelope():
         (TrialConfig(d=3, d_e1=1, state_kind="rank-k", rank=4), "theorem"),
         (TrialConfig(d=2, d_e1=1, state_kind="rank-k", rank=3), "conjecture"),
         (TrialConfig(d=2, d_e1=2, d_e2=1, state_kind="rank-k", rank=3), "conjecture"),
+        # non-finite kappa or tolerance
+        (TrialConfig(d=2, kappa=float("nan")), "qepi"),
+        (TrialConfig(d=2, kappa=float("inf"), exploratory_kappa=True), "qepi"),
+        (TrialConfig(d=2, kappa=float("nan"), exploratory_kappa=True), "concavity"),
+        (TrialConfig(d=2, tolerance=float("inf")), "qepi"),
+        (TrialConfig(d=2, tolerance=float("nan")), "lemma"),
     ]:
         with pytest.raises(UsageError):
             validate_config(cfg, experiment)
