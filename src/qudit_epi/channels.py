@@ -17,6 +17,7 @@ from .states import (
     DensityMatrix,
     MultipartiteState,
     make_density,
+    make_density_stack,
     multipartite,
     partial_trace,
     permute_subsystems,
@@ -27,6 +28,7 @@ __all__ = [
     "swap_operator",
     "partial_swap_unitary",
     "partial_swap_closed",
+    "partial_swap_closed_stack",
     "partial_swap_conjugation",
     "partial_swap_joint",
     "partial_swap_global",
@@ -85,6 +87,25 @@ def partial_swap_closed(rho1: DensityMatrix, rho2: DensityMatrix, tau: float) ->
     if c != 0.0:
         out = out - 1j * c * (r1 @ r2 - r2 @ r1)
     return make_density(out)
+
+
+def partial_swap_closed_stack(r1: np.ndarray, r2: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`partial_swap_closed` on stacks: row i mixes r1[i] and r2[i] with tau[i].
+
+    r1 and r2 are (N, d, d) density stacks, tau an (N,) array. Returns the
+    validated output stack and its ascending eigenvalues (see
+    :func:`make_density_stack`), row i bit for bit what partial_swap_closed
+    gives, including the exact endpoints.
+    """
+    if r1.shape != r2.shape:
+        raise QuditEpiError(f"input stacks differ: {r1.shape} vs {r2.shape}")
+    if not ((tau >= 0.0) & (tau <= 1.0)).all():
+        raise ValueError(f"mixing parameters must be in [0, 1], got {tau[(tau < 0.0) | (tau > 1.0)]}")
+    t = tau[:, None, None]
+    c = np.sqrt(t * (1.0 - t))
+    out = t * r1 + (1.0 - t) * r2
+    out = np.where(c != 0.0, out - 1j * c * (r1 @ r2 - r2 @ r1), out)
+    return make_density_stack(out)
 
 
 def partial_swap_conjugation(rho1: DensityMatrix, rho2: DensityMatrix, tau: float) -> DensityMatrix:

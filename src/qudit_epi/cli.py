@@ -28,7 +28,7 @@ from .harness import (
     Summary,
     TrialConfig,
     TrialRecord,
-    run_experiment,
+    _run_records,
     run_metadata,
     summarize,
     validate_config,
@@ -165,7 +165,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=1000, help="number of randomized trials")
     p.add_argument("--tau", default="random", help="'random' or a fixed value in [0, 1]")
     p.add_argument("--kappa", default="grid", help="'grid' (0, k1/2, k1), 'max' (k1) or a number")
-    p.add_argument("--seed", type=int, default=42, help="master seed (fixed default, never time-derived)")
+    p.add_argument("--seed", type=int, default=42, help="master seed in [0, 2^64) (fixed default, never time-derived)")
     p.add_argument("--tol", type=float, default=1e-9, help="slack/residual tolerance")
     p.add_argument("--out", default="-", help="output JSONL path, '-' for stdout")
     p.add_argument(
@@ -264,8 +264,7 @@ def dispatch(argv=None) -> int:
 
         all_records: list[TrialRecord] = []
         for experiment in experiments:
-            records, _ = run_experiment(experiment, cfg, args.parallel)
-            all_records.extend(records)
+            all_records.extend(_run_records(experiment, cfg, args.parallel))
         summary = summarize(all_records, run_metadata(cfg))
         manifest = RunManifest(command=args.command, config=cfg, timestamp=_resolve_timestamp())
         emit(manifest, all_records, summary, args.out)

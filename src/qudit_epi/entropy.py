@@ -25,7 +25,9 @@ DISTRIBUTION_SUM_TOL = 1e-9
 
 __all__ = [
     "prefix_slack",
+    "prefix_slack_rows",
     "entropy_nats",
+    "entropy_nats_rows",
     "majorizes",
     "shannon_entropy",
     "von_neumann_entropy",
@@ -50,6 +52,12 @@ def prefix_slack(dominating: np.ndarray, dominated: np.ndarray) -> tuple[float, 
     return float(diff.min()), float(diff[-1])
 
 
+def prefix_slack_rows(dominating: np.ndarray, dominated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`prefix_slack` of each row pair of two (N, d) stacks, as two (N,) arrays."""
+    diff = np.cumsum(dominating, axis=1) - np.cumsum(dominated, axis=1)
+    return diff.min(axis=1), diff[:, -1]
+
+
 def entropy_nats(p) -> float:
     """Shannon entropy -sum p ln p in nats; zero entries contribute nothing.
 
@@ -58,6 +66,17 @@ def entropy_nats(p) -> float:
     p = np.asarray(p, dtype=np.float64)
     p = p[p > 0.0]
     return float(-(p * np.log(p)).sum())
+
+
+def entropy_nats_rows(p: np.ndarray) -> np.ndarray:
+    """:func:`entropy_nats` of each row of an (N, d) stack, as an (N,) array.
+
+    Zero entries add an exact 0.0 term instead of being dropped. Rows of
+    fewer than 8 entries, numpy's pairwise-summation block, sum in the same
+    order as entropy_nats, so each value equals it bit for bit; longer rows
+    may differ in the last bit.
+    """
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=1)
 
 
 def majorizes(n, m, tol: float = MAJORIZATION_TOL) -> bool:

@@ -18,6 +18,14 @@ Five experiment families:
 Every trial derives all of its randomness from (seed, experiment base + trial
 index), so trials can run in any order or in parallel and replay exactly.
 
+Trials run in blocks. qepi and concavity compute a block of up to 512 trials
+as stacked (N, d, d) arrays: a block function re-keys one generator to each
+trial's own stream, draws that trial's values in the order of the one-trial
+code, and then validates, mixes and takes spectra and entropies of the whole
+block at once; every value equals what the trial alone computes, bit for
+bit. The other experiments run trial by trial in blocks of one. A block that
+raises is rerun trial by trial, so the error names the first failing trial.
+
 A trial function only computes slacks (must be >= minus the tolerance) and
 residuals (must be <= the tolerance); one verdict rule, :func:`_verdict`,
 turns them into pass flags, skipping the slacks a trial names as diagnostics.
@@ -25,6 +33,7 @@ turns them into pass flags, skipping the slacks a trial names as diagnostics.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -32,16 +41,17 @@ from functools import partial
 import numpy as np
 
 from ._version import __version__
-from .channels import partial_swap_closed, partial_swap_global, partial_swap_joint
+from .channels import partial_swap_closed, partial_swap_closed_stack, partial_swap_global, partial_swap_joint
 from .entropy import (
     OptimizerConfig,
     conditional_vn_entropy,
-    entropy_nats,
+    entropy_nats_rows,
     entropy_power,
     expected_entropy_power,
     kappa_bounds,
     minimize_conditional_entropy_power,
     prefix_slack,
+    prefix_slack_rows,
 )
 from .errors import QuditEpiError, UsageError
 from .measurement import (
@@ -50,10 +60,19 @@ from .measurement import (
     conditional_spectrum,
     projective_from_unitary,
 )
-from .rand import RNG_ALGORITHM, RandomSource, haar_unitary, normalize_state_kind, sample_state
+from .rand import (
+    RNG_ALGORITHM,
+    KeyedStreams,
+    RandomSource,
+    haar_unitary,
+    normalize_state_kind,
+    sample_state,
+    state_columns,
+    states_from_gaussians,
+)
 from .states import (
     as_bipartite,
-    eigenvalues_descending,
+    eigenvalues_descending_stack,
     make_density,
     matrix_distance,
     multipartite,
@@ -71,6 +90,11 @@ EXPERIMENTS = ("lemma", "theorem", "qepi", "concavity", "conjecture")
 _STREAM_BASE = {name: (i + 1) << 40 for i, name in enumerate(EXPERIMENTS)}
 
 _FORCED_TAUS = (0.0, 0.5, 1.0)
+
+# Trials per block. qepi and concavity compute a block as stacked arrays. The
+# other experiments run trial by trial; blocks of one keep their work split
+# evenly over --parallel workers.
+_BLOCK_SIZE = {"qepi": 512, "concavity": 512}
 
 _HISTOGRAM_EDGES = (-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3)
 
@@ -158,6 +182,9 @@ def validate_config(cfg: TrialConfig, experiment: str) -> None:
         raise UsageError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIM}")
     if cfg.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {cfg.trials}")
+    if not 0 <= cfg.seed < 2**64:
+        # Streams are keyed by the seed mod 2^64; a wider seed would replay another's trials.
+        raise UsageError(f"--seed must be in [0, 2^64), got {cfg.seed}")
     if not (cfg.tolerance > 0 and math.isfinite(cfg.tolerance)):
         raise UsageError(f"--tol must be finite and > 0, got {cfg.tolerance}")
     if cfg.tau is not None and not 0.0 <= cfg.tau <= 1.0:
@@ -359,62 +386,103 @@ def run_theorem_trial(cfg: TrialConfig, index: int) -> TrialRecord:
 
 def run_qepi_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     """Unconditional entropy power inequality and spectral majorization."""
-    gen = _trial_source(cfg, "qepi", index).generator()
-    tau = _draw_tau(cfg, index, gen)
-    rho1 = sample_state(gen, cfg.d, cfg.state_kind, cfg.rank)
-    rho2 = sample_state(gen, cfg.d, cfg.state_kind, cfg.rank)
-    out = partial_swap_closed(rho1, rho2, tau)
-
-    lam1 = eigenvalues_descending(rho1)
-    lam2 = eigenvalues_descending(rho2)
-    lam_out = eigenvalues_descending(out)
-    mix = tau * lam1 + (1.0 - tau) * lam2
-    maj_slack, total = prefix_slack(mix, lam_out)
-
-    s1, s2, s_out = (entropy_nats(lam) for lam in (lam1, lam2, lam_out))
-
-    slacks = {"qepi_majorization": maj_slack}
-    kappas = resolve_kappas(cfg)
-    for t, (kappa, _) in enumerate(kappas):
-        slacks[f"qepi.k{t}"] = (
-            math.exp(kappa * s_out) - tau * math.exp(kappa * s1) - (1.0 - tau) * math.exp(kappa * s2)
-        )
-
-    residuals = {"major_total": abs(total)}
-    return TrialRecord(
-        experiment="qepi",
-        index=index,
-        tau=tau,
-        kappas=tuple(k for k, _ in kappas),
-        slacks=slacks,
-        residuals=residuals,
-        pass_flags=_verdict(cfg, slacks, residuals, _soft_kappas("qepi", kappas)),
-    )
+    return _qepi_block(cfg, range(index, index + 1))[0]
 
 
 def run_concavity_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     """Midpoint concavity of the entropy power on a random simplex pair."""
-    gen = _trial_source(cfg, "concavity", index).generator()
-    tau = _draw_tau(cfg, index, gen)  # recorded only; concavity has no mixing step
-    p = gen.dirichlet(np.ones(cfg.d))
-    q = gen.dirichlet(np.ones(cfg.d))
-    hp, hq, hm = (entropy_nats(v) for v in (p, q, (p + q) / 2))
+    return _concavity_block(cfg, range(index, index + 1))[0]
 
+
+def _kappa_grid(cfg: TrialConfig, prefix: str):
+    """(kappa values, their slack keys, the soft keys) of one experiment."""
     kappas = resolve_kappas(cfg)
-    slacks = {
-        f"concavity.k{t}": math.exp(kappa * hm) - (math.exp(kappa * hp) + math.exp(kappa * hq)) / 2
-        for t, (kappa, _) in enumerate(kappas)
-    }
+    keys = [f"{prefix}.k{t}" for t in range(len(kappas))]
+    return tuple(k for k, _ in kappas), keys, _soft_kappas(prefix, kappas)
 
-    return TrialRecord(
-        experiment="concavity",
-        index=index,
-        tau=tau,
-        kappas=tuple(k for k, _ in kappas),
-        slacks=slacks,
-        residuals={},
-        pass_flags=_verdict(cfg, slacks, {}, _soft_kappas("concavity", kappas)),
-    )
+
+def _qepi_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
+    """qepi trials `indices`: per trial, draw order tau, state 1, state 2."""
+    d = cfg.d
+    streams = KeyedStreams(cfg.seed)
+    base = _STREAM_BASE["qepi"]
+    taus = []
+    # Per trial: real and imaginary parts of state 1's Gaussians, then state 2's.
+    normals = np.empty((len(indices), 4, d, state_columns(d, cfg.state_kind, cfg.rank)))
+    for row, index in enumerate(indices):
+        gen = streams.at(base + index)
+        taus.append(_draw_tau(cfg, index, gen))
+        gen.standard_normal(out=normals[row])
+    g = normals[:, 0::2] + 1j * normals[:, 1::2]
+    rho1, eigs1 = states_from_gaussians(g[:, 0], cfg.state_kind)
+    rho2, eigs2 = states_from_gaussians(g[:, 1], cfg.state_kind)
+    tau_stack = np.array(taus, dtype=np.float64)
+    _, eigs_out = partial_swap_closed_stack(rho1, rho2, tau_stack)
+
+    lam1, lam2, lam_out = (eigenvalues_descending_stack(e) for e in (eigs1, eigs2, eigs_out))
+    t = tau_stack[:, None]
+    maj_slacks, totals = prefix_slack_rows(t * lam1 + (1.0 - t) * lam2, lam_out)
+    entropies = zip(*(entropy_nats_rows(lam).tolist() for lam in (lam1, lam2, lam_out)))
+
+    kappas, keys, soft = _kappa_grid(cfg, "qepi")
+    records = []
+    for index, tau, slack, total, (s1, s2, s_out) in zip(
+        indices, taus, maj_slacks.tolist(), totals.tolist(), entropies
+    ):
+        slacks = {"qepi_majorization": slack}
+        for key, kappa in zip(keys, kappas):
+            slacks[key] = (
+                math.exp(kappa * s_out) - tau * math.exp(kappa * s1) - (1.0 - tau) * math.exp(kappa * s2)
+            )
+        residuals = {"major_total": abs(total)}
+        records.append(
+            TrialRecord(
+                experiment="qepi",
+                index=index,
+                tau=tau,
+                kappas=kappas,
+                slacks=slacks,
+                residuals=residuals,
+                pass_flags=_verdict(cfg, slacks, residuals, soft),
+            )
+        )
+    return records
+
+
+def _concavity_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
+    """Concavity trials `indices`: per trial, draw order tau, p, q."""
+    streams = KeyedStreams(cfg.seed)
+    base = _STREAM_BASE["concavity"]
+    alpha = np.ones(cfg.d)
+    taus = []
+    pq = np.empty((len(indices), 2, cfg.d))
+    for row, index in enumerate(indices):
+        gen = streams.at(base + index)
+        taus.append(_draw_tau(cfg, index, gen))  # recorded only; concavity has no mixing step
+        pq[row, 0] = gen.dirichlet(alpha)
+        pq[row, 1] = gen.dirichlet(alpha)
+    p, q = pq[:, 0], pq[:, 1]
+    entropies = zip(*(entropy_nats_rows(v).tolist() for v in (p, q, (p + q) / 2)))
+
+    kappas, keys, soft = _kappa_grid(cfg, "concavity")
+    records = []
+    for index, tau, (hp, hq, hm) in zip(indices, taus, entropies):
+        slacks = {
+            key: math.exp(kappa * hm) - (math.exp(kappa * hp) + math.exp(kappa * hq)) / 2
+            for key, kappa in zip(keys, kappas)
+        }
+        records.append(
+            TrialRecord(
+                experiment="concavity",
+                index=index,
+                tau=tau,
+                kappas=kappas,
+                slacks=slacks,
+                residuals={},
+                pass_flags=_verdict(cfg, slacks, {}, soft),
+            )
+        )
+    return records
 
 
 def _conjecture_slack(joint, tau: float) -> float:
@@ -493,21 +561,54 @@ def run_conjecture_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     )
 
 
+def _trial_by_trial(trial_fn):
+    def block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
+        return [trial_fn(cfg, index) for index in indices]
+
+    return block
+
+
+# Block functions: (cfg, indices) -> the records of those trials, in order.
 _TRIAL_FNS = {
-    "lemma": run_lemma_trial,
-    "theorem": run_theorem_trial,
-    "qepi": run_qepi_trial,
-    "concavity": run_concavity_trial,
-    "conjecture": run_conjecture_trial,
+    "lemma": _trial_by_trial(run_lemma_trial),
+    "theorem": _trial_by_trial(run_theorem_trial),
+    "qepi": _qepi_block,
+    "concavity": _concavity_block,
+    "conjecture": _trial_by_trial(run_conjecture_trial),
 }
 
 
-def _run_trial(experiment: str, cfg: TrialConfig, index: int) -> TrialRecord:
+def _run_block(experiment: str, cfg: TrialConfig, indices: range) -> list[TrialRecord]:
+    block = _TRIAL_FNS[experiment]
     try:
-        return _TRIAL_FNS[experiment](cfg, index)
-    except QuditEpiError as exc:
-        key = (cfg.seed, _STREAM_BASE[experiment] + index)
-        raise type(exc)(f"{experiment} trial {index}, stream key {key}: {exc}") from exc
+        return block(cfg, indices)
+    except QuditEpiError:
+        # Rerun trial by trial: the first failing trial raises, named.
+        for index in indices:
+            try:
+                block(cfg, range(index, index + 1))
+            except QuditEpiError as exc:
+                key = (cfg.seed, _STREAM_BASE[experiment] + index)
+                raise type(exc)(f"{experiment} trial {index}, stream key {key}: {exc}") from exc
+        raise
+
+
+def _run_records(experiment: str, cfg: TrialConfig, parallel: int) -> list[TrialRecord]:
+    """The records of all trials of one experiment, in index order."""
+    validate_config(cfg, experiment)
+    workers = int(parallel)
+    if workers < 1:
+        raise UsageError(f"--parallel must be >= 1, got {parallel}")
+    run = partial(_run_block, experiment, cfg)
+    size = _BLOCK_SIZE.get(experiment, 1)
+    blocks = [range(start, min(start + size, cfg.trials)) for start in range(0, cfg.trials, size)]
+    if workers == 1 or cfg.trials < 2 * workers:
+        return [record for records in map(run, blocks) for record in records]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        results = pool.map(run, blocks, chunksize=math.ceil(len(blocks) / workers))
+        return [record for records in results for record in records]
 
 
 def run_experiment(experiment: str, cfg: TrialConfig, parallel: int = 1):
@@ -517,18 +618,7 @@ def run_experiment(experiment: str, cfg: TrialConfig, parallel: int = 1):
     pure function of (seed, experiment, index), and records are emitted in
     index order.
     """
-    validate_config(cfg, experiment)
-    workers = int(parallel)
-    if workers < 1:
-        raise UsageError(f"--parallel must be >= 1, got {parallel}")
-    run = partial(_run_trial, experiment, cfg)
-    if workers == 1 or cfg.trials < 2 * workers:
-        records = list(map(run, range(cfg.trials)))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run, range(cfg.trials), chunksize=math.ceil(cfg.trials / workers)))
+    records = _run_records(experiment, cfg, parallel)
     return records, summarize(records, run_metadata(cfg))
 
 
@@ -559,7 +649,7 @@ def summarize(records, metadata: dict | None = None) -> Summary:
             max_residual = max(max_residual, value)
         if r.slacks:
             worst = min(r.slacks.values())
-            counts[int(np.searchsorted(_HISTOGRAM_EDGES, worst, side="right"))] += 1
+            counts[bisect.bisect_right(_HISTOGRAM_EDGES, worst)] += 1
     return Summary(
         trials=len(records),
         violations=violations,

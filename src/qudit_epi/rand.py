@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuditEpiError
-from .states import DensityMatrix, make_density
+from .states import DensityMatrix, make_density, make_density_stack
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -21,13 +21,19 @@ UNITARY_TOL = 1e-12
 _HAAR_RETRIES = 3
 
 _MIX_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _splitmix64(x: int) -> int:
-    x = (x + _MIX_GAMMA) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    x = (x + _MIX_GAMMA) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def _philox_key(master_seed: int, stream_index: int) -> np.ndarray:
+    """The Philox key of stream (master_seed, stream_index), each taken mod 2^64."""
+    return np.array([master_seed & _MASK64, stream_index & _MASK64], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -38,18 +44,36 @@ class RandomSource:
     stream_index: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = np.array(
-            [self.master_seed & 0xFFFFFFFFFFFFFFFF, self.stream_index & 0xFFFFFFFFFFFFFFFF],
-            dtype=np.uint64,
-        )
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=_philox_key(self.master_seed, self.stream_index)))
 
     def derive(self, *indices: int) -> "RandomSource":
         """Child stream obtained by mixing indices into the stream index."""
-        s = self.stream_index & 0xFFFFFFFFFFFFFFFF
+        s = self.stream_index & _MASK64
         for ix in indices:
-            s = _splitmix64(s ^ (int(ix) & 0xFFFFFFFFFFFFFFFF))
+            s = _splitmix64(s ^ (int(ix) & _MASK64))
         return RandomSource(self.master_seed, s)
+
+
+class KeyedStreams:
+    """One Philox generator, re-keyed in place for one stream after another.
+
+    ``at(i)`` returns the shared generator set to the start of stream
+    (master_seed, i): it draws exactly what ``RandomSource(master_seed,
+    i).generator()`` draws, for a fraction of the cost of a new generator.
+    The next ``at`` call re-keys it, so finish one stream's draws first.
+    """
+
+    def __init__(self, master_seed: int):
+        self.master_seed = master_seed
+        self._bits = np.random.Philox(key=_philox_key(master_seed, 0))
+        # A fresh state: counter 0, an empty buffer and no cached half-word.
+        self._fresh = self._bits.state
+        self._gen = np.random.Generator(self._bits)
+
+    def at(self, stream_index: int) -> np.random.Generator:
+        self._fresh["state"]["key"] = _philox_key(self.master_seed, stream_index)
+        self._bits.state = self._fresh
+        return self._gen
 
 
 def complex_gaussian(gen: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -91,21 +115,46 @@ def sample_state(gen: np.random.Generator, d: int, kind: str = "ginibre", rank: 
     rank    : same with a d x rank G.
     """
     kind = normalize_state_kind(kind)
+    g = complex_gaussian(gen, d, state_columns(d, kind, rank))
+    if kind == "pure":
+        psi = g[:, 0]
+        psi /= np.linalg.norm(psi)
+        return make_density(np.outer(psi, psi.conj()))
+    m = g @ g.conj().T
+    return make_density(m / np.trace(m).real)
+
+
+def state_columns(d: int, kind: str, rank: int | None) -> int:
+    """Columns of the d x cols complex Gaussian matrix one sampled state draws."""
+    kind = normalize_state_kind(kind)
     if d < 2:
         raise QuditEpiError(f"state dimension must be >= 2, got {d}")
     if kind == "pure":
-        psi = complex_gaussian(gen, d, 1)[:, 0]
-        psi /= np.linalg.norm(psi)
-        return make_density(np.outer(psi, psi.conj()))
+        return 1
     if kind == "ginibre":
-        cols = d
-    else:
-        if rank is None or not 1 <= int(rank) <= d:
-            raise QuditEpiError(f"rank must satisfy 1 <= rank <= {d}, got {rank}")
-        cols = int(rank)
-    g = complex_gaussian(gen, d, cols)
-    m = g @ g.conj().T
-    return make_density(m / np.trace(m).real)
+        return d
+    if rank is None or not 1 <= int(rank) <= d:
+        raise QuditEpiError(f"rank must satisfy 1 <= rank <= {d}, got {rank}")
+    return int(rank)
+
+
+def states_from_gaussians(g: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sample_state`'s formula on a stack of drawn Gaussians.
+
+    g is an (N, d, cols) complex stack, row i the matrix a sampled state
+    draws. Returns the validated density stack and its ascending eigenvalues
+    (see :func:`make_density_stack`); row i equals, bit for bit, the state
+    sample_state builds from g[i]. The pure-state norm is taken as the dot
+    products re.re + im.im, the way np.linalg.norm computes it.
+    """
+    if normalize_state_kind(kind) == "pure":
+        psi = g[:, :, 0]
+        re, im = psi.real[:, None, :], psi.imag[:, None, :]
+        sq = re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)
+        psi = psi / np.sqrt(sq[:, :, 0])
+        return make_density_stack(psi[:, :, None] * psi.conj()[:, None, :])
+    m = g @ g.conj().swapaxes(1, 2)
+    return make_density_stack(m / np.trace(m, axis1=1, axis2=2).real[:, None, None])
 
 
 def random_state(d: int, kind: str, rng: RandomSource, rank: int | None = None) -> DensityMatrix:

@@ -20,12 +20,14 @@ __all__ = [
     "DensityMatrix",
     "MultipartiteState",
     "make_density",
+    "make_density_stack",
     "multipartite",
     "as_bipartite",
     "tensor",
     "partial_trace",
     "permute_subsystems",
     "eigenvalues_descending",
+    "eigenvalues_descending_stack",
     "commutator",
     "matrix_distance",
 ]
@@ -85,12 +87,13 @@ def _as_complex_square(entries) -> np.ndarray:
 
 
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or of each in a stack."""
     try:
         return np.linalg.eigvalsh(mat)
     except np.linalg.LinAlgError as exc:
-        herm = float(np.abs(mat - mat.conj().T).max())
+        herm = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
         raise QuditEpiError(
-            f"eigvalsh failed on dim={mat.shape[0]}: {exc}; "
+            f"eigvalsh failed on dim={mat.shape[-1]}: {exc}; "
             f"max|entry|={float(np.abs(mat).max()):.3e}, hermiticity residual={herm:.3e}"
         ) from exc
 
@@ -116,6 +119,39 @@ def make_density(entries, tol: float = 1e-10) -> DensityMatrix:
     if eigs[0] < -tol:
         raise ValidationError(f"smallest eigenvalue {eigs[0]:.6e} below -tol {-tol:.1e}")
     return DensityMatrix(sym, eigs)
+
+
+def make_density_stack(entries) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`make_density`, at its default tolerances, on each matrix of an
+    (N, d, d) stack.
+
+    Each check runs over the whole stack in make_density's order and with its
+    message: hermiticity, trace, then the smallest eigenvalue of (m + m†)/2.
+    The first row failing a check raises. Returns the symmetrized stack and
+    its ascending eigenvalues, row i bit for bit what make_density stores for
+    entries[i]. The arrays stay writable; wrap a row in a DensityMatrix to
+    share it.
+    """
+    arr = np.asarray(entries, dtype=np.complex128)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise QuditEpiError(f"expected a stack of square matrices, got shape {arr.shape}")
+    adj = arr.conj().swapaxes(1, 2)
+    herm_dev = np.abs(arr - adj).max(axis=(1, 2))
+    bad = herm_dev > HERMITIAN_TOL
+    if bad.any():
+        raise ValidationError(f"max|m - m†| = {herm_dev[bad.argmax()]:.3e} exceeds tol {HERMITIAN_TOL:.1e}")
+    sym = (arr + adj) / 2
+    trace_dev = np.abs(np.trace(sym, axis1=1, axis2=2) - 1.0)
+    bad = trace_dev > TRACE_TOL
+    if bad.any():
+        raise ValidationError(f"|Tr m - 1| = {trace_dev[bad.argmax()]:.3e} exceeds tol {TRACE_TOL:.1e}")
+    eigs = _eigvalsh(sym)
+    bad = eigs[:, 0] < -POSITIVITY_TOL
+    if bad.any():
+        raise ValidationError(
+            f"smallest eigenvalue {eigs[bad.argmax(), 0]:.6e} below -tol {-POSITIVITY_TOL:.1e}"
+        )
+    return sym, eigs
 
 
 def multipartite(state: DensityMatrix, dims) -> MultipartiteState:
@@ -209,6 +245,22 @@ def eigenvalues_descending(rho: DensityMatrix) -> np.ndarray:
     vals = vals / total
     vals.setflags(write=False)
     return vals
+
+
+def eigenvalues_descending_stack(eigs: np.ndarray) -> np.ndarray:
+    """:func:`eigenvalues_descending` on each row of an (N, d) stack of
+    ascending eigenvalues, with its clipping, checks and messages."""
+    low = eigs[:, 0] < -POSITIVITY_TOL
+    if low.any():
+        raise ValidationError(f"eigenvalue {eigs[low.argmax(), 0]:.6e} below -{POSITIVITY_TOL:.1e}")
+    vals = np.clip(eigs[:, ::-1], 0.0, None)
+    total = vals.sum(axis=1)
+    off = np.abs(total - 1.0) > SPECTRUM_SUM_TOL
+    if off.any():
+        raise ValidationError(
+            f"spectrum sums to {float(total[off.argmax()])!r}, off by more than {SPECTRUM_SUM_TOL:.1e}"
+        )
+    return vals / total[:, None]
 
 
 def commutator(a, b) -> np.ndarray:

@@ -70,6 +70,9 @@ def test_dispatch_usage_errors_exit_one(capsys):
     assert "--kappa must be finite" in capsys.readouterr().err
     assert dispatch(["verify-qepi", "--dim", "2", "--trials", "4", "--tol", "inf"]) == 1
     assert "--tol must be finite" in capsys.readouterr().err
+    for seed in ("-1", str(2**64), str(2**70 + 5)):
+        assert dispatch(["verify-qepi", "--dim", "2", "--trials", "4", "--seed", seed]) == 1
+        assert "--seed must be in [0, 2^64)" in capsys.readouterr().err
 
 
 def test_dispatch_io_failure_exit_one(tmp_path, capsys):

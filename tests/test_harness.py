@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qudit_epi import harness
@@ -5,6 +7,7 @@ from qudit_epi.cli import dispatch, parse_lines
 from qudit_epi.errors import QuditEpiError, UsageError, ValidationError
 from qudit_epi.harness import (
     TrialConfig,
+    TrialRecord,
     resolve_kappas,
     run_concavity_trial,
     run_conjecture_trial,
@@ -184,6 +187,10 @@ def test_validate_config_rejects_out_of_envelope():
         (TrialConfig(d=2, kappa=float("nan"), exploratory_kappa=True), "concavity"),
         (TrialConfig(d=2, tolerance=float("inf")), "qepi"),
         (TrialConfig(d=2, tolerance=float("nan")), "lemma"),
+        # seeds outside [0, 2^64) would alias one inside it
+        (TrialConfig(d=2, seed=-1), "qepi"),
+        (TrialConfig(d=2, seed=2**64), "qepi"),
+        (TrialConfig(d=2, seed=2**70 + 5), "lemma"),
     ]:
         with pytest.raises(UsageError):
             validate_config(cfg, experiment)
@@ -191,6 +198,8 @@ def test_validate_config_rejects_out_of_envelope():
     validate_config(TrialConfig(d=2, state_kind="rank-k", rank=4), "lemma")
     validate_config(TrialConfig(d=2, d_e1=2, d_e2=2, state_kind="rank-k", rank=4), "conjecture")
     validate_config(TrialConfig(d=2, state_kind="rank-k", rank=9), "concavity")
+    validate_config(TrialConfig(d=2, seed=0), "qepi")
+    validate_config(TrialConfig(d=2, seed=2**64 - 1), "qepi")
 
 
 def test_validate_config_total_dim_cap_is_inclusive():
@@ -215,10 +224,10 @@ def test_run_experiment_parallel_matches_serial():
 def test_trial_failure_names_experiment_index_and_stream_key(monkeypatch, capsys):
     real = harness._TRIAL_FNS["qepi"]
 
-    def fails_at_three(cfg, index):
-        if index == 3:
+    def fails_at_three(cfg, indices):
+        if 3 in indices:
             raise ValidationError("smallest eigenvalue -1.0e-03 below -tol 1.0e-10")
-        return real(cfg, index)
+        return real(cfg, indices)
 
     monkeypatch.setitem(harness._TRIAL_FNS, "qepi", fails_at_three)
     cfg = TrialConfig(d=2, trials=6, seed=21)
@@ -239,6 +248,29 @@ def test_summarize_order_independent():
     assert a.min_slack == b.min_slack
     assert a.histogram == b.histogram
     assert a.trials == b.trials
+
+
+@pytest.mark.parametrize(
+    "worst, bin_index",
+    [
+        (-math.inf, 0),
+        (-1e-3, 1),
+        (-1e-6, 2),
+        (-1e-9, 3),
+        (-0.0, 4),
+        (0.0, 4),
+        (1e-9, 5),
+        (1e-6, 6),
+        (1e-3, 7),
+        (math.inf, 7),
+        (math.nan, 7),
+    ],
+)
+def test_summarize_histogram_bins(worst, bin_index):
+    # A value on an edge falls in the bin to its right; NaN falls in the last bin.
+    record = TrialRecord("qepi", 0, 0.5, (), {"a": worst, "b": 1.0}, {}, {})
+    counts = summarize([record]).histogram["counts"]
+    assert counts == [int(i == bin_index) for i in range(8)]
 
 
 def test_summarize_empty_and_violations():

@@ -9,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from qudit_epi.channels import partial_swap_closed
-from qudit_epi.entropy import entropy_nats, prefix_slack
+from qudit_epi.channels import partial_swap_closed, partial_swap_closed_stack
+from qudit_epi.entropy import entropy_nats, entropy_nats_rows, prefix_slack, prefix_slack_rows
 from qudit_epi.measurement import condition_projective_all
 from qudit_epi.states import make_density
 
@@ -55,6 +55,22 @@ def test_pswap_closed_endpoints_exact():
     assert np.array_equal(partial_swap_closed(rho1, rho2, 0.0).mat, rho2.mat)
 
 
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_pswap_closed_stack_matches_closed(d):
+    rng = np.random.default_rng(20 + d)
+    taus = np.array([0.0, 1.0, 0.5, 0.3, rng.uniform()])
+    pairs = [(make_density(_rand_herm(rng, d)), make_density(_rand_herm(rng, d))) for _ in taus]
+    r1 = np.array([a.mat for a, _ in pairs])
+    r2 = np.array([b.mat for _, b in pairs])
+    sym, eigs = partial_swap_closed_stack(r1, r2, taus)
+    for i, (tau, (rho1, rho2)) in enumerate(zip(taus.tolist(), pairs)):
+        out = partial_swap_closed(rho1, rho2, tau)
+        assert np.array_equal(sym[i], out.mat)
+        assert np.array_equal(eigs[i], out.eigenvalues_ascending())
+    with pytest.raises(ValueError, match="mixing parameters must be in"):
+        partial_swap_closed_stack(r1, r2, taus + 0.5)
+
+
 @pytest.mark.parametrize("dx,de", [(2, 2), (3, 2), (4, 3), (2, 4)])
 def test_condition_projective_matches_naive(dx, de):
     rng = np.random.default_rng(dx * 10 + de)
@@ -87,3 +103,17 @@ def test_entropy_nats():
     assert entropy_nats(np.array([1.0, 0.0])) == 0.0
     assert entropy_nats(np.array([0.5, 0.5])) == pytest.approx(math.log(2), abs=1e-15)
     assert entropy_nats(np.ones(3) / 3) == pytest.approx(math.log(3), abs=1e-14)
+
+
+def test_row_kernels_match_scalar():
+    rng = np.random.default_rng(5)
+    for d in range(2, 8):
+        p = rng.dirichlet(np.ones(d), size=40)
+        p[::3, -1] = 0.0  # exact zeros, dropped by entropy_nats
+        p[1::3, 1:] = 0.0
+        q = np.sort(rng.dirichlet(np.ones(d), size=40), axis=1)[:, ::-1]
+        ent = entropy_nats_rows(p)
+        slack, total = prefix_slack_rows(p, q)
+        for i in range(len(p)):
+            assert repr(float(ent[i])) == repr(entropy_nats(p[i]))
+            assert (float(slack[i]), float(total[i])) == prefix_slack(p[i], q[i])

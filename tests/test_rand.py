@@ -3,6 +3,7 @@ import pytest
 
 from qudit_epi.errors import QuditEpiError
 from qudit_epi.rand import (
+    KeyedStreams,
     RandomSource,
     haar_unitary,
     normalize_state_kind,
@@ -22,6 +23,18 @@ def test_distinct_streams_differ():
     a = RandomSource(1, 0).generator().standard_normal(8)
     b = RandomSource(1, 1).generator().standard_normal(8)
     assert not np.array_equal(a, b)
+
+
+def _mixed_draws(gen):
+    # float32 draws use half of a 64-bit word and cache the other half.
+    return (gen.random(3, dtype=np.float32).tolist(), gen.standard_normal(5).tolist(), gen.uniform())
+
+
+def test_keyed_streams_replay_fresh_generators():
+    streams = KeyedStreams(9)
+    for stream in (5, 2**40 + 1, 5, 0, 2**64 - 1):
+        # Each re-key starts clean even after an odd number of 32-bit draws.
+        assert _mixed_draws(streams.at(stream)) == _mixed_draws(RandomSource(9, stream).generator())
 
 
 def test_derive_is_deterministic_and_sensitive():

@@ -8,7 +8,9 @@ from qudit_epi.rand import RandomSource, sample_state
 from qudit_epi.states import (
     commutator,
     eigenvalues_descending,
+    eigenvalues_descending_stack,
     make_density,
+    make_density_stack,
     matrix_distance,
     multipartite,
     partial_trace,
@@ -40,6 +42,43 @@ def test_make_density_rejects_non_hermitian_and_bad_trace():
         make_density([[0.5, 1.0], [0.0, 0.5]])
     with pytest.raises(ValidationError, match=r"\|Tr m - 1\| = 1\.000e\+00"):
         make_density(np.eye(2))
+
+
+def test_make_density_stack_matches_make_density():
+    gen = RandomSource(3).generator()
+    g = gen.standard_normal((6, 4, 4)) + 1j * gen.standard_normal((6, 4, 4))
+    m = g @ g.conj().swapaxes(1, 2)
+    m = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    m[0] = np.diag([1.0, 0.0, 0.0, 0.0])  # exact zeros in the spectrum
+    m[1, 0, 1] += 1e-13  # hermiticity round-off below tol
+    sym, eigs = make_density_stack(m)
+    lam = eigenvalues_descending_stack(eigs)
+    for i in range(len(m)):
+        rho = make_density(m[i])
+        assert np.array_equal(sym[i], rho.mat)
+        assert np.array_equal(eigs[i], rho.eigenvalues_ascending())
+        assert repr(lam[i].tolist()) == repr(eigenvalues_descending(rho).tolist())
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[[0.5, 1.0], [0.0, 0.5]], np.eye(2), [[0.6, 0.5], [0.5, 0.4]]],
+    ids=["non-hermitian", "trace", "indefinite"],
+)
+def test_make_density_stack_raises_first_bad_row_as_make_density(bad):
+    good = np.eye(2) / 2
+    with pytest.raises(ValidationError) as scalar:
+        make_density(bad)
+    with pytest.raises(ValidationError) as stacked:
+        make_density_stack(np.array([good, bad, good], dtype=complex))
+    assert str(stacked.value) == str(scalar.value)
+
+
+def test_eigenvalues_descending_stack_checks():
+    with pytest.raises(ValidationError, match="eigenvalue -1.000000e-03 below"):
+        eigenvalues_descending_stack(np.array([[0.0, 1.0], [-1e-3, 1.001]]))
+    with pytest.raises(ValidationError, match="spectrum sums to 1.1, off by more than"):
+        eigenvalues_descending_stack(np.array([[0.5, 0.5], [0.5, 0.6]]))
 
 
 def test_make_density_symmetrizes_roundoff():
