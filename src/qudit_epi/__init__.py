@@ -16,13 +16,12 @@ from .channels import (
     swap_operator,
 )
 from .entropy import (
-    OptimizerConfig,
+    climb_product_basis,
     conditional_vn_entropy,
     entropy_power,
     expected_entropy_power,
     kappa_bounds,
     majorizes,
-    minimize_conditional_entropy_power,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "RandomSource",
     "MeasurementSet",
     "ConditionalOutcome",
-    "OptimizerConfig",
     "TrialConfig",
     "TrialRecord",
     "Summary",
@@ -93,7 +91,7 @@ __all__ = [
     "kappa_bounds",
     "conditional_vn_entropy",
     "expected_entropy_power",
-    "minimize_conditional_entropy_power",
+    "climb_product_basis",
     "run_experiment",
     "summarize",
 ]

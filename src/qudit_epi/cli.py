@@ -83,19 +83,6 @@ class RunManifest:
         }
 
 
-def manifest_from_object(obj: dict) -> RunManifest:
-    c = obj["config"]
-    cfg = TrialConfig(**{**c, "tau": None if c["tau"] == "random" else float(c["tau"])})
-    return RunManifest(
-        command=obj["command"],
-        config=cfg,
-        version=obj["version"],
-        rng=obj["rng"],
-        log_base=obj["log_base"],
-        timestamp=obj["timestamp"],
-    )
-
-
 def _resolve_timestamp() -> str:
     """Deterministic by default so repeated runs emit identical bytes.
 
@@ -197,7 +184,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     descriptions = {
         "verify-lemma": "conditional identity and majorization checks",
-        "verify-theorem": "conditional entropy power inequality (per-measurement form)",
+        "verify-theorem": "conditional entropy power inequality at the worst measurement pair a search finds",
         "verify-qepi": "unconditional entropy power inequality and majorization",
         "concavity-scan": "midpoint concavity of the entropy power on the simplex",
         "search-conjecture": "counterexample search for the conditional-entropy version",

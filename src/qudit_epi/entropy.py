@@ -1,5 +1,6 @@
-"""Majorization, entropies, entropy-power functionals, and the measurement
-minimization that defines their conditional versions.
+"""Majorization, entropies, entropy-power functionals, and a hill climb over
+product measurement bases that searches for the measurement minimizing an
+objective, such as a conditional entropy power or an inequality's slack.
 
 Convention: natural logarithm everywhere. The entropy power of order kappa is
 exp(kappa * S) with S in nats, so the concavity window upper edge is
@@ -9,8 +10,6 @@ exp(kappa * S) with S in nats, so the concavity window upper edge is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -18,6 +17,11 @@ from .errors import QuditEpiError, ValidationError
 from .measurement import PROB_FLOOR, condition_projective_all
 from .rand import RandomSource, complex_gaussian, haar_unitary
 from .states import DensityMatrix, MultipartiteState, eigenvalues_descending, partial_trace
+
+# Budget of one climb_product_basis search.
+CLIMB_RESTARTS = 3
+CLIMB_REFINE_STEPS = 10
+CLIMB_STEP_SCALE = 0.2
 
 MAJORIZATION_TOL = 1e-9
 DISTRIBUTION_NEG_TOL = 1e-10
@@ -35,9 +39,8 @@ __all__ = [
     "kappa_bounds",
     "conditional_vn_entropy",
     "expected_entropy_power",
-    "OptimizerConfig",
-    "minimize_conditional_entropy_power",
     "projective_entropy_power",
+    "climb_product_basis",
 ]
 
 
@@ -158,39 +161,25 @@ def expected_entropy_power(outcomes, kappa: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Budget for the random-restart hill climb over projective bases."""
+def projective_entropy_power(rho4s, bases, kappa: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Outcome probabilities and conditional entropy powers of projective
+    measurements on several states at once: the climb objective's kernel.
 
-    rng: RandomSource
-    restarts: int = 8
-    refine_steps: int = 32
-    step_scale: float = 0.2
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.refine_steps < 0:
-            raise ValueError(f"refine_steps must be >= 0, got {self.refine_steps}")
-        if not self.step_scale > 0:
-            raise ValueError(f"step_scale must be > 0, got {self.step_scale}")
-
-
-def projective_entropy_power(rho4: np.ndarray, basis: np.ndarray, kappa: float) -> float:
-    """Expected entropy power of the conditionals induced by a projective basis.
-
-    rho4 is the (dx, de, dx, de)-reshaped joint state. This is the optimizer
-    objective; outcomes at or below PROB_FLOOR contribute zero.
+    rho4s[i] is a (dx, de_i, dx, de_i)-reshaped state, measured in the columns
+    of bases[i]; every state has the same dx. The conditioned blocks of all
+    states go through one stacked eigvalsh. Returns one (probabilities,
+    entropy powers) pair of arrays per state; outcomes at or below PROB_FLOOR
+    read 0 in both, so they drop out of every probability-weighted sum.
+    Unvalidated: the validated route is measurement.condition_all.
     """
-    blocks = condition_projective_all(rho4, basis)
+    blocks = np.concatenate([condition_projective_all(r, b) for r, b in zip(rho4s, bases)])
     probs = np.trace(blocks, axis1=1, axis2=2).real
-    mask = probs > PROB_FLOOR
-    if not mask.any():
-        return 0.0
-    lam = np.linalg.eigvalsh(blocks[mask] / probs[mask, None, None])
-    lam = np.clip(lam, 0.0, None)
-    ent = -np.where(lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0).sum(axis=1)
-    return float((probs[mask] * np.exp(kappa * ent)).sum())
+    kept = probs > PROB_FLOOR
+    lam = np.linalg.eigvalsh(blocks / np.where(kept, probs, 1.0)[:, None, None])
+    powers = np.where(kept, np.exp(kappa * entropy_nats_rows(np.clip(lam, 0.0, None))), 0.0)
+    probs = np.where(kept, probs, 0.0)
+    splits = np.cumsum([b.shape[1] for b in bases[:-1]])
+    return list(zip(np.split(probs, splits), np.split(powers, splits)))
 
 
 def _unitary_step(gen: np.random.Generator, d: int, scale: float) -> np.ndarray:
@@ -201,40 +190,31 @@ def _unitary_step(gen: np.random.Generator, d: int, scale: float) -> np.ndarray:
     return (v * np.exp(1j * scale * w)) @ v.conj().T
 
 
-def minimize_conditional_entropy_power(
-    s: MultipartiteState, kappa: float, cfg: OptimizerConfig
-) -> tuple[float, np.ndarray]:
-    """Approximate min over product projective bases U1 (x) ... (x) Un of the
-    expected entropy power of X conditioned on (E1, ..., En).
+def climb_product_basis(objective, start, source: RandomSource) -> tuple[float, list[np.ndarray]]:
+    """Random-restart hill climb of objective(factors) over product bases
+    U1 (x) ... (x) Un, one unitary factor per local environment.
 
-    s is ordered (X, E1, ..., En); n >= 1 comes from s.dims. Random restarts,
-    each drawing the Haar factors U1..Un in order and then refined by
-    accept-if-better random rotations: refine step k rotates factor
-    j = k mod n, Uj <- Uj exp(i * step_scale * H). The result is an upper bound on the true
-    minimum over the product family; callers must treat it one-sidedly.
-    Restart r draws from the stream rng.derive(r); ties keep the lowest r.
-    Returns the value and the product basis.
+    Restart 0 starts at the factors `start`; restart r >= 1 starts at Haar
+    factors of the same dimensions. Each restart then takes
+    CLIMB_REFINE_STEPS accept-if-lower steps: step k rotates factor
+    j = k mod n, Uj <- Uj exp(i * CLIMB_STEP_SCALE * H). Restart r draws from
+    the stream source.derive(r). Returns the lowest value found and its
+    factors (ties keep the lowest r), so the value is never above
+    objective(start); it is only an upper bound on the minimum over the
+    product family.
     """
-    if len(s.dims) < 2:
-        raise QuditEpiError(f"expected an (X, E1, ..., En) state, got dims {s.dims}")
-    dx, *envs = s.dims
-    de = math.prod(envs)
-    rho4 = s.state.mat.reshape(dx, de, dx, de)
-    best_value = math.inf
-    best_basis = None
-    for r in range(cfg.restarts):
-        gen = cfg.rng.derive(r).generator()
-        factors = [haar_unitary(e, gen) for e in envs]
-        basis = reduce(np.kron, factors)
-        value = projective_entropy_power(rho4, basis, kappa)
-        for step in range(cfg.refine_steps):
-            i = step % len(envs)
-            cand_factors = factors.copy()
-            cand_factors[i] = factors[i] @ _unitary_step(gen, envs[i], cfg.step_scale)
-            candidate = reduce(np.kron, cand_factors)
-            cand_value = projective_entropy_power(rho4, candidate, kappa)
+    best_value, best_factors = math.inf, None
+    for r in range(CLIMB_RESTARTS):
+        gen = source.derive(r).generator()
+        factors = list(start) if r == 0 else [haar_unitary(u.shape[0], gen) for u in start]
+        value = objective(factors)
+        for step in range(CLIMB_REFINE_STEPS):
+            j = step % len(factors)
+            candidate = factors.copy()
+            candidate[j] = factors[j] @ _unitary_step(gen, factors[j].shape[0], CLIMB_STEP_SCALE)
+            cand_value = objective(candidate)
             if cand_value < value:
-                factors, basis, value = cand_factors, candidate, cand_value
+                factors, value = candidate, cand_value
         if value < best_value:
-            best_value, best_basis = value, basis
-    return best_value, best_basis
+            best_value, best_factors = value, factors
+    return best_value, best_factors

@@ -1,11 +1,13 @@
 import math
 import os
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qudit_epi
+from qudit_epi.entropy import projective_entropy_power
 from qudit_epi.states import make_density
 
 
@@ -35,3 +37,22 @@ def plus():
 @pytest.fixture
 def zero():
     return make_density(np.diag([1.0, 0.0]).astype(complex))
+
+
+def _expected_power_objective(s, kappa):
+    dx, *envs = s.dims
+    de = math.prod(envs)
+    rho4 = s.state.mat.reshape(dx, de, dx, de)
+
+    def objective(factors):
+        ((probs, powers),) = projective_entropy_power([rho4], [reduce(np.kron, factors)], kappa)
+        return float(probs @ powers)
+
+    return objective
+
+
+@pytest.fixture
+def expected_power_objective():
+    """(state on (X, E1, ..., En), kappa) -> the expected entropy power of X
+    conditioned on (E1, ..., En), as a function of the product basis factors."""
+    return _expected_power_objective

@@ -2,11 +2,11 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 from qudit_epi.cli import (
     RunManifest,
     dispatch,
-    manifest_from_object,
     parse_lines,
     render_line,
 )
@@ -40,9 +40,14 @@ def test_render_line_nonfinite():
 
 
 def test_manifest_roundtrip():
-    m = RunManifest(command="verify-qepi", config=TrialConfig(d=3, tau=0.5), timestamp="1984-01-01T00:00:00+00:00")
-    obj = json.loads(render_line(m.to_object()))
-    assert manifest_from_object(obj) == m
+    # The manifest records every TrialConfig field and nothing else; tau=None is written as "random".
+    for tau, written in ((0.5, 0.5), (None, "random")):
+        m = RunManifest(command="verify-qepi", config=TrialConfig(d=3, tau=tau), timestamp="1984-01-01T00:00:00+00:00")
+        obj = json.loads(render_line(m.to_object()))
+        assert set(obj["config"]) == {f.name for f in fields(TrialConfig)}
+        assert obj["config"]["tau"] == written
+        assert obj["config"]["d"] == 3
+        assert (obj["command"], obj["timestamp"]) == (m.command, m.timestamp)
 
 
 def test_dispatch_writes_jsonl(tmp_path):
@@ -73,6 +78,11 @@ def test_dispatch_usage_errors_exit_one(capsys):
     for seed in ("-1", str(2**64), str(2**70 + 5)):
         assert dispatch(["verify-qepi", "--dim", "2", "--trials", "4", "--seed", seed]) == 1
         assert "--seed must be in [0, 2^64)" in capsys.readouterr().err
+    for command in ("verify-qepi", "concavity-scan"):
+        argv = [command, "--dim", "3", "--kappa", "1000", "--exploratory-kappa", "--trials", "5"]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --kappa 1000.0 overflows") and "Traceback" not in err
 
 
 def test_dispatch_io_failure_exit_one(tmp_path, capsys):

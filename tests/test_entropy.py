@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 
 from qudit_epi.entropy import (
-    OptimizerConfig,
+    climb_product_basis,
     conditional_vn_entropy,
     entropy_power,
     expected_entropy_power,
     kappa_bounds,
     majorizes,
-    minimize_conditional_entropy_power,
+    projective_entropy_power,
     shannon_entropy,
     von_neumann_entropy,
 )
 from qudit_epi.errors import QuditEpiError, ValidationError
-from qudit_epi.measurement import ConditionalOutcome
-from qudit_epi.rand import RandomSource, sample_state
+from qudit_epi.measurement import ConditionalOutcome, condition_all, projective_from_unitary
+from qudit_epi.rand import RandomSource, haar_unitary, sample_state
 from qudit_epi.states import make_density, multipartite, tensor
 
 
@@ -151,49 +151,72 @@ def test_expected_entropy_power():
     assert expected_entropy_power(outs, 1.0) == pytest.approx(1.5, abs=1e-12)
 
 
-def _opt_cfg(seed, **kw):
-    return OptimizerConfig(rng=RandomSource(seed), **kw)
+def _haar_start(gen, env_dims):
+    return [haar_unitary(e, gen) for e in env_dims]
+
+
+def test_projective_entropy_power_matches_validated_route():
+    gen = RandomSource(58).generator()
+    for dx, de in [(2, 2), (3, 2), (2, 4)]:
+        s = multipartite(sample_state(gen, dx * de), (dx, de))
+        basis = haar_unitary(de, gen)
+        outcomes = condition_all(s, projective_from_unitary(basis))
+        ((probs, powers),) = projective_entropy_power([s.state.mat.reshape(dx, de, dx, de)], [basis], 0.7)
+        assert probs.tolist() == pytest.approx([o.probability for o in outcomes], abs=1e-15)
+        assert powers.tolist() == pytest.approx([entropy_power(o.state, 0.7) for o in outcomes], abs=1e-12)
+
+
+def test_projective_entropy_power_drops_floor_outcomes():
+    # (1 - w)|00><00| + w|01><01| measured in the computational basis: outcome 1
+    # has probability w, below the floor, so it reads 0 in both arrays.
+    w = 1e-13
+    rho4 = np.zeros((2, 2, 2, 2), dtype=np.complex128)
+    rho4[0, 0, 0, 0] = 1.0 - w
+    rho4[0, 1, 0, 1] = w
+    ((probs, powers),) = projective_entropy_power([rho4], [np.eye(2)], 1.0)
+    assert probs.tolist() == [1.0 - w, 0.0]
+    assert powers.tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("env_dims", [(3,), (2, 3)], ids=["one-env", "two-envs"])
-def test_optimizer_product_state_is_exact(env_dims):
-    # x (x) e1 (x) ... (x) en: the climb over product bases U1 (x) ... (x) Un is exact.
+def test_optimizer_product_state_is_exact(env_dims, expected_power_objective):
+    # x (x) e1 (x) ... (x) en: every product basis conditions X on x, so the
+    # climb returns its start value up to round-off.
     gen = RandomSource(56).generator()
     x = sample_state(gen, 2)
     joint = x
     for de in env_dims:
         joint = tensor(joint, sample_state(gen, de))
-    s = multipartite(joint, (2, *env_dims))
-    value, basis = minimize_conditional_entropy_power(s, 1.0, _opt_cfg(1, restarts=2, refine_steps=4))
+    objective = expected_power_objective(multipartite(joint, (2, *env_dims)), 1.0)
+    start = _haar_start(gen, env_dims)
+    value, factors = climb_product_basis(objective, start, RandomSource(1))
+    assert objective(start) - 1e-12 <= value <= objective(start)
     assert value == pytest.approx(entropy_power(x, 1.0), abs=1e-10)
-    assert basis.shape == (math.prod(env_dims),) * 2
+    assert [f.shape for f in factors] == [(e, e) for e in env_dims]
 
 
-def test_optimizer_kappa_zero_returns_one(bell):
-    s = multipartite(bell, (2, 2))
-    value, _ = minimize_conditional_entropy_power(s, 0.0, _opt_cfg(2, restarts=2, refine_steps=2))
+def test_optimizer_kappa_zero_returns_one(bell, expected_power_objective):
+    objective = expected_power_objective(multipartite(bell, (2, 2)), 0.0)
+    value, _ = climb_product_basis(objective, [np.eye(2)], RandomSource(2))
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
-def test_optimizer_bell_fixture(bell):
+def test_optimizer_bell_fixture(bell, expected_power_objective):
     # pre-build brute-force scan over qubit bases: every basis yields 1.0
-    s = multipartite(bell, (2, 2))
-    value, _ = minimize_conditional_entropy_power(s, 1.0, _opt_cfg(3, restarts=4, refine_steps=8))
+    objective = expected_power_objective(multipartite(bell, (2, 2)), 1.0)
+    value, _ = climb_product_basis(objective, _haar_start(RandomSource(3).generator(), (2,)), RandomSource(3))
     assert value <= 1.0 + 1e-9
     assert value >= 1.0 - 1e-9
 
 
-def test_optimizer_deterministic():
+def test_optimizer_deterministic(expected_power_objective):
     gen = RandomSource(57).generator()
-    s = multipartite(sample_state(gen, 6), (2, 3))
-    a = minimize_conditional_entropy_power(s, 1.0, _opt_cfg(4, restarts=3, refine_steps=6))
-    b = minimize_conditional_entropy_power(s, 1.0, _opt_cfg(4, restarts=3, refine_steps=6))
+    objective = expected_power_objective(multipartite(sample_state(gen, 6), (2, 3)), 1.0)
+    start = _haar_start(gen, (3,))
+    a = climb_product_basis(objective, start, RandomSource(4))
+    b = climb_product_basis(objective, start, RandomSource(4))
     assert a[0] == b[0]
-    assert np.array_equal(a[1], b[1])
-
-
-def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(rng=RandomSource(1), restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(rng=RandomSource(1), step_scale=0.0)
+    assert all(np.array_equal(u, v) for u, v in zip(a[1], b[1]))
+    # never above the start, and the value is the objective at the factors returned
+    assert a[0] <= objective(start)
+    assert a[0] == objective(a[1])

@@ -5,6 +5,7 @@ deletion cannot leave a stale import behind."""
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +54,12 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_version_matches_pyproject():
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == qudit_epi.__version__

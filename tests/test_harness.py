@@ -3,11 +3,18 @@ import math
 import pytest
 
 from qudit_epi import harness
+from qudit_epi.channels import partial_swap_global
 from qudit_epi.cli import dispatch, parse_lines
+from qudit_epi.entropy import climb_product_basis
 from qudit_epi.errors import QuditEpiError, UsageError, ValidationError
 from qudit_epi.harness import (
     TrialConfig,
     TrialRecord,
+    _bilocal_setting,
+    _conditioned_pieces,
+    _slack_objective,
+    _theorem_slack,
+    _trial_source,
     resolve_kappas,
     run_concavity_trial,
     run_conjecture_trial,
@@ -18,6 +25,9 @@ from qudit_epi.harness import (
     summarize,
     validate_config,
 )
+from qudit_epi.measurement import projective_from_unitary
+from qudit_epi.rand import RandomSource, haar_unitary, sample_state
+from qudit_epi.states import multipartite, tensor
 
 
 def _records_equal(a, b):
@@ -61,20 +71,53 @@ def test_lemma_trial_checks():
 
 
 def test_theorem_trial_kappa_zero_slack_is_zero():
-    cfg = TrialConfig(d=2, trials=1, seed=6, min_form=False)
+    cfg = TrialConfig(d=2, trials=1, seed=6)
     for i in range(20):
         r = run_theorem_trial(cfg, i)
         assert abs(r.slacks["theorem_measured.k0"]) <= 1e-12
         assert r.passed
 
 
-def test_theorem_trial_min_form_diagnostic_present():
-    cfg = TrialConfig(d=2, trials=1, seed=7, opt_restarts=2, opt_refine=4)
-    r = run_theorem_trial(cfg, 4)
-    assert "theorem_min_form.k1" in r.slacks
-    assert "theorem_min_form.k2" in r.slacks
-    # diagnostics never participate in pass/fail
-    assert all(not k.startswith("theorem_min_form") for k in r.pass_flags)
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("envs", [(2, 2), (2, 3), (1, 4)], ids=["env22", "env23", "env14"])
+def test_theorem_search_is_validated_and_never_above_haar(d, envs):
+    # Replays each trial's search: the recorded slack is the validated slack at
+    # the basis the climb returns, it equals the climb's own (vectorized)
+    # value, and it is never above the slack at the trial's Haar pair.
+    cfg = TrialConfig(d=d, d_e1=envs[0], d_e2=envs[1], seed=16)
+    for index in range(20):
+        record = run_theorem_trial(cfg, index)
+        source = _trial_source(cfg, "theorem", index)
+        tau, s1, s2, m1, m2 = _bilocal_setting(cfg, source.generator(), index)
+        joint = partial_swap_global(s1, s2, tau)
+        *haar, _ = _conditioned_pieces(joint, s1, s2, m1, m2)
+        for t, kappa in enumerate(record.kappas):
+            key = f"theorem_measured.k{t}"
+            assert record.slacks[key] <= _theorem_slack(tau, kappa, *haar) + 1e-12, (index, key)
+            if kappa == 0.0:
+                continue
+            value, (u1, u2) = climb_product_basis(
+                _slack_objective(joint, s1, s2, tau, kappa), (m1.basis, m2.basis), source.derive(t)
+            )
+            *found, _ = _conditioned_pieces(joint, s1, s2, projective_from_unitary(u1), projective_from_unitary(u2))
+            assert record.slacks[key] == _theorem_slack(tau, kappa, *found)
+            assert value == pytest.approx(record.slacks[key], abs=1e-12), (index, key)
+
+
+def test_theorem_search_on_product_inputs_keeps_start_value():
+    # (X1 (x) E1, X2 (x) E2): every basis pair conditions on the same states,
+    # so the slack does not depend on the pair and the climb returns its start
+    # value up to round-off.
+    gen = RandomSource(17).generator()
+    s1, s2 = (
+        multipartite(tensor(sample_state(gen, 2), sample_state(gen, e)), (2, e)) for e in (2, 3)
+    )
+    joint = partial_swap_global(s1, s2, 0.4)
+    start = (haar_unitary(2, gen), haar_unitary(3, gen))
+    for kappa in (0.5, 1.0, 2.0):
+        objective = _slack_objective(joint, s1, s2, 0.4, kappa)
+        value, _ = climb_product_basis(objective, start, RandomSource(18))
+        assert objective(start) - 1e-12 <= value <= objective(start)
 
 
 def test_qepi_trial_worked_example_reachable():
@@ -128,19 +171,18 @@ def _kappa_keys(prefix):
 
 _LEMMA_KEYS = {"lemma_majorization", "lemma_identity", "major_total", "factorization", "prob_norm"}
 _EXPLORATORY = {"kappa": 3.0, "exploratory_kappa": True}
-_OPT = {"opt_restarts": 1, "opt_refine": 2}
 
 
 @pytest.mark.parametrize(
     "fn, cfg, expected",
     [
         (run_lemma_trial, TrialConfig(d=2, d_e1=2, d_e2=3), _LEMMA_KEYS),
-        (run_theorem_trial, TrialConfig(d=2, **_OPT), {"prob_norm"} | _kappa_keys("theorem_measured")),
+        (run_theorem_trial, TrialConfig(d=2), {"prob_norm"} | _kappa_keys("theorem_measured")),
         (run_qepi_trial, TrialConfig(d=3), {"qepi_majorization", "major_total"} | _kappa_keys("qepi")),
         (run_concavity_trial, TrialConfig(d=4), _kappa_keys("concavity")),
         (run_conjecture_trial, TrialConfig(d=2, d_e1=2), {"reverified_candidate"}),
         (run_conjecture_trial, TrialConfig(d=2, d_e1=1), {"reverified_candidate", "conjecture"}),
-        (run_theorem_trial, TrialConfig(d=2, **_OPT, **_EXPLORATORY), {"prob_norm"}),
+        (run_theorem_trial, TrialConfig(d=2, **_EXPLORATORY), {"prob_norm"}),
         (run_qepi_trial, TrialConfig(d=2, **_EXPLORATORY), {"qepi_majorization", "major_total"}),
         (run_concavity_trial, TrialConfig(d=2, **_EXPLORATORY), set()),
     ],
@@ -191,6 +233,10 @@ def test_validate_config_rejects_out_of_envelope():
         (TrialConfig(d=2, seed=-1), "qepi"),
         (TrialConfig(d=2, seed=2**64), "qepi"),
         (TrialConfig(d=2, seed=2**70 + 5), "lemma"),
+        # d^kappa, the largest entropy power, overflows a float
+        (TrialConfig(d=3, kappa=1000.0, exploratory_kappa=True), "qepi"),
+        (TrialConfig(d=3, kappa=1000.0, exploratory_kappa=True), "concavity"),
+        (TrialConfig(d=2, kappa=1024.0, exploratory_kappa=True), "theorem"),
     ]:
         with pytest.raises(UsageError):
             validate_config(cfg, experiment)
@@ -200,6 +246,7 @@ def test_validate_config_rejects_out_of_envelope():
     validate_config(TrialConfig(d=2, state_kind="rank-k", rank=9), "concavity")
     validate_config(TrialConfig(d=2, seed=0), "qepi")
     validate_config(TrialConfig(d=2, seed=2**64 - 1), "qepi")
+    validate_config(TrialConfig(d=3, kappa=600.0, exploratory_kappa=True), "concavity")
 
 
 def test_validate_config_total_dim_cap_is_inclusive():
