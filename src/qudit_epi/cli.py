@@ -87,13 +87,29 @@ def _resolve_timestamp() -> str:
     """Deterministic by default so repeated runs emit identical bytes.
 
     Wall-clock time only enters when the caller asks for it through
-    SOURCE_DATE_EPOCH (seconds).
+    SOURCE_DATE_EPOCH (integer seconds); a value that is not one, or that
+    names no representable date, is a usage error.
     """
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch:
-        dt = datetime.datetime.fromtimestamp(int(epoch), tz=datetime.timezone.utc)
+        try:
+            dt = datetime.datetime.fromtimestamp(int(epoch), tz=datetime.timezone.utc)
+        except (ValueError, OverflowError, OSError):
+            raise UsageError(
+                f"SOURCE_DATE_EPOCH must be integer seconds of a representable date, got {epoch!r}"
+            ) from None
         return dt.isoformat()
     return _EPOCH_TIMESTAMP
+
+
+def _check_out(out: str) -> None:
+    """Reject an --out path whose directory does not exist. The file itself
+    is only opened, and an existing one truncated, once every trial has run."""
+    if out == "-":
+        return
+    directory = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(directory) or os.path.isdir(out):
+        raise UsageError(f"cannot write {out!r}: not a file in an existing directory")
 
 
 def record_to_object(record: TrialRecord, with_experiment: bool) -> dict:
@@ -248,12 +264,14 @@ def dispatch(argv=None) -> int:
         experiments = _COMMAND_EXPERIMENTS[args.command]
         for experiment in experiments:
             validate_config(cfg, experiment)
+        timestamp = _resolve_timestamp()
+        _check_out(args.out)
 
         all_records: list[TrialRecord] = []
         for experiment in experiments:
             all_records.extend(_run_records(experiment, cfg, args.parallel))
         summary = summarize(all_records, run_metadata(cfg))
-        manifest = RunManifest(command=args.command, config=cfg, timestamp=_resolve_timestamp())
+        manifest = RunManifest(command=args.command, config=cfg, timestamp=timestamp)
         emit(manifest, all_records, summary, args.out)
         return 2 if summary.violations else 0
     except QuditEpiError as exc:

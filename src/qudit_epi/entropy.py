@@ -2,6 +2,10 @@
 product measurement bases that searches for the measurement minimizing an
 objective, such as a conditional entropy power or an inequality's slack.
 
+:func:`climb_product_basis` is the one climb: it advances a whole stack of
+searches in lockstep, so a caller with one search and the theorem's block of
+trials (every kappa and restart of up to 16 trials) share it.
+
 Convention: natural logarithm everywhere. The entropy power of order kappa is
 exp(kappa * S) with S in nats, so the concavity window upper edge is
 1/(ln d)^2. The convention is recorded in run manifests.
@@ -15,10 +19,10 @@ import numpy as np
 
 from .errors import QuditEpiError, ValidationError
 from .measurement import PROB_FLOOR, condition_projective_all
-from .rand import RandomSource, complex_gaussian, haar_unitary
+from .rand import KeyedStreams, haar_unitary
 from .states import DensityMatrix, MultipartiteState, eigenvalues_descending, partial_trace
 
-# Budget of one climb_product_basis search.
+# Budget of each climb_product_basis search.
 CLIMB_RESTARTS = 3
 CLIMB_REFINE_STEPS = 10
 CLIMB_STEP_SCALE = 0.2
@@ -161,60 +165,95 @@ def expected_entropy_power(outcomes, kappa: float) -> float:
     return total
 
 
-def projective_entropy_power(rho4s, bases, kappa: float) -> list[tuple[np.ndarray, np.ndarray]]:
+def projective_entropy_power(rho4s, bases, kappa) -> list[tuple[np.ndarray, np.ndarray]]:
     """Outcome probabilities and conditional entropy powers of projective
-    measurements on several states at once: the climb objective's kernel.
+    measurements on stacks of states at once: the climb objective's kernel.
 
-    rho4s[i] is a (dx, de_i, dx, de_i)-reshaped state, measured in the columns
-    of bases[i]; every state has the same dx. The conditioned blocks of all
-    states go through one stacked eigvalsh. Returns one (probabilities,
-    entropy powers) pair of arrays per state; outcomes at or below PROB_FLOOR
-    read 0 in both, so they drop out of every probability-weighted sum.
+    rho4s[i] is a (..., dx, de_i, dx, de_i)-reshaped state stack, measured in
+    the columns of the (..., de_i, n_i) basis stack bases[i]; every state has
+    the same dx, and kappa is a float or an array, all leading axes
+    broadcasting together. The conditioned blocks of all states go through one
+    stacked eigvalsh. Returns one (probabilities, entropy powers) pair of
+    (..., n_i) arrays per state; outcomes at or below PROB_FLOOR read 0 in
+    both, so they drop out of every probability-weighted sum. Each value
+    equals what its own state, basis and kappa give alone, bit for bit.
     Unvalidated: the validated route is measurement.condition_all.
     """
-    blocks = np.concatenate([condition_projective_all(r, b) for r, b in zip(rho4s, bases)])
-    probs = np.trace(blocks, axis1=1, axis2=2).real
+    blocks = [condition_projective_all(r, b) for r, b in zip(rho4s, bases)]
+    lead = np.broadcast_shapes(*(b.shape[:-3] for b in blocks))
+    blocks = np.concatenate([np.broadcast_to(b, (*lead, *b.shape[-3:])) for b in blocks], axis=-3)
+    probs = np.trace(blocks, axis1=-2, axis2=-1).real
     kept = probs > PROB_FLOOR
-    lam = np.linalg.eigvalsh(blocks / np.where(kept, probs, 1.0)[:, None, None])
-    powers = np.where(kept, np.exp(kappa * entropy_nats_rows(np.clip(lam, 0.0, None))), 0.0)
+    lam = np.linalg.eigvalsh(blocks / np.where(kept, probs, 1.0)[..., None, None])
+    entropies = entropy_nats_rows(np.clip(lam, 0.0, None).reshape(-1, lam.shape[-1])).reshape(probs.shape)
+    powers = np.where(kept, np.exp(np.asarray(kappa)[..., None] * entropies), 0.0)
     probs = np.where(kept, probs, 0.0)
-    splits = np.cumsum([b.shape[1] for b in bases[:-1]])
-    return list(zip(np.split(probs, splits), np.split(powers, splits)))
+    splits = np.cumsum([b.shape[-1] for b in bases[:-1]])
+    return list(zip(np.split(probs, splits, axis=-1), np.split(powers, splits, axis=-1)))
 
 
-def _unitary_step(gen: np.random.Generator, d: int, scale: float) -> np.ndarray:
-    # exp(i * scale * H) with H drawn GUE-style; computed by eigendecomposition.
-    a = complex_gaussian(gen, d, d)
-    h = (a + a.conj().T) / 2
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * scale * w)) @ v.conj().T
+def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Random-restart hill climbs of objective over product bases
+    U1 (x) ... (x) Un, one unitary factor per local environment, for a stack
+    of searches that all advance in lockstep.
 
+    starts[j] is the (*lead, e_j, e_j) stack of the searches' start factor j,
+    and sources lists the searches' streams in row-major order of lead. Each
+    search runs CLIMB_RESTARTS restarts: restart 0 starts at its factors in
+    `starts`, restart r >= 1 at Haar factors of the same dimensions. Each
+    restart then takes CLIMB_REFINE_STEPS accept-if-lower steps: step k
+    rotates factor j = k mod n, Uj <- Uj exp(i * CLIMB_STEP_SCALE * H) with H
+    drawn GUE-style. Restart r of a search draws its Haar start and then its
+    steps from the stream source.derive(r). No draw depends on which steps
+    are accepted, so every climb draws up front, one stacked eigh per factor
+    builds all step rotations, and each step scores every climb in one
+    objective call.
 
-def climb_product_basis(objective, start, source: RandomSource) -> tuple[float, list[np.ndarray]]:
-    """Random-restart hill climb of objective(factors) over product bases
-    U1 (x) ... (x) Un, one unitary factor per local environment.
-
-    Restart 0 starts at the factors `start`; restart r >= 1 starts at Haar
-    factors of the same dimensions. Each restart then takes
-    CLIMB_REFINE_STEPS accept-if-lower steps: step k rotates factor
-    j = k mod n, Uj <- Uj exp(i * CLIMB_STEP_SCALE * H). Restart r draws from
-    the stream source.derive(r). Returns the lowest value found and its
-    factors (ties keep the lowest r), so the value is never above
-    objective(start); it is only an upper bound on the minimum over the
+    objective(factors) takes the (*lead, CLIMB_RESTARTS, e_j, e_j) stacks of
+    every climb's factors and returns their (*lead, CLIMB_RESTARTS) values; it
+    is called 1 + CLIMB_REFINE_STEPS times. Returns each search's lowest value
+    found, a lead-shaped array, and its factors, one (*lead, e_j, e_j) stack
+    per factor (ties keep the lowest r). A value is never above the objective
+    at its search's start; it is only an upper bound on the minimum over the
     product family.
     """
-    best_value, best_factors = math.inf, None
-    for r in range(CLIMB_RESTARTS):
-        gen = source.derive(r).generator()
-        factors = list(start) if r == 0 else [haar_unitary(u.shape[0], gen) for u in start]
-        value = objective(factors)
-        for step in range(CLIMB_REFINE_STEPS):
-            j = step % len(factors)
-            candidate = factors.copy()
-            candidate[j] = factors[j] @ _unitary_step(gen, factors[j].shape[0], CLIMB_STEP_SCALE)
-            cand_value = objective(candidate)
-            if cand_value < value:
-                factors, value = candidate, cand_value
-        if value < best_value:
-            best_value, best_factors = value, factors
-    return best_value, best_factors
+    lead = starts[0].shape[:-2]
+    dims = [u.shape[-1] for u in starts]
+    steps = [k % len(dims) for k in range(CLIMB_REFINE_STEPS)]
+    # Step k draws the real, then the imaginary parts of its e x e Gaussian.
+    offsets = np.cumsum([0] + [2 * dims[j] ** 2 for j in steps]).tolist()
+    factors = [np.empty((*lead, CLIMB_RESTARTS, e, e), dtype=np.complex128) for e in dims]
+    normals = np.empty((*lead, CLIMB_RESTARTS, offsets[-1]))
+    keyed = {seed: KeyedStreams(seed) for seed in {source.master_seed for source in sources}}
+    for search, source in zip(np.ndindex(lead), sources):
+        for r in range(CLIMB_RESTARTS):
+            stream = source.derive(r)
+            gen = keyed[stream.master_seed].at(stream.stream_index)
+            climb = (*search, r)
+            for j, e in enumerate(dims):
+                factors[j][climb] = starts[j][search] if r == 0 else haar_unitary(e, gen)
+            gen.standard_normal(out=normals[climb])
+
+    rotations = {}
+    for j, e in enumerate(dims):
+        ks = [k for k, jk in enumerate(steps) if jk == j]
+        if not ks:
+            continue
+        g = np.stack([normals[..., offsets[k] : offsets[k + 1]].reshape(*lead, CLIMB_RESTARTS, 2, e, e) for k in ks])
+        a = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+        w, v = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2)
+        u = (v * np.exp(1j * CLIMB_STEP_SCALE * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        rotations.update(zip(ks, u))
+
+    values = objective(factors)
+    for k, j in enumerate(steps):
+        candidate = factors.copy()
+        candidate[j] = factors[j] @ rotations[k]
+        cand_values = objective(candidate)
+        better = cand_values < values
+        factors[j] = np.where(better[..., None, None], candidate[j], factors[j])
+        values = np.where(better, cand_values, values)
+
+    best = np.argmin(values, axis=-1)[..., None]
+    found = [np.take_along_axis(f, best[..., None, None], axis=-3)[..., 0, :, :] for f in factors]
+    return np.take_along_axis(values, best, axis=-1)[..., 0], found

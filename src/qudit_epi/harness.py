@@ -18,13 +18,17 @@ Five experiment families:
 Every trial derives all of its randomness from (seed, experiment base + trial
 index), so trials can run in any order or in parallel and replay exactly.
 
-Trials run in blocks. qepi and concavity compute a block of up to 512 trials
-as stacked (N, d, d) arrays: a block function re-keys one generator to each
-trial's own stream, draws that trial's values in the order of the one-trial
-code, and then validates, mixes and takes spectra and entropies of the whole
-block at once; every value equals what the trial alone computes, bit for
-bit. The other experiments run trial by trial in blocks of one. A block that
-raises is rerun trial by trial, so the error names the first failing trial.
+Trials run in blocks. A block function re-keys one generator to each trial's
+own stream and draws that trial's values in the order of the one-trial code.
+qepi and concavity compute a block of up to 512 trials as stacked (N, d, d)
+arrays: they validate, mix and take spectra and entropies of the whole block
+at once. theorem runs the basis searches of a block of up to 16 trials as one
+lockstep climb (:func:`climb_product_basis`) over all their kappas and
+restarts, and then recomputes each trial's slacks by validated conditioning.
+Either way every value equals what the trial alone computes, bit for bit, so
+no record depends on the block size or --parallel. lemma and conjecture run
+trial by trial in blocks of one. A block that raises is rerun trial by trial,
+so the error names the first failing trial.
 
 A trial function only computes slacks (must be >= minus the tolerance) and
 residuals (must be <= the tolerance); one verdict rule, :func:`_verdict`,
@@ -92,10 +96,10 @@ _STREAM_BASE = {name: (i + 1) << 40 for i, name in enumerate(EXPERIMENTS)}
 
 _FORCED_TAUS = (0.0, 0.5, 1.0)
 
-# Trials per block. qepi and concavity compute a block as stacked arrays. The
-# other experiments run trial by trial; blocks of one keep their work split
-# evenly over --parallel workers.
-_BLOCK_SIZE = {"qepi": 512, "concavity": 512}
+# Trials per block. qepi and concavity compute a block as stacked arrays, and
+# theorem climbs a block's searches in lockstep. lemma and conjecture run trial
+# by trial; blocks of one keep their work split evenly over --parallel workers.
+_BLOCK_SIZE = {"qepi": 512, "concavity": 512, "theorem": 16}
 
 _HISTOGRAM_EDGES = (-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3)
 
@@ -343,27 +347,46 @@ def _theorem_slack(tau: float, kappa: float, out1, out2, grid) -> float:
     return lhs - tau * rhs1 - (1.0 - tau) * rhs2
 
 
-def _slack_objective(joint, s1, s2, tau: float, kappa: float):
-    """:func:`_theorem_slack` as a function of the factors (U1, U2), computed
-    by :func:`projective_entropy_power`: the objective the search climbs."""
-    d, e1, e2 = joint.dims
-    rho4s = (
-        s1.state.mat.reshape(d, e1, d, e1),
-        s2.state.mat.reshape(d, e2, d, e2),
-        joint.state.mat.reshape(d, e1 * e2, d, e1 * e2),
-    )
+def _slack_objective(dims, rho1, rho2, joint, taus, kappas):
+    """:func:`_theorem_slack` of B settings at K kappas as a function of the
+    stacked factors (U1, U2), computed by :func:`projective_entropy_power`:
+    the objective the search climbs.
 
-    def slack(factors) -> float:
+    dims is (d, e1, e2); rho1, rho2 and joint are the (B, D, D) matrix stacks
+    of the inputs on (X, E1) and (X, E2) and of the output on (Y, E1, E2);
+    taus has shape (B,) and kappas (K,). The objective maps factor stacks of
+    shape (B, K, R, e_j, e_j), R pairs per setting and kappa, to the (B, K, R)
+    slacks; each setting's states are broadcast over its climbs, not copied.
+    Every value equals, bit for bit, what the setting, kappa and pair give
+    alone: each probability-weighted sum is one vector dot product per climb,
+    summed in the order `q @ p` sums a single pair's.
+    """
+    d, e1, e2 = dims
+    b = len(taus)
+    rho4s = (
+        rho1.reshape(b, 1, 1, d, e1, d, e1),
+        rho2.reshape(b, 1, 1, d, e2, d, e2),
+        joint.reshape(b, 1, 1, d, e1 * e2, d, e1 * e2),
+    )
+    tau = np.asarray(taus, dtype=np.float64)[:, None, None]
+    kappa = np.asarray(kappas, dtype=np.float64)[:, None]
+
+    def dot(x, y):
+        return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+    def slack(factors) -> np.ndarray:
         u1, u2 = factors
-        (q1, p1), (q2, p2), (_, p_out) = projective_entropy_power(rho4s, (u1, u2, np.kron(u1, u2)), kappa)
-        lhs = np.outer(q1, q2).ravel() @ p_out
-        return float(lhs - tau * (q1 @ p1) - (1.0 - tau) * (q2 @ p2))
+        kron = (u1[..., :, None, :, None] * u2[..., None, :, None, :]).reshape(*u1.shape[:-2], e1 * e2, e1 * e2)
+        (q1, p1), (q2, p2), (_, p_out) = projective_entropy_power(rho4s, (u1, u2, kron), kappa)
+        q12 = (q1[..., :, None] * q2[..., None, :]).reshape(p_out.shape)
+        return dot(q12, p_out) - tau * dot(q1, p1) - (1.0 - tau) * dot(q2, p2)
 
     return slack
 
 
-def run_theorem_trial(cfg: TrialConfig, index: int) -> TrialRecord:
-    """Per-measurement conditional entropy power inequality on one setting.
+def _theorem_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
+    """Per-measurement conditional entropy power inequality on the settings
+    of trials `indices`.
 
     Hard check per kappa: the q1xq2-weighted entropy power of the conditioned
     outputs beats the tau-mixture of the conditioned-input expectations, for
@@ -373,41 +396,68 @@ def run_theorem_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     conditioning at the pair found, so it is never above the Haar pair's.
     At kappa = 0 every entropy power is 1 and the slack is 0 up to round-off
     at any pair; the Haar pair's is recorded.
+
+    Per trial, draw order tau, state 1, state 2, basis 1, basis 2; restart r
+    of kappa t's search draws from the trial's source.derive(t, r). The
+    searches of the whole block climb in lockstep.
     """
-    source = _trial_source(cfg, "theorem", index)
-    gen = source.generator()
-    tau, s1, s2, m1, m2 = _bilocal_setting(cfg, gen, index)
-    joint = partial_swap_global(s1, s2, tau)
-    out1, out2, grid, prob_norm = _conditioned_pieces(joint, s1, s2, m1, m2)
-
-    negligible = sum(1 for row in grid for o in row if o.negligible)
     kappas = resolve_kappas(cfg)
-    slacks: dict[str, float] = {}
-    for t, (kappa, _) in enumerate(kappas):
-        pieces = out1, out2, grid
-        if kappa > 0.0:
-            # Restart r of this climb draws from source.derive(t, r).
-            _, (u1, u2) = climb_product_basis(
-                _slack_objective(joint, s1, s2, tau, kappa), (m1.basis, m2.basis), source.derive(t)
-            )
-            found1, found2, found_grid, norm = _conditioned_pieces(
-                joint, s1, s2, projective_from_unitary(u1), projective_from_unitary(u2)
-            )
-            pieces = found1, found2, found_grid
-            prob_norm = max(prob_norm, norm)
-        slacks[f"theorem_measured.k{t}"] = _theorem_slack(tau, kappa, *pieces)
+    searched = [t for t, (kappa, _) in enumerate(kappas) if kappa > 0.0]
+    streams = KeyedStreams(cfg.seed)
+    base = _STREAM_BASE["theorem"]
+    settings = []
+    for index in indices:
+        tau, s1, s2, m1, m2 = _bilocal_setting(cfg, streams.at(base + index), index)
+        joint = partial_swap_global(s1, s2, tau)
+        settings.append((tau, s1, s2, joint, m1, m2, _conditioned_pieces(joint, s1, s2, m1, m2)))
 
-    residuals = {"prob_norm": prob_norm}
-    return TrialRecord(
-        experiment="theorem",
-        index=index,
-        tau=tau,
-        kappas=tuple(k for k, _ in kappas),
-        slacks=slacks,
-        residuals=residuals,
-        pass_flags=_verdict(cfg, slacks, residuals, _soft_kappas("theorem_measured", kappas)),
-        negligible=negligible,
-    )
+    if searched:
+        taus, s1s, s2s, joints, m1s, m2s, _ = zip(*settings)
+        objective = _slack_objective(
+            joints[0].dims,
+            *(np.stack([s.state.mat for s in states]) for states in (s1s, s2s, joints)),
+            taus,
+            [kappas[t][0] for t in searched],
+        )
+        # Every search of a trial starts at its Haar pair.
+        starts = [np.stack([m.basis for m in ms])[:, None].repeat(len(searched), axis=1) for ms in (m1s, m2s)]
+        sources = [_trial_source(cfg, "theorem", index).derive(t) for index in indices for t in searched]
+        _, (found1, found2) = climb_product_basis(objective, starts, sources)
+
+    records = []
+    for i, (index, (tau, s1, s2, joint, _, _, haar)) in enumerate(zip(indices, settings)):
+        out1, out2, grid, prob_norm = haar
+        slacks: dict[str, float] = {}
+        for t, (kappa, _) in enumerate(kappas):
+            pieces = out1, out2, grid
+            if kappa > 0.0:
+                col = searched.index(t)
+                *pieces, norm = _conditioned_pieces(
+                    joint, s1, s2, projective_from_unitary(found1[i, col]), projective_from_unitary(found2[i, col])
+                )
+                prob_norm = max(prob_norm, norm)
+            slacks[f"theorem_measured.k{t}"] = _theorem_slack(tau, kappa, *pieces)
+
+        residuals = {"prob_norm": prob_norm}
+        records.append(
+            TrialRecord(
+                experiment="theorem",
+                index=index,
+                tau=tau,
+                kappas=tuple(k for k, _ in kappas),
+                slacks=slacks,
+                residuals=residuals,
+                pass_flags=_verdict(cfg, slacks, residuals, _soft_kappas("theorem_measured", kappas)),
+                negligible=sum(1 for row in grid for o in row if o.negligible),
+            )
+        )
+    return records
+
+
+def run_theorem_trial(cfg: TrialConfig, index: int) -> TrialRecord:
+    """Per-measurement conditional entropy power inequality on one setting
+    (see :func:`_theorem_block`)."""
+    return _theorem_block(cfg, range(index, index + 1))[0]
 
 
 def run_qepi_trial(cfg: TrialConfig, index: int) -> TrialRecord:
@@ -597,7 +647,7 @@ def _trial_by_trial(trial_fn):
 # Block functions: (cfg, indices) -> the records of those trials, in order.
 _TRIAL_FNS = {
     "lemma": _trial_by_trial(run_lemma_trial),
-    "theorem": _trial_by_trial(run_theorem_trial),
+    "theorem": _theorem_block,
     "qepi": _qepi_block,
     "concavity": _concavity_block,
     "conjecture": _trial_by_trial(run_conjecture_trial),

@@ -82,16 +82,21 @@ def projective_from_unitary(u) -> MeasurementSet:
 def condition_projective_all(rho4: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Unnormalized conditional blocks for a rank-1 projective basis.
 
-    rho4  : (dx, de, dx, de) array, row/col axes split as (system, env).
-    basis : (de, n) array whose columns are the measurement vectors.
-    Returns (n, dx, dx) with out[j] = <psi_j| rho |psi_j> contracted over env.
+    rho4  : (..., dx, de, dx, de) array, row/col axes split as (system, env).
+    basis : (..., de, n) array whose columns are the measurement vectors.
+    Returns (..., n, dx, dx) with out[j] = <psi_j| rho |psi_j> contracted
+    over env; leading axes broadcast, and each matrix of a stack equals the
+    one its state and basis give alone, bit for bit.
     """
-    de, n = basis.shape
-    dx = rho4.shape[0]
+    de, n = basis.shape[-2:]
+    dx = rho4.shape[-4]
     # out[j,a,b] = sum_{e,f} conj(basis[e,j]) rho4[a,e,b,f] basis[f,j]
-    env_first = rho4.transpose(1, 3, 0, 2).reshape(de * de, dx * dx)
-    pairs = (basis.conj()[:, None, :] * basis[None, :, :]).reshape(de * de, n)
-    return (pairs.T @ env_first).reshape(n, dx, dx)
+    lead = rho4.ndim - 4
+    axes = (*range(lead), lead + 1, lead + 3, lead, lead + 2)
+    env_first = rho4.transpose(axes).reshape(*rho4.shape[:lead], de * de, dx * dx)
+    pairs = (basis.conj()[..., :, None, :] * basis[..., None, :, :]).reshape(*basis.shape[:-2], de * de, n)
+    out = pairs.swapaxes(-1, -2) @ env_first
+    return out.reshape(*out.shape[:-2], n, dx, dx)
 
 
 def _outcome(index, block: np.ndarray) -> ConditionalOutcome:

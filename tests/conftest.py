@@ -39,14 +39,20 @@ def zero():
     return make_density(np.diag([1.0, 0.0]).astype(complex))
 
 
+def _kron_stack(a, b):
+    """np.kron of the last two axes of two stacks with equal leading axes."""
+    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
+    return np.einsum("...ij,...kl->...ikjl", a, b).reshape(*a.shape[:-2], rows, cols)
+
+
 def _expected_power_objective(s, kappa):
     dx, *envs = s.dims
     de = math.prod(envs)
     rho4 = s.state.mat.reshape(dx, de, dx, de)
 
     def objective(factors):
-        ((probs, powers),) = projective_entropy_power([rho4], [reduce(np.kron, factors)], kappa)
-        return float(probs @ powers)
+        ((probs, powers),) = projective_entropy_power([rho4], [reduce(_kron_stack, factors)], kappa)
+        return (probs[..., None, :] @ powers[..., :, None])[..., 0, 0]
 
     return objective
 
@@ -54,5 +60,6 @@ def _expected_power_objective(s, kappa):
 @pytest.fixture
 def expected_power_objective():
     """(state on (X, E1, ..., En), kappa) -> the expected entropy power of X
-    conditioned on (E1, ..., En), as a function of the product basis factors."""
+    conditioned on (E1, ..., En), as a function of stacked product basis
+    factors: (..., e_j, e_j) factor stacks map to (...) values."""
     return _expected_power_objective

@@ -1,22 +1,37 @@
-"""Stacked qepi and concavity blocks against a one-trial reference.
+"""Stacked blocks against one-trial computations.
 
-The references below rebuild the one-trial computations from the public
-scalar functions, each trial opening its own generator. Block records must
-equal them exactly, signed zeros included, because output bytes depend on it.
+The qepi and concavity references below rebuild the one-trial computations
+from the public scalar functions, each trial opening its own generator. The
+theorem's block records must equal its one-index route, and its stacked
+search objective must equal the one-climb evaluation and the validated slack.
+Block records must match exactly, signed zeros included, because output bytes
+depend on it.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qudit_epi import harness
-from qudit_epi.channels import partial_swap_closed
-from qudit_epi.entropy import entropy_nats, prefix_slack
+from qudit_epi.channels import partial_swap_closed, partial_swap_global
+from qudit_epi.entropy import entropy_nats, kappa_bounds, prefix_slack
 from qudit_epi.errors import ValidationError
-from qudit_epi.harness import TrialConfig, resolve_kappas, run_experiment, run_qepi_trial
-from qudit_epi.rand import RandomSource, sample_state
-from qudit_epi.states import eigenvalues_descending
+from qudit_epi.harness import (
+    TrialConfig,
+    _conditioned_pieces,
+    _slack_objective,
+    _theorem_slack,
+    resolve_kappas,
+    run_experiment,
+    run_qepi_trial,
+    run_theorem_trial,
+)
+from qudit_epi.measurement import projective_from_unitary
+from qudit_epi.rand import RandomSource, haar_unitary, sample_state
+from qudit_epi.states import eigenvalues_descending, multipartite
 
 
 def _tau(cfg, index, gen):
@@ -123,3 +138,83 @@ def test_failure_mid_block_names_its_trial(monkeypatch):
     key = (41, harness._STREAM_BASE["qepi"] + target)
     assert str(err.value) == f"qepi trial {target}, stream key {key}: smallest eigenvalue -1.0e-03 below -tol 1.0e-10"
     assert isinstance(err.value.__cause__, ValidationError)
+
+
+@pytest.mark.parametrize("kind, rank", _KINDS[:3], ids=["ginibre", "pure", "rank-k:1"])
+@pytest.mark.parametrize("envs", [(2, 2), (2, 3), (1, 4)], ids=["env22", "env23", "env14"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_theorem_blocks_match_one_index_route(monkeypatch, d, envs, kind, rank):
+    cfg = TrialConfig(d=d, d_e1=envs[0], d_e2=envs[1], state_kind=kind, rank=rank, trials=10, seed=43)
+    alone = [run_theorem_trial(cfg, index) for index in range(cfg.trials)]
+    # Blocks of 3 and 7 put boundaries after trials 2, 5, 8 and after trial 6.
+    for size in (3, 7):
+        monkeypatch.setitem(harness._BLOCK_SIZE, "theorem", size)
+        records, _ = run_experiment("theorem", cfg)
+        assert records == alone
+        assert repr(records) == repr(alone)  # == does not tell -0.0 from 0.0
+
+
+def test_theorem_blocks_parallel_matches_serial():
+    # Two full blocks and a partial one, shared by two workers.
+    cfg = TrialConfig(d=2, trials=2 * harness._BLOCK_SIZE["theorem"] + 5, seed=47)
+    serial, summary1 = run_experiment("theorem", cfg, parallel=1)
+    parallel, summary2 = run_experiment("theorem", cfg, parallel=2)
+    assert parallel == serial
+    assert summary1 == summary2
+
+
+def test_theorem_failure_mid_block_names_its_trial(monkeypatch):
+    cfg = TrialConfig(d=2, trials=20, seed=53)
+    target = 9  # inside the first block of 16, after its lockstep climb
+    target_tau = run_theorem_trial(cfg, target).tau
+    real = harness._theorem_slack
+
+    def fails_on_target(tau, kappa, *pieces):
+        if tau == target_tau and kappa > 0.0:
+            raise ValidationError("outcome probabilities sum to 1.5")
+        return real(tau, kappa, *pieces)
+
+    monkeypatch.setattr(harness, "_theorem_slack", fails_on_target)
+    with pytest.raises(ValidationError) as err:
+        run_experiment("theorem", cfg)
+    key = (53, harness._STREAM_BASE["theorem"] + target)
+    assert str(err.value) == f"theorem trial {target}, stream key {key}: outcome probabilities sum to 1.5"
+    assert isinstance(err.value.__cause__, ValidationError)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    d=st.integers(2, 4),
+    envs=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    taus=st.tuples(*[st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))] * 2),
+    fractions=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+def test_stacked_slack_objective_matches_validated_slack(seed, d, envs, taus, fractions):
+    # Two settings x two kappas in the window x three random product bases,
+    # scored in one stacked call: each value equals the one-climb evaluation
+    # bit for bit and the slack from validated conditioning to 1e-12.
+    e1, e2 = envs
+    kappas = [f * kappa_bounds(d)[0] for f in fractions]
+    gen = RandomSource(seed).generator()
+    settings_ = []
+    for tau in taus:
+        s1 = multipartite(sample_state(gen, d * e1), (d, e1))
+        s2 = multipartite(sample_state(gen, d * e2), (d, e2))
+        settings_.append((tau, s1, s2, partial_swap_global(s1, s2, tau)))
+    bases = [np.array([[[haar_unitary(e, gen) for _ in range(3)] for _ in kappas] for _ in taus]) for e in envs]
+    stacked = _slack_objective(
+        (d, e1, e2), *(np.stack([s[i].state.mat for s in settings_]) for i in (1, 2, 3)), taus, kappas
+    )(bases)
+    assert stacked.shape == (2, 2, 3)
+    for b, (tau, s1, s2, joint) in enumerate(settings_):
+        for k, kappa in enumerate(kappas):
+            one = _slack_objective(
+                (d, e1, e2), *(s.state.mat[None] for s in (s1, s2, joint)), [tau], [kappa]
+            )
+            for r in range(3):
+                u1, u2 = bases[0][b, k, r], bases[1][b, k, r]
+                assert stacked[b, k, r] == one([u1[None, None, None], u2[None, None, None]])[0, 0, 0]
+                pair = projective_from_unitary(u1), projective_from_unitary(u2)
+                *pieces, _ = _conditioned_pieces(joint, s1, s2, *pair)
+                assert stacked[b, k, r] == pytest.approx(_theorem_slack(tau, kappa, *pieces), abs=1e-12)

@@ -4,12 +4,14 @@ import subprocess
 import sys
 from dataclasses import fields
 
+from qudit_epi import harness
 from qudit_epi.cli import (
     RunManifest,
     dispatch,
     parse_lines,
     render_line,
 )
+from qudit_epi.errors import ValidationError
 from qudit_epi.harness import TrialConfig
 
 
@@ -63,7 +65,7 @@ def test_dispatch_writes_jsonl(tmp_path):
     assert lines[-1]["trials"] == 3
 
 
-def test_dispatch_usage_errors_exit_one(capsys):
+def test_dispatch_usage_errors_exit_one(capsys, monkeypatch):
     assert dispatch(["verify-lemma", "--dim", "7", "--trials", "1"]) == 1
     assert "cap" in capsys.readouterr().err
     assert dispatch(["verify-qepi", "--tau", "banana", "--trials", "1"]) == 1
@@ -83,12 +85,44 @@ def test_dispatch_usage_errors_exit_one(capsys):
         assert dispatch(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --kappa 1000.0 overflows") and "Traceback" not in err
+    with monkeypatch.context() as mp:
+        mp.setitem(harness._TRIAL_FNS, "qepi", _never_called)
+        for epoch in ("abc", "1e99", str(10**30), "-" + str(10**30)):
+            mp.setenv("SOURCE_DATE_EPOCH", epoch)
+            assert dispatch(["verify-qepi", "--dim", "2", "--trials", "4"]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: SOURCE_DATE_EPOCH must be integer seconds of a representable date, got {epoch!r}\n"
 
 
 def test_dispatch_io_failure_exit_one(tmp_path, capsys):
     target = tmp_path / "nodir" / "run.jsonl"
     assert dispatch(["verify-qepi", "--trials", "1", "--out", str(target)]) == 1
     assert "cannot write" in capsys.readouterr().err
+
+
+def _never_called(cfg, indices):
+    raise AssertionError("a trial ran before the configuration was rejected")
+
+
+def test_bad_out_path_is_rejected_before_trial_zero(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(harness._TRIAL_FNS, "qepi", _never_called)
+    for target in (tmp_path / "nodir" / "run.jsonl", tmp_path):
+        assert dispatch(["verify-qepi", "--trials", "3", "--out", str(target)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {str(target)!r}")
+
+
+def test_existing_out_file_survives_a_failed_run(tmp_path, monkeypatch, capsys):
+    # The output file is written only after every trial has run.
+    out = tmp_path / "run.jsonl"
+    out.write_text("earlier run\n")
+
+    def fails(cfg, indices):
+        raise ValidationError("planted")
+
+    monkeypatch.setitem(harness._TRIAL_FNS, "qepi", fails)
+    assert dispatch(["verify-qepi", "--trials", "3", "--parallel", "1", "--out", str(out)]) == 1
+    assert "planted" in capsys.readouterr().err
+    assert out.read_text() == "earlier run\n"
 
 
 def test_byte_identical_reruns(tmp_path):

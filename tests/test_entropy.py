@@ -189,7 +189,7 @@ def test_optimizer_product_state_is_exact(env_dims, expected_power_objective):
         joint = tensor(joint, sample_state(gen, de))
     objective = expected_power_objective(multipartite(joint, (2, *env_dims)), 1.0)
     start = _haar_start(gen, env_dims)
-    value, factors = climb_product_basis(objective, start, RandomSource(1))
+    value, factors = climb_product_basis(objective, start, [RandomSource(1)])
     assert objective(start) - 1e-12 <= value <= objective(start)
     assert value == pytest.approx(entropy_power(x, 1.0), abs=1e-10)
     assert [f.shape for f in factors] == [(e, e) for e in env_dims]
@@ -197,14 +197,14 @@ def test_optimizer_product_state_is_exact(env_dims, expected_power_objective):
 
 def test_optimizer_kappa_zero_returns_one(bell, expected_power_objective):
     objective = expected_power_objective(multipartite(bell, (2, 2)), 0.0)
-    value, _ = climb_product_basis(objective, [np.eye(2)], RandomSource(2))
+    value, _ = climb_product_basis(objective, [np.eye(2)], [RandomSource(2)])
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_optimizer_bell_fixture(bell, expected_power_objective):
     # pre-build brute-force scan over qubit bases: every basis yields 1.0
     objective = expected_power_objective(multipartite(bell, (2, 2)), 1.0)
-    value, _ = climb_product_basis(objective, _haar_start(RandomSource(3).generator(), (2,)), RandomSource(3))
+    value, _ = climb_product_basis(objective, _haar_start(RandomSource(3).generator(), (2,)), [RandomSource(3)])
     assert value <= 1.0 + 1e-9
     assert value >= 1.0 - 1e-9
 
@@ -213,8 +213,8 @@ def test_optimizer_deterministic(expected_power_objective):
     gen = RandomSource(57).generator()
     objective = expected_power_objective(multipartite(sample_state(gen, 6), (2, 3)), 1.0)
     start = _haar_start(gen, (3,))
-    a = climb_product_basis(objective, start, RandomSource(4))
-    b = climb_product_basis(objective, start, RandomSource(4))
+    a = climb_product_basis(objective, start, [RandomSource(4)])
+    b = climb_product_basis(objective, start, [RandomSource(4)])
     assert a[0] == b[0]
     assert all(np.array_equal(u, v) for u, v in zip(a[1], b[1]))
     # never above the start, and the value is the objective at the factors returned

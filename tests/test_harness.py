@@ -78,11 +78,18 @@ def test_theorem_trial_kappa_zero_slack_is_zero():
         assert r.passed
 
 
+def _one_setting_objective(joint, s1, s2, tau, kappa):
+    """The stacked slack objective of one setting at one kappa: it maps factor
+    stacks of shape (1, 1, R, e, e) to the (1, 1, R) slacks."""
+    mats = (s.state.mat[None] for s in (s1, s2, joint))
+    return _slack_objective(joint.dims, *mats, [tau], [kappa])
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("envs", [(2, 2), (2, 3), (1, 4)], ids=["env22", "env23", "env14"])
 def test_theorem_search_is_validated_and_never_above_haar(d, envs):
-    # Replays each trial's search: the recorded slack is the validated slack at
-    # the basis the climb returns, it equals the climb's own (vectorized)
+    # Replays each trial's search alone: the recorded slack is the validated
+    # slack at the basis the climb returns, it equals the climb's own (stacked)
     # value, and it is never above the slack at the trial's Haar pair.
     cfg = TrialConfig(d=d, d_e1=envs[0], d_e2=envs[1], seed=16)
     for index in range(20):
@@ -97,11 +104,14 @@ def test_theorem_search_is_validated_and_never_above_haar(d, envs):
             if kappa == 0.0:
                 continue
             value, (u1, u2) = climb_product_basis(
-                _slack_objective(joint, s1, s2, tau, kappa), (m1.basis, m2.basis), source.derive(t)
+                _one_setting_objective(joint, s1, s2, tau, kappa),
+                [m1.basis[None, None], m2.basis[None, None]],
+                [source.derive(t)],
             )
-            *found, _ = _conditioned_pieces(joint, s1, s2, projective_from_unitary(u1), projective_from_unitary(u2))
+            pair = projective_from_unitary(u1[0, 0]), projective_from_unitary(u2[0, 0])
+            *found, _ = _conditioned_pieces(joint, s1, s2, *pair)
             assert record.slacks[key] == _theorem_slack(tau, kappa, *found)
-            assert value == pytest.approx(record.slacks[key], abs=1e-12), (index, key)
+            assert float(value[0, 0]) == pytest.approx(record.slacks[key], abs=1e-12), (index, key)
 
 
 def test_theorem_search_on_product_inputs_keeps_start_value():
@@ -113,11 +123,12 @@ def test_theorem_search_on_product_inputs_keeps_start_value():
         multipartite(tensor(sample_state(gen, 2), sample_state(gen, e)), (2, e)) for e in (2, 3)
     )
     joint = partial_swap_global(s1, s2, 0.4)
-    start = (haar_unitary(2, gen), haar_unitary(3, gen))
+    start = [haar_unitary(2, gen)[None, None], haar_unitary(3, gen)[None, None]]
     for kappa in (0.5, 1.0, 2.0):
-        objective = _slack_objective(joint, s1, s2, 0.4, kappa)
-        value, _ = climb_product_basis(objective, start, RandomSource(18))
-        assert objective(start) - 1e-12 <= value <= objective(start)
+        objective = _one_setting_objective(joint, s1, s2, 0.4, kappa)
+        value, _ = climb_product_basis(objective, start, [RandomSource(18)])
+        at_start = objective([u[:, :, None] for u in start])[0, 0, 0]
+        assert at_start - 1e-12 <= value[0, 0] <= at_start
 
 
 def test_qepi_trial_worked_example_reachable():
