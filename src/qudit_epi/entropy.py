@@ -171,17 +171,15 @@ def projective_entropy_power(rho4s, bases, kappa) -> list[tuple[np.ndarray, np.n
 
     rho4s[i] is a (..., dx, de_i, dx, de_i)-reshaped state stack, measured in
     the columns of the (..., de_i, n_i) basis stack bases[i]; every state has
-    the same dx, and kappa is a float or an array, all leading axes
-    broadcasting together. The conditioned blocks of all states go through one
-    stacked eigvalsh. Returns one (probabilities, entropy powers) pair of
+    the same dx, each state and basis broadcast to the same leading axes for
+    every i, and kappa is a float or an array broadcasting against them. The
+    conditioned blocks of all states go through one stacked eigvalsh. Returns one (probabilities, entropy powers) pair of
     (..., n_i) arrays per state; outcomes at or below PROB_FLOOR read 0 in
     both, so they drop out of every probability-weighted sum. Each value
     equals what its own state, basis and kappa give alone, bit for bit.
     Unvalidated: the validated route is measurement.condition_all.
     """
-    blocks = [condition_projective_all(r, b) for r, b in zip(rho4s, bases)]
-    lead = np.broadcast_shapes(*(b.shape[:-3] for b in blocks))
-    blocks = np.concatenate([np.broadcast_to(b, (*lead, *b.shape[-3:])) for b in blocks], axis=-3)
+    blocks = np.concatenate([condition_projective_all(r, b) for r, b in zip(rho4s, bases)], axis=-3)
     probs = np.trace(blocks, axis1=-2, axis2=-1).real
     kept = probs > PROB_FLOOR
     lam = np.linalg.eigvalsh(blocks / np.where(kept, probs, 1.0)[..., None, None])
