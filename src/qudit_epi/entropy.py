@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import QuditEpiError, ValidationError
 from .measurement import PROB_FLOOR, condition_projective_all
-from .rand import KeyedStreams, haar_unitary
+from .rand import KeyedStreams, haar_unitaries, haar_unitary
 from .states import DensityMatrix, MultipartiteState, eigenvalues_descending, partial_trace
 
 # Budget of each climb_product_basis search.
@@ -202,10 +202,12 @@ def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np
     restart then takes CLIMB_REFINE_STEPS accept-if-lower steps: step k
     rotates factor j = k mod n, Uj <- Uj exp(i * CLIMB_STEP_SCALE * H) with H
     drawn GUE-style. Restart r of a search draws its Haar start and then its
-    steps from the stream source.derive(r). No draw depends on which steps
-    are accepted, so every climb draws up front, one stacked eigh per factor
-    builds all step rotations, and each step scores every climb in one
-    objective call.
+    steps from the stream source.derive(r), in one call. No draw depends on
+    which steps are accepted, so every climb draws up front. One batched QR
+    builds every Haar start (:func:`haar_unitaries`); a restart that fails
+    haar_unitary's checks is redrawn by haar_unitary itself, retries
+    included. One stacked eigh per factor builds all step rotations, and
+    each step scores every climb in one objective call.
 
     objective(factors) takes the (*lead, CLIMB_RESTARTS, e_j, e_j) stacks of
     every climb's factors and returns their (*lead, CLIMB_RESTARTS) values; it
@@ -218,26 +220,44 @@ def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np
     lead = starts[0].shape[:-2]
     dims = [u.shape[-1] for u in starts]
     steps = [k % len(dims) for k in range(CLIMB_REFINE_STEPS)]
-    # Step k draws the real, then the imaginary parts of its e x e Gaussian.
-    offsets = np.cumsum([0] + [2 * dims[j] ** 2 for j in steps]).tolist()
-    factors = [np.empty((*lead, CLIMB_RESTARTS, e, e), dtype=np.complex128) for e in dims]
-    normals = np.empty((*lead, CLIMB_RESTARTS, offsets[-1]))
+    # A Haar start draws the real, then the imaginary parts of each factor's
+    # e x e Gaussian; step k then draws those of its factor's Gaussian.
+    haar = np.cumsum([0] + [2 * e * e for e in dims]).tolist()
+    offsets = np.cumsum([haar[-1]] + [2 * dims[j] ** 2 for j in steps]).tolist()
+    draws = np.empty((*lead, CLIMB_RESTARTS, offsets[-1]))
     keyed = {seed: KeyedStreams(seed) for seed in {source.master_seed for source in sources}}
+
+    def stream(source, r):
+        s = source.derive(r)
+        return keyed[s.master_seed].at(s.stream_index)
+
     for search, source in zip(np.ndindex(lead), sources):
         for r in range(CLIMB_RESTARTS):
-            stream = source.derive(r)
-            gen = keyed[stream.master_seed].at(stream.stream_index)
-            climb = (*search, r)
-            for j, e in enumerate(dims):
-                factors[j][climb] = starts[j][search] if r == 0 else haar_unitary(e, gen)
-            gen.standard_normal(out=normals[climb])
+            # Restart 0 starts at its given factors and draws only its steps.
+            stream(source, r).standard_normal(out=draws[(*search, r)][0 if r else haar[-1] :])
+
+    factors, ok = [], True
+    for j, e in enumerate(dims):
+        g = draws[..., 1:, haar[j] : haar[j + 1]].reshape(*lead, CLIMB_RESTARTS - 1, 2, e, e)
+        u, ok_j = haar_unitaries(g[..., 0, :, :] + 1j * g[..., 1, :, :])
+        factors.append(np.concatenate([starts[j][..., None, :, :], u], axis=-3))
+        ok = ok & ok_j
+    if not np.all(ok):
+        # A failed check retries with further draws of the stream, which moves
+        # every later draw: redraw the whole restart by the one-climb route.
+        for search, source in zip(np.ndindex(lead), sources):
+            for r in np.flatnonzero(~ok[search]) + 1:
+                gen = stream(source, int(r))
+                for j, e in enumerate(dims):
+                    factors[j][(*search, r)] = haar_unitary(e, gen)
+                gen.standard_normal(out=draws[(*search, r)][haar[-1] :])
 
     rotations = {}
     for j, e in enumerate(dims):
         ks = [k for k, jk in enumerate(steps) if jk == j]
         if not ks:
             continue
-        g = np.stack([normals[..., offsets[k] : offsets[k + 1]].reshape(*lead, CLIMB_RESTARTS, 2, e, e) for k in ks])
+        g = np.stack([draws[..., offsets[k] : offsets[k + 1]].reshape(*lead, CLIMB_RESTARTS, 2, e, e) for k in ks])
         a = g[..., 0, :, :] + 1j * g[..., 1, :, :]
         w, v = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2)
         u = (v * np.exp(1j * CLIMB_STEP_SCALE * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)

@@ -22,13 +22,13 @@ Trials run in blocks. A block function re-keys one generator to each trial's
 own stream and draws that trial's values in the order of the one-trial code.
 qepi and concavity compute a block of up to 512 trials as stacked (N, d, d)
 arrays: they validate, mix and take spectra and entropies of the whole block
-at once. theorem runs the basis searches of a block of up to 16 trials as one
-lockstep climb (:func:`climb_product_basis`) over all their kappas and
-restarts, and then recomputes each trial's slacks by validated conditioning.
-Either way every value equals what the trial alone computes, bit for bit, so
-no record depends on the block size or --parallel. lemma and conjecture run
-trial by trial in blocks of one. A block that raises is rerun trial by trial,
-so the error names the first failing trial.
+at once. theorem stacks all of a block of up to 16 trials but the global
+channel: the setting draws, one lockstep climb (:func:`climb_product_basis`)
+over all their kappas and restarts, and the validated conditioning at the
+pairs found. Either way every value equals what the trial alone computes,
+bit for bit, so no record depends on the block size or --parallel. lemma and
+conjecture run trial by trial in blocks of one. A block that raises is rerun
+trial by trial, so the error names the first failing trial.
 
 A trial function only computes slacks (must be >= minus the tolerance) and
 residuals (must be <= the tolerance); one verdict rule, :func:`_verdict`,
@@ -60,7 +60,9 @@ from .entropy import (
 )
 from .errors import QuditEpiError, UsageError
 from .measurement import (
+    check_complete,
     condition_all,
+    condition_all_stack,
     condition_bilocal,
     conditional_spectrum,
     projective_from_unitary,
@@ -69,6 +71,7 @@ from .rand import (
     RNG_ALGORITHM,
     KeyedStreams,
     RandomSource,
+    haar_unitaries,
     haar_unitary,
     normalize_state_kind,
     sample_state,
@@ -76,6 +79,7 @@ from .rand import (
     states_from_gaussians,
 )
 from .states import (
+    DensityMatrix,
     as_bipartite,
     eigenvalues_descending_stack,
     make_density,
@@ -96,9 +100,10 @@ _STREAM_BASE = {name: (i + 1) << 40 for i, name in enumerate(EXPERIMENTS)}
 
 _FORCED_TAUS = (0.0, 0.5, 1.0)
 
-# Trials per block. qepi and concavity compute a block as stacked arrays, and
-# theorem climbs a block's searches in lockstep. lemma and conjecture run trial
-# by trial; blocks of one keep their work split evenly over --parallel workers.
+# Trials per block. qepi, concavity and theorem compute a block as stacked
+# arrays; theorem climbs a block's searches in lockstep. lemma and conjecture
+# run trial by trial; blocks of one keep their work split evenly over
+# --parallel workers.
 _BLOCK_SIZE = {"qepi": 512, "concavity": 512, "theorem": 16}
 
 _HISTOGRAM_EDGES = (-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3)
@@ -257,6 +262,21 @@ def _draw_tau(cfg: TrialConfig, index: int, gen: np.random.Generator) -> float:
     return float(gen.uniform())
 
 
+def _block_normals(cfg: TrialConfig, experiment: str, indices: range, size: int):
+    """Per trial of `indices`, re-key one generator to the trial's stream,
+    draw tau and then `size` standard normals in one call. Returns the taus
+    and the (N, size) normals."""
+    streams = KeyedStreams(cfg.seed)
+    base = _STREAM_BASE[experiment]
+    taus = []
+    normals = np.empty((len(indices), size))
+    for row, index in enumerate(indices):
+        gen = streams.at(base + index)
+        taus.append(_draw_tau(cfg, index, gen))
+        gen.standard_normal(out=normals[row])
+    return taus, normals
+
+
 def _bilocal_setting(cfg: TrialConfig, gen: np.random.Generator, index: int):
     """Draw order: tau, state1, state2, basis1, basis2."""
     tau = _draw_tau(cfg, index, gen)
@@ -347,6 +367,12 @@ def _theorem_slack(tau: float, kappa: float, out1, out2, grid) -> float:
     return lhs - tau * rhs1 - (1.0 - tau) * rhs2
 
 
+def _kron_pairs(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """np.kron of each matrix pair of two stacks with equal leading axes."""
+    e1, e2 = u1.shape[-1], u2.shape[-1]
+    return (u1[..., :, None, :, None] * u2[..., None, :, None, :]).reshape(*u1.shape[:-2], e1 * e2, e1 * e2)
+
+
 def _slack_objective(dims, rho1, rho2, joint, taus, kappas):
     """:func:`_theorem_slack` of B settings at K kappas as a function of the
     stacked factors (U1, U2), computed by :func:`projective_entropy_power`:
@@ -376,12 +402,55 @@ def _slack_objective(dims, rho1, rho2, joint, taus, kappas):
 
     def slack(factors) -> np.ndarray:
         u1, u2 = factors
-        kron = (u1[..., :, None, :, None] * u2[..., None, :, None, :]).reshape(*u1.shape[:-2], e1 * e2, e1 * e2)
-        (q1, p1), (q2, p2), (_, p_out) = projective_entropy_power(rho4s, (u1, u2, kron), kappa)
+        (q1, p1), (q2, p2), (_, p_out) = projective_entropy_power(rho4s, (u1, u2, _kron_pairs(u1, u2)), kappa)
         q12 = (q1[..., :, None] * q2[..., None, :]).reshape(p_out.shape)
         return dot(q12, p_out) - tau * dot(q1, p1) - (1.0 - tau) * dot(q2, p2)
 
     return slack
+
+
+def _theorem_settings(cfg: TrialConfig, indices: range):
+    """:func:`_bilocal_setting` of theorem trials `indices`, stacked: the
+    taus, the validated (N, D, D) input state stacks and the (N, e_j, e_j)
+    Haar basis stacks, each row bit for bit the trial's own draw. A trial
+    whose Haar draw fails a check redraws its bases by _bilocal_setting."""
+    envs = (cfg.d_e1, cfg.d_e2)
+    # Each matrix draws its real, then its imaginary parts.
+    shapes = [(cfg.d * e, state_columns(cfg.d * e, cfg.state_kind, cfg.rank)) for e in envs]
+    shapes += [(e, e) for e in envs]
+    ends = np.cumsum([0] + [2 * rows * cols for rows, cols in shapes]).tolist()
+    taus, normals = _block_normals(cfg, "theorem", indices, ends[-1])
+    parts = [normals[:, lo:hi].reshape(-1, 2, *shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
+    g1, g2, h1, h2 = (x[:, 0] + 1j * x[:, 1] for x in parts)
+    (rho1, _), (rho2, _) = states_from_gaussians(g1, cfg.state_kind), states_from_gaussians(g2, cfg.state_kind)
+    (u1, ok1), (u2, ok2) = haar_unitaries(h1), haar_unitaries(h2)
+    for row in np.flatnonzero(~(ok1 & ok2)):
+        index = indices[row]
+        *_, m1, m2 = _bilocal_setting(cfg, _trial_source(cfg, "theorem", index).generator(), index)
+        u1[row], u2[row] = m1.basis, m2.basis
+    return taus, rho1, rho2, u1, u2
+
+
+def _measured_slack(tau: float, kappa: float, pieces) -> float:
+    """:func:`_theorem_slack`, term for term in its order, from the outcome
+    probabilities, negligible flags and entropies of input 1, input 2 and
+    the output grid (row-major)."""
+    (q1, neg1, s1), (q2, neg2, s2), (_, neg, s) = pieces
+    e2 = len(q2)
+    lhs = sum(
+        q1[j] * q2[k] * math.exp(kappa * s[j * e2 + k])
+        for j in range(len(q1))
+        for k in range(e2)
+        if not (neg[j * e2 + k] or neg1[j] or neg2[k])
+    )
+    rhs = []
+    for probs, flags, entropies in ((q1, neg1, s1), (q2, neg2, s2)):
+        total = 0.0
+        for p, flag, entropy in zip(probs, flags, entropies):
+            if not flag:
+                total += p * math.exp(kappa * entropy)
+        rhs.append(total)
+    return lhs - tau * rhs[0] - (1.0 - tau) * rhs[1]
 
 
 def _theorem_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
@@ -398,45 +467,64 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
     at any pair; the Haar pair's is recorded.
 
     Per trial, draw order tau, state 1, state 2, basis 1, basis 2; restart r
-    of kappa t's search draws from the trial's source.derive(t, r). The
-    searches of the whole block climb in lockstep.
+    of kappa t's search draws from the trial's source.derive(t, r). All but
+    the global channel is stacked: the setting draws, one lockstep climb of
+    every search, and one :func:`condition_all_stack` call per state over
+    every trial's Haar and found pairs, with the one-trial route's checks.
     """
     kappas = resolve_kappas(cfg)
     searched = [t for t, (kappa, _) in enumerate(kappas) if kappa > 0.0]
-    streams = KeyedStreams(cfg.seed)
-    base = _STREAM_BASE["theorem"]
-    settings = []
-    for index in indices:
-        tau, s1, s2, m1, m2 = _bilocal_setting(cfg, streams.at(base + index), index)
-        joint = partial_swap_global(s1, s2, tau)
-        settings.append((tau, s1, s2, joint, m1, m2, _conditioned_pieces(joint, s1, s2, m1, m2)))
+    d, e1, e2 = dims = (cfg.d, cfg.d_e1, cfg.d_e2)
+    taus, rho1, rho2, haar1, haar2 = _theorem_settings(cfg, indices)
+    joint = np.stack(
+        [
+            partial_swap_global(multipartite(DensityMatrix(r1), (d, e1)), multipartite(DensityMatrix(r2), (d, e2)), tau)
+            .state.mat
+            for r1, r2, tau in zip(rho1, rho2, taus)
+        ]
+    )
 
+    # Pair 0 of a trial is its Haar pair, pair 1 + c the one its search for
+    # kappa searched[c] finds.
+    u1, u2 = haar1[:, None], haar2[:, None]
     if searched:
-        taus, s1s, s2s, joints, m1s, m2s, _ = zip(*settings)
-        objective = _slack_objective(
-            joints[0].dims,
-            *(np.stack([s.state.mat for s in states]) for states in (s1s, s2s, joints)),
-            taus,
-            [kappas[t][0] for t in searched],
-        )
+        objective = _slack_objective(dims, rho1, rho2, joint, taus, [kappas[t][0] for t in searched])
         # Every search of a trial starts at its Haar pair.
-        starts = [np.stack([m.basis for m in ms])[:, None].repeat(len(searched), axis=1) for ms in (m1s, m2s)]
+        starts = [u.repeat(len(searched), axis=1) for u in (u1, u2)]
         sources = [_trial_source(cfg, "theorem", index).derive(t) for index in indices for t in searched]
         _, (found1, found2) = climb_product_basis(objective, starts, sources)
+        u1, u2 = np.concatenate([u1, found1], axis=1), np.concatenate([u2, found2], axis=1)
+    check_complete(u1)
+    check_complete(u2)
+    b = len(taus)
+    measured = [
+        condition_all_stack(rho4, u)
+        for rho4, u in (
+            (rho1.reshape(b, 1, d, e1, d, e1), u1),
+            (rho2.reshape(b, 1, d, e2, d, e2), u2),
+            (joint.reshape(b, 1, d, e1 * e2, d, e1 * e2), _kron_pairs(u1, u2)),
+        )
+    ]
+    spectra = [lam for _, _, lam in measured]
+    kept = np.split(entropy_nats_rows(np.concatenate(spectra)), np.cumsum([len(lam) for lam in spectra[:-1]]))
+    pieces = []
+    for (probs, negligible, _), kept_entropies in zip(measured, kept):
+        entropies = np.zeros(probs.shape)
+        entropies[~negligible] = kept_entropies
+        pieces.append((probs.tolist(), negligible.tolist(), entropies.tolist()))
 
     records = []
-    for i, (index, (tau, s1, s2, joint, _, _, haar)) in enumerate(zip(indices, settings)):
-        out1, out2, grid, prob_norm = haar
+    for i, (index, tau) in enumerate(zip(indices, taus)):
+        # trial[state][pair]: one measurement's (probabilities, negligible flags, entropies).
+        trial = [list(zip(probs[i], negligible[i], entropies[i])) for probs, negligible, entropies in pieces]
+        grids = [q for q, _, _ in trial[2]]
+        prob_norm = abs(sum(grids[0]) - 1.0)
         slacks: dict[str, float] = {}
         for t, (kappa, _) in enumerate(kappas):
-            pieces = out1, out2, grid
-            if kappa > 0.0:
-                col = searched.index(t)
-                *pieces, norm = _conditioned_pieces(
-                    joint, s1, s2, projective_from_unitary(found1[i, col]), projective_from_unitary(found2[i, col])
-                )
-                prob_norm = max(prob_norm, norm)
-            slacks[f"theorem_measured.k{t}"] = _theorem_slack(tau, kappa, *pieces)
+            pair = 1 + searched.index(t) if kappa > 0.0 else 0
+            if pair:
+                prob_norm = max(prob_norm, abs(sum(grids[pair]) - 1.0))
+            slacks[f"theorem_measured.k{t}"] = _measured_slack(tau, kappa, [state[pair] for state in trial])
 
         residuals = {"prob_norm": prob_norm}
         records.append(
@@ -448,7 +536,7 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
                 slacks=slacks,
                 residuals=residuals,
                 pass_flags=_verdict(cfg, slacks, residuals, _soft_kappas("theorem_measured", kappas)),
-                negligible=sum(1 for row in grid for o in row if o.negligible),
+                negligible=sum(trial[2][0][1]),
             )
         )
     return records
@@ -480,15 +568,10 @@ def _kappa_grid(cfg: TrialConfig, prefix: str):
 def _qepi_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
     """qepi trials `indices`: per trial, draw order tau, state 1, state 2."""
     d = cfg.d
-    streams = KeyedStreams(cfg.seed)
-    base = _STREAM_BASE["qepi"]
-    taus = []
+    cols = state_columns(d, cfg.state_kind, cfg.rank)
+    taus, normals = _block_normals(cfg, "qepi", indices, 4 * d * cols)
     # Per trial: real and imaginary parts of state 1's Gaussians, then state 2's.
-    normals = np.empty((len(indices), 4, d, state_columns(d, cfg.state_kind, cfg.rank)))
-    for row, index in enumerate(indices):
-        gen = streams.at(base + index)
-        taus.append(_draw_tau(cfg, index, gen))
-        gen.standard_normal(out=normals[row])
+    normals = normals.reshape(-1, 4, d, cols)
     g = normals[:, 0::2] + 1j * normals[:, 1::2]
     rho1, eigs1 = states_from_gaussians(g[:, 0], cfg.state_kind)
     rho2, eigs2 = states_from_gaussians(g[:, 1], cfg.state_kind)

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuditEpiError, ValidationError
-from .states import DensityMatrix, MultipartiteState, eigenvalues_descending, make_density
+from .states import (
+    DensityMatrix,
+    MultipartiteState,
+    eigenvalues_descending,
+    eigenvalues_descending_stack,
+    make_density,
+    make_density_stack,
+)
 
 PROB_FLOOR = 1e-12
 COMPLETENESS_TOL = 1e-10
@@ -25,8 +32,10 @@ __all__ = [
     "MeasurementSet",
     "ConditionalOutcome",
     "projective_from_unitary",
+    "check_complete",
     "condition_projective_all",
     "condition_all",
+    "condition_all_stack",
     "condition_bilocal",
     "conditional_spectrum",
 ]
@@ -79,6 +88,15 @@ def projective_from_unitary(u) -> MeasurementSet:
     return MeasurementSet(np.ascontiguousarray(u))
 
 
+def check_complete(u: np.ndarray) -> None:
+    """:func:`projective_from_unitary`'s completeness check on each matrix of
+    an (..., d, d) stack; the message names the first failing residual."""
+    residual = np.asarray(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1)))
+    bad = residual > COMPLETENESS_TOL
+    if bad.any():
+        raise ValidationError(f"max|U†U - I| = {residual[bad][0]:.3e} (> {COMPLETENESS_TOL:.1e})")
+
+
 def condition_projective_all(rho4: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Unnormalized conditional blocks for a rank-1 projective basis.
 
@@ -118,6 +136,27 @@ def condition_all(s: MultipartiteState, m: MeasurementSet) -> list[ConditionalOu
     outcomes = [_outcome(j, block) for j, block in enumerate(blocks)]
     _check_normalization(o.probability for o in outcomes)
     return outcomes
+
+
+def condition_all_stack(rho4: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`condition_all`, with its checks, on stacks of states and bases
+    that broadcast as in :func:`condition_projective_all` (the bases are not
+    checked; see :func:`check_complete`).
+
+    Returns the (..., n) outcome probabilities, the (..., n) mask of
+    negligible outcomes and the (M, dx) descending spectra of the other M
+    outcomes in row-major order, bit for bit what condition_all and
+    conditional_spectrum give. Probability totals are summed by Python's sum,
+    in outcome order, as condition_all sums them.
+    """
+    blocks = condition_projective_all(rho4, bases)
+    probs = np.trace(blocks, axis1=-2, axis2=-1).real
+    negligible = probs <= PROB_FLOOR
+    kept = ~negligible
+    _, eigs = make_density_stack(blocks[kept] / probs[kept][:, None, None])
+    for row in probs.reshape(-1, probs.shape[-1]).tolist():
+        _check_normalization(row)
+    return probs, negligible, eigenvalues_descending_stack(eigs)
 
 
 def condition_bilocal(

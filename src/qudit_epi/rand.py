@@ -102,6 +102,24 @@ def haar_unitary(d: int, gen: np.random.Generator) -> np.ndarray:
     raise QuditEpiError(f"no unitary within {UNITARY_TOL:.0e} after {_HAAR_RETRIES} draws at d={d}")
 
 
+def haar_unitaries(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`haar_unitary`'s first draw, with its checks, on each matrix of
+    an (..., e, e) stack of complex Gaussians, in one batched QR.
+
+    Returns the unitaries and the (...) mask of rows that pass; a passing row
+    is bit for bit what haar_unitary returns when its first draw is that
+    row. A failing row is garbage: redraw it with haar_unitary from the
+    start of its stream, so that its retries replay.
+    """
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    mags = np.abs(diag)
+    ok = mags.min(axis=-1) != 0.0
+    u = q * (diag / np.where(mags == 0.0, 1.0, mags))[..., None, :]
+    residual = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(g.shape[-1])).max(axis=(-2, -1))
+    return u, ok & (residual <= UNITARY_TOL)
+
+
 def random_unitary(d: int, rng: RandomSource) -> np.ndarray:
     return haar_unitary(d, rng.generator())
 

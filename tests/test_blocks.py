@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qudit_epi import harness
+from qudit_epi import entropy, harness
 from qudit_epi.channels import partial_swap_closed, partial_swap_global
 from qudit_epi.entropy import entropy_nats, kappa_bounds, prefix_slack
 from qudit_epi.errors import ValidationError
 from qudit_epi.harness import (
     TrialConfig,
+    _bilocal_setting,
     _conditioned_pieces,
     _slack_objective,
     _theorem_slack,
@@ -163,23 +164,75 @@ def test_theorem_blocks_parallel_matches_serial():
     assert summary1 == summary2
 
 
-def test_theorem_failure_mid_block_names_its_trial(monkeypatch):
+@pytest.mark.parametrize("module", [harness, entropy], ids=["setting", "restart"])
+def test_theorem_haar_check_failure_redraws_by_the_scalar_route(monkeypatch, module):
+    # Fails one row of the stacked Haar draw: of trial 5's bases, or of one
+    # climb's restart. The scalar route redraws it from the start of its
+    # stream; its first draw passes, so every record stays the same.
+    # Redrawing the row's later draws (the second basis, the steps) is part
+    # of it.
+    cfg = TrialConfig(d=2, d_e1=2, d_e2=3, trials=12, seed=59)
+    expected, _ = run_experiment("theorem", cfg)
+    real = module.haar_unitaries
+    calls = []
+
+    def fails_one_row(g):
+        u, ok = real(g)
+        calls.append(ok.shape)
+        u, ok = u.copy(), ok.copy()
+        u.reshape(-1, *u.shape[-2:])[5] = np.nan  # a failing row is garbage
+        ok.reshape(-1)[5] = False
+        return u, ok
+
+    monkeypatch.setattr(module, "haar_unitaries", fails_one_row)
+    records, _ = run_experiment("theorem", cfg)
+    assert calls
+    assert records == expected
+    assert repr(records) == repr(expected)
+
+
+_PLANTED = [
+    ("states_from_gaussians", "smallest eigenvalue -1.0e-03 below -tol 1.0e-10"),
+    ("condition_all_stack", "outcome probabilities sum to 1.5"),
+]
+
+
+@pytest.mark.parametrize("step, message", _PLANTED, ids=["setting", "conditioning"])
+def test_theorem_failure_mid_block_names_its_trial(monkeypatch, step, message):
+    # A stacked step fails on a stack holding trial 9's first input state:
+    # the stacked setting validation, or the validated conditioning after the
+    # lockstep climb. The block is rerun trial by trial to name the trial.
     cfg = TrialConfig(d=2, trials=20, seed=53)
-    target = 9  # inside the first block of 16, after its lockstep climb
-    target_tau = run_theorem_trial(cfg, target).tau
-    real = harness._theorem_slack
+    target = 9  # inside the first block of 16
+    _, s1, *_ = _bilocal_setting(cfg, harness._trial_source(cfg, "theorem", target).generator(), target)
+    real = getattr(harness, step)
 
-    def fails_on_target(tau, kappa, *pieces):
-        if tau == target_tau and kappa > 0.0:
-            raise ValidationError("outcome probabilities sum to 1.5")
-        return real(tau, kappa, *pieces)
+    def fails_on_target(*args):
+        result = real(*args)
+        # The state stack is the first output of one step and the first input of the other.
+        for stack in (result[0], args[0]):
+            if any(np.array_equal(m.reshape(-1), s1.state.mat.reshape(-1)) for m in stack):
+                raise ValidationError(message)
+        return result
 
-    monkeypatch.setattr(harness, "_theorem_slack", fails_on_target)
+    monkeypatch.setattr(harness, step, fails_on_target)
     with pytest.raises(ValidationError) as err:
         run_experiment("theorem", cfg)
     key = (53, harness._STREAM_BASE["theorem"] + target)
-    assert str(err.value) == f"theorem trial {target}, stream key {key}: outcome probabilities sum to 1.5"
+    assert str(err.value) == f"theorem trial {target}, stream key {key}: {message}"
     assert isinstance(err.value.__cause__, ValidationError)
+
+
+def test_theorem_checks_completeness_of_the_found_bases(monkeypatch):
+    real = harness.climb_product_basis
+
+    def off_unitary(*args):
+        values, found = real(*args)
+        return values, [1.001 * u for u in found]
+
+    monkeypatch.setattr(harness, "climb_product_basis", off_unitary)
+    with pytest.raises(ValidationError, match=r"^theorem trial 0, .*: max\|U†U - I\| = 2\.001e-03 \(> 1\.0e-10\)$"):
+        run_experiment("theorem", TrialConfig(d=2, trials=3, seed=61))
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from qudit_epi import entropy as entropy_module
 from qudit_epi.entropy import (
+    CLIMB_REFINE_STEPS,
+    CLIMB_RESTARTS,
+    CLIMB_STEP_SCALE,
     climb_product_basis,
     conditional_vn_entropy,
     entropy_power,
@@ -220,3 +224,38 @@ def test_optimizer_deterministic(expected_power_objective):
     # never above the start, and the value is the objective at the factors returned
     assert a[0] <= objective(start)
     assert a[0] == objective(a[1])
+
+
+def test_climb_restart_retry_keeps_the_one_climb_draw_order(monkeypatch):
+    # Every stacked restart fails its check, and the scalar redraw retries
+    # once (its first draw is skipped as if it had failed), so the restart's
+    # steps must be drawn after the retry. An objective that favours restart 2
+    # and drops at every call makes each climb accept all of its steps: the
+    # factor returned is restart 2's Haar start times each of its step
+    # rotations, drawn in the one-climb order.
+    scalar = entropy_module.haar_unitary
+
+    def garbage(g):
+        return np.full(g.shape, np.nan, dtype=complex), np.zeros(g.shape[:-2], dtype=bool)
+
+    def retries_once(e, gen):
+        gen.standard_normal(2 * e * e)
+        return scalar(e, gen)
+
+    monkeypatch.setattr(entropy_module, "haar_unitaries", garbage)
+    monkeypatch.setattr(entropy_module, "haar_unitary", retries_once)
+    calls = iter(range(1 + CLIMB_REFINE_STEPS))
+
+    def objective(factors):
+        return -float(next(calls)) - (np.arange(CLIMB_RESTARTS) == 2)
+
+    source = RandomSource(62)
+    _, (found,) = climb_product_basis(objective, [np.eye(2, dtype=complex)], [source])
+    gen = source.derive(2).generator()
+    expected = retries_once(2, gen)
+    for _ in range(CLIMB_REFINE_STEPS):
+        g = gen.standard_normal((2, 2, 2))
+        a = g[0] + 1j * g[1]
+        w, v = np.linalg.eigh((a + a.conj().T) / 2)
+        expected = expected @ (v * np.exp(1j * CLIMB_STEP_SCALE * w)) @ v.conj().T
+    assert np.abs(found - expected).max() <= 1e-12

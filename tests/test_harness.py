@@ -85,23 +85,31 @@ def _one_setting_objective(joint, s1, s2, tau, kappa):
     return _slack_objective(joint.dims, *mats, [tau], [kappa])
 
 
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("envs", [(2, 2), (2, 3), (1, 4)], ids=["env22", "env23", "env14"])
+_SEARCHED = [(2, (2, 2)), (3, (2, 2)), (2, (2, 3)), (3, (2, 3)), (2, (1, 4)), (3, (1, 4))]
+# Grids of 8 or more outcomes, where numpy's pairwise sums stop being sequential.
+_SEARCHED += [(2, (3, 3)), (2, (2, 4)), (2, (4, 4))]
+
+
+@pytest.mark.parametrize("d, envs", _SEARCHED, ids=[f"env{e1}{e2}-{d}" for d, (e1, e2) in _SEARCHED])
 def test_theorem_search_is_validated_and_never_above_haar(d, envs):
-    # Replays each trial's search alone: the recorded slack is the validated
-    # slack at the basis the climb returns, it equals the climb's own (stacked)
-    # value, and it is never above the slack at the trial's Haar pair.
+    # Replays each trial's search alone: the recorded slack is, bit for bit,
+    # the validated scalar slack at the basis the climb returns (at the Haar
+    # pair for kappa = 0), it equals the climb's own (stacked) value, and it is
+    # never above the slack at the trial's Haar pair. prob_norm and the
+    # negligible count are the scalar route's too.
     cfg = TrialConfig(d=d, d_e1=envs[0], d_e2=envs[1], seed=16)
     for index in range(20):
         record = run_theorem_trial(cfg, index)
         source = _trial_source(cfg, "theorem", index)
         tau, s1, s2, m1, m2 = _bilocal_setting(cfg, source.generator(), index)
         joint = partial_swap_global(s1, s2, tau)
-        *haar, _ = _conditioned_pieces(joint, s1, s2, m1, m2)
+        *haar, prob_norm = _conditioned_pieces(joint, s1, s2, m1, m2)
+        assert record.negligible == sum(o.negligible for row in haar[2] for o in row)
         for t, kappa in enumerate(record.kappas):
             key = f"theorem_measured.k{t}"
             assert record.slacks[key] <= _theorem_slack(tau, kappa, *haar) + 1e-12, (index, key)
             if kappa == 0.0:
+                assert record.slacks[key] == _theorem_slack(tau, kappa, *haar)
                 continue
             value, (u1, u2) = climb_product_basis(
                 _one_setting_objective(joint, s1, s2, tau, kappa),
@@ -109,9 +117,11 @@ def test_theorem_search_is_validated_and_never_above_haar(d, envs):
                 [source.derive(t)],
             )
             pair = projective_from_unitary(u1[0, 0]), projective_from_unitary(u2[0, 0])
-            *found, _ = _conditioned_pieces(joint, s1, s2, *pair)
+            *found, norm = _conditioned_pieces(joint, s1, s2, *pair)
+            prob_norm = max(prob_norm, norm)
             assert record.slacks[key] == _theorem_slack(tau, kappa, *found)
             assert float(value[0, 0]) == pytest.approx(record.slacks[key], abs=1e-12), (index, key)
+        assert record.residuals["prob_norm"] == prob_norm
 
 
 def test_theorem_search_on_product_inputs_keeps_start_value():

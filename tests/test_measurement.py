@@ -4,13 +4,23 @@ import pytest
 from qudit_epi.errors import QuditEpiError, ValidationError
 from qudit_epi.measurement import (
     ConditionalOutcome,
+    check_complete,
     condition_all,
+    condition_all_stack,
     condition_bilocal,
     conditional_spectrum,
     projective_from_unitary,
 )
 from qudit_epi.rand import RandomSource, haar_unitary, sample_state
-from qudit_epi.states import make_density, matrix_distance, multipartite, partial_trace, tensor
+from qudit_epi.states import (
+    DensityMatrix,
+    MultipartiteState,
+    make_density,
+    matrix_distance,
+    multipartite,
+    partial_trace,
+    tensor,
+)
 
 
 def _projector(m, j):
@@ -44,6 +54,52 @@ def test_projective_completeness_haar():
 def test_projective_rejects_non_unitary():
     with pytest.raises(ValidationError, match=r"max\|U†U - I\|"):
         projective_from_unitary(np.ones((2, 2)))
+
+
+def test_check_complete_names_the_first_failing_stacked_residual():
+    u = haar_unitary(3, RandomSource(44).generator())
+    check_complete(np.stack([u, u]))
+    with pytest.raises(ValidationError) as stacked:
+        check_complete(np.stack([u, 1.001 * u, np.ones((3, 3))]))
+    with pytest.raises(ValidationError) as one:
+        projective_from_unitary(1.001 * u)
+    assert str(stacked.value) == str(one.value)
+
+
+@pytest.mark.parametrize("dx, de", [(2, 1), (2, 3), (3, 4), (6, 2)])
+def test_condition_all_stack_matches_condition_all(dx, de):
+    gen = RandomSource(45, 10 * dx + de).generator()
+    states = [multipartite(sample_state(gen, dx * de), (dx, de)) for _ in range(2)]
+    # An environment in |0><0|, measured in the computational basis, leaves
+    # every other outcome at probability 0.
+    env = make_density(np.diag([1.0] + [0.0] * (de - 1)).astype(complex))
+    states.append(multipartite(tensor(sample_state(gen, dx), env), (dx, de)))
+    bases = np.stack([[np.eye(de, dtype=complex), haar_unitary(de, gen)] for _ in states])
+    rho4 = np.stack([s.state.mat for s in states]).reshape(len(states), 1, dx, de, dx, de)
+    probs, negligible, spectra = condition_all_stack(rho4, bases)
+    assert probs.shape == negligible.shape == (3, 2, de)
+    spectra = iter(spectra)
+    for s, state_probs, state_flags, state_bases in zip(states, probs, negligible, bases):
+        for p, flags, u in zip(state_probs, state_flags, state_bases):
+            for o, q, flag in zip(condition_all(s, projective_from_unitary(u)), p, flags):
+                assert (o.probability, o.negligible) == (q, flag)
+                if not flag:
+                    assert np.array_equal(next(spectra), conditional_spectrum(o))
+    assert next(spectra, None) is None
+    assert negligible[2, 0].sum() == de - 1
+
+
+def test_condition_all_stack_checks_each_probability_total():
+    gen = RandomSource(46).generator()
+    good = sample_state(gen, 4).mat
+    bad = MultipartiteState(DensityMatrix(1.5 * sample_state(gen, 4).mat), (2, 2))
+    u = haar_unitary(2, gen)
+    with pytest.raises(ValidationError) as stacked:
+        condition_all_stack(np.stack([good, bad.state.mat]).reshape(2, 2, 2, 2, 2), u)
+    with pytest.raises(ValidationError) as one:
+        condition_all(bad, projective_from_unitary(u))
+    assert str(stacked.value) == str(one.value)
+    assert str(one.value).startswith("outcome probabilities sum to 1.4")
 
 
 def test_condition_product_leaves_system_untouched():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from qudit_epi import rand
 from qudit_epi.errors import QuditEpiError
 from qudit_epi.rand import (
     KeyedStreams,
     RandomSource,
+    complex_gaussian,
+    haar_unitaries,
     haar_unitary,
     normalize_state_kind,
     random_state,
@@ -56,6 +59,44 @@ def test_haar_columns_resolve_identity():
     u = haar_unitary(4, RandomSource(14).generator())
     total = sum(np.outer(u[:, j], u[:, j].conj()) for j in range(4))
     assert np.abs(total - np.eye(4)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+def test_stacked_haar_rows_equal_haar_unitary(e):
+    streams = [RandomSource(19, i) for i in range(40)]
+    g = np.stack([complex_gaussian(s.generator(), e, e) for s in streams])
+    u, ok = haar_unitaries(g.reshape(4, 10, e, e))
+    assert ok.all()
+    for row, s in zip(u.reshape(40, e, e), streams):
+        expected = haar_unitary(e, s.generator())
+        assert np.array_equal(row, expected)
+        assert repr(row.tolist()) == repr(expected.tolist())  # signed zeros too
+
+
+def test_stacked_haar_flags_rows_that_fail_the_checks():
+    g = complex_gaussian(RandomSource(20).generator(), 3, 3)
+    singular = g.copy()
+    singular[:, 1] = 0.0  # R gets a zero diagonal entry
+    _, ok = haar_unitaries(np.stack([g, singular, g]))
+    assert ok.tolist() == [True, False, True]
+
+
+def test_stacked_haar_applies_haar_unitarys_tolerance(monkeypatch):
+    # At a tolerance inside the spread of the residuals, a row passes exactly
+    # when haar_unitary keeps its first draw.
+    streams = [RandomSource(21, i) for i in range(40)]
+    g = np.stack([complex_gaussian(s.generator(), 3, 3) for s in streams])
+    u, _ = haar_unitaries(g)
+    residuals = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(3)).max(axis=(-2, -1))
+    monkeypatch.setattr(rand, "UNITARY_TOL", float(np.median(residuals)))
+    u, ok = haar_unitaries(g)
+    assert 0 < ok.sum() < len(ok)
+    for row, flag, s in zip(u, ok, streams):
+        try:
+            kept_first = np.array_equal(row, haar_unitary(3, s.generator()))
+        except QuditEpiError:  # no draw within the tolerance
+            kept_first = False
+        assert flag == kept_first
 
 
 def test_pure_state_spectrum():
