@@ -191,17 +191,9 @@ def test_theorem_haar_check_failure_redraws_by_the_scalar_route(monkeypatch, mod
     assert repr(records) == repr(expected)
 
 
-_PLANTED = [
-    ("states_from_gaussians", "smallest eigenvalue -1.0e-03 below -tol 1.0e-10"),
-    ("condition_all_stack", "outcome probabilities sum to 1.5"),
-]
-
-
-@pytest.mark.parametrize("step, message", _PLANTED, ids=["setting", "conditioning"])
-def test_theorem_failure_mid_block_names_its_trial(monkeypatch, step, message):
-    # A stacked step fails on a stack holding trial 9's first input state:
-    # the stacked setting validation, or the validated conditioning after the
-    # lockstep climb. The block is rerun trial by trial to name the trial.
+def _assert_theorem_failure_names_its_trial(monkeypatch, step, message):
+    # A stacked step fails on a stack holding trial 9's first input state.
+    # The block is rerun trial by trial to name the trial.
     cfg = TrialConfig(d=2, trials=20, seed=53)
     target = 9  # inside the first block of 16
     _, s1, *_ = _bilocal_setting(cfg, harness._trial_source(cfg, "theorem", target).generator(), target)
@@ -221,6 +213,18 @@ def test_theorem_failure_mid_block_names_its_trial(monkeypatch, step, message):
     key = (53, harness._STREAM_BASE["theorem"] + target)
     assert str(err.value) == f"theorem trial {target}, stream key {key}: {message}"
     assert isinstance(err.value.__cause__, ValidationError)
+
+
+def test_theorem_failure_mid_block_names_its_trial(monkeypatch):
+    # The validated conditioning after the lockstep climb fails.
+    _assert_theorem_failure_names_its_trial(monkeypatch, "condition_all_stack", "outcome probabilities sum to 1.5")
+
+
+def test_theorem_setting_failure_mid_block_names_its_trial(monkeypatch):
+    # The stacked validation of the block's drawn settings fails.
+    _assert_theorem_failure_names_its_trial(
+        monkeypatch, "states_from_gaussians", "smallest eigenvalue -1.0e-03 below -tol 1.0e-10"
+    )
 
 
 def test_theorem_checks_completeness_of_the_found_bases(monkeypatch):
