@@ -60,9 +60,6 @@ def parse_lines(text: str) -> list[dict]:
 class RunManifest:
     command: str
     config: TrialConfig
-    version: str = __version__
-    rng: str = RNG_ALGORITHM
-    log_base: str = "natural"
     timestamp: str = ""
 
     def to_object(self) -> dict:
@@ -71,9 +68,9 @@ class RunManifest:
             "type": "manifest",
             "command": self.command,
             "config": {**asdict(cfg), "tau": cfg.tau if cfg.tau is not None else "random"},
-            "version": self.version,
-            "rng": self.rng,
-            "log_base": self.log_base,
+            "version": __version__,
+            "rng": RNG_ALGORITHM,
+            "log_base": "natural",
             "timestamp": self.timestamp,
             "conventions": {
                 "subsystem_order": "leftmost factor is the slowest-varying index",
@@ -185,30 +182,25 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
-_COMMAND_EXPERIMENTS = {
-    "verify-lemma": ("lemma",),
-    "verify-theorem": ("theorem",),
-    "verify-qepi": ("qepi",),
-    "concavity-scan": ("concavity",),
-    "search-conjecture": ("conjecture",),
-    "all": EXPERIMENTS,
+# Subcommand: (help text, the experiments it runs).
+_COMMANDS = {
+    "verify-lemma": ("conditional identity and majorization checks", ("lemma",)),
+    "verify-theorem": (
+        "conditional entropy power inequality at the worst measurement pair a search finds",
+        ("theorem",),
+    ),
+    "verify-qepi": ("unconditional entropy power inequality and majorization", ("qepi",)),
+    "concavity-scan": ("midpoint concavity of the entropy power on the simplex", ("concavity",)),
+    "search-conjecture": ("counterexample search for the conditional-entropy version", ("conjecture",)),
+    "all": ("run every experiment with a shared configuration", EXPERIMENTS),
 }
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="qudit-epi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "verify-lemma": "conditional identity and majorization checks",
-        "verify-theorem": "conditional entropy power inequality at the worst measurement pair a search finds",
-        "verify-qepi": "unconditional entropy power inequality and majorization",
-        "concavity-scan": "midpoint concavity of the entropy power on the simplex",
-        "search-conjecture": "counterexample search for the conditional-entropy version",
-        "all": "run every experiment with a shared configuration",
-    }
-    for name, desc in descriptions.items():
-        p = sub.add_parser(name, help=desc)
-        _add_common(p)
+    for name, (desc, _) in _COMMANDS.items():
+        _add_common(sub.add_parser(name, help=desc))
     return parser
 
 
@@ -261,7 +253,7 @@ def dispatch(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = _config_from_args(args)
-        experiments = _COMMAND_EXPERIMENTS[args.command]
+        _, experiments = _COMMANDS[args.command]
         for experiment in experiments:
             validate_config(cfg, experiment)
         timestamp = _resolve_timestamp()

@@ -196,7 +196,8 @@ def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np
     of searches that all advance in lockstep.
 
     starts[j] is the (*lead, e_j, e_j) stack of the searches' start factor j,
-    and sources lists the searches' streams in row-major order of lead. Each
+    for at most CLIMB_REFINE_STEPS factors, and sources lists the searches'
+    streams, which share one master seed, in row-major order of lead. Each
     search runs CLIMB_RESTARTS restarts: restart 0 starts at its factors in
     `starts`, restart r >= 1 at Haar factors of the same dimensions. Each
     restart then takes CLIMB_REFINE_STEPS accept-if-lower steps: step k
@@ -225,16 +226,13 @@ def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np
     haar = np.cumsum([0] + [2 * e * e for e in dims]).tolist()
     offsets = np.cumsum([haar[-1]] + [2 * dims[j] ** 2 for j in steps]).tolist()
     draws = np.empty((*lead, CLIMB_RESTARTS, offsets[-1]))
-    keyed = {seed: KeyedStreams(seed) for seed in {source.master_seed for source in sources}}
-
-    def stream(source, r):
-        s = source.derive(r)
-        return keyed[s.master_seed].at(s.stream_index)
-
+    (seed,) = {source.master_seed for source in sources}
+    streams = KeyedStreams(seed)
     for search, source in zip(np.ndindex(lead), sources):
         for r in range(CLIMB_RESTARTS):
             # Restart 0 starts at its given factors and draws only its steps.
-            stream(source, r).standard_normal(out=draws[(*search, r)][0 if r else haar[-1] :])
+            gen = streams.at(source.derive(r).stream_index)
+            gen.standard_normal(out=draws[(*search, r)][0 if r else haar[-1] :])
 
     factors, ok = [], True
     for j, e in enumerate(dims):
@@ -247,7 +245,7 @@ def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np
         # every later draw: redraw the whole restart by the one-climb route.
         for search, source in zip(np.ndindex(lead), sources):
             for r in np.flatnonzero(~ok[search]) + 1:
-                gen = stream(source, int(r))
+                gen = streams.at(source.derive(int(r)).stream_index)
                 for j, e in enumerate(dims):
                     factors[j][(*search, r)] = haar_unitary(e, gen)
                 gen.standard_normal(out=draws[(*search, r)][haar[-1] :])
@@ -255,8 +253,6 @@ def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np
     rotations = {}
     for j, e in enumerate(dims):
         ks = [k for k, jk in enumerate(steps) if jk == j]
-        if not ks:
-            continue
         g = np.stack([draws[..., offsets[k] : offsets[k + 1]].reshape(*lead, CLIMB_RESTARTS, 2, e, e) for k in ks])
         a = g[..., 0, :, :] + 1j * g[..., 1, :, :]
         w, v = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2)

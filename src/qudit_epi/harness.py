@@ -18,8 +18,10 @@ Five experiment families:
 Every trial derives all of its randomness from (seed, experiment base + trial
 index), so trials can run in any order or in parallel and replay exactly.
 
-Trials run in blocks. A block function re-keys one generator to each trial's
-own stream and draws that trial's values in the order of the one-trial code.
+Trials run in blocks. A block function takes each trial's tau and its stream
+from one generator that :func:`_trial_streams` re-keys per trial, and draws
+that trial's values in the order of the one-trial code. Each experiment takes
+its kappas and their slack keys from :func:`_kappa_grid`.
 qepi and concavity compute a block of up to 512 trials as stacked (N, d, d)
 arrays: they validate, mix and take spectra and entropies of the whole block
 at once. theorem stacks all of a block of up to 16 trials but the global
@@ -237,9 +239,12 @@ def resolve_kappas(cfg: TrialConfig) -> tuple[tuple[float, bool], ...]:
     return ((value, value <= kappa1 * (1 + 1e-12)),)
 
 
-def _soft_kappas(prefix: str, kappas) -> set[str]:
-    """Slack keys `<prefix>.k<t>` of the kappas outside the validity window."""
-    return {f"{prefix}.k{t}" for t, (_, hard) in enumerate(kappas) if not hard}
+def _kappa_grid(cfg: TrialConfig, prefix: str):
+    """(kappa values, their slack keys `<prefix>.k<t>`, the soft keys: those
+    of the kappas outside the validity window) of one experiment."""
+    kappas = resolve_kappas(cfg)
+    keys = [f"{prefix}.k{t}" for t in range(len(kappas))]
+    return tuple(k for k, _ in kappas), keys, {key for key, (_, hard) in zip(keys, kappas) if not hard}
 
 
 def _verdict(cfg: TrialConfig, slacks: dict, residuals: dict, soft=frozenset()) -> dict[str, bool]:
@@ -262,17 +267,24 @@ def _draw_tau(cfg: TrialConfig, index: int, gen: np.random.Generator) -> float:
     return float(gen.uniform())
 
 
-def _block_normals(cfg: TrialConfig, experiment: str, indices: range, size: int):
-    """Per trial of `indices`, re-key one generator to the trial's stream,
-    draw tau and then `size` standard normals in one call. Returns the taus
-    and the (N, size) normals."""
+def _trial_streams(cfg: TrialConfig, experiment: str, indices: range):
+    """Per trial of `indices`, its tau and one generator re-keyed to the
+    trial's stream, drawn past tau. The generator is shared: finish a
+    trial's draws before taking the next."""
     streams = KeyedStreams(cfg.seed)
     base = _STREAM_BASE[experiment]
+    for index in indices:
+        gen = streams.at(base + index)
+        yield _draw_tau(cfg, index, gen), gen
+
+
+def _block_normals(cfg: TrialConfig, experiment: str, indices: range, size: int):
+    """Per trial of `indices`, tau and then `size` standard normals drawn in
+    one call. Returns the taus and the (N, size) normals."""
     taus = []
     normals = np.empty((len(indices), size))
-    for row, index in enumerate(indices):
-        gen = streams.at(base + index)
-        taus.append(_draw_tau(cfg, index, gen))
+    for row, (tau, gen) in enumerate(_trial_streams(cfg, experiment, indices)):
+        taus.append(tau)
         gen.standard_normal(out=normals[row])
     return taus, normals
 
@@ -330,8 +342,6 @@ def run_lemma_trial(cfg: TrialConfig, index: int) -> TrialRecord:
             slack, total = prefix_slack(mix, conditional_spectrum(o))
             min_slack = min(min_slack, slack)
             total_resid = max(total_resid, abs(total))
-    if not math.isfinite(min_slack):
-        min_slack = 0.0
 
     slacks = {"lemma_majorization": min_slack}
     residuals = {
@@ -472,8 +482,8 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
     every search, and one :func:`condition_all_stack` call per state over
     every trial's Haar and found pairs, with the one-trial route's checks.
     """
-    kappas = resolve_kappas(cfg)
-    searched = [t for t, (kappa, _) in enumerate(kappas) if kappa > 0.0]
+    kappas, keys, soft = _kappa_grid(cfg, "theorem_measured")
+    searched = [t for t, kappa in enumerate(kappas) if kappa > 0.0]
     d, e1, e2 = dims = (cfg.d, cfg.d_e1, cfg.d_e2)
     taus, rho1, rho2, haar1, haar2 = _theorem_settings(cfg, indices)
     joint = np.stack(
@@ -488,7 +498,7 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
     # kappa searched[c] finds.
     u1, u2 = haar1[:, None], haar2[:, None]
     if searched:
-        objective = _slack_objective(dims, rho1, rho2, joint, taus, [kappas[t][0] for t in searched])
+        objective = _slack_objective(dims, rho1, rho2, joint, taus, [kappas[t] for t in searched])
         # Every search of a trial starts at its Haar pair.
         starts = [u.repeat(len(searched), axis=1) for u in (u1, u2)]
         sources = [_trial_source(cfg, "theorem", index).derive(t) for index in indices for t in searched]
@@ -520,11 +530,11 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
         grids = [q for q, _, _ in trial[2]]
         prob_norm = abs(sum(grids[0]) - 1.0)
         slacks: dict[str, float] = {}
-        for t, (kappa, _) in enumerate(kappas):
+        for t, (key, kappa) in enumerate(zip(keys, kappas)):
             pair = 1 + searched.index(t) if kappa > 0.0 else 0
             if pair:
                 prob_norm = max(prob_norm, abs(sum(grids[pair]) - 1.0))
-            slacks[f"theorem_measured.k{t}"] = _measured_slack(tau, kappa, [state[pair] for state in trial])
+            slacks[key] = _measured_slack(tau, kappa, [state[pair] for state in trial])
 
         residuals = {"prob_norm": prob_norm}
         records.append(
@@ -532,10 +542,10 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
                 experiment="theorem",
                 index=index,
                 tau=tau,
-                kappas=tuple(k for k, _ in kappas),
+                kappas=kappas,
                 slacks=slacks,
                 residuals=residuals,
-                pass_flags=_verdict(cfg, slacks, residuals, _soft_kappas("theorem_measured", kappas)),
+                pass_flags=_verdict(cfg, slacks, residuals, soft),
                 negligible=sum(trial[2][0][1]),
             )
         )
@@ -556,13 +566,6 @@ def run_qepi_trial(cfg: TrialConfig, index: int) -> TrialRecord:
 def run_concavity_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     """Midpoint concavity of the entropy power on a random simplex pair."""
     return _concavity_block(cfg, range(index, index + 1))[0]
-
-
-def _kappa_grid(cfg: TrialConfig, prefix: str):
-    """(kappa values, their slack keys, the soft keys) of one experiment."""
-    kappas = resolve_kappas(cfg)
-    keys = [f"{prefix}.k{t}" for t in range(len(kappas))]
-    return tuple(k for k, _ in kappas), keys, _soft_kappas(prefix, kappas)
 
 
 def _qepi_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
@@ -610,14 +613,11 @@ def _qepi_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
 
 def _concavity_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
     """Concavity trials `indices`: per trial, draw order tau, p, q."""
-    streams = KeyedStreams(cfg.seed)
-    base = _STREAM_BASE["concavity"]
     alpha = np.ones(cfg.d)
     taus = []
     pq = np.empty((len(indices), 2, cfg.d))
-    for row, index in enumerate(indices):
-        gen = streams.at(base + index)
-        taus.append(_draw_tau(cfg, index, gen))  # recorded only; concavity has no mixing step
+    for row, (tau, gen) in enumerate(_trial_streams(cfg, "concavity", indices)):
+        taus.append(tau)  # recorded only; concavity has no mixing step
         pq[row, 0] = gen.dirichlet(alpha)
         pq[row, 1] = gen.dirichlet(alpha)
     p, q = pq[:, 0], pq[:, 1]
@@ -661,13 +661,15 @@ def run_conjecture_trial(cfg: TrialConfig, index: int) -> TrialRecord:
 
     Main arm: a joint (X1, X2, E) state with E of dim --env-dim1, possibly
     entangled with everything. A slack below -10*tol is only a finding after
-    it survives recomputation from re-symmetrized input and a 1e-8 state
-    perturbation. Findings are expected here: the swap unitary can lower the
-    entropy of correlated inputs (it can outright disentangle them), so the
-    any-state form of the inequality fails without conditional independence.
-    With a trivial environment the marginals must be independent for the
-    inequality to reduce to the proven unconditional entropic one, so there
-    the two system legs are drawn as a product and the slack is asserted.
+    it survives a 1e-8 state perturbation (recomputing it from re-symmetrized
+    input would change nothing: every validated state is exactly Hermitian,
+    so make_density returns it bit for bit). Findings are expected here: the
+    swap unitary can lower the entropy of correlated inputs (it can outright
+    disentangle them), so the any-state form of the inequality fails without
+    conditional independence. With a trivial environment the marginals must
+    be independent for the inequality to reduce to the proven unconditional
+    entropic one, so there the two system legs are drawn as a product and the
+    slack is asserted.
     The control arm draws product-shaped (X1,E1) x (X2,E2) inputs and reports
     (never asserts) the two-environment entropy version.
     """
@@ -687,15 +689,13 @@ def run_conjecture_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     threshold = -10.0 * cfg.tolerance
     reverified = False
     if slack < threshold:
-        resym = multipartite(make_density(joint.state.mat), joint.dims)
-        slacks["conjecture_resym"] = _conjecture_slack(resym, tau)
         bump = sample_state(gen, d * d * de, "ginibre")
         eps = 1e-8
         perturbed = multipartite(
             make_density((1.0 - eps) * joint.state.mat + eps * bump.mat), joint.dims
         )
         slacks["conjecture_perturbed"] = _conjecture_slack(perturbed, tau)
-        reverified = slacks["conjecture_resym"] < threshold and slacks["conjecture_perturbed"] < threshold
+        reverified = slacks["conjecture_perturbed"] < threshold
 
     # Control arm: product-shaped inputs, conditioning on both environments.
     s1 = multipartite(sample_state(gen, d * cfg.d_e1, cfg.state_kind, cfg.rank), (d, cfg.d_e1))

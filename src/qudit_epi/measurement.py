@@ -5,6 +5,12 @@ A measurement is the orthonormal basis given by the columns of a unitary; its
 outcome j projects the environment onto column j. Conditioning contracts the
 joint state against the basis vectors directly (see
 :func:`condition_projective_all`), so the projectors are never formed.
+
+Each rule has one owner: :func:`check_complete` is the completeness check of
+one basis and of a stack, and :func:`condition_all` the validated
+conditioning that :func:`condition_bilocal` applies in the product basis.
+:func:`condition_all_stack` is its stacked twin; the tests hold the two to
+the same bits.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from .errors import QuditEpiError, ValidationError
 from .states import (
     DensityMatrix,
     MultipartiteState,
+    as_bipartite,
     eigenvalues_descending,
     eigenvalues_descending_stack,
     make_density,
@@ -81,16 +88,14 @@ def projective_from_unitary(u) -> MeasurementSet:
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise QuditEpiError(f"expected a square matrix, got {u.shape}")
-    d = u.shape[0]
-    residual = float(np.abs(u.conj().T @ u - np.eye(d)).max())
-    if residual > COMPLETENESS_TOL:
-        raise ValidationError(f"max|U†U - I| = {residual:.3e} (> {COMPLETENESS_TOL:.1e})")
+    check_complete(u)
     return MeasurementSet(np.ascontiguousarray(u))
 
 
 def check_complete(u: np.ndarray) -> None:
-    """:func:`projective_from_unitary`'s completeness check on each matrix of
-    an (..., d, d) stack; the message names the first failing residual."""
+    """Completeness max|U†U - I| <= COMPLETENESS_TOL of a unitary or of each
+    matrix of an (..., d, d) stack; the message names the first failing
+    residual."""
     residual = np.asarray(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1)))
     bad = residual > COMPLETENESS_TOL
     if bad.any():
@@ -167,23 +172,22 @@ def condition_bilocal(
     Entry [j][k] carries the joint probability p_jk and the conditioned Y
     state; when the environment marginal is a product, p_jk factorizes into
     the marginal outcome probabilities (the harness asserts that, not us).
+    It is :func:`condition_all` on (Y, E1 E2) in the product basis
+    m1 (x) m2, with outcome j * len(m2) + k renamed (j, k).
     """
     if len(s.dims) != 3:
         raise QuditEpiError(f"expected a (Y, E1, E2) state, got dims {s.dims}")
-    dy, e1, e2 = s.dims
+    _, e1, e2 = s.dims
     if m1.dim != e1 or m2.dim != e2:
         raise QuditEpiError(
             f"measurement dims ({m1.dim}, {m2.dim}) do not match environments ({e1}, {e2})"
         )
-    rho4 = s.state.mat.reshape(dy, e1 * e2, dy, e1 * e2)
-    n1, n2 = len(m1), len(m2)
-    blocks = condition_projective_all(rho4, np.kron(m1.basis, m2.basis))
-    grid = [
-        [_outcome((j, k), blocks[j * n2 + k]) for k in range(n2)]
-        for j in range(n1)
+    n2 = len(m2)
+    flat = condition_all(as_bipartite(s, 1), MeasurementSet(np.kron(m1.basis, m2.basis)))
+    return [
+        [ConditionalOutcome((j, k), o.probability, o.state) for k, o in enumerate(flat[j * n2 : (j + 1) * n2])]
+        for j in range(len(m1))
     ]
-    _check_normalization(o.probability for row in grid for o in row)
-    return grid
 
 
 def conditional_spectrum(outcome: ConditionalOutcome) -> np.ndarray:

@@ -3,6 +3,10 @@
 Subsystem ordering convention: the leftmost tensor factor is always the
 slowest-varying index. A state documented as living on (X, E) stores X first;
 (X1, E1, X2, E2)-style lists mean exactly that storage order.
+
+Validation tolerances are module constants, shared by the one-state route
+(:func:`make_density`, :func:`eigenvalues_descending`) and its stacked twin
+(:func:`make_density_stack`, :func:`eigenvalues_descending_stack`).
 """
 
 from __future__ import annotations
@@ -98,32 +102,30 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def make_density(entries, tol: float = 1e-10) -> DensityMatrix:
+def make_density(entries) -> DensityMatrix:
     """Validate a matrix as a density matrix.
 
     The input is symmetrized as (m + m†)/2 before validation so representation
-    round-off below `tol` is absorbed; deviations beyond `tol` in hermiticity,
-    trace or positivity are hard errors naming the measured deviation.
+    round-off is absorbed; a hermiticity, trace or positivity deviation beyond
+    HERMITIAN_TOL, TRACE_TOL or POSITIVITY_TOL is a hard error naming the
+    measured deviation.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     arr = _as_complex_square(entries)
     herm_dev = float(np.abs(arr - arr.conj().T).max())
-    if herm_dev > tol:
-        raise ValidationError(f"max|m - m†| = {herm_dev:.3e} exceeds tol {tol:.1e}")
+    if herm_dev > HERMITIAN_TOL:
+        raise ValidationError(f"max|m - m†| = {herm_dev:.3e} exceeds tol {HERMITIAN_TOL:.1e}")
     sym = (arr + arr.conj().T) / 2
     trace_dev = abs(complex(np.trace(sym)) - 1.0)
-    if trace_dev > tol:
-        raise ValidationError(f"|Tr m - 1| = {trace_dev:.3e} exceeds tol {tol:.1e}")
+    if trace_dev > TRACE_TOL:
+        raise ValidationError(f"|Tr m - 1| = {trace_dev:.3e} exceeds tol {TRACE_TOL:.1e}")
     eigs = _eigvalsh(sym)
-    if eigs[0] < -tol:
-        raise ValidationError(f"smallest eigenvalue {eigs[0]:.6e} below -tol {-tol:.1e}")
+    if eigs[0] < -POSITIVITY_TOL:
+        raise ValidationError(f"smallest eigenvalue {eigs[0]:.6e} below -tol {-POSITIVITY_TOL:.1e}")
     return DensityMatrix(sym, eigs)
 
 
 def make_density_stack(entries) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`make_density`, at its default tolerances, on each matrix of an
-    (N, d, d) stack.
+    """:func:`make_density` on each matrix of an (N, d, d) stack.
 
     Each check runs over the whole stack in make_density's order and with its
     message: hermiticity, trace, then the smallest eigenvalue of (m + m†)/2.

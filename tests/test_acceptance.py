@@ -217,7 +217,7 @@ def test_criterion_9_conjecture_harness():
     # entangled environment: completes, re-verifies candidates, replays exactly
     cfg = TrialConfig(d=2, d_e1=2, d_e2=2, trials=200, seed=5100)
     records, summary = run_experiment("conjecture", cfg, parallel=WORKERS)
-    candidates = [r for r in records if "conjecture_resym" in r.slacks]
+    candidates = [r for r in records if "conjecture_perturbed" in r.slacks]
     for r in candidates[:3]:
         again = run_conjecture_trial(cfg, r.index)
         assert again.slacks == r.slacks

@@ -1,11 +1,13 @@
 """Every name a module exports must exist, so a deletion cannot leave a stale
-entry in an `__all__` behind; and every name a file imports must be used, so a
-deletion cannot leave a stale import behind."""
+entry in an `__all__` behind; every name a file imports must be used, so a
+deletion cannot leave a stale import behind; and every top-level definition of
+the package must be referenced, so a refactor cannot leave a dead copy behind."""
 
 import ast
 import importlib
 import pkgutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,8 @@ import pytest
 import qudit_epi
 
 MODULES = ["qudit_epi"] + [f"qudit_epi.{m.name}" for m in pkgutil.iter_modules(qudit_epi.__path__)]
-SOURCES = sorted(Path(qudit_epi.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+PACKAGE_SOURCES = sorted(Path(qudit_epi.__file__).parent.glob("*.py"))
+SOURCES = PACKAGE_SOURCES + sorted(Path(__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -54,6 +57,48 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function, a class or the
+    plain names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Names read in `tree`: loaded names, attribute names and imported names.
+    The strings of `__all__` are not references."""
+    names: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", PACKAGE_SOURCES, ids=lambda p: p.name)
+def test_every_definition_is_referenced(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    elsewhere: Counter = Counter()
+    for other in SOURCES:
+        if other != path:
+            elsewhere.update(_references(ast.parse(other.read_text(encoding="utf-8"))))
+    per_statement = [_references(stmt) for stmt in tree.body]
+    unreferenced = [
+        f"{name} (line {stmt.lineno})"
+        for i, stmt in enumerate(tree.body)
+        for name in _defined_names(stmt)
+        if not (name.startswith("__") and name.endswith("__"))
+        and not elsewhere[name]
+        and not any(refs[name] for j, refs in enumerate(per_statement) if j != i)
+    ]
+    assert not unreferenced, f"{path.name} defines names nothing references: {unreferenced}"
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
