@@ -1,9 +1,15 @@
 """The partial-swap channel, in closed form and by explicit conjugation.
 
-Two independent routes compute each map. The conjugation route (build the
-unitary, conjugate, trace out the second input) is authoritative; the closed
-form tau*r1 + (1-tau)*r2 - i sqrt(tau(1-tau)) [r1, r2] is the fast path and
-serves as cross-check oracle. Tests pin their agreement.
+Two independent routes compute each map. On one pair of states the closed
+form tau*r1 + (1-tau)*r2 - i sqrt(tau(1-tau)) [r1, r2] is the production
+route and the conjugation route (build the unitary, conjugate, trace out the
+second input) its oracle. On two system-environment inputs the production
+route is :func:`partial_swap_global`, a stacked einsum on the two input
+factors that never forms their product; the dense conjugation of the
+permuted product by :func:`partial_swap_joint` and the extended-operator form
+:func:`partial_swap_global_closed` are its oracles. partial_swap_joint stays
+the channel of the conjecture's entangled (X1, X2, E) states, which are no
+product. Tests pin the agreement of every pair of routes.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from .states import (
     make_density_stack,
     multipartite,
     partial_trace,
-    permute_subsystems,
 )
 
 __all__ = [
@@ -89,6 +94,12 @@ def partial_swap_closed(rho1: DensityMatrix, rho2: DensityMatrix, tau: float) ->
     return make_density(out)
 
 
+def _check_mixing_stack(tau: np.ndarray) -> None:
+    """:func:`check_mixing` on each entry of an (N,) array."""
+    if not ((tau >= 0.0) & (tau <= 1.0)).all():
+        raise ValueError(f"mixing parameters must be in [0, 1], got {tau[(tau < 0.0) | (tau > 1.0)]}")
+
+
 def partial_swap_closed_stack(r1: np.ndarray, r2: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`partial_swap_closed` on stacks: row i mixes r1[i] and r2[i] with tau[i].
 
@@ -99,8 +110,7 @@ def partial_swap_closed_stack(r1: np.ndarray, r2: np.ndarray, tau: np.ndarray) -
     """
     if r1.shape != r2.shape:
         raise QuditEpiError(f"input stacks differ: {r1.shape} vs {r2.shape}")
-    if not ((tau >= 0.0) & (tau <= 1.0)).all():
-        raise ValueError(f"mixing parameters must be in [0, 1], got {tau[(tau < 0.0) | (tau > 1.0)]}")
+    _check_mixing_stack(tau)
     t = tau[:, None, None]
     c = np.sqrt(t * (1.0 - t))
     out = t * r1 + (1.0 - t) * r2
@@ -141,26 +151,58 @@ def partial_swap_joint(s: MultipartiteState, tau: float) -> MultipartiteState:
     return partial_trace(out, (0, *range(2, len(s.dims))))
 
 
-def partial_swap_global(s1: MultipartiteState, s2: MultipartiteState, tau: float) -> MultipartiteState:
-    """Partial swap across the system legs of two system-environment states.
+def partial_swap_global(
+    rho1: np.ndarray, rho2: np.ndarray, tau: np.ndarray, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Partial swap across the system legs of stacks of two system-environment
+    states: row i mixes rho1[i] and rho2[i] with tau[i].
 
-    Inputs are ordered (X1, E1) and (X2, E2) with equal X dimension; the swap
-    unitary acts on (X1, X2) only. Output order is (Y, E1, E2).
+    rho1 and rho2 are (N, d*e1, d*e1) and (N, d*e2, d*e2) density stacks
+    ordered (X1, E1) and (X2, E2), tau an (N,) array; the swap unitary
+    U = sqrt(tau) I + i sqrt(1-tau) W acts on (X1, X2) only and X2 is traced
+    out. With rho = rho1 (x) rho2 and c = sqrt(tau(1-tau)),
+
+        Tr_X2 U rho U+ = tau Tr_X2 rho + (1-tau) Tr_X2 W rho W
+                         + i c (Tr_X2 W rho - Tr_X2 rho W),
+
+    and on product inputs the first two terms are rho1 (x) sigma2 and
+    sigma1 (x) rho2, sigma_j the environment marginal of input j, and the
+    last two are sums over the traced system index b of rho2[., b] rho1[b, .]
+    and rho1[., b] rho2[b, .]. Each is computed on the factors by
+    broadcasting or einsum, so neither rho1 (x) rho2 nor a matrix product is
+    ever formed. The commutator term is skipped exactly at tau in {0, 1}.
+
+    Returns the validated (N, D, D) output stack, D = d*e1*e2 ordered
+    (Y, E1, E2), and its ascending eigenvalues (see
+    :func:`make_density_stack`); row i is bit for bit what the row alone
+    gives.
     """
-    if len(s1.dims) != 2 or len(s2.dims) != 2:
-        raise QuditEpiError(f"expected bipartite inputs, got dims {s1.dims} and {s2.dims}")
-    d, e1 = s1.dims
-    d2, e2 = s2.dims
-    if d != d2:
-        raise QuditEpiError(f"system dims differ: {d} vs {d2}")
-    # The kron of two valid states is valid; skip re-validating the big product.
-    big = DensityMatrix(np.kron(s1.state.mat, s2.state.mat))
-    both = MultipartiteState(big, (d, e1, d, e2))  # (X1,E1,X2,E2)
-    return partial_swap_joint(permute_subsystems(both, (0, 2, 1, 3)), tau)  # (X1,X2,E1,E2) -> (Y,E1,E2)
+    n = len(tau)
+    e1, e2 = rho1.shape[-1] // d, rho2.shape[-1] // d
+    if rho1.shape != (n, d * e1, d * e1) or rho2.shape != (n, d * e2, d * e2):
+        raise QuditEpiError(
+            f"expected ({n}, {d}*e, {d}*e) input stacks for {n} mixing parameters, "
+            f"got shapes {rho1.shape} and {rho2.shape}"
+        )
+    _check_mixing_stack(tau)
+    r1 = rho1.reshape(n, d, e1, d, e1)  # [a, e, a', e']
+    r2 = rho2.reshape(n, d, e2, d, e2)  # [b, f, b', f']
+    sigma1 = np.einsum("naeah->neh", r1)
+    sigma2 = np.einsum("nbfbg->nfg", r2)
+    # Output axes (a, e, f, a', e', f') of (Y, E1, E2).
+    t = tau.reshape(n, 1, 1, 1, 1, 1, 1)
+    out = t * (r1[:, :, :, None, :, :, None] * sigma2[:, None, None, :, None, None, :]) + (1.0 - t) * (
+        sigma1[:, None, :, None, None, :, None] * r2[:, :, None, :, :, None, :]
+    )
+    c = np.sqrt(t * (1.0 - t))
+    swapped = np.einsum("nafbg,nbech->naefchg", r2, r1) - np.einsum("naebh,nbfcg->naefchg", r1, r2)
+    out = np.where(c != 0.0, out + 1j * c * swapped, out)
+    return make_density_stack(out.reshape(n, d * e1 * e2, d * e1 * e2))
 
 
 def partial_swap_global_closed(s1: MultipartiteState, s2: MultipartiteState, tau: float) -> MultipartiteState:
-    """Cross-check for :func:`partial_swap_global` via extended operators.
+    """Oracle for :func:`partial_swap_global` via extended operators, on one
+    pair of (X, E1) and (X, E2) states.
 
     Each input is embedded on (X, E1, E2) by padding with the identity on the
     missing environment; the output is then the convex combination of the

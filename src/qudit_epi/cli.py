@@ -43,9 +43,13 @@ __all__ = ["RunManifest", "dispatch", "emit", "main", "render_line", "parse_line
 # ---------------------------------------------------------------- serialization
 
 
+# json.dumps(obj, separators=(",", ":")) builds this encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def render_line(obj: dict) -> str:
     """One compact JSON line, deterministic byte-for-byte."""
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
 def parse_lines(text: str) -> list[dict]:

@@ -4,7 +4,7 @@ objective, such as a conditional entropy power or an inequality's slack.
 
 :func:`climb_product_basis` is the one climb: it advances a whole stack of
 searches in lockstep, so a caller with one search and the theorem's block of
-trials (every kappa and restart of up to 16 trials) share it.
+trials (every kappa and restart of each trial) share it.
 
 Convention: natural logarithm everywhere. The entropy power of order kappa is
 exp(kappa * S) with S in nats, so the concavity window upper edge is

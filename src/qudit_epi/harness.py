@@ -22,15 +22,16 @@ Trials run in blocks. A block function takes each trial's tau and its stream
 from one generator that :func:`_trial_streams` re-keys per trial, and draws
 that trial's values in the order of the one-trial code. Each experiment takes
 its kappas and their slack keys from :func:`_kappa_grid`.
-qepi and concavity compute a block of up to 512 trials as stacked (N, d, d)
-arrays: they validate, mix and take spectra and entropies of the whole block
-at once. theorem stacks all of a block of up to 16 trials but the global
-channel: the setting draws, one lockstep climb (:func:`climb_product_basis`)
-over all their kappas and restarts, and the validated conditioning at the
-pairs found. Either way every value equals what the trial alone computes,
-bit for bit, so no record depends on the block size or --parallel. lemma and
-conjecture run trial by trial in blocks of one. A block that raises is rerun
-trial by trial, so the error names the first failing trial.
+qepi and concavity compute a block as stacked (N, d, d) arrays: they
+validate, mix and take spectra and entropies of the whole block at once.
+theorem stacks every step of a block: the setting draws, the global channel
+(one :func:`partial_swap_global` call), one lockstep climb
+(:func:`climb_product_basis`) over all their kappas and restarts, and the
+validated conditioning at the pairs found. Either way every value equals what
+the trial alone computes, bit for bit, so no record depends on the block size
+or --parallel. lemma and conjecture run trial by trial in blocks of one.
+:func:`_block_size` sizes the blocks. A block that raises is rerun trial by
+trial, so the error names the first failing trial.
 
 A trial function only computes slacks (must be >= minus the tolerance) and
 residuals (must be <= the tolerance); one verdict rule, :func:`_verdict`,
@@ -50,6 +51,7 @@ import numpy as np
 from ._version import __version__
 from .channels import partial_swap_closed, partial_swap_closed_stack, partial_swap_global, partial_swap_joint
 from .entropy import (
+    CLIMB_RESTARTS,
     climb_product_basis,
     conditional_vn_entropy,
     entropy_nats_rows,
@@ -102,11 +104,18 @@ _STREAM_BASE = {name: (i + 1) << 40 for i, name in enumerate(EXPERIMENTS)}
 
 _FORCED_TAUS = (0.0, 0.5, 1.0)
 
-# Trials per block. qepi, concavity and theorem compute a block as stacked
-# arrays; theorem climbs a block's searches in lockstep. lemma and conjecture
-# run trial by trial; blocks of one keep their work split evenly over
-# --parallel workers.
-_BLOCK_SIZE = {"qepi": 512, "concavity": 512, "theorem": 16}
+# Trials per block of qepi and concavity, which compute a block as stacked
+# (N, d, d) arrays; lemma and conjecture run trial by trial in blocks of one.
+# A qepi or concavity trial costs about 0.1 ms, less than a pool worker's
+# first block costs to start, so their blocks are not split further to give
+# each --parallel worker one.
+_BLOCK_SIZE = {"qepi": 512, "concavity": 512}
+
+# Bytes of the largest stacked array of a theorem block's climb: the basis
+# outcome pairs of the joint output, 16 bytes x K searched kappas x
+# CLIMB_RESTARTS x (e1 e2)^3 per trial. 6 MiB holds 16 trials at
+# e1 = e2 = 4 with the grid's K = 2.
+_THEOREM_BLOCK_BYTES = 6 * 2**20
 
 _HISTOGRAM_EDGES = (-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3)
 
@@ -264,7 +273,7 @@ def _draw_tau(cfg: TrialConfig, index: int, gen: np.random.Generator) -> float:
         return cfg.tau
     if index < len(_FORCED_TAUS):
         return _FORCED_TAUS[index]
-    return float(gen.uniform())
+    return float(gen.random())
 
 
 def _trial_streams(cfg: TrialConfig, experiment: str, indices: range):
@@ -299,6 +308,14 @@ def _bilocal_setting(cfg: TrialConfig, gen: np.random.Generator, index: int):
     return tau, s1, s2, m1, m2
 
 
+def _bilocal_channel(s1, s2, tau: float):
+    """:func:`partial_swap_global` of one (X, E1), (X, E2) setting, as the
+    (Y, E1, E2) state."""
+    (d, e1), (_, e2) = s1.dims, s2.dims
+    out, eigs = partial_swap_global(s1.state.mat[None], s2.state.mat[None], np.array([tau]), d)
+    return multipartite(DensityMatrix(out[0], eigs[0]), (d, e1, e2))
+
+
 def _conditioned_pieces(joint, s1, s2, m1, m2):
     """Validated conditioning of the inputs and the joint output (Y, E1, E2)."""
     out1 = condition_all(s1, m1)
@@ -318,7 +335,7 @@ def run_lemma_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     """
     gen = _trial_source(cfg, "lemma", index).generator()
     tau, s1, s2, m1, m2 = _bilocal_setting(cfg, gen, index)
-    out1, out2, grid, prob_norm = _conditioned_pieces(partial_swap_global(s1, s2, tau), s1, s2, m1, m2)
+    out1, out2, grid, prob_norm = _conditioned_pieces(_bilocal_channel(s1, s2, tau), s1, s2, m1, m2)
 
     spectra1 = [None if o.negligible else conditional_spectrum(o) for o in out1]
     spectra2 = [None if o.negligible else conditional_spectrum(o) for o in out2]
@@ -477,22 +494,17 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
     at any pair; the Haar pair's is recorded.
 
     Per trial, draw order tau, state 1, state 2, basis 1, basis 2; restart r
-    of kappa t's search draws from the trial's source.derive(t, r). All but
-    the global channel is stacked: the setting draws, one lockstep climb of
-    every search, and one :func:`condition_all_stack` call per state over
-    every trial's Haar and found pairs, with the one-trial route's checks.
+    of kappa t's search draws from the trial's source.derive(t, r). Every
+    step is stacked: the setting draws, one :func:`partial_swap_global` call,
+    one lockstep climb of every search, and one :func:`condition_all_stack`
+    call per state over every trial's Haar and found pairs, with the
+    one-trial route's checks.
     """
     kappas, keys, soft = _kappa_grid(cfg, "theorem_measured")
     searched = [t for t, kappa in enumerate(kappas) if kappa > 0.0]
     d, e1, e2 = dims = (cfg.d, cfg.d_e1, cfg.d_e2)
     taus, rho1, rho2, haar1, haar2 = _theorem_settings(cfg, indices)
-    joint = np.stack(
-        [
-            partial_swap_global(multipartite(DensityMatrix(r1), (d, e1)), multipartite(DensityMatrix(r2), (d, e2)), tau)
-            .state.mat
-            for r1, r2, tau in zip(rho1, rho2, taus)
-        ]
-    )
+    joint, _ = partial_swap_global(rho1, rho2, np.array(taus), d)
 
     # Pair 0 of a trial is its Haar pair, pair 1 + c the one its search for
     # kappa searched[c] finds.
@@ -700,7 +712,7 @@ def run_conjecture_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     # Control arm: product-shaped inputs, conditioning on both environments.
     s1 = multipartite(sample_state(gen, d * cfg.d_e1, cfg.state_kind, cfg.rank), (d, cfg.d_e1))
     s2 = multipartite(sample_state(gen, d * cfg.d_e2, cfg.state_kind, cfg.rank), (d, cfg.d_e2))
-    mixed = partial_swap_global(s1, s2, tau)
+    mixed = _bilocal_channel(s1, s2, tau)
     slacks["conjecture_control"] = (
         conditional_vn_entropy(as_bipartite(mixed, 1))
         - tau * conditional_vn_entropy(s1)
@@ -752,16 +764,29 @@ def _run_block(experiment: str, cfg: TrialConfig, indices: range) -> list[TrialR
         raise
 
 
+def _block_size(experiment: str, cfg: TrialConfig, workers: int) -> int:
+    """Trials per block: _BLOCK_SIZE, and for theorem the trials divided
+    evenly over the workers, so each gets a block, but no more than
+    _THEOREM_BLOCK_BYTES holds."""
+    if experiment != "theorem":
+        return _BLOCK_SIZE.get(experiment, 1)
+    searched = sum(1 for kappa, _ in resolve_kappas(cfg) if kappa > 0.0)
+    per_trial = 16 * max(searched, 1) * CLIMB_RESTARTS * (cfg.d_e1 * cfg.d_e2) ** 3
+    return min(max(1, _THEOREM_BLOCK_BYTES // per_trial), math.ceil(cfg.trials / workers))
+
+
 def _run_records(experiment: str, cfg: TrialConfig, parallel: int) -> list[TrialRecord]:
     """The records of all trials of one experiment, in index order."""
     validate_config(cfg, experiment)
     workers = int(parallel)
     if workers < 1:
         raise UsageError(f"--parallel must be >= 1, got {parallel}")
+    if cfg.trials < 2 * workers:
+        workers = 1
     run = partial(_run_block, experiment, cfg)
-    size = _BLOCK_SIZE.get(experiment, 1)
+    size = _block_size(experiment, cfg, workers)
     blocks = [range(start, min(start + size, cfg.trials)) for start in range(0, cfg.trials, size)]
-    if workers == 1 or cfg.trials < 2 * workers:
+    if workers == 1:
         return [record for records in map(run, blocks) for record in records]
     from concurrent.futures import ProcessPoolExecutor
 

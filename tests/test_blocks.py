@@ -16,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qudit_epi import entropy, harness
-from qudit_epi.channels import partial_swap_closed, partial_swap_global
+from qudit_epi.channels import partial_swap_closed
 from qudit_epi.entropy import entropy_nats, kappa_bounds, prefix_slack
 from qudit_epi.errors import ValidationError
 from qudit_epi.harness import (
     TrialConfig,
+    _bilocal_channel,
     _bilocal_setting,
     _conditioned_pieces,
     _slack_objective,
@@ -141,6 +142,46 @@ def test_failure_mid_block_names_its_trial(monkeypatch):
     assert isinstance(err.value.__cause__, ValidationError)
 
 
+_BLOCK_SIZES = [
+    # (experiment, (d, e1, e2), kappa, trials, workers, trials per block)
+    ("theorem", (2, 2, 2), "grid", 50, 1, 50),  # cap 1024
+    ("theorem", (2, 2, 2), "grid", 50, 2, 25),
+    ("theorem", (6, 4, 4), "grid", 64, 1, 16),  # the cap: 6 MiB / (16 B x 2 x 3 x 16^3)
+    ("theorem", (6, 4, 4), "grid", 64, 2, 16),
+    ("theorem", (6, 4, 4), "grid", 20, 2, 10),
+    ("theorem", (6, 4, 4), "max", 64, 1, 32),  # one searched kappa
+    ("theorem", (6, 4, 4), 0.0, 64, 1, 32),  # none searched: counted as one
+    ("qepi", (3, 2, 2), "grid", 4000, 1, 512),
+    ("qepi", (3, 2, 2), "grid", 50, 2, 512),  # not split over the workers
+    ("concavity", (4, 2, 2), "max", 600, 2, 512),
+    ("lemma", (3, 3, 3), "grid", 20, 1, 1),
+    ("conjecture", (2, 2, 2), "grid", 20, 2, 1),
+]
+
+
+@pytest.mark.parametrize("experiment, dims, kappa, trials, workers, size", _BLOCK_SIZES)
+def test_block_size_follows_the_rule(experiment, dims, kappa, trials, workers, size):
+    d, e1, e2 = dims
+    cfg = TrialConfig(d=d, d_e1=e1, d_e2=e2, kappa=kappa, trials=trials)
+    assert harness._block_size(experiment, cfg, workers) == size
+
+
+def test_run_records_splits_trials_into_blocks_of_the_rule(monkeypatch):
+    # theorem-d2's 50 trials run as one block at --parallel 1; 3 trials at
+    # --parallel 2 are too few to share and also run as one block.
+    seen = []
+    real = harness._TRIAL_FNS["theorem"]
+
+    def recording(cfg, indices):
+        seen.append(indices)
+        return real(cfg, indices)
+
+    monkeypatch.setitem(harness._TRIAL_FNS, "theorem", recording)
+    harness._run_records("theorem", TrialConfig(d=2, trials=50, seed=3), 1)
+    harness._run_records("theorem", TrialConfig(d=2, trials=3, seed=3), 2)
+    assert seen == [range(0, 50), range(0, 3)]
+
+
 @pytest.mark.parametrize("kind, rank", _KINDS[:3], ids=["ginibre", "pure", "rank-k:1"])
 @pytest.mark.parametrize("envs", [(2, 2), (2, 3), (1, 4)], ids=["env22", "env23", "env14"])
 @pytest.mark.parametrize("d", [2, 3])
@@ -149,15 +190,15 @@ def test_theorem_blocks_match_one_index_route(monkeypatch, d, envs, kind, rank):
     alone = [run_theorem_trial(cfg, index) for index in range(cfg.trials)]
     # Blocks of 3 and 7 put boundaries after trials 2, 5, 8 and after trial 6.
     for size in (3, 7):
-        monkeypatch.setitem(harness._BLOCK_SIZE, "theorem", size)
+        monkeypatch.setattr(harness, "_block_size", lambda *_, size=size: size)
         records, _ = run_experiment("theorem", cfg)
         assert records == alone
         assert repr(records) == repr(alone)  # == does not tell -0.0 from 0.0
 
 
 def test_theorem_blocks_parallel_matches_serial():
-    # Two full blocks and a partial one, shared by two workers.
-    cfg = TrialConfig(d=2, trials=2 * harness._BLOCK_SIZE["theorem"] + 5, seed=47)
+    # One block of 37 trials against two of 19 and 18, one per worker.
+    cfg = TrialConfig(d=2, trials=37, seed=47)
     serial, summary1 = run_experiment("theorem", cfg, parallel=1)
     parallel, summary2 = run_experiment("theorem", cfg, parallel=2)
     assert parallel == serial
@@ -195,7 +236,7 @@ def _assert_theorem_failure_names_its_trial(monkeypatch, step, message):
     # A stacked step fails on a stack holding trial 9's first input state.
     # The block is rerun trial by trial to name the trial.
     cfg = TrialConfig(d=2, trials=20, seed=53)
-    target = 9  # inside the first block of 16
+    target = 9  # inside the one block of 20
     _, s1, *_ = _bilocal_setting(cfg, harness._trial_source(cfg, "theorem", target).generator(), target)
     real = getattr(harness, step)
 
@@ -258,7 +299,7 @@ def test_stacked_slack_objective_matches_validated_slack(seed, d, envs, taus, fr
     for tau in taus:
         s1 = multipartite(sample_state(gen, d * e1), (d, e1))
         s2 = multipartite(sample_state(gen, d * e2), (d, e2))
-        settings_.append((tau, s1, s2, partial_swap_global(s1, s2, tau)))
+        settings_.append((tau, s1, s2, _bilocal_channel(s1, s2, tau)))
     bases = [np.array([[[haar_unitary(e, gen) for _ in range(3)] for _ in kappas] for _ in taus]) for e in envs]
     stacked = _slack_objective(
         (d, e1, e2), *(np.stack([s[i].state.mat for s in settings_]) for i in (1, 2, 3)), taus, kappas

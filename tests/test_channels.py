@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qudit_epi.channels import (
     partial_swap_closed,
@@ -13,6 +15,7 @@ from qudit_epi.channels import (
     swap_operator,
 )
 from qudit_epi.errors import QuditEpiError
+from qudit_epi.harness import MAX_TOTAL_DIM, _bilocal_channel
 from qudit_epi.rand import RandomSource, sample_state
 from qudit_epi.states import (
     make_density,
@@ -117,7 +120,7 @@ def _random_joint(gen, d, e):
 def test_global_trivial_environments(zero, plus):
     s1 = multipartite(zero, (2, 1))
     s2 = multipartite(plus, (2, 1))
-    out = partial_swap_global(s1, s2, 0.5)
+    out = _bilocal_channel(s1, s2, 0.5)
     assert out.dims == (2, 1, 1)
     assert matrix_distance(out.state.mat, partial_swap_closed(zero, plus, 0.5).mat) <= 1e-12
 
@@ -126,7 +129,7 @@ def test_global_tau_one_returns_first_input():
     gen = RandomSource(31).generator()
     s1 = _random_joint(gen, 2, 2)
     s2 = _random_joint(gen, 2, 3)
-    out = partial_swap_global(s1, s2, 1.0)
+    out = _bilocal_channel(s1, s2, 1.0)
     rho_e2 = partial_trace(s2, (1,)).state
     want = np.kron(s1.state.mat, rho_e2.mat)
     assert matrix_distance(out.state.mat, want) <= 1e-12
@@ -139,7 +142,7 @@ def test_global_vs_global_closed(d, e1, e2):
         s1 = _random_joint(gen, d, e1)
         s2 = _random_joint(gen, d, e2)
         tau = float(gen.uniform())
-        a = partial_swap_global(s1, s2, tau)
+        a = _bilocal_channel(s1, s2, tau)
         b = partial_swap_global_closed(s1, s2, tau)
         assert a.dims == (d, e1, e2)
         assert matrix_distance(a.state.mat, b.state.mat) <= 1e-11
@@ -155,7 +158,7 @@ def test_global_marginal_consistency_on_products():
     e2 = sample_state(gen, 3)
     s1 = multipartite(tensor(x1, e1), (2, 2))
     s2 = multipartite(tensor(x2, e2), (2, 3))
-    out = partial_swap_global(s1, s2, 0.42)
+    out = _bilocal_channel(s1, s2, 0.42)
     got = partial_trace(out, (0,)).state
     want = partial_swap_closed(x1, x2, 0.42)
     assert matrix_distance(got.mat, want.mat) <= 1e-11
@@ -172,6 +175,14 @@ def test_joint_trivial_environment_matches_conjugation(d):
         assert matrix_distance(out.state.mat, partial_swap_conjugation(r1, r2, tau).mat) <= 1e-12
 
 
+def _dense_global(s1, s2, tau):
+    """The dense route: conjugate the permuted product (X1, X2, E1, E2) by
+    the partial swap on (X1, X2), then trace out X2."""
+    (d, e1), (_, e2) = s1.dims, s2.dims
+    both = multipartite(tensor(s1.state, s2.state), (d, e1, d, e2))  # (X1,E1,X2,E2)
+    return partial_swap_joint(permute_subsystems(both, (0, 2, 1, 3)), tau)
+
+
 @pytest.mark.parametrize("d,e1,e2", [(2, 2, 2), (2, 2, 3), (3, 2, 1)])
 def test_joint_on_product_inputs_matches_global_closed(d, e1, e2):
     gen = RandomSource(36, d * 100 + e1 * 10 + e2).generator()
@@ -179,8 +190,7 @@ def test_joint_on_product_inputs_matches_global_closed(d, e1, e2):
         s1 = _random_joint(gen, d, e1)
         s2 = _random_joint(gen, d, e2)
         tau = float(gen.uniform())
-        both = multipartite(tensor(s1.state, s2.state), (d, e1, d, e2))  # (X1,E1,X2,E2)
-        out = partial_swap_joint(permute_subsystems(both, (0, 2, 1, 3)), tau)
+        out = _dense_global(s1, s2, tau)
         assert out.dims == (d, e1, e2)
         assert matrix_distance(out.state.mat, partial_swap_global_closed(s1, s2, tau).state.mat) <= 1e-12
 
@@ -200,3 +210,49 @@ def test_channel_outputs_are_valid_states():
             tau = float(gen.uniform())
             out = partial_swap_closed(r1, r2, tau)  # make_density validates
             assert abs(np.trace(out.mat).real - 1.0) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    d=st.integers(2, 6),
+    envs=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    kinds=st.tuples(*[st.sampled_from(["ginibre", "pure"])] * 2),
+    tau=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_global_kernel_matches_dense_and_extended_operator_routes(seed, d, envs, kinds, tau):
+    e1, e2 = envs
+    assume(d * d * e1 * e2 <= MAX_TOTAL_DIM)
+    gen = RandomSource(seed).generator()
+    s1 = multipartite(sample_state(gen, d * e1, kinds[0]), (d, e1))
+    s2 = multipartite(sample_state(gen, d * e2, kinds[1]), (d, e2))
+    out = _bilocal_channel(s1, s2, tau)
+    assert out.dims == (d, e1, e2)
+    assert matrix_distance(out.state.mat, _dense_global(s1, s2, tau).state.mat) <= 1e-12
+    assert matrix_distance(out.state.mat, partial_swap_global_closed(s1, s2, tau).state.mat) <= 1e-12
+
+
+@pytest.mark.parametrize("d,e1,e2", [(2, 2, 2), (3, 1, 4), (4, 3, 2), (6, 4, 4)])
+def test_global_kernel_rows_equal_one_row_calls(d, e1, e2):
+    # An odd stack with both endpoints: each row is bit for bit its N = 1 call.
+    gen = RandomSource(37, d * 100 + e1 * 10 + e2).generator()
+    n = 7
+    rho1 = np.stack([sample_state(gen, d * e1).mat for _ in range(n)])
+    rho2 = np.stack([sample_state(gen, d * e2, "pure").mat for _ in range(n)])
+    taus = np.concatenate([[0.0, 1.0], gen.random(n - 2)])
+    out, eigs = partial_swap_global(rho1, rho2, taus, d)
+    assert out.shape == (n, d * e1 * e2, d * e1 * e2)
+    for i in range(n):
+        one, one_eigs = partial_swap_global(rho1[i : i + 1], rho2[i : i + 1], taus[i : i + 1], d)
+        assert np.array_equal(one[0], out[i])
+        assert np.array_equal(one_eigs[0], eigs[i])
+
+
+def test_global_kernel_rejects_mismatched_stacks():
+    rho = np.stack([np.eye(4) / 4] * 2).astype(complex)
+    with pytest.raises(QuditEpiError, match=r"expected \(2, 2\*e, 2\*e\) input stacks"):
+        partial_swap_global(rho, rho[:1], np.array([0.5, 0.5]), 2)
+    with pytest.raises(QuditEpiError, match=r"expected \(2, 3\*e, 3\*e\) input stacks"):
+        partial_swap_global(rho, rho, np.array([0.5, 0.5]), 3)
+    with pytest.raises(ValueError, match=r"mixing parameters must be in \[0, 1\]"):
+        partial_swap_global(rho, rho, np.array([0.5, 1.5]), 2)

@@ -41,6 +41,12 @@ def test_render_line_nonfinite():
     assert math.isnan(parsed["a"]) and math.isinf(parsed["b"])
 
 
+def test_render_line_equals_json_dumps():
+    # One shared encoder with json.dumps's settings writes json.dumps's bytes.
+    obj = {"x": [1 / 3, -0.0, 1e300, math.nan, -math.inf], "s": "κ→\u00e9", "n": None, "d": {"b": True}}
+    assert render_line(obj) == json.dumps(obj, separators=(",", ":")) + "\n"
+
+
 def test_manifest_roundtrip():
     # The manifest records every TrialConfig field and nothing else; tau=None is written as "random".
     for tau, written in ((0.5, 0.5), (None, "random")):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from qudit_epi import harness
-from qudit_epi.channels import partial_swap_global
 from qudit_epi.cli import dispatch, parse_lines
 from qudit_epi.entropy import climb_product_basis
 from qudit_epi.errors import QuditEpiError, UsageError, ValidationError
 from qudit_epi.harness import (
     TrialConfig,
     TrialRecord,
+    _bilocal_channel,
     _bilocal_setting,
     _conditioned_pieces,
     _slack_objective,
@@ -124,7 +124,7 @@ def test_theorem_search_is_validated_and_never_above_haar(d, envs):
         record = run_theorem_trial(cfg, index)
         source = _trial_source(cfg, "theorem", index)
         tau, s1, s2, m1, m2 = _bilocal_setting(cfg, source.generator(), index)
-        joint = partial_swap_global(s1, s2, tau)
+        joint = _bilocal_channel(s1, s2, tau)
         *haar, prob_norm = _conditioned_pieces(joint, s1, s2, m1, m2)
         assert record.negligible == sum(o.negligible for row in haar[2] for o in row)
         for t, kappa in enumerate(record.kappas):
@@ -154,7 +154,7 @@ def test_theorem_search_on_product_inputs_keeps_start_value():
     s1, s2 = (
         multipartite(tensor(sample_state(gen, 2), sample_state(gen, e)), (2, e)) for e in (2, 3)
     )
-    joint = partial_swap_global(s1, s2, 0.4)
+    joint = _bilocal_channel(s1, s2, 0.4)
     start = [haar_unitary(2, gen)[None, None], haar_unitary(3, gen)[None, None]]
     for kappa in (0.5, 1.0, 2.0):
         objective = _one_setting_objective(joint, s1, s2, 0.4, kappa)

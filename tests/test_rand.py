@@ -40,6 +40,16 @@ def test_keyed_streams_replay_fresh_generators():
         assert _mixed_draws(streams.at(stream)) == _mixed_draws(RandomSource(9, stream).generator())
 
 
+def test_random_draws_what_uniform_draws():
+    # harness._draw_tau draws tau by gen.random(): uniform() with its defaults
+    # returns 0 + 1 * the same double and leaves the stream at the same place.
+    a, b = RandomSource(3, 21).generator(), RandomSource(3, 21).generator()
+    for _ in range(2000):
+        assert a.uniform() == b.random()
+    assert np.array_equal(a.uniform(size=200_000), b.random(200_000))
+    assert np.array_equal(a.standard_normal(8), b.standard_normal(8))
+
+
 def test_derive_is_deterministic_and_sensitive():
     rs = RandomSource(7, 3)
     assert rs.derive(2, 5) == rs.derive(2, 5)
