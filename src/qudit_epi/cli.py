@@ -1,7 +1,12 @@
 """Command-line entry point: configure, run, emit JSON lines, set exit status.
 
 Output layout: line 1 is the manifest, one line per trial follows, and the
-last line is the summary. Floats are serialized in their shortest round-trip
+last line is the summary. Trials reach :func:`dispatch` one block at a time
+(``harness._run_blocks``); each block's lines are rendered into one string
+and its records are dropped before the next block runs, while ``summarize``
+folds them. So a run holds its rendered output plus one block of records.
+Nothing is written until every trial has run, so a failing run writes only
+its error. Floats are serialized in their shortest round-trip
 repr (integral floats keep their ".0"), so files round-trip exactly and
 repeated runs are byte-identical.
 
@@ -17,6 +22,7 @@ import datetime
 import json
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 from ._version import __version__
@@ -28,7 +34,7 @@ from .harness import (
     Summary,
     TrialConfig,
     TrialRecord,
-    _run_records,
+    _run_blocks,
     run_metadata,
     summarize,
     validate_config,
@@ -37,14 +43,16 @@ from .rand import RNG_ALGORITHM
 
 _EPOCH_TIMESTAMP = "1970-01-01T00:00:00+00:00"
 
-__all__ = ["RunManifest", "dispatch", "emit", "main", "render_line", "parse_lines"]
+__all__ = ["RunManifest", "dispatch", "emit", "main", "render_line", "render_records", "parse_lines"]
 
 
 # ---------------------------------------------------------------- serialization
 
 
-# json.dumps(obj, separators=(",", ":")) builds this encoder per call.
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
+# json.dumps(obj, separators=(",", ":")) builds this encoder per call. The
+# objects rendered here are fresh acyclic trees, so the cycle check is off;
+# it changes no byte.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 def render_line(obj: dict) -> str:
@@ -121,9 +129,9 @@ def record_to_object(record: TrialRecord, with_experiment: bool) -> dict:
         {
             "index": record.index,
             "tau": record.tau,
-            "kappa": list(record.kappas),
-            "slacks": dict(record.slacks),
-            "residuals": dict(record.residuals),
+            "kappa": record.kappas,
+            "slacks": record.slacks,
+            "residuals": record.residuals,
             "pass": record.passed,
         }
     )
@@ -136,19 +144,21 @@ def summary_to_object(summary: Summary) -> dict:
     return {"type": "summary", **asdict(summary)}
 
 
-def emit(manifest: RunManifest, records, summary: Summary, out: str) -> None:
-    """Write manifest, one line per record, then the summary."""
-    with_exp = manifest.command == "all"
-    lines = [render_line(manifest.to_object())]
-    lines.extend(render_line(record_to_object(r, with_exp)) for r in records)
-    lines.append(render_line(summary_to_object(summary)))
-    payload = "".join(lines)
+def render_records(records: Iterable[TrialRecord], with_experiment: bool) -> str:
+    """The trial lines of `records`, joined into one string."""
+    return "".join(render_line(record_to_object(r, with_experiment)) for r in records)
+
+
+def emit(manifest: RunManifest, body: Iterable[str], summary: Summary, out: str) -> None:
+    """Write the manifest line, the rendered trial lines `body` (strings of
+    whole lines, see :func:`render_records`), then the summary line."""
+    parts = [render_line(manifest.to_object()), *body, render_line(summary_to_object(summary))]
     if out == "-":
-        sys.stdout.write(payload)
+        sys.stdout.writelines(parts)
         return
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+            fh.writelines(parts)
     except OSError as exc:
         raise QuditEpiError(f"cannot write {out!r}: {exc}") from exc
 
@@ -263,12 +273,20 @@ def dispatch(argv=None) -> int:
         timestamp = _resolve_timestamp()
         _check_out(args.out)
 
-        all_records: list[TrialRecord] = []
-        for experiment in experiments:
-            all_records.extend(_run_records(experiment, cfg, args.parallel))
-        summary = summarize(all_records, run_metadata(cfg))
+        body: list[str] = []
+
+        def records():
+            # Render each block as it arrives and hand its records to the
+            # fold; the block is dropped before the next one runs.
+            for experiment in experiments:
+                for block in _run_blocks(experiment, cfg, args.parallel):
+                    body.append(render_records(block, args.command == "all"))
+                    yield from block
+                    del block
+
+        summary = summarize(records(), run_metadata(cfg))
         manifest = RunManifest(command=args.command, config=cfg, timestamp=timestamp)
-        emit(manifest, all_records, summary, args.out)
+        emit(manifest, body, summary, args.out)
         return 2 if summary.violations else 0
     except QuditEpiError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,11 @@ validated conditioning at the pairs found. Either way every value equals what
 the trial alone computes, bit for bit, so no record depends on the block size
 or --parallel. lemma and conjecture run trial by trial in blocks of one.
 :func:`_block_size` sizes the blocks. A block that raises is rerun trial by
-trial, so the error names the first failing trial.
+trial, so the error names the first failing trial. :func:`_run_blocks` hands
+the caller one block's records at a time, in index order, whether the block
+ran in this process or in the pool; a serial block runs only when the caller
+asks for it, so a caller that drops each block before asking for the next
+holds one block of records, and :func:`summarize` folds them in one pass.
 
 A trial function only computes slacks (must be >= minus the tolerance) and
 residuals (must be <= the tolerance); one verdict rule, :func:`_verdict`,
@@ -43,6 +47,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -775,8 +780,11 @@ def _block_size(experiment: str, cfg: TrialConfig, workers: int) -> int:
     return min(max(1, _THEOREM_BLOCK_BYTES // per_trial), math.ceil(cfg.trials / workers))
 
 
-def _run_records(experiment: str, cfg: TrialConfig, parallel: int) -> list[TrialRecord]:
-    """The records of all trials of one experiment, in index order."""
+def _run_blocks(experiment: str, cfg: TrialConfig, parallel: int) -> Iterator[list[TrialRecord]]:
+    """The records of all trials of one experiment, one block's list at a
+    time, in index order. The configuration is checked before the first block
+    runs; a serial block runs only when the caller asks for it, so the caller
+    holds only the blocks it keeps."""
     validate_config(cfg, experiment)
     workers = int(parallel)
     if workers < 1:
@@ -787,12 +795,12 @@ def _run_records(experiment: str, cfg: TrialConfig, parallel: int) -> list[Trial
     size = _block_size(experiment, cfg, workers)
     blocks = [range(start, min(start + size, cfg.trials)) for start in range(0, cfg.trials, size)]
     if workers == 1:
-        return [record for records in map(run, blocks) for record in records]
+        yield from map(run, blocks)
+        return
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(run, blocks, chunksize=math.ceil(len(blocks) / workers))
-        return [record for records in results for record in records]
+        yield from pool.map(run, blocks, chunksize=math.ceil(len(blocks) / workers))
 
 
 def run_experiment(experiment: str, cfg: TrialConfig, parallel: int = 1):
@@ -802,7 +810,7 @@ def run_experiment(experiment: str, cfg: TrialConfig, parallel: int = 1):
     pure function of (seed, experiment, index), and records are emitted in
     index order.
     """
-    records = _run_records(experiment, cfg, parallel)
+    records = [record for block in _run_blocks(experiment, cfg, parallel) for record in block]
     return records, summarize(records, run_metadata(cfg))
 
 
@@ -816,26 +824,33 @@ def run_metadata(cfg: TrialConfig) -> dict:
     }
 
 
-def summarize(records, metadata: dict | None = None) -> Summary:
-    """Aggregate records; the result does not depend on their arrival order."""
-    records = list(records)
-    if not records:
-        raise QuditEpiError("no records to summarize")
-    violations = sum(1 for r in records if not r.passed)
+def summarize(records: Iterable[TrialRecord], metadata: dict | None = None) -> Summary:
+    """Fold records in one pass; the result does not depend on their order.
+
+    A NaN slack or residual is sticky: it becomes its key's min_slack or the
+    max_residual, whatever records come before or after it.
+    """
+    trials = violations = 0
     min_slack: dict[str, float] = {}
     max_residual = 0.0
     counts = [0] * (len(_HISTOGRAM_EDGES) + 1)
     for r in records:
+        trials += 1
+        violations += not r.passed
         for key, value in r.slacks.items():
-            if key not in min_slack or value < min_slack[key]:
+            low = min_slack.get(key)
+            if low is None or value < low or value != value:
                 min_slack[key] = value
         for value in r.residuals.values():
-            max_residual = max(max_residual, value)
+            if value > max_residual or value != value:
+                max_residual = value
         if r.slacks:
             worst = min(r.slacks.values())
             counts[bisect.bisect_right(_HISTOGRAM_EDGES, worst)] += 1
+    if not trials:
+        raise QuditEpiError("no records to summarize")
     return Summary(
-        trials=len(records),
+        trials=trials,
         violations=violations,
         min_slack={k: min_slack[k] for k in sorted(min_slack)},
         max_residual=max_residual,

@@ -177,8 +177,8 @@ def test_run_records_splits_trials_into_blocks_of_the_rule(monkeypatch):
         return real(cfg, indices)
 
     monkeypatch.setitem(harness._TRIAL_FNS, "theorem", recording)
-    harness._run_records("theorem", TrialConfig(d=2, trials=50, seed=3), 1)
-    harness._run_records("theorem", TrialConfig(d=2, trials=3, seed=3), 2)
+    list(harness._run_blocks("theorem", TrialConfig(d=2, trials=50, seed=3), 1))
+    list(harness._run_blocks("theorem", TrialConfig(d=2, trials=3, seed=3), 2))
     assert seen == [range(0, 50), range(0, 3)]
 
 

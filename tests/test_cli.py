@@ -1,18 +1,27 @@
+import gc
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import fields
 
+import pytest
+
 from qudit_epi import harness
 from qudit_epi.cli import (
     RunManifest,
+    _config_from_args,
+    _resolve_timestamp,
+    build_parser,
     dispatch,
+    emit,
     parse_lines,
     render_line,
+    render_records,
 )
 from qudit_epi.errors import ValidationError
-from qudit_epi.harness import TrialConfig
+from qudit_epi.harness import Summary, TrialConfig, TrialRecord, run_experiment
 
 
 def _run(args, **kw):
@@ -43,7 +52,14 @@ def test_render_line_nonfinite():
 
 def test_render_line_equals_json_dumps():
     # One shared encoder with json.dumps's settings writes json.dumps's bytes.
-    obj = {"x": [1 / 3, -0.0, 1e300, math.nan, -math.inf], "s": "κ→\u00e9", "n": None, "d": {"b": True}}
+    obj = {
+        "x": [1 / 3, -0.0, 1e300, math.nan, -math.inf],
+        "s": "κ→\u00e9",
+        "n": None,
+        "d": {"b": True},
+        "t": (0.0, 1 / 3, (2.5,)),
+        "nested": {"slacks": {"a": -0.0, "b": {"c": [1e-300, {}]}}, "residuals": {}},
+    }
     assert render_line(obj) == json.dumps(obj, separators=(",", ":")) + "\n"
 
 
@@ -181,9 +197,6 @@ def test_stdout_output(capsys):
 
 
 def test_emit_empty_record_list(tmp_path):
-    from qudit_epi.cli import emit
-    from qudit_epi.harness import Summary
-
     out = tmp_path / "empty.jsonl"
     manifest = RunManifest(command="verify-qepi", config=TrialConfig(trials=1))
     summary = Summary(trials=0, violations=0, min_slack={}, max_residual=0.0, histogram={})
@@ -205,3 +218,85 @@ def test_summary_recomputable_from_emitted_records(tmp_path):
     for key, value in summary["min_slack"].items():
         assert value == min(t["slacks"][key] for t in trials if key in t["slacks"])
     assert summary["max_residual"] == max(v for t in trials for v in t["residuals"].values())
+
+
+def test_streamed_dispatch_equals_emit_of_run_experiment(tmp_path, monkeypatch):
+    # Blocks of 7 split 30 trials into 7 + 7 + 7 + 7 + 2; the streamed bytes
+    # equal those emit writes from run_experiment's full record list.
+    monkeypatch.setitem(harness._BLOCK_SIZE, "qepi", 7)
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    argv = ["verify-qepi", "--dim", "3", "--trials", "30", "--seed", "8", "--parallel", "1"]
+    streamed, whole = tmp_path / "streamed.jsonl", tmp_path / "whole.jsonl"
+    assert dispatch(argv + ["--out", str(streamed)]) == 0
+    cfg = _config_from_args(build_parser().parse_args(argv))
+    records, summary = run_experiment("qepi", cfg)
+    manifest = RunManifest(command="verify-qepi", config=cfg, timestamp=_resolve_timestamp())
+    emit(manifest, [render_records(records, False)], summary, str(whole))
+    assert streamed.read_bytes() == whole.read_bytes()
+    assert len(parse_lines(streamed.read_text())) == 32
+
+
+def test_all_streams_the_same_bytes_at_parallel_one_and_two(tmp_path, monkeypatch):
+    monkeypatch.setitem(harness._BLOCK_SIZE, "qepi", 7)
+    monkeypatch.setitem(harness._BLOCK_SIZE, "concavity", 7)
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"all-{workers}.jsonl"
+        assert dispatch(["all", "--dim", "2", "--trials", "20", "--seed", "5", "--parallel", workers, "--out", str(out)]) in (0, 2)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def _live_records() -> int:
+    return sum(1 for obj in gc.get_objects() if type(obj) is TrialRecord)
+
+
+def test_at_most_one_block_of_records_is_alive_when_a_block_starts(tmp_path, monkeypatch):
+    monkeypatch.setitem(harness._BLOCK_SIZE, "qepi", 7)
+    real = harness._TRIAL_FNS["qepi"]
+    alive = []
+
+    def counting(cfg, indices):
+        alive.append(_live_records() - before)
+        return real(cfg, indices)
+
+    monkeypatch.setitem(harness._TRIAL_FNS, "qepi", counting)
+    gc.collect()
+    before = _live_records()
+    argv = ["verify-qepi", "--dim", "2", "--trials", "30", "--seed", "8", "--parallel", "1"]
+    assert dispatch(argv + ["--out", str(tmp_path / "run.jsonl")]) == 0
+    assert len(alive) == 5
+    assert max(alive) <= 7, alive
+
+
+# Launches argv[1:], waits with os.wait4 and prints the exit code and ru_maxrss.
+# Linux carries a process's peak RSS across fork and exec, so a child launched
+# straight from this test process would read at least this process's peak;
+# launched from this small process, it reads its own.
+_WAIT4 = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def _peak_rss_kb(trials: int) -> int:
+    """ru_maxrss (KiB on Linux) of one verify-qepi --dim 3 launch."""
+    argv = ["verify-qepi", "--dim", "3", "--parallel", "1", "--trials", str(trials), "--out", "-"]
+    # One BLAS thread: a thread pool's buffers would add start-up noise.
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    launcher = [sys.executable, "-c", _WAIT4, sys.executable, "-m", "qudit_epi.cli"]
+    done = subprocess.run([*launcher, *argv], env=env, capture_output=True, text=True, check=True)
+    code, peak = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    return peak
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+def test_peak_memory_grows_by_less_than_0_8_kb_per_trial():
+    # A run holds its rendered output (about 0.28 KB per qepi-d3 trial) plus
+    # one block of records; holding every record grows about 1.8 KB per trial.
+    small, large = _peak_rss_kb(2000), _peak_rss_kb(20000)
+    assert (large - small) / 18000 < 0.8, (small, large)

@@ -363,6 +363,19 @@ def test_summarize_histogram_bins(worst, bin_index):
     assert counts == [int(i == bin_index) for i in range(8)]
 
 
+def test_summarize_nan_is_sticky_in_either_order():
+    # A NaN slack or residual is the fold's min_slack or max_residual,
+    # whichever record comes first.
+    nan_trial = TrialRecord("qepi", 0, 0.5, (), {"a": math.nan}, {"r": math.nan}, {})
+    low_trial = TrialRecord("qepi", 1, 0.5, (), {"a": -1.0}, {"r": 1.0}, {})
+    for records in ([nan_trial, low_trial], [low_trial, nan_trial]):
+        summary = summarize(iter(records))
+        assert math.isnan(summary.min_slack["a"]) and math.isnan(summary.max_residual)
+        assert summary.trials == 2
+        assert summary.histogram["counts"] == [1, 0, 0, 0, 0, 0, 0, 1]
+    assert summarize([low_trial]).min_slack == {"a": -1.0}
+
+
 def test_summarize_empty_and_violations():
     with pytest.raises(QuditEpiError, match="no records to summarize"):
         summarize([])
