@@ -29,13 +29,15 @@ theorem stacks every step of a block: the setting draws, the global channel
 (:func:`climb_product_basis`) over all their kappas and restarts, and the
 validated conditioning at the pairs found. Either way every value equals what
 the trial alone computes, bit for bit, so no record depends on the block size
-or --parallel. lemma and conjecture run trial by trial in blocks of one.
+or --parallel. lemma and conjecture run trial by trial within a block.
 :func:`_block_size` sizes the blocks. A block that raises is rerun trial by
 trial, so the error names the first failing trial. :func:`_run_blocks` hands
 the caller one block's records at a time, in index order, whether the block
 ran in this process or in the pool; a serial block runs only when the caller
 asks for it, so a caller that drops each block before asking for the next
 holds one block of records, and :func:`summarize` folds them in one pass.
+The pool runs at most :data:`_WINDOW_PER_WORKER` blocks per worker ahead of
+the caller.
 
 A trial function only computes slacks (must be >= minus the tolerance) and
 residuals (must be <= the tolerance); one verdict rule, :func:`_verdict`,
@@ -47,6 +49,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
@@ -110,17 +113,25 @@ _STREAM_BASE = {name: (i + 1) << 40 for i, name in enumerate(EXPERIMENTS)}
 _FORCED_TAUS = (0.0, 0.5, 1.0)
 
 # Trials per block of qepi and concavity, which compute a block as stacked
-# (N, d, d) arrays; lemma and conjecture run trial by trial in blocks of one.
-# A qepi or concavity trial costs about 0.1 ms, less than a pool worker's
-# first block costs to start, so their blocks are not split further to give
-# each --parallel worker one.
+# (N, d, d) arrays. A qepi or concavity trial costs about 0.1 ms, less than a
+# pool worker's first block costs to start, so their blocks are not split
+# further to give each --parallel worker one.
 _BLOCK_SIZE = {"qepi": 512, "concavity": 512}
+
+# Most trials per block of lemma and conjecture, which run trial by trial.
+# A pool block costs about 0.7 ms of CPU to send and return, half a d=2 lemma
+# trial, so a block carries many trials.
+_TRIAL_BY_TRIAL_BLOCK = 32
 
 # Bytes of the largest stacked array of a theorem block's climb: the basis
 # outcome pairs of the joint output, 16 bytes x K searched kappas x
 # CLIMB_RESTARTS x (e1 e2)^3 per trial. 6 MiB holds 16 trials at
 # e1 = e2 = 4 with the grid's K = 2.
 _THEOREM_BLOCK_BYTES = 6 * 2**20
+
+# Blocks submitted to the --parallel pool and not yet handed to the caller,
+# per worker.
+_WINDOW_PER_WORKER = 2
 
 _HISTOGRAM_EDGES = (-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3)
 
@@ -770,14 +781,18 @@ def _run_block(experiment: str, cfg: TrialConfig, indices: range) -> list[TrialR
 
 
 def _block_size(experiment: str, cfg: TrialConfig, workers: int) -> int:
-    """Trials per block: _BLOCK_SIZE, and for theorem the trials divided
-    evenly over the workers, so each gets a block, but no more than
-    _THEOREM_BLOCK_BYTES holds."""
-    if experiment != "theorem":
-        return _BLOCK_SIZE.get(experiment, 1)
-    searched = sum(1 for kappa, _ in resolve_kappas(cfg) if kappa > 0.0)
-    per_trial = 16 * max(searched, 1) * CLIMB_RESTARTS * (cfg.d_e1 * cfg.d_e2) ** 3
-    return min(max(1, _THEOREM_BLOCK_BYTES // per_trial), math.ceil(cfg.trials / workers))
+    """Trials per block: _BLOCK_SIZE for qepi and concavity. The others get
+    the trials divided evenly over the workers, so each gets a block, but no
+    more than _TRIAL_BY_TRIAL_BLOCK, or for theorem than _THEOREM_BLOCK_BYTES
+    holds."""
+    if experiment in _BLOCK_SIZE:
+        return _BLOCK_SIZE[experiment]
+    cap = _TRIAL_BY_TRIAL_BLOCK
+    if experiment == "theorem":
+        searched = sum(1 for kappa, _ in resolve_kappas(cfg) if kappa > 0.0)
+        per_trial = 16 * max(searched, 1) * CLIMB_RESTARTS * (cfg.d_e1 * cfg.d_e2) ** 3
+        cap = max(1, _THEOREM_BLOCK_BYTES // per_trial)
+    return min(cap, math.ceil(cfg.trials / workers))
 
 
 def _run_blocks(experiment: str, cfg: TrialConfig, parallel: int) -> Iterator[list[TrialRecord]]:
@@ -799,8 +814,22 @@ def _run_blocks(experiment: str, cfg: TrialConfig, parallel: int) -> Iterator[li
         return
     from concurrent.futures import ProcessPoolExecutor
 
+    # Not Executor.map: it submits every block at once, so finished results
+    # pile up until the caller asks for them. The window keeps the workers
+    # busy while this process holds only that many blocks.
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(run, blocks, chunksize=math.ceil(len(blocks) / workers))
+        pending: deque = deque()
+        try:
+            for indices in blocks:
+                pending.append(pool.submit(run, indices))
+                if len(pending) == _WINDOW_PER_WORKER * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            # On an error or an abandoned generator the blocks not yet
+            # started are dropped; leaving the block joins the workers.
+            pool.shutdown(cancel_futures=True)
 
 
 def run_experiment(experiment: str, cfg: TrialConfig, parallel: int = 1):

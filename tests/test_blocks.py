@@ -9,6 +9,8 @@ depend on it.
 """
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -154,8 +156,9 @@ _BLOCK_SIZES = [
     ("qepi", (3, 2, 2), "grid", 4000, 1, 512),
     ("qepi", (3, 2, 2), "grid", 50, 2, 512),  # not split over the workers
     ("concavity", (4, 2, 2), "max", 600, 2, 512),
-    ("lemma", (3, 3, 3), "grid", 20, 1, 1),
-    ("conjecture", (2, 2, 2), "grid", 20, 2, 1),
+    ("lemma", (3, 3, 3), "grid", 20, 1, 20),
+    ("conjecture", (2, 2, 2), "grid", 20, 2, 10),
+    ("lemma", (3, 3, 3), "grid", 1000, 2, 32),  # the cap
 ]
 
 
@@ -180,6 +183,50 @@ def test_run_records_splits_trials_into_blocks_of_the_rule(monkeypatch):
     list(harness._run_blocks("theorem", TrialConfig(d=2, trials=50, seed=3), 1))
     list(harness._run_blocks("theorem", TrialConfig(d=2, trials=3, seed=3), 2))
     assert seen == [range(0, 50), range(0, 3)]
+
+
+def test_parallel_blocks_come_in_index_order_within_a_window(monkeypatch):
+    # 30 blocks of 7 at two workers: the caller receives block i while at most
+    # 2 x 2 later blocks are submitted.
+    monkeypatch.setitem(harness._BLOCK_SIZE, "qepi", 7)
+    submitted = []
+    real_submit = ProcessPoolExecutor.submit
+
+    def counting(pool, fn, indices):
+        submitted.append(indices)
+        return real_submit(pool, fn, indices)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counting)
+    cfg = TrialConfig(d=2, trials=207, seed=47)
+    starts = []
+    for block in harness._run_blocks("qepi", cfg, 2):
+        starts.append(block[0].index)
+        assert len(submitted) - len(starts) <= 2 * 2
+    assert starts == list(range(0, 207, 7))
+    assert submitted == [range(start, min(start + 7, 207)) for start in starts]
+
+
+def test_parallel_failure_names_its_trial_and_stops_the_pool(monkeypatch, tmp_path):
+    # Block 1 of 30 fails in a worker. Its error reaches the caller named,
+    # blocks beyond the window never run, and no worker outlives the run.
+    monkeypatch.setitem(harness._BLOCK_SIZE, "qepi", 7)
+    real = harness._TRIAL_FNS["qepi"]
+
+    def fails_in_block_one(cfg, indices):
+        (tmp_path / f"block-{indices.start}").touch()
+        if 10 in indices:
+            raise ValidationError("planted")
+        return real(cfg, indices)
+
+    monkeypatch.setitem(harness._TRIAL_FNS, "qepi", fails_in_block_one)
+    cfg = TrialConfig(d=2, trials=210, seed=53)
+    with pytest.raises(ValidationError) as err:
+        run_experiment("qepi", cfg, parallel=2)
+    key = (53, harness._STREAM_BASE["qepi"] + 10)
+    assert str(err.value) == f"qepi trial 10, stream key {key}: planted"
+    ran = {int(path.name.split("-")[1]) // 7 for path in tmp_path.iterdir()}
+    assert 1 in ran and max(ran) <= 2 * 2, sorted(ran)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("kind, rank", _KINDS[:3], ids=["ginibre", "pure", "rank-k:1"])

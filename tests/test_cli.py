@@ -282,9 +282,10 @@ print(proc.returncode, usage.ru_maxrss)
 """
 
 
-def _peak_rss_kb(trials: int) -> int:
-    """ru_maxrss (KiB on Linux) of one verify-qepi --dim 3 launch."""
-    argv = ["verify-qepi", "--dim", "3", "--parallel", "1", "--trials", str(trials), "--out", "-"]
+def _peak_rss_kb(trials: int, workers: int) -> int:
+    """ru_maxrss (KiB on Linux) of the largest process of one verify-qepi
+    --dim 3 launch; the rusage from os.wait4 covers the reaped workers."""
+    argv = ["verify-qepi", "--dim", "3", "--parallel", str(workers), "--trials", str(trials), "--out", "-"]
     # One BLAS thread: a thread pool's buffers would add start-up noise.
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     launcher = [sys.executable, "-c", _WAIT4, sys.executable, "-m", "qudit_epi.cli"]
@@ -297,6 +298,54 @@ def _peak_rss_kb(trials: int) -> int:
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
 def test_peak_memory_grows_by_less_than_0_8_kb_per_trial():
     # A run holds its rendered output (about 0.28 KB per qepi-d3 trial) plus
-    # one block of records; holding every record grows about 1.8 KB per trial.
-    small, large = _peak_rss_kb(2000), _peak_rss_kb(20000)
-    assert (large - small) / 18000 < 0.8, (small, large)
+    # one block of records, and at --parallel 2 the window of blocks the pool
+    # has not handed over; holding every record grows about 1.8 KB per trial.
+    for workers in (1, 2):
+        small, large = _peak_rss_kb(2000, workers), _peak_rss_kb(20000, workers)
+        assert (large - small) / 18000 < 0.8, (workers, small, large)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-qepi", "--dim", "3", "--trials", "1100"], ["verify-theorem", "--dim", "2", "--trials", "12"]],
+    ids=["qepi-d3", "theorem-d2"],
+)
+def test_launched_cli_writes_the_bytes_of_in_process_dispatch(monkeypatch, capsys, argv, workers):
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    argv = [*argv, "--seed", "42", "--parallel", workers, "--out", "-"]
+    launched = subprocess.run([sys.executable, "-m", "qudit_epi.cli", *argv], capture_output=True, check=True)
+    assert dispatch(argv) == 0
+    assert launched.stdout == capsys.readouterr().out.encode()
+
+
+def test_main_freezes_the_import_time_heap():
+    # dispatch is replaced by a stub that reports what main left frozen.
+    code = (
+        "import gc\n"
+        "from qudit_epi import cli\n"
+        "cli.dispatch = lambda: print(gc.get_freeze_count()) or 0\n"
+        "cli.main()\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert int(done.stdout) > 0
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # The reader goes away before reading: the output (about 0.85 MB) cannot
+    # fit the pipe, so the write hits a broken pipe.
+    argv = [sys.executable, "-m", "qudit_epi.cli", "verify-qepi", "--dim", "3", "--trials", "3000", "--out", "-"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
+
+
+def test_parallel_defaults_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert build_parser().parse_args(["verify-qepi"]).parallel == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert build_parser().parse_args(["verify-qepi"]).parallel == 8
