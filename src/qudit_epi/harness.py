@@ -275,8 +275,11 @@ def _kappa_grid(cfg: TrialConfig, prefix: str):
 def _verdict(cfg: TrialConfig, slacks: dict, residuals: dict, soft=frozenset()) -> dict[str, bool]:
     """The pass flags of a trial: each slack not in `soft` must be >= -tol and
     each residual <= tol, with tol = --tol. Soft slacks are diagnostics."""
-    flags = {key: value >= -cfg.tolerance for key, value in slacks.items() if key not in soft}
-    flags.update((key, value <= cfg.tolerance) for key, value in residuals.items())
+    tol = cfg.tolerance
+    low = -tol
+    flags = {key: value >= low for key, value in slacks.items() if key not in soft}
+    for key, value in residuals.items():
+        flags[key] = value <= tol
     return flags
 
 
@@ -857,7 +860,8 @@ def summarize(records: Iterable[TrialRecord], metadata: dict | None = None) -> S
     """Fold records in one pass; the result does not depend on their order.
 
     A NaN slack or residual is sticky: it becomes its key's min_slack or the
-    max_residual, whatever records come before or after it.
+    max_residual, whatever records come before or after it, and a record with
+    a NaN slack lands in the last histogram bin, whatever its other slacks.
     """
     trials = violations = 0
     min_slack: dict[str, float] = {}
@@ -866,15 +870,17 @@ def summarize(records: Iterable[TrialRecord], metadata: dict | None = None) -> S
     for r in records:
         trials += 1
         violations += not r.passed
+        worst = math.inf
         for key, value in r.slacks.items():
             low = min_slack.get(key)
             if low is None or value < low or value != value:
                 min_slack[key] = value
+            if value < worst or value != value:
+                worst = value
         for value in r.residuals.values():
             if value > max_residual or value != value:
                 max_residual = value
         if r.slacks:
-            worst = min(r.slacks.values())
             counts[bisect.bisect_right(_HISTOGRAM_EDGES, worst)] += 1
     if not trials:
         raise QuditEpiError("no records to summarize")

@@ -4,9 +4,11 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qudit_epi import harness
 from qudit_epi.cli import (
@@ -17,11 +19,20 @@ from qudit_epi.cli import (
     dispatch,
     emit,
     parse_lines,
+    record_to_object,
     render_line,
     render_records,
 )
 from qudit_epi.errors import ValidationError
-from qudit_epi.harness import Summary, TrialConfig, TrialRecord, run_experiment
+from qudit_epi.harness import (
+    EXPERIMENTS,
+    Summary,
+    TrialConfig,
+    TrialRecord,
+    run_conjecture_trial,
+    run_experiment,
+    run_lemma_trial,
+)
 
 
 def _run(args, **kw):
@@ -61,6 +72,82 @@ def test_render_line_equals_json_dumps():
         "nested": {"slacks": {"a": -0.0, "b": {"c": [1e-300, {}]}}, "residuals": {}},
     }
     assert render_line(obj) == json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def _json_route(records, with_experiment):
+    return "".join(render_line(record_to_object(r, with_experiment)) for r in records)
+
+
+_SCALARS = st.floats() | st.integers(-(2**70), 2**70) | st.booleans()
+_KEYS = st.text(st.sampled_from('ak.0"\\%:κ\u00e9\x00\U0001d11e') | st.characters(), max_size=5)
+
+
+@st.composite
+def _blocks(draw):
+    # A few shapes, then records that each take one of them, so that shapes
+    # repeat and interleave within a block.
+    shapes = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(EXPERIMENTS),
+                st.lists(st.floats(), max_size=3).map(tuple),
+                st.lists(_KEYS, max_size=4, unique=True),
+                st.lists(_KEYS, max_size=3, unique=True),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    records = []
+    for _ in range(draw(st.integers(0, 6))):
+        experiment, kappas, slack_keys, residual_keys, negligible = draw(st.sampled_from(shapes))
+        record = TrialRecord(
+            experiment,
+            draw(st.integers(0, 2**64)),
+            draw(_SCALARS),
+            kappas,
+            {key: draw(_SCALARS) for key in slack_keys},
+            {key: draw(_SCALARS) for key in residual_keys},
+            {"ok": draw(st.booleans())},
+            negligible=draw(st.integers(1, 2**40)) if negligible else 0,
+        )
+        records.append(record)
+    return records
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=_blocks(), with_experiment=st.booleans())
+def test_render_records_equals_json_route(records, with_experiment):
+    assert render_records(records, with_experiment) == _json_route(records, with_experiment)
+
+
+def test_render_records_equals_json_route_on_edge_values():
+    edge_floats = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1 / 3]
+    slacks = {f"f{i}": value for i, value in enumerate(edge_floats)} | {'q"\\%s%%κ': 3, "int": -(2**64), "bool": False}
+    records = [
+        TrialRecord("qepi", 7, 0.5, (0.0, -0.0, 1e16), slacks, {"r%": True, "é": 1e-300}, {"a": True}),
+        TrialRecord("qepi", 8, 1.0, (0.0, 0.0, 1e16), slacks, {"r%": True, "é": -1e-300}, {"a": False}),
+        TrialRecord("lemma", 2**64 - 1, -0.0, (), {}, {}, {}, negligible=3),
+        TrialRecord("concavity", 0, 0, (-0.0,), {"x": 1}, {}, {}),
+    ]
+    for with_experiment in (False, True):
+        assert render_records(records, with_experiment) == _json_route(records, with_experiment)
+
+
+def test_render_records_follows_shape_changes_mid_block():
+    # A conjecture record gains a conjecture_perturbed slack when it re-checks
+    # a candidate; a lemma record carries negligible_outcomes only when some
+    # outcome was skipped.
+    cfg = TrialConfig(d=2, d_e1=2, d_e2=2, trials=1, seed=10)
+    conjecture = [run_conjecture_trial(cfg, i) for i in range(12)]
+    assert len({"conjecture_perturbed" in r.slacks for r in conjecture}) == 2
+    lemma = run_lemma_trial(cfg, 0)
+    assert not lemma.negligible
+    lemmas = [lemma, replace(lemma, index=1, negligible=2), replace(lemma, index=2)]
+    for records in (conjecture, lemmas, conjecture[:3] + lemmas + conjecture[3:]):
+        for with_experiment in (False, True):
+            assert render_records(records, with_experiment) == _json_route(records, with_experiment)
 
 
 def test_manifest_roundtrip():

@@ -247,6 +247,23 @@ def test_hard_check_key_sets(fn, cfg, expected):
         assert set(fn(cfg, i).pass_flags) == expected, i
 
 
+def test_verdict_flags():
+    # Slack flags come first, then residual flags; a soft slack gets none; a
+    # value on the tolerance passes and a NaN fails.
+    tol = 1e-9
+    slacks = {"s.hard": -tol, "s.soft": -1.0, "s.nan": math.nan, "s.low": -2 * tol}
+    residuals = {"r.edge": tol, "r.nan": math.nan, "r.high": 2 * tol}
+    flags = harness._verdict(TrialConfig(tolerance=tol), slacks, residuals, {"s.soft"})
+    assert list(flags.items()) == [
+        ("s.hard", True),
+        ("s.nan", False),
+        ("s.low", False),
+        ("r.edge", True),
+        ("r.nan", False),
+        ("r.high", False),
+    ]
+
+
 def test_validate_config_rejects_out_of_envelope():
     with pytest.raises(UsageError):
         validate_config(TrialConfig(d=7), "qepi")
@@ -357,10 +374,14 @@ def test_summarize_order_independent():
     ],
 )
 def test_summarize_histogram_bins(worst, bin_index):
-    # A value on an edge falls in the bin to its right; NaN falls in the last bin.
-    record = TrialRecord("qepi", 0, 0.5, (), {"a": worst, "b": 1.0}, {}, {})
-    counts = summarize([record]).histogram["counts"]
-    assert counts == [int(i == bin_index) for i in range(8)]
+    # A record falls in the bin of its worst slack, to the right of an edge it
+    # lies on. A NaN slack is the worst, in either key order, and falls in the
+    # last bin.
+    other = -1.0 if math.isnan(worst) else math.inf
+    for slacks in ({"a": worst, "b": other}, {"a": other, "b": worst}):
+        record = TrialRecord("qepi", 0, 0.5, (), slacks, {}, {})
+        counts = summarize([record]).histogram["counts"]
+        assert counts == [int(i == bin_index) for i in range(8)], slacks
 
 
 def test_summarize_nan_is_sticky_in_either_order():

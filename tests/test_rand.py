@@ -34,10 +34,12 @@ def _mixed_draws(gen):
 
 
 def test_keyed_streams_replay_fresh_generators():
-    streams = KeyedStreams(9)
-    for stream in (5, 2**40 + 1, 5, 0, 2**64 - 1):
-        # Each re-key starts clean even after an odd number of 32-bit draws.
-        assert _mixed_draws(streams.at(stream)) == _mixed_draws(RandomSource(9, stream).generator())
+    for master_seed in (9, 2**64 - 1):
+        streams = KeyedStreams(master_seed)
+        for stream in (5, 2**40 + 1, 5, 0, 2**63, 2**64 - 1):
+            # Each re-key starts clean even after an odd number of 32-bit draws.
+            fresh = RandomSource(master_seed, stream).generator()
+            assert _mixed_draws(streams.at(stream)) == _mixed_draws(fresh), (master_seed, stream)
 
 
 def test_random_draws_what_uniform_draws():
