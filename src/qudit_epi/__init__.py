@@ -27,6 +27,7 @@ from .entropy import (
 )
 from .harness import (
     Summary,
+    TrialBlock,
     TrialConfig,
     TrialRecord,
     run_experiment,
@@ -63,6 +64,7 @@ __all__ = [
     "ConditionalOutcome",
     "TrialConfig",
     "TrialRecord",
+    "TrialBlock",
     "Summary",
     "make_density",
     "multipartite",

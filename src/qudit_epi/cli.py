@@ -1,17 +1,19 @@
 """Command-line entry point: configure, run, emit JSON lines, set exit status.
 
 Output layout: line 1 is the manifest, one line per trial follows, and the
-last line is the summary. Trials reach :func:`dispatch` one block at a time
-(``harness._run_blocks``); each block's lines are rendered into one string
-and its records are dropped before the next block runs, while ``summarize``
-folds them. So a run holds its rendered output plus one block of records.
-Nothing is written until every trial has run, so a failing run writes only
-its error. The manifest and summary lines go through :func:`render_line`, the
-stdlib JSON encoder. A trial line is a template that this encoder built once
-per record shape, filled with the line's scalars formatted by json's rules
-(:func:`render_records`), so it has the bytes ``render_line`` would write.
-Floats are serialized in their shortest round-trip repr (integral floats keep
-their ".0"), so files round-trip exactly and repeated runs are byte-identical.
+last line is the summary. Trials reach :func:`dispatch` one block of columns
+at a time (``harness._run_blocks`` yields ``harness.TrialBlock``s); each
+block's lines are rendered into one string and the block is dropped before
+the next one runs, while ``summarize`` folds it. So a run holds its rendered
+output plus one block's columns. Nothing is written until every trial has
+run, so a failing run writes only its error. The manifest and summary lines
+go through :func:`render_line`, the stdlib JSON encoder. A trial line is a
+template that this encoder built once per row shape, filled with the row's
+scalars, each column formatted at once by json's rules
+(:func:`render_block`), so it has the bytes ``render_line`` would write for
+the row's record. Floats are serialized in their shortest round-trip repr
+(integral floats keep their ".0"), so files round-trip exactly and repeated
+runs are byte-identical.
 
 Exit codes: 0 all hard checks passed; 2 a hard violation or a re-verified
 conjecture candidate (a finding, not a crash); 1 usage, configuration or I/O
@@ -33,10 +35,12 @@ import argparse
 import datetime
 import gc
 import json
+import math
 import os
 import sys
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 from ._version import __version__
 from .errors import QuditEpiError, UsageError
@@ -45,6 +49,7 @@ from .harness import (
     MAX_DIM,
     MAX_ENV_DIM,
     Summary,
+    TrialBlock,
     TrialConfig,
     TrialRecord,
     _run_blocks,
@@ -56,7 +61,7 @@ from .rand import RNG_ALGORITHM
 
 _EPOCH_TIMESTAMP = "1970-01-01T00:00:00+00:00"
 
-__all__ = ["RunManifest", "dispatch", "emit", "main", "render_line", "render_records", "parse_lines"]
+__all__ = ["RunManifest", "dispatch", "emit", "main", "render_line", "render_block", "parse_lines"]
 
 
 # ---------------------------------------------------------------- serialization
@@ -125,16 +130,18 @@ def _resolve_timestamp() -> str:
 
 
 def _check_out(out: str) -> None:
-    """Reject an --out path whose directory does not exist. The file itself
-    is only opened, and an existing one truncated, once every trial has run."""
+    """Reject an empty --out path or one whose directory does not exist. The
+    file itself is only opened, and an existing one truncated, once every
+    trial has run."""
     if out == "-":
         return
     directory = os.path.dirname(os.path.abspath(out))
-    if not os.path.isdir(directory) or os.path.isdir(out):
+    if not out or not os.path.isdir(directory) or os.path.isdir(out):
         raise UsageError(f"cannot write {out!r}: not a file in an existing directory")
 
 
 def record_to_object(record: TrialRecord, with_experiment: bool) -> dict:
+    """The trial line object of `record` (or of any object with its fields)."""
     obj: dict = {"type": "trial"}
     if with_experiment:
         obj["experiment"] = record.experiment
@@ -164,65 +171,81 @@ def summary_to_object(summary: Summary) -> dict:
 _HOLE = "\0"
 _HOLE_JSON = ":" + _ENCODER.encode(_HOLE)
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_BOOL = {True: "true", False: "false"}
 
 
-def _scalar(value) -> str:
-    """`value` (a float, bool or int) as the encoder writes it."""
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NONFINITE.get(text, text)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return int.__repr__(value)
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
 
 
-def _line_template(record: TrialRecord, with_experiment: bool) -> str:
-    """`record`'s trial line as a %-format: the encoder's line for a record of
-    its shape with a `%s` for each scalar, in the order render_records fills them."""
-    hole = replace(
-        record,
+def _json_floats(column: list) -> Iterable:
+    """The floats of `column` as the encoder writes them; None stays None."""
+    if None in column:
+        return [None if value is None else _json_float(value) for value in column]
+    if math.isfinite(sum(column)):  # else a NaN or an infinity, or an overflow
+        return map(float.__repr__, column)
+    return map(_json_float, column)
+
+
+def _line_template(block: TrialBlock, absent: tuple, with_experiment: bool) -> str:
+    """The trial line of a row of `block` as a %-format: the encoder's line
+    for the row's record with a `%s` for each scalar it holds. `absent` flags
+    the scalars of :func:`render_block`'s order that the row lacks."""
+    slack_keys = len(block.slacks)
+    hole = SimpleNamespace(
+        experiment=block.experiment,
         index=_HOLE,
         tau=_HOLE,
-        slacks=dict.fromkeys(record.slacks, _HOLE),
-        residuals=dict.fromkeys(record.residuals, _HOLE),
-        negligible=record.negligible and _HOLE,
+        kappas=block.kappas,
+        slacks={key: _HOLE for key, gone in zip(block.slacks, absent[2:]) if not gone},
+        residuals={key: _HOLE for key, gone in zip(block.residuals, absent[2 + slack_keys :]) if not gone},
+        passed=_HOLE,
+        negligible=0 if absent[-1] else _HOLE,
     )
-    hole.passed = _HOLE
     return render_line(record_to_object(hole, with_experiment)).replace("%", "%%").replace(_HOLE_JSON, ":%s")
 
 
-def render_records(records: Iterable[TrialRecord], with_experiment: bool) -> str:
-    """The trial lines of `records`, joined into one string.
+def render_block(block: TrialBlock, with_experiment: bool) -> str:
+    """The trial lines of `block`, joined into one string.
 
-    Each line is what ``render_line(record_to_object(r, with_experiment))``
-    writes. Lines of one shape (experiment, kappas, slack and residual keys,
-    negligible outcomes or none) share one template that the encoder built,
-    and each line formats only its scalars.
+    Each line is what ``render_line(record_to_object(row, with_experiment))``
+    writes for the row's record (``block.rows()``). Each column is formatted
+    at once. Rows of one shape (the keys they hold, negligible outcomes or
+    none) share one template that the encoder built, and each line fills in
+    its row's scalars: index, tau, slacks, residuals, pass, negligible.
     """
+    negligible = [int.__repr__(count) if count else None for count in block.negligible]
+    values = [*block.slacks.values(), *block.residuals.values()]
+    scalars = [
+        map(int.__repr__, block.indices),
+        _json_floats(block.taus),
+        *map(_json_floats, values),
+        map(_JSON_BOOL.__getitem__, block.passed),
+        negligible,
+    ]
+    uncounted = negligible.count(None)
+    if not any(None in column for column in values) and uncounted in (0, len(negligible)):
+        # Every row has the same shape.
+        counted = not uncounted
+        template = _line_template(block, (False,) * (len(scalars) - 1) + (not counted,), with_experiment)
+        return "".join(map(template.__mod__, zip(*(scalars if counted else scalars[:-1]))))
     templates: dict = {}
     lines = []
-    for r in records:
-        # The kappas count by identity too, as 0.0 == -0.0 prints differently;
-        # the key holds them, so their id is not reused while it lives.
-        shape = (r.experiment, r.kappas, id(r.kappas), tuple(r.slacks), tuple(r.residuals), not r.negligible)
+    for row in zip(*scalars):
+        shape = tuple([value is None for value in row])
         template = templates.get(shape)
         if template is None:
-            template = templates[shape] = _line_template(r, with_experiment)
-        scalars = [r.index, r.tau, *r.slacks.values(), *r.residuals.values(), r.passed]
-        if r.negligible:
-            scalars.append(r.negligible)
-        # tuple() of a list has the exact size. Of a map it is cut down from
-        # 10 items, and such tuples pile up in their size's free list (up to
-        # 2000 of them, about 0.2 MB) instead of being reused.
-        lines.append(template % tuple([_scalar(v) for v in scalars]))
+            template = templates[shape] = _line_template(block, shape, with_experiment)
+        # tuple() of a list has the exact size. Of a generator it is cut down
+        # from 10 items, and such tuples pile up in their size's free list.
+        lines.append(template % tuple([value for value in row if value is not None]))
     return "".join(lines)
 
 
 def emit(manifest: RunManifest, body: Iterable[str], summary: Summary, out: str) -> None:
     """Write the manifest line, the rendered trial lines `body` (strings of
-    whole lines, see :func:`render_records`), then the summary line."""
+    whole lines, see :func:`render_block`), then the summary line."""
     parts = [render_line(manifest.to_object()), *body, render_line(summary_to_object(summary))]
     if out == "-":
         sys.stdout.writelines(parts)
@@ -290,7 +313,7 @@ _COMMANDS = {
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="qudit-epi", description=__doc__)
+    parser = _Parser(prog="qudit-epi", description="Randomized checks of the partial-swap entropy power inequalities.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (desc, _) in _COMMANDS.items():
         _add_common(sub.add_parser(name, help=desc))
@@ -354,16 +377,16 @@ def dispatch(argv=None) -> int:
 
         body: list[str] = []
 
-        def records():
-            # Render each block as it arrives and hand its records to the
-            # fold; the block is dropped before the next one runs.
+        def blocks():
+            # Render each block as it arrives and hand it to the fold; the
+            # block is dropped before the next one runs.
             for experiment in experiments:
                 for block in _run_blocks(experiment, cfg, args.parallel):
-                    body.append(render_records(block, args.command == "all"))
-                    yield from block
+                    body.append(render_block(block, args.command == "all"))
+                    yield block
                     del block
 
-        summary = summarize(records(), run_metadata(cfg))
+        summary = summarize(blocks(), run_metadata(cfg))
         manifest = RunManifest(command=args.command, config=cfg, timestamp=timestamp)
         emit(manifest, body, summary, args.out)
         return 2 if summary.violations else 0

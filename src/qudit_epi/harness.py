@@ -18,35 +18,41 @@ Five experiment families:
 Every trial derives all of its randomness from (seed, experiment base + trial
 index), so trials can run in any order or in parallel and replay exactly.
 
-Trials run in blocks. A block function takes each trial's tau and its stream
-from one generator that :func:`_trial_streams` re-keys per trial, and draws
-that trial's values in the order of the one-trial code. Each experiment takes
-its kappas and their slack keys from :func:`_kappa_grid`.
+Trials run in blocks, and a block travels as columns (:class:`TrialBlock`)
+from its block function to the rendered lines and the summary: no per-trial
+object is built on the way. A block function takes each trial's tau and its
+stream from one generator that :func:`_trial_streams` re-keys per trial, and
+draws that trial's values in the order of the one-trial code. Each experiment
+takes its kappas and their slack keys from :func:`_kappa_grid`.
 qepi and concavity compute a block as stacked (N, d, d) arrays: they
-validate, mix and take spectra and entropies of the whole block at once.
+validate, mix and take spectra and entropies of the whole block at once, and
+fill each column from those stacks.
 theorem stacks every step of a block: the setting draws, the global channel
 (one :func:`partial_swap_global` call), one lockstep climb
 (:func:`climb_product_basis`) over all their kappas and restarts, and the
 validated conditioning at the pairs found. Either way every value equals what
-the trial alone computes, bit for bit, so no record depends on the block size
-or --parallel. lemma and conjecture run trial by trial within a block.
+the trial alone computes, bit for bit, so no line depends on the block size
+or --parallel. lemma and conjecture run trial by trial within a block, each
+trial a block of one row, and :func:`_trial_by_trial` gathers the rows.
 :func:`_block_size` sizes the blocks. A block that raises is rerun trial by
 trial, so the error names the first failing trial. :func:`_run_blocks` hands
-the caller one block's records at a time, in index order, whether the block
-ran in this process or in the pool; a serial block runs only when the caller
-asks for it, so a caller that drops each block before asking for the next
-holds one block of records, and :func:`summarize` folds them in one pass.
+the caller one block at a time, in index order, whether the block ran in this
+process or in the pool; a serial block runs only when the caller asks for it,
+so a caller that drops each block before asking for the next holds one
+block, and :func:`summarize` folds the blocks column by column in one pass.
 The pool runs at most :data:`_WINDOW_PER_WORKER` blocks per worker ahead of
-the caller.
+the caller. :class:`TrialRecord` is the row view of a block
+(:meth:`TrialBlock.rows`) that :func:`run_experiment` and the
+``run_<name>_trial`` functions return.
 
-A trial function only computes slacks (must be >= minus the tolerance) and
+A block function only computes slacks (must be >= minus the tolerance) and
 residuals (must be <= the tolerance); one verdict rule, :func:`_verdict`,
-turns them into pass flags, skipping the slacks a trial names as diagnostics.
+turns their columns into pass flag columns, skipping the slacks a trial names
+as diagnostics.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from collections import deque
@@ -138,6 +144,7 @@ _HISTOGRAM_EDGES = (-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3)
 __all__ = [
     "TrialConfig",
     "TrialRecord",
+    "TrialBlock",
     "Summary",
     "EXPERIMENTS",
     "validate_config",
@@ -185,6 +192,46 @@ class TrialRecord:
 
     def __post_init__(self):
         self.passed = all(self.pass_flags.values())
+
+
+@dataclass
+class TrialBlock:
+    """The trials of one block as columns: row i is trial indices[i].
+
+    Each slack, residual and pass flag key maps to a column with one entry
+    per row; a row that lacks the key holds None there. Slacks and residuals
+    are floats. A negligible count of 0 means the trial skipped no outcome.
+    """
+
+    experiment: str
+    indices: range
+    taus: list[float]
+    kappas: tuple[float, ...]
+    slacks: dict[str, list]
+    residuals: dict[str, list]
+    pass_flags: dict[str, list]
+    negligible: list[int]
+    passed: list[bool] = field(init=False)  # per row, all of its flags; set on construction
+
+    def __post_init__(self):
+        flags = self.pass_flags.values()
+        self.passed = [False not in row for row in zip(*flags)] if flags else [True] * len(self.taus)
+
+    def rows(self) -> list[TrialRecord]:
+        """Row i as the record of trial indices[i], holding the keys it has."""
+        n = len(self.taus)
+        slacks, residuals, flags = (_row_dicts(c, n) for c in (self.slacks, self.residuals, self.pass_flags))
+        return [
+            TrialRecord(self.experiment, index, tau, self.kappas, *row, negligible=count)
+            for index, tau, count, *row in zip(self.indices, self.taus, self.negligible, slacks, residuals, flags)
+        ]
+
+
+def _row_dicts(columns: dict[str, list], n: int) -> list[dict]:
+    """The n rows of `columns` as dicts, without the keys a row holds None for."""
+    if not columns:
+        return [{} for _ in range(n)]
+    return [{key: v for key, v in zip(columns, row) if v is not None} for row in zip(*columns.values())]
 
 
 @dataclass
@@ -272,14 +319,20 @@ def _kappa_grid(cfg: TrialConfig, prefix: str):
     return tuple(k for k, _ in kappas), keys, {key for key, (_, hard) in zip(keys, kappas) if not hard}
 
 
-def _verdict(cfg: TrialConfig, slacks: dict, residuals: dict, soft=frozenset()) -> dict[str, bool]:
-    """The pass flags of a trial: each slack not in `soft` must be >= -tol and
-    each residual <= tol, with tol = --tol. Soft slacks are diagnostics."""
+def _verdict(cfg: TrialConfig, slacks: dict, residuals: dict, soft=frozenset()) -> dict[str, list]:
+    """The pass flag columns of a block's slack and residual columns: each
+    slack not in `soft` must be >= -tol and each residual <= tol, with
+    tol = --tol. Soft slacks are diagnostics. A row without a value (None)
+    gets no flag (None)."""
     tol = cfg.tolerance
     low = -tol
-    flags = {key: value >= low for key, value in slacks.items() if key not in soft}
-    for key, value in residuals.items():
-        flags[key] = value <= tol
+    flags = {
+        key: [None if value is None else value >= low for value in column]
+        for key, column in slacks.items()
+        if key not in soft
+    }
+    for key, column in residuals.items():
+        flags[key] = [None if value is None else value <= tol for value in column]
     return flags
 
 
@@ -289,7 +342,7 @@ def _trial_source(cfg: TrialConfig, experiment: str, index: int) -> RandomSource
 
 def _draw_tau(cfg: TrialConfig, index: int, gen: np.random.Generator) -> float:
     if cfg.tau is not None:
-        return cfg.tau
+        return float(cfg.tau)  # an int tau is written as a float too
     if index < len(_FORCED_TAUS):
         return _FORCED_TAUS[index]
     return float(gen.random())
@@ -345,6 +398,12 @@ def _conditioned_pieces(joint, s1, s2, m1, m2):
 
 
 def run_lemma_trial(cfg: TrialConfig, index: int) -> TrialRecord:
+    """Conditional identity and majorization on one random setting (see
+    :func:`_lemma_trial`)."""
+    return _lemma_trial(cfg, index).rows()[0]
+
+
+def _lemma_trial(cfg: TrialConfig, index: int) -> TrialBlock:
     """Check the conditional identity and majorization on one random setting.
 
     For every outcome pair above the probability floor: the conditioned
@@ -379,22 +438,15 @@ def run_lemma_trial(cfg: TrialConfig, index: int) -> TrialRecord:
             min_slack = min(min_slack, slack)
             total_resid = max(total_resid, abs(total))
 
-    slacks = {"lemma_majorization": min_slack}
+    slacks = {"lemma_majorization": [min_slack]}
     residuals = {
-        "lemma_identity": identity_resid,
-        "major_total": total_resid,
-        "factorization": factor_resid,
-        "prob_norm": prob_norm,
+        "lemma_identity": [identity_resid],
+        "major_total": [total_resid],
+        "factorization": [factor_resid],
+        "prob_norm": [prob_norm],
     }
-    return TrialRecord(
-        experiment="lemma",
-        index=index,
-        tau=tau,
-        kappas=(),
-        slacks=slacks,
-        residuals=residuals,
-        pass_flags=_verdict(cfg, slacks, residuals),
-        negligible=negligible,
+    return TrialBlock(
+        "lemma", range(index, index + 1), [tau], (), slacks, residuals, _verdict(cfg, slacks, residuals), [negligible]
     )
 
 
@@ -499,7 +551,7 @@ def _measured_slack(tau: float, kappa: float, pieces) -> float:
     return lhs - tau * rhs[0] - (1.0 - tau) * rhs[1]
 
 
-def _theorem_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
+def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     """Per-measurement conditional entropy power inequality on the settings
     of trials `indices`.
 
@@ -554,52 +606,43 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
         entropies[~negligible] = kept_entropies
         pieces.append((probs.tolist(), negligible.tolist(), entropies.tolist()))
 
-    records = []
-    for i, (index, tau) in enumerate(zip(indices, taus)):
+    slacks: dict[str, list] = {key: [] for key in keys}
+    prob_norms, skipped = [], []
+    for i, tau in enumerate(taus):
         # trial[state][pair]: one measurement's (probabilities, negligible flags, entropies).
         trial = [list(zip(probs[i], negligible[i], entropies[i])) for probs, negligible, entropies in pieces]
         grids = [q for q, _, _ in trial[2]]
         prob_norm = abs(sum(grids[0]) - 1.0)
-        slacks: dict[str, float] = {}
         for t, (key, kappa) in enumerate(zip(keys, kappas)):
             pair = 1 + searched.index(t) if kappa > 0.0 else 0
             if pair:
                 prob_norm = max(prob_norm, abs(sum(grids[pair]) - 1.0))
-            slacks[key] = _measured_slack(tau, kappa, [state[pair] for state in trial])
+            slacks[key].append(_measured_slack(tau, kappa, [state[pair] for state in trial]))
+        prob_norms.append(prob_norm)
+        skipped.append(sum(trial[2][0][1]))
 
-        residuals = {"prob_norm": prob_norm}
-        records.append(
-            TrialRecord(
-                experiment="theorem",
-                index=index,
-                tau=tau,
-                kappas=kappas,
-                slacks=slacks,
-                residuals=residuals,
-                pass_flags=_verdict(cfg, slacks, residuals, soft),
-                negligible=sum(trial[2][0][1]),
-            )
-        )
-    return records
+    residuals = {"prob_norm": prob_norms}
+    flags = _verdict(cfg, slacks, residuals, soft)
+    return TrialBlock("theorem", indices, taus, kappas, slacks, residuals, flags, skipped)
 
 
 def run_theorem_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     """Per-measurement conditional entropy power inequality on one setting
     (see :func:`_theorem_block`)."""
-    return _theorem_block(cfg, range(index, index + 1))[0]
+    return _theorem_block(cfg, range(index, index + 1)).rows()[0]
 
 
 def run_qepi_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     """Unconditional entropy power inequality and spectral majorization."""
-    return _qepi_block(cfg, range(index, index + 1))[0]
+    return _qepi_block(cfg, range(index, index + 1)).rows()[0]
 
 
 def run_concavity_trial(cfg: TrialConfig, index: int) -> TrialRecord:
     """Midpoint concavity of the entropy power on a random simplex pair."""
-    return _concavity_block(cfg, range(index, index + 1))[0]
+    return _concavity_block(cfg, range(index, index + 1)).rows()[0]
 
 
-def _qepi_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
+def _qepi_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     """qepi trials `indices`: per trial, draw order tau, state 1, state 2."""
     d = cfg.d
     cols = state_columns(d, cfg.state_kind, cfg.rank)
@@ -615,34 +658,22 @@ def _qepi_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
     lam1, lam2, lam_out = (eigenvalues_descending_stack(e) for e in (eigs1, eigs2, eigs_out))
     t = tau_stack[:, None]
     maj_slacks, totals = prefix_slack_rows(t * lam1 + (1.0 - t) * lam2, lam_out)
-    entropies = zip(*(entropy_nats_rows(lam).tolist() for lam in (lam1, lam2, lam_out)))
+    rows = list(zip(taus, *(entropy_nats_rows(lam).tolist() for lam in (lam1, lam2, lam_out))))
 
     kappas, keys, soft = _kappa_grid(cfg, "qepi")
-    records = []
-    for index, tau, slack, total, (s1, s2, s_out) in zip(
-        indices, taus, maj_slacks.tolist(), totals.tolist(), entropies
-    ):
-        slacks = {"qepi_majorization": slack}
-        for key, kappa in zip(keys, kappas):
-            slacks[key] = (
-                math.exp(kappa * s_out) - tau * math.exp(kappa * s1) - (1.0 - tau) * math.exp(kappa * s2)
-            )
-        residuals = {"major_total": abs(total)}
-        records.append(
-            TrialRecord(
-                experiment="qepi",
-                index=index,
-                tau=tau,
-                kappas=kappas,
-                slacks=slacks,
-                residuals=residuals,
-                pass_flags=_verdict(cfg, slacks, residuals, soft),
-            )
-        )
-    return records
+    slacks = {"qepi_majorization": maj_slacks.tolist()}
+    for key, kappa in zip(keys, kappas):
+        slacks[key] = [
+            math.exp(kappa * s_out) - tau * math.exp(kappa * s1) - (1.0 - tau) * math.exp(kappa * s2)
+            for tau, s1, s2, s_out in rows
+        ]
+    residuals = {"major_total": np.abs(totals).tolist()}
+    return TrialBlock(
+        "qepi", indices, taus, kappas, slacks, residuals, _verdict(cfg, slacks, residuals, soft), [0] * len(taus)
+    )
 
 
-def _concavity_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
+def _concavity_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     """Concavity trials `indices`: per trial, draw order tau, p, q."""
     alpha = np.ones(cfg.d)
     taus = []
@@ -652,27 +683,16 @@ def _concavity_block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
         pq[row, 0] = gen.dirichlet(alpha)
         pq[row, 1] = gen.dirichlet(alpha)
     p, q = pq[:, 0], pq[:, 1]
-    entropies = zip(*(entropy_nats_rows(v).tolist() for v in (p, q, (p + q) / 2)))
+    entropies = list(zip(*(entropy_nats_rows(v).tolist() for v in (p, q, (p + q) / 2))))
 
     kappas, keys, soft = _kappa_grid(cfg, "concavity")
-    records = []
-    for index, tau, (hp, hq, hm) in zip(indices, taus, entropies):
-        slacks = {
-            key: math.exp(kappa * hm) - (math.exp(kappa * hp) + math.exp(kappa * hq)) / 2
-            for key, kappa in zip(keys, kappas)
-        }
-        records.append(
-            TrialRecord(
-                experiment="concavity",
-                index=index,
-                tau=tau,
-                kappas=kappas,
-                slacks=slacks,
-                residuals={},
-                pass_flags=_verdict(cfg, slacks, {}, soft),
-            )
-        )
-    return records
+    slacks = {
+        key: [math.exp(kappa * hm) - (math.exp(kappa * hp) + math.exp(kappa * hq)) / 2 for hp, hq, hm in entropies]
+        for key, kappa in zip(keys, kappas)
+    }
+    return TrialBlock(
+        "concavity", indices, taus, kappas, slacks, {}, _verdict(cfg, slacks, {}, soft), [0] * len(taus)
+    )
 
 
 def _conjecture_slack(joint, tau: float) -> float:
@@ -688,6 +708,12 @@ def _conjecture_slack(joint, tau: float) -> float:
 
 
 def run_conjecture_trial(cfg: TrialConfig, index: int) -> TrialRecord:
+    """One counterexample-search trial for the conditional-entropy inequality
+    (see :func:`_conjecture_trial`)."""
+    return _conjecture_trial(cfg, index).rows()[0]
+
+
+def _conjecture_trial(cfg: TrialConfig, index: int) -> TrialBlock:
     """One counterexample-search trial for the conditional-entropy inequality.
 
     Main arm: a joint (X1, X2, E) state with E of dim --env-dim1, possibly
@@ -716,7 +742,8 @@ def run_conjecture_trial(cfg: TrialConfig, index: int) -> TrialRecord:
         joint = multipartite(sample_state(gen, d * d * de, cfg.state_kind, cfg.rank), (d, d, de))
     slack = _conjecture_slack(joint, tau)
 
-    slacks = {"conjecture": slack}
+    # A trial that re-checks no candidate holds None for conjecture_perturbed.
+    slacks = {"conjecture": [slack], "conjecture_perturbed": [None]}
     threshold = -10.0 * cfg.tolerance
     reverified = False
     if slack < threshold:
@@ -725,50 +752,62 @@ def run_conjecture_trial(cfg: TrialConfig, index: int) -> TrialRecord:
         perturbed = multipartite(
             make_density((1.0 - eps) * joint.state.mat + eps * bump.mat), joint.dims
         )
-        slacks["conjecture_perturbed"] = _conjecture_slack(perturbed, tau)
-        reverified = slacks["conjecture_perturbed"] < threshold
+        perturbed_slack = _conjecture_slack(perturbed, tau)
+        slacks["conjecture_perturbed"] = [perturbed_slack]
+        reverified = perturbed_slack < threshold
 
     # Control arm: product-shaped inputs, conditioning on both environments.
     s1 = multipartite(sample_state(gen, d * cfg.d_e1, cfg.state_kind, cfg.rank), (d, cfg.d_e1))
     s2 = multipartite(sample_state(gen, d * cfg.d_e2, cfg.state_kind, cfg.rank), (d, cfg.d_e2))
     mixed = _bilocal_channel(s1, s2, tau)
-    slacks["conjecture_control"] = (
+    slacks["conjecture_control"] = [
         conditional_vn_entropy(as_bipartite(mixed, 1))
         - tau * conditional_vn_entropy(s1)
         - (1.0 - tau) * conditional_vn_entropy(s2)
-    )
+    ]
 
     # Only the trivial-environment slack is asserted; the rest are diagnostics.
     soft = set(slacks) - ({"conjecture"} if de == 1 else set())
-    return TrialRecord(
-        experiment="conjecture",
-        index=index,
-        tau=tau,
-        kappas=(),
-        slacks=slacks,
-        residuals={},
-        pass_flags={"reverified_candidate": not reverified, **_verdict(cfg, slacks, {}, soft)},
-    )
+    flags = {"reverified_candidate": [not reverified], **_verdict(cfg, slacks, {}, soft)}
+    return TrialBlock("conjecture", range(index, index + 1), [tau], (), slacks, {}, flags, [0])
 
 
 def _trial_by_trial(trial_fn):
-    def block(cfg: TrialConfig, indices: range) -> list[TrialRecord]:
-        return [trial_fn(cfg, index) for index in indices]
+    """The block function of `trial_fn`, which computes one trial as a block
+    of one row with the same keys at every index: the rows gathered."""
+
+    def block(cfg: TrialConfig, indices: range) -> TrialBlock:
+        rows = [trial_fn(cfg, index) for index in indices]
+        first = rows[0]
+
+        def gathered(columns: str) -> dict[str, list]:
+            return {key: [getattr(row, columns)[key][0] for row in rows] for key in getattr(first, columns)}
+
+        return TrialBlock(
+            first.experiment,
+            indices,
+            [row.taus[0] for row in rows],
+            first.kappas,
+            gathered("slacks"),
+            gathered("residuals"),
+            gathered("pass_flags"),
+            [row.negligible[0] for row in rows],
+        )
 
     return block
 
 
-# Block functions: (cfg, indices) -> the records of those trials, in order.
+# Block functions: (cfg, indices) -> the TrialBlock of those trials.
 _TRIAL_FNS = {
-    "lemma": _trial_by_trial(run_lemma_trial),
+    "lemma": _trial_by_trial(_lemma_trial),
     "theorem": _theorem_block,
     "qepi": _qepi_block,
     "concavity": _concavity_block,
-    "conjecture": _trial_by_trial(run_conjecture_trial),
+    "conjecture": _trial_by_trial(_conjecture_trial),
 }
 
 
-def _run_block(experiment: str, cfg: TrialConfig, indices: range) -> list[TrialRecord]:
+def _run_block(experiment: str, cfg: TrialConfig, indices: range) -> TrialBlock:
     block = _TRIAL_FNS[experiment]
     try:
         return block(cfg, indices)
@@ -798,9 +837,9 @@ def _block_size(experiment: str, cfg: TrialConfig, workers: int) -> int:
     return min(cap, math.ceil(cfg.trials / workers))
 
 
-def _run_blocks(experiment: str, cfg: TrialConfig, parallel: int) -> Iterator[list[TrialRecord]]:
-    """The records of all trials of one experiment, one block's list at a
-    time, in index order. The configuration is checked before the first block
+def _run_blocks(experiment: str, cfg: TrialConfig, parallel: int) -> Iterator[TrialBlock]:
+    """All trials of one experiment, one TrialBlock at a time, in index
+    order. The configuration is checked before the first block
     runs; a serial block runs only when the caller asks for it, so the caller
     holds only the blocks it keeps."""
     validate_config(cfg, experiment)
@@ -842,8 +881,9 @@ def run_experiment(experiment: str, cfg: TrialConfig, parallel: int = 1):
     pure function of (seed, experiment, index), and records are emitted in
     index order.
     """
-    records = [record for block in _run_blocks(experiment, cfg, parallel) for record in block]
-    return records, summarize(records, run_metadata(cfg))
+    blocks = list(_run_blocks(experiment, cfg, parallel))
+    records = [record for block in blocks for record in block.rows()]
+    return records, summarize(blocks, run_metadata(cfg))
 
 
 def run_metadata(cfg: TrialConfig) -> dict:
@@ -856,32 +896,36 @@ def run_metadata(cfg: TrialConfig) -> dict:
     }
 
 
-def summarize(records: Iterable[TrialRecord], metadata: dict | None = None) -> Summary:
-    """Fold records in one pass; the result does not depend on their order.
+def summarize(blocks: Iterable[TrialBlock], metadata: dict | None = None) -> Summary:
+    """Fold blocks column by column in one pass; the result depends only on
+    the rows, in order, not on how they are split into blocks.
 
     A NaN slack or residual is sticky: it becomes its key's min_slack or the
-    max_residual, whatever records come before or after it, and a record with
-    a NaN slack lands in the last histogram bin, whatever its other slacks.
+    max_residual, whatever rows come before or after it, and a row with a NaN
+    slack lands in the last histogram bin, whatever its other slacks. Of equal
+    values the first is kept (0.0 and -0.0 are equal). Each row with a slack
+    lands in the bin of its worst one.
     """
     trials = violations = 0
     min_slack: dict[str, float] = {}
     max_residual = 0.0
     counts = [0] * (len(_HISTOGRAM_EDGES) + 1)
-    for r in records:
-        trials += 1
-        violations += not r.passed
-        worst = math.inf
-        for key, value in r.slacks.items():
+    for block in blocks:
+        trials += len(block.taus)
+        violations += block.passed.count(False)
+        for key, column in block.slacks.items():
+            value = _extreme(min, column)
+            if value is None:
+                continue
             low = min_slack.get(key)
             if low is None or value < low or value != value:
                 min_slack[key] = value
-            if value < worst or value != value:
-                worst = value
-        for value in r.residuals.values():
-            if value > max_residual or value != value:
+        for column in block.residuals.values():
+            value = _extreme(max, column)
+            if value is not None and (value > max_residual or value != value):
                 max_residual = value
-        if r.slacks:
-            counts[bisect.bisect_right(_HISTOGRAM_EDGES, worst)] += 1
+        if block.slacks:
+            counts = [a + b for a, b in zip(counts, _worst_slack_counts(list(block.slacks.values())))]
     if not trials:
         raise QuditEpiError("no records to summarize")
     return Summary(
@@ -892,3 +936,31 @@ def summarize(records: Iterable[TrialRecord], metadata: dict | None = None) -> S
         histogram={"edges": list(_HISTOGRAM_EDGES), "counts": counts},
         metadata=dict(metadata or {}),
     )
+
+
+def _extreme(pick, column: list) -> float | None:
+    """pick (min or max) of the values of `column`, the first of equal ones;
+    a NaN if it holds one; None if it holds no value."""
+    values = [v for v in column if v is not None] if None in column else column
+    if not values:
+        return None
+    if math.isnan(sum(values)):  # a NaN, or inf and -inf
+        for value in values:
+            if value != value:
+                return value
+    return pick(values)
+
+
+def _worst_slack_counts(columns: list[list]) -> list[int]:
+    """Histogram counts of the rows of slack `columns` by their worst slack,
+    NaN the worst; a row that holds no slack is not counted."""
+    holes = [[v is None for v in column] for column in columns if None in column]
+    filled = np.array(
+        [[math.inf if v is None else v for v in column] if None in column else column for column in columns],
+        dtype=np.float64,
+    )
+    # np.min propagates NaN, and searchsorted places NaN after every edge.
+    bins = np.searchsorted(_HISTOGRAM_EDGES, filled.min(axis=0), side="right")
+    if len(holes) == len(columns):
+        bins = bins[~np.logical_and.reduce(holes)]
+    return np.bincount(bins, minlength=len(_HISTOGRAM_EDGES) + 1).tolist()

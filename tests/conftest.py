@@ -8,6 +8,7 @@ import pytest
 
 import qudit_epi
 from qudit_epi.entropy import projective_entropy_power
+from qudit_epi.harness import TrialBlock
 from qudit_epi.states import make_density
 
 
@@ -63,3 +64,31 @@ def expected_power_objective():
     conditioned on (E1, ..., En), as a function of stacked product basis
     factors: (..., e_j, e_j) factor stacks map to (...) values."""
     return _expected_power_objective
+
+
+def _block_of(records):
+    """The TrialBlock whose rows are `records`, taking the experiment and
+    kappas of the first: each key's column in the order keys first appear,
+    None in a row whose record lacks the key."""
+
+    def columns(attr):
+        keys = dict.fromkeys(key for r in records for key in getattr(r, attr))
+        return {key: [getattr(r, attr).get(key) for r in records] for key in keys}
+
+    first = records[0]
+    return TrialBlock(
+        first.experiment,
+        [r.index for r in records],
+        [r.tau for r in records],
+        first.kappas,
+        columns("slacks"),
+        columns("residuals"),
+        columns("pass_flags"),
+        [r.negligible for r in records],
+    )
+
+
+@pytest.fixture(scope="session")
+def block_of():
+    """records -> the TrialBlock whose rows they are (see _block_of)."""
+    return _block_of

@@ -200,7 +200,7 @@ def test_parallel_blocks_come_in_index_order_within_a_window(monkeypatch):
     cfg = TrialConfig(d=2, trials=207, seed=47)
     starts = []
     for block in harness._run_blocks("qepi", cfg, 2):
-        starts.append(block[0].index)
+        starts.append(block.indices[0])
         assert len(submitted) - len(starts) <= 2 * 2
     assert starts == list(range(0, 207, 7))
     assert submitted == [range(start, min(start + 7, 207)) for start in starts]

@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -20,18 +20,19 @@ from qudit_epi.cli import (
     emit,
     parse_lines,
     record_to_object,
+    render_block,
     render_line,
-    render_records,
 )
 from qudit_epi.errors import ValidationError
 from qudit_epi.harness import (
     EXPERIMENTS,
     Summary,
+    TrialBlock,
     TrialConfig,
     TrialRecord,
-    run_conjecture_trial,
     run_experiment,
-    run_lemma_trial,
+    run_metadata,
+    summarize,
 )
 
 
@@ -78,76 +79,69 @@ def _json_route(records, with_experiment):
     return "".join(render_line(record_to_object(r, with_experiment)) for r in records)
 
 
-_SCALARS = st.floats() | st.integers(-(2**70), 2**70) | st.booleans()
+_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
 _KEYS = st.text(st.sampled_from('ak.0"\\%:κ\u00e9\x00\U0001d11e') | st.characters(), max_size=5)
 
 
 @st.composite
 def _blocks(draw):
-    # A few shapes, then records that each take one of them, so that shapes
-    # repeat and interleave within a block.
-    shapes = draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(EXPERIMENTS),
-                st.lists(st.floats(), max_size=3).map(tuple),
-                st.lists(_KEYS, max_size=4, unique=True),
-                st.lists(_KEYS, max_size=3, unique=True),
-                st.booleans(),
-            ),
-            min_size=1,
-            max_size=3,
-        )
+    # Columns with holes (None), so that row shapes repeat and interleave
+    # within a block, and negligible counts on some rows only.
+    n = draw(st.integers(1, 6))
+
+    def columns(values):
+        keys = draw(st.lists(_KEYS, max_size=4, unique=True))
+        return {key: draw(st.lists(values, min_size=n, max_size=n)) for key in keys}
+
+    return TrialBlock(
+        draw(st.sampled_from(EXPERIMENTS)),
+        range(start := draw(st.integers(0, 2**64)), start + n),
+        draw(st.lists(_FLOATS, min_size=n, max_size=n)),
+        tuple(draw(st.lists(_FLOATS, max_size=3))),
+        columns(st.none() | _FLOATS),
+        columns(st.none() | _FLOATS),
+        columns(st.none() | st.booleans()),
+        draw(st.lists(st.just(0) | st.integers(1, 2**40), min_size=n, max_size=n)),
     )
-    records = []
-    for _ in range(draw(st.integers(0, 6))):
-        experiment, kappas, slack_keys, residual_keys, negligible = draw(st.sampled_from(shapes))
-        record = TrialRecord(
-            experiment,
-            draw(st.integers(0, 2**64)),
-            draw(_SCALARS),
-            kappas,
-            {key: draw(_SCALARS) for key in slack_keys},
-            {key: draw(_SCALARS) for key in residual_keys},
-            {"ok": draw(st.booleans())},
-            negligible=draw(st.integers(1, 2**40)) if negligible else 0,
-        )
-        records.append(record)
-    return records
 
 
 @settings(max_examples=200, deadline=None)
-@given(records=_blocks(), with_experiment=st.booleans())
-def test_render_records_equals_json_route(records, with_experiment):
-    assert render_records(records, with_experiment) == _json_route(records, with_experiment)
+@given(block=_blocks(), with_experiment=st.booleans())
+def test_render_block_equals_json_route(block, with_experiment):
+    assert render_block(block, with_experiment) == _json_route(block.rows(), with_experiment)
 
 
-def test_render_records_equals_json_route_on_edge_values():
+def test_render_block_equals_json_route_on_edge_values():
     edge_floats = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1 / 3]
-    slacks = {f"f{i}": value for i, value in enumerate(edge_floats)} | {'q"\\%s%%κ': 3, "int": -(2**64), "bool": False}
-    records = [
-        TrialRecord("qepi", 7, 0.5, (0.0, -0.0, 1e16), slacks, {"r%": True, "é": 1e-300}, {"a": True}),
-        TrialRecord("qepi", 8, 1.0, (0.0, 0.0, 1e16), slacks, {"r%": True, "é": -1e-300}, {"a": False}),
-        TrialRecord("lemma", 2**64 - 1, -0.0, (), {}, {}, {}, negligible=3),
-        TrialRecord("concavity", 0, 0, (-0.0,), {"x": 1}, {}, {}),
+    slacks = {f"f{i}": [value, -value] for i, value in enumerate(edge_floats)}
+    slacks |= {'q"\\%s%%κ': [3.0, None], "\x00k": [None, 0.0]}
+    residuals = {"r%": [1e-300, math.nan], "é": [-1e-300, None]}
+    flags = {"a": [True, False]}
+    blocks = [
+        TrialBlock("qepi", range(7, 9), [0.5, -0.0], (0.0, -0.0, 1e16), slacks, residuals, flags, [0, 0]),
+        TrialBlock("qepi", range(7, 9), [1.0, 0.0], (0.0, -0.0), slacks, {}, {"a": [None, True]}, [3, 0]),
+        TrialBlock("lemma", range(2**64 - 2, 2**64), [-0.0, math.inf], (), {}, {}, {}, [3, 2**40]),
+        TrialBlock("concavity", range(0, 1), [0.0], (-0.0,), {"x": [1.0]}, {}, {}, [0]),
     ]
-    for with_experiment in (False, True):
-        assert render_records(records, with_experiment) == _json_route(records, with_experiment)
-
-
-def test_render_records_follows_shape_changes_mid_block():
-    # A conjecture record gains a conjecture_perturbed slack when it re-checks
-    # a candidate; a lemma record carries negligible_outcomes only when some
-    # outcome was skipped.
-    cfg = TrialConfig(d=2, d_e1=2, d_e2=2, trials=1, seed=10)
-    conjecture = [run_conjecture_trial(cfg, i) for i in range(12)]
-    assert len({"conjecture_perturbed" in r.slacks for r in conjecture}) == 2
-    lemma = run_lemma_trial(cfg, 0)
-    assert not lemma.negligible
-    lemmas = [lemma, replace(lemma, index=1, negligible=2), replace(lemma, index=2)]
-    for records in (conjecture, lemmas, conjecture[:3] + lemmas + conjecture[3:]):
+    for block in blocks:
         for with_experiment in (False, True):
-            assert render_records(records, with_experiment) == _json_route(records, with_experiment)
+            assert render_block(block, with_experiment) == _json_route(block.rows(), with_experiment)
+
+
+def test_render_block_follows_shape_changes_mid_block():
+    # A conjecture row gains a conjecture_perturbed slack when it re-checks a
+    # candidate; a lemma or theorem row carries negligible_outcomes only when
+    # some outcome was skipped. Each block interleaves both shapes.
+    conjecture = harness._TRIAL_FNS["conjecture"](TrialConfig(d=2, d_e1=2, d_e2=2, seed=10), range(12))
+    assert conjecture.slacks["conjecture_perturbed"].count(None) not in (0, 12)
+    lemma = harness._TRIAL_FNS["lemma"](TrialConfig(d=2, seed=10), range(3))
+    theorem = harness._TRIAL_FNS["theorem"](TrialConfig(d=2, seed=10), range(4))
+    assert not any(lemma.negligible) and not any(theorem.negligible)
+    lemma.negligible[1] = 2
+    theorem.negligible[0] = theorem.negligible[3] = 1
+    for block in (conjecture, lemma, theorem):
+        for with_experiment in (False, True):
+            assert render_block(block, with_experiment) == _json_route(block.rows(), with_experiment)
 
 
 def test_manifest_roundtrip():
@@ -196,6 +190,8 @@ def test_dispatch_usage_errors_exit_one(capsys, monkeypatch):
         assert err.startswith("error: --kappa 1000.0 overflows") and "Traceback" not in err
     with monkeypatch.context() as mp:
         mp.setitem(harness._TRIAL_FNS, "qepi", _never_called)
+        assert dispatch(["verify-qepi", "--dim", "2", "--trials", "4", "--out", ""]) == 1
+        assert capsys.readouterr().err == "error: cannot write '': not a file in an existing directory\n"
         for epoch in ("abc", "1e99", str(10**30), "-" + str(10**30)):
             mp.setenv("SOURCE_DATE_EPOCH", epoch)
             assert dispatch(["verify-qepi", "--dim", "2", "--trials", "4"]) == 1
@@ -307,20 +303,36 @@ def test_summary_recomputable_from_emitted_records(tmp_path):
     assert summary["max_residual"] == max(v for t in trials for v in t["residuals"].values())
 
 
-def test_streamed_dispatch_equals_emit_of_run_experiment(tmp_path, monkeypatch):
-    # Blocks of 7 split 30 trials into 7 + 7 + 7 + 7 + 2; the streamed bytes
-    # equal those emit writes from run_experiment's full record list.
+def test_streamed_dispatch_equals_emit_of_run_experiment(tmp_path, monkeypatch, block_of):
+    # Each subcommand's streamed bytes, at --parallel 1 and 2, equal those
+    # emit writes from run_experiment's records, each line rendered by the
+    # json encoder, and the summary of one block per experiment. Blocks of 7
+    # split 30 qepi or concavity trials into 7 + 7 + 7 + 7 + 2; the
+    # conjecture's blocks mix rows with and without conjecture_perturbed.
     monkeypatch.setitem(harness._BLOCK_SIZE, "qepi", 7)
+    monkeypatch.setitem(harness._BLOCK_SIZE, "concavity", 7)
     monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
-    argv = ["verify-qepi", "--dim", "3", "--trials", "30", "--seed", "8", "--parallel", "1"]
-    streamed, whole = tmp_path / "streamed.jsonl", tmp_path / "whole.jsonl"
-    assert dispatch(argv + ["--out", str(streamed)]) == 0
-    cfg = _config_from_args(build_parser().parse_args(argv))
-    records, summary = run_experiment("qepi", cfg)
-    manifest = RunManifest(command="verify-qepi", config=cfg, timestamp=_resolve_timestamp())
-    emit(manifest, [render_records(records, False)], summary, str(whole))
-    assert streamed.read_bytes() == whole.read_bytes()
-    assert len(parse_lines(streamed.read_text())) == 32
+    commands = [
+        ["verify-qepi", "--dim", "3", "--trials", "30", "--seed", "8"],
+        ["verify-lemma", "--dim", "2", "--trials", "6", "--seed", "8"],
+        ["verify-theorem", "--dim", "2", "--trials", "6", "--seed", "8"],
+        ["concavity-scan", "--dim", "4", "--trials", "30", "--seed", "8"],
+        ["search-conjecture", "--dim", "2", "--env-dim1", "2", "--trials", "12", "--seed", "10"],
+        ["all", "--dim", "2", "--trials", "12", "--seed", "10"],
+    ]
+    for argv in commands:
+        cfg = _config_from_args(build_parser().parse_args(argv))
+        experiments = [name for name in EXPERIMENTS if argv[0] == "all" or name in argv[0]]
+        runs = [run_experiment(experiment, cfg)[0] for experiment in experiments]
+        lines = "".join(_json_route(records, argv[0] == "all") for records in runs)
+        summary = summarize([block_of(records) for records in runs], run_metadata(cfg))
+        whole = tmp_path / "whole.jsonl"
+        emit(RunManifest(command=argv[0], config=cfg, timestamp=_resolve_timestamp()), [lines], summary, str(whole))
+        for workers in ("1", "2"):
+            streamed = tmp_path / f"streamed-{workers}.jsonl"
+            assert dispatch(argv + ["--parallel", workers, "--out", str(streamed)]) == (2 if summary.violations else 0)
+            assert streamed.read_bytes() == whole.read_bytes(), (argv, workers)
+        assert len(parse_lines(whole.read_text())) == 2 + sum(map(len, runs))
 
 
 def test_all_streams_the_same_bytes_at_parallel_one_and_two(tmp_path, monkeypatch):
@@ -334,26 +346,31 @@ def test_all_streams_the_same_bytes_at_parallel_one_and_two(tmp_path, monkeypatc
     assert outputs[0] == outputs[1]
 
 
-def _live_records() -> int:
-    return sum(1 for obj in gc.get_objects() if type(obj) is TrialRecord)
+def _live_blocks() -> int:
+    return sum(1 for obj in gc.get_objects() if type(obj) is TrialBlock)
 
 
 def test_at_most_one_block_of_records_is_alive_when_a_block_starts(tmp_path, monkeypatch):
+    # At most the previous block is alive when a block starts, and no
+    # TrialRecord is made on the way from the block to its lines.
     monkeypatch.setitem(harness._BLOCK_SIZE, "qepi", 7)
     real = harness._TRIAL_FNS["qepi"]
     alive = []
+    records = []
 
     def counting(cfg, indices):
-        alive.append(_live_records() - before)
+        alive.append(_live_blocks() - before)
         return real(cfg, indices)
 
     monkeypatch.setitem(harness._TRIAL_FNS, "qepi", counting)
+    monkeypatch.setattr(TrialRecord, "__post_init__", lambda record: records.append(record))
     gc.collect()
-    before = _live_records()
+    before = _live_blocks()
     argv = ["verify-qepi", "--dim", "2", "--trials", "30", "--seed", "8", "--parallel", "1"]
     assert dispatch(argv + ["--out", str(tmp_path / "run.jsonl")]) == 0
     assert len(alive) == 5
-    assert max(alive) <= 7, alive
+    assert max(alive) <= 1, alive
+    assert records == []
 
 
 # Launches argv[1:], waits with os.wait4 and prints the exit code and ru_maxrss.
@@ -385,7 +402,7 @@ def _peak_rss_kb(trials: int, workers: int) -> int:
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
 def test_peak_memory_grows_by_less_than_0_8_kb_per_trial():
     # A run holds its rendered output (about 0.28 KB per qepi-d3 trial) plus
-    # one block of records, and at --parallel 2 the window of blocks the pool
+    # one block's columns, and at --parallel 2 the window of blocks the pool
     # has not handed over; holding every record grows about 1.8 KB per trial.
     for workers in (1, 2):
         small, large = _peak_rss_kb(2000, workers), _peak_rss_kb(20000, workers)
@@ -404,6 +421,14 @@ def test_launched_cli_writes_the_bytes_of_in_process_dispatch(monkeypatch, capsy
     launched = subprocess.run([sys.executable, "-m", "qudit_epi.cli", *argv], capture_output=True, check=True)
     assert dispatch(argv) == 0
     assert launched.stdout == capsys.readouterr().out.encode()
+
+
+def test_help_exits_zero_with_a_short_description():
+    proc = _run(["--help"])
+    assert proc.returncode == 0, proc.stderr
+    commands = ("verify-lemma", "verify-theorem", "verify-qepi", "concavity-scan", "search-conjecture", "all")
+    assert all(command in proc.stdout for command in commands)
+    assert ":func:" not in proc.stdout and "gc.freeze" not in proc.stdout
 
 
 def test_main_freezes_the_import_time_heap():

@@ -1,13 +1,18 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qudit_epi import harness
 from qudit_epi.cli import dispatch, parse_lines
 from qudit_epi.entropy import climb_product_basis
 from qudit_epi.errors import QuditEpiError, UsageError, ValidationError
 from qudit_epi.harness import (
+    Summary,
+    TrialBlock,
     TrialConfig,
     TrialRecord,
     _bilocal_channel,
@@ -58,6 +63,11 @@ def test_forced_tau_endpoints():
 def test_fixed_tau_respected():
     cfg = TrialConfig(d=2, tau=0.25, trials=3, seed=1)
     assert all(run_qepi_trial(cfg, i).tau == 0.25 for i in range(3))
+    # A library caller's integer tau is a float in every trial, as a line
+    # writes it ("tau":0.0), and as cli.render_block can render it.
+    cfg = TrialConfig(d=2, tau=0, trials=3, seed=1)
+    for fn in (run_lemma_trial, run_theorem_trial, run_qepi_trial, run_concavity_trial, run_conjecture_trial):
+        assert repr(fn(cfg, 1).tau) == "0.0", fn
 
 
 def test_lemma_trial_checks():
@@ -248,19 +258,20 @@ def test_hard_check_key_sets(fn, cfg, expected):
 
 
 def test_verdict_flags():
-    # Slack flags come first, then residual flags; a soft slack gets none; a
-    # value on the tolerance passes and a NaN fails.
+    # Flag columns of the slacks come first, then those of the residuals; a
+    # soft slack gets none; a value on the tolerance passes, a NaN fails and a
+    # row without a value (None) gets no flag.
     tol = 1e-9
-    slacks = {"s.hard": -tol, "s.soft": -1.0, "s.nan": math.nan, "s.low": -2 * tol}
-    residuals = {"r.edge": tol, "r.nan": math.nan, "r.high": 2 * tol}
+    slacks = {"s.hard": [-tol, None], "s.soft": [-1.0, -1.0], "s.nan": [math.nan, 0.0], "s.low": [-2 * tol, 1.0]}
+    residuals = {"r.edge": [tol, None], "r.nan": [math.nan, 0.0], "r.high": [2 * tol, -1.0]}
     flags = harness._verdict(TrialConfig(tolerance=tol), slacks, residuals, {"s.soft"})
     assert list(flags.items()) == [
-        ("s.hard", True),
-        ("s.nan", False),
-        ("s.low", False),
-        ("r.edge", True),
-        ("r.nan", False),
-        ("r.high", False),
+        ("s.hard", [True, None]),
+        ("s.nan", [False, True]),
+        ("s.low", [False, True]),
+        ("r.edge", [True, None]),
+        ("r.nan", [False, True]),
+        ("r.high", [False, True]),
     ]
 
 
@@ -347,11 +358,11 @@ def test_trial_failure_names_experiment_index_and_stream_key(monkeypatch, capsys
     assert f"error: qepi trial 3, stream key {key}: smallest eigenvalue" in capsys.readouterr().err
 
 
-def test_summarize_order_independent():
+def test_summarize_order_independent(block_of):
     cfg = TrialConfig(d=2, trials=6, seed=14)
     records, _ = run_experiment("concavity", cfg, parallel=1)
-    a = summarize(records)
-    b = summarize(list(reversed(records)))
+    a = summarize([block_of(records)])
+    b = summarize([block_of(list(reversed(records)))])
     assert a.min_slack == b.min_slack
     assert a.histogram == b.histogram
     assert a.trials == b.trials
@@ -373,38 +384,141 @@ def test_summarize_order_independent():
         (math.nan, 7),
     ],
 )
-def test_summarize_histogram_bins(worst, bin_index):
-    # A record falls in the bin of its worst slack, to the right of an edge it
+def test_summarize_histogram_bins(block_of, worst, bin_index):
+    # A row falls in the bin of its worst slack, to the right of an edge it
     # lies on. A NaN slack is the worst, in either key order, and falls in the
-    # last bin.
+    # last bin. A row without slacks falls in none.
     other = -1.0 if math.isnan(worst) else math.inf
-    for slacks in ({"a": worst, "b": other}, {"a": other, "b": worst}):
-        record = TrialRecord("qepi", 0, 0.5, (), slacks, {}, {})
-        counts = summarize([record]).histogram["counts"]
+    for slacks in ({"a": worst, "b": other}, {"a": other, "b": worst}, {"a": worst}):
+        rows = [TrialRecord("qepi", 0, 0.5, (), slacks, {}, {}), TrialRecord("qepi", 1, 0.5, (), {}, {}, {})]
+        counts = summarize([block_of(rows)]).histogram["counts"]
         assert counts == [int(i == bin_index) for i in range(8)], slacks
 
 
-def test_summarize_nan_is_sticky_in_either_order():
+def test_summarize_nan_is_sticky_in_either_order(block_of):
     # A NaN slack or residual is the fold's min_slack or max_residual,
-    # whichever record comes first.
+    # whichever row comes first, in one block or in two.
     nan_trial = TrialRecord("qepi", 0, 0.5, (), {"a": math.nan}, {"r": math.nan}, {})
     low_trial = TrialRecord("qepi", 1, 0.5, (), {"a": -1.0}, {"r": 1.0}, {})
     for records in ([nan_trial, low_trial], [low_trial, nan_trial]):
-        summary = summarize(iter(records))
-        assert math.isnan(summary.min_slack["a"]) and math.isnan(summary.max_residual)
-        assert summary.trials == 2
-        assert summary.histogram["counts"] == [1, 0, 0, 0, 0, 0, 0, 1]
-    assert summarize([low_trial]).min_slack == {"a": -1.0}
+        for blocks in ([block_of(records)], [block_of(records[:1]), block_of(records[1:])]):
+            summary = summarize(iter(blocks))
+            assert math.isnan(summary.min_slack["a"]) and math.isnan(summary.max_residual)
+            assert summary.trials == 2
+            assert summary.histogram["counts"] == [1, 0, 0, 0, 0, 0, 0, 1]
+    assert summarize([block_of([low_trial])]).min_slack == {"a": -1.0}
 
 
-def test_summarize_empty_and_violations():
+def test_summarize_empty_and_violations(block_of):
     with pytest.raises(QuditEpiError, match="no records to summarize"):
         summarize([])
     cfg = TrialConfig(d=2, trials=4, seed=15)
     records, summary = run_experiment("qepi", cfg, parallel=1)
     assert summary.violations == 0
-    records[0].passed = False
-    assert summarize(records).violations == 1
+    records[0].pass_flags["qepi_majorization"] = False
+    assert summarize([block_of(records)]).violations == 1
+
+
+def _reference_summary(records, metadata=None) -> Summary:
+    """The record-by-record fold that summarize replaced, as an oracle."""
+    trials = violations = 0
+    min_slack: dict = {}
+    max_residual = 0.0
+    counts = [0] * (len(harness._HISTOGRAM_EDGES) + 1)
+    for r in records:
+        trials += 1
+        violations += not r.passed
+        worst = math.inf
+        for key, value in r.slacks.items():
+            low = min_slack.get(key)
+            if low is None or value < low or value != value:
+                min_slack[key] = value
+            if value < worst or value != value:
+                worst = value
+        for value in r.residuals.values():
+            if value > max_residual or value != value:
+                max_residual = value
+        if r.slacks:
+            counts[bisect.bisect_right(harness._HISTOGRAM_EDGES, worst)] += 1
+    return Summary(
+        trials,
+        violations,
+        {k: min_slack[k] for k in sorted(min_slack)},
+        max_residual,
+        {"edges": list(harness._HISTOGRAM_EDGES), "counts": counts},
+        dict(metadata or {}),
+    )
+
+
+def _same_values(a: Summary, b: Summary) -> bool:
+    """Equal summaries, a NaN equal to a NaN and 0.0 to -0.0."""
+
+    def same(x, y):
+        return x == y or (x != x and y != y)
+
+    return (
+        (a.trials, a.violations, a.histogram, a.metadata) == (b.trials, b.violations, b.histogram, b.metadata)
+        and a.min_slack.keys() == b.min_slack.keys()
+        and all(same(a.min_slack[k], b.min_slack[k]) for k in a.min_slack)
+        and same(a.max_residual, b.max_residual)
+    )
+
+
+# Slack and residual values: the edge floats, and histogram edges often.
+_VALUES = st.one_of(
+    st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, *harness._HISTOGRAM_EDGES, -1e-12]),
+    st.floats(),
+)
+
+
+@st.composite
+def _split_blocks(draw):
+    n = draw(st.integers(1, 12))
+    columns = st.lists(_VALUES, min_size=n, max_size=n)
+    keys = st.lists(st.sampled_from("abcd"), max_size=3, unique=True)
+    slacks = {key: draw(columns) for key in draw(keys)}
+    residuals = {key: draw(columns) for key in draw(keys)}
+    flags = {key: draw(st.lists(st.booleans() | st.none(), min_size=n, max_size=n)) for key in draw(keys)}
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), max_size=4, unique=True))) if n > 1 else []
+    parts = [
+        TrialBlock(
+            "qepi",
+            range(lo, hi),
+            [0.5] * (hi - lo),
+            (),
+            *({key: column[lo:hi] for key, column in c.items()} for c in (slacks, residuals, flags)),
+            [0] * (hi - lo),
+        )
+        for lo, hi in zip([0, *cuts], [*cuts, n])
+    ]
+    return parts, draw(st.permutations(parts))
+
+
+def _zeros_block(start, zeros):
+    n = len(zeros)
+    return TrialBlock("qepi", range(start, start + n), [0.5] * n, (), {"a": zeros}, {"r": zeros}, {}, [0] * n)
+
+
+# 0.0 == -0.0: the first in row order is the min_slack, within a block and across blocks.
+_ZEROS = [_zeros_block(0, [0.0, -0.0]), _zeros_block(2, [-0.0]), _zeros_block(3, [0.0])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(split=_split_blocks())
+@example(split=(_ZEROS, _ZEROS[::-1]))
+@example(split=(_ZEROS[1:], _ZEROS[:0:-1]))
+def test_summarize_depends_on_the_rows_not_the_blocks(split):
+    # Any split of the same rows into blocks gives the summary of the
+    # record-by-record fold, signed zeros and NaNs included (compared by
+    # repr); in any block order it gives the same values.
+    parts, shuffled = split
+    in_order = summarize(parts, {"m": 1})
+    rows = [row for part in parts for row in part.rows()]
+    assert repr(in_order) == repr(_reference_summary(rows, {"m": 1}))
+    reordered = summarize(shuffled, {"m": 1})
+    assert repr(reordered) == repr(_reference_summary([row for part in shuffled for row in part.rows()], {"m": 1}))
+    assert _same_values(in_order, reordered)
 
 
 def test_standalone_matches_all_stream_layout(tmp_path):
