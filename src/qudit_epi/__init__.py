@@ -29,7 +29,6 @@ from .harness import (
     Summary,
     TrialBlock,
     TrialConfig,
-    TrialRecord,
     run_experiment,
     summarize,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "MeasurementSet",
     "ConditionalOutcome",
     "TrialConfig",
-    "TrialRecord",
     "TrialBlock",
     "Summary",
     "make_density",

@@ -2,7 +2,7 @@
 
 Output layout: line 1 is the manifest, one line per trial follows, and the
 last line is the summary. Trials reach :func:`dispatch` one block of columns
-at a time (``harness._run_blocks`` yields ``harness.TrialBlock``s); each
+at a time (``harness.run_experiment`` yields ``harness.TrialBlock``s); each
 block's lines are rendered into one string and the block is dropped before
 the next one runs, while ``summarize`` folds it. So a run holds its rendered
 output plus one block's columns. Nothing is written until every trial has
@@ -11,7 +11,7 @@ go through :func:`render_line`, the stdlib JSON encoder. A trial line is a
 template that this encoder built once per row shape, filled with the row's
 scalars, each column formatted at once by json's rules
 (:func:`render_block`), so it has the bytes ``render_line`` would write for
-the row's record. Floats are serialized in their shortest round-trip repr
+the row's line object. Floats are serialized in their shortest round-trip repr
 (integral floats keep their ".0"), so files round-trip exactly and repeated
 runs are byte-identical.
 
@@ -40,7 +40,6 @@ import os
 import sys
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
-from types import SimpleNamespace
 
 from ._version import __version__
 from .errors import QuditEpiError, UsageError
@@ -51,8 +50,7 @@ from .harness import (
     Summary,
     TrialBlock,
     TrialConfig,
-    TrialRecord,
-    _run_blocks,
+    run_experiment,
     run_metadata,
     summarize,
     validate_config,
@@ -61,7 +59,7 @@ from .rand import RNG_ALGORITHM
 
 _EPOCH_TIMESTAMP = "1970-01-01T00:00:00+00:00"
 
-__all__ = ["RunManifest", "dispatch", "emit", "main", "render_line", "render_block", "parse_lines"]
+__all__ = ["RunManifest", "dispatch", "emit", "main", "render_line", "render_block"]
 
 
 # ---------------------------------------------------------------- serialization
@@ -76,11 +74,6 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 def render_line(obj: dict) -> str:
     """One compact JSON line, deterministic byte-for-byte."""
     return _ENCODER.encode(obj) + "\n"
-
-
-def parse_lines(text: str) -> list[dict]:
-    """Parse an emitted file back into objects (accepts NaN/Infinity tokens)."""
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
 # -------------------------------------------------------------------- manifest
@@ -140,26 +133,6 @@ def _check_out(out: str) -> None:
         raise UsageError(f"cannot write {out!r}: not a file in an existing directory")
 
 
-def record_to_object(record: TrialRecord, with_experiment: bool) -> dict:
-    """The trial line object of `record` (or of any object with its fields)."""
-    obj: dict = {"type": "trial"}
-    if with_experiment:
-        obj["experiment"] = record.experiment
-    obj.update(
-        {
-            "index": record.index,
-            "tau": record.tau,
-            "kappa": record.kappas,
-            "slacks": record.slacks,
-            "residuals": record.residuals,
-            "pass": record.passed,
-        }
-    )
-    if record.negligible:
-        obj["negligible_outcomes"] = record.negligible
-    return obj
-
-
 def summary_to_object(summary: Summary) -> dict:
     return {"type": "summary", **asdict(summary)}
 
@@ -190,30 +163,36 @@ def _json_floats(column: list) -> Iterable:
 
 def _line_template(block: TrialBlock, absent: tuple, with_experiment: bool) -> str:
     """The trial line of a row of `block` as a %-format: the encoder's line
-    for the row's record with a `%s` for each scalar it holds. `absent` flags
-    the scalars of :func:`render_block`'s order that the row lacks."""
+    for the row with a `%s` for each scalar it holds. `absent` flags the
+    scalars of :func:`render_block`'s order that the row lacks."""
     slack_keys = len(block.slacks)
-    hole = SimpleNamespace(
-        experiment=block.experiment,
-        index=_HOLE,
-        tau=_HOLE,
-        kappas=block.kappas,
-        slacks={key: _HOLE for key, gone in zip(block.slacks, absent[2:]) if not gone},
-        residuals={key: _HOLE for key, gone in zip(block.residuals, absent[2 + slack_keys :]) if not gone},
-        passed=_HOLE,
-        negligible=0 if absent[-1] else _HOLE,
-    )
-    return render_line(record_to_object(hole, with_experiment)).replace("%", "%%").replace(_HOLE_JSON, ":%s")
+    line: dict = {"type": "trial"}
+    if with_experiment:
+        line["experiment"] = block.experiment
+    line |= {
+        "index": _HOLE,
+        "tau": _HOLE,
+        "kappa": block.kappas,
+        "slacks": {key: _HOLE for key, gone in zip(block.slacks, absent[2:]) if not gone},
+        "residuals": {key: _HOLE for key, gone in zip(block.residuals, absent[2 + slack_keys :]) if not gone},
+        "pass": _HOLE,
+    }
+    if not absent[-1]:
+        line["negligible_outcomes"] = _HOLE
+    return render_line(line).replace("%", "%%").replace(_HOLE_JSON, ":%s")
 
 
 def render_block(block: TrialBlock, with_experiment: bool) -> str:
     """The trial lines of `block`, joined into one string.
 
-    Each line is what ``render_line(record_to_object(row, with_experiment))``
-    writes for the row's record (``block.rows()``). Each column is formatted
-    at once. Rows of one shape (the keys they hold, negligible outcomes or
-    none) share one template that the encoder built, and each line fills in
-    its row's scalars: index, tau, slacks, residuals, pass, negligible.
+    Row i's line is what :func:`render_line` writes for the object with the
+    keys type ("trial"), experiment (only `with_experiment`), index, tau,
+    kappa (the block's kappas), slacks and residuals (the keys the row holds
+    a value for), pass (all of the row's flags) and negligible_outcomes (only
+    a nonzero count). Each column is formatted at once. Rows of one shape
+    (the keys they hold, negligible outcomes or none) share one template that
+    the encoder built, and each line fills in its row's scalars: index, tau,
+    slacks, residuals, pass, negligible.
     """
     negligible = [int.__repr__(count) if count else None for count in block.negligible]
     values = [*block.slacks.values(), *block.residuals.values()]
@@ -381,7 +360,7 @@ def dispatch(argv=None) -> int:
             # Render each block as it arrives and hand it to the fold; the
             # block is dropped before the next one runs.
             for experiment in experiments:
-                for block in _run_blocks(experiment, cfg, args.parallel):
+                for block in run_experiment(experiment, cfg, args.parallel):
                     body.append(render_block(block, args.command == "all"))
                     yield block
                     del block

@@ -35,15 +35,13 @@ the trial alone computes, bit for bit, so no line depends on the block size
 or --parallel. lemma and conjecture run trial by trial within a block, each
 trial a block of one row, and :func:`_trial_by_trial` gathers the rows.
 :func:`_block_size` sizes the blocks. A block that raises is rerun trial by
-trial, so the error names the first failing trial. :func:`_run_blocks` hands
-the caller one block at a time, in index order, whether the block ran in this
-process or in the pool; a serial block runs only when the caller asks for it,
-so a caller that drops each block before asking for the next holds one
-block, and :func:`summarize` folds the blocks column by column in one pass.
-The pool runs at most :data:`_WINDOW_PER_WORKER` blocks per worker ahead of
-the caller. :class:`TrialRecord` is the row view of a block
-(:meth:`TrialBlock.rows`) that :func:`run_experiment` and the
-``run_<name>_trial`` functions return.
+trial, so the error names the first failing trial. :func:`run_experiment`
+hands the caller one block at a time, in index order, whether the block ran
+in this process or in the pool; a serial block runs only when the caller
+asks for it, so a caller that drops each block before asking for the next
+holds one block, and :func:`summarize` folds the blocks column by column in
+one pass. The pool runs at most :data:`_WINDOW_PER_WORKER` blocks per worker
+ahead of the caller.
 
 A block function only computes slacks (must be >= minus the tolerance) and
 residuals (must be <= the tolerance); one verdict rule, :func:`_verdict`,
@@ -54,6 +52,7 @@ as diagnostics.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from collections import deque
 from collections.abc import Iterable, Iterator
@@ -143,16 +142,10 @@ _HISTOGRAM_EDGES = (-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3)
 
 __all__ = [
     "TrialConfig",
-    "TrialRecord",
     "TrialBlock",
     "Summary",
     "EXPERIMENTS",
     "validate_config",
-    "run_lemma_trial",
-    "run_theorem_trial",
-    "run_qepi_trial",
-    "run_concavity_trial",
-    "run_conjecture_trial",
     "run_experiment",
     "summarize",
     "run_metadata",
@@ -174,24 +167,6 @@ class TrialConfig:
     seed: int = 42
     tolerance: float = 1e-9
     exploratory_kappa: bool = False
-
-
-@dataclass
-class TrialRecord:
-    """One trial's drawn parameters, slacks, residuals and verdicts."""
-
-    experiment: str
-    index: int
-    tau: float
-    kappas: tuple[float, ...]
-    slacks: dict[str, float]
-    residuals: dict[str, float]
-    pass_flags: dict[str, bool]
-    passed: bool = field(init=False)  # all(pass_flags), set on construction
-    negligible: int = 0
-
-    def __post_init__(self):
-        self.passed = all(self.pass_flags.values())
 
 
 @dataclass
@@ -217,26 +192,10 @@ class TrialBlock:
         flags = self.pass_flags.values()
         self.passed = [False not in row for row in zip(*flags)] if flags else [True] * len(self.taus)
 
-    def rows(self) -> list[TrialRecord]:
-        """Row i as the record of trial indices[i], holding the keys it has."""
-        n = len(self.taus)
-        slacks, residuals, flags = (_row_dicts(c, n) for c in (self.slacks, self.residuals, self.pass_flags))
-        return [
-            TrialRecord(self.experiment, index, tau, self.kappas, *row, negligible=count)
-            for index, tau, count, *row in zip(self.indices, self.taus, self.negligible, slacks, residuals, flags)
-        ]
-
-
-def _row_dicts(columns: dict[str, list], n: int) -> list[dict]:
-    """The n rows of `columns` as dicts, without the keys a row holds None for."""
-    if not columns:
-        return [{} for _ in range(n)]
-    return [{key: v for key, v in zip(columns, row) if v is not None} for row in zip(*columns.values())]
-
 
 @dataclass
 class Summary:
-    """Order-independent aggregation of a record stream."""
+    """Order-independent aggregation of a run's trials."""
 
     trials: int
     violations: int
@@ -250,6 +209,10 @@ def validate_config(cfg: TrialConfig, experiment: str) -> None:
     """Reject configurations outside the desk-scale envelope this tool supports."""
     if experiment not in EXPERIMENTS:
         raise UsageError(f"unknown experiment {experiment!r}")
+    for name in ("d", "d_e1", "d_e2", "trials", "seed"):
+        _check_integer(name, getattr(cfg, name))
+    if cfg.rank is not None:
+        _check_integer("rank", cfg.rank)
     if not 2 <= cfg.d <= MAX_DIM:
         raise UsageError(f"--dim must be in [2, {MAX_DIM}] (dimension cap), got {cfg.d}")
     for label, de in (("--env-dim1", cfg.d_e1), ("--env-dim2", cfg.d_e2)):
@@ -298,6 +261,13 @@ def validate_config(cfg: TrialConfig, experiment: str) -> None:
             )
     elif cfg.kappa not in ("grid", "max"):
         raise UsageError(f"--kappa must be 'grid', 'max' or a number, got {cfg.kappa!r}")
+
+
+def _check_integer(name: str, value) -> None:
+    """Reject a dimension, count or seed that is not an integer: a float
+    would fail inside the trials, and a bool would count as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
 
 
 def resolve_kappas(cfg: TrialConfig) -> tuple[tuple[float, bool], ...]:
@@ -395,12 +365,6 @@ def _conditioned_pieces(joint, s1, s2, m1, m2):
     grid = condition_bilocal(joint, m1, m2)
     prob_norm = abs(sum(o.probability for row in grid for o in row) - 1.0)
     return out1, out2, grid, prob_norm
-
-
-def run_lemma_trial(cfg: TrialConfig, index: int) -> TrialRecord:
-    """Conditional identity and majorization on one random setting (see
-    :func:`_lemma_trial`)."""
-    return _lemma_trial(cfg, index).rows()[0]
 
 
 def _lemma_trial(cfg: TrialConfig, index: int) -> TrialBlock:
@@ -626,22 +590,6 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     return TrialBlock("theorem", indices, taus, kappas, slacks, residuals, flags, skipped)
 
 
-def run_theorem_trial(cfg: TrialConfig, index: int) -> TrialRecord:
-    """Per-measurement conditional entropy power inequality on one setting
-    (see :func:`_theorem_block`)."""
-    return _theorem_block(cfg, range(index, index + 1)).rows()[0]
-
-
-def run_qepi_trial(cfg: TrialConfig, index: int) -> TrialRecord:
-    """Unconditional entropy power inequality and spectral majorization."""
-    return _qepi_block(cfg, range(index, index + 1)).rows()[0]
-
-
-def run_concavity_trial(cfg: TrialConfig, index: int) -> TrialRecord:
-    """Midpoint concavity of the entropy power on a random simplex pair."""
-    return _concavity_block(cfg, range(index, index + 1)).rows()[0]
-
-
 def _qepi_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     """qepi trials `indices`: per trial, draw order tau, state 1, state 2."""
     d = cfg.d
@@ -705,12 +653,6 @@ def _conjecture_slack(joint, tau: float) -> float:
     s_1 = conditional_vn_entropy(partial_trace(joint, (0, 2)))
     s_2 = conditional_vn_entropy(partial_trace(joint, (1, 2)))
     return s_out - tau * s_1 - (1.0 - tau) * s_2
-
-
-def run_conjecture_trial(cfg: TrialConfig, index: int) -> TrialRecord:
-    """One counterexample-search trial for the conditional-entropy inequality
-    (see :func:`_conjecture_trial`)."""
-    return _conjecture_trial(cfg, index).rows()[0]
 
 
 def _conjecture_trial(cfg: TrialConfig, index: int) -> TrialBlock:
@@ -837,12 +779,15 @@ def _block_size(experiment: str, cfg: TrialConfig, workers: int) -> int:
     return min(cap, math.ceil(cfg.trials / workers))
 
 
-def _run_blocks(experiment: str, cfg: TrialConfig, parallel: int) -> Iterator[TrialBlock]:
+def run_experiment(experiment: str, cfg: TrialConfig, parallel: int = 1) -> Iterator[TrialBlock]:
     """All trials of one experiment, one TrialBlock at a time, in index
-    order. The configuration is checked before the first block
+    order, run by `parallel` processes. The rows are the same whatever
+    `parallel` is: each trial's randomness is a pure function of (seed,
+    experiment, index). The configuration is checked before the first block
     runs; a serial block runs only when the caller asks for it, so the caller
     holds only the blocks it keeps."""
     validate_config(cfg, experiment)
+    _check_integer("parallel", parallel)
     workers = int(parallel)
     if workers < 1:
         raise UsageError(f"--parallel must be >= 1, got {parallel}")
@@ -872,18 +817,6 @@ def _run_blocks(experiment: str, cfg: TrialConfig, parallel: int) -> Iterator[Tr
             # On an error or an abandoned generator the blocks not yet
             # started are dropped; leaving the block joins the workers.
             pool.shutdown(cancel_futures=True)
-
-
-def run_experiment(experiment: str, cfg: TrialConfig, parallel: int = 1):
-    """Run all trials of one experiment; returns (records, summary).
-
-    Records are identical whatever `parallel` is: each trial's randomness is a
-    pure function of (seed, experiment, index), and records are emitted in
-    index order.
-    """
-    blocks = list(_run_blocks(experiment, cfg, parallel))
-    records = [record for block in blocks for record in block.rows()]
-    return records, summarize(blocks, run_metadata(cfg))
 
 
 def run_metadata(cfg: TrialConfig) -> dict:

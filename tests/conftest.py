@@ -1,3 +1,4 @@
+import json
 import math
 import os
 from functools import reduce
@@ -66,29 +67,66 @@ def expected_power_objective():
     return _expected_power_objective
 
 
-def _block_of(records):
-    """The TrialBlock whose rows are `records`, taking the experiment and
-    kappas of the first: each key's column in the order keys first appear,
-    None in a row whose record lacks the key."""
+def _parse_jsonl(text):
+    """The objects of emitted JSONL text, one per line (NaN and Infinity
+    tokens accepted)."""
+    return [json.loads(line) for line in text.splitlines() if line.strip()]
 
-    def columns(attr):
-        keys = dict.fromkeys(key for r in records for key in getattr(r, attr))
-        return {key: [getattr(r, attr).get(key) for r in records] for key in keys}
 
-    first = records[0]
+@pytest.fixture(scope="session")
+def parse_jsonl():
+    """JSONL text -> its objects (see _parse_jsonl)."""
+    return _parse_jsonl
+
+
+def _rows_of(blocks):
+    """The rows of `blocks`, in order, as dicts: experiment, index, tau,
+    kappas, negligible, the slacks, residuals and pass flags the row holds a
+    value for, and passed, whether all those flags are true."""
+    rows = []
+    for block in blocks:
+        n = len(block.taus)
+        slacks, residuals, flags = (
+            [{key: column[i] for key, column in columns.items() if column[i] is not None} for i in range(n)]
+            for columns in (block.slacks, block.residuals, block.pass_flags)
+        )
+        for index, tau, count, *dicts in zip(block.indices, block.taus, block.negligible, slacks, residuals, flags):
+            row = {"experiment": block.experiment, "index": index, "tau": tau, "kappas": block.kappas}
+            row |= dict(zip(("slacks", "residuals", "pass_flags"), dicts))
+            row |= {"passed": all(row["pass_flags"].values()), "negligible": count}
+            rows.append(row)
+    return rows
+
+
+@pytest.fixture(scope="session")
+def rows_of():
+    """blocks -> their rows as dicts (see _rows_of)."""
+    return _rows_of
+
+
+def _joined(blocks):
+    """The blocks of one run, in index order, as one block: each column the
+    blocks' columns concatenated. Runs that cut the same trials into other
+    blocks give equal joined blocks."""
+    blocks = list(blocks)
+    first = blocks[0]
+
+    def concatenated(columns):
+        return {key: [v for block in blocks for v in getattr(block, columns)[key]] for key in getattr(first, columns)}
+
     return TrialBlock(
         first.experiment,
-        [r.index for r in records],
-        [r.tau for r in records],
+        range(first.indices[0], blocks[-1].indices[-1] + 1),
+        [tau for block in blocks for tau in block.taus],
         first.kappas,
-        columns("slacks"),
-        columns("residuals"),
-        columns("pass_flags"),
-        [r.negligible for r in records],
+        concatenated("slacks"),
+        concatenated("residuals"),
+        concatenated("pass_flags"),
+        [count for block in blocks for count in block.negligible],
     )
 
 
 @pytest.fixture(scope="session")
-def block_of():
-    """records -> the TrialBlock whose rows they are (see _block_of)."""
-    return _block_of
+def joined():
+    """blocks -> the one block of their rows (see _joined)."""
+    return _joined

@@ -19,7 +19,7 @@ from qudit_epi.channels import (
     partial_swap_global_closed,
 )
 from qudit_epi.entropy import climb_product_basis, entropy_power
-from qudit_epi.harness import TrialConfig, _bilocal_channel, run_conjecture_trial, run_experiment
+from qudit_epi.harness import TrialConfig, _bilocal_channel, _run_block, run_experiment, run_metadata, summarize
 from qudit_epi.rand import RandomSource, haar_unitary, sample_state
 from qudit_epi.states import make_density, matrix_distance, multipartite, tensor
 
@@ -36,28 +36,34 @@ def _report(name: str, ok: bool, detail: str = ""):
     assert ok, f"{name}: {detail}"
 
 
+def _run(experiment, cfg, joined):
+    """Every trial of one experiment at --parallel WORKERS, as one block,
+    and the summary of its blocks."""
+    blocks = list(run_experiment(experiment, cfg, parallel=WORKERS))
+    return joined(blocks), summarize(blocks, run_metadata(cfg))
+
+
 # ----------------------------------------------------------- shared heavy runs
 
 
 @pytest.fixture(scope="module")
-def lemma_runs():
+def lemma_runs(joined):
     t0 = time.perf_counter()
     results = {}
     for d in (2, 3, 4):
         for e1 in (2, 3):
             for e2 in (2, 3):
                 cfg = TrialConfig(d=d, d_e1=e1, d_e2=e2, trials=1000, seed=1000 + d * 100 + e1 * 10 + e2)
-                records, summary = run_experiment("lemma", cfg, parallel=WORKERS)
-                results[(d, e1, e2)] = (records, summary)
+                results[(d, e1, e2)] = _run("lemma", cfg, joined)
     return results, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
-def qepi_runs():
+def qepi_runs(joined):
     results = {}
     for d in (2, 3, 4, 5):
         cfg = TrialConfig(d=d, trials=1000, seed=2000 + d)
-        results[d] = run_experiment("qepi", cfg, parallel=WORKERS)
+        results[d] = _run("qepi", cfg, joined)
     return results
 
 
@@ -98,9 +104,9 @@ def test_criterion_2_lemma_identity(lemma_runs):
     results, elapsed = lemma_runs
     worst = 0.0
     total = 0
-    for records, _ in results.values():
-        total += len(records)
-        worst = max(worst, max(r.residuals["lemma_identity"] for r in records))
+    for block, _ in results.values():
+        total += len(block.taus)
+        worst = max(worst, max(block.residuals["lemma_identity"]))
     _report(
         "criterion 2: conditional identity residual",
         worst <= 1e-10 and total == 12_000 and elapsed < 180.0,
@@ -111,12 +117,12 @@ def test_criterion_2_lemma_identity(lemma_runs):
 def test_criterion_3_majorization(lemma_runs, qepi_runs):
     worst_slack = 0.0
     worst_total = 0.0
-    for records, _ in lemma_runs[0].values():
-        worst_slack = min(worst_slack, min(r.slacks["lemma_majorization"] for r in records))
-        worst_total = max(worst_total, max(r.residuals["major_total"] for r in records))
-    for records, _ in qepi_runs.values():
-        worst_slack = min(worst_slack, min(r.slacks["qepi_majorization"] for r in records))
-        worst_total = max(worst_total, max(r.residuals["major_total"] for r in records))
+    for block, _ in lemma_runs[0].values():
+        worst_slack = min(worst_slack, min(block.slacks["lemma_majorization"]))
+        worst_total = max(worst_total, max(block.residuals["major_total"]))
+    for block, _ in qepi_runs.values():
+        worst_slack = min(worst_slack, min(block.slacks["qepi_majorization"]))
+        worst_total = max(worst_total, max(block.residuals["major_total"]))
     _report(
         "criterion 3: conditional and unconditional majorization",
         worst_slack >= -1e-9 and worst_total <= 1e-9,
@@ -124,16 +130,17 @@ def test_criterion_3_majorization(lemma_runs, qepi_runs):
     )
 
 
-def test_criterion_4_theorem_per_measurement():
+def test_criterion_4_theorem_per_measurement(joined):
     worst = 0.0
     worst_k0 = 0.0
     for d in (2, 3, 4, 5):
         cfg = TrialConfig(d=d, trials=1000, seed=3000 + d)
-        records, summary = run_experiment("theorem", cfg, parallel=WORKERS)
+        block, summary = _run("theorem", cfg, joined)
         assert summary.violations == 0
-        for r in records:
-            worst = min(worst, min(v for k, v in r.slacks.items() if k.startswith("theorem_measured")))
-            worst_k0 = max(worst_k0, abs(r.slacks["theorem_measured.k0"]))
+        for key, column in block.slacks.items():
+            if key.startswith("theorem_measured"):
+                worst = min(worst, min(column))
+        worst_k0 = max(worst_k0, max(map(abs, block.slacks["theorem_measured.k0"])))
     _report(
         "criterion 4: conditional EPI, per-measurement form at the worst basis pair found",
         worst >= -1e-9 and worst_k0 <= 1e-12,
@@ -143,10 +150,11 @@ def test_criterion_4_theorem_per_measurement():
 
 def test_criterion_5_unconditional_qepi(qepi_runs):
     worst = 0.0
-    for d, (records, summary) in qepi_runs.items():
+    for d, (block, summary) in qepi_runs.items():
         assert summary.violations == 0, f"violations at d={d}"
-        for r in records:
-            worst = min(worst, min(v for k, v in r.slacks.items() if k.startswith("qepi.")))
+        for key, column in block.slacks.items():
+            if key.startswith("qepi."):
+                worst = min(worst, min(column))
     zero = make_density(np.diag([1.0, 0.0]))
     plus = make_density(np.full((2, 2), 0.5))
     lhs = entropy_power(partial_swap_closed(zero, plus, 0.5), 1.0)
@@ -157,11 +165,11 @@ def test_criterion_5_unconditional_qepi(qepi_runs):
     )
 
 
-def test_criterion_6_concavity():
+def test_criterion_6_concavity(joined):
     worst = 0.0
     for d in (2, 3, 4, 5):
         cfg = TrialConfig(d=d, kappa="max", trials=10_000, seed=4000 + d)
-        records, summary = run_experiment("concavity", cfg, parallel=WORKERS)
+        _, summary = _run("concavity", cfg, joined)
         assert summary.violations == 0
         worst = min(worst, summary.min_slack["concavity.k0"])
     _report(
@@ -174,9 +182,9 @@ def test_criterion_6_concavity():
 def test_criterion_7_measurement_machinery(lemma_runs):
     worst_norm = 0.0
     worst_factor = 0.0
-    for records, _ in lemma_runs[0].values():
-        worst_norm = max(worst_norm, max(r.residuals["prob_norm"] for r in records))
-        worst_factor = max(worst_factor, max(r.residuals["factorization"] for r in records))
+    for block, _ in lemma_runs[0].values():
+        worst_norm = max(worst_norm, max(block.residuals["prob_norm"]))
+        worst_factor = max(worst_factor, max(block.residuals["factorization"]))
     _report(
         "criterion 7: probability normalization and factorization",
         worst_norm <= 1e-9 and worst_factor <= 1e-9,
@@ -206,24 +214,24 @@ def test_criterion_8_optimizer_sanity(bell, expected_power_objective):
     )
 
 
-def test_criterion_9_conjecture_harness():
+def test_criterion_9_conjecture_harness(joined):
     # trivial environment: the reduction is proven, so zero re-verified findings
     violations = 0
     for d in (2, 3):
         cfg = TrialConfig(d=d, d_e1=1, d_e2=1, trials=1000, seed=5000 + d)
-        _, summary = run_experiment("conjecture", cfg, parallel=WORKERS)
+        _, summary = _run("conjecture", cfg, joined)
         violations += summary.violations
         assert summary.min_slack["conjecture"] >= -1e-9
     # entangled environment: completes, re-verifies candidates, replays exactly
     cfg = TrialConfig(d=2, d_e1=2, d_e2=2, trials=200, seed=5100)
-    records, summary = run_experiment("conjecture", cfg, parallel=WORKERS)
-    candidates = [r for r in records if "conjecture_perturbed" in r.slacks]
-    for r in candidates[:3]:
-        again = run_conjecture_trial(cfg, r.index)
-        assert again.slacks == r.slacks
+    block, summary = _run("conjecture", cfg, joined)
+    candidates = [i for i, value in enumerate(block.slacks["conjecture_perturbed"]) if value is not None]
+    for i in candidates[:3]:
+        again = _run_block("conjecture", cfg, range(i, i + 1))
+        assert again.slacks == {key: column[i : i + 1] for key, column in block.slacks.items()}
     _report(
         "criterion 9: conjecture search harness",
-        violations == 0 and len(records) == 200,
+        violations == 0 and len(block.taus) == 200,
         f"trivial-env re-verified violations {violations} == 0; entangled arm completed with "
         f"{len(candidates)} candidates re-verified and reproducible",
     )

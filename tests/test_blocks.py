@@ -2,9 +2,9 @@
 
 The qepi and concavity references below rebuild the one-trial computations
 from the public scalar functions, each trial opening its own generator. The
-theorem's block records must equal its one-index route, and its stacked
-search objective must equal the one-climb evaluation and the validated slack.
-Block records must match exactly, signed zeros included, because output bytes
+theorem's blocks must equal its blocks of one trial, and its stacked search
+objective must equal the one-climb evaluation and the validated slack. Block
+values must match exactly, signed zeros included, because output bytes
 depend on it.
 """
 
@@ -30,8 +30,7 @@ from qudit_epi.harness import (
     _theorem_slack,
     resolve_kappas,
     run_experiment,
-    run_qepi_trial,
-    run_theorem_trial,
+    summarize,
 )
 from qudit_epi.measurement import projective_from_unitary
 from qudit_epi.rand import RandomSource, haar_unitary, sample_state
@@ -81,11 +80,11 @@ def reference_concavity(cfg, index):
 REFERENCES = {"qepi": reference_qepi, "concavity": reference_concavity}
 
 
-def assert_matches_reference(experiment, cfg, records):
-    assert [r.index for r in records] == list(range(cfg.trials))
-    for r in records:
-        got = (r.index, r.tau, r.kappas, r.slacks, r.residuals)
-        expected = REFERENCES[experiment](cfg, r.index)
+def assert_matches_reference(experiment, cfg, rows):
+    assert [r["index"] for r in rows] == list(range(cfg.trials))
+    for r in rows:
+        got = (r["index"], r["tau"], r["kappas"], r["slacks"], r["residuals"])
+        expected = REFERENCES[experiment](cfg, r["index"])
         assert got == expected
         assert repr(got) == repr(expected)  # == does not tell -0.0 from 0.0
 
@@ -97,38 +96,36 @@ _TAUS = [None, 0.0, 1.0, 0.3]
 @pytest.mark.parametrize("tau", _TAUS, ids=["random", "0", "1", "0.3"])
 @pytest.mark.parametrize("kind, rank", _KINDS, ids=["ginibre", "pure", "rank-k:1", "rank-k:2"])
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_qepi_blocks_match_reference(monkeypatch, d, kind, rank, tau):
+def test_qepi_blocks_match_reference(monkeypatch, rows_of, d, kind, rank, tau):
     # Blocks of 7 put boundaries after trials 6 and 13.
     monkeypatch.setitem(harness._BLOCK_SIZE, "qepi", 7)
     cfg = TrialConfig(d=d, state_kind=kind, rank=rank, tau=tau, trials=16, seed=29)
-    records, _ = run_experiment("qepi", cfg)
-    assert_matches_reference("qepi", cfg, records)
+    assert_matches_reference("qepi", cfg, rows_of(run_experiment("qepi", cfg)))
 
 
 @pytest.mark.parametrize("tau", _TAUS, ids=["random", "0", "1", "0.3"])
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_concavity_blocks_match_reference(monkeypatch, d, tau):
+def test_concavity_blocks_match_reference(monkeypatch, rows_of, d, tau):
     monkeypatch.setitem(harness._BLOCK_SIZE, "concavity", 7)
     cfg = TrialConfig(d=d, tau=tau, trials=16, seed=31)
-    records, _ = run_experiment("concavity", cfg)
-    assert_matches_reference("concavity", cfg, records)
+    assert_matches_reference("concavity", cfg, rows_of(run_experiment("concavity", cfg)))
 
 
 @pytest.mark.parametrize("experiment, d", [("qepi", 2), ("concavity", 4)])
-def test_full_blocks_match_reference_and_parallel(experiment, d):
+def test_full_blocks_match_reference_and_parallel(rows_of, joined, experiment, d):
     # Four full-size blocks and a partial one: enough for two workers to share.
     cfg = TrialConfig(d=d, trials=4 * harness._BLOCK_SIZE[experiment] + 3, seed=37)
-    serial, summary1 = run_experiment(experiment, cfg, parallel=1)
-    parallel, summary2 = run_experiment(experiment, cfg, parallel=2)
-    assert_matches_reference(experiment, cfg, serial)
-    assert parallel == serial
-    assert summary1 == summary2
+    serial = list(run_experiment(experiment, cfg, parallel=1))
+    parallel = list(run_experiment(experiment, cfg, parallel=2))
+    assert_matches_reference(experiment, cfg, rows_of(serial))
+    assert joined(parallel) == joined(serial)
+    assert summarize(serial) == summarize(parallel)
 
 
 def test_failure_mid_block_names_its_trial(monkeypatch):
     cfg = TrialConfig(d=3, trials=600, seed=41)
     target = 300  # inside the first block of 512
-    target_tau = run_qepi_trial(cfg, target).tau
+    (target_tau,) = harness._run_block("qepi", cfg, range(target, target + 1)).taus
     real = harness.partial_swap_closed_stack
 
     def fails_on_target(r1, r2, tau):
@@ -138,7 +135,7 @@ def test_failure_mid_block_names_its_trial(monkeypatch):
 
     monkeypatch.setattr(harness, "partial_swap_closed_stack", fails_on_target)
     with pytest.raises(ValidationError) as err:
-        run_experiment("qepi", cfg)
+        list(run_experiment("qepi", cfg))
     key = (41, harness._STREAM_BASE["qepi"] + target)
     assert str(err.value) == f"qepi trial {target}, stream key {key}: smallest eigenvalue -1.0e-03 below -tol 1.0e-10"
     assert isinstance(err.value.__cause__, ValidationError)
@@ -180,8 +177,8 @@ def test_run_records_splits_trials_into_blocks_of_the_rule(monkeypatch):
         return real(cfg, indices)
 
     monkeypatch.setitem(harness._TRIAL_FNS, "theorem", recording)
-    list(harness._run_blocks("theorem", TrialConfig(d=2, trials=50, seed=3), 1))
-    list(harness._run_blocks("theorem", TrialConfig(d=2, trials=3, seed=3), 2))
+    list(run_experiment("theorem", TrialConfig(d=2, trials=50, seed=3), 1))
+    list(run_experiment("theorem", TrialConfig(d=2, trials=3, seed=3), 2))
     assert seen == [range(0, 50), range(0, 3)]
 
 
@@ -199,7 +196,7 @@ def test_parallel_blocks_come_in_index_order_within_a_window(monkeypatch):
     monkeypatch.setattr(ProcessPoolExecutor, "submit", counting)
     cfg = TrialConfig(d=2, trials=207, seed=47)
     starts = []
-    for block in harness._run_blocks("qepi", cfg, 2):
+    for block in run_experiment("qepi", cfg, 2):
         starts.append(block.indices[0])
         assert len(submitted) - len(starts) <= 2 * 2
     assert starts == list(range(0, 207, 7))
@@ -221,7 +218,7 @@ def test_parallel_failure_names_its_trial_and_stops_the_pool(monkeypatch, tmp_pa
     monkeypatch.setitem(harness._TRIAL_FNS, "qepi", fails_in_block_one)
     cfg = TrialConfig(d=2, trials=210, seed=53)
     with pytest.raises(ValidationError) as err:
-        run_experiment("qepi", cfg, parallel=2)
+        list(run_experiment("qepi", cfg, parallel=2))
     key = (53, harness._STREAM_BASE["qepi"] + 10)
     assert str(err.value) == f"qepi trial 10, stream key {key}: planted"
     ran = {int(path.name.split("-")[1]) // 7 for path in tmp_path.iterdir()}
@@ -232,35 +229,37 @@ def test_parallel_failure_names_its_trial_and_stops_the_pool(monkeypatch, tmp_pa
 @pytest.mark.parametrize("kind, rank", _KINDS[:3], ids=["ginibre", "pure", "rank-k:1"])
 @pytest.mark.parametrize("envs", [(2, 2), (2, 3), (1, 4)], ids=["env22", "env23", "env14"])
 @pytest.mark.parametrize("d", [2, 3])
-def test_theorem_blocks_match_one_index_route(monkeypatch, d, envs, kind, rank):
+def test_theorem_blocks_match_one_index_route(monkeypatch, joined, d, envs, kind, rank):
     cfg = TrialConfig(d=d, d_e1=envs[0], d_e2=envs[1], state_kind=kind, rank=rank, trials=10, seed=43)
-    alone = [run_theorem_trial(cfg, index) for index in range(cfg.trials)]
+    alone = joined(harness._run_block("theorem", cfg, range(index, index + 1)) for index in range(cfg.trials))
     # Blocks of 3 and 7 put boundaries after trials 2, 5, 8 and after trial 6.
     for size in (3, 7):
         monkeypatch.setattr(harness, "_block_size", lambda *_, size=size: size)
-        records, _ = run_experiment("theorem", cfg)
-        assert records == alone
-        assert repr(records) == repr(alone)  # == does not tell -0.0 from 0.0
+        blocks = list(run_experiment("theorem", cfg))
+        assert [len(block.taus) for block in blocks] == [size] * (10 // size) + [10 % size]
+        assert joined(blocks) == alone
+        assert repr(joined(blocks)) == repr(alone)  # == does not tell -0.0 from 0.0
 
 
-def test_theorem_blocks_parallel_matches_serial():
+def test_theorem_blocks_parallel_matches_serial(joined):
     # One block of 37 trials against two of 19 and 18, one per worker.
     cfg = TrialConfig(d=2, trials=37, seed=47)
-    serial, summary1 = run_experiment("theorem", cfg, parallel=1)
-    parallel, summary2 = run_experiment("theorem", cfg, parallel=2)
-    assert parallel == serial
-    assert summary1 == summary2
+    serial = list(run_experiment("theorem", cfg, parallel=1))
+    parallel = list(run_experiment("theorem", cfg, parallel=2))
+    assert [len(block.taus) for block in parallel] == [19, 18]
+    assert joined(parallel) == joined(serial)
+    assert summarize(serial) == summarize(parallel)
 
 
 @pytest.mark.parametrize("module", [harness, entropy], ids=["setting", "restart"])
-def test_theorem_haar_check_failure_redraws_by_the_scalar_route(monkeypatch, module):
+def test_theorem_haar_check_failure_redraws_by_the_scalar_route(monkeypatch, joined, module):
     # Fails one row of the stacked Haar draw: of trial 5's bases, or of one
     # climb's restart. The scalar route redraws it from the start of its
-    # stream; its first draw passes, so every record stays the same.
+    # stream; its first draw passes, so every value stays the same.
     # Redrawing the row's later draws (the second basis, the steps) is part
     # of it.
     cfg = TrialConfig(d=2, d_e1=2, d_e2=3, trials=12, seed=59)
-    expected, _ = run_experiment("theorem", cfg)
+    expected = joined(run_experiment("theorem", cfg))
     real = module.haar_unitaries
     calls = []
 
@@ -273,10 +272,10 @@ def test_theorem_haar_check_failure_redraws_by_the_scalar_route(monkeypatch, mod
         return u, ok
 
     monkeypatch.setattr(module, "haar_unitaries", fails_one_row)
-    records, _ = run_experiment("theorem", cfg)
+    redrawn = joined(run_experiment("theorem", cfg))
     assert calls
-    assert records == expected
-    assert repr(records) == repr(expected)
+    assert redrawn == expected
+    assert repr(redrawn) == repr(expected)
 
 
 def _assert_theorem_failure_names_its_trial(monkeypatch, step, message):
@@ -297,7 +296,7 @@ def _assert_theorem_failure_names_its_trial(monkeypatch, step, message):
 
     monkeypatch.setattr(harness, step, fails_on_target)
     with pytest.raises(ValidationError) as err:
-        run_experiment("theorem", cfg)
+        list(run_experiment("theorem", cfg))
     key = (53, harness._STREAM_BASE["theorem"] + target)
     assert str(err.value) == f"theorem trial {target}, stream key {key}: {message}"
     assert isinstance(err.value.__cause__, ValidationError)
@@ -324,7 +323,7 @@ def test_theorem_checks_completeness_of_the_found_bases(monkeypatch):
 
     monkeypatch.setattr(harness, "climb_product_basis", off_unitary)
     with pytest.raises(ValidationError, match=r"^theorem trial 0, .*: max\|U†U - I\| = 2\.001e-03 \(> 1\.0e-10\)$"):
-        run_experiment("theorem", TrialConfig(d=2, trials=3, seed=61))
+        list(run_experiment("theorem", TrialConfig(d=2, trials=3, seed=61)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,8 +18,6 @@ from qudit_epi.cli import (
     build_parser,
     dispatch,
     emit,
-    parse_lines,
-    record_to_object,
     render_block,
     render_line,
 )
@@ -29,7 +27,6 @@ from qudit_epi.harness import (
     Summary,
     TrialBlock,
     TrialConfig,
-    TrialRecord,
     run_experiment,
     run_metadata,
     summarize,
@@ -75,8 +72,26 @@ def test_render_line_equals_json_dumps():
     assert render_line(obj) == json.dumps(obj, separators=(",", ":")) + "\n"
 
 
-def _json_route(records, with_experiment):
-    return "".join(render_line(record_to_object(r, with_experiment)) for r in records)
+def _json_route(rows, with_experiment):
+    """The trial lines of `rows` (row dicts, see the rows_of fixture), each
+    line object built key by key and written by the json encoder."""
+    lines = []
+    for row in rows:
+        obj = {"type": "trial"}
+        if with_experiment:
+            obj["experiment"] = row["experiment"]
+        obj |= {
+            "index": row["index"],
+            "tau": row["tau"],
+            "kappa": row["kappas"],
+            "slacks": row["slacks"],
+            "residuals": row["residuals"],
+            "pass": row["passed"],
+        }
+        if row["negligible"]:
+            obj["negligible_outcomes"] = row["negligible"]
+        lines.append(render_line(obj))
+    return "".join(lines)
 
 
 _FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
@@ -107,11 +122,11 @@ def _blocks(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(block=_blocks(), with_experiment=st.booleans())
-def test_render_block_equals_json_route(block, with_experiment):
-    assert render_block(block, with_experiment) == _json_route(block.rows(), with_experiment)
+def test_render_block_equals_json_route(rows_of, block, with_experiment):
+    assert render_block(block, with_experiment) == _json_route(rows_of([block]), with_experiment)
 
 
-def test_render_block_equals_json_route_on_edge_values():
+def test_render_block_equals_json_route_on_edge_values(rows_of):
     edge_floats = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1 / 3]
     slacks = {f"f{i}": [value, -value] for i, value in enumerate(edge_floats)}
     slacks |= {'q"\\%s%%κ': [3.0, None], "\x00k": [None, 0.0]}
@@ -125,10 +140,10 @@ def test_render_block_equals_json_route_on_edge_values():
     ]
     for block in blocks:
         for with_experiment in (False, True):
-            assert render_block(block, with_experiment) == _json_route(block.rows(), with_experiment)
+            assert render_block(block, with_experiment) == _json_route(rows_of([block]), with_experiment)
 
 
-def test_render_block_follows_shape_changes_mid_block():
+def test_render_block_follows_shape_changes_mid_block(rows_of):
     # A conjecture row gains a conjecture_perturbed slack when it re-checks a
     # candidate; a lemma or theorem row carries negligible_outcomes only when
     # some outcome was skipped. Each block interleaves both shapes.
@@ -141,7 +156,7 @@ def test_render_block_follows_shape_changes_mid_block():
     theorem.negligible[0] = theorem.negligible[3] = 1
     for block in (conjecture, lemma, theorem):
         for with_experiment in (False, True):
-            assert render_block(block, with_experiment) == _json_route(block.rows(), with_experiment)
+            assert render_block(block, with_experiment) == _json_route(rows_of([block]), with_experiment)
 
 
 def test_manifest_roundtrip():
@@ -155,11 +170,11 @@ def test_manifest_roundtrip():
         assert (obj["command"], obj["timestamp"]) == (m.command, m.timestamp)
 
 
-def test_dispatch_writes_jsonl(tmp_path):
+def test_dispatch_writes_jsonl(tmp_path, parse_jsonl):
     out = tmp_path / "run.jsonl"
     code = dispatch(["verify-qepi", "--dim", "2", "--trials", "3", "--seed", "1", "--out", str(out)])
     assert code == 0
-    lines = parse_lines(out.read_text())
+    lines = parse_jsonl(out.read_text())
     assert len(lines) == 5  # manifest + 3 trials + summary
     assert lines[0]["type"] == "manifest"
     assert all(r["type"] == "trial" for r in lines[1:-1])
@@ -246,11 +261,11 @@ def test_parallel_does_not_change_output(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_timestamp_env_override(tmp_path, monkeypatch):
+def test_timestamp_env_override(tmp_path, monkeypatch, parse_jsonl):
     out = tmp_path / "run.jsonl"
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     dispatch(["verify-qepi", "--trials", "1", "--seed", "1", "--out", str(out)])
-    stamp = parse_lines(out.read_text())[0]["timestamp"]
+    stamp = parse_jsonl(out.read_text())[0]["timestamp"]
     assert stamp.startswith("2023-11-14T")
 
 
@@ -261,39 +276,39 @@ def test_cli_module_entrypoint(tmp_path):
     assert out.exists()
 
 
-def test_conjecture_finding_exits_two(tmp_path):
+def test_conjecture_finding_exits_two(tmp_path, parse_jsonl):
     # entangled environment: re-verified candidates are findings, exit code 2
     out = tmp_path / "run.jsonl"
     code = dispatch(
         ["search-conjecture", "--dim", "2", "--env-dim1", "2", "--trials", "12", "--seed", "10", "--out", str(out)]
     )
     assert code == 2
-    summary = parse_lines(out.read_text())[-1]
+    summary = parse_jsonl(out.read_text())[-1]
     assert summary["violations"] > 0
 
 
-def test_stdout_output(capsys):
+def test_stdout_output(capsys, parse_jsonl):
     code = dispatch(["verify-qepi", "--trials", "2", "--seed", "4", "--out", "-"])
     assert code == 0
-    lines = parse_lines(capsys.readouterr().out)
+    lines = parse_jsonl(capsys.readouterr().out)
     assert lines[0]["type"] == "manifest" and lines[-1]["type"] == "summary"
 
 
-def test_emit_empty_record_list(tmp_path):
+def test_emit_empty_record_list(tmp_path, parse_jsonl):
     out = tmp_path / "empty.jsonl"
     manifest = RunManifest(command="verify-qepi", config=TrialConfig(trials=1))
     summary = Summary(trials=0, violations=0, min_slack={}, max_residual=0.0, histogram={})
     emit(manifest, [], summary, str(out))
-    lines = parse_lines(out.read_text())
+    lines = parse_jsonl(out.read_text())
     assert len(lines) == 2
     assert lines[0]["type"] == "manifest"
     assert lines[1]["type"] == "summary" and lines[1]["trials"] == 0
 
 
-def test_summary_recomputable_from_emitted_records(tmp_path):
+def test_summary_recomputable_from_emitted_records(tmp_path, parse_jsonl):
     out = tmp_path / "run.jsonl"
     assert dispatch(["verify-qepi", "--trials", "20", "--seed", "9", "--out", str(out)]) == 0
-    lines = parse_lines(out.read_text())
+    lines = parse_jsonl(out.read_text())
     trials = [ln for ln in lines if ln["type"] == "trial"]
     summary = lines[-1]
     assert summary["trials"] == len(trials)
@@ -303,12 +318,13 @@ def test_summary_recomputable_from_emitted_records(tmp_path):
     assert summary["max_residual"] == max(v for t in trials for v in t["residuals"].values())
 
 
-def test_streamed_dispatch_equals_emit_of_run_experiment(tmp_path, monkeypatch, block_of):
+def test_streamed_dispatch_equals_emit_of_run_experiment(tmp_path, monkeypatch, parse_jsonl, rows_of, joined):
     # Each subcommand's streamed bytes, at --parallel 1 and 2, equal those
-    # emit writes from run_experiment's records, each line rendered by the
-    # json encoder, and the summary of one block per experiment. Blocks of 7
-    # split 30 qepi or concavity trials into 7 + 7 + 7 + 7 + 2; the
-    # conjecture's blocks mix rows with and without conjecture_perturbed.
+    # emit writes from the rows of run_experiment's blocks, each line
+    # rendered by the json encoder, and the summary of one block per
+    # experiment. Blocks of 7 split 30 qepi or concavity trials into
+    # 7 + 7 + 7 + 7 + 2; the conjecture's blocks mix rows with and without
+    # conjecture_perturbed.
     monkeypatch.setitem(harness._BLOCK_SIZE, "qepi", 7)
     monkeypatch.setitem(harness._BLOCK_SIZE, "concavity", 7)
     monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
@@ -323,16 +339,16 @@ def test_streamed_dispatch_equals_emit_of_run_experiment(tmp_path, monkeypatch, 
     for argv in commands:
         cfg = _config_from_args(build_parser().parse_args(argv))
         experiments = [name for name in EXPERIMENTS if argv[0] == "all" or name in argv[0]]
-        runs = [run_experiment(experiment, cfg)[0] for experiment in experiments]
-        lines = "".join(_json_route(records, argv[0] == "all") for records in runs)
-        summary = summarize([block_of(records) for records in runs], run_metadata(cfg))
+        runs = [joined(run_experiment(experiment, cfg)) for experiment in experiments]
+        lines = _json_route(rows_of(runs), argv[0] == "all")
+        summary = summarize(runs, run_metadata(cfg))
         whole = tmp_path / "whole.jsonl"
         emit(RunManifest(command=argv[0], config=cfg, timestamp=_resolve_timestamp()), [lines], summary, str(whole))
         for workers in ("1", "2"):
             streamed = tmp_path / f"streamed-{workers}.jsonl"
             assert dispatch(argv + ["--parallel", workers, "--out", str(streamed)]) == (2 if summary.violations else 0)
             assert streamed.read_bytes() == whole.read_bytes(), (argv, workers)
-        assert len(parse_lines(whole.read_text())) == 2 + sum(map(len, runs))
+        assert len(parse_jsonl(whole.read_text())) == 2 + sum(len(run.taus) for run in runs)
 
 
 def test_all_streams_the_same_bytes_at_parallel_one_and_two(tmp_path, monkeypatch):
@@ -351,26 +367,22 @@ def _live_blocks() -> int:
 
 
 def test_at_most_one_block_of_records_is_alive_when_a_block_starts(tmp_path, monkeypatch):
-    # At most the previous block is alive when a block starts, and no
-    # TrialRecord is made on the way from the block to its lines.
+    # At most the previous block is alive when a block starts.
     monkeypatch.setitem(harness._BLOCK_SIZE, "qepi", 7)
     real = harness._TRIAL_FNS["qepi"]
     alive = []
-    records = []
 
     def counting(cfg, indices):
         alive.append(_live_blocks() - before)
         return real(cfg, indices)
 
     monkeypatch.setitem(harness._TRIAL_FNS, "qepi", counting)
-    monkeypatch.setattr(TrialRecord, "__post_init__", lambda record: records.append(record))
     gc.collect()
     before = _live_blocks()
     argv = ["verify-qepi", "--dim", "2", "--trials", "30", "--seed", "8", "--parallel", "1"]
     assert dispatch(argv + ["--out", str(tmp_path / "run.jsonl")]) == 0
     assert len(alive) == 5
     assert max(alive) <= 1, alive
-    assert records == []
 
 
 # Launches argv[1:], waits with os.wait4 and prints the exit code and ru_maxrss.

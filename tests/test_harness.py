@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qudit_epi import harness
-from qudit_epi.cli import dispatch, parse_lines
+from qudit_epi.cli import dispatch
 from qudit_epi.entropy import climb_product_basis
 from qudit_epi.errors import QuditEpiError, UsageError, ValidationError
 from qudit_epi.harness import (
+    EXPERIMENTS,
     Summary,
     TrialBlock,
     TrialConfig,
-    TrialRecord,
     _bilocal_channel,
     _bilocal_setting,
     _conditioned_pieces,
@@ -22,12 +23,7 @@ from qudit_epi.harness import (
     _theorem_slack,
     _trial_source,
     resolve_kappas,
-    run_concavity_trial,
-    run_conjecture_trial,
     run_experiment,
-    run_lemma_trial,
-    run_qepi_trial,
-    run_theorem_trial,
     summarize,
     validate_config,
 )
@@ -36,52 +32,46 @@ from qudit_epi.rand import RandomSource, haar_unitary, sample_state
 from qudit_epi.states import multipartite, tensor
 
 
-def _records_equal(a, b):
-    return (
-        a.index == b.index
-        and a.tau == b.tau
-        and a.kappas == b.kappas
-        and a.slacks == b.slacks
-        and a.residuals == b.residuals
-        and a.passed == b.passed
-    )
+def _one(experiment, cfg, index):
+    """Trial `index` of `experiment` alone, as a block of one row."""
+    return harness._run_block(experiment, cfg, range(index, index + 1))
 
 
 def test_trials_replay_exactly():
     cfg = TrialConfig(d=3, d_e1=2, d_e2=2, trials=5, seed=11)
-    for fn in (run_lemma_trial, run_theorem_trial, run_qepi_trial, run_concavity_trial, run_conjecture_trial):
-        assert _records_equal(fn(cfg, 3), fn(cfg, 3))
+    for experiment in EXPERIMENTS:
+        assert _one(experiment, cfg, 3) == _one(experiment, cfg, 3), experiment
 
 
 def test_forced_tau_endpoints():
     cfg = TrialConfig(d=2, trials=5, seed=1)
-    taus = [run_qepi_trial(cfg, i).tau for i in range(5)]
+    taus = [_one("qepi", cfg, i).taus[0] for i in range(5)]
     assert taus[:3] == [0.0, 0.5, 1.0]
     assert all(0.0 <= t <= 1.0 for t in taus)
 
 
 def test_fixed_tau_respected():
     cfg = TrialConfig(d=2, tau=0.25, trials=3, seed=1)
-    assert all(run_qepi_trial(cfg, i).tau == 0.25 for i in range(3))
+    assert all(_one("qepi", cfg, i).taus == [0.25] for i in range(3))
     # A library caller's integer tau is a float in every trial, as a line
     # writes it ("tau":0.0), and as cli.render_block can render it.
     cfg = TrialConfig(d=2, tau=0, trials=3, seed=1)
-    for fn in (run_lemma_trial, run_theorem_trial, run_qepi_trial, run_concavity_trial, run_conjecture_trial):
-        assert repr(fn(cfg, 1).tau) == "0.0", fn
+    for experiment in EXPERIMENTS:
+        assert repr(_one(experiment, cfg, 1).taus[0]) == "0.0", experiment
 
 
 def test_lemma_trial_checks():
     cfg = TrialConfig(d=3, d_e1=2, d_e2=3, trials=1, seed=5)
     for i in range(20):
-        r = run_lemma_trial(cfg, i)
-        assert r.passed, r
-        assert r.residuals["lemma_identity"] <= 1e-10
-        assert r.slacks["lemma_majorization"] >= -1e-9
-        assert r.residuals["factorization"] <= 1e-9
-        assert r.residuals["prob_norm"] <= 1e-9
+        r = _one("lemma", cfg, i)
+        assert r.passed == [True], r
+        assert r.residuals["lemma_identity"][0] <= 1e-10
+        assert r.slacks["lemma_majorization"][0] >= -1e-9
+        assert r.residuals["factorization"][0] <= 1e-9
+        assert r.residuals["prob_norm"][0] <= 1e-9
 
 
-def test_lemma_counts_negligible_outcomes(monkeypatch, capsys, zero):
+def test_lemma_counts_negligible_outcomes(monkeypatch, capsys, zero, parse_jsonl):
     # Environment 1 sits in |0><0| and is measured in the computational basis,
     # so its outcome 1 has probability exactly 0: both grid pairs that use it
     # are skipped and counted as negligible.
@@ -93,21 +83,21 @@ def test_lemma_counts_negligible_outcomes(monkeypatch, capsys, zero):
         return tau, s1, s2, projective_from_unitary(np.eye(2)), m2
 
     monkeypatch.setattr(harness, "_bilocal_setting", planted)
-    r = run_lemma_trial(TrialConfig(d=2, trials=1, seed=5), 3)
-    assert r.passed, r
-    assert r.negligible == 2
-    assert math.isfinite(r.slacks["lemma_majorization"])
+    r = _one("lemma", TrialConfig(d=2, trials=1, seed=5), 3)
+    assert r.passed == [True], r
+    assert r.negligible == [2]
+    assert math.isfinite(r.slacks["lemma_majorization"][0])
     assert dispatch(["verify-lemma", "--dim", "2", "--trials", "2", "--seed", "5", "--parallel", "1"]) == 0
-    trials = [line for line in parse_lines(capsys.readouterr().out) if line["type"] == "trial"]
+    trials = [line for line in parse_jsonl(capsys.readouterr().out) if line["type"] == "trial"]
     assert [line["negligible_outcomes"] for line in trials] == [2, 2]
 
 
 def test_theorem_trial_kappa_zero_slack_is_zero():
     cfg = TrialConfig(d=2, trials=1, seed=6)
     for i in range(20):
-        r = run_theorem_trial(cfg, i)
-        assert abs(r.slacks["theorem_measured.k0"]) <= 1e-12
-        assert r.passed
+        r = _one("theorem", cfg, i)
+        assert abs(r.slacks["theorem_measured.k0"][0]) <= 1e-12
+        assert r.passed == [True]
 
 
 def _one_setting_objective(joint, s1, s2, tau, kappa):
@@ -131,17 +121,18 @@ def test_theorem_search_is_validated_and_never_above_haar(d, envs):
     # negligible count are the scalar route's too.
     cfg = TrialConfig(d=d, d_e1=envs[0], d_e2=envs[1], seed=16)
     for index in range(20):
-        record = run_theorem_trial(cfg, index)
+        block = _one("theorem", cfg, index)
+        slacks = {key: column[0] for key, column in block.slacks.items()}
         source = _trial_source(cfg, "theorem", index)
         tau, s1, s2, m1, m2 = _bilocal_setting(cfg, source.generator(), index)
         joint = _bilocal_channel(s1, s2, tau)
         *haar, prob_norm = _conditioned_pieces(joint, s1, s2, m1, m2)
-        assert record.negligible == sum(o.negligible for row in haar[2] for o in row)
-        for t, kappa in enumerate(record.kappas):
+        assert block.negligible == [sum(o.negligible for row in haar[2] for o in row)]
+        for t, kappa in enumerate(block.kappas):
             key = f"theorem_measured.k{t}"
-            assert record.slacks[key] <= _theorem_slack(tau, kappa, *haar) + 1e-12, (index, key)
+            assert slacks[key] <= _theorem_slack(tau, kappa, *haar) + 1e-12, (index, key)
             if kappa == 0.0:
-                assert record.slacks[key] == _theorem_slack(tau, kappa, *haar)
+                assert slacks[key] == _theorem_slack(tau, kappa, *haar)
                 continue
             value, (u1, u2) = climb_product_basis(
                 _one_setting_objective(joint, s1, s2, tau, kappa),
@@ -151,9 +142,9 @@ def test_theorem_search_is_validated_and_never_above_haar(d, envs):
             pair = projective_from_unitary(u1[0, 0]), projective_from_unitary(u2[0, 0])
             *found, norm = _conditioned_pieces(joint, s1, s2, *pair)
             prob_norm = max(prob_norm, norm)
-            assert record.slacks[key] == _theorem_slack(tau, kappa, *found)
-            assert float(value[0, 0]) == pytest.approx(record.slacks[key], abs=1e-12), (index, key)
-        assert record.residuals["prob_norm"] == prob_norm
+            assert slacks[key] == _theorem_slack(tau, kappa, *found)
+            assert float(value[0, 0]) == pytest.approx(slacks[key], abs=1e-12), (index, key)
+        assert block.residuals["prob_norm"] == [prob_norm]
 
 
 def test_theorem_search_on_product_inputs_keeps_start_value():
@@ -176,44 +167,45 @@ def test_theorem_search_on_product_inputs_keeps_start_value():
 def test_qepi_trial_worked_example_reachable():
     cfg = TrialConfig(d=2, trials=1, seed=8)
     for i in range(20):
-        r = run_qepi_trial(cfg, i)
-        assert r.passed
-        assert r.slacks["qepi_majorization"] >= -1e-9
+        r = _one("qepi", cfg, i)
+        assert r.passed == [True]
+        assert r.slacks["qepi_majorization"][0] >= -1e-9
 
 
 def test_concavity_trial():
     cfg = TrialConfig(d=4, trials=1, seed=9)
     for i in range(20):
-        r = run_concavity_trial(cfg, i)
-        assert r.passed
-        assert all(v >= -1e-9 for k, v in r.slacks.items())
+        r = _one("concavity", cfg, i)
+        assert r.passed == [True]
+        assert all(column[0] >= -1e-9 for column in r.slacks.values())
 
 
 def test_conjecture_trivial_env_never_violates():
     cfg = TrialConfig(d=2, d_e1=1, d_e2=1, trials=1, seed=10)
     for i in range(30):
-        r = run_conjecture_trial(cfg, i)
-        assert r.passed
-        assert r.slacks["conjecture"] >= -1e-9
-        assert "conjecture_control" in r.slacks
+        r = _one("conjecture", cfg, i)
+        assert r.passed == [True]
+        assert r.slacks["conjecture"][0] >= -1e-9
+        assert r.slacks["conjecture_control"][0] is not None
 
 
 def test_conjecture_entangled_env_candidates_are_reverified():
     cfg = TrialConfig(d=2, d_e1=2, d_e2=2, trials=1, seed=10)
     seen_candidate = False
     for i in range(30):
-        r = run_conjecture_trial(cfg, i)
-        if "conjecture_perturbed" in r.slacks:
+        r = _one("conjecture", cfg, i)
+        (perturbed,) = r.slacks["conjecture_perturbed"]
+        if perturbed is not None:
             seen_candidate = True
-            assert r.pass_flags["reverified_candidate"] == (r.slacks["conjecture_perturbed"] >= -10 * cfg.tolerance)
+            assert r.pass_flags["reverified_candidate"] == [perturbed >= -10 * cfg.tolerance]
     # correlated sampling makes candidates common; the protocol must engage
     assert seen_candidate
 
 
 def test_exploratory_kappa_is_diagnostic_only():
     cfg = TrialConfig(d=2, kappa=3.0, exploratory_kappa=True, trials=1, seed=12)
-    r = run_concavity_trial(cfg, 5)
-    assert "concavity.k0" in r.slacks
+    r = _one("concavity", cfg, 5)
+    assert r.slacks["concavity.k0"][0] is not None
     assert "concavity.k0" not in r.pass_flags
     assert resolve_kappas(cfg) == ((3.0, False),)
 
@@ -227,17 +219,17 @@ _EXPLORATORY = {"kappa": 3.0, "exploratory_kappa": True}
 
 
 @pytest.mark.parametrize(
-    "fn, cfg, expected",
+    "experiment, cfg, expected",
     [
-        (run_lemma_trial, TrialConfig(d=2, d_e1=2, d_e2=3), _LEMMA_KEYS),
-        (run_theorem_trial, TrialConfig(d=2), {"prob_norm"} | _kappa_keys("theorem_measured")),
-        (run_qepi_trial, TrialConfig(d=3), {"qepi_majorization", "major_total"} | _kappa_keys("qepi")),
-        (run_concavity_trial, TrialConfig(d=4), _kappa_keys("concavity")),
-        (run_conjecture_trial, TrialConfig(d=2, d_e1=2), {"reverified_candidate"}),
-        (run_conjecture_trial, TrialConfig(d=2, d_e1=1), {"reverified_candidate", "conjecture"}),
-        (run_theorem_trial, TrialConfig(d=2, **_EXPLORATORY), {"prob_norm"}),
-        (run_qepi_trial, TrialConfig(d=2, **_EXPLORATORY), {"qepi_majorization", "major_total"}),
-        (run_concavity_trial, TrialConfig(d=2, **_EXPLORATORY), set()),
+        ("lemma", TrialConfig(d=2, d_e1=2, d_e2=3), _LEMMA_KEYS),
+        ("theorem", TrialConfig(d=2), {"prob_norm"} | _kappa_keys("theorem_measured")),
+        ("qepi", TrialConfig(d=3), {"qepi_majorization", "major_total"} | _kappa_keys("qepi")),
+        ("concavity", TrialConfig(d=4), _kappa_keys("concavity")),
+        ("conjecture", TrialConfig(d=2, d_e1=2), {"reverified_candidate"}),
+        ("conjecture", TrialConfig(d=2, d_e1=1), {"reverified_candidate", "conjecture"}),
+        ("theorem", TrialConfig(d=2, **_EXPLORATORY), {"prob_norm"}),
+        ("qepi", TrialConfig(d=2, **_EXPLORATORY), {"qepi_majorization", "major_total"}),
+        ("concavity", TrialConfig(d=2, **_EXPLORATORY), set()),
     ],
     ids=[
         "lemma",
@@ -251,10 +243,11 @@ _EXPLORATORY = {"kappa": 3.0, "exploratory_kappa": True}
         "concavity-exploratory",
     ],
 )
-def test_hard_check_key_sets(fn, cfg, expected):
+def test_hard_check_key_sets(experiment, cfg, expected):
     # Exactly these checks decide a trial's verdict; every other slack is a diagnostic.
     for i in range(5):
-        assert set(fn(cfg, i).pass_flags) == expected, i
+        flags = _one(experiment, cfg, i).pass_flags
+        assert {key for key, column in flags.items() if column[0] is not None} == expected, i
 
 
 def test_verdict_flags():
@@ -320,23 +313,62 @@ def test_validate_config_rejects_out_of_envelope():
     validate_config(TrialConfig(d=3, kappa=600.0, exploratory_kappa=True), "concavity")
 
 
+def _never_called(cfg, indices):
+    raise AssertionError("a trial ran before the configuration was rejected")
+
+
+# (experiment, TrialConfig fields, parallel, the field the error names)
+_NOT_INTEGERS = [
+    ("qepi", {"trials": 2.5}, 1, "trials"),
+    ("qepi", {"d": 2.0}, 1, "d"),
+    ("qepi", {"seed": 1.5}, 1, "seed"),
+    ("lemma", {"d_e1": 2.0}, 1, "d_e1"),
+    ("theorem", {"d_e2": 2.0}, 1, "d_e2"),
+    ("qepi", {"state_kind": "rank-k", "rank": 1.0}, 1, "rank"),
+    ("qepi", {"trials": True}, 1, "trials"),
+    ("concavity", {"d": np.float64(3)}, 1, "d"),
+    ("qepi", {}, 2.9, "parallel"),
+    ("qepi", {}, True, "parallel"),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, fields, parallel, name",
+    _NOT_INTEGERS,
+    ids=[f"{name}-{type(fields.get(name, parallel)).__name__}" for _, fields, parallel, name in _NOT_INTEGERS],
+)
+def test_non_integer_config_is_rejected_before_trial_zero(monkeypatch, experiment, fields, parallel, name):
+    monkeypatch.setitem(harness._TRIAL_FNS, experiment, _never_called)
+    cfg = TrialConfig(**{"trials": 4, **fields})
+    with pytest.raises(UsageError, match=f"^{name} must be an integer, got "):
+        list(run_experiment(experiment, cfg, parallel))
+
+
+def test_numpy_integer_config_runs_as_int(joined):
+    cfg = TrialConfig(d=2, trials=5, seed=3)
+    as_numpy = TrialConfig(d=np.int64(2), d_e1=np.int32(2), trials=np.int64(5), seed=np.uint64(3))
+    for experiment in ("qepi", "lemma"):
+        expected = joined(run_experiment(experiment, cfg))
+        assert joined(run_experiment(experiment, as_numpy, np.int64(1))) == expected, experiment
+
+
 def test_validate_config_total_dim_cap_is_inclusive():
     # d=6, e1=4, e2=4 gives exactly 6*6*4*4 = 576 which exceeds nothing
     validate_config(TrialConfig(d=6, d_e1=4, d_e2=4, trials=1), "lemma")
 
 
-def test_run_experiment_parallel_matches_serial():
+def test_run_experiment_parallel_matches_serial(joined):
     cfg = TrialConfig(d=2, trials=12, seed=13)
-    serial, sum1 = run_experiment("qepi", cfg, parallel=1)
-    parallel, sum2 = run_experiment("qepi", cfg, parallel=2)
-    assert len(serial) == len(parallel) == 12
-    for a, b in zip(serial, parallel):
-        assert _records_equal(a, b)
+    serial = list(run_experiment("qepi", cfg, parallel=1))
+    parallel = list(run_experiment("qepi", cfg, parallel=2))
+    assert joined(serial) == joined(parallel)
+    assert len(joined(serial).taus) == 12
+    sum1, sum2 = summarize(serial), summarize(parallel)
     assert sum1.min_slack == sum2.min_slack
     assert sum1.violations == sum2.violations
     for workers in (0, -1):
         with pytest.raises(UsageError, match=f"--parallel must be >= 1, got {workers}"):
-            run_experiment("qepi", cfg, parallel=workers)
+            list(run_experiment("qepi", cfg, parallel=workers))
 
 
 def test_trial_failure_names_experiment_index_and_stream_key(monkeypatch, capsys):
@@ -350,7 +382,7 @@ def test_trial_failure_names_experiment_index_and_stream_key(monkeypatch, capsys
     monkeypatch.setitem(harness._TRIAL_FNS, "qepi", fails_at_three)
     cfg = TrialConfig(d=2, trials=6, seed=21)
     with pytest.raises(ValidationError) as err:
-        run_experiment("qepi", cfg, parallel=1)
+        list(run_experiment("qepi", cfg, parallel=1))
     key = (21, harness._STREAM_BASE["qepi"] + 3)
     assert str(err.value) == f"qepi trial 3, stream key {key}: smallest eigenvalue -1.0e-03 below -tol 1.0e-10"
     assert isinstance(err.value.__cause__, ValidationError)
@@ -358,14 +390,39 @@ def test_trial_failure_names_experiment_index_and_stream_key(monkeypatch, capsys
     assert f"error: qepi trial 3, stream key {key}: smallest eigenvalue" in capsys.readouterr().err
 
 
-def test_summarize_order_independent(block_of):
+def _reversed(block):
+    """`block` with its rows in reverse order."""
+
+    def flipped(columns):
+        return {key: column[::-1] for key, column in columns.items()}
+
+    return TrialBlock(
+        block.experiment,
+        block.indices[::-1],
+        block.taus[::-1],
+        block.kappas,
+        flipped(block.slacks),
+        flipped(block.residuals),
+        flipped(block.pass_flags),
+        block.negligible[::-1],
+    )
+
+
+def test_summarize_order_independent():
     cfg = TrialConfig(d=2, trials=6, seed=14)
-    records, _ = run_experiment("concavity", cfg, parallel=1)
-    a = summarize([block_of(records)])
-    b = summarize([block_of(list(reversed(records)))])
+    (block,) = run_experiment("concavity", cfg, parallel=1)
+    a = summarize([block])
+    b = summarize([_reversed(block)])
     assert a.min_slack == b.min_slack
     assert a.histogram == b.histogram
     assert a.trials == b.trials
+
+
+def _block(start, slacks, residuals):
+    """A qepi block of rows start, start + 1, ... with the given slack and
+    residual columns (None where a row lacks the key) and no pass flags."""
+    n = len(next(iter(slacks.values())))
+    return TrialBlock("qepi", range(start, start + n), [0.5] * n, (), slacks, residuals, {}, [0] * n)
 
 
 @pytest.mark.parametrize(
@@ -384,61 +441,64 @@ def test_summarize_order_independent(block_of):
         (math.nan, 7),
     ],
 )
-def test_summarize_histogram_bins(block_of, worst, bin_index):
+def test_summarize_histogram_bins(worst, bin_index):
     # A row falls in the bin of its worst slack, to the right of an edge it
     # lies on. A NaN slack is the worst, in either key order, and falls in the
     # last bin. A row without slacks falls in none.
     other = -1.0 if math.isnan(worst) else math.inf
     for slacks in ({"a": worst, "b": other}, {"a": other, "b": worst}, {"a": worst}):
-        rows = [TrialRecord("qepi", 0, 0.5, (), slacks, {}, {}), TrialRecord("qepi", 1, 0.5, (), {}, {}, {})]
-        counts = summarize([block_of(rows)]).histogram["counts"]
+        block = _block(0, {key: [value, None] for key, value in slacks.items()}, {})
+        counts = summarize([block]).histogram["counts"]
         assert counts == [int(i == bin_index) for i in range(8)], slacks
 
 
-def test_summarize_nan_is_sticky_in_either_order(block_of):
+def test_summarize_nan_is_sticky_in_either_order():
     # A NaN slack or residual is the fold's min_slack or max_residual,
     # whichever row comes first, in one block or in two.
-    nan_trial = TrialRecord("qepi", 0, 0.5, (), {"a": math.nan}, {"r": math.nan}, {})
-    low_trial = TrialRecord("qepi", 1, 0.5, (), {"a": -1.0}, {"r": 1.0}, {})
-    for records in ([nan_trial, low_trial], [low_trial, nan_trial]):
-        for blocks in ([block_of(records)], [block_of(records[:1]), block_of(records[1:])]):
+    nan_row, low_row = (math.nan, math.nan), (-1.0, 1.0)
+    for rows in ([nan_row, low_row], [low_row, nan_row]):
+        (a0, r0), (a1, r1) = rows
+        one = [_block(0, {"a": [a0, a1]}, {"r": [r0, r1]})]
+        two = [_block(0, {"a": [a0]}, {"r": [r0]}), _block(1, {"a": [a1]}, {"r": [r1]})]
+        for blocks in (one, two):
             summary = summarize(iter(blocks))
             assert math.isnan(summary.min_slack["a"]) and math.isnan(summary.max_residual)
             assert summary.trials == 2
             assert summary.histogram["counts"] == [1, 0, 0, 0, 0, 0, 0, 1]
-    assert summarize([block_of([low_trial])]).min_slack == {"a": -1.0}
+    assert summarize([_block(0, {"a": [-1.0]}, {"r": [1.0]})]).min_slack == {"a": -1.0}
 
 
-def test_summarize_empty_and_violations(block_of):
+def test_summarize_empty_and_violations():
     with pytest.raises(QuditEpiError, match="no records to summarize"):
         summarize([])
     cfg = TrialConfig(d=2, trials=4, seed=15)
-    records, summary = run_experiment("qepi", cfg, parallel=1)
-    assert summary.violations == 0
-    records[0].pass_flags["qepi_majorization"] = False
-    assert summarize([block_of(records)]).violations == 1
+    (block,) = run_experiment("qepi", cfg, parallel=1)
+    assert summarize([block]).violations == 0
+    block.pass_flags["qepi_majorization"][0] = False
+    assert summarize([dataclasses.replace(block)]).violations == 1
 
 
-def _reference_summary(records, metadata=None) -> Summary:
-    """The record-by-record fold that summarize replaced, as an oracle."""
+def _reference_summary(rows, metadata=None) -> Summary:
+    """The row-by-row fold that summarize replaced, as an oracle; `rows` are
+    row dicts (see the rows_of fixture)."""
     trials = violations = 0
     min_slack: dict = {}
     max_residual = 0.0
     counts = [0] * (len(harness._HISTOGRAM_EDGES) + 1)
-    for r in records:
+    for r in rows:
         trials += 1
-        violations += not r.passed
+        violations += not r["passed"]
         worst = math.inf
-        for key, value in r.slacks.items():
+        for key, value in r["slacks"].items():
             low = min_slack.get(key)
             if low is None or value < low or value != value:
                 min_slack[key] = value
             if value < worst or value != value:
                 worst = value
-        for value in r.residuals.values():
+        for value in r["residuals"].values():
             if value > max_residual or value != value:
                 max_residual = value
-        if r.slacks:
+        if r["slacks"]:
             counts[bisect.bisect_right(harness._HISTOGRAM_EDGES, worst)] += 1
     return Summary(
         trials,
@@ -508,27 +568,26 @@ _ZEROS = [_zeros_block(0, [0.0, -0.0]), _zeros_block(2, [-0.0]), _zeros_block(3,
 @given(split=_split_blocks())
 @example(split=(_ZEROS, _ZEROS[::-1]))
 @example(split=(_ZEROS[1:], _ZEROS[:0:-1]))
-def test_summarize_depends_on_the_rows_not_the_blocks(split):
+def test_summarize_depends_on_the_rows_not_the_blocks(rows_of, split):
     # Any split of the same rows into blocks gives the summary of the
-    # record-by-record fold, signed zeros and NaNs included (compared by
-    # repr); in any block order it gives the same values.
+    # row-by-row fold, signed zeros and NaNs included (compared by repr); in
+    # any block order it gives the same values.
     parts, shuffled = split
     in_order = summarize(parts, {"m": 1})
-    rows = [row for part in parts for row in part.rows()]
-    assert repr(in_order) == repr(_reference_summary(rows, {"m": 1}))
+    assert repr(in_order) == repr(_reference_summary(rows_of(parts), {"m": 1}))
     reordered = summarize(shuffled, {"m": 1})
-    assert repr(reordered) == repr(_reference_summary([row for part in shuffled for row in part.rows()], {"m": 1}))
+    assert repr(reordered) == repr(_reference_summary(rows_of(shuffled), {"m": 1}))
     assert _same_values(in_order, reordered)
 
 
-def test_standalone_matches_all_stream_layout(tmp_path):
+def test_standalone_matches_all_stream_layout(tmp_path, parse_jsonl):
     # `all --seed S` emits exactly the trials of the five `verify-<name> --seed S` runs
     common = ["--dim", "2", "--trials", "5", "--seed", "7", "--parallel", "1"]
 
     def trial_lines(command):
         out = tmp_path / f"{command}.jsonl"
         assert dispatch([command, *common, "--out", str(out)]) in (0, 2)
-        return [ln for ln in parse_lines(out.read_text()) if ln["type"] == "trial"]
+        return [ln for ln in parse_jsonl(out.read_text()) if ln["type"] == "trial"]
 
     combined = trial_lines("all")
     for line in combined:
