@@ -50,6 +50,7 @@ from .harness import (
     Summary,
     TrialBlock,
     TrialConfig,
+    _usable_cpus,
     run_experiment,
     run_metadata,
     summarize,
@@ -245,15 +246,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the platform
-    has one, so a taskset or cpuset limit is not oversubscribed)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _common_options() -> argparse.ArgumentParser:
+    """The options every subcommand takes, as a parent parser."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--dim", type=int, default=2, help=f"qudit dimension d, 2..{MAX_DIM}")
     p.add_argument("--env-dim1", type=int, default=2, help=f"first environment dimension, 1..{MAX_ENV_DIM}")
     p.add_argument("--env-dim2", type=int, default=2, help=f"second environment dimension, 1..{MAX_ENV_DIM}")
@@ -275,6 +270,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="allow kappa beyond 1/(ln d)^2; those checks become diagnostics",
     )
+    return p
 
 
 # Subcommand: (help text, the experiments it runs).
@@ -294,8 +290,9 @@ _COMMANDS = {
 def build_parser() -> _Parser:
     parser = _Parser(prog="qudit-epi", description="Randomized checks of the partial-swap entropy power inequalities.")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _common_options()
     for name, (desc, _) in _COMMANDS.items():
-        _add_common(sub.add_parser(name, help=desc))
+        sub.add_parser(name, help=desc, parents=[common])
     return parser
 
 

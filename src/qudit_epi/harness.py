@@ -18,7 +18,8 @@ Five experiment families:
 Every trial derives all of its randomness from (seed, experiment base + trial
 index), so trials can run in any order or in parallel and replay exactly.
 
-Trials run in blocks, and a block travels as columns (:class:`TrialBlock`)
+Every experiment is a block function `(cfg, indices) -> TrialBlock`
+(:data:`_TRIAL_FNS`), and a block travels as columns (:class:`TrialBlock`)
 from its block function to the rendered lines and the summary: no per-trial
 object is built on the way. A block function takes each trial's tau and its
 stream from one generator that :func:`_trial_streams` re-keys per trial, and
@@ -27,21 +28,29 @@ takes its kappas and their slack keys from :func:`_kappa_grid`.
 qepi and concavity compute a block as stacked (N, d, d) arrays: they
 validate, mix and take spectra and entropies of the whole block at once, and
 fill each column from those stacks.
-theorem stacks every step of a block: the setting draws, the global channel
-(one :func:`partial_swap_global` call), one lockstep climb
-(:func:`climb_product_basis`) over all their kappas and restarts, and the
-validated conditioning at the pairs found. Either way every value equals what
-the trial alone computes, bit for bit, so no line depends on the block size
-or --parallel. lemma and conjecture run trial by trial within a block, each
-trial a block of one row, and :func:`_trial_by_trial` gathers the rows.
-:func:`_block_size` sizes the blocks. A block that raises is rerun trial by
-trial, so the error names the first failing trial. :func:`run_experiment`
-hands the caller one block at a time, in index order, whether the block ran
-in this process or in the pool; a serial block runs only when the caller
-asks for it, so a caller that drops each block before asking for the next
-holds one block, and :func:`summarize` folds the blocks column by column in
-one pass. The pool runs at most :data:`_WINDOW_PER_WORKER` blocks per worker
-ahead of the caller.
+theorem and lemma share the stacked setting draw (:func:`_theorem_settings`),
+the global channel (one :func:`partial_swap_global` call) and the validated
+conditioning (:func:`condition_all_stack`). The theorem climbs every search
+of the block in lockstep (:func:`climb_product_basis`) over all their kappas
+and restarts and conditions at the pairs found; the lemma checks every kept
+outcome pair of the block in one :func:`partial_swap_closed_stack` call.
+Either way every value equals what the trial alone computes, bit for bit, so
+no line depends on the block size or --parallel. conjecture loops over its
+trials within a block: a re-checked candidate draws its perturbation from
+the trial's stream, which moves the later draws.
+
+:func:`_block_size` sizes the blocks: 512 trials of qepi or concavity; for
+the others the trials divided evenly over the workers, at most as many as
+:data:`_BLOCK_BYTES` holds of the theorem's or the lemma's largest array, and
+at most :data:`_MAX_BLOCK` of lemma or conjecture. A block that raises is
+rerun trial by trial, so the error names the first failing trial.
+:func:`run_experiment` hands the caller one block at a time, in index order,
+whether the block ran in this process or in the pool; a serial block runs
+only when the caller asks for it, so a caller that drops each block before
+asking for the next holds one block, and :func:`summarize` folds the blocks
+column by column in one pass. The pool has no more workers than the CPUs
+this process may use or the blocks, and runs at most
+:data:`_WINDOW_PER_WORKER` blocks per worker ahead of the caller.
 
 A block function only computes slacks (must be >= minus the tolerance) and
 residuals (must be <= the tolerance); one verdict rule, :func:`_verdict`,
@@ -53,6 +62,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import sys
 from collections import deque
 from collections.abc import Iterable, Iterator
@@ -62,7 +72,7 @@ from functools import partial
 import numpy as np
 
 from ._version import __version__
-from .channels import partial_swap_closed, partial_swap_closed_stack, partial_swap_global, partial_swap_joint
+from .channels import partial_swap_closed_stack, partial_swap_global, partial_swap_joint
 from .entropy import (
     CLIMB_RESTARTS,
     climb_product_basis,
@@ -71,19 +81,11 @@ from .entropy import (
     entropy_power,
     expected_entropy_power,
     kappa_bounds,
-    prefix_slack,
     prefix_slack_rows,
     projective_entropy_power,
 )
 from .errors import QuditEpiError, UsageError
-from .measurement import (
-    check_complete,
-    condition_all,
-    condition_all_stack,
-    condition_bilocal,
-    conditional_spectrum,
-    projective_from_unitary,
-)
+from .measurement import check_complete, condition_all_stack, projective_from_unitary
 from .rand import (
     RNG_ALGORITHM,
     KeyedStreams,
@@ -100,14 +102,12 @@ from .states import (
     as_bipartite,
     eigenvalues_descending_stack,
     make_density,
-    matrix_distance,
     multipartite,
     partial_trace,
 )
 
 MAX_DIM = 6
 MAX_ENV_DIM = 4
-MAX_TOTAL_DIM = 576
 
 EXPERIMENTS = ("lemma", "theorem", "qepi", "concavity", "conjecture")
 
@@ -123,16 +123,18 @@ _FORCED_TAUS = (0.0, 0.5, 1.0)
 # further to give each --parallel worker one.
 _BLOCK_SIZE = {"qepi": 512, "concavity": 512}
 
-# Most trials per block of lemma and conjecture, which run trial by trial.
-# A pool block costs about 0.7 ms of CPU to send and return, half a d=2 lemma
-# trial, so a block carries many trials.
-_TRIAL_BY_TRIAL_BLOCK = 32
+# Most trials per block of lemma and conjecture. A pool block costs about
+# 0.7 ms of CPU to send and return, half a d=2 conjecture trial, so a block
+# carries many trials.
+_MAX_BLOCK = 32
 
-# Bytes of the largest stacked array of a theorem block's climb: the basis
-# outcome pairs of the joint output, 16 bytes x K searched kappas x
-# CLIMB_RESTARTS x (e1 e2)^3 per trial. 6 MiB holds 16 trials at
-# e1 = e2 = 4 with the grid's K = 2.
-_THEOREM_BLOCK_BYTES = 6 * 2**20
+# Bytes of the largest stacked array of a theorem or lemma block. The
+# theorem's is its climb's basis outcome pairs of the joint output, 16 bytes
+# x K searched kappas x CLIMB_RESTARTS x (e1 e2)^3 per trial: 6 MiB holds 16
+# trials at e1 = e2 = 4 with the grid's K = 2. The lemma's is the (Y, E1, E2)
+# output, 16 bytes x (d e1 e2)^2 per trial: 6 MiB holds 42 trials at the
+# largest (6, 4, 4), so the lemma's _MAX_BLOCK binds first.
+_BLOCK_BYTES = 6 * 2**20
 
 # Blocks submitted to the --parallel pool and not yet handed to the caller,
 # per worker.
@@ -218,9 +220,6 @@ def validate_config(cfg: TrialConfig, experiment: str) -> None:
     for label, de in (("--env-dim1", cfg.d_e1), ("--env-dim2", cfg.d_e2)):
         if not 1 <= de <= MAX_ENV_DIM:
             raise UsageError(f"{label} must be in [1, {MAX_ENV_DIM}] (environment cap), got {de}")
-    total = cfg.d * cfg.d * cfg.d_e1 * (1 if experiment == "conjecture" else cfg.d_e2)
-    if total > MAX_TOTAL_DIM:
-        raise UsageError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIM}")
     if cfg.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {cfg.trials}")
     if not 0 <= cfg.seed < 2**64:
@@ -358,62 +357,6 @@ def _bilocal_channel(s1, s2, tau: float):
     return multipartite(DensityMatrix(out[0], eigs[0]), (d, e1, e2))
 
 
-def _conditioned_pieces(joint, s1, s2, m1, m2):
-    """Validated conditioning of the inputs and the joint output (Y, E1, E2)."""
-    out1 = condition_all(s1, m1)
-    out2 = condition_all(s2, m2)
-    grid = condition_bilocal(joint, m1, m2)
-    prob_norm = abs(sum(o.probability for row in grid for o in row) - 1.0)
-    return out1, out2, grid, prob_norm
-
-
-def _lemma_trial(cfg: TrialConfig, index: int) -> TrialBlock:
-    """Check the conditional identity and majorization on one random setting.
-
-    For every outcome pair above the probability floor: the conditioned
-    channel output must equal the addition rule applied to the conditioned
-    inputs (identity residual), and its spectrum must be majorized by the
-    tau-mixture of the conditioned input spectra (prefix slacks).
-    """
-    gen = _trial_source(cfg, "lemma", index).generator()
-    tau, s1, s2, m1, m2 = _bilocal_setting(cfg, gen, index)
-    out1, out2, grid, prob_norm = _conditioned_pieces(_bilocal_channel(s1, s2, tau), s1, s2, m1, m2)
-
-    spectra1 = [None if o.negligible else conditional_spectrum(o) for o in out1]
-    spectra2 = [None if o.negligible else conditional_spectrum(o) for o in out2]
-
-    identity_resid = 0.0
-    factor_resid = 0.0
-    total_resid = 0.0
-    min_slack = math.inf
-    negligible = 0
-    for j, row in enumerate(grid):
-        for k, o in enumerate(row):
-            factor_resid = max(
-                factor_resid, abs(o.probability - out1[j].probability * out2[k].probability)
-            )
-            if o.negligible or out1[j].negligible or out2[k].negligible:
-                negligible += 1
-                continue
-            target = partial_swap_closed(out1[j].state, out2[k].state, tau)
-            identity_resid = max(identity_resid, matrix_distance(o.state.mat, target.mat))
-            mix = tau * spectra1[j] + (1.0 - tau) * spectra2[k]
-            slack, total = prefix_slack(mix, conditional_spectrum(o))
-            min_slack = min(min_slack, slack)
-            total_resid = max(total_resid, abs(total))
-
-    slacks = {"lemma_majorization": [min_slack]}
-    residuals = {
-        "lemma_identity": [identity_resid],
-        "major_total": [total_resid],
-        "factorization": [factor_resid],
-        "prob_norm": [prob_norm],
-    }
-    return TrialBlock(
-        "lemma", range(index, index + 1), [tau], (), slacks, residuals, _verdict(cfg, slacks, residuals), [negligible]
-    )
-
-
 def _theorem_slack(tau: float, kappa: float, out1, out2, grid) -> float:
     """The per-measurement slack from validated outcomes: the q1 x q2-weighted
     entropy power of the conditioned outputs minus the tau-mixture of the
@@ -471,24 +414,25 @@ def _slack_objective(dims, rho1, rho2, joint, taus, kappas):
     return slack
 
 
-def _theorem_settings(cfg: TrialConfig, indices: range):
-    """:func:`_bilocal_setting` of theorem trials `indices`, stacked: the
-    taus, the validated (N, D, D) input state stacks and the (N, e_j, e_j)
-    Haar basis stacks, each row bit for bit the trial's own draw. A trial
-    whose Haar draw fails a check redraws its bases by _bilocal_setting."""
+def _theorem_settings(cfg: TrialConfig, experiment: str, indices: range):
+    """:func:`_bilocal_setting` of the trials `indices` of `experiment`
+    (theorem or lemma), stacked: the taus, the validated (N, D, D) input
+    state stacks and the (N, e_j, e_j) Haar basis stacks, each row bit for
+    bit the trial's own draw. A trial whose Haar draw fails a check redraws
+    its bases by _bilocal_setting."""
     envs = (cfg.d_e1, cfg.d_e2)
     # Each matrix draws its real, then its imaginary parts.
     shapes = [(cfg.d * e, state_columns(cfg.d * e, cfg.state_kind, cfg.rank)) for e in envs]
     shapes += [(e, e) for e in envs]
     ends = np.cumsum([0] + [2 * rows * cols for rows, cols in shapes]).tolist()
-    taus, normals = _block_normals(cfg, "theorem", indices, ends[-1])
+    taus, normals = _block_normals(cfg, experiment, indices, ends[-1])
     parts = [normals[:, lo:hi].reshape(-1, 2, *shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
     g1, g2, h1, h2 = (x[:, 0] + 1j * x[:, 1] for x in parts)
     (rho1, _), (rho2, _) = states_from_gaussians(g1, cfg.state_kind), states_from_gaussians(g2, cfg.state_kind)
     (u1, ok1), (u2, ok2) = haar_unitaries(h1), haar_unitaries(h2)
     for row in np.flatnonzero(~(ok1 & ok2)):
         index = indices[row]
-        *_, m1, m2 = _bilocal_setting(cfg, _trial_source(cfg, "theorem", index).generator(), index)
+        *_, m1, m2 = _bilocal_setting(cfg, _trial_source(cfg, experiment, index).generator(), index)
         u1[row], u2[row] = m1.basis, m2.basis
     return taus, rho1, rho2, u1, u2
 
@@ -538,7 +482,7 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     kappas, keys, soft = _kappa_grid(cfg, "theorem_measured")
     searched = [t for t, kappa in enumerate(kappas) if kappa > 0.0]
     d, e1, e2 = dims = (cfg.d, cfg.d_e1, cfg.d_e2)
-    taus, rho1, rho2, haar1, haar2 = _theorem_settings(cfg, indices)
+    taus, rho1, rho2, haar1, haar2 = _theorem_settings(cfg, "theorem", indices)
     joint, _ = partial_swap_global(rho1, rho2, np.array(taus), d)
 
     # Pair 0 of a trial is its Haar pair, pair 1 + c the one its search for
@@ -562,10 +506,10 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
             (joint.reshape(b, 1, d, e1 * e2, d, e1 * e2), _kron_pairs(u1, u2)),
         )
     ]
-    spectra = [lam for _, _, lam in measured]
+    spectra = [lam for *_, lam in measured]
     kept = np.split(entropy_nats_rows(np.concatenate(spectra)), np.cumsum([len(lam) for lam in spectra[:-1]]))
     pieces = []
-    for (probs, negligible, _), kept_entropies in zip(measured, kept):
+    for (probs, negligible, *_), kept_entropies in zip(measured, kept):
         entropies = np.zeros(probs.shape)
         entropies[~negligible] = kept_entropies
         pieces.append((probs.tolist(), negligible.tolist(), entropies.tolist()))
@@ -588,6 +532,62 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     residuals = {"prob_norm": prob_norms}
     flags = _verdict(cfg, slacks, residuals, soft)
     return TrialBlock("theorem", indices, taus, kappas, slacks, residuals, flags, skipped)
+
+
+def _lemma_block(cfg: TrialConfig, indices: range) -> TrialBlock:
+    """Conditional identity and majorization on the settings of lemma trials
+    `indices`.
+
+    For every outcome pair above the probability floor: the conditioned
+    channel output must equal the addition rule applied to the conditioned
+    inputs (identity residual), and its spectrum must be majorized by the
+    tau-mixture of the conditioned input spectra (prefix slacks).
+
+    Per trial, draw order tau, state 1, state 2, basis 1, basis 2, as the
+    theorem's. Every step is stacked: the setting draws, one
+    :func:`partial_swap_global` call, one :func:`condition_all_stack` call per
+    state at the Haar pair, and one :func:`partial_swap_closed_stack` call
+    over the kept outcome pairs of every trial. Each value is what the trial
+    computes alone, bit for bit: a trial's maxima and minima fold over its
+    outcome pairs in row-major order, and each probability total is Python's
+    sum in outcome order.
+    """
+    d, e1, e2 = cfg.d, cfg.d_e1, cfg.d_e2
+    taus, rho1, rho2, u1, u2 = _theorem_settings(cfg, "lemma", indices)
+    tau = np.array(taus)
+    joint, _ = partial_swap_global(rho1, rho2, tau, d)
+    b = len(taus)
+    (q1, neg1, states1, lam1), (q2, neg2, states2, lam2), (q, neg, states, lam) = (
+        condition_all_stack(rho4, u)
+        for rho4, u in (
+            (rho1.reshape(b, d, e1, d, e1), u1),
+            (rho2.reshape(b, d, e2, d, e2), u2),
+            (joint.reshape(b, d, e1 * e2, d, e1 * e2), _kron_pairs(u1, u2)),
+        )
+    )
+    # Row of each kept outcome in the state and spectrum stacks.
+    row1, row2, row = (np.cumsum(~n.reshape(-1)).reshape(n.shape) - 1 for n in (neg1, neg2, neg))
+    kept = ~(neg.reshape(b, e1, e2) | neg1[:, :, None] | neg2[:, None, :])
+    i, j, k = np.nonzero(kept)
+    a, c, g = row1[i, j], row2[i, k], row[i, j * e2 + k]
+    targets, _ = partial_swap_closed_stack(states1[a], states2[c], tau[i])
+    distances = np.abs(states[g] - targets).max(axis=(1, 2)).tolist()
+    t = tau[i, None]
+    pair_slacks, totals = prefix_slack_rows(t * lam1[a] + (1.0 - t) * lam2[c], lam[g])
+    pair_slacks, totals = pair_slacks.tolist(), np.abs(totals).tolist()
+    factor = np.abs(q.reshape(b, e1, e2) - q1[:, :, None] * q2[:, None, :]).reshape(b, -1).tolist()
+
+    slacks: dict[str, list] = {"lemma_majorization": []}
+    residuals: dict[str, list] = {"lemma_identity": [], "major_total": [], "factorization": [], "prob_norm": []}
+    ends = np.cumsum(kept.reshape(b, -1).sum(axis=1)).tolist()
+    for start, end, trial_factor, probs in zip([0, *ends], ends, factor, q.tolist()):
+        slacks["lemma_majorization"].append(min([math.inf, *pair_slacks[start:end]]))
+        residuals["lemma_identity"].append(max([0.0, *distances[start:end]]))
+        residuals["major_total"].append(max([0.0, *totals[start:end]]))
+        residuals["factorization"].append(max([0.0, *trial_factor]))
+        residuals["prob_norm"].append(abs(sum(probs) - 1.0))
+    negligible = (~kept).reshape(b, -1).sum(axis=1).tolist()
+    return TrialBlock("lemma", indices, taus, (), slacks, residuals, _verdict(cfg, slacks, residuals), negligible)
 
 
 def _qepi_block(cfg: TrialConfig, indices: range) -> TrialBlock:
@@ -655,8 +655,9 @@ def _conjecture_slack(joint, tau: float) -> float:
     return s_out - tau * s_1 - (1.0 - tau) * s_2
 
 
-def _conjecture_trial(cfg: TrialConfig, index: int) -> TrialBlock:
-    """One counterexample-search trial for the conditional-entropy inequality.
+def _conjecture_block(cfg: TrialConfig, indices: range) -> TrialBlock:
+    """Counterexample-search trials `indices` for the conditional-entropy
+    inequality, one trial at a time.
 
     Main arm: a joint (X1, X2, E) state with E of dim --env-dim1, possibly
     entangled with everything. A slack below -10*tol is only a finding after
@@ -671,81 +672,60 @@ def _conjecture_trial(cfg: TrialConfig, index: int) -> TrialBlock:
     slack is asserted.
     The control arm draws product-shaped (X1,E1) x (X2,E2) inputs and reports
     (never asserts) the two-environment entropy version.
+
+    Per trial, draw order tau, the joint state (or its two legs), the
+    perturbation if a candidate is re-checked, state 1, state 2: the
+    perturbation's draw moves the control arm's, so trials do not stack.
     """
-    gen = _trial_source(cfg, "conjecture", index).generator()
-    tau = _draw_tau(cfg, index, gen)
     d, de = cfg.d, cfg.d_e1
-
-    if de == 1:
-        rho1 = sample_state(gen, d, cfg.state_kind, cfg.rank)
-        rho2 = sample_state(gen, d, cfg.state_kind, cfg.rank)
-        joint = multipartite(make_density(np.kron(rho1.mat, rho2.mat)), (d, d, 1))
-    else:
-        joint = multipartite(sample_state(gen, d * d * de, cfg.state_kind, cfg.rank), (d, d, de))
-    slack = _conjecture_slack(joint, tau)
-
-    # A trial that re-checks no candidate holds None for conjecture_perturbed.
-    slacks = {"conjecture": [slack], "conjecture_perturbed": [None]}
     threshold = -10.0 * cfg.tolerance
-    reverified = False
-    if slack < threshold:
-        bump = sample_state(gen, d * d * de, "ginibre")
-        eps = 1e-8
-        perturbed = multipartite(
-            make_density((1.0 - eps) * joint.state.mat + eps * bump.mat), joint.dims
-        )
-        perturbed_slack = _conjecture_slack(perturbed, tau)
-        slacks["conjecture_perturbed"] = [perturbed_slack]
-        reverified = perturbed_slack < threshold
+    taus = []
+    # A trial that re-checks no candidate holds None for conjecture_perturbed.
+    slacks: dict[str, list] = {"conjecture": [], "conjecture_perturbed": [], "conjecture_control": []}
+    reverified = []
+    for tau, gen in _trial_streams(cfg, "conjecture", indices):
+        taus.append(tau)
+        if de == 1:
+            rho1 = sample_state(gen, d, cfg.state_kind, cfg.rank)
+            rho2 = sample_state(gen, d, cfg.state_kind, cfg.rank)
+            joint = multipartite(make_density(np.kron(rho1.mat, rho2.mat)), (d, d, 1))
+        else:
+            joint = multipartite(sample_state(gen, d * d * de, cfg.state_kind, cfg.rank), (d, d, de))
+        slack = _conjecture_slack(joint, tau)
+        slacks["conjecture"].append(slack)
 
-    # Control arm: product-shaped inputs, conditioning on both environments.
-    s1 = multipartite(sample_state(gen, d * cfg.d_e1, cfg.state_kind, cfg.rank), (d, cfg.d_e1))
-    s2 = multipartite(sample_state(gen, d * cfg.d_e2, cfg.state_kind, cfg.rank), (d, cfg.d_e2))
-    mixed = _bilocal_channel(s1, s2, tau)
-    slacks["conjecture_control"] = [
-        conditional_vn_entropy(as_bipartite(mixed, 1))
-        - tau * conditional_vn_entropy(s1)
-        - (1.0 - tau) * conditional_vn_entropy(s2)
-    ]
+        perturbed_slack = None
+        if slack < threshold:
+            bump = sample_state(gen, d * d * de, "ginibre")
+            eps = 1e-8
+            perturbed = multipartite(make_density((1.0 - eps) * joint.state.mat + eps * bump.mat), joint.dims)
+            perturbed_slack = _conjecture_slack(perturbed, tau)
+        slacks["conjecture_perturbed"].append(perturbed_slack)
+        reverified.append(perturbed_slack is not None and perturbed_slack < threshold)
+
+        # Control arm: product-shaped inputs, conditioning on both environments.
+        s1 = multipartite(sample_state(gen, d * cfg.d_e1, cfg.state_kind, cfg.rank), (d, cfg.d_e1))
+        s2 = multipartite(sample_state(gen, d * cfg.d_e2, cfg.state_kind, cfg.rank), (d, cfg.d_e2))
+        mixed = _bilocal_channel(s1, s2, tau)
+        slacks["conjecture_control"].append(
+            conditional_vn_entropy(as_bipartite(mixed, 1))
+            - tau * conditional_vn_entropy(s1)
+            - (1.0 - tau) * conditional_vn_entropy(s2)
+        )
 
     # Only the trivial-environment slack is asserted; the rest are diagnostics.
     soft = set(slacks) - ({"conjecture"} if de == 1 else set())
-    flags = {"reverified_candidate": [not reverified], **_verdict(cfg, slacks, {}, soft)}
-    return TrialBlock("conjecture", range(index, index + 1), [tau], (), slacks, {}, flags, [0])
-
-
-def _trial_by_trial(trial_fn):
-    """The block function of `trial_fn`, which computes one trial as a block
-    of one row with the same keys at every index: the rows gathered."""
-
-    def block(cfg: TrialConfig, indices: range) -> TrialBlock:
-        rows = [trial_fn(cfg, index) for index in indices]
-        first = rows[0]
-
-        def gathered(columns: str) -> dict[str, list]:
-            return {key: [getattr(row, columns)[key][0] for row in rows] for key in getattr(first, columns)}
-
-        return TrialBlock(
-            first.experiment,
-            indices,
-            [row.taus[0] for row in rows],
-            first.kappas,
-            gathered("slacks"),
-            gathered("residuals"),
-            gathered("pass_flags"),
-            [row.negligible[0] for row in rows],
-        )
-
-    return block
+    flags = {"reverified_candidate": [not r for r in reverified], **_verdict(cfg, slacks, {}, soft)}
+    return TrialBlock("conjecture", indices, taus, (), slacks, {}, flags, [0] * len(taus))
 
 
 # Block functions: (cfg, indices) -> the TrialBlock of those trials.
 _TRIAL_FNS = {
-    "lemma": _trial_by_trial(_lemma_trial),
+    "lemma": _lemma_block,
     "theorem": _theorem_block,
     "qepi": _qepi_block,
     "concavity": _concavity_block,
-    "conjecture": _trial_by_trial(_conjecture_trial),
+    "conjecture": _conjecture_block,
 }
 
 
@@ -767,35 +747,48 @@ def _run_block(experiment: str, cfg: TrialConfig, indices: range) -> TrialBlock:
 def _block_size(experiment: str, cfg: TrialConfig, workers: int) -> int:
     """Trials per block: _BLOCK_SIZE for qepi and concavity. The others get
     the trials divided evenly over the workers, so each gets a block, but no
-    more than _TRIAL_BY_TRIAL_BLOCK, or for theorem than _THEOREM_BLOCK_BYTES
-    holds."""
+    more than _BLOCK_BYTES holds of the theorem's or the lemma's largest
+    array, and for lemma and conjecture no more than _MAX_BLOCK."""
     if experiment in _BLOCK_SIZE:
         return _BLOCK_SIZE[experiment]
-    cap = _TRIAL_BY_TRIAL_BLOCK
+    cap = _MAX_BLOCK
     if experiment == "theorem":
         searched = sum(1 for kappa, _ in resolve_kappas(cfg) if kappa > 0.0)
         per_trial = 16 * max(searched, 1) * CLIMB_RESTARTS * (cfg.d_e1 * cfg.d_e2) ** 3
-        cap = max(1, _THEOREM_BLOCK_BYTES // per_trial)
+        cap = max(1, _BLOCK_BYTES // per_trial)
+    elif experiment == "lemma":
+        cap = min(cap, max(1, _BLOCK_BYTES // (16 * (cfg.d * cfg.d_e1 * cfg.d_e2) ** 2)))
     return min(cap, math.ceil(cfg.trials / workers))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one, so a taskset or cpuset limit is not oversubscribed)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_experiment(experiment: str, cfg: TrialConfig, parallel: int = 1) -> Iterator[TrialBlock]:
     """All trials of one experiment, one TrialBlock at a time, in index
-    order, run by `parallel` processes. The rows are the same whatever
+    order, run by up to `parallel` processes: no more than the CPUs this
+    process may use or the blocks there are. The rows are the same whatever
     `parallel` is: each trial's randomness is a pure function of (seed,
     experiment, index). The configuration is checked before the first block
     runs; a serial block runs only when the caller asks for it, so the caller
     holds only the blocks it keeps."""
     validate_config(cfg, experiment)
     _check_integer("parallel", parallel)
-    workers = int(parallel)
-    if workers < 1:
+    if parallel < 1:
         raise UsageError(f"--parallel must be >= 1, got {parallel}")
+    workers = min(int(parallel), _usable_cpus())
     if cfg.trials < 2 * workers:
         workers = 1
     run = partial(_run_block, experiment, cfg)
     size = _block_size(experiment, cfg, workers)
     blocks = [range(start, min(start + size, cfg.trials)) for start in range(0, cfg.trials, size)]
+    # A pool forks all of its workers at the first submit.
+    workers = min(workers, len(blocks))
     if workers == 1:
         yield from map(run, blocks)
         return

@@ -143,25 +143,27 @@ def condition_all(s: MultipartiteState, m: MeasurementSet) -> list[ConditionalOu
     return outcomes
 
 
-def condition_all_stack(rho4: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def condition_all_stack(
+    rho4: np.ndarray, bases: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`condition_all`, with its checks, on stacks of states and bases
     that broadcast as in :func:`condition_projective_all` (the bases are not
     checked; see :func:`check_complete`).
 
     Returns the (..., n) outcome probabilities, the (..., n) mask of
-    negligible outcomes and the (M, dx) descending spectra of the other M
-    outcomes in row-major order, bit for bit what condition_all and
-    conditional_spectrum give. Probability totals are summed by Python's sum,
-    in outcome order, as condition_all sums them.
+    negligible outcomes, and the (M, dx, dx) conditioned states and (M, dx)
+    descending spectra of the other M outcomes in row-major order, bit for
+    bit what condition_all and conditional_spectrum give. Probability totals
+    are summed by Python's sum, in outcome order, as condition_all sums them.
     """
     blocks = condition_projective_all(rho4, bases)
     probs = np.trace(blocks, axis1=-2, axis2=-1).real
     negligible = probs <= PROB_FLOOR
     kept = ~negligible
-    _, eigs = make_density_stack(blocks[kept] / probs[kept][:, None, None])
+    states, eigs = make_density_stack(blocks[kept] / probs[kept][:, None, None])
     for row in probs.reshape(-1, probs.shape[-1]).tolist():
         _check_normalization(row)
-    return probs, negligible, eigenvalues_descending_stack(eigs)
+    return probs, negligible, states, eigenvalues_descending_stack(eigs)
 
 
 def condition_bilocal(

@@ -1,11 +1,11 @@
 """Stacked blocks against one-trial computations.
 
 The qepi and concavity references below rebuild the one-trial computations
-from the public scalar functions, each trial opening its own generator. The
-theorem's blocks must equal its blocks of one trial, and its stacked search
-objective must equal the one-climb evaluation and the validated slack. Block
-values must match exactly, signed zeros included, because output bytes
-depend on it.
+from the public scalar functions, each trial opening its own generator; the
+lemma's is the `lemma_trial` fixture. The theorem's blocks must equal its
+blocks of one trial, and its stacked search objective must equal the
+one-climb evaluation and the validated slack. Block values must match
+exactly, signed zeros included, because output bytes depend on it.
 """
 
 import math
@@ -25,7 +25,6 @@ from qudit_epi.harness import (
     TrialConfig,
     _bilocal_channel,
     _bilocal_setting,
-    _conditioned_pieces,
     _slack_objective,
     _theorem_slack,
     resolve_kappas,
@@ -34,7 +33,7 @@ from qudit_epi.harness import (
 )
 from qudit_epi.measurement import projective_from_unitary
 from qudit_epi.rand import RandomSource, haar_unitary, sample_state
-from qudit_epi.states import eigenvalues_descending, multipartite
+from qudit_epi.states import eigenvalues_descending, multipartite, tensor
 
 
 def _tau(cfg, index, gen):
@@ -156,7 +155,22 @@ _BLOCK_SIZES = [
     ("lemma", (3, 3, 3), "grid", 20, 1, 20),
     ("conjecture", (2, 2, 2), "grid", 20, 2, 10),
     ("lemma", (3, 3, 3), "grid", 1000, 2, 32),  # the cap
+    ("lemma", (6, 4, 4), "grid", 1000, 1, 32),  # 6 MiB / (16 B x 96^2) = 42: the cap binds first
+    ("lemma", (6, 4, 4), "grid", 60, 2, 30),
 ]
+
+
+@pytest.mark.parametrize(
+    "budget, dims, size",
+    [(2**20, (6, 4, 4), 7), (2**20, (4, 4, 4), 16), (2**20, (2, 2, 2), 32), (2**10, (6, 4, 4), 1)],
+)
+def test_lemma_block_size_follows_the_byte_budget(monkeypatch, budget, dims, size):
+    # 1 MiB holds 7 trials of the (Y, E1, E2) output at (6, 4, 4) (16 B x
+    # 96^2 each) and 16 at (4, 4, 4); the cap of 32 binds at (2, 2, 2). A
+    # budget below one trial still gives blocks of one.
+    monkeypatch.setattr(harness, "_BLOCK_BYTES", budget)
+    d, e1, e2 = dims
+    assert harness._block_size("lemma", TrialConfig(d=d, d_e1=e1, d_e2=e2, trials=1000), 1) == size
 
 
 @pytest.mark.parametrize("experiment, dims, kappa, trials, workers, size", _BLOCK_SIZES)
@@ -186,6 +200,7 @@ def test_parallel_blocks_come_in_index_order_within_a_window(monkeypatch):
     # 30 blocks of 7 at two workers: the caller receives block i while at most
     # 2 x 2 later blocks are submitted.
     monkeypatch.setitem(harness._BLOCK_SIZE, "qepi", 7)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     submitted = []
     real_submit = ProcessPoolExecutor.submit
 
@@ -207,6 +222,7 @@ def test_parallel_failure_names_its_trial_and_stops_the_pool(monkeypatch, tmp_pa
     # Block 1 of 30 fails in a worker. Its error reaches the caller named,
     # blocks beyond the window never run, and no worker outlives the run.
     monkeypatch.setitem(harness._BLOCK_SIZE, "qepi", 7)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     real = harness._TRIAL_FNS["qepi"]
 
     def fails_in_block_one(cfg, indices):
@@ -241,14 +257,70 @@ def test_theorem_blocks_match_one_index_route(monkeypatch, joined, d, envs, kind
         assert repr(joined(blocks)) == repr(alone)  # == does not tell -0.0 from 0.0
 
 
-def test_theorem_blocks_parallel_matches_serial(joined):
+def test_theorem_blocks_parallel_matches_serial(monkeypatch, joined):
     # One block of 37 trials against two of 19 and 18, one per worker.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     cfg = TrialConfig(d=2, trials=37, seed=47)
     serial = list(run_experiment("theorem", cfg, parallel=1))
     parallel = list(run_experiment("theorem", cfg, parallel=2))
     assert [len(block.taus) for block in parallel] == [19, 18]
     assert joined(parallel) == joined(serial)
     assert summarize(serial) == summarize(parallel)
+
+
+_LEMMA_DIMS = [(2, 2, 2), (3, 3, 3), (6, 4, 4)]
+
+
+@pytest.mark.parametrize("tau", _TAUS[:3], ids=["random", "0", "1"])
+@pytest.mark.parametrize("kind, rank", _KINDS[:3], ids=["ginibre", "pure", "rank-k:1"])
+@pytest.mark.parametrize("dims", _LEMMA_DIMS, ids=["d2e22", "d3e33", "d6e44"])
+def test_lemma_blocks_match_one_trial_oracle(monkeypatch, joined, lemma_trial, dims, kind, rank, tau):
+    d, e1, e2 = dims
+    cfg = TrialConfig(d=d, d_e1=e1, d_e2=e2, state_kind=kind, rank=rank, tau=tau, trials=10, seed=67)
+    expected = joined(lemma_trial(cfg, index) for index in range(cfg.trials))
+    # One block of 10, then blocks of 4 with boundaries after trials 3 and 7.
+    whole = list(run_experiment("lemma", cfg))
+    monkeypatch.setattr(harness, "_block_size", lambda *_: 4)
+    cut = list(run_experiment("lemma", cfg))
+    assert [len(block.taus) for block in whole + cut] == [10, 4, 4, 2]
+    for blocks in (whole, cut):
+        assert joined(blocks) == expected
+        assert repr(joined(blocks)) == repr(expected)  # == does not tell -0.0 from 0.0
+
+
+def test_lemma_blocks_skip_the_negligible_outcomes_the_oracle_skips(monkeypatch, joined, lemma_trial, zero):
+    # In even trials environment 1 sits in |0><0| and is measured in the
+    # computational basis, so its outcome 1 has probability exactly 0: the
+    # outcome pairs that use it are skipped. The block route gets the planted
+    # setting through the stacked draw, the oracle through the one-trial draw.
+    cfg = TrialConfig(d=3, d_e1=2, d_e2=3, trials=10, seed=71)
+
+    def planted(index):
+        return tensor(sample_state(RandomSource(index).generator(), cfg.d), zero)
+
+    real_setting, real_settings = harness._bilocal_setting, harness._theorem_settings
+
+    def planted_setting(cfg, gen, index):
+        tau, s1, s2, m1, m2 = real_setting(cfg, gen, index)
+        if index % 2:
+            return tau, s1, s2, m1, m2
+        return tau, multipartite(planted(index), (cfg.d, 2)), s2, projective_from_unitary(np.eye(2)), m2
+
+    def planted_settings(cfg, experiment, indices):
+        taus, rho1, rho2, u1, u2 = real_settings(cfg, experiment, indices)
+        for row, index in enumerate(indices):
+            if not index % 2:
+                rho1[row], u1[row] = planted(index).mat, np.eye(2)
+        return taus, rho1, rho2, u1, u2
+
+    monkeypatch.setattr(harness, "_bilocal_setting", planted_setting)
+    expected = joined(lemma_trial(cfg, index) for index in range(cfg.trials))
+    assert expected.negligible == [3, 0] * 5
+    monkeypatch.setattr(harness, "_theorem_settings", planted_settings)
+    monkeypatch.setattr(harness, "_block_size", lambda *_: 4)
+    blocks = joined(run_experiment("lemma", cfg))
+    assert blocks == expected
+    assert repr(blocks) == repr(expected)
 
 
 @pytest.mark.parametrize("module", [harness, entropy], ids=["setting", "restart"])
@@ -274,6 +346,25 @@ def test_theorem_haar_check_failure_redraws_by_the_scalar_route(monkeypatch, joi
     monkeypatch.setattr(module, "haar_unitaries", fails_one_row)
     redrawn = joined(run_experiment("theorem", cfg))
     assert calls
+    assert redrawn == expected
+    assert repr(redrawn) == repr(expected)
+
+
+def test_lemma_haar_check_failure_redraws_from_the_lemma_stream(monkeypatch, joined):
+    # Trial 5's stacked Haar draws fail their check; the scalar route redraws
+    # its bases from the start of the trial's lemma stream, so nothing changes.
+    cfg = TrialConfig(d=2, d_e1=2, d_e2=3, trials=12, seed=59)
+    expected = joined(run_experiment("lemma", cfg))
+    real = harness.haar_unitaries
+
+    def fails_row_five(g):
+        u, ok = real(g)
+        ok = ok.copy()
+        ok[5] = False
+        return u, ok
+
+    monkeypatch.setattr(harness, "haar_unitaries", fails_row_five)
+    redrawn = joined(run_experiment("lemma", cfg))
     assert redrawn == expected
     assert repr(redrawn) == repr(expected)
 
@@ -334,7 +425,7 @@ def test_theorem_checks_completeness_of_the_found_bases(monkeypatch):
     taus=st.tuples(*[st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))] * 2),
     fractions=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
 )
-def test_stacked_slack_objective_matches_validated_slack(seed, d, envs, taus, fractions):
+def test_stacked_slack_objective_matches_validated_slack(conditioned_pieces, seed, d, envs, taus, fractions):
     # Two settings x two kappas in the window x three random product bases,
     # scored in one stacked call: each value equals the one-climb evaluation
     # bit for bit and the slack from validated conditioning to 1e-12.
@@ -360,5 +451,5 @@ def test_stacked_slack_objective_matches_validated_slack(seed, d, envs, taus, fr
                 u1, u2 = bases[0][b, k, r], bases[1][b, k, r]
                 assert stacked[b, k, r] == one([u1[None, None, None], u2[None, None, None]])[0, 0, 0]
                 pair = projective_from_unitary(u1), projective_from_unitary(u2)
-                *pieces, _ = _conditioned_pieces(joint, s1, s2, *pair)
+                *pieces, _ = conditioned_pieces(joint, s1, s2, *pair)
                 assert stacked[b, k, r] == pytest.approx(_theorem_slack(tau, kappa, *pieces), abs=1e-12)

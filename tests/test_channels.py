@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qudit_epi.channels import (
@@ -15,7 +15,7 @@ from qudit_epi.channels import (
     swap_operator,
 )
 from qudit_epi.errors import QuditEpiError
-from qudit_epi.harness import MAX_TOTAL_DIM, _bilocal_channel
+from qudit_epi.harness import _bilocal_channel
 from qudit_epi.rand import RandomSource, sample_state
 from qudit_epi.states import (
     make_density,
@@ -222,7 +222,6 @@ def test_channel_outputs_are_valid_states():
 )
 def test_global_kernel_matches_dense_and_extended_operator_routes(seed, d, envs, kinds, tau):
     e1, e2 = envs
-    assume(d * d * e1 * e2 <= MAX_TOTAL_DIM)
     gen = RandomSource(seed).generator()
     s1 = multipartite(sample_state(gen, d * e1, kinds[0]), (d, e1))
     s2 = multipartite(sample_state(gen, d * e2, kinds[1]), (d, e2))

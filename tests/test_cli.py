@@ -253,7 +253,8 @@ def test_byte_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_parallel_does_not_change_output(tmp_path):
+def test_parallel_does_not_change_output(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     base = ["verify-lemma", "--dim", "2", "--trials", "8", "--seed", "3"]
     assert dispatch(base + ["--parallel", "1", "--out", str(a)]) == 0
@@ -349,6 +350,22 @@ def test_streamed_dispatch_equals_emit_of_run_experiment(tmp_path, monkeypatch, 
             assert dispatch(argv + ["--parallel", workers, "--out", str(streamed)]) == (2 if summary.violations else 0)
             assert streamed.read_bytes() == whole.read_bytes(), (argv, workers)
         assert len(parse_jsonl(whole.read_text())) == 2 + sum(len(run.taus) for run in runs)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_lemma_writes_the_bytes_of_the_one_trial_oracle(tmp_path, monkeypatch, lemma_trial, rows_of, workers):
+    # The stacked lemma blocks, cut in one block of 40 or two of 20, write
+    # what the lines and the summary of the one-trial oracle's rows give.
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    argv = ["verify-lemma", "--dim", "3", "--env-dim1", "2", "--env-dim2", "3", "--trials", "40", "--seed", "11"]
+    cfg = _config_from_args(build_parser().parse_args(argv))
+    oracle = [lemma_trial(cfg, index) for index in range(cfg.trials)]
+    expected, streamed = tmp_path / "oracle.jsonl", tmp_path / "streamed.jsonl"
+    manifest = RunManifest(command=argv[0], config=cfg, timestamp=_resolve_timestamp())
+    emit(manifest, [_json_route(rows_of(oracle), False)], summarize(oracle, run_metadata(cfg)), str(expected))
+    assert dispatch(argv + ["--parallel", workers, "--out", str(streamed)]) == 0
+    assert streamed.read_bytes() == expected.read_bytes()
 
 
 def test_all_streams_the_same_bytes_at_parallel_one_and_two(tmp_path, monkeypatch):

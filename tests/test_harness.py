@@ -1,6 +1,8 @@
 import bisect
+import concurrent.futures
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from qudit_epi.harness import (
     TrialConfig,
     _bilocal_channel,
     _bilocal_setting,
-    _conditioned_pieces,
     _slack_objective,
     _theorem_slack,
     _trial_source,
@@ -75,14 +76,14 @@ def test_lemma_counts_negligible_outcomes(monkeypatch, capsys, zero, parse_jsonl
     # Environment 1 sits in |0><0| and is measured in the computational basis,
     # so its outcome 1 has probability exactly 0: both grid pairs that use it
     # are skipped and counted as negligible.
-    real = harness._bilocal_setting
+    real = harness._theorem_settings
 
-    def planted(cfg, gen, index):
-        tau, _, s2, _, m2 = real(cfg, gen, index)
-        s1 = multipartite(tensor(sample_state(gen, cfg.d), zero), (cfg.d, 2))
-        return tau, s1, s2, projective_from_unitary(np.eye(2)), m2
+    def planted(cfg, experiment, indices):
+        taus, _, rho2, _, u2 = real(cfg, experiment, indices)
+        rho1 = np.stack([tensor(sample_state(RandomSource(index).generator(), cfg.d), zero).mat for index in indices])
+        return taus, rho1, rho2, np.stack([np.eye(2, dtype=complex)] * len(indices)), u2
 
-    monkeypatch.setattr(harness, "_bilocal_setting", planted)
+    monkeypatch.setattr(harness, "_theorem_settings", planted)
     r = _one("lemma", TrialConfig(d=2, trials=1, seed=5), 3)
     assert r.passed == [True], r
     assert r.negligible == [2]
@@ -113,7 +114,7 @@ _SEARCHED += [(2, (3, 3)), (2, (2, 4)), (2, (4, 4))]
 
 
 @pytest.mark.parametrize("d, envs", _SEARCHED, ids=[f"env{e1}{e2}-{d}" for d, (e1, e2) in _SEARCHED])
-def test_theorem_search_is_validated_and_never_above_haar(d, envs):
+def test_theorem_search_is_validated_and_never_above_haar(conditioned_pieces, d, envs):
     # Replays each trial's search alone: the recorded slack is, bit for bit,
     # the validated scalar slack at the basis the climb returns (at the Haar
     # pair for kappa = 0), it equals the climb's own (stacked) value, and it is
@@ -126,7 +127,7 @@ def test_theorem_search_is_validated_and_never_above_haar(d, envs):
         source = _trial_source(cfg, "theorem", index)
         tau, s1, s2, m1, m2 = _bilocal_setting(cfg, source.generator(), index)
         joint = _bilocal_channel(s1, s2, tau)
-        *haar, prob_norm = _conditioned_pieces(joint, s1, s2, m1, m2)
+        *haar, prob_norm = conditioned_pieces(joint, s1, s2, m1, m2)
         assert block.negligible == [sum(o.negligible for row in haar[2] for o in row)]
         for t, kappa in enumerate(block.kappas):
             key = f"theorem_measured.k{t}"
@@ -140,7 +141,7 @@ def test_theorem_search_is_validated_and_never_above_haar(d, envs):
                 [source.derive(t)],
             )
             pair = projective_from_unitary(u1[0, 0]), projective_from_unitary(u2[0, 0])
-            *found, norm = _conditioned_pieces(joint, s1, s2, *pair)
+            *found, norm = conditioned_pieces(joint, s1, s2, *pair)
             prob_norm = max(prob_norm, norm)
             assert slacks[key] == _theorem_slack(tau, kappa, *found)
             assert float(value[0, 0]) == pytest.approx(slacks[key], abs=1e-12), (index, key)
@@ -353,11 +354,14 @@ def test_numpy_integer_config_runs_as_int(joined):
 
 
 def test_validate_config_total_dim_cap_is_inclusive():
-    # d=6, e1=4, e2=4 gives exactly 6*6*4*4 = 576 which exceeds nothing
+    # The dimension caps are inclusive: d=6 with both environments at 4 runs.
     validate_config(TrialConfig(d=6, d_e1=4, d_e2=4, trials=1), "lemma")
 
 
-def test_run_experiment_parallel_matches_serial(joined):
+def test_run_experiment_parallel_matches_serial(monkeypatch, joined):
+    # Blocks of 5: three blocks for the two workers to share.
+    monkeypatch.setitem(harness._BLOCK_SIZE, "qepi", 5)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     cfg = TrialConfig(d=2, trials=12, seed=13)
     serial = list(run_experiment("qepi", cfg, parallel=1))
     parallel = list(run_experiment("qepi", cfg, parallel=2))
@@ -369,6 +373,63 @@ def test_run_experiment_parallel_matches_serial(joined):
     for workers in (0, -1):
         with pytest.raises(UsageError, match=f"--parallel must be >= 1, got {workers}"):
             list(run_experiment("qepi", cfg, parallel=workers))
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its max_workers and runs
+    each submitted call inline, so no process starts."""
+
+    def __init__(self, max_workers, sizes):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+_POOL_CAPS = [
+    # (experiment, trials, --parallel, usable CPUs, the pool's max_workers or None for no pool)
+    ("lemma", 100, 4, 2, 2),  # the CPUs bind: 4 blocks of at most 32
+    ("qepi", 1100, 5000, 64, 3),  # the blocks bind: 512 + 512 + 76
+    ("theorem", 7, 3, 64, 3),  # blocks of 3
+    ("lemma", 100, 4, 1, None),  # one CPU: no pool
+    ("qepi", 300, 2, 2, None),  # one block: no pool
+]
+
+
+@pytest.mark.parametrize("experiment, trials, parallel, cpus, pool", _POOL_CAPS)
+def test_pool_is_capped_at_the_usable_cpus_and_the_blocks(
+    monkeypatch, joined, experiment, trials, parallel, cpus, pool
+):
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", partial(_InlinePool, sizes=sizes))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    cfg = TrialConfig(d=2, trials=trials, seed=19)
+    run = joined(run_experiment(experiment, cfg, parallel))
+    assert sizes == ([] if pool is None else [pool])
+    assert run == joined(run_experiment(experiment, cfg, 1))
+
+
+def test_verify_qepi_at_parallel_5000_forks_no_more_than_the_cpus(monkeypatch, capsys):
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", partial(_InlinePool, sizes=sizes))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    argv = ["verify-qepi", "--dim", "2", "--trials", "20000", "--seed", "23"]
+    assert dispatch([*argv, "--parallel", "5000"]) == 0
+    wide = capsys.readouterr().out
+    assert sizes == [2]
+    assert dispatch([*argv, "--parallel", "1"]) == 0
+    assert capsys.readouterr().out == wide
 
 
 def test_trial_failure_names_experiment_index_and_stream_key(monkeypatch, capsys):

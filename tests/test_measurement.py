@@ -76,16 +76,19 @@ def test_condition_all_stack_matches_condition_all(dx, de):
     states.append(multipartite(tensor(sample_state(gen, dx), env), (dx, de)))
     bases = np.stack([[np.eye(de, dtype=complex), haar_unitary(de, gen)] for _ in states])
     rho4 = np.stack([s.state.mat for s in states]).reshape(len(states), 1, dx, de, dx, de)
-    probs, negligible, spectra = condition_all_stack(rho4, bases)
+    probs, negligible, conditioned, spectra = condition_all_stack(rho4, bases)
     assert probs.shape == negligible.shape == (3, 2, de)
-    spectra = iter(spectra)
+    assert len(conditioned) == len(spectra)
+    kept = iter(zip(conditioned, spectra))
     for s, state_probs, state_flags, state_bases in zip(states, probs, negligible, bases):
         for p, flags, u in zip(state_probs, state_flags, state_bases):
             for o, q, flag in zip(condition_all(s, projective_from_unitary(u)), p, flags):
                 assert (o.probability, o.negligible) == (q, flag)
                 if not flag:
-                    assert np.array_equal(next(spectra), conditional_spectrum(o))
-    assert next(spectra, None) is None
+                    mat, spectrum = next(kept)
+                    assert np.array_equal(mat, o.state.mat)
+                    assert np.array_equal(spectrum, conditional_spectrum(o))
+    assert next(kept, None) is None
     assert negligible[2, 0].sum() == de - 1
 
 
