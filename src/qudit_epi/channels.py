@@ -1,15 +1,15 @@
-"""The partial-swap channel, in closed form and by explicit conjugation.
+"""The partial-swap channel: the closed form on pairs of states and the
+kron-free form on pairs of system-environment states.
 
-Two independent routes compute each map. On one pair of states the closed
-form tau*r1 + (1-tau)*r2 - i sqrt(tau(1-tau)) [r1, r2] is the production
-route and the conjugation route (build the unitary, conjugate, trace out the
-second input) its oracle. On two system-environment inputs the production
-route is :func:`partial_swap_global`, a stacked einsum on the two input
-factors that never forms their product; the dense conjugation of the
-permuted product by :func:`partial_swap_joint` and the extended-operator form
-:func:`partial_swap_global_closed` are its oracles. partial_swap_joint stays
-the channel of the conjecture's entangled (X1, X2, E) states, which are no
-product. Tests pin the agreement of every pair of routes.
+On one pair of states the channel is the qudit addition rule
+tau*r1 + (1-tau)*r2 - i sqrt(tau(1-tau)) [r1, r2] (:func:`partial_swap_closed`,
+stacked as :func:`partial_swap_closed_stack`). On two system-environment
+inputs it is :func:`partial_swap_global`, a stacked einsum on the two input
+factors that never forms their product. :func:`partial_swap_joint` conjugates
+a joint (X1, X2, E...) state densely; it is the channel of the conjecture's
+entangled states, which are no product. The independent routes that check
+these (conjugation by the unitary, extended operators) are test oracles in
+``tests/oracles.py``; tests pin the agreement of every pair of routes.
 """
 
 from __future__ import annotations
@@ -19,14 +19,7 @@ import math
 import numpy as np
 
 from .errors import QuditEpiError
-from .states import (
-    DensityMatrix,
-    MultipartiteState,
-    make_density,
-    make_density_stack,
-    multipartite,
-    partial_trace,
-)
+from .states import DensityMatrix, MultipartiteState, make_density, make_density_stack, partial_trace
 
 __all__ = [
     "check_mixing",
@@ -34,10 +27,8 @@ __all__ = [
     "partial_swap_unitary",
     "partial_swap_closed",
     "partial_swap_closed_stack",
-    "partial_swap_conjugation",
     "partial_swap_joint",
     "partial_swap_global",
-    "partial_swap_global_closed",
 ]
 
 
@@ -118,19 +109,6 @@ def partial_swap_closed_stack(r1: np.ndarray, r2: np.ndarray, tau: np.ndarray) -
     return make_density_stack(out)
 
 
-def partial_swap_conjugation(rho1: DensityMatrix, rho2: DensityMatrix, tau: float) -> DensityMatrix:
-    """Same map computed by conjugation with U and tracing the second system.
-
-    Independent of the closed form on purpose: this is the oracle route.
-    """
-    d = _check_pair(rho1, rho2)
-    tau = check_mixing(tau)
-    u = partial_swap_unitary(d, tau)
-    big = u @ np.kron(rho1.mat, rho2.mat) @ u.conj().T
-    reduced = np.trace(big.reshape(d, d, d, d), axis1=1, axis2=3)
-    return make_density(np.ascontiguousarray(reduced))
-
-
 def partial_swap_joint(s: MultipartiteState, tau: float) -> MultipartiteState:
     """Partial swap on the system legs of a joint (X1, X2, E...) state.
 
@@ -198,41 +176,3 @@ def partial_swap_global(
     swapped = np.einsum("nafbg,nbech->naefchg", r2, r1) - np.einsum("naebh,nbfcg->naefchg", r1, r2)
     out = np.where(c != 0.0, out + 1j * c * swapped, out)
     return make_density_stack(out.reshape(n, d * e1 * e2, d * e1 * e2))
-
-
-def partial_swap_global_closed(s1: MultipartiteState, s2: MultipartiteState, tau: float) -> MultipartiteState:
-    """Oracle for :func:`partial_swap_global` via extended operators, on one
-    pair of (X, E1) and (X, E2) states.
-
-    Each input is embedded on (X, E1, E2) by padding with the identity on the
-    missing environment; the output is then the convex combination of the
-    embedded inputs (environments replaced by the partner's marginal) minus
-    i sqrt(tau(1-tau)) times the commutator of the embeddings.
-    """
-    if len(s1.dims) != 2 or len(s2.dims) != 2:
-        raise QuditEpiError(f"expected bipartite inputs, got dims {s1.dims} and {s2.dims}")
-    d, e1 = s1.dims
-    d2, e2 = s2.dims
-    if d != d2:
-        raise QuditEpiError(f"system dims differ: {d} vs {d2}")
-    tau = check_mixing(tau)
-
-    rho1 = s1.state.mat
-    rho2 = s2.state.mat
-    rho_e1 = partial_trace(s1, (1,)).state.mat
-    rho_e2 = partial_trace(s2, (1,)).state.mat
-
-    def to_xe1e2(mat: np.ndarray) -> np.ndarray:
-        # reorder an (X, E2, E1) operator into (X, E1, E2)
-        t = mat.reshape(d, e2, e1, d, e2, e1).transpose(0, 2, 1, 3, 5, 4)
-        return np.ascontiguousarray(t.reshape(d * e1 * e2, d * e1 * e2))
-
-    term1 = np.kron(rho1, rho_e2)  # (X,E1,E2) already
-    term2 = to_xe1e2(np.kron(rho2, rho_e1))
-    out = tau * term1 + (1.0 - tau) * term2
-    c = math.sqrt(tau * (1.0 - tau))
-    if c != 0.0:
-        a_emb = np.kron(rho1, np.eye(e2, dtype=np.complex128))
-        b_emb = to_xe1e2(np.kron(rho2, np.eye(e1, dtype=np.complex128)))
-        out = out - 1j * c * (a_emb @ b_emb - b_emb @ a_emb)
-    return multipartite(make_density(out), (d, e1, e2))

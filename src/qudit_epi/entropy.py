@@ -42,7 +42,6 @@ __all__ = [
     "entropy_power",
     "kappa_bounds",
     "conditional_vn_entropy",
-    "expected_entropy_power",
     "projective_entropy_power",
     "climb_product_basis",
 ]
@@ -152,19 +151,6 @@ def conditional_vn_entropy(s: MultipartiteState) -> float:
     return s_ab - s_b
 
 
-def expected_entropy_power(outcomes, kappa: float) -> float:
-    """Probability-weighted entropy power over measurement outcomes.
-
-    Negligible outcomes (no state) contribute zero.
-    """
-    total = 0.0
-    for o in outcomes:
-        if o.negligible:
-            continue
-        total += o.probability * entropy_power(o.state, kappa)
-    return total
-
-
 def projective_entropy_power(rho4s, bases, kappa) -> list[tuple[np.ndarray, np.ndarray]]:
     """Outcome probabilities and conditional entropy powers of projective
     measurements on stacks of states at once: the climb objective's kernel.
@@ -177,7 +163,7 @@ def projective_entropy_power(rho4s, bases, kappa) -> list[tuple[np.ndarray, np.n
     (..., n_i) arrays per state; outcomes at or below PROB_FLOOR read 0 in
     both, so they drop out of every probability-weighted sum. Each value
     equals what its own state, basis and kappa give alone, bit for bit.
-    Unvalidated: the validated route is measurement.condition_all.
+    Unvalidated: the validated route is measurement.condition_all_stack.
     """
     blocks = np.concatenate([condition_projective_all(r, b) for r, b in zip(rho4s, bases)], axis=-3)
     probs = np.trace(blocks, axis1=-2, axis2=-1).real

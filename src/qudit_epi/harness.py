@@ -78,14 +78,12 @@ from .entropy import (
     climb_product_basis,
     conditional_vn_entropy,
     entropy_nats_rows,
-    entropy_power,
-    expected_entropy_power,
     kappa_bounds,
     prefix_slack_rows,
     projective_entropy_power,
 )
 from .errors import QuditEpiError, UsageError
-from .measurement import check_complete, condition_all_stack, projective_from_unitary
+from .measurement import check_complete, condition_all_stack
 from .rand import (
     RNG_ALGORITHM,
     KeyedStreams,
@@ -215,6 +213,15 @@ def validate_config(cfg: TrialConfig, experiment: str) -> None:
         _check_integer(name, getattr(cfg, name))
     if cfg.rank is not None:
         _check_integer("rank", cfg.rank)
+    if cfg.tau is not None:
+        _check_real("tau", cfg.tau)
+    _check_real("tolerance", cfg.tolerance)
+    if not (cfg.kappa in ("grid", "max") if isinstance(cfg.kappa, str) else _is_real(cfg.kappa)):
+        raise UsageError(f"kappa must be 'grid', 'max' or a real number, got {cfg.kappa!r}")
+    if not isinstance(cfg.state_kind, str):
+        raise UsageError(f"state_kind must be a string, got {cfg.state_kind!r}")
+    if not isinstance(cfg.exploratory_kappa, (bool, np.bool_)):
+        raise UsageError(f"exploratory_kappa must be a bool, got {cfg.exploratory_kappa!r}")
     if not 2 <= cfg.d <= MAX_DIM:
         raise UsageError(f"--dim must be in [2, {MAX_DIM}] (dimension cap), got {cfg.d}")
     for label, de in (("--env-dim1", cfg.d_e1), ("--env-dim2", cfg.d_e2)):
@@ -233,6 +240,8 @@ def validate_config(cfg: TrialConfig, experiment: str) -> None:
         kind = normalize_state_kind(cfg.state_kind)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if kind != "rank" and cfg.rank is not None:
+        raise UsageError(f"rank must be None for state kind {cfg.state_kind!r}, got {cfg.rank!r}")
     if kind == "rank" and (cfg.rank is None or not 1 <= cfg.rank):
         raise UsageError(f"state kind rank-k needs 1 <= K, got {cfg.rank}")
     if kind == "rank" and experiment != "concavity":
@@ -244,7 +253,7 @@ def validate_config(cfg: TrialConfig, experiment: str) -> None:
                 f"state kind rank-k:{cfg.rank} exceeds the smallest sampled state dimension "
                 f"{smallest} of {experiment}"
             )
-    if isinstance(cfg.kappa, (int, float)):
+    if not isinstance(cfg.kappa, str):
         if not (math.isfinite(cfg.kappa) and cfg.kappa >= 0):
             raise UsageError(f"--kappa must be finite and >= 0, got {cfg.kappa}")
         if cfg.kappa * math.log(cfg.d) >= math.log(sys.float_info.max):
@@ -258,8 +267,6 @@ def validate_config(cfg: TrialConfig, experiment: str) -> None:
                 f"--kappa {cfg.kappa} exceeds the validity window 1/(ln d)^2 = {kappa1:.6g}; "
                 "pass --exploratory-kappa to scan it as a diagnostic"
             )
-    elif cfg.kappa not in ("grid", "max"):
-        raise UsageError(f"--kappa must be 'grid', 'max' or a number, got {cfg.kappa!r}")
 
 
 def _check_integer(name: str, value) -> None:
@@ -267,6 +274,19 @@ def _check_integer(name: str, value) -> None:
     would fail inside the trials, and a bool would count as 0 or 1."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise UsageError(f"{name} must be an integer, got {value!r}")
+
+
+def _is_real(value) -> bool:
+    """A real number and no bool: a bool would run as 0 or 1 but be written
+    as true or false."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
+def _check_real(name: str, value) -> None:
+    """Reject a tau or tolerance that is not a real number, before the range
+    checks compare it."""
+    if not _is_real(value):
+        raise UsageError(f"{name} must be a real number, got {value!r}")
 
 
 def resolve_kappas(cfg: TrialConfig) -> tuple[tuple[float, bool], ...]:
@@ -339,37 +359,12 @@ def _block_normals(cfg: TrialConfig, experiment: str, indices: range, size: int)
     return taus, normals
 
 
-def _bilocal_setting(cfg: TrialConfig, gen: np.random.Generator, index: int):
-    """Draw order: tau, state1, state2, basis1, basis2."""
-    tau = _draw_tau(cfg, index, gen)
-    s1 = multipartite(sample_state(gen, cfg.d * cfg.d_e1, cfg.state_kind, cfg.rank), (cfg.d, cfg.d_e1))
-    s2 = multipartite(sample_state(gen, cfg.d * cfg.d_e2, cfg.state_kind, cfg.rank), (cfg.d, cfg.d_e2))
-    m1 = projective_from_unitary(haar_unitary(cfg.d_e1, gen))
-    m2 = projective_from_unitary(haar_unitary(cfg.d_e2, gen))
-    return tau, s1, s2, m1, m2
-
-
 def _bilocal_channel(s1, s2, tau: float):
     """:func:`partial_swap_global` of one (X, E1), (X, E2) setting, as the
     (Y, E1, E2) state."""
     (d, e1), (_, e2) = s1.dims, s2.dims
     out, eigs = partial_swap_global(s1.state.mat[None], s2.state.mat[None], np.array([tau]), d)
     return multipartite(DensityMatrix(out[0], eigs[0]), (d, e1, e2))
-
-
-def _theorem_slack(tau: float, kappa: float, out1, out2, grid) -> float:
-    """The per-measurement slack from validated outcomes: the q1 x q2-weighted
-    entropy power of the conditioned outputs minus the tau-mixture of the
-    conditioned-input expectations."""
-    lhs = sum(
-        out1[j].probability * out2[k].probability * entropy_power(o.state, kappa)
-        for j, row in enumerate(grid)
-        for k, o in enumerate(row)
-        if not (o.negligible or out1[j].negligible or out2[k].negligible)
-    )
-    rhs1 = expected_entropy_power(out1, kappa)
-    rhs2 = expected_entropy_power(out2, kappa)
-    return lhs - tau * rhs1 - (1.0 - tau) * rhs2
 
 
 def _kron_pairs(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -379,9 +374,11 @@ def _kron_pairs(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
 
 
 def _slack_objective(dims, rho1, rho2, joint, taus, kappas):
-    """:func:`_theorem_slack` of B settings at K kappas as a function of the
-    stacked factors (U1, U2), computed by :func:`projective_entropy_power`:
-    the objective the search climbs.
+    """The per-measurement slack of B settings at K kappas as a function of
+    the stacked factors (U1, U2), computed by :func:`projective_entropy_power`:
+    the q1 x q2-weighted entropy power of the conditioned outputs minus the
+    tau-mixture of the conditioned-input expectations. It is the objective
+    the search climbs.
 
     dims is (d, e1, e2); rho1, rho2 and joint are the (B, D, D) matrix stacks
     of the inputs on (X, E1) and (X, E2) and of the output on (Y, E1, E2);
@@ -415,11 +412,12 @@ def _slack_objective(dims, rho1, rho2, joint, taus, kappas):
 
 
 def _theorem_settings(cfg: TrialConfig, experiment: str, indices: range):
-    """:func:`_bilocal_setting` of the trials `indices` of `experiment`
-    (theorem or lemma), stacked: the taus, the validated (N, D, D) input
-    state stacks and the (N, e_j, e_j) Haar basis stacks, each row bit for
-    bit the trial's own draw. A trial whose Haar draw fails a check redraws
-    its bases by _bilocal_setting."""
+    """The settings of the trials `indices` of `experiment` (theorem or
+    lemma), stacked: the taus, the validated (N, D, D) input state stacks and
+    the (N, e_j, e_j) Haar basis stacks. Per trial, draw order tau, state 1,
+    state 2, basis 1, basis 2, each row bit for bit the trial's own draw. A
+    trial whose stacked Haar draw fails a check replays its stream past the
+    states and redraws both bases by haar_unitary, retries included."""
     envs = (cfg.d_e1, cfg.d_e2)
     # Each matrix draws its real, then its imaginary parts.
     shapes = [(cfg.d * e, state_columns(cfg.d * e, cfg.state_kind, cfg.rank)) for e in envs]
@@ -431,16 +429,18 @@ def _theorem_settings(cfg: TrialConfig, experiment: str, indices: range):
     (rho1, _), (rho2, _) = states_from_gaussians(g1, cfg.state_kind), states_from_gaussians(g2, cfg.state_kind)
     (u1, ok1), (u2, ok2) = haar_unitaries(h1), haar_unitaries(h2)
     for row in np.flatnonzero(~(ok1 & ok2)):
-        index = indices[row]
-        *_, m1, m2 = _bilocal_setting(cfg, _trial_source(cfg, experiment, index).generator(), index)
-        u1[row], u2[row] = m1.basis, m2.basis
+        ((_, gen),) = _trial_streams(cfg, experiment, indices[row : row + 1])
+        gen.standard_normal(ends[2])  # the two states' Gaussians
+        u1[row], u2[row] = haar_unitary(cfg.d_e1, gen), haar_unitary(cfg.d_e2, gen)
     return taus, rho1, rho2, u1, u2
 
 
 def _measured_slack(tau: float, kappa: float, pieces) -> float:
-    """:func:`_theorem_slack`, term for term in its order, from the outcome
-    probabilities, negligible flags and entropies of input 1, input 2 and
-    the output grid (row-major)."""
+    """The per-measurement slack (see :func:`_slack_objective`) from the
+    validated outcome probabilities, negligible flags and entropies of
+    input 1, input 2 and the output grid (row-major), summed term by term:
+    the oracle ``_theorem_slack`` in ``tests/oracles.py`` sums in this
+    order."""
     (q1, neg1, s1), (q2, neg2, s2), (_, neg, s) = pieces
     e2 = len(q2)
     lhs = sum(

@@ -126,10 +126,6 @@ def haar_unitaries(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, ok & (residual <= UNITARY_TOL)
 
 
-def random_unitary(d: int, rng: RandomSource) -> np.ndarray:
-    return haar_unitary(d, rng.generator())
-
-
 def sample_state(gen: np.random.Generator, d: int, kind: str = "ginibre", rank: int | None = None) -> DensityMatrix:
     """Draw a random density matrix from an already-open generator.
 
@@ -185,17 +181,12 @@ def random_state(d: int, kind: str, rng: RandomSource, rank: int | None = None) 
     return sample_state(rng.generator(), d, kind, rank)
 
 
+# The documented state-kind spellings and the sampler each one names.
+_STATE_KINDS = {"pure": "pure", "ginibre": "ginibre", "rank": "rank", "rank-k": "rank"}
+
+
 def normalize_state_kind(kind: str) -> str:
-    k = kind.strip().lower()
-    aliases = {
-        "pure": "pure",
-        "pure-haar": "pure",
-        "ginibre": "ginibre",
-        "mixed-ginibre": "ginibre",
-        "rank": "rank",
-        "rank-k": "rank",
-        "mixed-rank-k": "rank",
-    }
-    if k not in aliases:
+    """The sampler a state kind names: pure, ginibre, or rank for rank-k."""
+    if kind not in _STATE_KINDS:
         raise ValueError(f"unknown state kind {kind!r}; expected pure, ginibre or rank-k")
-    return aliases[k]
+    return _STATE_KINDS[kind]

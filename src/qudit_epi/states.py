@@ -27,13 +27,9 @@ __all__ = [
     "make_density_stack",
     "multipartite",
     "as_bipartite",
-    "tensor",
     "partial_trace",
-    "permute_subsystems",
     "eigenvalues_descending",
     "eigenvalues_descending_stack",
-    "commutator",
-    "matrix_distance",
 ]
 
 
@@ -182,11 +178,6 @@ def as_bipartite(s: MultipartiteState, split: int) -> MultipartiteState:
     return MultipartiteState(s.state, (left, s.dim // left))
 
 
-def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker product; the left factor is the slower-varying subsystem."""
-    return make_density(np.kron(a.mat, b.mat))
-
-
 def _ptrace_mat(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
     n = len(dims)
     t = mat.reshape(dims + dims)
@@ -214,20 +205,6 @@ def partial_trace(s: MultipartiteState, keep) -> MultipartiteState:
         raise QuditEpiError(f"keep={keep} out of range for {n} subsystems")
     reduced = _ptrace_mat(s.state.mat, s.dims, keep)
     return MultipartiteState(make_density(reduced), tuple(s.dims[i] for i in keep))
-
-
-def permute_subsystems(s: MultipartiteState, perm) -> MultipartiteState:
-    """Reindex so subsystem i moves to position perm[i]; spectrum is unchanged."""
-    perm = tuple(int(p) for p in perm)
-    n = len(s.dims)
-    if sorted(perm) != list(range(n)):
-        raise QuditEpiError(f"perm={perm} is not a permutation of 0..{n - 1}")
-    inverse = np.argsort(perm)  # inverse[j] = old index now at position j
-    axes = list(inverse) + [n + i for i in inverse]
-    t = s.state.mat.reshape(s.dims + s.dims).transpose(axes)
-    new_dims = tuple(s.dims[i] for i in inverse)
-    mat = np.ascontiguousarray(t.reshape(s.dim, s.dim))
-    return MultipartiteState(DensityMatrix(mat, s.state._eigs), new_dims)
 
 
 def eigenvalues_descending(rho: DensityMatrix) -> np.ndarray:
@@ -263,21 +240,3 @@ def eigenvalues_descending_stack(eigs: np.ndarray) -> np.ndarray:
             f"spectrum sums to {float(total[off.argmax()])!r}, off by more than {SPECTRUM_SUM_TOL:.1e}"
         )
     return vals / total[:, None]
-
-
-def commutator(a, b) -> np.ndarray:
-    """AB - BA; anti-Hermitian whenever a and b are Hermitian."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise QuditEpiError(f"shapes {a.shape} and {b.shape} differ")
-    return a @ b - b @ a
-
-
-def matrix_distance(a, b) -> float:
-    """Max elementwise absolute difference."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise QuditEpiError(f"shapes {a.shape} and {b.shape} differ")
-    return float(np.abs(a - b).max())

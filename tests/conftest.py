@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 import qudit_epi
-from qudit_epi import harness
-from qudit_epi.channels import partial_swap_closed
-from qudit_epi.entropy import prefix_slack, projective_entropy_power
+from qudit_epi.entropy import projective_entropy_power
 from qudit_epi.harness import TrialBlock
-from qudit_epi.measurement import condition_all, condition_bilocal, conditional_spectrum
-from qudit_epi.states import make_density, matrix_distance
+from qudit_epi.states import make_density
+
+from oracles import _conditioned_pieces, _lemma_trial
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -135,71 +134,15 @@ def joined():
     return _joined
 
 
-def _conditioned_pieces(joint, s1, s2, m1, m2):
-    """Validated conditioning of the inputs and the joint output (Y, E1, E2)
-    by the one-state routes: the outcomes of each input, the outcome grid of
-    the output and the output's |total probability - 1|."""
-    out1 = condition_all(s1, m1)
-    out2 = condition_all(s2, m2)
-    grid = condition_bilocal(joint, m1, m2)
-    prob_norm = abs(sum(o.probability for row in grid for o in row) - 1.0)
-    return out1, out2, grid, prob_norm
-
-
 @pytest.fixture(scope="session")
 def conditioned_pieces():
     """(joint, s1, s2, m1, m2) -> (outcomes 1, outcomes 2, output grid,
-    prob_norm) (see _conditioned_pieces)."""
+    prob_norm) (see oracles._conditioned_pieces)."""
     return _conditioned_pieces
-
-
-def _lemma_trial(cfg, index):
-    """Lemma trial `index` alone, as a block of one row, by the one-state
-    routes: its own generator, one setting and a loop over the outcome pairs.
-
-    For every outcome pair above the probability floor: the conditioned
-    channel output must equal the addition rule applied to the conditioned
-    inputs (identity residual), and its spectrum must be majorized by the
-    tau-mixture of the conditioned input spectra (prefix slacks).
-    """
-    gen = harness._trial_source(cfg, "lemma", index).generator()
-    tau, s1, s2, m1, m2 = harness._bilocal_setting(cfg, gen, index)
-    out1, out2, grid, prob_norm = _conditioned_pieces(harness._bilocal_channel(s1, s2, tau), s1, s2, m1, m2)
-
-    spectra1 = [None if o.negligible else conditional_spectrum(o) for o in out1]
-    spectra2 = [None if o.negligible else conditional_spectrum(o) for o in out2]
-
-    identity_resid = 0.0
-    factor_resid = 0.0
-    total_resid = 0.0
-    min_slack = math.inf
-    negligible = 0
-    for j, row in enumerate(grid):
-        for k, o in enumerate(row):
-            factor_resid = max(factor_resid, abs(o.probability - out1[j].probability * out2[k].probability))
-            if o.negligible or out1[j].negligible or out2[k].negligible:
-                negligible += 1
-                continue
-            target = partial_swap_closed(out1[j].state, out2[k].state, tau)
-            identity_resid = max(identity_resid, matrix_distance(o.state.mat, target.mat))
-            mix = tau * spectra1[j] + (1.0 - tau) * spectra2[k]
-            slack, total = prefix_slack(mix, conditional_spectrum(o))
-            min_slack = min(min_slack, slack)
-            total_resid = max(total_resid, abs(total))
-
-    slacks = {"lemma_majorization": [min_slack]}
-    residuals = {
-        "lemma_identity": [identity_resid],
-        "major_total": [total_resid],
-        "factorization": [factor_resid],
-        "prob_norm": [prob_norm],
-    }
-    flags = harness._verdict(cfg, slacks, residuals)
-    return TrialBlock("lemma", range(index, index + 1), [tau], (), slacks, residuals, flags, [negligible])
 
 
 @pytest.fixture(scope="session")
 def lemma_trial():
     """(cfg, index) -> the lemma trial's one-row block by the one-state
-    routes, the lemma block's parity oracle (see _lemma_trial)."""
+    routes, the lemma block's parity oracle (see oracles._lemma_trial)."""
     return _lemma_trial

@@ -1,0 +1,325 @@
+"""One-state oracles of the package's stacked routes.
+
+Correctness is argued by computing each operation two independent ways. The
+package runs the stacked route; the tests hold it to the route here, which
+works on one state, one measurement or one trial at a time. No CLI run
+calls anything in this module.
+
+* Channel: :func:`partial_swap_conjugation` (build U, conjugate, trace out)
+  checks ``channels.partial_swap_closed``; :func:`partial_swap_global_closed`
+  (extended operators) and the dense conjugation of the permuted product
+  (:func:`permute_subsystems`) check ``channels.partial_swap_global``.
+* Conditioning: :class:`MeasurementSet`, :func:`condition_all`,
+  :func:`condition_bilocal` and :func:`conditional_spectrum` are the
+  validated one-state conditioning that ``measurement.condition_all_stack``
+  must reproduce bit for bit.
+* Trials: :func:`_theorem_slack` is the theorem's slack from validated
+  outcomes, and :func:`_lemma_trial` one lemma trial by these routes, drawn
+  by :func:`_bilocal_setting`.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from qudit_epi import harness
+from qudit_epi.channels import _check_pair, check_mixing, partial_swap_closed, partial_swap_unitary
+from qudit_epi.entropy import entropy_power, prefix_slack
+from qudit_epi.errors import QuditEpiError
+from qudit_epi.harness import TrialBlock
+from qudit_epi.measurement import PROB_FLOOR, _check_normalization, check_complete, condition_projective_all
+from qudit_epi.rand import haar_unitary, sample_state
+from qudit_epi.states import (
+    DensityMatrix,
+    MultipartiteState,
+    as_bipartite,
+    eigenvalues_descending,
+    make_density,
+    multipartite,
+    partial_trace,
+)
+
+
+def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
+    """Kronecker product; the left factor is the slower-varying subsystem."""
+    return make_density(np.kron(a.mat, b.mat))
+
+
+def matrix_distance(a, b) -> float:
+    """Max elementwise absolute difference."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise QuditEpiError(f"shapes {a.shape} and {b.shape} differ")
+    return float(np.abs(a - b).max())
+
+
+def permute_subsystems(s: MultipartiteState, perm) -> MultipartiteState:
+    """Reindex so subsystem i moves to position perm[i]; spectrum is unchanged."""
+    perm = tuple(int(p) for p in perm)
+    n = len(s.dims)
+    if sorted(perm) != list(range(n)):
+        raise QuditEpiError(f"perm={perm} is not a permutation of 0..{n - 1}")
+    inverse = np.argsort(perm)  # inverse[j] = old index now at position j
+    axes = list(inverse) + [n + i for i in inverse]
+    t = s.state.mat.reshape(s.dims + s.dims).transpose(axes)
+    new_dims = tuple(s.dims[i] for i in inverse)
+    mat = np.ascontiguousarray(t.reshape(s.dim, s.dim))
+    return MultipartiteState(DensityMatrix(mat, s.state._eigs), new_dims)
+
+
+# ---------------------------------------------------------------- channel
+
+
+def partial_swap_conjugation(rho1: DensityMatrix, rho2: DensityMatrix, tau: float) -> DensityMatrix:
+    """The partial swap computed by conjugation with U and tracing the second
+    system: the oracle of the closed form."""
+    d = _check_pair(rho1, rho2)
+    tau = check_mixing(tau)
+    u = partial_swap_unitary(d, tau)
+    big = u @ np.kron(rho1.mat, rho2.mat) @ u.conj().T
+    reduced = np.trace(big.reshape(d, d, d, d), axis1=1, axis2=3)
+    return make_density(np.ascontiguousarray(reduced))
+
+
+def partial_swap_global_closed(s1: MultipartiteState, s2: MultipartiteState, tau: float) -> MultipartiteState:
+    """Oracle for ``channels.partial_swap_global`` via extended operators, on
+    one pair of (X, E1) and (X, E2) states.
+
+    Each input is embedded on (X, E1, E2) by padding with the identity on the
+    missing environment; the output is then the convex combination of the
+    embedded inputs (environments replaced by the partner's marginal) minus
+    i sqrt(tau(1-tau)) times the commutator of the embeddings.
+    """
+    if len(s1.dims) != 2 or len(s2.dims) != 2:
+        raise QuditEpiError(f"expected bipartite inputs, got dims {s1.dims} and {s2.dims}")
+    d, e1 = s1.dims
+    d2, e2 = s2.dims
+    if d != d2:
+        raise QuditEpiError(f"system dims differ: {d} vs {d2}")
+    tau = check_mixing(tau)
+
+    rho1 = s1.state.mat
+    rho2 = s2.state.mat
+    rho_e1 = partial_trace(s1, (1,)).state.mat
+    rho_e2 = partial_trace(s2, (1,)).state.mat
+
+    def to_xe1e2(mat: np.ndarray) -> np.ndarray:
+        # reorder an (X, E2, E1) operator into (X, E1, E2)
+        t = mat.reshape(d, e2, e1, d, e2, e1).transpose(0, 2, 1, 3, 5, 4)
+        return np.ascontiguousarray(t.reshape(d * e1 * e2, d * e1 * e2))
+
+    term1 = np.kron(rho1, rho_e2)  # (X,E1,E2) already
+    term2 = to_xe1e2(np.kron(rho2, rho_e1))
+    out = tau * term1 + (1.0 - tau) * term2
+    c = math.sqrt(tau * (1.0 - tau))
+    if c != 0.0:
+        a_emb = np.kron(rho1, np.eye(e2, dtype=np.complex128))
+        b_emb = to_xe1e2(np.kron(rho2, np.eye(e1, dtype=np.complex128)))
+        out = out - 1j * c * (a_emb @ b_emb - b_emb @ a_emb)
+    return multipartite(make_density(out), (d, e1, e2))
+
+
+# ----------------------------------------------------------- conditioning
+
+
+@dataclass(frozen=True)
+class MeasurementSet:
+    """Rank-1 projective measurement onto the columns of a validated unitary.
+
+    Outcome j projects onto basis[:, j]; there are as many outcomes as the
+    environment dimension.
+    """
+
+    basis: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
+
+    def __len__(self) -> int:
+        return self.basis.shape[1]
+
+
+@dataclass(frozen=True)
+class ConditionalOutcome:
+    """One measurement outcome: its index, probability, and conditioned state.
+
+    Outcomes at or below PROB_FLOOR carry no state; they are flagged negligible
+    and contribute nothing to expected functionals.
+    """
+
+    outcome_index: object
+    probability: float
+    state: DensityMatrix | None
+
+    @property
+    def negligible(self) -> bool:
+        return self.state is None
+
+
+def projective_from_unitary(u) -> MeasurementSet:
+    """Measurement in the basis of a unitary's columns; complete by construction."""
+    u = np.asarray(u, dtype=np.complex128)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise QuditEpiError(f"expected a square matrix, got {u.shape}")
+    check_complete(u)
+    return MeasurementSet(np.ascontiguousarray(u))
+
+
+def _outcome(index, block: np.ndarray) -> ConditionalOutcome:
+    p = float(np.trace(block).real)
+    if p <= PROB_FLOOR:
+        return ConditionalOutcome(index, p, None)
+    return ConditionalOutcome(index, p, make_density(block / p))
+
+
+def condition_all(s: MultipartiteState, m: MeasurementSet) -> list[ConditionalOutcome]:
+    """Condition the X part of an (X, E) state on every outcome of a
+    measurement on E; checks probability normalization."""
+    if len(s.dims) != 2:
+        raise QuditEpiError(f"conditioning expects a bipartite (X, E) state, got dims {s.dims}")
+    dx, de = s.dims
+    if m.dim != de:
+        raise QuditEpiError(f"measurement dim {m.dim} does not match environment dim {de}")
+    blocks = condition_projective_all(s.state.mat.reshape(dx, de, dx, de), m.basis)
+    outcomes = [_outcome(j, block) for j, block in enumerate(blocks)]
+    _check_normalization(o.probability for o in outcomes)
+    return outcomes
+
+
+def condition_bilocal(
+    s: MultipartiteState, m1: MeasurementSet, m2: MeasurementSet
+) -> list[list[ConditionalOutcome]]:
+    """Outcome grid for local measurements on both environments of (Y, E1, E2).
+
+    Entry [j][k] carries the joint probability p_jk and the conditioned Y
+    state; when the environment marginal is a product, p_jk factorizes into
+    the marginal outcome probabilities (the caller asserts that, not us).
+    It is :func:`condition_all` on (Y, E1 E2) in the product basis
+    m1 (x) m2, with outcome j * len(m2) + k renamed (j, k).
+    """
+    if len(s.dims) != 3:
+        raise QuditEpiError(f"expected a (Y, E1, E2) state, got dims {s.dims}")
+    _, e1, e2 = s.dims
+    if m1.dim != e1 or m2.dim != e2:
+        raise QuditEpiError(
+            f"measurement dims ({m1.dim}, {m2.dim}) do not match environments ({e1}, {e2})"
+        )
+    n2 = len(m2)
+    flat = condition_all(as_bipartite(s, 1), MeasurementSet(np.kron(m1.basis, m2.basis)))
+    return [
+        [ConditionalOutcome((j, k), o.probability, o.state) for k, o in enumerate(flat[j * n2 : (j + 1) * n2])]
+        for j in range(len(m1))
+    ]
+
+
+def conditional_spectrum(outcome: ConditionalOutcome) -> np.ndarray:
+    """Eigenvalues of the conditioned state, non-increasing."""
+    if outcome.negligible:
+        raise QuditEpiError(
+            f"outcome {outcome.outcome_index} has probability {outcome.probability!r}, "
+            "at or below the floor; it has no conditional state"
+        )
+    return eigenvalues_descending(outcome.state)
+
+
+def expected_entropy_power(outcomes, kappa: float) -> float:
+    """Probability-weighted entropy power over measurement outcomes.
+
+    Negligible outcomes (no state) contribute zero.
+    """
+    total = 0.0
+    for o in outcomes:
+        if o.negligible:
+            continue
+        total += o.probability * entropy_power(o.state, kappa)
+    return total
+
+
+# ----------------------------------------------------------------- trials
+
+
+def _theorem_slack(tau: float, kappa: float, out1, out2, grid) -> float:
+    """The per-measurement slack from validated outcomes: the q1 x q2-weighted
+    entropy power of the conditioned outputs minus the tau-mixture of the
+    conditioned-input expectations."""
+    lhs = sum(
+        out1[j].probability * out2[k].probability * entropy_power(o.state, kappa)
+        for j, row in enumerate(grid)
+        for k, o in enumerate(row)
+        if not (o.negligible or out1[j].negligible or out2[k].negligible)
+    )
+    rhs1 = expected_entropy_power(out1, kappa)
+    rhs2 = expected_entropy_power(out2, kappa)
+    return lhs - tau * rhs1 - (1.0 - tau) * rhs2
+
+
+def _bilocal_setting(cfg, gen: np.random.Generator, index: int):
+    """One trial's setting of theorem or lemma from its own generator. Draw
+    order: tau, state1, state2, basis1, basis2."""
+    tau = harness._draw_tau(cfg, index, gen)
+    s1 = multipartite(sample_state(gen, cfg.d * cfg.d_e1, cfg.state_kind, cfg.rank), (cfg.d, cfg.d_e1))
+    s2 = multipartite(sample_state(gen, cfg.d * cfg.d_e2, cfg.state_kind, cfg.rank), (cfg.d, cfg.d_e2))
+    m1 = projective_from_unitary(haar_unitary(cfg.d_e1, gen))
+    m2 = projective_from_unitary(haar_unitary(cfg.d_e2, gen))
+    return tau, s1, s2, m1, m2
+
+
+def _conditioned_pieces(joint, s1, s2, m1, m2):
+    """Validated conditioning of the inputs and the joint output (Y, E1, E2)
+    by the one-state routes: the outcomes of each input, the outcome grid of
+    the output and the output's |total probability - 1|."""
+    out1 = condition_all(s1, m1)
+    out2 = condition_all(s2, m2)
+    grid = condition_bilocal(joint, m1, m2)
+    prob_norm = abs(sum(o.probability for row in grid for o in row) - 1.0)
+    return out1, out2, grid, prob_norm
+
+
+def _lemma_trial(cfg, index):
+    """Lemma trial `index` alone, as a block of one row, by the one-state
+    routes: its own generator, one setting and a loop over the outcome pairs.
+
+    For every outcome pair above the probability floor: the conditioned
+    channel output must equal the addition rule applied to the conditioned
+    inputs (identity residual), and its spectrum must be majorized by the
+    tau-mixture of the conditioned input spectra (prefix slacks).
+    """
+    gen = harness._trial_source(cfg, "lemma", index).generator()
+    tau, s1, s2, m1, m2 = _bilocal_setting(cfg, gen, index)
+    out1, out2, grid, prob_norm = _conditioned_pieces(harness._bilocal_channel(s1, s2, tau), s1, s2, m1, m2)
+
+    spectra1 = [None if o.negligible else conditional_spectrum(o) for o in out1]
+    spectra2 = [None if o.negligible else conditional_spectrum(o) for o in out2]
+
+    identity_resid = 0.0
+    factor_resid = 0.0
+    total_resid = 0.0
+    min_slack = math.inf
+    negligible = 0
+    for j, row in enumerate(grid):
+        for k, o in enumerate(row):
+            factor_resid = max(factor_resid, abs(o.probability - out1[j].probability * out2[k].probability))
+            if o.negligible or out1[j].negligible or out2[k].negligible:
+                negligible += 1
+                continue
+            target = partial_swap_closed(out1[j].state, out2[k].state, tau)
+            identity_resid = max(identity_resid, matrix_distance(o.state.mat, target.mat))
+            mix = tau * spectra1[j] + (1.0 - tau) * spectra2[k]
+            slack, total = prefix_slack(mix, conditional_spectrum(o))
+            min_slack = min(min_slack, slack)
+            total_resid = max(total_resid, abs(total))
+
+    slacks = {"lemma_majorization": [min_slack]}
+    residuals = {
+        "lemma_identity": [identity_resid],
+        "major_total": [total_resid],
+        "factorization": [factor_resid],
+        "prob_norm": [prob_norm],
+    }
+    flags = harness._verdict(cfg, slacks, residuals)
+    return TrialBlock("lemma", range(index, index + 1), [tau], (), slacks, residuals, flags, [negligible])

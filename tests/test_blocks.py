@@ -24,16 +24,16 @@ from qudit_epi.errors import ValidationError
 from qudit_epi.harness import (
     TrialConfig,
     _bilocal_channel,
-    _bilocal_setting,
     _slack_objective,
-    _theorem_slack,
     resolve_kappas,
     run_experiment,
     summarize,
 )
-from qudit_epi.measurement import projective_from_unitary
 from qudit_epi.rand import RandomSource, haar_unitary, sample_state
-from qudit_epi.states import eigenvalues_descending, multipartite, tensor
+from qudit_epi.states import eigenvalues_descending, multipartite
+
+import oracles
+from oracles import _bilocal_setting, _theorem_slack, projective_from_unitary, tensor
 
 
 def _tau(cfg, index, gen):
@@ -298,7 +298,7 @@ def test_lemma_blocks_skip_the_negligible_outcomes_the_oracle_skips(monkeypatch,
     def planted(index):
         return tensor(sample_state(RandomSource(index).generator(), cfg.d), zero)
 
-    real_setting, real_settings = harness._bilocal_setting, harness._theorem_settings
+    real_setting, real_settings = oracles._bilocal_setting, harness._theorem_settings
 
     def planted_setting(cfg, gen, index):
         tau, s1, s2, m1, m2 = real_setting(cfg, gen, index)
@@ -313,7 +313,7 @@ def test_lemma_blocks_skip_the_negligible_outcomes_the_oracle_skips(monkeypatch,
                 rho1[row], u1[row] = planted(index).mat, np.eye(2)
         return taus, rho1, rho2, u1, u2
 
-    monkeypatch.setattr(harness, "_bilocal_setting", planted_setting)
+    monkeypatch.setattr(oracles, "_bilocal_setting", planted_setting)
     expected = joined(lemma_trial(cfg, index) for index in range(cfg.trials))
     assert expected.negligible == [3, 0] * 5
     monkeypatch.setattr(harness, "_theorem_settings", planted_settings)
@@ -365,6 +365,32 @@ def test_lemma_haar_check_failure_redraws_from_the_lemma_stream(monkeypatch, joi
 
     monkeypatch.setattr(harness, "haar_unitaries", fails_row_five)
     redrawn = joined(run_experiment("lemma", cfg))
+    assert redrawn == expected
+    assert repr(redrawn) == repr(expected)
+
+
+@pytest.mark.parametrize("kind, rank", _KINDS[1:], ids=["pure", "rank-k:1", "rank-k:2"])
+@pytest.mark.parametrize("experiment", ["lemma", "theorem"])
+def test_haar_check_failure_replays_pure_and_rank_k_settings(monkeypatch, joined, experiment, kind, rank):
+    # Rows 0 and 5 of the stacked Haar draw fail their check. Their replay
+    # skips the two states' Gaussians, whose count depends on the state kind,
+    # and redraws both bases, so every value stays the same.
+    cfg = TrialConfig(d=2, d_e1=2, d_e2=3, state_kind=kind, rank=rank, trials=12, seed=59)
+    expected = joined(run_experiment(experiment, cfg))
+    real = harness.haar_unitaries
+    calls = []
+
+    def fails_rows_0_and_5(g):
+        u, ok = real(g)
+        calls.append(len(ok))
+        u, ok = u.copy(), ok.copy()
+        u[[0, 5]] = np.nan  # a failing row is garbage
+        ok[[0, 5]] = False
+        return u, ok
+
+    monkeypatch.setattr(harness, "haar_unitaries", fails_rows_0_and_5)
+    redrawn = joined(run_experiment(experiment, cfg))
+    assert calls == [12, 12]
     assert redrawn == expected
     assert repr(redrawn) == repr(expected)
 

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from qudit_epi.channels import (
     partial_swap_closed,
-    partial_swap_conjugation,
     partial_swap_global,
-    partial_swap_global_closed,
     partial_swap_joint,
     partial_swap_unitary,
     swap_operator,
@@ -17,11 +15,12 @@ from qudit_epi.channels import (
 from qudit_epi.errors import QuditEpiError
 from qudit_epi.harness import _bilocal_channel
 from qudit_epi.rand import RandomSource, sample_state
-from qudit_epi.states import (
-    make_density,
+from qudit_epi.states import make_density, multipartite, partial_trace
+
+from oracles import (
     matrix_distance,
-    multipartite,
-    partial_trace,
+    partial_swap_conjugation,
+    partial_swap_global_closed,
     permute_subsystems,
     tensor,
 )

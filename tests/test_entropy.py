@@ -11,7 +11,6 @@ from qudit_epi.entropy import (
     climb_product_basis,
     conditional_vn_entropy,
     entropy_power,
-    expected_entropy_power,
     kappa_bounds,
     majorizes,
     projective_entropy_power,
@@ -19,9 +18,10 @@ from qudit_epi.entropy import (
     von_neumann_entropy,
 )
 from qudit_epi.errors import QuditEpiError, ValidationError
-from qudit_epi.measurement import ConditionalOutcome, condition_all, projective_from_unitary
 from qudit_epi.rand import RandomSource, haar_unitary, sample_state
-from qudit_epi.states import make_density, multipartite, tensor
+from qudit_epi.states import make_density, multipartite
+
+from oracles import ConditionalOutcome, condition_all, expected_entropy_power, projective_from_unitary, tensor
 
 
 def test_majorizes_basic():

@@ -1,7 +1,9 @@
 """Every name a module exports must exist, so a deletion cannot leave a stale
 entry in an `__all__` behind; every name a file imports must be used, so a
 deletion cannot leave a stale import behind; and every top-level definition of
-the package must be referenced, so a refactor cannot leave a dead copy behind."""
+the package must be used by the package or by the README's examples, so a
+refactor cannot leave a dead copy behind and code that only the tests reach
+lives in `tests/oracles.py`, not in the package."""
 
 import ast
 import importlib
@@ -13,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import qudit_epi
+
+from test_readme import python_blocks
 
 MODULES = ["qudit_epi"] + [f"qudit_epi.{m.name}" for m in pkgutil.iter_modules(qudit_epi.__path__)]
 PACKAGE_SOURCES = sorted(Path(qudit_epi.__file__).parent.glob("*.py"))
@@ -84,11 +88,16 @@ def _references(tree: ast.AST) -> Counter:
 
 @pytest.mark.parametrize("path", PACKAGE_SOURCES, ids=lambda p: p.name)
 def test_every_definition_is_referenced(path):
+    # A use counts from another package module, from another statement of
+    # the same module, or from a README python block; not from the tests, and
+    # not from `__init__.py`, whose imports only re-export.
     tree = ast.parse(path.read_text(encoding="utf-8"))
     elsewhere: Counter = Counter()
-    for other in SOURCES:
-        if other != path:
+    for other in PACKAGE_SOURCES:
+        if other != path and other.name != "__init__.py":
             elsewhere.update(_references(ast.parse(other.read_text(encoding="utf-8"))))
+    for code in python_blocks():
+        elsewhere.update(_references(ast.parse(code)))
     per_statement = [_references(stmt) for stmt in tree.body]
     unreferenced = [
         f"{name} (line {stmt.lineno})"

@@ -19,18 +19,17 @@ from qudit_epi.harness import (
     TrialBlock,
     TrialConfig,
     _bilocal_channel,
-    _bilocal_setting,
     _slack_objective,
-    _theorem_slack,
     _trial_source,
     resolve_kappas,
     run_experiment,
     summarize,
     validate_config,
 )
-from qudit_epi.measurement import projective_from_unitary
 from qudit_epi.rand import RandomSource, haar_unitary, sample_state
-from qudit_epi.states import multipartite, tensor
+from qudit_epi.states import multipartite
+
+from oracles import _bilocal_setting, _theorem_slack, projective_from_unitary, tensor
 
 
 def _one(experiment, cfg, index):
@@ -343,6 +342,36 @@ def test_non_integer_config_is_rejected_before_trial_zero(monkeypatch, experimen
     cfg = TrialConfig(**{"trials": 4, **fields})
     with pytest.raises(UsageError, match=f"^{name} must be an integer, got "):
         list(run_experiment(experiment, cfg, parallel))
+
+
+# (experiment, TrialConfig fields, the field the error names)
+_MISTYPED = [
+    ("qepi", {"state_kind": None}, "state_kind"),
+    ("lemma", {"state_kind": 3}, "state_kind"),
+    ("qepi", {"tau": "0.5"}, "tau"),
+    ("theorem", {"tolerance": "1e-9"}, "tolerance"),
+    ("concavity", {"tau": True}, "tau"),
+    ("qepi", {"kappa": True}, "kappa"),
+    ("qepi", {"kappa": None}, "kappa"),
+    ("concavity", {"exploratory_kappa": "no"}, "exploratory_kappa"),
+    ("lemma", {"rank": 2}, "rank"),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, fields, name",
+    _MISTYPED,
+    ids=[f"{name}-{type(fields[name]).__name__}" for _, fields, name in _MISTYPED],
+)
+def test_mistyped_config_is_rejected_before_trial_zero(monkeypatch, experiment, fields, name):
+    # A library caller's config of the wrong type neither crashes in a check
+    # nor runs: a string or None where a number or a state kind belongs, a
+    # bool that would run as 0 or 1 but be written as true, a truthy string
+    # for a flag, and a rank the ginibre sampler would ignore.
+    monkeypatch.setitem(harness._TRIAL_FNS, experiment, _never_called)
+    cfg = TrialConfig(**{"trials": 4, **fields})
+    with pytest.raises(UsageError, match=f"^{name} must be "):
+        list(run_experiment(experiment, cfg))
 
 
 def test_numpy_integer_config_runs_as_int(joined):

@@ -2,23 +2,17 @@ import numpy as np
 import pytest
 
 from qudit_epi.errors import QuditEpiError, ValidationError
-from qudit_epi.measurement import (
+from qudit_epi.measurement import check_complete, condition_all_stack
+from qudit_epi.rand import RandomSource, haar_unitary, sample_state
+from qudit_epi.states import DensityMatrix, MultipartiteState, make_density, multipartite, partial_trace
+
+from oracles import (
     ConditionalOutcome,
-    check_complete,
     condition_all,
-    condition_all_stack,
     condition_bilocal,
     conditional_spectrum,
-    projective_from_unitary,
-)
-from qudit_epi.rand import RandomSource, haar_unitary, sample_state
-from qudit_epi.states import (
-    DensityMatrix,
-    MultipartiteState,
-    make_density,
     matrix_distance,
-    multipartite,
-    partial_trace,
+    projective_from_unitary,
     tensor,
 )
 

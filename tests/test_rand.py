@@ -11,7 +11,6 @@ from qudit_epi.rand import (
     haar_unitary,
     normalize_state_kind,
     random_state,
-    random_unitary,
 )
 from qudit_epi.states import eigenvalues_descending
 
@@ -61,7 +60,7 @@ def test_derive_is_deterministic_and_sensitive():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_haar_unitary_is_unitary(d):
-    u = random_unitary(d, RandomSource(13, d))
+    u = haar_unitary(d, RandomSource(13, d).generator())
     assert np.abs(u.conj().T @ u - np.eye(d)).max() <= 1e-12
     if d == 1:
         assert abs(abs(u[0, 0]) - 1.0) <= 1e-12
@@ -112,15 +111,18 @@ def test_stacked_haar_applies_haar_unitarys_tolerance(monkeypatch):
 
 
 def test_pure_state_spectrum():
-    rho = random_state(4, "pure-haar", RandomSource(15))
+    rho = random_state(4, "pure", RandomSource(15))
     vals = eigenvalues_descending(rho)
     assert np.abs(vals - np.array([1.0, 0.0, 0.0, 0.0])).max() <= 1e-10
 
 
 def test_ginibre_state_valid_and_deterministic():
-    a = random_state(3, "mixed-ginibre", RandomSource(16))
+    a = random_state(3, "ginibre", RandomSource(16))
     b = random_state(3, "ginibre", RandomSource(16))
     assert np.array_equal(a.mat, b.mat)
+    vals = eigenvalues_descending(a)
+    assert vals[-1] > 0.0  # a square Ginibre matrix has full rank
+    assert np.trace(a.mat).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rank_k_states():
@@ -134,8 +136,10 @@ def test_rank_k_states():
 
 
 def test_state_kind_aliases():
-    assert normalize_state_kind("pure-haar") == "pure"
-    assert normalize_state_kind("mixed-ginibre") == "ginibre"
-    assert normalize_state_kind("mixed-rank-k") == "rank"
-    with pytest.raises(ValueError):
-        normalize_state_kind("thermal")
+    # Only the documented spellings name a sampler; no alias, case or
+    # whitespace variant does.
+    documented = {"pure": "pure", "ginibre": "ginibre", "rank-k": "rank", "rank": "rank"}
+    assert {kind: normalize_state_kind(kind) for kind in documented} == documented
+    for kind in ("pure-haar", "mixed-ginibre", "mixed-rank-k", "Ginibre", " pure", "RANK-K", "thermal"):
+        with pytest.raises(ValueError, match=r"^unknown state kind .*; expected pure, ginibre or rank-k$"):
+            normalize_state_kind(kind)

@@ -6,17 +6,15 @@ import pytest
 from qudit_epi.errors import QuditEpiError, ValidationError
 from qudit_epi.rand import RandomSource, sample_state
 from qudit_epi.states import (
-    commutator,
     eigenvalues_descending,
     eigenvalues_descending_stack,
     make_density,
     make_density_stack,
-    matrix_distance,
     multipartite,
     partial_trace,
-    permute_subsystems,
-    tensor,
 )
+
+from oracles import matrix_distance, permute_subsystems, tensor
 
 
 def test_make_density_maximally_mixed():
@@ -193,16 +191,6 @@ def test_spectrum_clipping_and_order():
         assert np.all(np.diff(vals) <= 0)
         assert vals.min() >= 0.0
         assert vals.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_commutator_examples():
-    assert np.allclose(commutator(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])), np.zeros((2, 2)))
-    zero = np.diag([1.0, 0.0])
-    plus = np.full((2, 2), 0.5)
-    assert np.allclose(commutator(zero, plus), [[0.0, 0.5], [-0.5, 0.0]])
-    assert np.allclose(commutator(plus, plus), np.zeros((2, 2)))
-    with pytest.raises(QuditEpiError, match=r"shapes \(2, 2\) and \(3, 3\) differ"):
-        commutator(np.eye(2), np.eye(3))
 
 
 def test_matrix_distance():
