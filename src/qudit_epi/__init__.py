@@ -7,15 +7,9 @@ entropy power inequality with separable environments.
 """
 
 from ._version import __version__
-from .channels import (
-    partial_swap_closed,
-    partial_swap_global,
-    partial_swap_unitary,
-    swap_operator,
-)
+from .channels import partial_swap_closed, partial_swap_global
 from .entropy import (
     climb_product_basis,
-    conditional_vn_entropy,
     entropy_power,
     kappa_bounds,
     majorizes,
@@ -30,30 +24,18 @@ from .harness import (
     summarize,
 )
 from .rand import RandomSource, random_state
-from .states import (
-    DensityMatrix,
-    MultipartiteState,
-    eigenvalues_descending,
-    make_density,
-    multipartite,
-    partial_trace,
-)
+from .states import DensityMatrix, eigenvalues_descending, make_density
 
 __all__ = [
     "__version__",
     "DensityMatrix",
-    "MultipartiteState",
     "RandomSource",
     "TrialConfig",
     "TrialBlock",
     "Summary",
     "make_density",
-    "multipartite",
-    "partial_trace",
     "eigenvalues_descending",
     "random_state",
-    "swap_operator",
-    "partial_swap_unitary",
     "partial_swap_closed",
     "partial_swap_global",
     "majorizes",
@@ -61,7 +43,6 @@ __all__ = [
     "von_neumann_entropy",
     "entropy_power",
     "kappa_bounds",
-    "conditional_vn_entropy",
     "climb_product_basis",
     "run_experiment",
     "summarize",

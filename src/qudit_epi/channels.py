@@ -1,15 +1,16 @@
 """The partial-swap channel: the closed form on pairs of states and the
-kron-free form on pairs of system-environment states.
+kron-free forms on system-environment states.
 
 On one pair of states the channel is the qudit addition rule
 tau*r1 + (1-tau)*r2 - i sqrt(tau(1-tau)) [r1, r2] (:func:`partial_swap_closed`,
 stacked as :func:`partial_swap_closed_stack`). On two system-environment
 inputs it is :func:`partial_swap_global`, a stacked einsum on the two input
-factors that never forms their product. :func:`partial_swap_joint` conjugates
-a joint (X1, X2, E...) state densely; it is the channel of the conjecture's
-entangled states, which are no product. The independent routes that check
-these (conjugation by the unitary, extended operators) are test oracles in
-``tests/oracles.py``; tests pin the agreement of every pair of routes.
+factors that never forms their product. On joint (X1, X2, E) states, which
+need not be products, it is :func:`partial_swap_joint_stack`, the same four
+einsum terms on the joint stack. None of them forms the swap unitary. The
+independent routes that check these (conjugation by the unitary, extended
+operators) are test oracles in ``tests/oracles.py``; tests pin the agreement
+of every pair of routes.
 """
 
 from __future__ import annotations
@@ -19,15 +20,13 @@ import math
 import numpy as np
 
 from .errors import QuditEpiError
-from .states import DensityMatrix, MultipartiteState, make_density, make_density_stack, partial_trace
+from .states import DensityMatrix, make_density, make_density_stack
 
 __all__ = [
     "check_mixing",
-    "swap_operator",
-    "partial_swap_unitary",
     "partial_swap_closed",
     "partial_swap_closed_stack",
-    "partial_swap_joint",
+    "partial_swap_joint_stack",
     "partial_swap_global",
 ]
 
@@ -38,28 +37,6 @@ def check_mixing(tau: float) -> float:
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"mixing parameter must be in [0, 1], got {tau}")
     return tau
-
-
-def swap_operator(d: int) -> np.ndarray:
-    """The d^2 x d^2 swap W with W(|a>⊗|b>) = |b>⊗|a>; Hermitian, W^2 = I."""
-    if d < 2:
-        raise QuditEpiError(f"swap needs d >= 2, got {d}")
-    w = np.zeros((d * d, d * d), dtype=np.complex128)
-    for a in range(d):
-        for b in range(d):
-            w[b * d + a, a * d + b] = 1.0
-    return w
-
-
-def partial_swap_unitary(d: int, tau: float) -> np.ndarray:
-    """U = sqrt(tau) I + i sqrt(1-tau) W on two d-level systems.
-
-    Unitary because W is Hermitian with W^2 = I; endpoints are exact (tau=1
-    gives the identity, tau=0 gives iW).
-    """
-    tau = check_mixing(tau)
-    w = swap_operator(d)
-    return math.sqrt(tau) * np.eye(d * d, dtype=np.complex128) + 1j * math.sqrt(1.0 - tau) * w
 
 
 def _check_pair(rho1: DensityMatrix, rho2: DensityMatrix) -> int:
@@ -87,8 +64,9 @@ def partial_swap_closed(rho1: DensityMatrix, rho2: DensityMatrix, tau: float) ->
 
 def _check_mixing_stack(tau: np.ndarray) -> None:
     """:func:`check_mixing` on each entry of an (N,) array."""
-    if not ((tau >= 0.0) & (tau <= 1.0)).all():
-        raise ValueError(f"mixing parameters must be in [0, 1], got {tau[(tau < 0.0) | (tau > 1.0)]}")
+    bad = ~((tau >= 0.0) & (tau <= 1.0))  # a NaN fails both comparisons
+    if bad.any():
+        raise ValueError(f"mixing parameters must be in [0, 1], got {tau[bad]}")
 
 
 def partial_swap_closed_stack(r1: np.ndarray, r2: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,24 +87,46 @@ def partial_swap_closed_stack(r1: np.ndarray, r2: np.ndarray, tau: np.ndarray) -
     return make_density_stack(out)
 
 
-def partial_swap_joint(s: MultipartiteState, tau: float) -> MultipartiteState:
-    """Partial swap on the system legs of a joint (X1, X2, E...) state.
+def partial_swap_joint_stack(joint: np.ndarray, tau: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Partial swap on the system legs of a stack of joint (X1, X2, E)
+    states: row i mixes the two systems of joint[i] with tau[i].
 
-    The swap unitary acts on (X1, X2), tensored with the identity on every
-    environment leg; X2 is then traced out. Output order is (Y, E...).
+    joint is an (N, d*d*e, d*d*e) density stack, tau an (N,) array; the swap
+    unitary U = sqrt(tau) I + i sqrt(1-tau) W acts on (X1, X2), the identity
+    on E, and X2 is traced out. With c = sqrt(tau(1-tau)),
+
+        Tr_X2 U rho U+ = tau Tr_X2 rho + (1-tau) Tr_X2 W rho W
+                         + i c (Tr_X2 W rho - Tr_X2 rho W),
+
+    where Tr_X2 W rho W is the marginal Tr_X1 rho on (X2, E), and the last
+    two terms are sums over the traced index b of rho[b, a; ., b] and
+    rho[a, b; b, .]. Each term is one einsum on the joint stack, as
+    :func:`partial_swap_global` computes them on product factors; the
+    commutator term is skipped exactly at tau in {0, 1}.
+
+    Returns the validated (3, N, d*e, d*e) stack of the output on (Y, E) and
+    the marginals Tr_X2 rho on (X1, E) and Tr_X1 rho on (X2, E), and their
+    ascending eigenvalues (see :func:`make_density_stack`).
     """
-    if len(s.dims) < 2:
-        raise QuditEpiError(f"expected an (X1, X2, E...) state, got dims {s.dims}")
-    d, d2, *envs = s.dims
-    if d != d2:
-        raise QuditEpiError(f"system dims differ: {d} vs {d2}")
-    tau = check_mixing(tau)
-    u_full = np.kron(partial_swap_unitary(d, tau), np.eye(math.prod(envs), dtype=np.complex128))
-    conj = u_full @ s.state.mat @ u_full.conj().T
-    # Unitary conjugation preserves validity; the reduced output below is
-    # re-validated, so skip the expensive check on the big intermediate.
-    out = MultipartiteState(DensityMatrix(conj), s.dims)
-    return partial_trace(out, (0, *range(2, len(s.dims))))
+    n = len(tau)
+    e = joint.shape[-1] // (d * d)
+    if joint.shape != (n, d * d * e, d * d * e) or e < 1:
+        raise QuditEpiError(
+            f"expected an ({n}, {d}*{d}*e, {d}*{d}*e) joint stack for {n} mixing parameters, "
+            f"got shape {joint.shape}"
+        )
+    _check_mixing_stack(tau)
+    r = joint.reshape(n, d, d, e, d, d, e)  # [a, b, e, a', b', e']
+    # Output axes (a, e, c, f) of (Y, E) x (Y, E).
+    first = np.einsum("nabecbf->naecf", r)
+    second = np.einsum("nbaebcf->naecf", r)
+    t = tau.reshape(n, 1, 1, 1, 1)
+    out = t * first + (1.0 - t) * second
+    c = np.sqrt(t * (1.0 - t))
+    swapped = np.einsum("nbaecbf->naecf", r) - np.einsum("nabebcf->naecf", r)
+    out = np.where(c != 0.0, out + 1j * c * swapped, out)
+    states, eigs = make_density_stack(np.stack([out, first, second]).reshape(3 * n, d * e, d * e))
+    return states.reshape(3, n, d * e, d * e), eigs.reshape(3, n, d * e)
 
 
 def partial_swap_global(

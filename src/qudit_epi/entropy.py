@@ -20,7 +20,7 @@ import numpy as np
 from .errors import QuditEpiError, ValidationError
 from .measurement import PROB_FLOOR, condition_projective_all
 from .rand import KeyedStreams, haar_unitaries, haar_unitary
-from .states import DensityMatrix, MultipartiteState, eigenvalues_descending, partial_trace
+from .states import DensityMatrix, eigenvalues_descending
 
 # Budget of each climb_product_basis search.
 CLIMB_RESTARTS = 3
@@ -41,7 +41,6 @@ __all__ = [
     "von_neumann_entropy",
     "entropy_power",
     "kappa_bounds",
-    "conditional_vn_entropy",
     "projective_entropy_power",
     "climb_product_basis",
 ]
@@ -140,15 +139,6 @@ def kappa_bounds(d: int) -> tuple[float, float]:
     if d < 2:
         raise QuditEpiError(f"need d >= 2, got {d}")
     return 1.0 / math.log(d) ** 2, 1.0 / (d - 1)
-
-
-def conditional_vn_entropy(s: MultipartiteState) -> float:
-    """S(AB) - S(B) for a bipartite state; negative for entangled inputs."""
-    if len(s.dims) != 2:
-        raise QuditEpiError(f"expected a bipartite state, got dims {s.dims}")
-    s_ab = von_neumann_entropy(s.state)
-    s_b = von_neumann_entropy(partial_trace(s, (1,)).state)
-    return s_ab - s_b
 
 
 def projective_entropy_power(rho4s, bases, kappa) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -35,14 +35,17 @@ of the block in lockstep (:func:`climb_product_basis`) over all their kappas
 and restarts and conditions at the pairs found; the lemma checks every kept
 outcome pair of the block in one :func:`partial_swap_closed_stack` call.
 Either way every value equals what the trial alone computes, bit for bit, so
-no line depends on the block size or --parallel. conjecture loops over its
-trials within a block: a re-checked candidate draws its perturbation from
-the trial's stream, which moves the later draws.
+no line depends on the block size or --parallel. conjecture stacks its two
+arms on the same parts: the drawn states (:func:`states_from_gaussians`), one
+:func:`partial_swap_joint_stack` call on the joint states, one
+:func:`partial_swap_global` call on the control arm's, and stacked
+conditional entropies of validated states. Every trial draws one fixed-length
+row, so a re-checked candidate's perturbation moves no other draw.
 
 :func:`_block_size` sizes the blocks: 512 trials of qepi or concavity; for
 the others the trials divided evenly over the workers, at most as many as
-:data:`_BLOCK_BYTES` holds of the theorem's or the lemma's largest array, and
-at most :data:`_MAX_BLOCK` of lemma or conjecture. A block that raises is
+:data:`_BLOCK_BYTES` holds of the block's largest stacked array, and at most
+:data:`_MAX_BLOCK` of lemma or conjecture. A block that raises is
 rerun trial by trial, so the error names the first failing trial.
 :func:`run_experiment` hands the caller one block at a time, in index order,
 whether the block ran in this process or in the pool; a serial block runs
@@ -72,11 +75,10 @@ from functools import partial
 import numpy as np
 
 from ._version import __version__
-from .channels import partial_swap_closed_stack, partial_swap_global, partial_swap_joint
+from .channels import partial_swap_closed_stack, partial_swap_global, partial_swap_joint_stack
 from .entropy import (
     CLIMB_RESTARTS,
     climb_product_basis,
-    conditional_vn_entropy,
     entropy_nats_rows,
     kappa_bounds,
     prefix_slack_rows,
@@ -91,18 +93,10 @@ from .rand import (
     haar_unitaries,
     haar_unitary,
     normalize_state_kind,
-    sample_state,
     state_columns,
     states_from_gaussians,
 )
-from .states import (
-    DensityMatrix,
-    as_bipartite,
-    eigenvalues_descending_stack,
-    make_density,
-    multipartite,
-    partial_trace,
-)
+from .states import eigenvalues_descending_stack, make_density, make_density_stack
 
 MAX_DIM = 6
 MAX_ENV_DIM = 4
@@ -122,16 +116,19 @@ _FORCED_TAUS = (0.0, 0.5, 1.0)
 _BLOCK_SIZE = {"qepi": 512, "concavity": 512}
 
 # Most trials per block of lemma and conjecture. A pool block costs about
-# 0.7 ms of CPU to send and return, half a d=2 conjecture trial, so a block
-# carries many trials.
+# 0.7 ms of CPU to send and return, several d=2 lemma or conjecture trials,
+# so a block carries many trials.
 _MAX_BLOCK = 32
 
-# Bytes of the largest stacked array of a theorem or lemma block. The
-# theorem's is its climb's basis outcome pairs of the joint output, 16 bytes
-# x K searched kappas x CLIMB_RESTARTS x (e1 e2)^3 per trial: 6 MiB holds 16
-# trials at e1 = e2 = 4 with the grid's K = 2. The lemma's is the (Y, E1, E2)
-# output, 16 bytes x (d e1 e2)^2 per trial: 6 MiB holds 42 trials at the
-# largest (6, 4, 4), so the lemma's _MAX_BLOCK binds first.
+# Bytes of the largest stacked array of a theorem, lemma or conjecture block.
+# The theorem's is its climb's basis outcome pairs of the joint output, 16
+# bytes x K searched kappas x CLIMB_RESTARTS x (e1 e2)^3 per trial: 6 MiB
+# holds 16 trials at e1 = e2 = 4 with the grid's K = 2. The lemma's is the
+# (Y, E1, E2) output, 16 bytes x (d e1 e2)^2 per trial: 6 MiB holds 42 trials
+# at the largest (6, 4, 4), so the lemma's _MAX_BLOCK binds first. The
+# conjecture's is its drawn normals, 8 bytes x the row of _conjecture_layout
+# per trial, which holds the 2 (d^2 e1)^2 of the bump: 6 MiB holds 9 ginibre
+# trials at d = 6, e1 = 4 (85 248 normals each).
 _BLOCK_BYTES = 6 * 2**20
 
 # Blocks submitted to the --parallel pool and not yet handed to the caller,
@@ -149,6 +146,9 @@ __all__ = [
     "run_experiment",
     "summarize",
     "run_metadata",
+    # Validation of one state; perfbench/test_tracer.py checks that its
+    # tracer wraps and restores this module's binding of it.
+    "make_density",
 ]
 
 
@@ -359,12 +359,18 @@ def _block_normals(cfg: TrialConfig, experiment: str, indices: range, size: int)
     return taus, normals
 
 
-def _bilocal_channel(s1, s2, tau: float):
-    """:func:`partial_swap_global` of one (X, E1), (X, E2) setting, as the
-    (Y, E1, E2) state."""
-    (d, e1), (_, e2) = s1.dims, s2.dims
-    out, eigs = partial_swap_global(s1.state.mat[None], s2.state.mat[None], np.array([tau]), d)
-    return multipartite(DensityMatrix(out[0], eigs[0]), (d, e1, e2))
+def _normal_count(shapes) -> int:
+    """Standard normals that complex Gaussian matrices of `shapes` draw."""
+    return 2 * sum(rows * cols for rows, cols in shapes)
+
+
+def _complex_gaussians(normals: np.ndarray, shapes) -> list[np.ndarray]:
+    """The (N, rows, cols) complex Gaussian stacks of `shapes`, in order,
+    from the leading columns of (N, L) normals: each matrix takes its real,
+    then its imaginary parts, as rand.complex_gaussian draws them."""
+    ends = np.cumsum([0] + [2 * rows * cols for rows, cols in shapes]).tolist()
+    parts = [normals[:, lo:hi].reshape(-1, 2, *shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
+    return [x[:, 0] + 1j * x[:, 1] for x in parts]
 
 
 def _kron_pairs(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -419,18 +425,15 @@ def _theorem_settings(cfg: TrialConfig, experiment: str, indices: range):
     trial whose stacked Haar draw fails a check replays its stream past the
     states and redraws both bases by haar_unitary, retries included."""
     envs = (cfg.d_e1, cfg.d_e2)
-    # Each matrix draws its real, then its imaginary parts.
     shapes = [(cfg.d * e, state_columns(cfg.d * e, cfg.state_kind, cfg.rank)) for e in envs]
     shapes += [(e, e) for e in envs]
-    ends = np.cumsum([0] + [2 * rows * cols for rows, cols in shapes]).tolist()
-    taus, normals = _block_normals(cfg, experiment, indices, ends[-1])
-    parts = [normals[:, lo:hi].reshape(-1, 2, *shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
-    g1, g2, h1, h2 = (x[:, 0] + 1j * x[:, 1] for x in parts)
+    taus, normals = _block_normals(cfg, experiment, indices, _normal_count(shapes))
+    g1, g2, h1, h2 = _complex_gaussians(normals, shapes)
     (rho1, _), (rho2, _) = states_from_gaussians(g1, cfg.state_kind), states_from_gaussians(g2, cfg.state_kind)
     (u1, ok1), (u2, ok2) = haar_unitaries(h1), haar_unitaries(h2)
     for row in np.flatnonzero(~(ok1 & ok2)):
         ((_, gen),) = _trial_streams(cfg, experiment, indices[row : row + 1])
-        gen.standard_normal(ends[2])  # the two states' Gaussians
+        gen.standard_normal(_normal_count(shapes[:2]))  # the two states' Gaussians
         u1[row], u2[row] = haar_unitary(cfg.d_e1, gen), haar_unitary(cfg.d_e2, gen)
     return taus, rho1, rho2, u1, u2
 
@@ -592,14 +595,10 @@ def _lemma_block(cfg: TrialConfig, indices: range) -> TrialBlock:
 
 def _qepi_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     """qepi trials `indices`: per trial, draw order tau, state 1, state 2."""
-    d = cfg.d
-    cols = state_columns(d, cfg.state_kind, cfg.rank)
-    taus, normals = _block_normals(cfg, "qepi", indices, 4 * d * cols)
-    # Per trial: real and imaginary parts of state 1's Gaussians, then state 2's.
-    normals = normals.reshape(-1, 4, d, cols)
-    g = normals[:, 0::2] + 1j * normals[:, 1::2]
-    rho1, eigs1 = states_from_gaussians(g[:, 0], cfg.state_kind)
-    rho2, eigs2 = states_from_gaussians(g[:, 1], cfg.state_kind)
+    shapes = [(cfg.d, state_columns(cfg.d, cfg.state_kind, cfg.rank))] * 2
+    taus, normals = _block_normals(cfg, "qepi", indices, _normal_count(shapes))
+    g1, g2 = _complex_gaussians(normals, shapes)
+    (rho1, eigs1), (rho2, eigs2) = states_from_gaussians(g1, cfg.state_kind), states_from_gaussians(g2, cfg.state_kind)
     tau_stack = np.array(taus, dtype=np.float64)
     _, eigs_out = partial_swap_closed_stack(rho1, rho2, tau_stack)
 
@@ -643,21 +642,39 @@ def _concavity_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     )
 
 
-def _conjecture_slack(joint, tau: float) -> float:
-    """Entropy-conditional slack for a (X1, X2, E) state under the swap channel.
+def _conjecture_layout(cfg: TrialConfig):
+    """The draws of one conjecture trial after its tau: the (rows, cols)
+    Gaussian shapes of the main arm (the joint (X1, X2, E) state, or with a
+    trivial E its two legs) and of the control arm (states 1 and 2), and the
+    normal counts of the main arm, the ginibre bump on the joint state that a
+    re-checked candidate draws next, and the control arm."""
+    d, de = cfg.d, cfg.d_e1
+    main = [(n, state_columns(n, cfg.state_kind, cfg.rank)) for n in ((d, d) if de == 1 else (d * d * de,))]
+    control = [(d * e, state_columns(d * e, cfg.state_kind, cfg.rank)) for e in (cfg.d_e1, cfg.d_e2)]
+    return main, control, (_normal_count(main), 2 * (d * d * de) ** 2, _normal_count(control))
 
-    The channel is the swap unitary on (X1, X2) tensored with the identity on
-    E, followed by tracing out X2.
-    """
-    s_out = conditional_vn_entropy(partial_swap_joint(joint, tau))
-    s_1 = conditional_vn_entropy(partial_trace(joint, (0, 2)))
-    s_2 = conditional_vn_entropy(partial_trace(joint, (1, 2)))
+
+def _conditional_entropies(states: np.ndarray, eigs: np.ndarray, d: int) -> np.ndarray:
+    """S(XE) - S(E) in nats of each (X, E) state of a validated
+    (..., d*e, d*e) stack with ascending eigenvalues `eigs`, X of dim d. Each
+    E marginal is validated, as make_density validates it."""
+    size = states.shape[-1]
+    e = size // d
+    _, env_eigs = make_density_stack(np.einsum("naeaf->nef", states.reshape(-1, d, e, d, e)))
+    s_xe, s_e = (entropy_nats_rows(eigenvalues_descending_stack(x)) for x in (eigs.reshape(-1, size), env_eigs))
+    return (s_xe - s_e).reshape(states.shape[:-2])
+
+
+def _joint_slacks(joint: np.ndarray, tau: np.ndarray, d: int) -> np.ndarray:
+    """S(Y|E) of the channel output minus the tau-mixture of S(X1|E) and
+    S(X2|E), for each (X1, X2, E) state of a validated (N, D, D) stack."""
+    s_out, s_1, s_2 = _conditional_entropies(*partial_swap_joint_stack(joint, tau, d), d)
     return s_out - tau * s_1 - (1.0 - tau) * s_2
 
 
 def _conjecture_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     """Counterexample-search trials `indices` for the conditional-entropy
-    inequality, one trial at a time.
+    inequality.
 
     Main arm: a joint (X1, X2, E) state with E of dim --env-dim1, possibly
     entangled with everything. A slack below -10*tol is only a finding after
@@ -674,47 +691,47 @@ def _conjecture_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     (never asserts) the two-environment entropy version.
 
     Per trial, draw order tau, the joint state (or its two legs), the
-    perturbation if a candidate is re-checked, state 1, state 2: the
-    perturbation's draw moves the control arm's, so trials do not stack.
+    perturbation if a candidate is re-checked, state 1, state 2. Every trial
+    draws one row of normals long enough for the perturbation; a trial that
+    re-checks no candidate takes its control arm from where the perturbation
+    would start. Every step is stacked: the states, one
+    :func:`partial_swap_joint_stack` call for the main arm and one for the
+    candidates' perturbed states, and one :func:`partial_swap_global` call for
+    the control arm, each state validated as the one-trial route validates it.
     """
-    d, de = cfg.d, cfg.d_e1
+    d = cfg.d
     threshold = -10.0 * cfg.tolerance
-    taus = []
+    main, control, (n_main, n_bump, n_control) = _conjecture_layout(cfg)
+    taus, normals = _block_normals(cfg, "conjecture", indices, n_main + n_bump + n_control)
+    tau = np.array(taus)
+    legs = [states_from_gaussians(g, cfg.state_kind)[0] for g in _complex_gaussians(normals, main)]
+    joint = legs[0] if len(legs) == 1 else make_density_stack(_kron_pairs(*legs))[0]
+    slack = _joint_slacks(joint, tau, d)
+
+    candidate = slack < threshold
+    (g,) = _complex_gaussians(normals[candidate, n_main : n_main + n_bump], [joint.shape[1:]])
+    eps = 1e-8
+    perturbed, _ = make_density_stack((1.0 - eps) * joint[candidate] + eps * states_from_gaussians(g, "ginibre")[0])
+    rechecked = iter(_joint_slacks(perturbed, tau[candidate], d).tolist())
+
+    # Control arm: product-shaped inputs, conditioning on both environments.
+    drawn = np.where(candidate[:, None], normals[:, n_main + n_bump :], normals[:, n_main : n_main + n_control])
+    g1, g2 = _complex_gaussians(drawn, control)
+    (rho1, eigs1), (rho2, eigs2) = states_from_gaussians(g1, cfg.state_kind), states_from_gaussians(g2, cfg.state_kind)
+    s_out, s_1, s_2 = (
+        _conditional_entropies(*pair, d)
+        for pair in (partial_swap_global(rho1, rho2, tau, d), (rho1, eigs1), (rho2, eigs2))
+    )
+
     # A trial that re-checks no candidate holds None for conjecture_perturbed.
-    slacks: dict[str, list] = {"conjecture": [], "conjecture_perturbed": [], "conjecture_control": []}
-    reverified = []
-    for tau, gen in _trial_streams(cfg, "conjecture", indices):
-        taus.append(tau)
-        if de == 1:
-            rho1 = sample_state(gen, d, cfg.state_kind, cfg.rank)
-            rho2 = sample_state(gen, d, cfg.state_kind, cfg.rank)
-            joint = multipartite(make_density(np.kron(rho1.mat, rho2.mat)), (d, d, 1))
-        else:
-            joint = multipartite(sample_state(gen, d * d * de, cfg.state_kind, cfg.rank), (d, d, de))
-        slack = _conjecture_slack(joint, tau)
-        slacks["conjecture"].append(slack)
-
-        perturbed_slack = None
-        if slack < threshold:
-            bump = sample_state(gen, d * d * de, "ginibre")
-            eps = 1e-8
-            perturbed = multipartite(make_density((1.0 - eps) * joint.state.mat + eps * bump.mat), joint.dims)
-            perturbed_slack = _conjecture_slack(perturbed, tau)
-        slacks["conjecture_perturbed"].append(perturbed_slack)
-        reverified.append(perturbed_slack is not None and perturbed_slack < threshold)
-
-        # Control arm: product-shaped inputs, conditioning on both environments.
-        s1 = multipartite(sample_state(gen, d * cfg.d_e1, cfg.state_kind, cfg.rank), (d, cfg.d_e1))
-        s2 = multipartite(sample_state(gen, d * cfg.d_e2, cfg.state_kind, cfg.rank), (d, cfg.d_e2))
-        mixed = _bilocal_channel(s1, s2, tau)
-        slacks["conjecture_control"].append(
-            conditional_vn_entropy(as_bipartite(mixed, 1))
-            - tau * conditional_vn_entropy(s1)
-            - (1.0 - tau) * conditional_vn_entropy(s2)
-        )
-
+    slacks = {
+        "conjecture": slack.tolist(),
+        "conjecture_perturbed": [next(rechecked) if c else None for c in candidate.tolist()],
+        "conjecture_control": (s_out - tau * s_1 - (1.0 - tau) * s_2).tolist(),
+    }
+    reverified = [value is not None and value < threshold for value in slacks["conjecture_perturbed"]]
     # Only the trivial-environment slack is asserted; the rest are diagnostics.
-    soft = set(slacks) - ({"conjecture"} if de == 1 else set())
+    soft = set(slacks) - ({"conjecture"} if cfg.d_e1 == 1 else set())
     flags = {"reverified_candidate": [not r for r in reverified], **_verdict(cfg, slacks, {}, soft)}
     return TrialBlock("conjecture", indices, taus, (), slacks, {}, flags, [0] * len(taus))
 
@@ -747,8 +764,8 @@ def _run_block(experiment: str, cfg: TrialConfig, indices: range) -> TrialBlock:
 def _block_size(experiment: str, cfg: TrialConfig, workers: int) -> int:
     """Trials per block: _BLOCK_SIZE for qepi and concavity. The others get
     the trials divided evenly over the workers, so each gets a block, but no
-    more than _BLOCK_BYTES holds of the theorem's or the lemma's largest
-    array, and for lemma and conjecture no more than _MAX_BLOCK."""
+    more than _BLOCK_BYTES holds of the experiment's largest stacked array,
+    and for lemma and conjecture no more than _MAX_BLOCK."""
     if experiment in _BLOCK_SIZE:
         return _BLOCK_SIZE[experiment]
     cap = _MAX_BLOCK
@@ -758,6 +775,8 @@ def _block_size(experiment: str, cfg: TrialConfig, workers: int) -> int:
         cap = max(1, _BLOCK_BYTES // per_trial)
     elif experiment == "lemma":
         cap = min(cap, max(1, _BLOCK_BYTES // (16 * (cfg.d * cfg.d_e1 * cfg.d_e2) ** 2)))
+    else:
+        cap = min(cap, max(1, _BLOCK_BYTES // (8 * sum(_conjecture_layout(cfg)[2]))))
     return min(cap, math.ceil(cfg.trials / workers))
 
 

@@ -1,4 +1,4 @@
-"""Validated quantum-state containers and the dense linear algebra they share.
+"""Validated density matrices, one at a time and in stacks, and their spectra.
 
 Subsystem ordering convention: the leftmost tensor factor is always the
 slowest-varying index. A state documented as living on (X, E) stores X first;
@@ -22,12 +22,8 @@ SPECTRUM_SUM_TOL = 1e-9
 
 __all__ = [
     "DensityMatrix",
-    "MultipartiteState",
     "make_density",
     "make_density_stack",
-    "multipartite",
-    "as_bipartite",
-    "partial_trace",
     "eigenvalues_descending",
     "eigenvalues_descending_stack",
 ]
@@ -60,23 +56,6 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
-
-
-class MultipartiteState:
-    """A DensityMatrix together with the ordered subsystem dimensions."""
-
-    __slots__ = ("state", "dims")
-
-    def __init__(self, state: DensityMatrix, dims: tuple[int, ...]):
-        self.state = state
-        self.dims = dims
-
-    @property
-    def dim(self) -> int:
-        return self.state.dim
-
-    def __repr__(self) -> str:
-        return f"MultipartiteState(dims={self.dims})"
 
 
 def _as_complex_square(entries) -> np.ndarray:
@@ -150,61 +129,6 @@ def make_density_stack(entries) -> tuple[np.ndarray, np.ndarray]:
             f"smallest eigenvalue {eigs[bad.argmax(), 0]:.6e} below -tol {-POSITIVITY_TOL:.1e}"
         )
     return sym, eigs
-
-
-def multipartite(state: DensityMatrix, dims) -> MultipartiteState:
-    """Attach subsystem dimensions to a state; their product must match."""
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise QuditEpiError(f"subsystem dimensions must be >= 1, got {dims}")
-    prod = 1
-    for d in dims:
-        prod *= d
-    if prod != state.dim:
-        raise QuditEpiError(f"product(dims)={prod} != state dim {state.dim}")
-    return MultipartiteState(state, dims)
-
-
-def as_bipartite(s: MultipartiteState, split: int) -> MultipartiteState:
-    """Regroup dims into two blocks (prod of the first `split`, prod of the rest).
-
-    The matrix is unchanged; only the subsystem bookkeeping is coarsened.
-    """
-    if not 0 < split < len(s.dims):
-        raise QuditEpiError(f"split {split} not interior to dims {s.dims}")
-    left = 1
-    for d in s.dims[:split]:
-        left *= d
-    return MultipartiteState(s.state, (left, s.dim // left))
-
-
-def _ptrace_mat(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    n = len(dims)
-    t = mat.reshape(dims + dims)
-    traced = sorted((i for i in range(n) if i not in keep), reverse=True)
-    m = n
-    for ax in traced:
-        t = np.trace(t, axis1=ax, axis2=ax + m)
-        m -= 1
-    side = 1
-    for i in keep:
-        side *= dims[i]
-    return np.ascontiguousarray(t.reshape(side, side))
-
-
-def partial_trace(s: MultipartiteState, keep) -> MultipartiteState:
-    """Reduced state on `keep` (a nonempty proper subset of subsystem indices).
-
-    The relative order of the kept subsystems is preserved.
-    """
-    keep = tuple(sorted(set(int(i) for i in keep)))
-    n = len(s.dims)
-    if not keep or len(keep) >= n:
-        raise QuditEpiError(f"keep={keep} must be a nonempty proper subset of 0..{n - 1}")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise QuditEpiError(f"keep={keep} out of range for {n} subsystems")
-    reduced = _ptrace_mat(s.state.mat, s.dims, keep)
-    return MultipartiteState(make_density(reduced), tuple(s.dims[i] for i in keep))
 
 
 def eigenvalues_descending(rho: DensityMatrix) -> np.ndarray:

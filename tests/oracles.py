@@ -5,17 +5,22 @@ package runs the stacked route; the tests hold it to the route here, which
 works on one state, one measurement or one trial at a time. No CLI run
 calls anything in this module.
 
+* States: :class:`MultipartiteState` attaches subsystem dimensions to one
+  validated state, and :func:`partial_trace` reduces it.
 * Channel: :func:`partial_swap_conjugation` (build U, conjugate, trace out)
   checks ``channels.partial_swap_closed``; :func:`partial_swap_global_closed`
   (extended operators) and the dense conjugation of the permuted product
-  (:func:`permute_subsystems`) check ``channels.partial_swap_global``.
+  (:func:`permute_subsystems`, :func:`partial_swap_joint`) check
+  ``channels.partial_swap_global``; :func:`partial_swap_joint` checks
+  ``channels.partial_swap_joint_stack``.
 * Conditioning: :class:`MeasurementSet`, :func:`condition_all`,
   :func:`condition_bilocal` and :func:`conditional_spectrum` are the
   validated one-state conditioning that ``measurement.condition_all_stack``
   must reproduce bit for bit.
 * Trials: :func:`_theorem_slack` is the theorem's slack from validated
-  outcomes, and :func:`_lemma_trial` one lemma trial by these routes, drawn
-  by :func:`_bilocal_setting`.
+  outcomes, :func:`_lemma_trial` one lemma trial by these routes, drawn by
+  :func:`_bilocal_setting`, and :func:`_conjecture_trial` one conjecture
+  trial by the dense channel and per-state validation.
 """
 
 from __future__ import annotations
@@ -26,21 +31,88 @@ from dataclasses import dataclass
 import numpy as np
 
 from qudit_epi import harness
-from qudit_epi.channels import _check_pair, check_mixing, partial_swap_closed, partial_swap_unitary
-from qudit_epi.entropy import entropy_power, prefix_slack
+from qudit_epi.channels import _check_pair, check_mixing, partial_swap_closed, partial_swap_global
+from qudit_epi.entropy import entropy_power, prefix_slack, von_neumann_entropy
 from qudit_epi.errors import QuditEpiError
 from qudit_epi.harness import TrialBlock
 from qudit_epi.measurement import PROB_FLOOR, _check_normalization, check_complete, condition_projective_all
 from qudit_epi.rand import haar_unitary, sample_state
-from qudit_epi.states import (
-    DensityMatrix,
-    MultipartiteState,
-    as_bipartite,
-    eigenvalues_descending,
-    make_density,
-    multipartite,
-    partial_trace,
-)
+from qudit_epi.states import DensityMatrix, eigenvalues_descending, make_density
+
+
+# ----------------------------------------------------------------- states
+
+
+class MultipartiteState:
+    """A DensityMatrix together with the ordered subsystem dimensions."""
+
+    __slots__ = ("state", "dims")
+
+    def __init__(self, state: DensityMatrix, dims: tuple[int, ...]):
+        self.state = state
+        self.dims = dims
+
+    @property
+    def dim(self) -> int:
+        return self.state.dim
+
+    def __repr__(self) -> str:
+        return f"MultipartiteState(dims={self.dims})"
+
+
+def multipartite(state: DensityMatrix, dims) -> MultipartiteState:
+    """Attach subsystem dimensions to a state; their product must match."""
+    dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims):
+        raise QuditEpiError(f"subsystem dimensions must be >= 1, got {dims}")
+    prod = 1
+    for d in dims:
+        prod *= d
+    if prod != state.dim:
+        raise QuditEpiError(f"product(dims)={prod} != state dim {state.dim}")
+    return MultipartiteState(state, dims)
+
+
+def as_bipartite(s: MultipartiteState, split: int) -> MultipartiteState:
+    """Regroup dims into two blocks (prod of the first `split`, prod of the rest).
+
+    The matrix is unchanged; only the subsystem bookkeeping is coarsened.
+    """
+    if not 0 < split < len(s.dims):
+        raise QuditEpiError(f"split {split} not interior to dims {s.dims}")
+    left = 1
+    for d in s.dims[:split]:
+        left *= d
+    return MultipartiteState(s.state, (left, s.dim // left))
+
+
+def _ptrace_mat(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
+    n = len(dims)
+    t = mat.reshape(dims + dims)
+    traced = sorted((i for i in range(n) if i not in keep), reverse=True)
+    m = n
+    for ax in traced:
+        t = np.trace(t, axis1=ax, axis2=ax + m)
+        m -= 1
+    side = 1
+    for i in keep:
+        side *= dims[i]
+    return np.ascontiguousarray(t.reshape(side, side))
+
+
+def partial_trace(s: MultipartiteState, keep) -> MultipartiteState:
+    """Reduced state on `keep` (a nonempty proper subset of subsystem indices).
+
+    The relative order of the kept subsystems is preserved.
+    """
+    keep = tuple(sorted(set(int(i) for i in keep)))
+    n = len(s.dims)
+    if not keep or len(keep) >= n:
+        raise QuditEpiError(f"keep={keep} must be a nonempty proper subset of 0..{n - 1}")
+    if keep[0] < 0 or keep[-1] >= n:
+        raise QuditEpiError(f"keep={keep} out of range for {n} subsystems")
+    reduced = _ptrace_mat(s.state.mat, s.dims, keep)
+    return MultipartiteState(make_density(reduced), tuple(s.dims[i] for i in keep))
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
@@ -72,6 +144,28 @@ def permute_subsystems(s: MultipartiteState, perm) -> MultipartiteState:
 
 
 # ---------------------------------------------------------------- channel
+
+
+def swap_operator(d: int) -> np.ndarray:
+    """The d^2 x d^2 swap W with W(|a>⊗|b>) = |b>⊗|a>; Hermitian, W^2 = I."""
+    if d < 2:
+        raise QuditEpiError(f"swap needs d >= 2, got {d}")
+    w = np.zeros((d * d, d * d), dtype=np.complex128)
+    for a in range(d):
+        for b in range(d):
+            w[b * d + a, a * d + b] = 1.0
+    return w
+
+
+def partial_swap_unitary(d: int, tau: float) -> np.ndarray:
+    """U = sqrt(tau) I + i sqrt(1-tau) W on two d-level systems.
+
+    Unitary because W is Hermitian with W^2 = I; endpoints are exact (tau=1
+    gives the identity, tau=0 gives iW).
+    """
+    tau = check_mixing(tau)
+    w = swap_operator(d)
+    return math.sqrt(tau) * np.eye(d * d, dtype=np.complex128) + 1j * math.sqrt(1.0 - tau) * w
 
 
 def partial_swap_conjugation(rho1: DensityMatrix, rho2: DensityMatrix, tau: float) -> DensityMatrix:
@@ -121,6 +215,34 @@ def partial_swap_global_closed(s1: MultipartiteState, s2: MultipartiteState, tau
         b_emb = to_xe1e2(np.kron(rho2, np.eye(e1, dtype=np.complex128)))
         out = out - 1j * c * (a_emb @ b_emb - b_emb @ a_emb)
     return multipartite(make_density(out), (d, e1, e2))
+
+
+def partial_swap_joint(s: MultipartiteState, tau: float) -> MultipartiteState:
+    """Partial swap on the system legs of a joint (X1, X2, E...) state.
+
+    The swap unitary acts on (X1, X2), tensored with the identity on every
+    environment leg; X2 is then traced out. Output order is (Y, E...).
+    """
+    if len(s.dims) < 2:
+        raise QuditEpiError(f"expected an (X1, X2, E...) state, got dims {s.dims}")
+    d, d2, *envs = s.dims
+    if d != d2:
+        raise QuditEpiError(f"system dims differ: {d} vs {d2}")
+    tau = check_mixing(tau)
+    u_full = np.kron(partial_swap_unitary(d, tau), np.eye(math.prod(envs), dtype=np.complex128))
+    conj = u_full @ s.state.mat @ u_full.conj().T
+    # Unitary conjugation preserves validity; the reduced output below is
+    # re-validated, so skip the expensive check on the big intermediate.
+    out = MultipartiteState(DensityMatrix(conj), s.dims)
+    return partial_trace(out, (0, *range(2, len(s.dims))))
+
+
+def _bilocal_channel(s1, s2, tau: float):
+    """:func:`partial_swap_global` of one (X, E1), (X, E2) setting, as the
+    (Y, E1, E2) state."""
+    (d, e1), (_, e2) = s1.dims, s2.dims
+    out, eigs = partial_swap_global(s1.state.mat[None], s2.state.mat[None], np.array([tau]), d)
+    return multipartite(DensityMatrix(out[0], eigs[0]), (d, e1, e2))
 
 
 # ----------------------------------------------------------- conditioning
@@ -243,6 +365,28 @@ def expected_entropy_power(outcomes, kappa: float) -> float:
 # ----------------------------------------------------------------- trials
 
 
+def conditional_vn_entropy(s: MultipartiteState) -> float:
+    """S(AB) - S(B) for a bipartite state; negative for entangled inputs."""
+    if len(s.dims) != 2:
+        raise QuditEpiError(f"expected a bipartite state, got dims {s.dims}")
+    s_ab = von_neumann_entropy(s.state)
+    s_b = von_neumann_entropy(partial_trace(s, (1,)).state)
+    return s_ab - s_b
+
+
+def _conjecture_slack(joint, tau: float) -> float:
+    """Entropy-conditional slack for a (X1, X2, E) state under the swap channel.
+
+    The channel is the swap unitary on (X1, X2) tensored with the identity on
+    E, followed by tracing out X2.
+    """
+    s_out = conditional_vn_entropy(partial_swap_joint(joint, tau))
+    s_1 = conditional_vn_entropy(partial_trace(joint, (0, 2)))
+    s_2 = conditional_vn_entropy(partial_trace(joint, (1, 2)))
+    return s_out - tau * s_1 - (1.0 - tau) * s_2
+
+
+
 def _theorem_slack(tau: float, kappa: float, out1, out2, grid) -> float:
     """The per-measurement slack from validated outcomes: the q1 x q2-weighted
     entropy power of the conditioned outputs minus the tau-mixture of the
@@ -291,7 +435,7 @@ def _lemma_trial(cfg, index):
     """
     gen = harness._trial_source(cfg, "lemma", index).generator()
     tau, s1, s2, m1, m2 = _bilocal_setting(cfg, gen, index)
-    out1, out2, grid, prob_norm = _conditioned_pieces(harness._bilocal_channel(s1, s2, tau), s1, s2, m1, m2)
+    out1, out2, grid, prob_norm = _conditioned_pieces(_bilocal_channel(s1, s2, tau), s1, s2, m1, m2)
 
     spectra1 = [None if o.negligible else conditional_spectrum(o) for o in out1]
     spectra2 = [None if o.negligible else conditional_spectrum(o) for o in out2]
@@ -323,3 +467,50 @@ def _lemma_trial(cfg, index):
     }
     flags = harness._verdict(cfg, slacks, residuals)
     return TrialBlock("lemma", range(index, index + 1), [tau], (), slacks, residuals, flags, [negligible])
+
+
+def _conjecture_trial(cfg, index):
+    """Conjecture trial `index` alone, as a block of one row, by the one-state
+    routes: its own generator, the dense joint channel and per-state
+    validation. Draw order: tau, the joint state (or its two legs), the
+    perturbation if a candidate is re-checked, state 1, state 2.
+
+    Main arm: a joint (X1, X2, E) state with E of dim --env-dim1, a product of
+    two system legs when E is trivial; its slack is re-checked after a 1e-8
+    perturbation toward a ginibre state when it is below -10*tol. Control
+    arm: product-shaped (X1, E1) x (X2, E2) inputs through the bilocal
+    channel, conditioning on both environments.
+    """
+    gen = harness._trial_source(cfg, "conjecture", index).generator()
+    tau = harness._draw_tau(cfg, index, gen)
+    d, de = cfg.d, cfg.d_e1
+    threshold = -10.0 * cfg.tolerance
+    if de == 1:
+        rho1 = sample_state(gen, d, cfg.state_kind, cfg.rank)
+        rho2 = sample_state(gen, d, cfg.state_kind, cfg.rank)
+        joint = multipartite(make_density(np.kron(rho1.mat, rho2.mat)), (d, d, 1))
+    else:
+        joint = multipartite(sample_state(gen, d * d * de, cfg.state_kind, cfg.rank), (d, d, de))
+    slack = _conjecture_slack(joint, tau)
+
+    perturbed_slack = None
+    if slack < threshold:
+        bump = sample_state(gen, d * d * de, "ginibre")
+        eps = 1e-8
+        perturbed = multipartite(make_density((1.0 - eps) * joint.state.mat + eps * bump.mat), joint.dims)
+        perturbed_slack = _conjecture_slack(perturbed, tau)
+    reverified = perturbed_slack is not None and perturbed_slack < threshold
+
+    s1 = multipartite(sample_state(gen, d * cfg.d_e1, cfg.state_kind, cfg.rank), (d, cfg.d_e1))
+    s2 = multipartite(sample_state(gen, d * cfg.d_e2, cfg.state_kind, cfg.rank), (d, cfg.d_e2))
+    mixed = _bilocal_channel(s1, s2, tau)
+    control = (
+        conditional_vn_entropy(as_bipartite(mixed, 1))
+        - tau * conditional_vn_entropy(s1)
+        - (1.0 - tau) * conditional_vn_entropy(s2)
+    )
+
+    slacks = {"conjecture": [slack], "conjecture_perturbed": [perturbed_slack], "conjecture_control": [control]}
+    soft = set(slacks) - ({"conjecture"} if de == 1 else set())
+    flags = {"reverified_candidate": [not reverified], **harness._verdict(cfg, slacks, {}, soft)}
+    return TrialBlock("conjecture", range(index, index + 1), [tau], (), slacks, {}, flags, [0])

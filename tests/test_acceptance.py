@@ -15,11 +15,18 @@ import pytest
 
 from qudit_epi.channels import partial_swap_closed
 from qudit_epi.entropy import climb_product_basis, entropy_power
-from qudit_epi.harness import TrialConfig, _bilocal_channel, _run_block, run_experiment, run_metadata, summarize
+from qudit_epi.harness import TrialConfig, _run_block, run_experiment, run_metadata, summarize
 from qudit_epi.rand import RandomSource, haar_unitary, sample_state
-from qudit_epi.states import make_density, multipartite
+from qudit_epi.states import make_density
 
-from oracles import matrix_distance, partial_swap_conjugation, partial_swap_global_closed, tensor
+from oracles import (
+    _bilocal_channel,
+    matrix_distance,
+    multipartite,
+    partial_swap_conjugation,
+    partial_swap_global_closed,
+    tensor,
+)
 
 WORKERS = max(1, os.cpu_count() or 1)
 

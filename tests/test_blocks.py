@@ -23,17 +23,16 @@ from qudit_epi.entropy import entropy_nats, kappa_bounds, prefix_slack
 from qudit_epi.errors import ValidationError
 from qudit_epi.harness import (
     TrialConfig,
-    _bilocal_channel,
     _slack_objective,
     resolve_kappas,
     run_experiment,
     summarize,
 )
 from qudit_epi.rand import RandomSource, haar_unitary, sample_state
-from qudit_epi.states import eigenvalues_descending, multipartite
+from qudit_epi.states import eigenvalues_descending
 
 import oracles
-from oracles import _bilocal_setting, _theorem_slack, projective_from_unitary, tensor
+from oracles import _bilocal_channel, _bilocal_setting, _theorem_slack, multipartite, projective_from_unitary, tensor
 
 
 def _tau(cfg, index, gen):
@@ -157,6 +156,11 @@ _BLOCK_SIZES = [
     ("lemma", (3, 3, 3), "grid", 1000, 2, 32),  # the cap
     ("lemma", (6, 4, 4), "grid", 1000, 1, 32),  # 6 MiB / (16 B x 96^2) = 42: the cap binds first
     ("lemma", (6, 4, 4), "grid", 60, 2, 30),
+    ("conjecture", (2, 2, 2), "grid", 1000, 2, 32),  # the cap
+    ("conjecture", (6, 4, 4), "grid", 64, 1, 9),  # 6 MiB / (8 B x 85 248 drawn normals)
+    ("conjecture", (6, 4, 1), "grid", 64, 2, 9),  # 6 MiB / (8 B x 84 168)
+    ("conjecture", (6, 4, 4), "grid", 12, 2, 6),
+    ("conjecture", (6, 1, 1), "grid", 64, 1, 32),  # 2 880 normals: the cap binds
 ]
 
 
@@ -321,6 +325,50 @@ def test_lemma_blocks_skip_the_negligible_outcomes_the_oracle_skips(monkeypatch,
     blocks = joined(run_experiment("lemma", cfg))
     assert blocks == expected
     assert repr(blocks) == repr(expected)
+
+
+_CONJECTURE_CONFIGS = [
+    ((2, 1, 1), "ginibre", None),
+    ((3, 1, 2), "ginibre", None),
+    ((2, 2, 2), "ginibre", None),
+    ((3, 2, 3), "pure", None),
+    ((2, 3, 2), "rank-k", 2),
+]
+
+
+@pytest.mark.parametrize("tau", _TAUS[:3], ids=["random", "0", "1"])
+@pytest.mark.parametrize(
+    "dims, kind, rank", _CONJECTURE_CONFIGS, ids=["d2e11", "d3e12", "d2e22", "d3e23-pure", "d2e32-rank-k:2"]
+)
+def test_conjecture_blocks_match_one_trial_oracle(monkeypatch, joined, dims, kind, rank, tau):
+    # The stacked block draws what each trial draws alone: the same taus, the
+    # same candidates (a None where no perturbation is re-checked) and the
+    # same pass flags, with every slack within 1e-13 of the one-trial route's
+    # (dense channel, per-state validation). Its rows do not depend on the
+    # block they run in.
+    d, e1, e2 = dims
+    cfg = TrialConfig(d=d, d_e1=e1, d_e2=e2, state_kind=kind, rank=rank, tau=tau, trials=32, seed=73)
+    expected = joined(oracles._conjecture_trial(cfg, index) for index in range(cfg.trials))
+    whole = list(run_experiment("conjecture", cfg))
+    monkeypatch.setattr(harness, "_block_size", lambda *_: 5)
+    cut = list(run_experiment("conjecture", cfg))
+    assert [len(block.taus) for block in whole + cut] == [32] + [5] * 6 + [2]
+    got = joined(whole)
+    assert joined(cut) == got
+    assert repr(joined(cut)) == repr(got)  # == does not tell -0.0 from 0.0
+    assert (got.indices, got.taus, got.pass_flags, got.negligible) == (
+        expected.indices,
+        expected.taus,
+        expected.pass_flags,
+        expected.negligible,
+    )
+    assert list(got.slacks) == list(expected.slacks)
+    for key, column in expected.slacks.items():
+        assert [v is None for v in got.slacks[key]] == [v is None for v in column], key
+        assert max((abs(a - b) for a, b in zip(got.slacks[key], column) if b is not None), default=0.0) <= 1e-13, key
+    if e1 > 1 and tau is None:
+        # Both control-arm offsets run: after a re-checked candidate's bump, and without one.
+        assert 0 < sum(value is not None for value in expected.slacks["conjecture_perturbed"]) < cfg.trials
 
 
 @pytest.mark.parametrize("module", [harness, entropy], ids=["setting", "restart"])

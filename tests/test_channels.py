@@ -7,21 +7,25 @@ from hypothesis import strategies as st
 
 from qudit_epi.channels import (
     partial_swap_closed,
+    partial_swap_closed_stack,
     partial_swap_global,
-    partial_swap_joint,
-    partial_swap_unitary,
-    swap_operator,
+    partial_swap_joint_stack,
 )
 from qudit_epi.errors import QuditEpiError
-from qudit_epi.harness import _bilocal_channel
 from qudit_epi.rand import RandomSource, sample_state
-from qudit_epi.states import make_density, multipartite, partial_trace
+from qudit_epi.states import make_density
 
 from oracles import (
+    _bilocal_channel,
     matrix_distance,
+    multipartite,
     partial_swap_conjugation,
     partial_swap_global_closed,
+    partial_swap_joint,
+    partial_swap_unitary,
+    partial_trace,
     permute_subsystems,
+    swap_operator,
     tensor,
 )
 
@@ -174,12 +178,53 @@ def test_joint_trivial_environment_matches_conjugation(d):
         assert matrix_distance(out.state.mat, partial_swap_conjugation(r1, r2, tau).mat) <= 1e-12
 
 
+def _permuted_product(s1, s2):
+    """The product of an (X1, E1) and an (X2, E2) state, on (X1, X2, E1, E2)."""
+    (d, e1), (_, e2) = s1.dims, s2.dims
+    both = multipartite(tensor(s1.state, s2.state), (d, e1, d, e2))  # (X1,E1,X2,E2)
+    return permute_subsystems(both, (0, 2, 1, 3))
+
+
 def _dense_global(s1, s2, tau):
     """The dense route: conjugate the permuted product (X1, X2, E1, E2) by
     the partial swap on (X1, X2), then trace out X2."""
-    (d, e1), (_, e2) = s1.dims, s2.dims
-    both = multipartite(tensor(s1.state, s2.state), (d, e1, d, e2))  # (X1,E1,X2,E2)
-    return partial_swap_joint(permute_subsystems(both, (0, 2, 1, 3)), tau)
+    return partial_swap_joint(_permuted_product(s1, s2), tau)
+
+
+def _joint_stack_global(s1, s2, tau):
+    """The stacked joint route on the permuted product, its environment
+    E1 E2 taken as one: the (Y, E1, E2) output matrix."""
+    joint = _permuted_product(s1, s2).state.mat[None]
+    states, _ = partial_swap_joint_stack(joint, np.array([tau]), s1.dims[0])
+    return states[0, 0]
+
+
+@pytest.mark.parametrize("d,e", [(2, 1), (2, 2), (3, 2), (2, 4)])
+def test_joint_stack_matches_dense_conjugation_on_entangled_states(d, e):
+    # Ginibre and pure joint states are entangled across X1, X2 and E; an odd
+    # stack with both endpoints of tau. The output and both marginals match
+    # the dense conjugation and partial traces of each state alone.
+    gen = RandomSource(38, d * 10 + e).generator()
+    kinds = ["ginibre", "pure"] * 3 + ["pure"]
+    joints = [multipartite(sample_state(gen, d * d * e, kind), (d, d, e)) for kind in kinds]
+    taus = np.concatenate([[0.0, 1.0], gen.random(len(joints) - 2)])
+    states, eigs = partial_swap_joint_stack(np.stack([s.state.mat for s in joints]), taus, d)
+    assert states.shape == (3, len(joints), d * e, d * e) and eigs.shape == (3, len(joints), d * e)
+    assert np.abs(eigs - np.linalg.eigvalsh(states)).max() <= 1e-12
+    for i, (s, tau) in enumerate(zip(joints, taus)):
+        assert matrix_distance(states[0, i], partial_swap_joint(s, tau).state.mat) <= 1e-12
+        assert matrix_distance(states[1, i], partial_trace(s, (0, 2)).state.mat) <= 1e-12
+        assert matrix_distance(states[2, i], partial_trace(s, (1, 2)).state.mat) <= 1e-12
+
+
+def test_joint_stack_rejects_mismatched_stacks():
+    rho = np.stack([np.eye(8) / 8] * 2).astype(complex)
+    with pytest.raises(QuditEpiError, match=r"expected an \(1, 2\*2\*e, 2\*2\*e\) joint stack"):
+        partial_swap_joint_stack(rho, np.array([0.5]), 2)
+    with pytest.raises(QuditEpiError, match=r"expected an \(2, 3\*3\*e, 3\*3\*e\) joint stack"):
+        partial_swap_joint_stack(rho, np.array([0.5, 0.5]), 3)
+    with pytest.raises(ValueError, match=r"mixing parameters must be in \[0, 1\], got \[nan\]"):
+        partial_swap_joint_stack(rho, np.array([0.5, np.nan]), 2)
 
 
 @pytest.mark.parametrize("d,e1,e2", [(2, 2, 2), (2, 2, 3), (3, 2, 1)])
@@ -228,6 +273,7 @@ def test_global_kernel_matches_dense_and_extended_operator_routes(seed, d, envs,
     assert out.dims == (d, e1, e2)
     assert matrix_distance(out.state.mat, _dense_global(s1, s2, tau).state.mat) <= 1e-12
     assert matrix_distance(out.state.mat, partial_swap_global_closed(s1, s2, tau).state.mat) <= 1e-12
+    assert matrix_distance(out.state.mat, _joint_stack_global(s1, s2, tau)) <= 1e-12
 
 
 @pytest.mark.parametrize("d,e1,e2", [(2, 2, 2), (3, 1, 4), (4, 3, 2), (6, 4, 4)])
@@ -252,5 +298,10 @@ def test_global_kernel_rejects_mismatched_stacks():
         partial_swap_global(rho, rho[:1], np.array([0.5, 0.5]), 2)
     with pytest.raises(QuditEpiError, match=r"expected \(2, 3\*e, 3\*e\) input stacks"):
         partial_swap_global(rho, rho, np.array([0.5, 0.5]), 3)
-    with pytest.raises(ValueError, match=r"mixing parameters must be in \[0, 1\]"):
+    with pytest.raises(ValueError, match=r"mixing parameters must be in \[0, 1\], got \[1\.5\]"):
         partial_swap_global(rho, rho, np.array([0.5, 1.5]), 2)
+    # A NaN fails every comparison: the message names it.
+    with pytest.raises(ValueError, match=r"mixing parameters must be in \[0, 1\], got \[nan\]"):
+        partial_swap_global(rho, rho, np.array([np.nan, 0.5]), 2)
+    with pytest.raises(ValueError, match=r"mixing parameters must be in \[0, 1\], got \[nan\]"):
+        partial_swap_closed_stack(rho, rho, np.array([np.nan, 0.5]))

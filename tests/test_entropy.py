@@ -9,7 +9,6 @@ from qudit_epi.entropy import (
     CLIMB_RESTARTS,
     CLIMB_STEP_SCALE,
     climb_product_basis,
-    conditional_vn_entropy,
     entropy_power,
     kappa_bounds,
     majorizes,
@@ -19,9 +18,17 @@ from qudit_epi.entropy import (
 )
 from qudit_epi.errors import QuditEpiError, ValidationError
 from qudit_epi.rand import RandomSource, haar_unitary, sample_state
-from qudit_epi.states import make_density, multipartite
+from qudit_epi.states import make_density
 
-from oracles import ConditionalOutcome, condition_all, expected_entropy_power, projective_from_unitary, tensor
+from oracles import (
+    ConditionalOutcome,
+    condition_all,
+    conditional_vn_entropy,
+    expected_entropy_power,
+    multipartite,
+    projective_from_unitary,
+    tensor,
+)
 
 
 def test_majorizes_basic():

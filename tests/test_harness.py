@@ -18,7 +18,6 @@ from qudit_epi.harness import (
     Summary,
     TrialBlock,
     TrialConfig,
-    _bilocal_channel,
     _slack_objective,
     _trial_source,
     resolve_kappas,
@@ -27,9 +26,8 @@ from qudit_epi.harness import (
     validate_config,
 )
 from qudit_epi.rand import RandomSource, haar_unitary, sample_state
-from qudit_epi.states import multipartite
 
-from oracles import _bilocal_setting, _theorem_slack, projective_from_unitary, tensor
+from oracles import _bilocal_channel, _bilocal_setting, _theorem_slack, multipartite, projective_from_unitary, tensor
 
 
 def _one(experiment, cfg, index):

@@ -4,14 +4,17 @@ import pytest
 from qudit_epi.errors import QuditEpiError, ValidationError
 from qudit_epi.measurement import check_complete, condition_all_stack
 from qudit_epi.rand import RandomSource, haar_unitary, sample_state
-from qudit_epi.states import DensityMatrix, MultipartiteState, make_density, multipartite, partial_trace
+from qudit_epi.states import DensityMatrix, make_density
 
 from oracles import (
     ConditionalOutcome,
+    MultipartiteState,
     condition_all,
     condition_bilocal,
     conditional_spectrum,
     matrix_distance,
+    multipartite,
+    partial_trace,
     projective_from_unitary,
     tensor,
 )

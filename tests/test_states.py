@@ -10,11 +10,9 @@ from qudit_epi.states import (
     eigenvalues_descending_stack,
     make_density,
     make_density_stack,
-    multipartite,
-    partial_trace,
 )
 
-from oracles import matrix_distance, permute_subsystems, tensor
+from oracles import matrix_distance, multipartite, partial_trace, permute_subsystems, tensor
 
 
 def test_make_density_maximally_mixed():
