@@ -4,7 +4,9 @@ objective, such as a conditional entropy power or an inequality's slack.
 
 :func:`climb_product_basis` is the one climb: it advances a whole stack of
 searches in lockstep, so a caller with one search and the theorem's block of
-trials (every kappa and restart of each trial) share it.
+trials (every kappa and restart of each trial) share it. Its objective kernel,
+:func:`projective_entropy_power`, takes qubit spectra in closed form and
+calls an eigensolver only for larger conditioned blocks.
 
 Convention: natural logarithm everywhere. The entropy power of order kappa is
 exp(kappa * S) with S in nats, so the concavity window upper edge is
@@ -141,6 +143,27 @@ def kappa_bounds(d: int) -> tuple[float, float]:
     return 1.0 / math.log(d) ** 2, 1.0 / (d - 1)
 
 
+def _normalized_spectra(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Traces p, the mask p > PROB_FLOOR and the ascending spectra of
+    blocks / p of a (..., dx, dx) stack; a masked block's spectrum means
+    nothing.
+
+    Qubit blocks take the closed form (1 -+ r)/2 with
+    r = sqrt((s00 - s11)^2 + 4|s10|^2) / p, read from the diagonal and the
+    lower triangle as eigvalsh reads them; p = s00.real + s11.real equals the
+    trace's real part bit for bit. Larger blocks go through one stacked eigvalsh.
+    """
+    if blocks.shape[-1] == 2:
+        s00, s11, s10 = blocks[..., 0, 0].real, blocks[..., 1, 1].real, blocks[..., 1, 0]
+        probs = s00 + s11
+        kept = probs > PROB_FLOOR
+        r = np.sqrt((s00 - s11) ** 2 + 4.0 * (s10.real**2 + s10.imag**2)) / np.where(kept, probs, 1.0)
+        return probs, kept, np.stack([1.0 - r, 1.0 + r], axis=-1) / 2.0
+    probs = np.trace(blocks, axis1=-2, axis2=-1).real
+    kept = probs > PROB_FLOOR
+    return probs, kept, np.linalg.eigvalsh(blocks / np.where(kept, probs, 1.0)[..., None, None])
+
+
 def projective_entropy_power(rho4s, bases, kappa) -> list[tuple[np.ndarray, np.ndarray]]:
     """Outcome probabilities and conditional entropy powers of projective
     measurements on stacks of states at once: the climb objective's kernel.
@@ -148,17 +171,18 @@ def projective_entropy_power(rho4s, bases, kappa) -> list[tuple[np.ndarray, np.n
     rho4s[i] is a (..., dx, de_i, dx, de_i)-reshaped state stack, measured in
     the columns of the (..., de_i, n_i) basis stack bases[i]; every state has
     the same dx, each state and basis broadcast to the same leading axes for
-    every i, and kappa is a float or an array broadcasting against them. The
-    conditioned blocks of all states go through one stacked eigvalsh. Returns one (probabilities, entropy powers) pair of
-    (..., n_i) arrays per state; outcomes at or below PROB_FLOOR read 0 in
-    both, so they drop out of every probability-weighted sum. Each value
-    equals what its own state, basis and kappa give alone, bit for bit.
+    every i, and kappa is a float or an array broadcasting against them.
+    Qubit blocks (dx = 2) take a closed-form spectrum, and larger blocks of
+    all states go through one stacked eigvalsh (:func:`_normalized_spectra`),
+    so the climb calls no eigensolver at dx = 2. Returns one
+    (probabilities, entropy powers) pair of (..., n_i) arrays per state;
+    outcomes at or below PROB_FLOOR read 0 in both, so they drop out of every
+    probability-weighted sum. Each value equals what its own state, basis and
+    kappa give alone, bit for bit.
     Unvalidated: the validated route is measurement.condition_all_stack.
     """
     blocks = np.concatenate([condition_projective_all(r, b) for r, b in zip(rho4s, bases)], axis=-3)
-    probs = np.trace(blocks, axis1=-2, axis2=-1).real
-    kept = probs > PROB_FLOOR
-    lam = np.linalg.eigvalsh(blocks / np.where(kept, probs, 1.0)[..., None, None])
+    probs, kept, lam = _normalized_spectra(blocks)
     entropies = entropy_nats_rows(np.clip(lam, 0.0, None).reshape(-1, lam.shape[-1])).reshape(probs.shape)
     powers = np.where(kept, np.exp(np.asarray(kappa)[..., None] * entropies), 0.0)
     probs = np.where(kept, probs, 0.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qudit_epi import entropy as entropy_module
 from qudit_epi.entropy import (
@@ -9,6 +11,7 @@ from qudit_epi.entropy import (
     CLIMB_RESTARTS,
     CLIMB_STEP_SCALE,
     climb_product_basis,
+    entropy_nats_rows,
     entropy_power,
     kappa_bounds,
     majorizes,
@@ -17,6 +20,7 @@ from qudit_epi.entropy import (
     von_neumann_entropy,
 )
 from qudit_epi.errors import QuditEpiError, ValidationError
+from qudit_epi.measurement import PROB_FLOOR
 from qudit_epi.rand import RandomSource, haar_unitary, sample_state
 from qudit_epi.states import make_density
 
@@ -167,14 +171,58 @@ def _haar_start(gen, env_dims):
 
 
 def test_projective_entropy_power_matches_validated_route():
+    # Qubit systems (dx = 2) take the closed-form spectra; pure and rank-1
+    # states condition to rank-1 blocks, the closed form's cancelling end.
     gen = RandomSource(58).generator()
-    for dx, de in [(2, 2), (3, 2), (2, 4)]:
-        s = multipartite(sample_state(gen, dx * de), (dx, de))
+    cases = [(2, 2, "ginibre"), (3, 2, "ginibre"), (2, 4, "ginibre")]
+    cases += [(2, de, kind) for de in (1, 3, 4) for kind in ("pure", "rank-k")]
+    for dx, de, kind in cases:
+        s = multipartite(sample_state(gen, dx * de, kind, rank=1), (dx, de))
         basis = haar_unitary(de, gen)
         outcomes = condition_all(s, projective_from_unitary(basis))
         ((probs, powers),) = projective_entropy_power([s.state.mat.reshape(dx, de, dx, de)], [basis], 0.7)
         assert probs.tolist() == pytest.approx([o.probability for o in outcomes], abs=1e-15)
         assert powers.tolist() == pytest.approx([entropy_power(o.state, 0.7) for o in outcomes], abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["ginibre", "rank-1", "maximally-mixed", "diagonal"]),
+    scale=st.sampled_from([1.0, PROB_FLOOR * (1 - 1e-3), PROB_FLOOR * (1 + 1e-3)]),
+    skewed=st.booleans(),
+)
+def test_qubit_spectra_match_eigvalsh(seed, shape, scale, skewed):
+    # The closed-form qubit branch against the trace and eigvalsh it replaces,
+    # on blocks of trace `scale`: at PROB_FLOOR * (1 -+ 1e-3) the outcome sits
+    # just either side of the floor. A skewed block is non-Hermitian by
+    # round-off (s01 != conj s10, complex diagonal), as a conditioned block is.
+    gen = np.random.default_rng(seed)
+    g = gen.standard_normal((16, 2, 2)) + 1j * gen.standard_normal((16, 2, 2))
+    if shape == "rank-1":
+        g[..., 1] = 0.0
+    blocks = g @ g.conj().swapaxes(-1, -2)
+    if shape == "maximally-mixed":
+        blocks = np.eye(2) * np.trace(blocks, axis1=-2, axis2=-1)[..., None, None] / 2
+    elif shape == "diagonal":
+        blocks = blocks * np.eye(2)
+    blocks = blocks * (scale / np.trace(blocks, axis1=-2, axis2=-1).real)[..., None, None]
+    if skewed:
+        noise = gen.standard_normal((16, 2, 2)) + 1j * gen.standard_normal((16, 2, 2))
+        blocks = blocks + 1e-16 * scale * noise
+
+    probs, kept, lam = entropy_module._normalized_spectra(blocks)
+    trace = np.trace(blocks, axis1=-2, axis2=-1).real
+    assert np.array_equal(probs, trace)
+    assert np.array_equal(kept, trace > PROB_FLOOR)
+    expected = np.linalg.eigvalsh(blocks / np.where(kept, trace, 1.0)[..., None, None])
+    assert np.abs(lam - expected)[kept].max(initial=0.0) <= 1e-14
+
+    kappa = kappa_bounds(2)[0]
+    ((got_probs, powers),) = projective_entropy_power([blocks.reshape(16, 2, 1, 2, 1)], [np.ones((1, 1))], kappa)
+    entropies = entropy_nats_rows(np.clip(expected, 0.0, None))
+    assert np.array_equal(got_probs[:, 0], np.where(kept, trace, 0.0))
+    assert np.abs(powers[:, 0] - np.where(kept, np.exp(kappa * entropies), 0.0)).max() <= 1e-12
 
 
 def test_projective_entropy_power_drops_floor_outcomes():
