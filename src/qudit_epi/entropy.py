@@ -190,6 +190,35 @@ def projective_entropy_power(rho4s, bases, kappa) -> list[tuple[np.ndarray, np.n
     return list(zip(np.split(probs, splits, axis=-1), np.split(powers, splits, axis=-1)))
 
 
+def _qubit_rotations(h: np.ndarray, theta: float) -> np.ndarray:
+    """exp(i theta H) of each matrix of a (..., 2, 2) Hermitian stack.
+
+    Closed form e^{i theta t} (cos(theta r) I + i sin(theta r) (H - tI) / r)
+    with t = Tr H / 2 and r the half-gap hypot((h00 - h11) / 2, |h10|), read
+    from the diagonal and the lower triangle as eigh reads them. The factor
+    sin(theta r) / r is theta sinc(theta r / pi), so r = 0 needs no branch
+    and hypot keeps r where r^2 underflows.
+    """
+    h00, h11, h10 = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]
+    half = (h00 - h11) / 2
+    r = np.hypot(half, np.abs(h10))
+    phase = np.exp(1j * theta * ((h00 + h11) / 2))
+    cos = phase * np.cos(theta * r)
+    i_sin = phase * (1j * theta * np.sinc(theta * r / np.pi))
+    u = np.empty(h.shape, dtype=np.complex128)
+    u[..., 0, 0] = cos + i_sin * half
+    u[..., 1, 1] = cos - i_sin * half
+    u[..., 1, 0] = i_sin * h10
+    u[..., 0, 1] = i_sin * h10.conj()
+    return u
+
+
+def _qubit_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of two (..., 2, 2) stacks as elementwise multiply-adds, which
+    for 2x2 matrices cost less than a batched zgemm call."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
 def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np.ndarray]]:
     """Random-restart hill climbs of objective over product bases
     U1 (x) ... (x) Un, one unitary factor per local environment, for a stack
@@ -207,8 +236,11 @@ def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np
     which steps are accepted, so every climb draws up front. One batched QR
     builds every Haar start (:func:`haar_unitaries`); a restart that fails
     haar_unitary's checks is redrawn by haar_unitary itself, retries
-    included. One stacked eigh per factor builds all step rotations, and
-    each step scores every climb in one objective call.
+    included. Each factor's step rotations are built for all steps at once:
+    in closed form at e_j = 2 (:func:`_qubit_rotations`), by one stacked eigh
+    otherwise. A step multiplies its qubit factor elementwise
+    (:func:`_qubit_product`), a larger one with @, and scores every climb in
+    one objective call.
 
     objective(factors) takes the (*lead, CLIMB_RESTARTS, e_j, e_j) stacks of
     every climb's factors and returns their (*lead, CLIMB_RESTARTS) values; it
@@ -255,14 +287,18 @@ def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np
         ks = [k for k, jk in enumerate(steps) if jk == j]
         g = np.stack([draws[..., offsets[k] : offsets[k + 1]].reshape(*lead, CLIMB_RESTARTS, 2, e, e) for k in ks])
         a = g[..., 0, :, :] + 1j * g[..., 1, :, :]
-        w, v = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2)
-        u = (v * np.exp(1j * CLIMB_STEP_SCALE * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        h = (a + a.conj().swapaxes(-1, -2)) / 2
+        if e == 2:
+            u = _qubit_rotations(h, CLIMB_STEP_SCALE)
+        else:
+            w, v = np.linalg.eigh(h)
+            u = (v * np.exp(1j * CLIMB_STEP_SCALE * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
         rotations.update(zip(ks, u))
 
     values = objective(factors)
     for k, j in enumerate(steps):
         candidate = factors.copy()
-        candidate[j] = factors[j] @ rotations[k]
+        candidate[j] = _qubit_product(factors[j], rotations[k]) if dims[j] == 2 else factors[j] @ rotations[k]
         cand_values = objective(candidate)
         better = cand_values < values
         factors[j] = np.where(better[..., None, None], candidate[j], factors[j])

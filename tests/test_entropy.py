@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qudit_epi import entropy as entropy_module
@@ -20,7 +20,7 @@ from qudit_epi.entropy import (
     von_neumann_entropy,
 )
 from qudit_epi.errors import QuditEpiError, ValidationError
-from qudit_epi.measurement import PROB_FLOOR
+from qudit_epi.measurement import PROB_FLOOR, check_complete
 from qudit_epi.rand import RandomSource, haar_unitary, sample_state
 from qudit_epi.states import make_density
 
@@ -314,3 +314,73 @@ def test_climb_restart_retry_keeps_the_one_climb_draw_order(monkeypatch):
         w, v = np.linalg.eigh((a + a.conj().T) / 2)
         expected = expected @ (v * np.exp(1j * CLIMB_STEP_SCALE * w)) @ v.conj().T
     assert np.abs(found - expected).max() <= 1e-12
+
+
+def _eigh_rotations(h, theta):
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * theta * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _hermitian(h00, h11, h10):
+    h = np.empty((*np.shape(h10), 2, 2), dtype=np.complex128)
+    h[..., 0, 0], h[..., 1, 1] = h00, h11
+    h[..., 1, 0], h[..., 0, 1] = h10, np.conj(h10)
+    return h
+
+
+def test_qubit_rotations_match_eigh():
+    # GUE-style draws as the climb makes them, H = cI (r = 0), a half-gap
+    # r ~ 1e-160 whose square underflows, and a large trace half t. Either
+    # route carries a phase error of order eps * theta * |t|, so the large-t
+    # case is compared with eigh at theta * t ~ 4 rad, beyond any GUE draw,
+    # and at t ~ 1e6 only for unitarity.
+    gen = np.random.default_rng(63)
+    g = gen.standard_normal((2, 400, 2, 2))
+    a = g[0] + 1j * g[1]
+    thetas = (CLIMB_STEP_SCALE, 1.0)
+    cases = {
+        "gue": ((a + a.conj().swapaxes(-1, -2)) / 2, thetas),
+        "scalar": (_hermitian(*[gen.standard_normal(50)] * 2, np.zeros(50)), thetas),
+        "underflow": (_hermitian(0.3 + 1e-160, 0.3 - 1e-160, 1e-160j * gen.standard_normal(50)), thetas),
+        "large-trace": (_hermitian(*(20 + gen.standard_normal((2, 50))), gen.standard_normal(50) * (1 + 1j)), thetas[:1]),
+        "huge-trace": (_hermitian(*(1e6 + gen.standard_normal((2, 50))), gen.standard_normal(50) * (1 + 1j)), ()),
+    }
+    for name, (h, compared) in cases.items():
+        for theta in thetas:
+            u = entropy_module._qubit_rotations(h, theta)
+            if theta in compared:
+                assert np.abs(u - _eigh_rotations(h, theta)).max() <= 1e-14, name
+            assert np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2)).max() <= 1e-14, name
+
+
+def test_qubit_product_matches_matmul():
+    gen = np.random.default_rng(64)
+    g = gen.standard_normal((2, 2, 300, 2, 2))
+    a, b = (entropy_module._qubit_rotations((x + x.conj().swapaxes(-1, -2)) / 2, 1.0) for x in g[:, 0] + 1j * g[:, 1])
+    assert np.abs(entropy_module._qubit_product(a, b) - a @ b).max() <= 1e-15
+    assert np.abs(entropy_module._qubit_product(a[:, None], b[:7]) - a[:, None] @ b[:7]).max() <= 1e-15
+
+
+# The objective fixture is a stateless function, safe to share across examples.
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    env_dims=st.sampled_from([(2, 2), (2, 3), (1, 2)]),
+    steps=st.sampled_from([CLIMB_REFINE_STEPS, 100]),
+)
+def test_climb_keeps_its_start_bound_and_unitary_factors(seed, env_dims, steps, expected_power_objective):
+    # Qubit factors take the closed-form rotations and elementwise products,
+    # the others eigh and @; at 100 steps the products must not drift off
+    # the unitary group.
+    gen = RandomSource(seed).generator()
+    s = multipartite(sample_state(gen, 2 * math.prod(env_dims)), (2, *env_dims))
+    objective = expected_power_objective(s, 1.0)
+    start = _haar_start(gen, env_dims)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entropy_module, "CLIMB_REFINE_STEPS", steps)
+        value, factors = climb_product_basis(objective, start, [RandomSource(seed).derive(1)])
+    assert value <= objective(start)
+    for f, e in zip(factors, env_dims):
+        assert f.shape == (e, e)
+        check_complete(f)
+        assert np.abs(f.conj().T @ f - np.eye(e)).max() <= 1e-13
