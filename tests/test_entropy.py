@@ -338,12 +338,13 @@ def test_qubit_rotations_match_eigh():
     g = gen.standard_normal((2, 400, 2, 2))
     a = g[0] + 1j * g[1]
     thetas = (CLIMB_STEP_SCALE, 1.0)
+    offdiagonal = gen.standard_normal(50) * (1 + 1j)
     cases = {
         "gue": ((a + a.conj().swapaxes(-1, -2)) / 2, thetas),
         "scalar": (_hermitian(*[gen.standard_normal(50)] * 2, np.zeros(50)), thetas),
-        "underflow": (_hermitian(0.3 + 1e-160, 0.3 - 1e-160, 1e-160j * gen.standard_normal(50)), thetas),
-        "large-trace": (_hermitian(*(20 + gen.standard_normal((2, 50))), gen.standard_normal(50) * (1 + 1j)), thetas[:1]),
-        "huge-trace": (_hermitian(*(1e6 + gen.standard_normal((2, 50))), gen.standard_normal(50) * (1 + 1j)), ()),
+        "underflow": (_hermitian(0.3, 0.3, 1e-160j * gen.standard_normal(50)), thetas),
+        "large-trace": (_hermitian(*(20 + gen.standard_normal((2, 50))), offdiagonal), thetas[:1]),
+        "huge-trace": (_hermitian(*(1e6 + gen.standard_normal((2, 50))), offdiagonal), ()),
     }
     for name, (h, compared) in cases.items():
         for theta in thetas:
