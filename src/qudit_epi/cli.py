@@ -39,7 +39,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from ._version import __version__
 from .errors import QuditEpiError, UsageError
@@ -80,8 +80,7 @@ def render_line(obj: dict) -> str:
 # -------------------------------------------------------------------- manifest
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     command: str
     config: TrialConfig
     timestamp: str = ""
@@ -91,7 +90,7 @@ class RunManifest:
         return {
             "type": "manifest",
             "command": self.command,
-            "config": {**asdict(cfg), "tau": cfg.tau if cfg.tau is not None else "random"},
+            "config": {**cfg._asdict(), "tau": cfg.tau if cfg.tau is not None else "random"},
             "version": __version__,
             "rng": RNG_ALGORITHM,
             "log_base": "natural",
@@ -108,19 +107,21 @@ def _resolve_timestamp() -> str:
     """Deterministic by default so repeated runs emit identical bytes.
 
     Wall-clock time only enters when the caller asks for it through
-    SOURCE_DATE_EPOCH (integer seconds); a value that is not one, or that
-    names no representable date, is a usage error.
+    SOURCE_DATE_EPOCH, integer seconds as `date +%s` writes them: ASCII
+    digits with an optional leading '-'. Any other value, or one that names
+    no representable date, is a usage error.
     """
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch:
-        try:
-            dt = datetime.datetime.fromtimestamp(int(epoch), tz=datetime.timezone.utc)
-        except (ValueError, OverflowError, OSError):
-            raise UsageError(
-                f"SOURCE_DATE_EPOCH must be integer seconds of a representable date, got {epoch!r}"
-            ) from None
-        return dt.isoformat()
-    return _EPOCH_TIMESTAMP
+    if not epoch:
+        return _EPOCH_TIMESTAMP
+    malformed = UsageError(f"SOURCE_DATE_EPOCH must be integer seconds of a representable date, got {epoch!r}")
+    digits = epoch.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise malformed
+    try:
+        return datetime.datetime.fromtimestamp(int(epoch), tz=datetime.timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError):
+        raise malformed from None
 
 
 def _check_out(out: str) -> None:
@@ -135,7 +136,7 @@ def _check_out(out: str) -> None:
 
 
 def summary_to_object(summary: Summary) -> dict:
-    return {"type": "summary", **asdict(summary)}
+    return {"type": "summary", **summary._asdict()}
 
 
 # A trial line's template holds this string where a scalar goes. The encoder
@@ -246,9 +247,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _common_options() -> argparse.ArgumentParser:
-    """The options every subcommand takes, as a parent parser."""
-    p = argparse.ArgumentParser(add_help=False)
+# Command: (help text, the experiments it runs).
+_COMMANDS = {
+    "verify-lemma": ("conditional identity and majorization checks", ("lemma",)),
+    "verify-theorem": (
+        "conditional entropy power inequality at the worst measurement pair a search finds",
+        ("theorem",),
+    ),
+    "verify-qepi": ("unconditional entropy power inequality and majorization", ("qepi",)),
+    "concavity-scan": ("midpoint concavity of the entropy power on the simplex", ("concavity",)),
+    "search-conjecture": ("counterexample search for the conditional-entropy version", ("conjecture",)),
+    "all": ("run every experiment with a shared configuration", EXPERIMENTS),
+}
+
+
+def build_parser() -> _Parser:
+    """One parser: the command is a positional choice, and every command
+    takes the same options, before or after it."""
+    p = _Parser(
+        prog="qudit-epi",
+        description="Randomized checks of the partial-swap entropy power inequalities.",
+        epilog="commands:\n" + "".join(f"  {name:<19}{desc}\n" for name, (desc, _) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    p.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the commands below")
     p.add_argument("--dim", type=int, default=2, help=f"qudit dimension d, 2..{MAX_DIM}")
     p.add_argument("--env-dim1", type=int, default=2, help=f"first environment dimension, 1..{MAX_ENV_DIM}")
     p.add_argument("--env-dim2", type=int, default=2, help=f"second environment dimension, 1..{MAX_ENV_DIM}")
@@ -271,29 +293,6 @@ def _common_options() -> argparse.ArgumentParser:
         help="allow kappa beyond 1/(ln d)^2; those checks become diagnostics",
     )
     return p
-
-
-# Subcommand: (help text, the experiments it runs).
-_COMMANDS = {
-    "verify-lemma": ("conditional identity and majorization checks", ("lemma",)),
-    "verify-theorem": (
-        "conditional entropy power inequality at the worst measurement pair a search finds",
-        ("theorem",),
-    ),
-    "verify-qepi": ("unconditional entropy power inequality and majorization", ("qepi",)),
-    "concavity-scan": ("midpoint concavity of the entropy power on the simplex", ("concavity",)),
-    "search-conjecture": ("counterexample search for the conditional-entropy version", ("conjecture",)),
-    "all": ("run every experiment with a shared configuration", EXPERIMENTS),
-}
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="qudit-epi", description="Randomized checks of the partial-swap entropy power inequalities.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = _common_options()
-    for name, (desc, _) in _COMMANDS.items():
-        sub.add_parser(name, help=desc, parents=[common])
-    return parser
 
 
 def _parse_tau(raw) -> float | None:
@@ -341,7 +340,7 @@ def _config_from_args(args) -> TrialConfig:
 
 
 def dispatch(argv=None) -> int:
-    """Parse one subcommand, run it, write output, and return the exit code."""
+    """Parse one command and its options, run it, write output, and return the exit code."""
     try:
         args = build_parser().parse_args(argv)
         cfg = _config_from_args(args)

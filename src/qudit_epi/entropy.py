@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import QuditEpiError, ValidationError
 from .measurement import PROB_FLOOR, condition_projective_all
-from .rand import KeyedStreams, haar_unitaries, haar_unitary
+from .rand import KeyedStreams, derived_indices, haar_unitaries, haar_unitary
 from .states import DensityMatrix, eigenvalues_descending
 
 # Budget of each climb_product_basis search.
@@ -260,11 +260,14 @@ def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np
     draws = np.empty((*lead, CLIMB_RESTARTS, offsets[-1]))
     (seed,) = {source.master_seed for source in sources}
     streams = KeyedStreams(seed)
-    for search, source in zip(np.ndindex(lead), sources):
-        for r in range(CLIMB_RESTARTS):
-            # Restart 0 starts at its given factors and draws only its steps.
-            gen = streams.at(source.derive(r).stream_index)
-            gen.standard_normal(out=draws[(*search, r)][0 if r else haar[-1] :])
+    # keys[(*search, r)] is the stream index of its source.derive(r).
+    keys = derived_indices(
+        np.array([source.stream_index for source in sources], dtype=np.uint64)[:, None],
+        np.arange(CLIMB_RESTARTS, dtype=np.uint64),
+    ).reshape(draws.shape[:-1])
+    for i, (row, key) in enumerate(zip(draws.reshape(-1, offsets[-1]), keys.ravel().tolist())):
+        # Restart 0 starts at its given factors and draws only its steps.
+        streams.at(key).standard_normal(out=row[haar[-1] if i % CLIMB_RESTARTS == 0 else 0 :])
 
     factors, ok = [], True
     for j, e in enumerate(dims):
@@ -275,9 +278,9 @@ def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np
     if not np.all(ok):
         # A failed check retries with further draws of the stream, which moves
         # every later draw: redraw the whole restart by the one-climb route.
-        for search, source in zip(np.ndindex(lead), sources):
+        for search in np.ndindex(lead):
             for r in np.flatnonzero(~ok[search]) + 1:
-                gen = streams.at(source.derive(int(r)).stream_index)
+                gen = streams.at(int(keys[(*search, r)]))
                 for j, e in enumerate(dims):
                     factors[j][(*search, r)] = haar_unitary(e, gen)
                 gen.standard_normal(out=draws[(*search, r)][haar[-1] :])

@@ -69,8 +69,8 @@ import os
 import sys
 from collections import deque
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,6 +90,7 @@ from .rand import (
     RNG_ALGORITHM,
     KeyedStreams,
     RandomSource,
+    derived_indices,
     haar_unitaries,
     haar_unitary,
     normalize_state_kind,
@@ -152,8 +153,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TrialConfig:
+class TrialConfig(NamedTuple):
     """Resolved configuration shared by all experiment families."""
 
     d: int = 2
@@ -169,32 +169,53 @@ class TrialConfig:
     exploratory_kappa: bool = False
 
 
-@dataclass
 class TrialBlock:
     """The trials of one block as columns: row i is trial indices[i].
 
     Each slack, residual and pass flag key maps to a column with one entry
     per row; a row that lacks the key holds None there. Slacks and residuals
     are floats. A negligible count of 0 means the trial skipped no outcome.
+    `passed` holds, per row, all of its flags; it is set on construction.
     """
 
-    experiment: str
-    indices: range
-    taus: list[float]
-    kappas: tuple[float, ...]
-    slacks: dict[str, list]
-    residuals: dict[str, list]
-    pass_flags: dict[str, list]
-    negligible: list[int]
-    passed: list[bool] = field(init=False)  # per row, all of its flags; set on construction
+    __slots__ = ("experiment", "indices", "taus", "kappas", "slacks", "residuals", "pass_flags", "negligible", "passed")
 
-    def __post_init__(self):
-        flags = self.pass_flags.values()
-        self.passed = [False not in row for row in zip(*flags)] if flags else [True] * len(self.taus)
+    def __init__(
+        self,
+        experiment: str,
+        indices: range,
+        taus: list[float],
+        kappas: tuple[float, ...],
+        slacks: dict[str, list],
+        residuals: dict[str, list],
+        pass_flags: dict[str, list],
+        negligible: list[int],
+    ):
+        self.experiment = experiment
+        self.indices = indices
+        self.taus = taus
+        self.kappas = kappas
+        self.slacks = slacks
+        self.residuals = residuals
+        self.pass_flags = pass_flags
+        self.negligible = negligible
+        flags = pass_flags.values()
+        self.passed = [False not in row for row in zip(*flags)] if flags else [True] * len(taus)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
 
 
-@dataclass
-class Summary:
+class Summary(NamedTuple):
     """Order-independent aggregation of a run's trials."""
 
     trials: int
@@ -202,7 +223,7 @@ class Summary:
     min_slack: dict[str, float]
     max_residual: float
     histogram: dict
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = {}  # the default is shared: a Summary's dicts are read, never changed
 
 
 def validate_config(cfg: TrialConfig, experiment: str) -> None:
@@ -495,7 +516,10 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
         objective = _slack_objective(dims, rho1, rho2, joint, taus, [kappas[t] for t in searched])
         # Every search of a trial starts at its Haar pair.
         starts = [u.repeat(len(searched), axis=1) for u in (u1, u2)]
-        sources = [_trial_source(cfg, "theorem", index).derive(t) for index in indices for t in searched]
+        # Search c of trial i streams from the trial's source.derive(searched[c]).
+        trial_streams = [_trial_source(cfg, "theorem", index).stream_index for index in indices]
+        streams = derived_indices(np.array(trial_streams, dtype=np.uint64)[:, None], np.array(searched, dtype=np.uint64))
+        sources = [RandomSource(cfg.seed, stream) for stream in streams.ravel().tolist()]
         _, (found1, found2) = climb_product_basis(objective, starts, sources)
         u1, u2 = np.concatenate([u1, found1], axis=1), np.concatenate([u2, found2], axis=1)
     check_complete(u1)

@@ -8,7 +8,7 @@ or in parallel without coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +24,10 @@ _MIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _splitmix64(x: int) -> int:
+def _splitmix64(x):
+    """SplitMix64's mix of x, a Python int or, elementwise, a uint64 array
+    of at least one dimension (array arithmetic wraps mod 2^64 without a
+    warning; numpy scalar arithmetic would warn)."""
     x = (x + _MIX_GAMMA) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -36,8 +39,7 @@ def _philox_key(master_seed: int, stream_index: int) -> list[int]:
     return [master_seed & _MASK64, stream_index & _MASK64]
 
 
-@dataclass(frozen=True)
-class RandomSource:
+class RandomSource(NamedTuple):
     """A named point in seed space: (master_seed, stream_index)."""
 
     master_seed: int
@@ -53,6 +55,17 @@ class RandomSource:
         for ix in indices:
             s = _splitmix64(s ^ (int(ix) & _MASK64))
         return RandomSource(self.master_seed, s)
+
+
+def derived_indices(stream_indices: np.ndarray, *indices) -> np.ndarray:
+    """The stream index of ``RandomSource(seed, s).derive(*indices)`` for each
+    s of a uint64 array of at least one dimension, by the same mix. Each of
+    `indices` is a non-negative int or a uint64 array; all broadcast together.
+    """
+    s = stream_indices
+    for ix in indices:
+        s = _splitmix64(s ^ ix)
+    return s
 
 
 class KeyedStreams:

@@ -22,6 +22,7 @@ from qudit_epi.channels import partial_swap_closed
 from qudit_epi.entropy import entropy_nats, kappa_bounds, prefix_slack
 from qudit_epi.errors import ValidationError
 from qudit_epi.harness import (
+    TrialBlock,
     TrialConfig,
     _slack_objective,
     resolve_kappas,
@@ -270,6 +271,32 @@ def test_theorem_blocks_parallel_matches_serial(monkeypatch, joined):
     assert [len(block.taus) for block in parallel] == [19, 18]
     assert joined(parallel) == joined(serial)
     assert summarize(serial) == summarize(parallel)
+
+
+def test_trial_block_compares_and_shows_every_column():
+    args = ("qepi", range(3, 5), [0.5, -0.0], (0.0,), {"s": [1.0, None]}, {"r": [0.0, 1e-12]}, {"r": [True, False]}, [0, 2])
+    block = TrialBlock(*args)
+    assert block.passed == [True, False]
+    assert block == TrialBlock(*args) and block != TrialBlock(*args[:-1], [0, 3])
+    assert repr(block) == (
+        "TrialBlock(experiment='qepi', indices=range(3, 5), taus=[0.5, -0.0], kappas=(0.0,), "
+        "slacks={'s': [1.0, None]}, residuals={'r': [0.0, 1e-12]}, pass_flags={'r': [True, False]}, "
+        "negligible=[0, 2], passed=[True, False])"
+    )
+    with pytest.raises(TypeError):
+        hash(block)
+
+
+def test_trial_blocks_cross_the_pool_unchanged(monkeypatch):
+    # The blocks are cut alike at --parallel 1 and 2, so each block that a
+    # worker sent back equals, with its repr, the one computed here.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    cfg = TrialConfig(d=2, trials=2 * harness._BLOCK_SIZE["qepi"] + 1, seed=39)
+    serial = list(run_experiment("qepi", cfg, parallel=1))
+    parallel = list(run_experiment("qepi", cfg, parallel=2))
+    assert len(parallel) == 3
+    assert parallel == serial
+    assert repr(parallel) == repr(serial)
 
 
 _LEMMA_DIMS = [(2, 2, 2), (3, 3, 3), (6, 4, 4)]

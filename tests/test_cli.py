@@ -1,10 +1,10 @@
+import argparse
 import gc
 import json
 import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -164,7 +164,7 @@ def test_manifest_roundtrip():
     for tau, written in ((0.5, 0.5), (None, "random")):
         m = RunManifest(command="verify-qepi", config=TrialConfig(d=3, tau=tau), timestamp="1984-01-01T00:00:00+00:00")
         obj = json.loads(render_line(m.to_object()))
-        assert set(obj["config"]) == {f.name for f in fields(TrialConfig)}
+        assert set(obj["config"]) == set(TrialConfig._fields)
         assert obj["config"]["tau"] == written
         assert obj["config"]["d"] == 3
         assert (obj["command"], obj["timestamp"]) == (m.command, m.timestamp)
@@ -207,7 +207,8 @@ def test_dispatch_usage_errors_exit_one(capsys, monkeypatch):
         mp.setitem(harness._TRIAL_FNS, "qepi", _never_called)
         assert dispatch(["verify-qepi", "--dim", "2", "--trials", "4", "--out", ""]) == 1
         assert capsys.readouterr().err == "error: cannot write '': not a file in an existing directory\n"
-        for epoch in ("abc", "1e99", str(10**30), "-" + str(10**30)):
+        # Only `date +%s`'s form is accepted: int() would take each of the last four.
+        for epoch in ("abc", "1e99", str(10**30), "-" + str(10**30), "1_000", " 12 ", "+5", "\u0661\u0662"):
             mp.setenv("SOURCE_DATE_EPOCH", epoch)
             assert dispatch(["verify-qepi", "--dim", "2", "--trials", "4"]) == 1
             err = capsys.readouterr().err
@@ -458,6 +459,27 @@ def test_help_exits_zero_with_a_short_description():
     commands = ("verify-lemma", "verify-theorem", "verify-qepi", "concavity-scan", "search-conjecture", "all")
     assert all(command in proc.stdout for command in commands)
     assert ":func:" not in proc.stdout and "gc.freeze" not in proc.stdout
+
+
+def test_importing_the_cli_imports_no_dataclasses():
+    code = "import sys, qudit_epi.cli; sys.exit('dataclasses' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_options_may_come_before_the_command(monkeypatch, capsys):
+    # One flat parser: no subparsers, so no option is copied per command.
+    def no_subparsers(*args, **kwargs):
+        raise AssertionError("build_parser added subparsers")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", no_subparsers)
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    options = ["--dim", "2", "--trials", "6", "--seed", "9", "--parallel", "1", "--out", "-"]
+    outputs = []
+    for argv in (["verify-theorem", *options], [*options, "verify-theorem"], [*options[:4], "verify-theorem", *options[4:]]):
+        assert dispatch(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].count("\n") == 8
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_main_freezes_the_import_time_heap():

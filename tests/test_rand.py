@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from qudit_epi.rand import (
     KeyedStreams,
     RandomSource,
     complex_gaussian,
+    derived_indices,
     haar_unitaries,
     haar_unitary,
     normalize_state_kind,
@@ -56,6 +59,20 @@ def test_derive_is_deterministic_and_sensitive():
     assert rs.derive(2, 5) == rs.derive(2, 5)
     assert rs.derive(2, 5) != rs.derive(5, 2)
     assert rs.derive(0) != rs
+
+
+def test_derived_indices_equal_the_derive_chains():
+    # Stream indices at both ends and the middle of uint64: the array mix
+    # wraps mod 2^64 as the int path masks, and warns nothing.
+    streams = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chains = derived_indices(streams[:, None, None], np.arange(3, dtype=np.uint64)[:, None], np.arange(4, dtype=np.uint64))
+        single = derived_indices(streams, 7)
+    sources = [RandomSource(5, s) for s in streams.tolist()]
+    assert chains.dtype == single.dtype == np.uint64
+    assert chains.tolist() == [[[src.derive(t, r).stream_index for r in range(4)] for t in range(3)] for src in sources]
+    assert single.tolist() == [src.derive(7).stream_index for src in sources]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
