@@ -1,81 +1,47 @@
-"""The partial-swap channel: the closed form on pairs of states and the
-kron-free forms on system-environment states.
+"""The partial-swap channel on stacks: the closed form on pairs of states and
+the kron-free forms on system-environment states.
 
-On one pair of states the channel is the qudit addition rule
-tau*r1 + (1-tau)*r2 - i sqrt(tau(1-tau)) [r1, r2] (:func:`partial_swap_closed`,
-stacked as :func:`partial_swap_closed_stack`). On two system-environment
-inputs it is :func:`partial_swap_global`, a stacked einsum on the two input
-factors that never forms their product. On joint (X1, X2, E) states, which
-need not be products, it is :func:`partial_swap_joint_stack`, the same four
-einsum terms on the joint stack. None of them forms the swap unitary. The
-independent routes that check these (conjugation by the unitary, extended
-operators) are test oracles in ``tests/oracles.py``; tests pin the agreement
-of every pair of routes.
+On stacks of state pairs the channel is the qudit addition rule
+tau*r1 + (1-tau)*r2 - i sqrt(tau(1-tau)) [r1, r2]
+(:func:`partial_swap_closed_stack`). On two system-environment inputs it is
+:func:`partial_swap_global`, a stacked einsum on the two input factors that
+never forms their product. On joint (X1, X2, E) states, which need not be
+products, it is :func:`partial_swap_joint_stack`, the same four einsum terms
+on the joint stack. None of them forms the swap unitary. The one-pair closed
+form ``partial_swap_closed`` and the independent routes that check these
+(conjugation by the unitary, extended operators) are test oracles in
+``tests/oracles.py``; tests pin the agreement of every pair of routes.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import QuditEpiError
-from .states import DensityMatrix, make_density, make_density_stack
+from .states import make_density_stack
 
 __all__ = [
-    "check_mixing",
-    "partial_swap_closed",
     "partial_swap_closed_stack",
     "partial_swap_joint_stack",
     "partial_swap_global",
 ]
 
 
-def check_mixing(tau: float) -> float:
-    """Validate a mixing parameter; must lie in [0, 1]."""
-    tau = float(tau)
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"mixing parameter must be in [0, 1], got {tau}")
-    return tau
-
-
-def _check_pair(rho1: DensityMatrix, rho2: DensityMatrix) -> int:
-    if rho1.dim != rho2.dim:
-        raise QuditEpiError(f"input dims differ: {rho1.dim} vs {rho2.dim}")
-    return rho1.dim
-
-
-def partial_swap_closed(rho1: DensityMatrix, rho2: DensityMatrix, tau: float) -> DensityMatrix:
-    """Qudit addition rule tau*r1 + (1-tau)*r2 - i sqrt(tau(1-tau)) [r1, r2].
-
-    The commutator term is skipped exactly at tau in {0, 1}, so the endpoints
-    return the unmixed input bit-for-bit. The map always yields a state; a
-    positivity failure here signals an implementation bug, not bad input.
-    """
-    _check_pair(rho1, rho2)
-    tau = check_mixing(tau)
-    r1, r2 = rho1.mat, rho2.mat
-    c = math.sqrt(tau * (1.0 - tau))
-    out = tau * r1 + (1.0 - tau) * r2
-    if c != 0.0:
-        out = out - 1j * c * (r1 @ r2 - r2 @ r1)
-    return make_density(out)
-
-
 def _check_mixing_stack(tau: np.ndarray) -> None:
-    """:func:`check_mixing` on each entry of an (N,) array."""
+    """``check_mixing`` of ``tests/oracles.py`` on each entry of an (N,) array."""
     bad = ~((tau >= 0.0) & (tau <= 1.0))  # a NaN fails both comparisons
     if bad.any():
         raise ValueError(f"mixing parameters must be in [0, 1], got {tau[bad]}")
 
 
 def partial_swap_closed_stack(r1: np.ndarray, r2: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`partial_swap_closed` on stacks: row i mixes r1[i] and r2[i] with tau[i].
+    """The addition rule on stacks: row i mixes r1[i] and r2[i] with tau[i].
 
     r1 and r2 are (N, d, d) density stacks, tau an (N,) array. Returns the
     validated output stack and its ascending eigenvalues (see
-    :func:`make_density_stack`), row i bit for bit what partial_swap_closed
-    gives, including the exact endpoints.
+    :func:`make_density_stack`), row i bit for bit ``partial_swap_closed`` of
+    ``tests/oracles.py``. The commutator term is skipped exactly at tau in
+    {0, 1}, so the endpoints return the unmixed input.
     """
     if r1.shape != r2.shape:
         raise QuditEpiError(f"input stacks differ: {r1.shape} vs {r2.shape}")

@@ -1,6 +1,8 @@
-"""Majorization, entropies, entropy-power functionals, and a hill climb over
-product measurement bases that searches for the measurement minimizing an
-objective, such as a conditional entropy power or an inequality's slack.
+"""Majorization slacks and entropies of stacked spectra, the entropy-power
+window, and a hill climb over product measurement bases that searches for the
+measurement minimizing an objective, such as a conditional entropy power or
+an inequality's slack. The one-vector functionals are test oracles in
+``tests/oracles.py``.
 
 :func:`climb_product_basis` is the one climb: it advances a whole stack of
 searches in lockstep, so a caller with one search and the theorem's block of
@@ -19,128 +21,53 @@ import math
 
 import numpy as np
 
-from .errors import QuditEpiError, ValidationError
+from .errors import QuditEpiError
 from .measurement import PROB_FLOOR, condition_projective_all
 from .rand import KeyedStreams, derived_indices, haar_unitaries, haar_unitary
-from .states import DensityMatrix, eigenvalues_descending
 
 # Budget of each climb_product_basis search.
 CLIMB_RESTARTS = 3
 CLIMB_REFINE_STEPS = 10
 CLIMB_STEP_SCALE = 0.2
 
-MAJORIZATION_TOL = 1e-9
-DISTRIBUTION_NEG_TOL = 1e-10
-DISTRIBUTION_SUM_TOL = 1e-9
-
 __all__ = [
-    "prefix_slack",
     "prefix_slack_rows",
-    "entropy_nats",
     "entropy_nats_rows",
-    "majorizes",
-    "shannon_entropy",
-    "von_neumann_entropy",
-    "entropy_power",
     "kappa_bounds",
     "projective_entropy_power",
     "climb_product_basis",
 ]
 
 
-def prefix_slack(dominating: np.ndarray, dominated: np.ndarray) -> tuple[float, float]:
-    """Majorization prefix comparison of two descending-sorted vectors.
-
-    Returns (min_k sum(dominating[:k]) - sum(dominated[:k]), total difference).
-    A nonnegative first value (up to tolerance) means dominated < dominating
-    in the majorization order.
-    """
-    diff = np.cumsum(dominating) - np.cumsum(dominated)
-    return float(diff.min()), float(diff[-1])
-
-
 def prefix_slack_rows(dominating: np.ndarray, dominated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`prefix_slack` of each row pair of two (N, d) stacks, as two (N,) arrays."""
+    """(min_k sum(dominating[:k]) - sum(dominated[:k]), total difference) of
+    each row pair of two (N, d) stacks of descending vectors, as two (N,)
+    arrays: dominated < dominating in the majorization order where the first
+    is nonnegative. Row i is bit for bit ``prefix_slack`` of ``tests/oracles.py``.
+    """
     diff = np.cumsum(dominating, axis=1) - np.cumsum(dominated, axis=1)
     return diff.min(axis=1), diff[:, -1]
 
 
-def entropy_nats(p) -> float:
-    """Shannon entropy -sum p ln p in nats; zero entries contribute nothing.
-
-    Unvalidated: the caller guarantees p >= 0 (see :func:`shannon_entropy`).
-    """
-    p = np.asarray(p, dtype=np.float64)
-    p = p[p > 0.0]
-    return float(-(p * np.log(p)).sum())
-
-
 def entropy_nats_rows(p: np.ndarray) -> np.ndarray:
-    """:func:`entropy_nats` of each row of an (N, d) stack, as an (N,) array.
+    """-sum p ln p in nats of each row of an (N, d) stack with entries
+    p >= 0 (unvalidated), as an (N,) array.
 
     Zero entries add an exact 0.0 term instead of being dropped. Rows of
     fewer than 8 entries, numpy's pairwise-summation block, sum in the same
-    order as entropy_nats, so each value equals it bit for bit; longer rows
-    may differ in the last bit.
+    order as ``entropy_nats`` of ``tests/oracles.py``, so each value equals
+    it bit for bit; longer rows may differ in the last bit.
     """
     return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=1)
 
 
-def majorizes(n, m, tol: float = MAJORIZATION_TOL) -> bool:
-    """True iff m is majorized by n (every prefix of n↓ dominates m↓'s).
-
-    Vectors of unequal length are zero-padded; totals must agree within tol or
-    the comparison is refused outright.
-    """
-    nv = np.asarray(n, dtype=np.float64)
-    mv = np.asarray(m, dtype=np.float64)
-    size = max(len(nv), len(mv))
-    nv = np.pad(nv, (0, size - len(nv)))
-    mv = np.pad(mv, (0, size - len(mv)))
-    nv = np.sort(nv)[::-1]
-    mv = np.sort(mv)[::-1]
-    min_slack, total_diff = prefix_slack(nv, mv)
-    if abs(total_diff) > tol:
-        raise QuditEpiError(f"totals differ by {total_diff!r} (> {tol:.1e})")
-    return min_slack >= -tol
-
-
-def shannon_entropy(p) -> float:
-    """-sum p ln p in nats with 0 ln 0 = 0; validates p as a distribution."""
-    v = np.asarray(p, dtype=np.float64)
-    if v.size and float(v.min()) < -DISTRIBUTION_NEG_TOL:
-        raise ValidationError(f"negative entry {float(v.min())!r}")
-    total = float(v.sum())
-    if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
-        raise ValidationError(f"entries sum to {total!r}")
-    return entropy_nats(np.clip(v, 0.0, None))
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy of the spectrum, in nats; zero for pure states, ln d for I/d."""
-    return entropy_nats(eigenvalues_descending(rho))
-
-
-def entropy_power(x, kappa: float) -> float:
-    """exp(kappa * S(x)) for a state or a probability vector (e.g. a spectrum).
-
-    Permutation-symmetric, Schur concave, and confined to [1, d^kappa].
-    """
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    if isinstance(x, DensityMatrix):
-        s = von_neumann_entropy(x)
-    else:
-        s = shannon_entropy(x)
-    return math.exp(kappa * s)
-
-
-def kappa_bounds(d: int) -> tuple[float, float]:
-    """(1/(ln d)^2, 1/(d-1)): the concavity windows of the two entropic
-    functionals studied here; only the first drives inequality checks."""
+def kappa_bounds(d: int) -> float:
+    """1/(ln d)^2: the upper edge of the window of kappa in which the entropy
+    power exp(kappa * S) of a d-level state is concave, and the largest kappa
+    that the inequality checks assert."""
     if d < 2:
         raise QuditEpiError(f"need d >= 2, got {d}")
-    return 1.0 / math.log(d) ** 2, 1.0 / (d - 1)
+    return 1.0 / math.log(d) ** 2
 
 
 def _normalized_spectra(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,8 +176,17 @@ def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np
     per factor (ties keep the lowest r). A value is never above the objective
     at its search's start; it is only an upper bound on the minimum over the
     product family.
+
+    Sources that do not hold one stream per search, or that span more than
+    one master seed, raise a QuditEpiError before any draw.
     """
     lead = starts[0].shape[:-2]
+    searches = math.prod(lead)
+    if len(sources) != searches:
+        raise QuditEpiError(f"{len(sources)} sources for the {searches} searches of shape {lead}")
+    seeds = {source.master_seed for source in sources}
+    if len(seeds) != 1:
+        raise QuditEpiError(f"sources must share one master seed, got {sorted(seeds)}")
     dims = [u.shape[-1] for u in starts]
     steps = [k % len(dims) for k in range(CLIMB_REFINE_STEPS)]
     # A Haar start draws the real, then the imaginary parts of each factor's
@@ -258,7 +194,7 @@ def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np
     haar = np.cumsum([0] + [2 * e * e for e in dims]).tolist()
     offsets = np.cumsum([haar[-1]] + [2 * dims[j] ** 2 for j in steps]).tolist()
     draws = np.empty((*lead, CLIMB_RESTARTS, offsets[-1]))
-    (seed,) = {source.master_seed for source in sources}
+    (seed,) = seeds
     streams = KeyedStreams(seed)
     # keys[(*search, r)] is the stream index of its source.derive(r).
     keys = derived_indices(

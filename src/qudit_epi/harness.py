@@ -283,7 +283,7 @@ def validate_config(cfg: TrialConfig, experiment: str) -> None:
                 f"{cfg.d}^{cfg.kappa} is not a finite float"
             )
         if not resolve_kappas(cfg)[0][1] and not cfg.exploratory_kappa:
-            kappa1 = kappa_bounds(cfg.d)[0]
+            kappa1 = kappa_bounds(cfg.d)
             raise UsageError(
                 f"--kappa {cfg.kappa} exceeds the validity window 1/(ln d)^2 = {kappa1:.6g}; "
                 "pass --exploratory-kappa to scan it as a diagnostic"
@@ -312,7 +312,7 @@ def _check_real(name: str, value) -> None:
 
 def resolve_kappas(cfg: TrialConfig) -> tuple[tuple[float, bool], ...]:
     """The kappa grid as (value, hard) pairs; soft entries are diagnostics."""
-    kappa1 = kappa_bounds(cfg.d)[0]
+    kappa1 = kappa_bounds(cfg.d)
     if cfg.kappa == "grid":
         return ((0.0, True), (kappa1 / 2, True), (kappa1, True))
     if cfg.kappa == "max":
@@ -344,10 +344,6 @@ def _verdict(cfg: TrialConfig, slacks: dict, residuals: dict, soft=frozenset()) 
     for key, column in residuals.items():
         flags[key] = [None if value is None else value <= tol for value in column]
     return flags
-
-
-def _trial_source(cfg: TrialConfig, experiment: str, index: int) -> RandomSource:
-    return RandomSource(cfg.seed, _STREAM_BASE[experiment] + index)
 
 
 def _draw_tau(cfg: TrialConfig, index: int, gen: np.random.Generator) -> float:
@@ -517,8 +513,8 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
         # Every search of a trial starts at its Haar pair.
         starts = [u.repeat(len(searched), axis=1) for u in (u1, u2)]
         # Search c of trial i streams from the trial's source.derive(searched[c]).
-        trial_streams = [_trial_source(cfg, "theorem", index).stream_index for index in indices]
-        streams = derived_indices(np.array(trial_streams, dtype=np.uint64)[:, None], np.array(searched, dtype=np.uint64))
+        trial_streams = np.arange(indices.start, indices.stop, indices.step, dtype=np.uint64) + _STREAM_BASE["theorem"]
+        streams = derived_indices(trial_streams[:, None], np.array(searched, dtype=np.uint64))
         sources = [RandomSource(cfg.seed, stream) for stream in streams.ravel().tolist()]
         _, (found1, found2) = climb_product_basis(objective, starts, sources)
         u1, u2 = np.concatenate([u1, found1], axis=1), np.concatenate([u2, found2], axis=1)

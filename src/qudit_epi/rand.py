@@ -1,4 +1,5 @@
-"""Reproducible randomness: counter-based streams plus state/unitary samplers.
+"""Reproducible randomness: counter-based streams plus stacked state and
+Haar unitary samplers.
 
 Streams are Philox4x64 generators keyed by (master_seed, stream_index): the
 same pair always replays the identical sequence and distinct pairs give
@@ -13,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import QuditEpiError
-from .states import DensityMatrix, make_density, make_density_stack
+from .states import make_density_stack
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -139,24 +140,6 @@ def haar_unitaries(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, ok & (residual <= UNITARY_TOL)
 
 
-def sample_state(gen: np.random.Generator, d: int, kind: str = "ginibre", rank: int | None = None) -> DensityMatrix:
-    """Draw a random density matrix from an already-open generator.
-
-    pure    : |psi><psi| with psi a normalized complex Gaussian vector.
-    ginibre : G G† / Tr(G G†) with G a d x d complex Gaussian matrix, i.e. the
-              Hilbert-Schmidt measure.
-    rank    : same with a d x rank G.
-    """
-    kind = normalize_state_kind(kind)
-    g = complex_gaussian(gen, d, state_columns(d, kind, rank))
-    if kind == "pure":
-        psi = g[:, 0]
-        psi /= np.linalg.norm(psi)
-        return make_density(np.outer(psi, psi.conj()))
-    m = g @ g.conj().T
-    return make_density(m / np.trace(m).real)
-
-
 def state_columns(d: int, kind: str, rank: int | None) -> int:
     """Columns of the d x cols complex Gaussian matrix one sampled state draws."""
     kind = normalize_state_kind(kind)
@@ -172,13 +155,16 @@ def state_columns(d: int, kind: str, rank: int | None) -> int:
 
 
 def states_from_gaussians(g: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sample_state`'s formula on a stack of drawn Gaussians.
+    """Random states from an (N, d, cols) stack g of complex Gaussians
+    (:func:`state_columns` gives cols): |psi><psi| with psi the normalized
+    first column for a pure kind, else G G† / Tr(G G†), the Hilbert-Schmidt
+    measure at full rank.
 
-    g is an (N, d, cols) complex stack, row i the matrix a sampled state
-    draws. Returns the validated density stack and its ascending eigenvalues
-    (see :func:`make_density_stack`); row i equals, bit for bit, the state
-    sample_state builds from g[i]. The pure-state norm is taken as the dot
-    products re.re + im.im, the way np.linalg.norm computes it.
+    Returns the validated density stack and its ascending eigenvalues (see
+    :func:`make_density_stack`); row i equals, bit for bit, the state that
+    ``sample_state`` in ``tests/oracles.py`` draws as g[i]. The pure-state
+    norm is taken as the dot products re.re + im.im, the way np.linalg.norm
+    computes it.
     """
     if normalize_state_kind(kind) == "pure":
         psi = g[:, :, 0]
@@ -188,10 +174,6 @@ def states_from_gaussians(g: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndar
         return make_density_stack(psi[:, :, None] * psi.conj()[:, None, :])
     m = g @ g.conj().swapaxes(1, 2)
     return make_density_stack(m / np.trace(m, axis1=1, axis2=2).real[:, None, None])
-
-
-def random_state(d: int, kind: str, rng: RandomSource, rank: int | None = None) -> DensityMatrix:
-    return sample_state(rng.generator(), d, kind, rank)
 
 
 # The documented state-kind spellings and the sampler each one names.

@@ -1,12 +1,12 @@
-"""Validated density matrices, one at a time and in stacks, and their spectra.
+"""Validated density matrices in stacks, and their spectra.
 
 Subsystem ordering convention: the leftmost tensor factor is always the
 slowest-varying index. A state documented as living on (X, E) stores X first;
 (X1, E1, X2, E2)-style lists mean exactly that storage order.
 
-Validation tolerances are module constants, shared by the one-state route
-(:func:`make_density`, :func:`eigenvalues_descending`) and its stacked twin
-(:func:`make_density_stack`, :func:`eigenvalues_descending_stack`).
+Validation tolerances are module constants. The package validates stacks;
+:func:`make_density` and :class:`DensityMatrix` validate and hold one state
+for the one-state test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "DensityMatrix",
     "make_density",
     "make_density_stack",
-    "eigenvalues_descending",
     "eigenvalues_descending_stack",
 ]
 
@@ -106,8 +105,8 @@ def make_density_stack(entries) -> tuple[np.ndarray, np.ndarray]:
     message: hermiticity, trace, then the smallest eigenvalue of (m + m†)/2.
     The first row failing a check raises. Returns the symmetrized stack and
     its ascending eigenvalues, row i bit for bit what make_density stores for
-    entries[i]. The arrays stay writable; wrap a row in a DensityMatrix to
-    share it.
+    entries[i]. The arrays stay writable; the one-state oracles in
+    ``tests/oracles.py`` wrap a row in a DensityMatrix to share it.
     """
     arr = np.asarray(entries, dtype=np.complex128)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
@@ -131,28 +130,12 @@ def make_density_stack(entries) -> tuple[np.ndarray, np.ndarray]:
     return sym, eigs
 
 
-def eigenvalues_descending(rho: DensityMatrix) -> np.ndarray:
-    """Eigenvalues in non-increasing order, as a write-protected array.
-
-    Eigenvalues in [-1e-10, 0) are clipped to zero and the vector renormalized,
-    provided the total is within 1e-9 of one; larger deviations are hard errors
-    separating float noise from genuinely invalid states.
-    """
-    eigs = rho.eigenvalues_ascending()
-    if eigs[0] < -POSITIVITY_TOL:
-        raise ValidationError(f"eigenvalue {eigs[0]:.6e} below -{POSITIVITY_TOL:.1e}")
-    vals = np.clip(eigs[::-1], 0.0, None)
-    total = float(vals.sum())
-    if abs(total - 1.0) > SPECTRUM_SUM_TOL:
-        raise ValidationError(f"spectrum sums to {total!r}, off by more than {SPECTRUM_SUM_TOL:.1e}")
-    vals = vals / total
-    vals.setflags(write=False)
-    return vals
-
-
 def eigenvalues_descending_stack(eigs: np.ndarray) -> np.ndarray:
-    """:func:`eigenvalues_descending` on each row of an (N, d) stack of
-    ascending eigenvalues, with its clipping, checks and messages."""
+    """Each row of an (N, d) stack of ascending eigenvalues in non-increasing
+    order. Entries in [-1e-10, 0) are clipped to zero and each row is
+    renormalized if its total is within 1e-9 of one; larger deviations are
+    hard errors. Row i is bit for bit ``eigenvalues_descending`` of
+    ``tests/oracles.py``, with its checks and messages."""
     low = eigs[:, 0] < -POSITIVITY_TOL
     if low.any():
         raise ValidationError(f"eigenvalue {eigs[low.argmax(), 0]:.6e} below -{POSITIVITY_TOL:.1e}")

@@ -5,10 +5,20 @@ package runs the stacked route; the tests hold it to the route here, which
 works on one state, one measurement or one trial at a time. No CLI run
 calls anything in this module.
 
+* One-state kernels: :func:`eigenvalues_descending`, :func:`sample_state`
+  and :func:`random_state`, :func:`partial_swap_closed` with its checks
+  :func:`check_mixing` and :func:`_check_pair`, and the one-vector
+  functionals :func:`prefix_slack`, :func:`entropy_nats`, :func:`majorizes`,
+  :func:`shannon_entropy`, :func:`von_neumann_entropy` and
+  :func:`entropy_power`, with their tolerances. Each stacked kernel
+  (``states.eigenvalues_descending_stack``, ``rand.states_from_gaussians``,
+  ``channels.partial_swap_closed_stack``, ``entropy.prefix_slack_rows`` and
+  ``entropy.entropy_nats_rows``) is held to its one-state twin here, bit
+  for bit where its docstring says so.
 * States: :class:`MultipartiteState` attaches subsystem dimensions to one
   validated state, and :func:`partial_trace` reduces it.
 * Channel: :func:`partial_swap_conjugation` (build U, conjugate, trace out)
-  checks ``channels.partial_swap_closed``; :func:`partial_swap_global_closed`
+  checks :func:`partial_swap_closed`; :func:`partial_swap_global_closed`
   (extended operators) and the dense conjugation of the permuted product
   (:func:`permute_subsystems`, :func:`partial_swap_joint`) check
   ``channels.partial_swap_global``; :func:`partial_swap_joint` checks
@@ -17,8 +27,9 @@ calls anything in this module.
   :func:`condition_bilocal` and :func:`conditional_spectrum` are the
   validated one-state conditioning that ``measurement.condition_all_stack``
   must reproduce bit for bit.
-* Trials: :func:`_theorem_slack` is the theorem's slack from validated
-  outcomes, :func:`_lemma_trial` one lemma trial by these routes, drawn by
+* Trials: :func:`trial_source` is a trial's stream key,
+  :func:`_theorem_slack` the theorem's slack from validated outcomes,
+  :func:`_lemma_trial` one lemma trial by these routes, drawn by
   :func:`_bilocal_setting`, and :func:`_conjecture_trial` one conjecture
   trial by the dense channel and per-state validation.
 """
@@ -31,13 +42,161 @@ from dataclasses import dataclass
 import numpy as np
 
 from qudit_epi import harness
-from qudit_epi.channels import _check_pair, check_mixing, partial_swap_closed, partial_swap_global
-from qudit_epi.entropy import entropy_power, prefix_slack, von_neumann_entropy
-from qudit_epi.errors import QuditEpiError
+from qudit_epi.channels import partial_swap_global
+from qudit_epi.errors import QuditEpiError, ValidationError
 from qudit_epi.harness import TrialBlock
 from qudit_epi.measurement import PROB_FLOOR, _check_normalization, check_complete, condition_projective_all
-from qudit_epi.rand import haar_unitary, sample_state
-from qudit_epi.states import DensityMatrix, eigenvalues_descending, make_density
+from qudit_epi.rand import RandomSource, complex_gaussian, haar_unitary, normalize_state_kind, state_columns
+from qudit_epi.states import POSITIVITY_TOL, SPECTRUM_SUM_TOL, DensityMatrix, make_density
+
+MAJORIZATION_TOL = 1e-9
+DISTRIBUTION_NEG_TOL = 1e-10
+DISTRIBUTION_SUM_TOL = 1e-9
+
+
+# ------------------------------------------------------- one-state kernels
+
+
+def eigenvalues_descending(rho: DensityMatrix) -> np.ndarray:
+    """Eigenvalues in non-increasing order, as a write-protected array.
+
+    Eigenvalues in [-1e-10, 0) are clipped to zero and the vector renormalized,
+    provided the total is within 1e-9 of one; larger deviations are hard errors
+    separating float noise from genuinely invalid states.
+    """
+    eigs = rho.eigenvalues_ascending()
+    if eigs[0] < -POSITIVITY_TOL:
+        raise ValidationError(f"eigenvalue {eigs[0]:.6e} below -{POSITIVITY_TOL:.1e}")
+    vals = np.clip(eigs[::-1], 0.0, None)
+    total = float(vals.sum())
+    if abs(total - 1.0) > SPECTRUM_SUM_TOL:
+        raise ValidationError(f"spectrum sums to {total!r}, off by more than {SPECTRUM_SUM_TOL:.1e}")
+    vals = vals / total
+    vals.setflags(write=False)
+    return vals
+
+
+def sample_state(gen: np.random.Generator, d: int, kind: str = "ginibre", rank: int | None = None) -> DensityMatrix:
+    """Draw a random density matrix from an already-open generator.
+
+    pure    : |psi><psi| with psi a normalized complex Gaussian vector.
+    ginibre : G G† / Tr(G G†) with G a d x d complex Gaussian matrix, i.e. the
+              Hilbert-Schmidt measure.
+    rank    : same with a d x rank G.
+    """
+    kind = normalize_state_kind(kind)
+    g = complex_gaussian(gen, d, state_columns(d, kind, rank))
+    if kind == "pure":
+        psi = g[:, 0]
+        psi /= np.linalg.norm(psi)
+        return make_density(np.outer(psi, psi.conj()))
+    m = g @ g.conj().T
+    return make_density(m / np.trace(m).real)
+
+
+def random_state(d: int, kind: str, rng: RandomSource, rank: int | None = None) -> DensityMatrix:
+    return sample_state(rng.generator(), d, kind, rank)
+
+
+def check_mixing(tau: float) -> float:
+    """Validate a mixing parameter; must lie in [0, 1]."""
+    tau = float(tau)
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"mixing parameter must be in [0, 1], got {tau}")
+    return tau
+
+
+def _check_pair(rho1: DensityMatrix, rho2: DensityMatrix) -> int:
+    if rho1.dim != rho2.dim:
+        raise QuditEpiError(f"input dims differ: {rho1.dim} vs {rho2.dim}")
+    return rho1.dim
+
+
+def partial_swap_closed(rho1: DensityMatrix, rho2: DensityMatrix, tau: float) -> DensityMatrix:
+    """Qudit addition rule tau*r1 + (1-tau)*r2 - i sqrt(tau(1-tau)) [r1, r2].
+
+    The commutator term is skipped exactly at tau in {0, 1}, so the endpoints
+    return the unmixed input bit-for-bit. The map always yields a state; a
+    positivity failure here signals an implementation bug, not bad input.
+    """
+    _check_pair(rho1, rho2)
+    tau = check_mixing(tau)
+    r1, r2 = rho1.mat, rho2.mat
+    c = math.sqrt(tau * (1.0 - tau))
+    out = tau * r1 + (1.0 - tau) * r2
+    if c != 0.0:
+        out = out - 1j * c * (r1 @ r2 - r2 @ r1)
+    return make_density(out)
+
+
+def prefix_slack(dominating: np.ndarray, dominated: np.ndarray) -> tuple[float, float]:
+    """Majorization prefix comparison of two descending-sorted vectors.
+
+    Returns (min_k sum(dominating[:k]) - sum(dominated[:k]), total difference).
+    A nonnegative first value (up to tolerance) means dominated < dominating
+    in the majorization order.
+    """
+    diff = np.cumsum(dominating) - np.cumsum(dominated)
+    return float(diff.min()), float(diff[-1])
+
+
+def entropy_nats(p) -> float:
+    """Shannon entropy -sum p ln p in nats; zero entries contribute nothing.
+
+    Unvalidated: the caller guarantees p >= 0 (see :func:`shannon_entropy`).
+    """
+    p = np.asarray(p, dtype=np.float64)
+    p = p[p > 0.0]
+    return float(-(p * np.log(p)).sum())
+
+
+def majorizes(n, m, tol: float = MAJORIZATION_TOL) -> bool:
+    """True iff m is majorized by n (every prefix of n↓ dominates m↓'s).
+
+    Vectors of unequal length are zero-padded; totals must agree within tol or
+    the comparison is refused outright.
+    """
+    nv = np.asarray(n, dtype=np.float64)
+    mv = np.asarray(m, dtype=np.float64)
+    size = max(len(nv), len(mv))
+    nv = np.pad(nv, (0, size - len(nv)))
+    mv = np.pad(mv, (0, size - len(mv)))
+    nv = np.sort(nv)[::-1]
+    mv = np.sort(mv)[::-1]
+    min_slack, total_diff = prefix_slack(nv, mv)
+    if abs(total_diff) > tol:
+        raise QuditEpiError(f"totals differ by {total_diff!r} (> {tol:.1e})")
+    return min_slack >= -tol
+
+
+def shannon_entropy(p) -> float:
+    """-sum p ln p in nats with 0 ln 0 = 0; validates p as a distribution."""
+    v = np.asarray(p, dtype=np.float64)
+    if v.size and float(v.min()) < -DISTRIBUTION_NEG_TOL:
+        raise ValidationError(f"negative entry {float(v.min())!r}")
+    total = float(v.sum())
+    if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
+        raise ValidationError(f"entries sum to {total!r}")
+    return entropy_nats(np.clip(v, 0.0, None))
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """Entropy of the spectrum, in nats; zero for pure states, ln d for I/d."""
+    return entropy_nats(eigenvalues_descending(rho))
+
+
+def entropy_power(x, kappa: float) -> float:
+    """exp(kappa * S(x)) for a state or a probability vector (e.g. a spectrum).
+
+    Permutation-symmetric, Schur concave, and confined to [1, d^kappa].
+    """
+    if kappa < 0:
+        raise ValueError(f"kappa must be >= 0, got {kappa}")
+    if isinstance(x, DensityMatrix):
+        s = von_neumann_entropy(x)
+    else:
+        s = shannon_entropy(x)
+    return math.exp(kappa * s)
 
 
 # ----------------------------------------------------------------- states
@@ -402,6 +561,12 @@ def _theorem_slack(tau: float, kappa: float, out1, out2, grid) -> float:
     return lhs - tau * rhs1 - (1.0 - tau) * rhs2
 
 
+def trial_source(cfg, experiment: str, index: int) -> RandomSource:
+    """The stream key of trial `index` of `experiment`: (seed, the
+    experiment's base stream index + index)."""
+    return RandomSource(cfg.seed, harness._STREAM_BASE[experiment] + index)
+
+
 def _bilocal_setting(cfg, gen: np.random.Generator, index: int):
     """One trial's setting of theorem or lemma from its own generator. Draw
     order: tau, state1, state2, basis1, basis2."""
@@ -433,7 +598,7 @@ def _lemma_trial(cfg, index):
     inputs (identity residual), and its spectrum must be majorized by the
     tau-mixture of the conditioned input spectra (prefix slacks).
     """
-    gen = harness._trial_source(cfg, "lemma", index).generator()
+    gen = trial_source(cfg, "lemma", index).generator()
     tau, s1, s2, m1, m2 = _bilocal_setting(cfg, gen, index)
     out1, out2, grid, prob_norm = _conditioned_pieces(_bilocal_channel(s1, s2, tau), s1, s2, m1, m2)
 
@@ -481,7 +646,7 @@ def _conjecture_trial(cfg, index):
     arm: product-shaped (X1, E1) x (X2, E2) inputs through the bilocal
     channel, conditioning on both environments.
     """
-    gen = harness._trial_source(cfg, "conjecture", index).generator()
+    gen = trial_source(cfg, "conjecture", index).generator()
     tau = harness._draw_tau(cfg, index, gen)
     d, de = cfg.d, cfg.d_e1
     threshold = -10.0 * cfg.tolerance

@@ -13,18 +13,20 @@ import time
 import numpy as np
 import pytest
 
-from qudit_epi.channels import partial_swap_closed
-from qudit_epi.entropy import climb_product_basis, entropy_power
+from qudit_epi.entropy import climb_product_basis
 from qudit_epi.harness import TrialConfig, _run_block, run_experiment, run_metadata, summarize
-from qudit_epi.rand import RandomSource, haar_unitary, sample_state
+from qudit_epi.rand import RandomSource, haar_unitary
 from qudit_epi.states import make_density
 
 from oracles import (
     _bilocal_channel,
+    entropy_power,
     matrix_distance,
     multipartite,
+    partial_swap_closed,
     partial_swap_conjugation,
     partial_swap_global_closed,
+    sample_state,
     tensor,
 )
 

@@ -1,11 +1,11 @@
 """Stacked blocks against one-trial computations.
 
 The qepi and concavity references below rebuild the one-trial computations
-from the public scalar functions, each trial opening its own generator; the
-lemma's is the `lemma_trial` fixture. The theorem's blocks must equal its
-blocks of one trial, and its stacked search objective must equal the
-one-climb evaluation and the validated slack. Block values must match
-exactly, signed zeros included, because output bytes depend on it.
+from the one-state kernels in `oracles`, each trial opening its own
+generator; the lemma's is the `lemma_trial` fixture. The theorem's blocks
+must equal its blocks of one trial, and its stacked search objective must
+equal the one-climb evaluation and the validated slack. Block values must
+match exactly, signed zeros included, because output bytes depend on it.
 """
 
 import math
@@ -18,8 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qudit_epi import entropy, harness
-from qudit_epi.channels import partial_swap_closed
-from qudit_epi.entropy import entropy_nats, kappa_bounds, prefix_slack
+from qudit_epi.entropy import kappa_bounds
 from qudit_epi.errors import ValidationError
 from qudit_epi.harness import (
     TrialBlock,
@@ -29,11 +28,23 @@ from qudit_epi.harness import (
     run_experiment,
     summarize,
 )
-from qudit_epi.rand import RandomSource, haar_unitary, sample_state
-from qudit_epi.states import eigenvalues_descending
+from qudit_epi.rand import RandomSource, haar_unitary
 
 import oracles
-from oracles import _bilocal_channel, _bilocal_setting, _theorem_slack, multipartite, projective_from_unitary, tensor
+from oracles import (
+    _bilocal_channel,
+    _bilocal_setting,
+    _theorem_slack,
+    eigenvalues_descending,
+    entropy_nats,
+    multipartite,
+    partial_swap_closed,
+    prefix_slack,
+    projective_from_unitary,
+    sample_state,
+    tensor,
+    trial_source,
+)
 
 
 def _tau(cfg, index, gen):
@@ -475,7 +486,7 @@ def _assert_theorem_failure_names_its_trial(monkeypatch, step, message):
     # The block is rerun trial by trial to name the trial.
     cfg = TrialConfig(d=2, trials=20, seed=53)
     target = 9  # inside the one block of 20
-    _, s1, *_ = _bilocal_setting(cfg, harness._trial_source(cfg, "theorem", target).generator(), target)
+    _, s1, *_ = _bilocal_setting(cfg, trial_source(cfg, "theorem", target).generator(), target)
     real = getattr(harness, step)
 
     def fails_on_target(*args):
@@ -531,7 +542,7 @@ def test_stacked_slack_objective_matches_validated_slack(conditioned_pieces, see
     # scored in one stacked call: each value equals the one-climb evaluation
     # bit for bit and the slack from validated conditioning to 1e-12.
     e1, e2 = envs
-    kappas = [f * kappa_bounds(d)[0] for f in fractions]
+    kappas = [f * kappa_bounds(d) for f in fractions]
     gen = RandomSource(seed).generator()
     settings_ = []
     for tau in taus:

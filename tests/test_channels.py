@@ -5,26 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qudit_epi.channels import (
-    partial_swap_closed,
-    partial_swap_closed_stack,
-    partial_swap_global,
-    partial_swap_joint_stack,
-)
+from qudit_epi.channels import partial_swap_closed_stack, partial_swap_global, partial_swap_joint_stack
 from qudit_epi.errors import QuditEpiError
-from qudit_epi.rand import RandomSource, sample_state
+from qudit_epi.rand import RandomSource
 from qudit_epi.states import make_density
 
 from oracles import (
     _bilocal_channel,
     matrix_distance,
     multipartite,
+    partial_swap_closed,
     partial_swap_conjugation,
     partial_swap_global_closed,
     partial_swap_joint,
     partial_swap_unitary,
     partial_trace,
     permute_subsystems,
+    sample_state,
     swap_operator,
     tensor,
 )

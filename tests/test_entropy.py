@@ -12,26 +12,27 @@ from qudit_epi.entropy import (
     CLIMB_STEP_SCALE,
     climb_product_basis,
     entropy_nats_rows,
-    entropy_power,
     kappa_bounds,
-    majorizes,
     projective_entropy_power,
-    shannon_entropy,
-    von_neumann_entropy,
 )
 from qudit_epi.errors import QuditEpiError, ValidationError
 from qudit_epi.measurement import PROB_FLOOR, check_complete
-from qudit_epi.rand import RandomSource, haar_unitary, sample_state
+from qudit_epi.rand import RandomSource, haar_unitary
 from qudit_epi.states import make_density
 
 from oracles import (
     ConditionalOutcome,
     condition_all,
     conditional_vn_entropy,
+    entropy_power,
     expected_entropy_power,
+    majorizes,
     multipartite,
     projective_from_unitary,
+    sample_state,
+    shannon_entropy,
     tensor,
+    von_neumann_entropy,
 )
 
 
@@ -84,7 +85,7 @@ def test_entropy_power_values(plus):
     assert entropy_power(plus, 2.0) == pytest.approx(1.0, abs=1e-12)
     half = make_density(np.eye(2) / 2)
     assert entropy_power(half, 1.0) == pytest.approx(2.0, abs=1e-12)
-    kappa1 = kappa_bounds(2)[0]
+    kappa1 = kappa_bounds(2)
     assert entropy_power(half, kappa1) == pytest.approx(4.232086106557082, abs=1e-12)
     assert entropy_power(half, 0.0) == 1.0
 
@@ -92,7 +93,7 @@ def test_entropy_power_values(plus):
 def test_entropy_power_symmetry_and_bounds():
     rng = np.random.default_rng(51)
     for d in (2, 4):
-        kappa = kappa_bounds(d)[0]
+        kappa = kappa_bounds(d)
         for _ in range(20):
             p = rng.dirichlet(np.ones(d))
             v = entropy_power(p, kappa)
@@ -101,11 +102,8 @@ def test_entropy_power_symmetry_and_bounds():
 
 
 def test_kappa_bounds():
-    k1, k2 = kappa_bounds(2)
-    assert k1 == pytest.approx(2.0813689810056077, abs=1e-15)
-    assert k2 == 1.0
-    assert kappa_bounds(3)[1] == pytest.approx(0.5)
-    values = [kappa_bounds(d)[0] for d in range(2, 7)]
+    assert kappa_bounds(2) == pytest.approx(2.0813689810056077, abs=1e-15)
+    values = [kappa_bounds(d) for d in range(2, 7)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -113,7 +111,7 @@ def test_schur_concavity_of_entropy_power():
     # mixing by averaging random permutations only moves down the order
     rng = np.random.default_rng(52)
     for d in (3, 5):
-        kappa = kappa_bounds(d)[0]
+        kappa = kappa_bounds(d)
         for _ in range(30):
             n = rng.dirichlet(np.ones(d))
             mixed = np.zeros(d)
@@ -127,7 +125,7 @@ def test_schur_concavity_of_entropy_power():
 def test_midpoint_concavity_within_window():
     rng = np.random.default_rng(53)
     for d in (2, 3):
-        kappa = kappa_bounds(d)[0]
+        kappa = kappa_bounds(d)
         for _ in range(200):
             p = rng.dirichlet(np.ones(d))
             q = rng.dirichlet(np.ones(d))
@@ -218,7 +216,7 @@ def test_qubit_spectra_match_eigvalsh(seed, shape, scale, skewed):
     expected = np.linalg.eigvalsh(blocks / np.where(kept, trace, 1.0)[..., None, None])
     assert np.abs(lam - expected)[kept].max(initial=0.0) <= 1e-14
 
-    kappa = kappa_bounds(2)[0]
+    kappa = kappa_bounds(2)
     ((got_probs, powers),) = projective_entropy_power([blocks.reshape(16, 2, 1, 2, 1)], [np.ones((1, 1))], kappa)
     entropies = entropy_nats_rows(np.clip(expected, 0.0, None))
     assert np.array_equal(got_probs[:, 0], np.where(kept, trace, 0.0))
@@ -314,6 +312,27 @@ def test_climb_restart_retry_keeps_the_one_climb_draw_order(monkeypatch):
         w, v = np.linalg.eigh((a + a.conj().T) / 2)
         expected = expected @ (v * np.exp(1j * CLIMB_STEP_SCALE * w)) @ v.conj().T
     assert np.abs(found - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "sources, message",
+    [
+        ([RandomSource(5), RandomSource(6)], r"one master seed, got \[5, 6\]"),
+        ([], r"0 sources for the 2 searches"),
+        ([RandomSource(5)] * 3, r"3 sources for the 2 searches"),
+    ],
+    ids=["two-seeds", "empty", "wrong-count"],
+)
+def test_climb_rejects_malformed_sources_before_any_draw(monkeypatch, sources, message):
+    # Two searches; any draw or objective call would fail with another error.
+    monkeypatch.setattr(entropy_module, "KeyedStreams", None)
+    starts = [np.stack([np.eye(2, dtype=complex)] * 2)]
+
+    def objective(factors):
+        raise AssertionError("the objective ran")
+
+    with pytest.raises(QuditEpiError, match=message):
+        climb_product_basis(objective, starts, sources)
 
 
 def _eigh_rotations(h, theta):

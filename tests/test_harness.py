@@ -18,15 +18,23 @@ from qudit_epi.harness import (
     TrialBlock,
     TrialConfig,
     _slack_objective,
-    _trial_source,
     resolve_kappas,
     run_experiment,
     summarize,
     validate_config,
 )
-from qudit_epi.rand import RandomSource, haar_unitary, sample_state
+from qudit_epi.rand import RandomSource, haar_unitary
 
-from oracles import _bilocal_channel, _bilocal_setting, _theorem_slack, multipartite, projective_from_unitary, tensor
+from oracles import (
+    _bilocal_channel,
+    _bilocal_setting,
+    _theorem_slack,
+    multipartite,
+    projective_from_unitary,
+    sample_state,
+    tensor,
+    trial_source,
+)
 
 
 def _one(experiment, cfg, index):
@@ -120,7 +128,7 @@ def test_theorem_search_is_validated_and_never_above_haar(conditioned_pieces, d,
     for index in range(20):
         block = _one("theorem", cfg, index)
         slacks = {key: column[0] for key, column in block.slacks.items()}
-        source = _trial_source(cfg, "theorem", index)
+        source = trial_source(cfg, "theorem", index)
         tau, s1, s2, m1, m2 = _bilocal_setting(cfg, source.generator(), index)
         joint = _bilocal_channel(s1, s2, tau)
         *haar, prob_norm = conditioned_pieces(joint, s1, s2, m1, m2)

@@ -9,10 +9,12 @@ import math
 import numpy as np
 import pytest
 
-from qudit_epi.channels import partial_swap_closed, partial_swap_closed_stack
-from qudit_epi.entropy import entropy_nats, entropy_nats_rows, prefix_slack, prefix_slack_rows
+from qudit_epi.channels import partial_swap_closed_stack
+from qudit_epi.entropy import entropy_nats_rows, prefix_slack_rows
 from qudit_epi.measurement import condition_projective_all
 from qudit_epi.states import make_density
+
+from oracles import entropy_nats, partial_swap_closed, prefix_slack
 
 
 @pytest.fixture

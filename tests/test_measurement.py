@@ -3,7 +3,7 @@ import pytest
 
 from qudit_epi.errors import QuditEpiError, ValidationError
 from qudit_epi.measurement import check_complete, condition_all_stack
-from qudit_epi.rand import RandomSource, haar_unitary, sample_state
+from qudit_epi.rand import RandomSource, haar_unitary
 from qudit_epi.states import DensityMatrix, make_density
 
 from oracles import (
@@ -16,6 +16,7 @@ from oracles import (
     multipartite,
     partial_trace,
     projective_from_unitary,
+    sample_state,
     tensor,
 )
 

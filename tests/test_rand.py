@@ -13,9 +13,9 @@ from qudit_epi.rand import (
     haar_unitaries,
     haar_unitary,
     normalize_state_kind,
-    random_state,
 )
-from qudit_epi.states import eigenvalues_descending
+
+from oracles import eigenvalues_descending, random_state
 
 
 def test_streams_replay_exactly():

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from qudit_epi.errors import QuditEpiError, ValidationError
-from qudit_epi.rand import RandomSource, sample_state
-from qudit_epi.states import (
-    eigenvalues_descending,
-    eigenvalues_descending_stack,
-    make_density,
-    make_density_stack,
-)
+from qudit_epi.rand import RandomSource
+from qudit_epi.states import eigenvalues_descending_stack, make_density, make_density_stack
 
-from oracles import matrix_distance, multipartite, partial_trace, permute_subsystems, tensor
+from oracles import (
+    eigenvalues_descending,
+    matrix_distance,
+    multipartite,
+    partial_trace,
+    permute_subsystems,
+    sample_state,
+    tensor,
+)
 
 
 def test_make_density_maximally_mixed():
