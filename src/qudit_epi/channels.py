@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import QuditEpiError
+from .errors import QuditEpiError, ValidationError
 from .states import make_density_stack
 
 __all__ = [
@@ -31,7 +31,7 @@ def _check_mixing_stack(tau: np.ndarray) -> None:
     """``check_mixing`` of ``tests/oracles.py`` on each entry of an (N,) array."""
     bad = ~((tau >= 0.0) & (tau <= 1.0))  # a NaN fails both comparisons
     if bad.any():
-        raise ValueError(f"mixing parameters must be in [0, 1], got {tau[bad]}")
+        raise ValidationError(f"mixing parameters must be in [0, 1], got {tau[bad]}")
 
 
 def partial_swap_closed_stack(r1: np.ndarray, r2: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -177,10 +177,17 @@ def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np
     at its search's start; it is only an upper bound on the minimum over the
     product family.
 
-    Sources that do not hold one stream per search, or that span more than
-    one master seed, raise a QuditEpiError before any draw.
+    Starts that are not 1 to CLIMB_REFINE_STEPS square factors of one lead
+    shape, and sources that do not hold one stream per search or that span
+    more than one master seed, raise a QuditEpiError before any draw.
     """
+    if not 1 <= len(starts) <= CLIMB_REFINE_STEPS:
+        raise QuditEpiError(f"need 1 to {CLIMB_REFINE_STEPS} start factors, got {len(starts)}")
     lead = starts[0].shape[:-2]
+    if any(u.ndim < 2 or u.shape[-1] != u.shape[-2] or u.shape[:-2] != lead for u in starts):
+        raise QuditEpiError(
+            f"start factors must be square with one lead shape, got shapes {[u.shape for u in starts]}"
+        )
     searches = math.prod(lead)
     if len(sources) != searches:
         raise QuditEpiError(f"{len(sources)} sources for the {searches} searches of shape {lead}")

@@ -42,6 +42,14 @@ arms on the same parts: the drawn states (:func:`states_from_gaussians`), one
 conditional entropies of validated states. Every trial draws one fixed-length
 row, so a re-checked candidate's perturbation moves no other draw.
 
+The slack and residual columns are computed on a block's validated stacks
+under two rules that keep each value bit for bit the one-trial route's: each
+entropy power e^(kappa S) is math.exp of kappa S (:func:`_entropy_powers`),
+and each sum over outcomes adds its terms left to right
+(:func:`ordered_sum`), so no value depends on numpy's exp, its pairwise sums
+or the Python version's builtin sum. A :class:`TrialBlock` is a NamedTuple
+of its columns; its `passed` property is derived from `pass_flags`.
+
 :func:`_block_size` sizes the blocks: 512 trials of qepi or concavity; for
 the others the trials divided evenly over the workers, at most as many as
 :data:`_BLOCK_BYTES` holds of the block's largest stacked array, and at most
@@ -85,7 +93,7 @@ from .entropy import (
     projective_entropy_power,
 )
 from .errors import QuditEpiError, UsageError
-from .measurement import check_complete, condition_all_stack
+from .measurement import check_complete, condition_all_stack, ordered_sum
 from .rand import (
     RNG_ALGORITHM,
     KeyedStreams,
@@ -169,50 +177,28 @@ class TrialConfig(NamedTuple):
     exploratory_kappa: bool = False
 
 
-class TrialBlock:
+class TrialBlock(NamedTuple):
     """The trials of one block as columns: row i is trial indices[i].
 
     Each slack, residual and pass flag key maps to a column with one entry
     per row; a row that lacks the key holds None there. Slacks and residuals
     are floats. A negligible count of 0 means the trial skipped no outcome.
-    `passed` holds, per row, all of its flags; it is set on construction.
     """
 
-    __slots__ = ("experiment", "indices", "taus", "kappas", "slacks", "residuals", "pass_flags", "negligible", "passed")
+    experiment: str
+    indices: range
+    taus: list[float]
+    kappas: tuple[float, ...]
+    slacks: dict[str, list]
+    residuals: dict[str, list]
+    pass_flags: dict[str, list]
+    negligible: list[int]
 
-    def __init__(
-        self,
-        experiment: str,
-        indices: range,
-        taus: list[float],
-        kappas: tuple[float, ...],
-        slacks: dict[str, list],
-        residuals: dict[str, list],
-        pass_flags: dict[str, list],
-        negligible: list[int],
-    ):
-        self.experiment = experiment
-        self.indices = indices
-        self.taus = taus
-        self.kappas = kappas
-        self.slacks = slacks
-        self.residuals = residuals
-        self.pass_flags = pass_flags
-        self.negligible = negligible
-        flags = pass_flags.values()
-        self.passed = [False not in row for row in zip(*flags)] if flags else [True] * len(taus)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"{self.__class__.__qualname__}({fields})"
+    @property
+    def passed(self) -> list[bool]:
+        """Per row, whether all of its flags hold."""
+        flags = self.pass_flags.values()
+        return [False not in row for row in zip(*flags)] if flags else [True] * len(self.taus)
 
 
 class Summary(NamedTuple):
@@ -257,10 +243,7 @@ def validate_config(cfg: TrialConfig, experiment: str) -> None:
         raise UsageError(f"--tol must be finite and > 0, got {cfg.tolerance}")
     if cfg.tau is not None and not 0.0 <= cfg.tau <= 1.0:
         raise UsageError(f"--tau must be in [0, 1], got {cfg.tau}")
-    try:
-        kind = normalize_state_kind(cfg.state_kind)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    kind = normalize_state_kind(cfg.state_kind)
     if kind != "rank" and cfg.rank is not None:
         raise UsageError(f"rank must be None for state kind {cfg.state_kind!r}, got {cfg.rank!r}")
     if kind == "rank" and (cfg.rank is None or not 1 <= cfg.rank):
@@ -434,6 +417,15 @@ def _slack_objective(dims, rho1, rho2, joint, taus, kappas):
     return slack
 
 
+def _entropy_powers(kappa, entropies: np.ndarray) -> np.ndarray:
+    """e^(kappa S) of each entry of an array of entropies S, kappa a float or
+    an array broadcasting against them. Each power is taken by math.exp,
+    whose last bit np.exp does not always match, so every slack column takes
+    its powers here."""
+    x = kappa * entropies
+    return np.fromiter(map(math.exp, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+
 def _theorem_settings(cfg: TrialConfig, experiment: str, indices: range):
     """The settings of the trials `indices` of `experiment` (theorem or
     lemma), stacked: the taus, the validated (N, D, D) input state stacks and
@@ -455,30 +447,6 @@ def _theorem_settings(cfg: TrialConfig, experiment: str, indices: range):
     return taus, rho1, rho2, u1, u2
 
 
-def _measured_slack(tau: float, kappa: float, pieces) -> float:
-    """The per-measurement slack (see :func:`_slack_objective`) from the
-    validated outcome probabilities, negligible flags and entropies of
-    input 1, input 2 and the output grid (row-major), summed term by term:
-    the oracle ``_theorem_slack`` in ``tests/oracles.py`` sums in this
-    order."""
-    (q1, neg1, s1), (q2, neg2, s2), (_, neg, s) = pieces
-    e2 = len(q2)
-    lhs = sum(
-        q1[j] * q2[k] * math.exp(kappa * s[j * e2 + k])
-        for j in range(len(q1))
-        for k in range(e2)
-        if not (neg[j * e2 + k] or neg1[j] or neg2[k])
-    )
-    rhs = []
-    for probs, flags, entropies in ((q1, neg1, s1), (q2, neg2, s2)):
-        total = 0.0
-        for p, flag, entropy in zip(probs, flags, entropies):
-            if not flag:
-                total += p * math.exp(kappa * entropy)
-        rhs.append(total)
-    return lhs - tau * rhs[0] - (1.0 - tau) * rhs[1]
-
-
 def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     """Per-measurement conditional entropy power inequality on the settings
     of trials `indices`.
@@ -497,7 +465,11 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     step is stacked: the setting draws, one :func:`partial_swap_global` call,
     one lockstep climb of every search, and one :func:`condition_all_stack`
     call per state over every trial's Haar and found pairs, with the
-    one-trial route's checks.
+    one-trial route's checks. The slacks are array arithmetic on the
+    validated probabilities and entropies, with each entropy power taken by
+    :func:`_entropy_powers` and each sum over outcomes by
+    :func:`ordered_sum`, in the one-trial route's order; prob_norm is the
+    largest residual of the output's outcome totals over the trial's pairs.
     """
     kappas, keys, soft = _kappa_grid(cfg, "theorem_measured")
     searched = [t for t, kappa in enumerate(kappas) if kappa > 0.0]
@@ -531,28 +503,30 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     ]
     spectra = [lam for *_, lam in measured]
     kept = np.split(entropy_nats_rows(np.concatenate(spectra)), np.cumsum([len(lam) for lam in spectra[:-1]]))
+    # Per state, the (B, K, n) probabilities, negligible flags and entropies
+    # at the pair that kappa t's slack reads.
+    pairs = [1 + searched.index(t) if kappa > 0.0 else 0 for t, kappa in enumerate(kappas)]
     pieces = []
     for (probs, negligible, *_), kept_entropies in zip(measured, kept):
         entropies = np.zeros(probs.shape)
         entropies[~negligible] = kept_entropies
-        pieces.append((probs.tolist(), negligible.tolist(), entropies.tolist()))
+        pieces.append((probs[:, pairs], negligible[:, pairs], entropies[:, pairs]))
+    (q1, neg1, s1), (q2, neg2, s2), (q, neg, s) = pieces
+    kappa = np.array(kappas)[:, None]
 
-    slacks: dict[str, list] = {key: [] for key in keys}
-    prob_norms, skipped = [], []
-    for i, tau in enumerate(taus):
-        # trial[state][pair]: one measurement's (probabilities, negligible flags, entropies).
-        trial = [list(zip(probs[i], negligible[i], entropies[i])) for probs, negligible, entropies in pieces]
-        grids = [q for q, _, _ in trial[2]]
-        prob_norm = abs(sum(grids[0]) - 1.0)
-        for t, (key, kappa) in enumerate(zip(keys, kappas)):
-            pair = 1 + searched.index(t) if kappa > 0.0 else 0
-            if pair:
-                prob_norm = max(prob_norm, abs(sum(grids[pair]) - 1.0))
-            slacks[key].append(_measured_slack(tau, kappa, [state[pair] for state in trial]))
-        prob_norms.append(prob_norm)
-        skipped.append(sum(trial[2][0][1]))
+    def expectation(probs, skip, entropies):
+        # The probability-weighted entropy power over the outcomes not skipped.
+        return ordered_sum(np.where(skip, 0.0, probs * _entropy_powers(kappa, entropies)))
 
-    residuals = {"prob_norm": prob_norms}
+    q12 = (q1[..., :, None] * q2[..., None, :]).reshape(q.shape)
+    skip = (neg.reshape(*neg.shape[:-1], e1, e2) | neg1[..., :, None] | neg2[..., None, :]).reshape(neg.shape)
+    tau = np.array(taus)[:, None]
+    values = expectation(q12, skip, s) - tau * expectation(q1, neg1, s1) - (1.0 - tau) * expectation(q2, neg2, s2)
+    slacks = dict(zip(keys, values.T.tolist()))
+
+    _, joint_negligible, prob_norms, *_ = measured[2]
+    residuals = {"prob_norm": prob_norms.max(axis=1).tolist()}
+    skipped = joint_negligible[:, 0].sum(axis=1).tolist()  # at the Haar pair
     flags = _verdict(cfg, slacks, residuals, soft)
     return TrialBlock("theorem", indices, taus, kappas, slacks, residuals, flags, skipped)
 
@@ -572,15 +546,15 @@ def _lemma_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     state at the Haar pair, and one :func:`partial_swap_closed_stack` call
     over the kept outcome pairs of every trial. Each value is what the trial
     computes alone, bit for bit: a trial's maxima and minima fold over its
-    outcome pairs in row-major order, and each probability total is Python's
-    sum in outcome order.
+    outcome pairs in row-major order, and prob_norm is the residual of its
+    output's outcome total that :func:`condition_all_stack` returns.
     """
     d, e1, e2 = cfg.d, cfg.d_e1, cfg.d_e2
     taus, rho1, rho2, u1, u2 = _theorem_settings(cfg, "lemma", indices)
     tau = np.array(taus)
     joint, _ = partial_swap_global(rho1, rho2, tau, d)
     b = len(taus)
-    (q1, neg1, states1, lam1), (q2, neg2, states2, lam2), (q, neg, states, lam) = (
+    (q1, neg1, _, states1, lam1), (q2, neg2, _, states2, lam2), (q, neg, prob_norm, states, lam) = (
         condition_all_stack(rho4, u)
         for rho4, u in (
             (rho1.reshape(b, d, e1, d, e1), u1),
@@ -601,14 +575,14 @@ def _lemma_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     factor = np.abs(q.reshape(b, e1, e2) - q1[:, :, None] * q2[:, None, :]).reshape(b, -1).tolist()
 
     slacks: dict[str, list] = {"lemma_majorization": []}
-    residuals: dict[str, list] = {"lemma_identity": [], "major_total": [], "factorization": [], "prob_norm": []}
+    residuals: dict[str, list] = {"lemma_identity": [], "major_total": [], "factorization": []}
     ends = np.cumsum(kept.reshape(b, -1).sum(axis=1)).tolist()
-    for start, end, trial_factor, probs in zip([0, *ends], ends, factor, q.tolist()):
+    for start, end, trial_factor in zip([0, *ends], ends, factor):
         slacks["lemma_majorization"].append(min([math.inf, *pair_slacks[start:end]]))
         residuals["lemma_identity"].append(max([0.0, *distances[start:end]]))
         residuals["major_total"].append(max([0.0, *totals[start:end]]))
         residuals["factorization"].append(max([0.0, *trial_factor]))
-        residuals["prob_norm"].append(abs(sum(probs) - 1.0))
+    residuals["prob_norm"] = prob_norm.tolist()
     negligible = (~kept).reshape(b, -1).sum(axis=1).tolist()
     return TrialBlock("lemma", indices, taus, (), slacks, residuals, _verdict(cfg, slacks, residuals), negligible)
 
@@ -625,15 +599,11 @@ def _qepi_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     lam1, lam2, lam_out = (eigenvalues_descending_stack(e) for e in (eigs1, eigs2, eigs_out))
     t = tau_stack[:, None]
     maj_slacks, totals = prefix_slack_rows(t * lam1 + (1.0 - t) * lam2, lam_out)
-    rows = list(zip(taus, *(entropy_nats_rows(lam).tolist() for lam in (lam1, lam2, lam_out))))
-
     kappas, keys, soft = _kappa_grid(cfg, "qepi")
+    entropies = np.stack([entropy_nats_rows(lam) for lam in (lam1, lam2, lam_out)])
+    p1, p2, p_out = _entropy_powers(np.array(kappas)[:, None], entropies[:, None])
     slacks = {"qepi_majorization": maj_slacks.tolist()}
-    for key, kappa in zip(keys, kappas):
-        slacks[key] = [
-            math.exp(kappa * s_out) - tau * math.exp(kappa * s1) - (1.0 - tau) * math.exp(kappa * s2)
-            for tau, s1, s2, s_out in rows
-        ]
+    slacks.update(zip(keys, (p_out - tau_stack * p1 - (1.0 - tau_stack) * p2).tolist()))
     residuals = {"major_total": np.abs(totals).tolist()}
     return TrialBlock(
         "qepi", indices, taus, kappas, slacks, residuals, _verdict(cfg, slacks, residuals, soft), [0] * len(taus)
@@ -650,13 +620,11 @@ def _concavity_block(cfg: TrialConfig, indices: range) -> TrialBlock:
         pq[row, 0] = gen.dirichlet(alpha)
         pq[row, 1] = gen.dirichlet(alpha)
     p, q = pq[:, 0], pq[:, 1]
-    entropies = list(zip(*(entropy_nats_rows(v).tolist() for v in (p, q, (p + q) / 2))))
+    entropies = np.stack([entropy_nats_rows(v) for v in (p, q, (p + q) / 2)])
 
     kappas, keys, soft = _kappa_grid(cfg, "concavity")
-    slacks = {
-        key: [math.exp(kappa * hm) - (math.exp(kappa * hp) + math.exp(kappa * hq)) / 2 for hp, hq, hm in entropies]
-        for key, kappa in zip(keys, kappas)
-    }
+    p_p, p_q, p_mid = _entropy_powers(np.array(kappas)[:, None], entropies[:, None])
+    slacks = dict(zip(keys, (p_mid - (p_p + p_q) / 2).tolist()))
     return TrialBlock(
         "concavity", indices, taus, kappas, slacks, {}, _verdict(cfg, slacks, {}, soft), [0] * len(taus)
     )

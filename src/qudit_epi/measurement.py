@@ -11,9 +11,13 @@ one basis and of a stack, and :func:`condition_all_stack` the validated
 conditioning of stacks of states, the one route the experiments condition
 by. Its one-state oracle (``condition_all`` and ``condition_bilocal`` in
 ``tests/oracles.py``) is held to the same bits by the tests.
+:func:`ordered_sum` is the summation rule of every sum over outcomes that a
+recorded slack or residual takes: terms add left to right, in outcome order.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -29,7 +33,16 @@ __all__ = [
     "check_complete",
     "condition_projective_all",
     "condition_all_stack",
+    "ordered_sum",
 ]
+
+
+def ordered_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of x, adding its columns left to right, as a
+    Python loop adds the terms of each row. np.sum adds pairwise and the
+    builtin sum compensates since Python 3.12, so either may differ in the
+    last bit."""
+    return reduce(np.add, np.moveaxis(x, -1, 0))
 
 
 def check_complete(u: np.ndarray) -> None:
@@ -37,7 +50,7 @@ def check_complete(u: np.ndarray) -> None:
     matrix of an (..., d, d) stack; the message names the first failing
     residual."""
     residual = np.asarray(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1)))
-    bad = residual > COMPLETENESS_TOL
+    bad = ~(residual <= COMPLETENESS_TOL)  # a NaN fails too
     if bad.any():
         raise ValidationError(f"max|U†U - I| = {residual[bad][0]:.3e} (> {COMPLETENESS_TOL:.1e})")
 
@@ -64,30 +77,27 @@ def condition_projective_all(rho4: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def condition_all_stack(
     rho4: np.ndarray, bases: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Validated conditioning of stacks of states on every outcome of their
     bases, which broadcast as in :func:`condition_projective_all` (the bases
     are not checked; see :func:`check_complete`).
 
     Returns the (..., n) outcome probabilities, the (..., n) mask of
-    negligible outcomes (probability at or below PROB_FLOOR), and the
+    negligible outcomes (probability at or below PROB_FLOOR), the (...)
+    residuals |total - 1| of each state's outcome probabilities, and the
     (M, dx, dx) conditioned states (each validated by make_density_stack) and
     (M, dx) descending spectra of the other M outcomes, in row-major order.
     Each value is what its state and basis give alone, bit for bit. Each
-    state's outcome probabilities must sum to 1 within PROB_SUM_TOL, summed
-    by Python's sum in outcome order.
+    total, summed by :func:`ordered_sum`, must be within PROB_SUM_TOL of 1.
     """
     blocks = condition_projective_all(rho4, bases)
     probs = np.trace(blocks, axis1=-2, axis2=-1).real
     negligible = probs <= PROB_FLOOR
     kept = ~negligible
     states, eigs = make_density_stack(blocks[kept] / probs[kept][:, None, None])
-    for row in probs.reshape(-1, probs.shape[-1]).tolist():
-        _check_normalization(row)
-    return probs, negligible, states, eigenvalues_descending_stack(eigs)
-
-
-def _check_normalization(probabilities) -> None:
-    total = float(sum(probabilities))
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValidationError(f"outcome probabilities sum to {total!r}")
+    totals = ordered_sum(probs)
+    residuals = np.abs(totals - 1.0)
+    bad = ~(residuals <= PROB_SUM_TOL)
+    if bad.any():
+        raise ValidationError(f"outcome probabilities sum to {float(totals[bad][0])!r}")
+    return probs, negligible, residuals, states, eigenvalues_descending_stack(eigs)

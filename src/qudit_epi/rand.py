@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import QuditEpiError
+from .errors import QuditEpiError, UsageError
 from .states import make_density_stack
 
 RNG_ALGORITHM = "philox4x64"
@@ -183,5 +183,5 @@ _STATE_KINDS = {"pure": "pure", "ginibre": "ginibre", "rank": "rank", "rank-k": 
 def normalize_state_kind(kind: str) -> str:
     """The sampler a state kind names: pure, ginibre, or rank for rank-k."""
     if kind not in _STATE_KINDS:
-        raise ValueError(f"unknown state kind {kind!r}; expected pure, ginibre or rank-k")
+        raise UsageError(f"unknown state kind {kind!r}; expected pure, ginibre or rank-k")
     return _STATE_KINDS[kind]

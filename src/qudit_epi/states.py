@@ -80,20 +80,21 @@ def make_density(entries) -> DensityMatrix:
     """Validate a matrix as a density matrix.
 
     The input is symmetrized as (m + m†)/2 before validation so representation
-    round-off is absorbed; a hermiticity, trace or positivity deviation beyond
-    HERMITIAN_TOL, TRACE_TOL or POSITIVITY_TOL is a hard error naming the
-    measured deviation.
+    round-off is absorbed; a hermiticity, trace or positivity deviation not
+    within HERMITIAN_TOL, TRACE_TOL or POSITIVITY_TOL, a NaN included, is a
+    hard error naming the measured deviation. A NaN or infinite entry fails
+    the hermiticity check.
     """
     arr = _as_complex_square(entries)
     herm_dev = float(np.abs(arr - arr.conj().T).max())
-    if herm_dev > HERMITIAN_TOL:
+    if not herm_dev <= HERMITIAN_TOL:
         raise ValidationError(f"max|m - m†| = {herm_dev:.3e} exceeds tol {HERMITIAN_TOL:.1e}")
     sym = (arr + arr.conj().T) / 2
     trace_dev = abs(complex(np.trace(sym)) - 1.0)
-    if trace_dev > TRACE_TOL:
+    if not trace_dev <= TRACE_TOL:
         raise ValidationError(f"|Tr m - 1| = {trace_dev:.3e} exceeds tol {TRACE_TOL:.1e}")
     eigs = _eigvalsh(sym)
-    if eigs[0] < -POSITIVITY_TOL:
+    if not eigs[0] >= -POSITIVITY_TOL:
         raise ValidationError(f"smallest eigenvalue {eigs[0]:.6e} below -tol {-POSITIVITY_TOL:.1e}")
     return DensityMatrix(sym, eigs)
 
@@ -113,16 +114,16 @@ def make_density_stack(entries) -> tuple[np.ndarray, np.ndarray]:
         raise QuditEpiError(f"expected a stack of square matrices, got shape {arr.shape}")
     adj = arr.conj().swapaxes(1, 2)
     herm_dev = np.abs(arr - adj).max(axis=(1, 2))
-    bad = herm_dev > HERMITIAN_TOL
+    bad = ~(herm_dev <= HERMITIAN_TOL)
     if bad.any():
         raise ValidationError(f"max|m - m†| = {herm_dev[bad.argmax()]:.3e} exceeds tol {HERMITIAN_TOL:.1e}")
     sym = (arr + adj) / 2
     trace_dev = np.abs(np.trace(sym, axis1=1, axis2=2) - 1.0)
-    bad = trace_dev > TRACE_TOL
+    bad = ~(trace_dev <= TRACE_TOL)
     if bad.any():
         raise ValidationError(f"|Tr m - 1| = {trace_dev[bad.argmax()]:.3e} exceeds tol {TRACE_TOL:.1e}")
     eigs = _eigvalsh(sym)
-    bad = eigs[:, 0] < -POSITIVITY_TOL
+    bad = ~(eigs[:, 0] >= -POSITIVITY_TOL)
     if bad.any():
         raise ValidationError(
             f"smallest eigenvalue {eigs[bad.argmax(), 0]:.6e} below -tol {-POSITIVITY_TOL:.1e}"
@@ -133,15 +134,15 @@ def make_density_stack(entries) -> tuple[np.ndarray, np.ndarray]:
 def eigenvalues_descending_stack(eigs: np.ndarray) -> np.ndarray:
     """Each row of an (N, d) stack of ascending eigenvalues in non-increasing
     order. Entries in [-1e-10, 0) are clipped to zero and each row is
-    renormalized if its total is within 1e-9 of one; larger deviations are
-    hard errors. Row i is bit for bit ``eigenvalues_descending`` of
+    renormalized if its total is within 1e-9 of one; larger deviations, and
+    NaNs, are hard errors. Row i is bit for bit ``eigenvalues_descending`` of
     ``tests/oracles.py``, with its checks and messages."""
-    low = eigs[:, 0] < -POSITIVITY_TOL
+    low = ~(eigs[:, 0] >= -POSITIVITY_TOL)
     if low.any():
         raise ValidationError(f"eigenvalue {eigs[low.argmax(), 0]:.6e} below -{POSITIVITY_TOL:.1e}")
     vals = np.clip(eigs[:, ::-1], 0.0, None)
     total = vals.sum(axis=1)
-    off = np.abs(total - 1.0) > SPECTRUM_SUM_TOL
+    off = ~(np.abs(total - 1.0) <= SPECTRUM_SUM_TOL)
     if off.any():
         raise ValidationError(
             f"spectrum sums to {float(total[off.argmax()])!r}, off by more than {SPECTRUM_SUM_TOL:.1e}"

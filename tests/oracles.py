@@ -26,7 +26,9 @@ calls anything in this module.
 * Conditioning: :class:`MeasurementSet`, :func:`condition_all`,
   :func:`condition_bilocal` and :func:`conditional_spectrum` are the
   validated one-state conditioning that ``measurement.condition_all_stack``
-  must reproduce bit for bit.
+  must reproduce bit for bit; :func:`_check_normalization` is its check of
+  each outcome total, summed left to right by :func:`_sum_in_order` as
+  ``measurement.ordered_sum`` sums.
 * Trials: :func:`trial_source` is a trial's stream key,
   :func:`_theorem_slack` the theorem's slack from validated outcomes,
   :func:`_lemma_trial` one lemma trial by these routes, drawn by
@@ -45,7 +47,7 @@ from qudit_epi import harness
 from qudit_epi.channels import partial_swap_global
 from qudit_epi.errors import QuditEpiError, ValidationError
 from qudit_epi.harness import TrialBlock
-from qudit_epi.measurement import PROB_FLOOR, _check_normalization, check_complete, condition_projective_all
+from qudit_epi.measurement import PROB_FLOOR, PROB_SUM_TOL, check_complete, condition_projective_all
 from qudit_epi.rand import RandomSource, complex_gaussian, haar_unitary, normalize_state_kind, state_columns
 from qudit_epi.states import POSITIVITY_TOL, SPECTRUM_SUM_TOL, DensityMatrix, make_density
 
@@ -65,11 +67,11 @@ def eigenvalues_descending(rho: DensityMatrix) -> np.ndarray:
     separating float noise from genuinely invalid states.
     """
     eigs = rho.eigenvalues_ascending()
-    if eigs[0] < -POSITIVITY_TOL:
+    if not eigs[0] >= -POSITIVITY_TOL:
         raise ValidationError(f"eigenvalue {eigs[0]:.6e} below -{POSITIVITY_TOL:.1e}")
     vals = np.clip(eigs[::-1], 0.0, None)
     total = float(vals.sum())
-    if abs(total - 1.0) > SPECTRUM_SUM_TOL:
+    if not abs(total - 1.0) <= SPECTRUM_SUM_TOL:
         raise ValidationError(f"spectrum sums to {total!r}, off by more than {SPECTRUM_SUM_TOL:.1e}")
     vals = vals / total
     vals.setflags(write=False)
@@ -407,6 +409,21 @@ def _bilocal_channel(s1, s2, tau: float):
 # ----------------------------------------------------------- conditioning
 
 
+def _sum_in_order(terms) -> float:
+    """The terms added left to right. The builtin sum compensates its float
+    sums since Python 3.12, so its last bit depends on the interpreter."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def _check_normalization(probabilities) -> None:
+    total = _sum_in_order(probabilities)
+    if not abs(total - 1.0) <= PROB_SUM_TOL:
+        raise ValidationError(f"outcome probabilities sum to {total!r}")
+
+
 @dataclass(frozen=True)
 class MeasurementSet:
     """Rank-1 projective measurement onto the columns of a validated unitary.
@@ -550,7 +567,7 @@ def _theorem_slack(tau: float, kappa: float, out1, out2, grid) -> float:
     """The per-measurement slack from validated outcomes: the q1 x q2-weighted
     entropy power of the conditioned outputs minus the tau-mixture of the
     conditioned-input expectations."""
-    lhs = sum(
+    lhs = _sum_in_order(
         out1[j].probability * out2[k].probability * entropy_power(o.state, kappa)
         for j, row in enumerate(grid)
         for k, o in enumerate(row)
@@ -585,7 +602,7 @@ def _conditioned_pieces(joint, s1, s2, m1, m2):
     out1 = condition_all(s1, m1)
     out2 = condition_all(s2, m2)
     grid = condition_bilocal(joint, m1, m2)
-    prob_norm = abs(sum(o.probability for row in grid for o in row) - 1.0)
+    prob_norm = abs(_sum_in_order(o.probability for row in grid for o in row) - 1.0)
     return out1, out2, grid, prob_norm
 
 

@@ -292,7 +292,7 @@ def test_trial_block_compares_and_shows_every_column():
     assert repr(block) == (
         "TrialBlock(experiment='qepi', indices=range(3, 5), taus=[0.5, -0.0], kappas=(0.0,), "
         "slacks={'s': [1.0, None]}, residuals={'r': [0.0, 1e-12]}, pass_flags={'r': [True, False]}, "
-        "negligible=[0, 2], passed=[True, False])"
+        "negligible=[0, 2])"
     )
     with pytest.raises(TypeError):
         hash(block)

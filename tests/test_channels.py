@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qudit_epi.channels import partial_swap_closed_stack, partial_swap_global, partial_swap_joint_stack
-from qudit_epi.errors import QuditEpiError
+from qudit_epi.errors import QuditEpiError, ValidationError
 from qudit_epi.rand import RandomSource
 from qudit_epi.states import make_density
 
@@ -220,7 +220,7 @@ def test_joint_stack_rejects_mismatched_stacks():
         partial_swap_joint_stack(rho, np.array([0.5]), 2)
     with pytest.raises(QuditEpiError, match=r"expected an \(2, 3\*3\*e, 3\*3\*e\) joint stack"):
         partial_swap_joint_stack(rho, np.array([0.5, 0.5]), 3)
-    with pytest.raises(ValueError, match=r"mixing parameters must be in \[0, 1\], got \[nan\]"):
+    with pytest.raises(ValidationError, match=r"mixing parameters must be in \[0, 1\], got \[nan\]"):
         partial_swap_joint_stack(rho, np.array([0.5, np.nan]), 2)
 
 
@@ -295,10 +295,10 @@ def test_global_kernel_rejects_mismatched_stacks():
         partial_swap_global(rho, rho[:1], np.array([0.5, 0.5]), 2)
     with pytest.raises(QuditEpiError, match=r"expected \(2, 3\*e, 3\*e\) input stacks"):
         partial_swap_global(rho, rho, np.array([0.5, 0.5]), 3)
-    with pytest.raises(ValueError, match=r"mixing parameters must be in \[0, 1\], got \[1\.5\]"):
+    with pytest.raises(ValidationError, match=r"mixing parameters must be in \[0, 1\], got \[1\.5\]"):
         partial_swap_global(rho, rho, np.array([0.5, 1.5]), 2)
     # A NaN fails every comparison: the message names it.
-    with pytest.raises(ValueError, match=r"mixing parameters must be in \[0, 1\], got \[nan\]"):
+    with pytest.raises(ValidationError, match=r"mixing parameters must be in \[0, 1\], got \[nan\]"):
         partial_swap_global(rho, rho, np.array([np.nan, 0.5]), 2)
-    with pytest.raises(ValueError, match=r"mixing parameters must be in \[0, 1\], got \[nan\]"):
+    with pytest.raises(ValidationError, match=r"mixing parameters must be in \[0, 1\], got \[nan\]"):
         partial_swap_closed_stack(rho, rho, np.array([np.nan, 0.5]))

@@ -314,19 +314,29 @@ def test_climb_restart_retry_keeps_the_one_climb_draw_order(monkeypatch):
     assert np.abs(found - expected).max() <= 1e-12
 
 
+_TWO_SEARCHES = [np.stack([np.eye(2, dtype=complex)] * 2)]
+
+
 @pytest.mark.parametrize(
-    "sources, message",
+    "starts, sources, message",
     [
-        ([RandomSource(5), RandomSource(6)], r"one master seed, got \[5, 6\]"),
-        ([], r"0 sources for the 2 searches"),
-        ([RandomSource(5)] * 3, r"3 sources for the 2 searches"),
+        (_TWO_SEARCHES, [RandomSource(5), RandomSource(6)], r"one master seed, got \[5, 6\]"),
+        (_TWO_SEARCHES, [], r"0 sources for the 2 searches"),
+        (_TWO_SEARCHES, [RandomSource(5)] * 3, r"3 sources for the 2 searches"),
+        ([], [RandomSource(5)], rf"need 1 to {CLIMB_REFINE_STEPS} start factors, got 0"),
+        ([np.zeros((2, 2, 3), dtype=complex)], [RandomSource(5)] * 2, r"must be square with one lead shape"),
+        ([np.eye(2, dtype=complex)[None]] * 2 + [np.eye(2, dtype=complex)], [RandomSource(5)], r"one lead shape"),
+        (
+            [np.eye(2, dtype=complex)] * (CLIMB_REFINE_STEPS + 1),
+            [RandomSource(5)],
+            rf"start factors, got {CLIMB_REFINE_STEPS + 1}",
+        ),
     ],
-    ids=["two-seeds", "empty", "wrong-count"],
+    ids=["two-seeds", "empty", "wrong-count", "no-factors", "non-square", "lead-shapes", "too-many-factors"],
 )
-def test_climb_rejects_malformed_sources_before_any_draw(monkeypatch, sources, message):
-    # Two searches; any draw or objective call would fail with another error.
+def test_climb_rejects_malformed_sources_before_any_draw(monkeypatch, starts, sources, message):
+    # Any draw or objective call would fail with another error.
     monkeypatch.setattr(entropy_module, "KeyedStreams", None)
-    starts = [np.stack([np.eye(2, dtype=complex)] * 2)]
 
     def objective(factors):
         raise AssertionError("the objective ran")

@@ -11,6 +11,7 @@ import pytest
 
 from qudit_epi.channels import partial_swap_closed_stack
 from qudit_epi.entropy import entropy_nats_rows, prefix_slack_rows
+from qudit_epi.errors import ValidationError
 from qudit_epi.measurement import condition_projective_all
 from qudit_epi.states import make_density
 
@@ -69,7 +70,7 @@ def test_pswap_closed_stack_matches_closed(d):
         out = partial_swap_closed(rho1, rho2, tau)
         assert np.array_equal(sym[i], out.mat)
         assert np.array_equal(eigs[i], out.eigenvalues_ascending())
-    with pytest.raises(ValueError, match="mixing parameters must be in"):
+    with pytest.raises(ValidationError, match="mixing parameters must be in"):
         partial_swap_closed_stack(r1, r2, taus + 0.5)
 
 

@@ -1,14 +1,18 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 
 from qudit_epi.errors import QuditEpiError, ValidationError
-from qudit_epi.measurement import check_complete, condition_all_stack
+from qudit_epi.measurement import check_complete, condition_all_stack, ordered_sum
 from qudit_epi.rand import RandomSource, haar_unitary
 from qudit_epi.states import DensityMatrix, make_density
 
 from oracles import (
     ConditionalOutcome,
     MultipartiteState,
+    _sum_in_order,
     condition_all,
     condition_bilocal,
     conditional_spectrum,
@@ -74,13 +78,16 @@ def test_condition_all_stack_matches_condition_all(dx, de):
     states.append(multipartite(tensor(sample_state(gen, dx), env), (dx, de)))
     bases = np.stack([[np.eye(de, dtype=complex), haar_unitary(de, gen)] for _ in states])
     rho4 = np.stack([s.state.mat for s in states]).reshape(len(states), 1, dx, de, dx, de)
-    probs, negligible, conditioned, spectra = condition_all_stack(rho4, bases)
+    probs, negligible, residuals, conditioned, spectra = condition_all_stack(rho4, bases)
     assert probs.shape == negligible.shape == (3, 2, de)
+    assert residuals.shape == (3, 2)
     assert len(conditioned) == len(spectra)
     kept = iter(zip(conditioned, spectra))
-    for s, state_probs, state_flags, state_bases in zip(states, probs, negligible, bases):
-        for p, flags, u in zip(state_probs, state_flags, state_bases):
-            for o, q, flag in zip(condition_all(s, projective_from_unitary(u)), p, flags):
+    for s, state_probs, state_flags, state_residuals, state_bases in zip(states, probs, negligible, residuals, bases):
+        for p, flags, residual, u in zip(state_probs, state_flags, state_residuals, state_bases):
+            outcomes = condition_all(s, projective_from_unitary(u))
+            assert residual == abs(_sum_in_order(o.probability for o in outcomes) - 1.0)
+            for o, q, flag in zip(outcomes, p, flags):
                 assert (o.probability, o.negligible) == (q, flag)
                 if not flag:
                     mat, spectrum = next(kept)
@@ -101,6 +108,17 @@ def test_condition_all_stack_checks_each_probability_total():
         condition_all(bad, projective_from_unitary(u))
     assert str(stacked.value) == str(one.value)
     assert str(one.value).startswith("outcome probabilities sum to 1.4")
+
+
+def test_ordered_sum_adds_left_to_right():
+    # np.sum adds pairwise and Python 3.12's sum compensates: both give 1.0.
+    assert repr(float(ordered_sum(np.full(10, 0.1)))) == "0.9999999999999999"
+    rows = np.random.default_rng(64).standard_normal((2000, 16))
+    got = ordered_sum(rows)
+    assert got.shape == (2000,)
+    assert got.tolist() == [functools.reduce(operator.add, row) for row in rows.tolist()]
+    assert (got != rows.sum(axis=1)).any()  # np.sum, adding pairwise, differs on some rows
+    assert np.array_equal(ordered_sum(rows.reshape(2, 1000, 16)), got.reshape(2, 1000))
 
 
 def test_condition_product_leaves_system_untouched():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qudit_epi import rand
-from qudit_epi.errors import QuditEpiError
+from qudit_epi.errors import QuditEpiError, UsageError
 from qudit_epi.rand import (
     KeyedStreams,
     RandomSource,
@@ -158,5 +158,5 @@ def test_state_kind_aliases():
     documented = {"pure": "pure", "ginibre": "ginibre", "rank-k": "rank", "rank": "rank"}
     assert {kind: normalize_state_kind(kind) for kind in documented} == documented
     for kind in ("pure-haar", "mixed-ginibre", "mixed-rank-k", "Ginibre", " pure", "RANK-K", "thermal"):
-        with pytest.raises(ValueError, match=r"^unknown state kind .*; expected pure, ginibre or rank-k$"):
+        with pytest.raises(UsageError, match=r"^unknown state kind .*; expected pure, ginibre or rank-k$"):
             normalize_state_kind(kind)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qudit_epi.errors import QuditEpiError, ValidationError
+from qudit_epi.measurement import check_complete, condition_all_stack
 from qudit_epi.rand import RandomSource
 from qudit_epi.states import eigenvalues_descending_stack, make_density, make_density_stack
 
@@ -192,6 +193,43 @@ def test_spectrum_clipping_and_order():
         assert np.all(np.diff(vals) <= 0)
         assert vals.min() >= 0.0
         assert vals.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+_NAN = np.full((2, 2), np.nan + 0j)
+# m - m† is inf - inf = NaN off the diagonal.
+_INF = np.array([[0.5, np.inf], [np.inf, 0.5]], dtype=complex)
+_NEGINF = np.array([[0.5, -np.inf], [-np.inf, 0.5]], dtype=complex)
+_HERMITICITY = r"max\|m - m†\| = nan exceeds tol"
+_NON_FINITE = [
+    (make_density, _NAN, _HERMITICITY),
+    (make_density, _INF, _HERMITICITY),
+    (make_density, _NEGINF, _HERMITICITY),
+    (make_density_stack, _NAN[None], _HERMITICITY),
+    (make_density_stack, np.stack([np.eye(2) / 2, _INF]), _HERMITICITY),
+    (make_density_stack, _NEGINF[None], _HERMITICITY),
+    (eigenvalues_descending_stack, np.array([[0.0, 1.0], [np.nan, 1.0]]), r"eigenvalue nan below"),
+    (eigenvalues_descending_stack, np.array([[0.0, np.nan]]), r"spectrum sums to nan"),
+    (eigenvalues_descending_stack, np.array([[0.0, np.inf]]), r"spectrum sums to inf"),
+    (check_complete, _NAN, r"max\|U†U - I\| = nan"),
+    (check_complete, np.stack([np.eye(2), _INF]), r"max\|U†U - I\| = nan"),
+    (lambda rho: condition_all_stack(rho.reshape(1, 2, 1, 2, 1), np.eye(1)), _NAN, _HERMITICITY),
+]
+
+
+@pytest.mark.parametrize(
+    "check, entries, message",
+    _NON_FINITE,
+    ids=[
+        "density-nan", "density-inf", "density-neginf", "stack-nan", "stack-inf", "stack-neginf",
+        "spectrum-nan-low", "spectrum-nan-total", "spectrum-inf-total", "complete-nan", "complete-inf",
+        "condition-nan",
+    ],
+)
+def test_checks_reject_nan_and_inf(check, entries, message):
+    # A NaN fails every comparison, so each check fails unless its deviation
+    # is within tolerance.
+    with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match=message):
+        check(entries)
 
 
 def test_matrix_distance():
