@@ -1,1 +1,1 @@
-__version__ = "0.10.0"
+__version__ = "0.11.0"

@@ -38,7 +38,7 @@ def partial_swap_closed_stack(r1: np.ndarray, r2: np.ndarray, tau: np.ndarray) -
     """The addition rule on stacks: row i mixes r1[i] and r2[i] with tau[i].
 
     r1 and r2 are (N, d, d) density stacks, tau an (N,) array. Returns the
-    validated output stack and its ascending eigenvalues (see
+    validated output stack and its descending spectra (see
     :func:`make_density_stack`), row i bit for bit ``partial_swap_closed`` of
     ``tests/oracles.py``. The commutator term is skipped exactly at tau in
     {0, 1}, so the endpoints return the unmixed input.
@@ -72,7 +72,7 @@ def partial_swap_joint_stack(joint: np.ndarray, tau: np.ndarray, d: int) -> tupl
 
     Returns the validated (3, N, d*e, d*e) stack of the output on (Y, E) and
     the marginals Tr_X2 rho on (X1, E) and Tr_X1 rho on (X2, E), and their
-    ascending eigenvalues (see :func:`make_density_stack`).
+    (3, N, d*e) descending spectra (see :func:`make_density_stack`).
     """
     n = len(tau)
     e = joint.shape[-1] // (d * d)
@@ -91,8 +91,8 @@ def partial_swap_joint_stack(joint: np.ndarray, tau: np.ndarray, d: int) -> tupl
     c = np.sqrt(t * (1.0 - t))
     swapped = np.einsum("nbaecbf->naecf", r) - np.einsum("nabebcf->naecf", r)
     out = np.where(c != 0.0, out + 1j * c * swapped, out)
-    states, eigs = make_density_stack(np.stack([out, first, second]).reshape(3 * n, d * e, d * e))
-    return states.reshape(3, n, d * e, d * e), eigs.reshape(3, n, d * e)
+    states, spectra = make_density_stack(np.stack([out, first, second]).reshape(3 * n, d * e, d * e))
+    return states.reshape(3, n, d * e, d * e), spectra.reshape(3, n, d * e)
 
 
 def partial_swap_global(
@@ -117,9 +117,8 @@ def partial_swap_global(
     ever formed. The commutator term is skipped exactly at tau in {0, 1}.
 
     Returns the validated (N, D, D) output stack, D = d*e1*e2 ordered
-    (Y, E1, E2), and its ascending eigenvalues (see
-    :func:`make_density_stack`); row i is bit for bit what the row alone
-    gives.
+    (Y, E1, E2), and its descending spectra (see :func:`make_density_stack`);
+    row i is bit for bit what the row alone gives.
     """
     n = len(tau)
     e1, e2 = rho1.shape[-1] // d, rho2.shape[-1] // d

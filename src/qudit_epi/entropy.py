@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import QuditEpiError
-from .measurement import PROB_FLOOR, condition_projective_all
+from .measurement import PROB_FLOOR, condition_projective_all, ordered_sum
 from .rand import KeyedStreams, derived_indices, haar_unitaries, haar_unitary
 
 # Budget of each climb_product_basis search.
@@ -50,15 +50,14 @@ def prefix_slack_rows(dominating: np.ndarray, dominated: np.ndarray) -> tuple[np
 
 
 def entropy_nats_rows(p: np.ndarray) -> np.ndarray:
-    """-sum p ln p in nats of each row of an (N, d) stack with entries
-    p >= 0 (unvalidated), as an (N,) array.
+    """-sum p ln p in nats of each row of an (..., d) stack with entries
+    p >= 0 (unvalidated), as a (...) array.
 
-    Zero entries add an exact 0.0 term instead of being dropped. Rows of
-    fewer than 8 entries, numpy's pairwise-summation block, sum in the same
-    order as ``entropy_nats`` of ``tests/oracles.py``, so each value equals
-    it bit for bit; longer rows may differ in the last bit.
+    Zero entries add an exact 0.0 term instead of being dropped. The terms
+    add left to right (:func:`ordered_sum`), as ``entropy_nats`` of
+    ``tests/oracles.py`` adds them, so each value equals it bit for bit.
     """
-    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=1)
+    return -ordered_sum(p * np.log(np.where(p > 0.0, p, 1.0)))
 
 
 def kappa_bounds(d: int) -> float:
@@ -110,7 +109,7 @@ def projective_entropy_power(rho4s, bases, kappa) -> list[tuple[np.ndarray, np.n
     """
     blocks = np.concatenate([condition_projective_all(r, b) for r, b in zip(rho4s, bases)], axis=-3)
     probs, kept, lam = _normalized_spectra(blocks)
-    entropies = entropy_nats_rows(np.clip(lam, 0.0, None).reshape(-1, lam.shape[-1])).reshape(probs.shape)
+    entropies = entropy_nats_rows(np.clip(lam, 0.0, None))
     powers = np.where(kept, np.exp(np.asarray(kappa)[..., None] * entropies), 0.0)
     probs = np.where(kept, probs, 0.0)
     splits = np.cumsum([b.shape[-1] for b in bases[:-1]])

@@ -30,10 +30,12 @@ validate, mix and take spectra and entropies of the whole block at once, and
 fill each column from those stacks.
 theorem and lemma share the stacked setting draw (:func:`_theorem_settings`),
 the global channel (one :func:`partial_swap_global` call) and the validated
-conditioning (:func:`condition_all_stack`). The theorem climbs every search
-of the block in lockstep (:func:`climb_product_basis`) over all their kappas
-and restarts and conditions at the pairs found; the lemma checks every kept
-outcome pair of the block in one :func:`partial_swap_closed_stack` call.
+conditioning of the two inputs and the output (:func:`_condition_bilocal`),
+which hands back states, spectra and skipped outcome pairs on the outcome
+grid. The theorem climbs every search of the block in lockstep
+(:func:`climb_product_basis`) over all their kappas and restarts and
+conditions at the pairs found; the lemma checks every kept outcome pair of
+the block in one :func:`partial_swap_closed_stack` call.
 Either way every value equals what the trial alone computes, bit for bit, so
 no line depends on the block size or --parallel. conjecture stacks its two
 arms on the same parts: the drawn states (:func:`states_from_gaussians`), one
@@ -43,12 +45,13 @@ conditional entropies of validated states. Every trial draws one fixed-length
 row, so a re-checked candidate's perturbation moves no other draw.
 
 The slack and residual columns are computed on a block's validated stacks
-under two rules that keep each value bit for bit the one-trial route's: each
-entropy power e^(kappa S) is math.exp of kappa S (:func:`_entropy_powers`),
-and each sum over outcomes adds its terms left to right
-(:func:`ordered_sum`), so no value depends on numpy's exp, its pairwise sums
-or the Python version's builtin sum. A :class:`TrialBlock` is a NamedTuple
-of its columns; its `passed` property is derived from `pass_flags`.
+and the spectra they come with, under two rules that keep each value bit for
+bit the one-trial route's: each entropy power e^(kappa S) is math.exp of
+kappa S (:func:`_entropy_powers`), and each sum over outcomes or over a
+spectrum adds its terms left to right (:func:`ordered_sum`), so no value
+depends on numpy's exp, its pairwise sums or the Python version's builtin
+sum. A :class:`TrialBlock` is a NamedTuple of its columns; its `passed`
+property is derived from `pass_flags`.
 
 :func:`_block_size` sizes the blocks: 512 trials of qepi or concavity; for
 the others the trials divided evenly over the workers, at most as many as
@@ -105,7 +108,7 @@ from .rand import (
     state_columns,
     states_from_gaussians,
 )
-from .states import eigenvalues_descending_stack, make_density, make_density_stack
+from .states import make_density, make_density_stack
 
 MAX_DIM = 6
 MAX_ENV_DIM = 4
@@ -447,6 +450,26 @@ def _theorem_settings(cfg: TrialConfig, experiment: str, indices: range):
     return taus, rho1, rho2, u1, u2
 
 
+def _condition_bilocal(d: int, rho1, rho2, joint, u1: np.ndarray, u2: np.ndarray):
+    """The :func:`condition_all_stack` results of the (B, D, D) stacks of
+    inputs on (X, E1) and (X, E2) and of their output on (Y, E1, E2), at the
+    (B, ..., e_j, e_j) bases u1, u2 (each checked by :func:`check_complete`)
+    and u1 (x) u2, whose outcome j e2 + k is the pair (j, k); and the
+    (B, ..., e1, e2) mask of the pairs skipped, negligible for any of them.
+    """
+    check_complete(u1)
+    check_complete(u2)
+    e1, e2 = u1.shape[-1], u2.shape[-1]
+    lead = (len(rho1),) + (1,) * (u1.ndim - 3)
+    measured = [
+        condition_all_stack(rho.reshape(*lead, d, e, d, e), u)
+        for rho, e, u in ((rho1, e1, u1), (rho2, e2, u2), (joint, e1 * e2, _kron_pairs(u1, u2)))
+    ]
+    neg1, neg2, neg = (negligible for _, negligible, *_ in measured)
+    skip = neg.reshape(*neg.shape[:-1], e1, e2) | neg1[..., :, None] | neg2[..., None, :]
+    return (*measured, skip)
+
+
 def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     """Per-measurement conditional entropy power inequality on the settings
     of trials `indices`.
@@ -463,10 +486,10 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     Per trial, draw order tau, state 1, state 2, basis 1, basis 2; restart r
     of kappa t's search draws from the trial's source.derive(t, r). Every
     step is stacked: the setting draws, one :func:`partial_swap_global` call,
-    one lockstep climb of every search, and one :func:`condition_all_stack`
-    call per state over every trial's Haar and found pairs, with the
-    one-trial route's checks. The slacks are array arithmetic on the
-    validated probabilities and entropies, with each entropy power taken by
+    one lockstep climb of every search, and one :func:`_condition_bilocal`
+    call over every trial's Haar and found pairs, with the one-trial route's
+    checks. The slacks are array arithmetic on the validated probabilities
+    and spectra on the outcome grid, with each entropy power taken by
     :func:`_entropy_powers` and each sum over outcomes by
     :func:`ordered_sum`, in the one-trial route's order; prob_norm is the
     largest residual of the output's outcome totals over the trial's pairs.
@@ -490,43 +513,26 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
         sources = [RandomSource(cfg.seed, stream) for stream in streams.ravel().tolist()]
         _, (found1, found2) = climb_product_basis(objective, starts, sources)
         u1, u2 = np.concatenate([u1, found1], axis=1), np.concatenate([u2, found2], axis=1)
-    check_complete(u1)
-    check_complete(u2)
-    b = len(taus)
-    measured = [
-        condition_all_stack(rho4, u)
-        for rho4, u in (
-            (rho1.reshape(b, 1, d, e1, d, e1), u1),
-            (rho2.reshape(b, 1, d, e2, d, e2), u2),
-            (joint.reshape(b, 1, d, e1 * e2, d, e1 * e2), _kron_pairs(u1, u2)),
-        )
-    ]
-    spectra = [lam for *_, lam in measured]
-    kept = np.split(entropy_nats_rows(np.concatenate(spectra)), np.cumsum([len(lam) for lam in spectra[:-1]]))
-    # Per state, the (B, K, n) probabilities, negligible flags and entropies
-    # at the pair that kappa t's slack reads.
+    (q1, neg1, _, _, lam1), (q2, neg2, _, _, lam2), (_, neg, prob_norms, _, lam), skip = _condition_bilocal(
+        d, rho1, rho2, joint, u1, u2
+    )
+    # The pair that kappa t's slack reads.
     pairs = [1 + searched.index(t) if kappa > 0.0 else 0 for t, kappa in enumerate(kappas)]
-    pieces = []
-    for (probs, negligible, *_), kept_entropies in zip(measured, kept):
-        entropies = np.zeros(probs.shape)
-        entropies[~negligible] = kept_entropies
-        pieces.append((probs[:, pairs], negligible[:, pairs], entropies[:, pairs]))
-    (q1, neg1, s1), (q2, neg2, s2), (q, neg, s) = pieces
     kappa = np.array(kappas)[:, None]
 
-    def expectation(probs, skip, entropies):
-        # The probability-weighted entropy power over the outcomes not skipped.
-        return ordered_sum(np.where(skip, 0.0, probs * _entropy_powers(kappa, entropies)))
+    def expectation(probs, skip, spectra):
+        # The probability-weighted entropy power over the outcomes not
+        # skipped, at each kappa's pair.
+        powers = _entropy_powers(kappa, entropy_nats_rows(spectra[:, pairs]))
+        return ordered_sum(np.where(skip[:, pairs], 0.0, probs[:, pairs] * powers))
 
-    q12 = (q1[..., :, None] * q2[..., None, :]).reshape(q.shape)
-    skip = (neg.reshape(*neg.shape[:-1], e1, e2) | neg1[..., :, None] | neg2[..., None, :]).reshape(neg.shape)
+    q12 = (q1[..., :, None] * q2[..., None, :]).reshape(neg.shape)
+    lhs = expectation(q12, skip.reshape(neg.shape), lam)
     tau = np.array(taus)[:, None]
-    values = expectation(q12, skip, s) - tau * expectation(q1, neg1, s1) - (1.0 - tau) * expectation(q2, neg2, s2)
+    values = lhs - tau * expectation(q1, neg1, lam1) - (1.0 - tau) * expectation(q2, neg2, lam2)
     slacks = dict(zip(keys, values.T.tolist()))
-
-    _, joint_negligible, prob_norms, *_ = measured[2]
     residuals = {"prob_norm": prob_norms.max(axis=1).tolist()}
-    skipped = joint_negligible[:, 0].sum(axis=1).tolist()  # at the Haar pair
+    skipped = neg[:, 0].sum(axis=1).tolist()  # at the Haar pair
     flags = _verdict(cfg, slacks, residuals, soft)
     return TrialBlock("theorem", indices, taus, kappas, slacks, residuals, flags, skipped)
 
@@ -542,48 +548,42 @@ def _lemma_block(cfg: TrialConfig, indices: range) -> TrialBlock:
 
     Per trial, draw order tau, state 1, state 2, basis 1, basis 2, as the
     theorem's. Every step is stacked: the setting draws, one
-    :func:`partial_swap_global` call, one :func:`condition_all_stack` call per
-    state at the Haar pair, and one :func:`partial_swap_closed_stack` call
-    over the kept outcome pairs of every trial. Each value is what the trial
-    computes alone, bit for bit: a trial's maxima and minima fold over its
-    outcome pairs in row-major order, and prob_norm is the residual of its
-    output's outcome total that :func:`condition_all_stack` returns.
+    :func:`partial_swap_global` call, one :func:`_condition_bilocal` call at
+    the Haar pairs, and one :func:`partial_swap_closed_stack` call over the
+    kept outcome pairs of every trial, read off the outcome grids. Each value
+    is what the trial computes alone, bit for bit: a trial's maxima and minima
+    fold over its outcome pairs in row-major order, and prob_norm is the
+    residual of its output's outcome total that :func:`condition_all_stack`
+    returns.
     """
     d, e1, e2 = cfg.d, cfg.d_e1, cfg.d_e2
     taus, rho1, rho2, u1, u2 = _theorem_settings(cfg, "lemma", indices)
     tau = np.array(taus)
     joint, _ = partial_swap_global(rho1, rho2, tau, d)
     b = len(taus)
-    (q1, neg1, _, states1, lam1), (q2, neg2, _, states2, lam2), (q, neg, prob_norm, states, lam) = (
-        condition_all_stack(rho4, u)
-        for rho4, u in (
-            (rho1.reshape(b, d, e1, d, e1), u1),
-            (rho2.reshape(b, d, e2, d, e2), u2),
-            (joint.reshape(b, d, e1 * e2, d, e1 * e2), _kron_pairs(u1, u2)),
-        )
+    (q1, _, _, states1, lam1), (q2, _, _, states2, lam2), (q, _, prob_norm, states, lam), skip = _condition_bilocal(
+        d, rho1, rho2, joint, u1, u2
     )
-    # Row of each kept outcome in the state and spectrum stacks.
-    row1, row2, row = (np.cumsum(~n.reshape(-1)).reshape(n.shape) - 1 for n in (neg1, neg2, neg))
-    kept = ~(neg.reshape(b, e1, e2) | neg1[:, :, None] | neg2[:, None, :])
-    i, j, k = np.nonzero(kept)
-    a, c, g = row1[i, j], row2[i, k], row[i, j * e2 + k]
-    targets, _ = partial_swap_closed_stack(states1[a], states2[c], tau[i])
-    distances = np.abs(states[g] - targets).max(axis=(1, 2)).tolist()
+    # Trial i's kept outcome pair (j, k) is the output's outcome g = j e2 + k.
+    i, j, k = np.nonzero(~skip)
+    g = j * e2 + k
+    targets, _ = partial_swap_closed_stack(states1[i, j], states2[i, k], tau[i])
+    distances = np.abs(states[i, g] - targets).max(axis=(1, 2)).tolist()
     t = tau[i, None]
-    pair_slacks, totals = prefix_slack_rows(t * lam1[a] + (1.0 - t) * lam2[c], lam[g])
+    pair_slacks, totals = prefix_slack_rows(t * lam1[i, j] + (1.0 - t) * lam2[i, k], lam[i, g])
     pair_slacks, totals = pair_slacks.tolist(), np.abs(totals).tolist()
     factor = np.abs(q.reshape(b, e1, e2) - q1[:, :, None] * q2[:, None, :]).reshape(b, -1).tolist()
 
     slacks: dict[str, list] = {"lemma_majorization": []}
     residuals: dict[str, list] = {"lemma_identity": [], "major_total": [], "factorization": []}
-    ends = np.cumsum(kept.reshape(b, -1).sum(axis=1)).tolist()
+    negligible = skip.reshape(b, -1).sum(axis=1).tolist()
+    ends = np.cumsum([e1 * e2 - n for n in negligible]).tolist()
     for start, end, trial_factor in zip([0, *ends], ends, factor):
         slacks["lemma_majorization"].append(min([math.inf, *pair_slacks[start:end]]))
         residuals["lemma_identity"].append(max([0.0, *distances[start:end]]))
         residuals["major_total"].append(max([0.0, *totals[start:end]]))
         residuals["factorization"].append(max([0.0, *trial_factor]))
     residuals["prob_norm"] = prob_norm.tolist()
-    negligible = (~kept).reshape(b, -1).sum(axis=1).tolist()
     return TrialBlock("lemma", indices, taus, (), slacks, residuals, _verdict(cfg, slacks, residuals), negligible)
 
 
@@ -592,11 +592,9 @@ def _qepi_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     shapes = [(cfg.d, state_columns(cfg.d, cfg.state_kind, cfg.rank))] * 2
     taus, normals = _block_normals(cfg, "qepi", indices, _normal_count(shapes))
     g1, g2 = _complex_gaussians(normals, shapes)
-    (rho1, eigs1), (rho2, eigs2) = states_from_gaussians(g1, cfg.state_kind), states_from_gaussians(g2, cfg.state_kind)
+    (rho1, lam1), (rho2, lam2) = states_from_gaussians(g1, cfg.state_kind), states_from_gaussians(g2, cfg.state_kind)
     tau_stack = np.array(taus, dtype=np.float64)
-    _, eigs_out = partial_swap_closed_stack(rho1, rho2, tau_stack)
-
-    lam1, lam2, lam_out = (eigenvalues_descending_stack(e) for e in (eigs1, eigs2, eigs_out))
+    _, lam_out = partial_swap_closed_stack(rho1, rho2, tau_stack)
     t = tau_stack[:, None]
     maj_slacks, totals = prefix_slack_rows(t * lam1 + (1.0 - t) * lam2, lam_out)
     kappas, keys, soft = _kappa_grid(cfg, "qepi")
@@ -642,15 +640,13 @@ def _conjecture_layout(cfg: TrialConfig):
     return main, control, (_normal_count(main), 2 * (d * d * de) ** 2, _normal_count(control))
 
 
-def _conditional_entropies(states: np.ndarray, eigs: np.ndarray, d: int) -> np.ndarray:
+def _conditional_entropies(states: np.ndarray, spectra: np.ndarray, d: int) -> np.ndarray:
     """S(XE) - S(E) in nats of each (X, E) state of a validated
-    (..., d*e, d*e) stack with ascending eigenvalues `eigs`, X of dim d. Each
+    (..., d*e, d*e) stack with descending spectra `spectra`, X of dim d. Each
     E marginal is validated, as make_density validates it."""
-    size = states.shape[-1]
-    e = size // d
-    _, env_eigs = make_density_stack(np.einsum("naeaf->nef", states.reshape(-1, d, e, d, e)))
-    s_xe, s_e = (entropy_nats_rows(eigenvalues_descending_stack(x)) for x in (eigs.reshape(-1, size), env_eigs))
-    return (s_xe - s_e).reshape(states.shape[:-2])
+    e = states.shape[-1] // d
+    _, env_spectra = make_density_stack(np.einsum("naeaf->nef", states.reshape(-1, d, e, d, e)))
+    return entropy_nats_rows(spectra) - entropy_nats_rows(env_spectra).reshape(states.shape[:-2])
 
 
 def _joint_slacks(joint: np.ndarray, tau: np.ndarray, d: int) -> np.ndarray:
@@ -705,10 +701,10 @@ def _conjecture_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     # Control arm: product-shaped inputs, conditioning on both environments.
     drawn = np.where(candidate[:, None], normals[:, n_main + n_bump :], normals[:, n_main : n_main + n_control])
     g1, g2 = _complex_gaussians(drawn, control)
-    (rho1, eigs1), (rho2, eigs2) = states_from_gaussians(g1, cfg.state_kind), states_from_gaussians(g2, cfg.state_kind)
+    (rho1, lam1), (rho2, lam2) = states_from_gaussians(g1, cfg.state_kind), states_from_gaussians(g2, cfg.state_kind)
     s_out, s_1, s_2 = (
         _conditional_entropies(*pair, d)
-        for pair in (partial_swap_global(rho1, rho2, tau, d), (rho1, eigs1), (rho2, eigs2))
+        for pair in (partial_swap_global(rho1, rho2, tau, d), (rho1, lam1), (rho2, lam2))
     )
 
     # A trial that re-checks no candidate holds None for conjecture_perturbed.

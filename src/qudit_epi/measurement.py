@@ -9,10 +9,12 @@ joint state against the basis vectors directly (see
 Each rule has one owner: :func:`check_complete` is the completeness check of
 one basis and of a stack, and :func:`condition_all_stack` the validated
 conditioning of stacks of states, the one route the experiments condition
-by. Its one-state oracle (``condition_all`` and ``condition_bilocal`` in
+by; it returns the conditioned states and their spectra on the outcome grid.
+Its one-state oracle (``condition_all`` and ``condition_bilocal`` in
 ``tests/oracles.py``) is held to the same bits by the tests.
 :func:`ordered_sum` is the summation rule of every sum over outcomes that a
-recorded slack or residual takes: terms add left to right, in outcome order.
+recorded slack or residual takes, and of each entropy's sum over a
+spectrum: terms add left to right, in order.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import ValidationError
-from .states import eigenvalues_descending_stack, make_density_stack
+from .states import make_density_stack
 
 PROB_FLOOR = 1e-12
 COMPLETENESS_TOL = 1e-10
@@ -82,22 +84,24 @@ def condition_all_stack(
     bases, which broadcast as in :func:`condition_projective_all` (the bases
     are not checked; see :func:`check_complete`).
 
-    Returns the (..., n) outcome probabilities, the (..., n) mask of
-    negligible outcomes (probability at or below PROB_FLOOR), the (...)
-    residuals |total - 1| of each state's outcome probabilities, and the
-    (M, dx, dx) conditioned states (each validated by make_density_stack) and
-    (M, dx) descending spectra of the other M outcomes, in row-major order.
-    Each value is what its state and basis give alone, bit for bit. Each
-    total, summed by :func:`ordered_sum`, must be within PROB_SUM_TOL of 1.
+    Each state's outcome total, summed by :func:`ordered_sum`, must first be
+    within PROB_SUM_TOL of 1. Returns, on the (..., n) outcome grid, the
+    outcome probabilities, the mask of negligible outcomes (probability at
+    or below PROB_FLOOR), the (...) residuals |total - 1|, and the
+    (..., n, dx, dx) conditioned states and (..., n, dx) descending spectra
+    that make_density_stack validates and returns, zero at the negligible
+    outcomes. Each value is what its state and basis give alone, bit for bit.
     """
     blocks = condition_projective_all(rho4, bases)
     probs = np.trace(blocks, axis1=-2, axis2=-1).real
-    negligible = probs <= PROB_FLOOR
-    kept = ~negligible
-    states, eigs = make_density_stack(blocks[kept] / probs[kept][:, None, None])
     totals = ordered_sum(probs)
     residuals = np.abs(totals - 1.0)
     bad = ~(residuals <= PROB_SUM_TOL)
     if bad.any():
         raise ValidationError(f"outcome probabilities sum to {float(totals[bad][0])!r}")
-    return probs, negligible, residuals, states, eigenvalues_descending_stack(eigs)
+    negligible = probs <= PROB_FLOOR
+    kept = ~negligible
+    states = np.zeros(blocks.shape, dtype=np.complex128)
+    spectra = np.zeros(blocks.shape[:-1])
+    states[kept], spectra[kept] = make_density_stack(blocks[kept] / probs[kept][:, None, None])
+    return probs, negligible, residuals, states, spectra

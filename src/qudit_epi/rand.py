@@ -160,7 +160,7 @@ def states_from_gaussians(g: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndar
     first column for a pure kind, else G G† / Tr(G G†), the Hilbert-Schmidt
     measure at full rank.
 
-    Returns the validated density stack and its ascending eigenvalues (see
+    Returns the validated density stack and its descending spectra (see
     :func:`make_density_stack`); row i equals, bit for bit, the state that
     ``sample_state`` in ``tests/oracles.py`` draws as g[i]. The pure-state
     norm is taken as the dot products re.re + im.im, the way np.linalg.norm

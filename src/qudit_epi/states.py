@@ -4,9 +4,11 @@ Subsystem ordering convention: the leftmost tensor factor is always the
 slowest-varying index. A state documented as living on (X, E) stores X first;
 (X1, E1, X2, E2)-style lists mean exactly that storage order.
 
-Validation tolerances are module constants. The package validates stacks;
-:func:`make_density` and :class:`DensityMatrix` validate and hold one state
-for the one-state test oracles in ``tests/oracles.py``.
+Validation tolerances are module constants. The package validates stacks by
+:func:`make_density_stack`, which hands back each state's spectrum sorted
+down, the one every caller reads; :func:`make_density` and
+:class:`DensityMatrix` validate and hold one state for the one-state test
+oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "DensityMatrix",
     "make_density",
     "make_density_stack",
-    "eigenvalues_descending_stack",
 ]
 
 
@@ -100,14 +101,20 @@ def make_density(entries) -> DensityMatrix:
 
 
 def make_density_stack(entries) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`make_density` on each matrix of an (N, d, d) stack.
+    """:func:`make_density` on each matrix of an (N, d, d) stack, and the
+    spectrum of each.
 
     Each check runs over the whole stack in make_density's order and with its
     message: hermiticity, trace, then the smallest eigenvalue of (m + m†)/2.
-    The first row failing a check raises. Returns the symmetrized stack and
-    its ascending eigenvalues, row i bit for bit what make_density stores for
-    entries[i]. The arrays stay writable; the one-state oracles in
-    ``tests/oracles.py`` wrap a row in a DensityMatrix to share it.
+    Each spectrum is then sorted down, its entries in [-POSITIVITY_TOL, 0)
+    are clipped to zero and it is renormalized, provided its total is within
+    SPECTRUM_SUM_TOL of one; a larger deviation is a hard error separating
+    float noise from an invalid state. The first row failing a check raises.
+    Returns the symmetrized stack, row i bit for bit what make_density stores
+    for entries[i], and the (N, d) descending spectra, row i bit for bit what
+    ``eigenvalues_descending`` of ``tests/oracles.py`` returns for that state.
+    The arrays stay writable; the one-state oracles wrap a row in a
+    DensityMatrix to share it.
     """
     arr = np.asarray(entries, dtype=np.complex128)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
@@ -128,18 +135,6 @@ def make_density_stack(entries) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(
             f"smallest eigenvalue {eigs[bad.argmax(), 0]:.6e} below -tol {-POSITIVITY_TOL:.1e}"
         )
-    return sym, eigs
-
-
-def eigenvalues_descending_stack(eigs: np.ndarray) -> np.ndarray:
-    """Each row of an (N, d) stack of ascending eigenvalues in non-increasing
-    order. Entries in [-1e-10, 0) are clipped to zero and each row is
-    renormalized if its total is within 1e-9 of one; larger deviations, and
-    NaNs, are hard errors. Row i is bit for bit ``eigenvalues_descending`` of
-    ``tests/oracles.py``, with its checks and messages."""
-    low = ~(eigs[:, 0] >= -POSITIVITY_TOL)
-    if low.any():
-        raise ValidationError(f"eigenvalue {eigs[low.argmax(), 0]:.6e} below -{POSITIVITY_TOL:.1e}")
     vals = np.clip(eigs[:, ::-1], 0.0, None)
     total = vals.sum(axis=1)
     off = ~(np.abs(total - 1.0) <= SPECTRUM_SUM_TOL)
@@ -147,4 +142,4 @@ def eigenvalues_descending_stack(eigs: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"spectrum sums to {float(total[off.argmax()])!r}, off by more than {SPECTRUM_SUM_TOL:.1e}"
         )
-    return vals / total[:, None]
+    return sym, vals / total[:, None]

@@ -11,10 +11,10 @@ calls anything in this module.
   functionals :func:`prefix_slack`, :func:`entropy_nats`, :func:`majorizes`,
   :func:`shannon_entropy`, :func:`von_neumann_entropy` and
   :func:`entropy_power`, with their tolerances. Each stacked kernel
-  (``states.eigenvalues_descending_stack``, ``rand.states_from_gaussians``,
-  ``channels.partial_swap_closed_stack``, ``entropy.prefix_slack_rows`` and
-  ``entropy.entropy_nats_rows``) is held to its one-state twin here, bit
-  for bit where its docstring says so.
+  (``states.make_density_stack`` and the spectra it returns,
+  ``rand.states_from_gaussians``, ``channels.partial_swap_closed_stack``,
+  ``entropy.prefix_slack_rows`` and ``entropy.entropy_nats_rows``) is held
+  to its one-state twin here, bit for bit where its docstring says so.
 * States: :class:`MultipartiteState` attaches subsystem dimensions to one
   validated state, and :func:`partial_trace` reduces it.
 * Channel: :func:`partial_swap_conjugation` (build U, conjugate, trace out)
@@ -26,9 +26,11 @@ calls anything in this module.
 * Conditioning: :class:`MeasurementSet`, :func:`condition_all`,
   :func:`condition_bilocal` and :func:`conditional_spectrum` are the
   validated one-state conditioning that ``measurement.condition_all_stack``
-  must reproduce bit for bit; :func:`_check_normalization` is its check of
-  each outcome total, summed left to right by :func:`_sum_in_order` as
-  ``measurement.ordered_sum`` sums.
+  must reproduce bit for bit at every kept outcome of its grid;
+  :func:`_check_normalization` is its check of each outcome total, summed
+  left to right by :func:`_sum_in_order` as ``measurement.ordered_sum``
+  sums. The stacked route checks a state's total before its outcomes, this
+  route after, so on a state failing both they raise different messages.
 * Trials: :func:`trial_source` is a trial's stream key,
   :func:`_theorem_slack` the theorem's slack from validated outcomes,
   :func:`_lemma_trial` one lemma trial by these routes, drawn by
@@ -144,12 +146,13 @@ def prefix_slack(dominating: np.ndarray, dominated: np.ndarray) -> tuple[float, 
 
 def entropy_nats(p) -> float:
     """Shannon entropy -sum p ln p in nats; zero entries contribute nothing.
+    The terms add left to right (:func:`_sum_in_order`).
 
     Unvalidated: the caller guarantees p >= 0 (see :func:`shannon_entropy`).
     """
     p = np.asarray(p, dtype=np.float64)
     p = p[p > 0.0]
-    return float(-(p * np.log(p)).sum())
+    return -_sum_in_order((p * np.log(p)).tolist())
 
 
 def majorizes(n, m, tol: float = MAJORIZATION_TOL) -> bool:
@@ -402,8 +405,8 @@ def _bilocal_channel(s1, s2, tau: float):
     """:func:`partial_swap_global` of one (X, E1), (X, E2) setting, as the
     (Y, E1, E2) state."""
     (d, e1), (_, e2) = s1.dims, s2.dims
-    out, eigs = partial_swap_global(s1.state.mat[None], s2.state.mat[None], np.array([tau]), d)
-    return multipartite(DensityMatrix(out[0], eigs[0]), (d, e1, e2))
+    out, _ = partial_swap_global(s1.state.mat[None], s2.state.mat[None], np.array([tau]), d)
+    return multipartite(DensityMatrix(out[0]), (d, e1, e2))
 
 
 # ----------------------------------------------------------- conditioning

@@ -12,6 +12,7 @@ from qudit_epi.states import make_density
 
 from oracles import (
     _bilocal_channel,
+    eigenvalues_descending,
     matrix_distance,
     multipartite,
     partial_swap_closed,
@@ -205,9 +206,11 @@ def test_joint_stack_matches_dense_conjugation_on_entangled_states(d, e):
     kinds = ["ginibre", "pure"] * 3 + ["pure"]
     joints = [multipartite(sample_state(gen, d * d * e, kind), (d, d, e)) for kind in kinds]
     taus = np.concatenate([[0.0, 1.0], gen.random(len(joints) - 2)])
-    states, eigs = partial_swap_joint_stack(np.stack([s.state.mat for s in joints]), taus, d)
-    assert states.shape == (3, len(joints), d * e, d * e) and eigs.shape == (3, len(joints), d * e)
-    assert np.abs(eigs - np.linalg.eigvalsh(states)).max() <= 1e-12
+    states, spectra = partial_swap_joint_stack(np.stack([s.state.mat for s in joints]), taus, d)
+    assert states.shape == (3, len(joints), d * e, d * e) and spectra.shape == (3, len(joints), d * e)
+    for state, spectrum in zip(states.reshape(-1, d * e, d * e), spectra.reshape(-1, d * e)):
+        # A validated state is exactly Hermitian, so make_density returns it unchanged.
+        assert repr(spectrum.tolist()) == repr(eigenvalues_descending(make_density(state)).tolist())
     for i, (s, tau) in enumerate(zip(joints, taus)):
         assert matrix_distance(states[0, i], partial_swap_joint(s, tau).state.mat) <= 1e-12
         assert matrix_distance(states[1, i], partial_trace(s, (0, 2)).state.mat) <= 1e-12
@@ -281,12 +284,13 @@ def test_global_kernel_rows_equal_one_row_calls(d, e1, e2):
     rho1 = np.stack([sample_state(gen, d * e1).mat for _ in range(n)])
     rho2 = np.stack([sample_state(gen, d * e2, "pure").mat for _ in range(n)])
     taus = np.concatenate([[0.0, 1.0], gen.random(n - 2)])
-    out, eigs = partial_swap_global(rho1, rho2, taus, d)
+    out, lam = partial_swap_global(rho1, rho2, taus, d)
     assert out.shape == (n, d * e1 * e2, d * e1 * e2)
     for i in range(n):
-        one, one_eigs = partial_swap_global(rho1[i : i + 1], rho2[i : i + 1], taus[i : i + 1], d)
+        one, one_lam = partial_swap_global(rho1[i : i + 1], rho2[i : i + 1], taus[i : i + 1], d)
         assert np.array_equal(one[0], out[i])
-        assert np.array_equal(one_eigs[0], eigs[i])
+        assert np.array_equal(one_lam[0], lam[i])
+        assert repr(lam[i].tolist()) == repr(eigenvalues_descending(make_density(out[i])).tolist())
 
 
 def test_global_kernel_rejects_mismatched_stacks():

@@ -4,7 +4,9 @@ The addition rule lives in `channels`, projective conditioning in
 `measurement`, and the prefix slacks and Shannon entropy in `entropy`.
 """
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from qudit_epi.errors import ValidationError
 from qudit_epi.measurement import condition_projective_all
 from qudit_epi.states import make_density
 
-from oracles import entropy_nats, partial_swap_closed, prefix_slack
+from oracles import eigenvalues_descending, entropy_nats, partial_swap_closed, prefix_slack
 
 
 @pytest.fixture
@@ -65,11 +67,11 @@ def test_pswap_closed_stack_matches_closed(d):
     pairs = [(make_density(_rand_herm(rng, d)), make_density(_rand_herm(rng, d))) for _ in taus]
     r1 = np.array([a.mat for a, _ in pairs])
     r2 = np.array([b.mat for _, b in pairs])
-    sym, eigs = partial_swap_closed_stack(r1, r2, taus)
+    sym, lam = partial_swap_closed_stack(r1, r2, taus)
     for i, (tau, (rho1, rho2)) in enumerate(zip(taus.tolist(), pairs)):
         out = partial_swap_closed(rho1, rho2, tau)
         assert np.array_equal(sym[i], out.mat)
-        assert np.array_equal(eigs[i], out.eigenvalues_ascending())
+        assert repr(lam[i].tolist()) == repr(eigenvalues_descending(out).tolist())
     with pytest.raises(ValidationError, match="mixing parameters must be in"):
         partial_swap_closed_stack(r1, r2, taus + 0.5)
 
@@ -120,3 +122,13 @@ def test_row_kernels_match_scalar():
         for i in range(len(p)):
             assert repr(float(ent[i])) == repr(entropy_nats(p[i]))
             assert (float(slack[i]), float(total[i])) == prefix_slack(p[i], q[i])
+
+
+def test_entropy_rows_add_their_terms_left_to_right():
+    # 16 entries: numpy's pairwise sum adds them in another order.
+    p = np.random.default_rng(66).dirichlet(np.ones(16), size=500)
+    terms = (p * np.log(p)).tolist()
+    ent = entropy_nats_rows(p)
+    assert ent.tolist() == [-functools.reduce(operator.add, row) for row in terms]
+    assert ent.tolist() == [entropy_nats(row) for row in p]
+    assert np.array_equal(entropy_nats_rows(p.reshape(5, 100, 16)), ent.reshape(5, 100))

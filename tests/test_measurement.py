@@ -81,19 +81,17 @@ def test_condition_all_stack_matches_condition_all(dx, de):
     probs, negligible, residuals, conditioned, spectra = condition_all_stack(rho4, bases)
     assert probs.shape == negligible.shape == (3, 2, de)
     assert residuals.shape == (3, 2)
-    assert len(conditioned) == len(spectra)
-    kept = iter(zip(conditioned, spectra))
-    for s, state_probs, state_flags, state_residuals, state_bases in zip(states, probs, negligible, residuals, bases):
-        for p, flags, residual, u in zip(state_probs, state_flags, state_residuals, state_bases):
+    assert conditioned.shape == (3, 2, de, dx, dx) and spectra.shape == (3, 2, de, dx)
+    for i, s in enumerate(states):
+        for m, u in enumerate(bases[i]):
             outcomes = condition_all(s, projective_from_unitary(u))
-            assert residual == abs(_sum_in_order(o.probability for o in outcomes) - 1.0)
-            for o, q, flag in zip(outcomes, p, flags):
-                assert (o.probability, o.negligible) == (q, flag)
-                if not flag:
-                    mat, spectrum = next(kept)
-                    assert np.array_equal(mat, o.state.mat)
-                    assert np.array_equal(spectrum, conditional_spectrum(o))
-    assert next(kept, None) is None
+            assert residuals[i, m] == abs(_sum_in_order(o.probability for o in outcomes) - 1.0)
+            for j, o in enumerate(outcomes):
+                assert (o.probability, o.negligible) == (probs[i, m, j], negligible[i, m, j])
+                # The grid holds each kept outcome's state and spectrum, and zeros at the others.
+                want = (np.zeros((dx, dx)), np.zeros(dx)) if o.negligible else (o.state.mat, conditional_spectrum(o))
+                assert np.array_equal(conditioned[i, m, j], want[0])
+                assert np.array_equal(spectra[i, m, j], want[1])
     assert negligible[2, 0].sum() == de - 1
 
 

@@ -13,9 +13,11 @@ from qudit_epi.rand import (
     haar_unitaries,
     haar_unitary,
     normalize_state_kind,
+    state_columns,
+    states_from_gaussians,
 )
 
-from oracles import eigenvalues_descending, random_state
+from oracles import eigenvalues_descending, random_state, sample_state
 
 
 def test_streams_replay_exactly():
@@ -150,6 +152,20 @@ def test_rank_k_states():
         random_state(5, "rank-k", RandomSource(17), rank=0)
     with pytest.raises(QuditEpiError, match="rank must satisfy 1 <= rank <= 5, got 6"):
         random_state(5, "rank-k", RandomSource(17), rank=6)
+
+
+@pytest.mark.parametrize("kind, rank", [("ginibre", None), ("pure", None), ("rank-k", 2)])
+def test_states_from_gaussians_match_sample_state(kind, rank):
+    # Row i is the state sample_state draws from stream i, and its spectrum
+    # the oracle's.
+    d = 4
+    cols = state_columns(d, kind, rank)
+    g = np.stack([complex_gaussian(RandomSource(18, i).generator(), d, cols) for i in range(6)])
+    states, spectra = states_from_gaussians(g, kind)
+    for i in range(len(g)):
+        rho = sample_state(RandomSource(18, i).generator(), d, kind, rank)
+        assert np.array_equal(states[i], rho.mat)
+        assert repr(spectra[i].tolist()) == repr(eigenvalues_descending(rho).tolist())
 
 
 def test_state_kind_aliases():

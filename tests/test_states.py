@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from qudit_epi.errors import QuditEpiError, ValidationError
 from qudit_epi.measurement import check_complete, condition_all_stack
 from qudit_epi.rand import RandomSource
-from qudit_epi.states import eigenvalues_descending_stack, make_density, make_density_stack
+from qudit_epi.states import make_density, make_density_stack
 
 from oracles import (
     eigenvalues_descending,
@@ -65,12 +66,10 @@ def test_make_density_stack_matches_make_density():
     m = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
     m[0] = np.diag([1.0, 0.0, 0.0, 0.0])  # exact zeros in the spectrum
     m[1, 0, 1] += 1e-13  # hermiticity round-off below tol
-    sym, eigs = make_density_stack(m)
-    lam = eigenvalues_descending_stack(eigs)
+    sym, lam = make_density_stack(m)
     for i in range(len(m)):
         rho = make_density(m[i])
         assert np.array_equal(sym[i], rho.mat)
-        assert np.array_equal(eigs[i], rho.eigenvalues_ascending())
         assert repr(lam[i].tolist()) == repr(eigenvalues_descending(rho).tolist())
 
 
@@ -88,11 +87,16 @@ def test_make_density_stack_raises_first_bad_row_as_make_density(bad):
     assert str(stacked.value) == str(scalar.value)
 
 
-def test_eigenvalues_descending_stack_checks():
-    with pytest.raises(ValidationError, match="eigenvalue -1.000000e-03 below"):
-        eigenvalues_descending_stack(np.array([[0.0, 1.0], [-1e-3, 1.001]]))
-    with pytest.raises(ValidationError, match="spectrum sums to 1.1, off by more than"):
-        eigenvalues_descending_stack(np.array([[0.5, 0.5], [0.5, 0.6]]))
+def test_make_density_stack_checks_the_spectrum_total():
+    # 23 eigenvalues of -0.99e-10 pass the positivity check, and the trace is
+    # 1; clipped to zero they leave a total 23 x 0.99e-10 above 1.
+    bad = np.diag([1.0 + 23 * 0.99e-10] + [-0.99e-10] * 23).astype(complex)
+    with pytest.raises(ValidationError) as stacked:
+        make_density_stack(np.stack([np.eye(24) / 24, bad]))
+    assert str(stacked.value) == "spectrum sums to 1.000000002277, off by more than 1.0e-09"
+    with pytest.raises(ValidationError) as one:
+        eigenvalues_descending(make_density(bad))
+    assert str(one.value) == str(stacked.value)
 
 
 def test_make_density_symmetrizes_roundoff():
@@ -207,12 +211,9 @@ _NON_FINITE = [
     (make_density_stack, _NAN[None], _HERMITICITY),
     (make_density_stack, np.stack([np.eye(2) / 2, _INF]), _HERMITICITY),
     (make_density_stack, _NEGINF[None], _HERMITICITY),
-    (eigenvalues_descending_stack, np.array([[0.0, 1.0], [np.nan, 1.0]]), r"eigenvalue nan below"),
-    (eigenvalues_descending_stack, np.array([[0.0, np.nan]]), r"spectrum sums to nan"),
-    (eigenvalues_descending_stack, np.array([[0.0, np.inf]]), r"spectrum sums to inf"),
     (check_complete, _NAN, r"max\|U†U - I\| = nan"),
     (check_complete, np.stack([np.eye(2), _INF]), r"max\|U†U - I\| = nan"),
-    (lambda rho: condition_all_stack(rho.reshape(1, 2, 1, 2, 1), np.eye(1)), _NAN, _HERMITICITY),
+    (lambda rho: condition_all_stack(rho.reshape(1, 2, 1, 2, 1), np.eye(1)), _NAN, r"outcome probabilities sum to nan"),
 ]
 
 
@@ -221,8 +222,7 @@ _NON_FINITE = [
     _NON_FINITE,
     ids=[
         "density-nan", "density-inf", "density-neginf", "stack-nan", "stack-inf", "stack-neginf",
-        "spectrum-nan-low", "spectrum-nan-total", "spectrum-inf-total", "complete-nan", "complete-inf",
-        "condition-nan",
+        "complete-nan", "complete-inf", "condition-nan",
     ],
 )
 def test_checks_reject_nan_and_inf(check, entries, message):
@@ -230,6 +230,15 @@ def test_checks_reject_nan_and_inf(check, entries, message):
     # is within tolerance.
     with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match=message):
         check(entries)
+
+
+def test_condition_all_stack_checks_totals_before_dividing():
+    # An all-NaN state fails its outcome total before any block is divided by
+    # its probability, so numpy warns of no invalid division on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"^outcome probabilities sum to nan$"):
+            condition_all_stack(_NAN.reshape(1, 2, 1, 2, 1), np.eye(1))
 
 
 def test_matrix_distance():
