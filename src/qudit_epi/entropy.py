@@ -22,8 +22,9 @@ import math
 import numpy as np
 
 from .errors import QuditEpiError
-from .measurement import PROB_FLOOR, condition_projective_all, ordered_sum
+from .measurement import PROB_FLOOR, condition_projective_all
 from .rand import KeyedStreams, derived_indices, haar_unitaries, haar_unitary
+from .states import ordered_sum
 
 # Budget of each climb_product_basis search.
 CLIMB_RESTARTS = 3

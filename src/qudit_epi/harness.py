@@ -96,7 +96,7 @@ from .entropy import (
     projective_entropy_power,
 )
 from .errors import QuditEpiError, UsageError
-from .measurement import check_complete, condition_all_stack, ordered_sum
+from .measurement import check_complete, condition_all_stack
 from .rand import (
     RNG_ALGORITHM,
     KeyedStreams,
@@ -108,7 +108,7 @@ from .rand import (
     state_columns,
     states_from_gaussians,
 )
-from .states import make_density, make_density_stack
+from .states import make_density, make_density_stack, ordered_sum
 
 MAX_DIM = 6
 MAX_ENV_DIM = 4

@@ -11,20 +11,16 @@ one basis and of a stack, and :func:`condition_all_stack` the validated
 conditioning of stacks of states, the one route the experiments condition
 by; it returns the conditioned states and their spectra on the outcome grid.
 Its one-state oracle (``condition_all`` and ``condition_bilocal`` in
-``tests/oracles.py``) is held to the same bits by the tests.
-:func:`ordered_sum` is the summation rule of every sum over outcomes that a
-recorded slack or residual takes, and of each entropy's sum over a
-spectrum: terms add left to right, in order.
+``tests/oracles.py``) is held to the same bits by the tests. Outcome
+totals are summed by the one sum rule, ``states.ordered_sum``.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
 from .errors import ValidationError
-from .states import make_density_stack
+from .states import make_density_stack, ordered_sum
 
 PROB_FLOOR = 1e-12
 COMPLETENESS_TOL = 1e-10
@@ -35,16 +31,7 @@ __all__ = [
     "check_complete",
     "condition_projective_all",
     "condition_all_stack",
-    "ordered_sum",
 ]
-
-
-def ordered_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis of x, adding its columns left to right, as a
-    Python loop adds the terms of each row. np.sum adds pairwise and the
-    builtin sum compensates since Python 3.12, so either may differ in the
-    last bit."""
-    return reduce(np.add, np.moveaxis(x, -1, 0))
 
 
 def check_complete(u: np.ndarray) -> None:

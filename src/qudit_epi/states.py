@@ -9,9 +9,16 @@ Validation tolerances are module constants. The package validates stacks by
 down, the one every caller reads; :func:`make_density` and
 :class:`DensityMatrix` validate and hold one state for the one-state test
 oracles in ``tests/oracles.py``.
+
+:func:`ordered_sum` is the one summation rule of the package: of each
+spectrum's total before it is renormalized, of every sum over outcomes that
+a recorded slack or residual takes, and of each entropy's sum over a
+spectrum. Terms add left to right, in order.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -26,7 +33,16 @@ __all__ = [
     "DensityMatrix",
     "make_density",
     "make_density_stack",
+    "ordered_sum",
 ]
+
+
+def ordered_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of x, adding its columns left to right, as a
+    Python loop adds the terms of each row. np.sum adds pairwise and the
+    builtin sum compensates since Python 3.12, so either may differ in the
+    last bit."""
+    return reduce(np.add, np.moveaxis(x, -1, 0))
 
 
 class DensityMatrix:
@@ -107,9 +123,10 @@ def make_density_stack(entries) -> tuple[np.ndarray, np.ndarray]:
     Each check runs over the whole stack in make_density's order and with its
     message: hermiticity, trace, then the smallest eigenvalue of (m + m†)/2.
     Each spectrum is then sorted down, its entries in [-POSITIVITY_TOL, 0)
-    are clipped to zero and it is renormalized, provided its total is within
-    SPECTRUM_SUM_TOL of one; a larger deviation is a hard error separating
-    float noise from an invalid state. The first row failing a check raises.
+    are clipped to zero and it is renormalized by its total, summed by
+    :func:`ordered_sum`, provided that total is within SPECTRUM_SUM_TOL of
+    one; a larger deviation is a hard error separating float noise from an
+    invalid state. The first row failing a check raises.
     Returns the symmetrized stack, row i bit for bit what make_density stores
     for entries[i], and the (N, d) descending spectra, row i bit for bit what
     ``eigenvalues_descending`` of ``tests/oracles.py`` returns for that state.
@@ -136,7 +153,7 @@ def make_density_stack(entries) -> tuple[np.ndarray, np.ndarray]:
             f"smallest eigenvalue {eigs[bad.argmax(), 0]:.6e} below -tol {-POSITIVITY_TOL:.1e}"
         )
     vals = np.clip(eigs[:, ::-1], 0.0, None)
-    total = vals.sum(axis=1)
+    total = ordered_sum(vals)
     off = ~(np.abs(total - 1.0) <= SPECTRUM_SUM_TOL)
     if off.any():
         raise ValidationError(

@@ -28,7 +28,7 @@ calls anything in this module.
   validated one-state conditioning that ``measurement.condition_all_stack``
   must reproduce bit for bit at every kept outcome of its grid;
   :func:`_check_normalization` is its check of each outcome total, summed
-  left to right by :func:`_sum_in_order` as ``measurement.ordered_sum``
+  left to right by :func:`_sum_in_order` as ``states.ordered_sum``
   sums. The stacked route checks a state's total before its outcomes, this
   route after, so on a state failing both they raise different messages.
 * Trials: :func:`trial_source` is a trial's stream key,
@@ -64,15 +64,16 @@ DISTRIBUTION_SUM_TOL = 1e-9
 def eigenvalues_descending(rho: DensityMatrix) -> np.ndarray:
     """Eigenvalues in non-increasing order, as a write-protected array.
 
-    Eigenvalues in [-1e-10, 0) are clipped to zero and the vector renormalized,
-    provided the total is within 1e-9 of one; larger deviations are hard errors
+    Eigenvalues in [-1e-10, 0) are clipped to zero and the vector renormalized
+    by its total, added left to right (:func:`_sum_in_order`), provided the
+    total is within 1e-9 of one; larger deviations are hard errors
     separating float noise from genuinely invalid states.
     """
     eigs = rho.eigenvalues_ascending()
     if not eigs[0] >= -POSITIVITY_TOL:
         raise ValidationError(f"eigenvalue {eigs[0]:.6e} below -{POSITIVITY_TOL:.1e}")
     vals = np.clip(eigs[::-1], 0.0, None)
-    total = float(vals.sum())
+    total = _sum_in_order(vals.tolist())
     if not abs(total - 1.0) <= SPECTRUM_SUM_TOL:
         raise ValidationError(f"spectrum sums to {total!r}, off by more than {SPECTRUM_SUM_TOL:.1e}")
     vals = vals / total

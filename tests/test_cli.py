@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qudit_epi import harness
 from qudit_epi.cli import (
+    _COMMANDS,
     RunManifest,
     _config_from_args,
     _resolve_timestamp,
@@ -512,3 +513,136 @@ def test_parallel_defaults_to_the_cpus_this_process_may_use(monkeypatch):
     assert build_parser().parse_args(["verify-qepi"]).parallel == 3
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert build_parser().parse_args(["verify-qepi"]).parallel == 8
+
+
+# -------------------------------------------------- the launch's fast exit
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_launched_out_file_holds_the_bytes_of_in_process_dispatch(tmp_path, monkeypatch, workers):
+    # main ends the launch with os._exit: the --out file is closed, and the
+    # pool joined, before dispatch returns.
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    argv = ["all", "--dim", "2", "--trials", "12", "--seed", "10", "--parallel", workers]
+    launched, in_process = tmp_path / "launched.jsonl", tmp_path / "in-process.jsonl"
+    proc = _run([*argv, "--out", str(launched)])
+    assert proc.returncode == dispatch([*argv, "--out", str(in_process)]) == 2
+    assert (proc.stdout, proc.stderr) == ("", "")
+    assert launched.read_bytes() == in_process.read_bytes()
+
+
+def test_launched_usage_error_exits_one_with_its_error_line_only():
+    proc = _run(["verify-qepi", "--dim", "9", "--trials", "2"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --dim must be in [2, 6] (dimension cap), got 9\n"
+
+
+@pytest.mark.parametrize("descriptor", [1, 2])
+def test_launch_with_a_closed_standard_stream_writes_its_out_file(tmp_path, descriptor):
+    # A descriptor closed at launch leaves its sys stream None, which main's
+    # flush skips.
+    out = tmp_path / "run.jsonl"
+    argv = [sys.executable, "-m", "qudit_epi.cli", "verify-qepi", "--trials", "2", "--out", str(out)]
+    assert subprocess.run(argv, preexec_fn=lambda: os.close(descriptor)).returncode == 0
+    assert out.read_text().count("\n") == 4
+
+
+def test_launch_leaves_no_process_behind():
+    # Pool workers are joined before dispatch returns, so once the launched
+    # process is reaped its session is empty.
+    argv = [sys.executable, "-m", "qudit_epi.cli", "all", "--dim", "2", "--trials", "40", "--parallel", "2"]
+    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True)
+    assert proc.wait(timeout=120) in (0, 2)
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+# Imports the package after setting the collector to the state argv[1] names
+# and prints what the import left: enabled, frozen count, and the collections
+# that ran during the import.
+_IMPORT_GC = """
+import gc, sys
+passes = []
+gc.callbacks.append(lambda phase, info: phase == "start" and passes.append(info["generation"]))
+if sys.argv[1] == "disabled":
+    gc.disable()
+elif sys.argv[1] == "frozen":
+    gc.freeze()
+before = gc.get_freeze_count()
+import qudit_epi
+print(gc.isenabled(), gc.get_freeze_count() - before, len(passes))
+"""
+
+
+@pytest.mark.parametrize("state", ["enabled", "disabled", "frozen"])
+def test_importing_the_package_runs_no_collection_and_restores_the_collector(state):
+    # The import pauses the collector and restores the caller's setting; it
+    # leaves the frozen objects as it found them, and unless the caller keeps
+    # some frozen, no collection walks the objects the import made.
+    done = subprocess.run([sys.executable, "-c", _IMPORT_GC, state], capture_output=True, text=True, check=True)
+    enabled, newly_frozen, passes = done.stdout.split()
+    assert (enabled, newly_frozen) == (str(state != "disabled"), "0")
+    if state != "frozen":
+        assert passes == "0"
+
+
+def test_serial_dispatch_imports_no_process_pool():
+    # concurrent.futures.process costs about 13 ms of a launch to import; a
+    # serial run must not pay for it.
+    code = (
+        "import os, sys\n"
+        "from qudit_epi.cli import dispatch\n"
+        "code = dispatch(['all', '--dim', '2', '--trials', '4', '--parallel', '1', '--out', os.devnull])\n"
+        "sys.exit(code not in (0, 2) or any(m in sys.modules for m in ('concurrent.futures', 'multiprocessing')))\n"
+    )
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+# ------------------------------------------- determinism at random settings
+
+
+_COMMAND_OF = {experiments[0]: command for command, (_, experiments) in _COMMANDS.items() if command != "all"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    experiment=st.sampled_from(EXPERIMENTS),
+    d=st.sampled_from([2, 3]),
+    env=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+    trials=st.integers(1, 8),
+    seed=st.integers(0, 2**64 - 1),
+    kind=st.sampled_from(["ginibre", "pure"]),
+)
+def test_output_is_a_function_of_the_configuration(tmp_path_factory, experiment, d, env, trials, seed, kind):
+    # A command writes the same bytes at --parallel 1 and 2 and on a rerun,
+    # and `all` writes the trial lines of the five commands, in turn, each
+    # tagged with its experiment.
+    options = ["--dim", str(d), "--env-dim1", str(env[0]), "--env-dim2", str(env[1])]
+    options += ["--trials", str(trials), "--seed", str(seed), "--state-kind", kind]
+    folder = tmp_path_factory.mktemp("configuration")
+
+    def run(command, workers="1"):
+        out = folder / "run.jsonl"
+        assert dispatch([command, *options, "--parallel", workers, "--out", str(out)]) in (0, 2)
+        return out.read_bytes()
+
+    def trial_lines(output):
+        return [line for line in output.splitlines(keepends=True) if line.startswith(b'{"type":"trial",')]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_usable_cpus", lambda: 2)
+        drawn = run(_COMMAND_OF[experiment])
+        assert run(_COMMAND_OF[experiment], "2") == drawn
+        assert run(_COMMAND_OF[experiment]) == drawn
+        commands = [trial_lines(drawn if name == experiment else run(_COMMAND_OF[name])) for name in EXPERIMENTS]
+        tagged = trial_lines(run("all"))
+    untagged = []
+    for name, lines in zip(EXPERIMENTS, commands):
+        tag = b'{"type":"trial","experiment":"%s",' % name.encode()
+        mine, tagged = tagged[: len(lines)], tagged[len(lines) :]
+        assert all(line.startswith(tag) for line in mine), name
+        untagged.append([b'{"type":"trial",' + line[len(tag) :] for line in mine])
+    assert not tagged
+    assert untagged == commands

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from qudit_epi.errors import QuditEpiError, ValidationError
-from qudit_epi.measurement import check_complete, condition_all_stack, ordered_sum
+from qudit_epi.measurement import check_complete, condition_all_stack
 from qudit_epi.rand import RandomSource, haar_unitary
-from qudit_epi.states import DensityMatrix, make_density
+from qudit_epi.states import DensityMatrix, make_density, ordered_sum
 
 from oracles import (
     ConditionalOutcome,

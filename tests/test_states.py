@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -97,6 +99,27 @@ def test_make_density_stack_checks_the_spectrum_total():
     with pytest.raises(ValidationError) as one:
         eigenvalues_descending(make_density(bad))
     assert str(one.value) == str(stacked.value)
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_spectra_are_renormalized_by_the_left_to_right_total(d):
+    # At 8 or more entries np.sum adds pairwise, in another order than left to
+    # right. Both routes divide by the left-to-right total, on the states
+    # whose two totals differ as well.
+    gen = RandomSource(d).generator()
+    g = gen.standard_normal((200, d, d)) + 1j * gen.standard_normal((200, d, d))
+    m = g @ g.conj().swapaxes(1, 2)
+    m = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    _, lam = make_density_stack(m)
+    raw = np.clip(np.linalg.eigvalsh((m + m.conj().swapaxes(1, 2)) / 2)[:, ::-1], 0.0, None)
+    in_order = [functools.reduce(operator.add, row) for row in raw.tolist()]
+    differ = [i for i, row in enumerate(raw) if row.sum() != in_order[i]]
+    assert len(differ) > 20
+    assert any((raw[i] / raw[i].sum() != raw[i] / in_order[i]).any() for i in differ)
+    for i in differ:
+        expected = (raw[i] / in_order[i]).tolist()
+        assert lam[i].tolist() == expected
+        assert eigenvalues_descending(make_density(m[i])).tolist() == expected
 
 
 def test_make_density_symmetrizes_roundoff():
