@@ -28,7 +28,6 @@ try:
         run_experiment,
         summarize,
     )
-    from .rand import RandomSource
 finally:
     # Resuming would walk every object the imports made at the next
     # allocation. gc.freeze() then gc.unfreeze() moves them all to the oldest
@@ -42,7 +41,6 @@ finally:
 
 __all__ = [
     "__version__",
-    "RandomSource",
     "TrialConfig",
     "TrialBlock",
     "Summary",

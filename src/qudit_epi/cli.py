@@ -48,7 +48,6 @@ import sys
 from collections.abc import Iterable
 from typing import NamedTuple
 
-from ._version import __version__
 from .errors import QuditEpiError, UsageError
 from .harness import (
     EXPERIMENTS,
@@ -63,7 +62,6 @@ from .harness import (
     summarize,
     validate_config,
 )
-from .rand import RNG_ALGORITHM
 
 _EPOCH_TIMESTAMP = "1970-01-01T00:00:00+00:00"
 
@@ -94,17 +92,18 @@ class RunManifest(NamedTuple):
 
     def to_object(self) -> dict:
         cfg = self.config
+        meta = run_metadata(cfg)
         return {
             "type": "manifest",
             "command": self.command,
             "config": {**cfg._asdict(), "tau": cfg.tau if cfg.tau is not None else "random"},
-            "version": __version__,
-            "rng": RNG_ALGORITHM,
-            "log_base": "natural",
+            "version": meta["version"],
+            "rng": meta["rng"],
+            "log_base": meta["log_base"],
             "timestamp": self.timestamp,
             "conventions": {
                 "subsystem_order": "leftmost factor is the slowest-varying index",
-                "measurement_family": "haar-projective-rank1",
+                "measurement_family": meta["measurement_family"],
                 "conjecture_channel": "swap unitary on (X1, X2) tensor identity on E, then trace X2",
             },
         }

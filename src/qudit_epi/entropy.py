@@ -146,26 +146,27 @@ def _qubit_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
 
 
-def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np.ndarray]]:
+def climb_product_basis(objective, starts, seed, streams) -> tuple[np.ndarray, list[np.ndarray]]:
     """Random-restart hill climbs of objective over product bases
     U1 (x) ... (x) Un, one unitary factor per local environment, for a stack
     of searches that all advance in lockstep.
 
     starts[j] is the (*lead, e_j, e_j) stack of the searches' start factor j,
-    for at most CLIMB_REFINE_STEPS factors, and sources lists the searches'
-    streams, which share one master seed, in row-major order of lead. Each
-    search runs CLIMB_RESTARTS restarts: restart 0 starts at its factors in
-    `starts`, restart r >= 1 at Haar factors of the same dimensions. Each
+    for at most CLIMB_REFINE_STEPS factors, and streams is the lead-shaped
+    uint64 array of the searches' stream keys under the master seed `seed`.
+    Each search runs CLIMB_RESTARTS restarts: restart 0 starts at its factors
+    in `starts`, restart r >= 1 at Haar factors of the same dimensions. Each
     restart then takes CLIMB_REFINE_STEPS accept-if-lower steps: step k
     rotates factor j = k mod n, Uj <- Uj exp(i * CLIMB_STEP_SCALE * H) with H
-    drawn GUE-style. Restart r of a search draws its Haar start and then its
-    steps from the stream source.derive(r), in one call. No draw depends on
-    which steps are accepted, so every climb draws up front. One batched QR
-    builds every Haar start (:func:`haar_unitaries`); a restart that fails
-    haar_unitary's checks is redrawn by haar_unitary itself, retries
-    included. Each factor's step rotations are built for all steps at once:
-    in closed form at e_j = 2 (:func:`_qubit_rotations`), by one stacked eigh
-    otherwise. A step multiplies its qubit factor elementwise
+    drawn GUE-style. Restart r of the search with stream key s draws its Haar
+    start and then its steps from stream (seed, derived_indices(s, r)), in
+    one call. No draw depends on which steps are accepted, so every climb
+    draws up front. One batched QR builds every Haar start
+    (:func:`haar_unitaries`); a restart that fails haar_unitary's checks is
+    redrawn by haar_unitary itself, retries included. Each factor's step
+    rotations are built for all steps at once: in closed form at e_j = 2
+    (:func:`_qubit_rotations`), by one stacked eigh otherwise. A step
+    multiplies its qubit factor elementwise
     (:func:`_qubit_product`), a larger one with @, and scores every climb in
     one objective call.
 
@@ -178,8 +179,8 @@ def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np
     product family.
 
     Starts that are not 1 to CLIMB_REFINE_STEPS square factors of one lead
-    shape, and sources that do not hold one stream per search or that span
-    more than one master seed, raise a QuditEpiError before any draw.
+    shape, and stream keys not of that lead shape, raise a QuditEpiError
+    before any draw.
     """
     if not 1 <= len(starts) <= CLIMB_REFINE_STEPS:
         raise QuditEpiError(f"need 1 to {CLIMB_REFINE_STEPS} start factors, got {len(starts)}")
@@ -188,12 +189,8 @@ def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np
         raise QuditEpiError(
             f"start factors must be square with one lead shape, got shapes {[u.shape for u in starts]}"
         )
-    searches = math.prod(lead)
-    if len(sources) != searches:
-        raise QuditEpiError(f"{len(sources)} sources for the {searches} searches of shape {lead}")
-    seeds = {source.master_seed for source in sources}
-    if len(seeds) != 1:
-        raise QuditEpiError(f"sources must share one master seed, got {sorted(seeds)}")
+    if np.shape(streams) != lead:
+        raise QuditEpiError(f"stream keys of shape {np.shape(streams)} for searches of shape {lead}")
     dims = [u.shape[-1] for u in starts]
     steps = [k % len(dims) for k in range(CLIMB_REFINE_STEPS)]
     # A Haar start draws the real, then the imaginary parts of each factor's
@@ -201,16 +198,12 @@ def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np
     haar = np.cumsum([0] + [2 * e * e for e in dims]).tolist()
     offsets = np.cumsum([haar[-1]] + [2 * dims[j] ** 2 for j in steps]).tolist()
     draws = np.empty((*lead, CLIMB_RESTARTS, offsets[-1]))
-    (seed,) = seeds
-    streams = KeyedStreams(seed)
-    # keys[(*search, r)] is the stream index of its source.derive(r).
-    keys = derived_indices(
-        np.array([source.stream_index for source in sources], dtype=np.uint64)[:, None],
-        np.arange(CLIMB_RESTARTS, dtype=np.uint64),
-    ).reshape(draws.shape[:-1])
+    # keys[(*search, r)] is the stream index of restart r of the search.
+    keys = derived_indices(np.asarray(streams, dtype=np.uint64)[..., None], np.arange(CLIMB_RESTARTS, dtype=np.uint64))
+    generators = KeyedStreams(seed)
     for i, (row, key) in enumerate(zip(draws.reshape(-1, offsets[-1]), keys.ravel().tolist())):
         # Restart 0 starts at its given factors and draws only its steps.
-        streams.at(key).standard_normal(out=row[haar[-1] if i % CLIMB_RESTARTS == 0 else 0 :])
+        generators.at(key).standard_normal(out=row[haar[-1] if i % CLIMB_RESTARTS == 0 else 0 :])
 
     factors, ok = [], True
     for j, e in enumerate(dims):
@@ -223,7 +216,7 @@ def climb_product_basis(objective, starts, sources) -> tuple[np.ndarray, list[np
         # every later draw: redraw the whole restart by the one-climb route.
         for search in np.ndindex(lead):
             for r in np.flatnonzero(~ok[search]) + 1:
-                gen = streams.at(int(keys[(*search, r)]))
+                gen = generators.at(int(keys[(*search, r)]))
                 for j, e in enumerate(dims):
                     factors[j][(*search, r)] = haar_unitary(e, gen)
                 gen.standard_normal(out=draws[(*search, r)][haar[-1] :])

@@ -100,7 +100,6 @@ from .measurement import check_complete, condition_all_stack
 from .rand import (
     RNG_ALGORITHM,
     KeyedStreams,
-    RandomSource,
     derived_indices,
     haar_unitaries,
     haar_unitary,
@@ -147,7 +146,9 @@ _BLOCK_BYTES = 6 * 2**20
 # per worker.
 _WINDOW_PER_WORKER = 2
 
-_HISTOGRAM_EDGES = (-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3)
+# Left edges of the summary's slack bins. No edge sits at 0: a slack that is 0
+# in exact arithmetic lands in [-1e-9, 1e-9) whatever its last bit.
+_HISTOGRAM_EDGES = (-1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3)
 
 __all__ = [
     "TrialConfig",
@@ -484,15 +485,16 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     at any pair; the Haar pair's is recorded.
 
     Per trial, draw order tau, state 1, state 2, basis 1, basis 2; restart r
-    of kappa t's search draws from the trial's source.derive(t, r). Every
-    step is stacked: the setting draws, one :func:`partial_swap_global` call,
-    one lockstep climb of every search, and one :func:`_condition_bilocal`
-    call over every trial's Haar and found pairs, with the one-trial route's
-    checks. The slacks are array arithmetic on the validated probabilities
-    and spectra on the outcome grid, with each entropy power taken by
-    :func:`_entropy_powers` and each sum over outcomes by
-    :func:`ordered_sum`, in the one-trial route's order; prob_norm is the
-    largest residual of the output's outcome totals over the trial's pairs.
+    of kappa t's search draws from the trial's stream key with t, then r
+    mixed in (:func:`derived_indices`). Every step is stacked: the setting
+    draws, one :func:`partial_swap_global` call, one lockstep climb of every
+    search, and one :func:`_condition_bilocal` call over every trial's Haar
+    and found pairs, with the one-trial route's checks. The slacks are array
+    arithmetic on the validated probabilities and spectra on the outcome
+    grid, with each entropy power taken by :func:`_entropy_powers` and each
+    sum over outcomes by :func:`ordered_sum`, in the one-trial route's order;
+    prob_norm is the largest residual of the output's outcome totals over
+    the trial's pairs.
     """
     kappas, keys, soft = _kappa_grid(cfg, "theorem_measured")
     searched = [t for t, kappa in enumerate(kappas) if kappa > 0.0]
@@ -507,11 +509,11 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
         objective = _slack_objective(dims, rho1, rho2, joint, taus, [kappas[t] for t in searched])
         # Every search of a trial starts at its Haar pair.
         starts = [u.repeat(len(searched), axis=1) for u in (u1, u2)]
-        # Search c of trial i streams from the trial's source.derive(searched[c]).
+        # Search c of trial i has the stream key of the trial's key with
+        # searched[c] mixed in.
         trial_streams = np.arange(indices.start, indices.stop, indices.step, dtype=np.uint64) + _STREAM_BASE["theorem"]
         streams = derived_indices(trial_streams[:, None], np.array(searched, dtype=np.uint64))
-        sources = [RandomSource(cfg.seed, stream) for stream in streams.ravel().tolist()]
-        _, (found1, found2) = climb_product_basis(objective, starts, sources)
+        _, (found1, found2) = climb_product_basis(objective, starts, cfg.seed, streams)
         u1, u2 = np.concatenate([u1, found1], axis=1), np.concatenate([u2, found2], axis=1)
     (q1, neg1, _, _, lam1), (q2, neg2, _, _, lam2), (_, neg, prob_norms, _, lam), skip = _condition_bilocal(
         d, rho1, rho2, joint, u1, u2

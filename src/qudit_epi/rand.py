@@ -4,12 +4,14 @@ Haar unitary samplers.
 Streams are Philox4x64 generators keyed by (master_seed, stream_index): the
 same pair always replays the identical sequence and distinct pairs give
 statistically independent streams, which is what lets trials run in any order
-or in parallel without coordination.
+or in parallel without coordination. The one stream API is
+:class:`KeyedStreams`, which opens stream (master_seed, i), and
+:func:`derived_indices`, which mixes child indices into uint64 arrays of
+stream indices. ``tests/oracles.py`` holds the one-stream route they are
+tested against.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,32 +38,16 @@ def _splitmix64(x):
 
 
 def _philox_key(master_seed: int, stream_index: int) -> list[int]:
-    """The Philox key words of stream (master_seed, stream_index), each taken mod 2^64."""
-    return [master_seed & _MASK64, stream_index & _MASK64]
-
-
-class RandomSource(NamedTuple):
-    """A named point in seed space: (master_seed, stream_index)."""
-
-    master_seed: int
-    stream_index: int = 0
-
-    def generator(self) -> np.random.Generator:
-        key = np.array(_philox_key(self.master_seed, self.stream_index), dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
-    def derive(self, *indices: int) -> "RandomSource":
-        """Child stream obtained by mixing indices into the stream index."""
-        s = self.stream_index & _MASK64
-        for ix in indices:
-            s = _splitmix64(s ^ (int(ix) & _MASK64))
-        return RandomSource(self.master_seed, s)
+    """The Philox key words of stream (master_seed, stream_index), each taken
+    mod 2^64 as a Python int, so a numpy integer keys the stream its value names."""
+    return [int(master_seed) & _MASK64, int(stream_index) & _MASK64]
 
 
 def derived_indices(stream_indices: np.ndarray, *indices) -> np.ndarray:
-    """The stream index of ``RandomSource(seed, s).derive(*indices)`` for each
-    s of a uint64 array of at least one dimension, by the same mix. Each of
-    `indices` is a non-negative int or a uint64 array; all broadcast together.
+    """The child stream index of each s of a uint64 array of at least one
+    dimension: each of `indices` in turn is mixed in as
+    s <- splitmix64(s ^ index). Each of `indices` is a non-negative int or a
+    uint64 array; all broadcast together.
     """
     s = stream_indices
     for ix in indices:
@@ -73,8 +59,8 @@ class KeyedStreams:
     """One Philox generator, re-keyed in place for one stream after another.
 
     ``at(i)`` returns the shared generator set to the start of stream
-    (master_seed, i): it draws exactly what ``RandomSource(master_seed,
-    i).generator()`` draws, for a fraction of the cost of a new generator.
+    (master_seed, i): it draws exactly what a new Philox generator keyed by
+    that pair draws, for a fraction of the cost of one.
     The next ``at`` call re-keys it, so finish one stream's draws first.
     """
 

@@ -5,6 +5,10 @@ package runs the stacked route; the tests hold it to the route here, which
 works on one state, one measurement or one trial at a time. No CLI run
 calls anything in this module.
 
+* Streams: :class:`RandomSource` opens one stream (master_seed,
+  stream_index) as a new generator and derives a child stream by one index
+  mix at a time; ``rand.KeyedStreams.at`` and ``rand.derived_indices`` are
+  held to it.
 * One-state kernels: :func:`eigenvalues_descending`, :func:`sample_state`
   and :func:`random_state`, :func:`partial_swap_closed` with its checks
   :func:`check_mixing` and :func:`_check_pair`, and the one-vector
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,12 +55,41 @@ from qudit_epi.channels import partial_swap_global
 from qudit_epi.errors import QuditEpiError, ValidationError
 from qudit_epi.harness import TrialBlock
 from qudit_epi.measurement import PROB_FLOOR, PROB_SUM_TOL, check_complete, condition_projective_all
-from qudit_epi.rand import RandomSource, complex_gaussian, haar_unitary, normalize_state_kind, state_columns
+from qudit_epi.rand import (
+    _MASK64,
+    _philox_key,
+    _splitmix64,
+    complex_gaussian,
+    haar_unitary,
+    normalize_state_kind,
+    state_columns,
+)
 from qudit_epi.states import POSITIVITY_TOL, SPECTRUM_SUM_TOL, DensityMatrix, make_density
 
 MAJORIZATION_TOL = 1e-9
 DISTRIBUTION_NEG_TOL = 1e-10
 DISTRIBUTION_SUM_TOL = 1e-9
+
+
+# ----------------------------------------------------------------- streams
+
+
+class RandomSource(NamedTuple):
+    """A named point in seed space: (master_seed, stream_index)."""
+
+    master_seed: int
+    stream_index: int = 0
+
+    def generator(self) -> np.random.Generator:
+        key = np.array(_philox_key(self.master_seed, self.stream_index), dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    def derive(self, *indices: int) -> "RandomSource":
+        """Child stream obtained by mixing indices into the stream index."""
+        s = self.stream_index & _MASK64
+        for ix in indices:
+            s = _splitmix64(s ^ (int(ix) & _MASK64))
+        return RandomSource(self.master_seed, s)
 
 
 # ------------------------------------------------------- one-state kernels

@@ -15,10 +15,11 @@ import pytest
 
 from qudit_epi.entropy import climb_product_basis
 from qudit_epi.harness import TrialConfig, _run_block, run_experiment, run_metadata, summarize
-from qudit_epi.rand import RandomSource, haar_unitary
+from qudit_epi.rand import haar_unitary
 from qudit_epi.states import make_density
 
 from oracles import (
+    RandomSource,
     _bilocal_channel,
     entropy_power,
     matrix_distance,
@@ -208,11 +209,11 @@ def test_criterion_8_optimizer_sanity(bell, expected_power_objective):
             s = multipartite(tensor(x, sample_state(gen, e)), (d, e))
             objective = expected_power_objective(s, kappa)
             start = [haar_unitary(e, gen)]
-            value, _ = climb_product_basis(objective, start, [RandomSource(106, d * 10 + e)])
+            value, _ = climb_product_basis(objective, start, 106, d * 10 + e)
             # every basis conditions X on x: the climb keeps its start value
             worst = max(worst, abs(float(value) - entropy_power(x, kappa)), float(objective(start) - value))
     s = multipartite(bell, (2, 2))
-    bell_value, _ = climb_product_basis(expected_power_objective(s, 1.0), [haar_unitary(2, gen)], [RandomSource(107)])
+    bell_value, _ = climb_product_basis(expected_power_objective(s, 1.0), [haar_unitary(2, gen)], 107, 0)
     bell_value = float(bell_value)
     _report(
         "criterion 8: optimizer sanity",

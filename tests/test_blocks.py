@@ -28,10 +28,11 @@ from qudit_epi.harness import (
     run_experiment,
     summarize,
 )
-from qudit_epi.rand import RandomSource, haar_unitary
+from qudit_epi.rand import haar_unitary
 
 import oracles
 from oracles import (
+    RandomSource,
     _bilocal_channel,
     _bilocal_setting,
     _theorem_slack,

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from qudit_epi.channels import partial_swap_closed_stack, partial_swap_global, partial_swap_joint_stack
 from qudit_epi.errors import QuditEpiError, ValidationError
-from qudit_epi.rand import RandomSource
 from qudit_epi.states import make_density
 
 from oracles import (
+    RandomSource,
     _bilocal_channel,
     eigenvalues_descending,
     matrix_distance,

@@ -17,11 +17,12 @@ from qudit_epi.entropy import (
 )
 from qudit_epi.errors import QuditEpiError, ValidationError
 from qudit_epi.measurement import PROB_FLOOR, check_complete
-from qudit_epi.rand import RandomSource, haar_unitary
+from qudit_epi.rand import haar_unitary
 from qudit_epi.states import make_density
 
 from oracles import (
     ConditionalOutcome,
+    RandomSource,
     condition_all,
     conditional_vn_entropy,
     entropy_power,
@@ -246,7 +247,7 @@ def test_optimizer_product_state_is_exact(env_dims, expected_power_objective):
         joint = tensor(joint, sample_state(gen, de))
     objective = expected_power_objective(multipartite(joint, (2, *env_dims)), 1.0)
     start = _haar_start(gen, env_dims)
-    value, factors = climb_product_basis(objective, start, [RandomSource(1)])
+    value, factors = climb_product_basis(objective, start, 1, 0)
     assert objective(start) - 1e-12 <= value <= objective(start)
     assert value == pytest.approx(entropy_power(x, 1.0), abs=1e-10)
     assert [f.shape for f in factors] == [(e, e) for e in env_dims]
@@ -254,14 +255,14 @@ def test_optimizer_product_state_is_exact(env_dims, expected_power_objective):
 
 def test_optimizer_kappa_zero_returns_one(bell, expected_power_objective):
     objective = expected_power_objective(multipartite(bell, (2, 2)), 0.0)
-    value, _ = climb_product_basis(objective, [np.eye(2)], [RandomSource(2)])
+    value, _ = climb_product_basis(objective, [np.eye(2)], 2, 0)
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_optimizer_bell_fixture(bell, expected_power_objective):
     # pre-build brute-force scan over qubit bases: every basis yields 1.0
     objective = expected_power_objective(multipartite(bell, (2, 2)), 1.0)
-    value, _ = climb_product_basis(objective, _haar_start(RandomSource(3).generator(), (2,)), [RandomSource(3)])
+    value, _ = climb_product_basis(objective, _haar_start(RandomSource(3).generator(), (2,)), 3, 0)
     assert value <= 1.0 + 1e-9
     assert value >= 1.0 - 1e-9
 
@@ -270,8 +271,9 @@ def test_optimizer_deterministic(expected_power_objective):
     gen = RandomSource(57).generator()
     objective = expected_power_objective(multipartite(sample_state(gen, 6), (2, 3)), 1.0)
     start = _haar_start(gen, (3,))
-    a = climb_product_basis(objective, start, [RandomSource(4)])
-    b = climb_product_basis(objective, start, [RandomSource(4)])
+    a = climb_product_basis(objective, start, 4, 0)
+    # numpy integers key the streams of their values
+    b = climb_product_basis(objective, start, np.int64(4), np.uint64(0))
     assert a[0] == b[0]
     assert all(np.array_equal(u, v) for u, v in zip(a[1], b[1]))
     # never above the start, and the value is the objective at the factors returned
@@ -303,7 +305,7 @@ def test_climb_restart_retry_keeps_the_one_climb_draw_order(monkeypatch):
         return -float(next(calls)) - (np.arange(CLIMB_RESTARTS) == 2)
 
     source = RandomSource(62)
-    _, (found,) = climb_product_basis(objective, [np.eye(2, dtype=complex)], [source])
+    _, (found,) = climb_product_basis(objective, [np.eye(2, dtype=complex)], source.master_seed, source.stream_index)
     gen = source.derive(2).generator()
     expected = retries_once(2, gen)
     for _ in range(CLIMB_REFINE_STEPS):
@@ -318,23 +320,23 @@ _TWO_SEARCHES = [np.stack([np.eye(2, dtype=complex)] * 2)]
 
 
 @pytest.mark.parametrize(
-    "starts, sources, message",
+    "starts, streams, message",
     [
-        (_TWO_SEARCHES, [RandomSource(5), RandomSource(6)], r"one master seed, got \[5, 6\]"),
-        (_TWO_SEARCHES, [], r"0 sources for the 2 searches"),
-        (_TWO_SEARCHES, [RandomSource(5)] * 3, r"3 sources for the 2 searches"),
-        ([], [RandomSource(5)], rf"need 1 to {CLIMB_REFINE_STEPS} start factors, got 0"),
-        ([np.zeros((2, 2, 3), dtype=complex)], [RandomSource(5)] * 2, r"must be square with one lead shape"),
-        ([np.eye(2, dtype=complex)[None]] * 2 + [np.eye(2, dtype=complex)], [RandomSource(5)], r"one lead shape"),
+        (_TWO_SEARCHES, np.zeros(0, dtype=np.uint64), r"stream keys of shape \(0,\) for searches of shape \(2,\)"),
+        (_TWO_SEARCHES, np.zeros(3, dtype=np.uint64), r"stream keys of shape \(3,\) for searches of shape \(2,\)"),
+        (_TWO_SEARCHES, np.zeros((2, 1), dtype=np.uint64), r"stream keys of shape \(2, 1\) for searches of shape \(2,\)"),
+        ([], 0, rf"need 1 to {CLIMB_REFINE_STEPS} start factors, got 0"),
+        ([np.zeros((2, 2, 3), dtype=complex)], np.zeros(2, dtype=np.uint64), r"must be square with one lead shape"),
+        ([np.eye(2, dtype=complex)[None]] * 2 + [np.eye(2, dtype=complex)], 0, r"one lead shape"),
         (
             [np.eye(2, dtype=complex)] * (CLIMB_REFINE_STEPS + 1),
-            [RandomSource(5)],
+            0,
             rf"start factors, got {CLIMB_REFINE_STEPS + 1}",
         ),
     ],
-    ids=["two-seeds", "empty", "wrong-count", "no-factors", "non-square", "lead-shapes", "too-many-factors"],
+    ids=["empty", "wrong-count", "key-shape", "no-factors", "non-square", "lead-shapes", "too-many-factors"],
 )
-def test_climb_rejects_malformed_sources_before_any_draw(monkeypatch, starts, sources, message):
+def test_climb_rejects_malformed_sources_before_any_draw(monkeypatch, starts, streams, message):
     # Any draw or objective call would fail with another error.
     monkeypatch.setattr(entropy_module, "KeyedStreams", None)
 
@@ -342,7 +344,7 @@ def test_climb_rejects_malformed_sources_before_any_draw(monkeypatch, starts, so
         raise AssertionError("the objective ran")
 
     with pytest.raises(QuditEpiError, match=message):
-        climb_product_basis(objective, starts, sources)
+        climb_product_basis(objective, starts, 5, streams)
 
 
 def _eigh_rotations(h, theta):
@@ -408,7 +410,7 @@ def test_climb_keeps_its_start_bound_and_unitary_factors(seed, env_dims, steps, 
     start = _haar_start(gen, env_dims)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(entropy_module, "CLIMB_REFINE_STEPS", steps)
-        value, factors = climb_product_basis(objective, start, [RandomSource(seed).derive(1)])
+        value, factors = climb_product_basis(objective, start, seed, RandomSource(seed).derive(1).stream_index)
     assert value <= objective(start)
     for f, e in zip(factors, env_dims):
         assert f.shape == (e, e)

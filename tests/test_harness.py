@@ -23,9 +23,10 @@ from qudit_epi.harness import (
     summarize,
     validate_config,
 )
-from qudit_epi.rand import RandomSource, haar_unitary
+from qudit_epi.rand import haar_unitary
 
 from oracles import (
+    RandomSource,
     _bilocal_channel,
     _bilocal_setting,
     _theorem_slack,
@@ -142,7 +143,8 @@ def test_theorem_search_is_validated_and_never_above_haar(conditioned_pieces, d,
             value, (u1, u2) = climb_product_basis(
                 _one_setting_objective(joint, s1, s2, tau, kappa),
                 [m1.basis[None, None], m2.basis[None, None]],
-                [source.derive(t)],
+                cfg.seed,
+                np.array([[source.derive(t).stream_index]], dtype=np.uint64),
             )
             pair = projective_from_unitary(u1[0, 0]), projective_from_unitary(u2[0, 0])
             *found, norm = conditioned_pieces(joint, s1, s2, *pair)
@@ -164,7 +166,7 @@ def test_theorem_search_on_product_inputs_keeps_start_value():
     start = [haar_unitary(2, gen)[None, None], haar_unitary(3, gen)[None, None]]
     for kappa in (0.5, 1.0, 2.0):
         objective = _one_setting_objective(joint, s1, s2, 0.4, kappa)
-        value, _ = climb_product_basis(objective, start, [RandomSource(18)])
+        value, _ = climb_product_basis(objective, start, 18, np.zeros((1, 1), dtype=np.uint64))
         at_start = objective([u[:, :, None] for u in start])[0, 0, 0]
         assert at_start - 1e-12 <= value[0, 0] <= at_start
 
@@ -349,6 +351,15 @@ def test_non_integer_config_is_rejected_before_trial_zero(monkeypatch, experimen
         list(run_experiment(experiment, cfg, parallel))
 
 
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)], ids=["int64", "uint64"])
+def test_numpy_integer_seed_runs_the_trials_of_its_value(seed):
+    # validate_config accepts any numbers.Integral seed, so a numpy integer
+    # must key the streams of the int it equals in every experiment.
+    for experiment in harness.EXPERIMENTS:
+        blocks = list(run_experiment(experiment, TrialConfig(trials=4, seed=seed)))
+        assert blocks == list(run_experiment(experiment, TrialConfig(trials=4, seed=5))), experiment
+
+
 # (experiment, TrialConfig fields, the field the error names)
 _MISTYPED = [
     ("qepi", {"state_kind": None}, "state_kind"),
@@ -527,24 +538,27 @@ def _block(start, slacks, residuals):
         (-1e-3, 1),
         (-1e-6, 2),
         (-1e-9, 3),
-        (-0.0, 4),
-        (0.0, 4),
-        (1e-9, 5),
-        (1e-6, 6),
-        (1e-3, 7),
-        (math.inf, 7),
-        (math.nan, 7),
+        (-1.1e-16, 3),
+        (-0.0, 3),
+        (0.0, 3),
+        (1.1e-16, 3),
+        (1e-9, 4),
+        (1e-6, 5),
+        (1e-3, 6),
+        (math.inf, 6),
+        (math.nan, 6),
     ],
 )
 def test_summarize_histogram_bins(worst, bin_index):
     # A row falls in the bin of its worst slack, to the right of an edge it
-    # lies on. A NaN slack is the worst, in either key order, and falls in the
-    # last bin. A row without slacks falls in none.
+    # lies on. No edge sits at 0, so a slack that is 0 up to its last bit
+    # falls in one bin. A NaN slack is the worst, in either key order, and
+    # falls in the last bin. A row without slacks falls in none.
     other = -1.0 if math.isnan(worst) else math.inf
     for slacks in ({"a": worst, "b": other}, {"a": other, "b": worst}, {"a": worst}):
         block = _block(0, {key: [value, None] for key, value in slacks.items()}, {})
         counts = summarize([block]).histogram["counts"]
-        assert counts == [int(i == bin_index) for i in range(8)], slacks
+        assert counts == [int(i == bin_index) for i in range(7)], slacks
 
 
 def test_summarize_nan_is_sticky_in_either_order():
@@ -559,7 +573,7 @@ def test_summarize_nan_is_sticky_in_either_order():
             summary = summarize(iter(blocks))
             assert math.isnan(summary.min_slack["a"]) and math.isnan(summary.max_residual)
             assert summary.trials == 2
-            assert summary.histogram["counts"] == [1, 0, 0, 0, 0, 0, 0, 1]
+            assert summary.histogram["counts"] == [1, 0, 0, 0, 0, 0, 1]
     assert summarize([_block(0, {"a": [-1.0]}, {"r": [1.0]})]).min_slack == {"a": -1.0}
 
 

@@ -6,12 +6,13 @@ import pytest
 
 from qudit_epi.errors import QuditEpiError, ValidationError
 from qudit_epi.measurement import check_complete, condition_all_stack
-from qudit_epi.rand import RandomSource, haar_unitary
+from qudit_epi.rand import haar_unitary
 from qudit_epi.states import DensityMatrix, make_density, ordered_sum
 
 from oracles import (
     ConditionalOutcome,
     MultipartiteState,
+    RandomSource,
     _sum_in_order,
     condition_all,
     condition_bilocal,

@@ -7,7 +7,6 @@ from qudit_epi import rand
 from qudit_epi.errors import QuditEpiError, UsageError
 from qudit_epi.rand import (
     KeyedStreams,
-    RandomSource,
     complex_gaussian,
     derived_indices,
     haar_unitaries,
@@ -17,7 +16,7 @@ from qudit_epi.rand import (
     states_from_gaussians,
 )
 
-from oracles import eigenvalues_descending, random_state, sample_state
+from oracles import RandomSource, eigenvalues_descending, random_state, sample_state
 
 
 def test_streams_replay_exactly():

@@ -8,10 +8,10 @@ import pytest
 
 from qudit_epi.errors import QuditEpiError, ValidationError
 from qudit_epi.measurement import check_complete, condition_all_stack
-from qudit_epi.rand import RandomSource
 from qudit_epi.states import make_density, make_density_stack
 
 from oracles import (
+    RandomSource,
     eigenvalues_descending,
     matrix_distance,
     multipartite,
