@@ -48,6 +48,8 @@ import sys
 from collections.abc import Iterable
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import QuditEpiError, UsageError
 from .harness import (
     EXPERIMENTS,
@@ -93,10 +95,12 @@ class RunManifest(NamedTuple):
     def to_object(self) -> dict:
         cfg = self.config
         meta = run_metadata(cfg)
+        # A library caller's numpy scalar is written as the Python value it holds.
+        config = {name: v.item() if isinstance(v, np.generic) else v for name, v in cfg._asdict().items()}
         return {
             "type": "manifest",
             "command": self.command,
-            "config": {**cfg._asdict(), "tau": cfg.tau if cfg.tau is not None else "random"},
+            "config": {**config, "tau": config["tau"] if cfg.tau is not None else "random"},
             "version": meta["version"],
             "rng": meta["rng"],
             "log_base": meta["log_base"],

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import QuditEpiError
 from .measurement import PROB_FLOOR, condition_projective_all
-from .rand import KeyedStreams, derived_indices, haar_unitaries, haar_unitary
+from .rand import KeyedStreams, complex_gaussians, derived_indices, haar_unitaries, normal_count
 from .states import ordered_sum
 
 # Budget of each climb_product_basis search.
@@ -161,9 +161,9 @@ def climb_product_basis(objective, starts, seed, streams) -> tuple[np.ndarray, l
     drawn GUE-style. Restart r of the search with stream key s draws its Haar
     start and then its steps from stream (seed, derived_indices(s, r)), in
     one call. No draw depends on which steps are accepted, so every climb
-    draws up front. One batched QR builds every Haar start
-    (:func:`haar_unitaries`); a restart that fails haar_unitary's checks is
-    redrawn by haar_unitary itself, retries included. Each factor's step
+    draws up front. :func:`haar_unitaries` builds every Haar start and
+    replays a restart whose draw fails a check, and
+    :func:`complex_gaussians` reads the step Gaussians. Each factor's step
     rotations are built for all steps at once: in closed form at e_j = 2
     (:func:`_qubit_rotations`), by one stacked eigh otherwise. A step
     multiplies its qubit factor elementwise
@@ -193,39 +193,23 @@ def climb_product_basis(objective, starts, seed, streams) -> tuple[np.ndarray, l
         raise QuditEpiError(f"stream keys of shape {np.shape(streams)} for searches of shape {lead}")
     dims = [u.shape[-1] for u in starts]
     steps = [k % len(dims) for k in range(CLIMB_REFINE_STEPS)]
-    # A Haar start draws the real, then the imaginary parts of each factor's
-    # e x e Gaussian; step k then draws those of its factor's Gaussian.
-    haar = np.cumsum([0] + [2 * e * e for e in dims]).tolist()
-    offsets = np.cumsum([haar[-1]] + [2 * dims[j] ** 2 for j in steps]).tolist()
-    draws = np.empty((*lead, CLIMB_RESTARTS, offsets[-1]))
+    step_shapes = [(dims[j], dims[j]) for j in steps]
+    n_haar = normal_count([(e, e) for e in dims])
+    draws = np.empty((*lead, CLIMB_RESTARTS, n_haar + normal_count(step_shapes)))
     # keys[(*search, r)] is the stream index of restart r of the search.
     keys = derived_indices(np.asarray(streams, dtype=np.uint64)[..., None], np.arange(CLIMB_RESTARTS, dtype=np.uint64))
     generators = KeyedStreams(seed)
-    for i, (row, key) in enumerate(zip(draws.reshape(-1, offsets[-1]), keys.ravel().tolist())):
+    for i, (row, key) in enumerate(zip(draws.reshape(-1, draws.shape[-1]), keys.ravel().tolist())):
         # Restart 0 starts at its given factors and draws only its steps.
-        generators.at(key).standard_normal(out=row[haar[-1] if i % CLIMB_RESTARTS == 0 else 0 :])
+        generators.at(key).standard_normal(out=row[n_haar if i % CLIMB_RESTARTS == 0 else 0 :])
+    haar = haar_unitaries(draws[..., 1:, :], 0, dims, lambda row: generators.at(int(keys[..., 1:][row])))
+    factors = [np.concatenate([u[..., None, :, :], h], axis=-3) for u, h in zip(starts, haar)]
 
-    factors, ok = [], True
-    for j, e in enumerate(dims):
-        g = draws[..., 1:, haar[j] : haar[j + 1]].reshape(*lead, CLIMB_RESTARTS - 1, 2, e, e)
-        u, ok_j = haar_unitaries(g[..., 0, :, :] + 1j * g[..., 1, :, :])
-        factors.append(np.concatenate([starts[j][..., None, :, :], u], axis=-3))
-        ok = ok & ok_j
-    if not np.all(ok):
-        # A failed check retries with further draws of the stream, which moves
-        # every later draw: redraw the whole restart by the one-climb route.
-        for search in np.ndindex(lead):
-            for r in np.flatnonzero(~ok[search]) + 1:
-                gen = generators.at(int(keys[(*search, r)]))
-                for j, e in enumerate(dims):
-                    factors[j][(*search, r)] = haar_unitary(e, gen)
-                gen.standard_normal(out=draws[(*search, r)][haar[-1] :])
-
+    gaussians = complex_gaussians(draws[..., n_haar:], step_shapes)
     rotations = {}
     for j, e in enumerate(dims):
         ks = [k for k, jk in enumerate(steps) if jk == j]
-        g = np.stack([draws[..., offsets[k] : offsets[k + 1]].reshape(*lead, CLIMB_RESTARTS, 2, e, e) for k in ks])
-        a = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+        a = np.stack([gaussians[k] for k in ks])
         h = (a + a.conj().swapaxes(-1, -2)) / 2
         if e == 2:
             u = _qubit_rotations(h, CLIMB_STEP_SCALE)

@@ -23,8 +23,10 @@ Every experiment is a block function `(cfg, indices) -> TrialBlock`
 from its block function to the rendered lines and the summary: no per-trial
 object is built on the way. A block function takes each trial's tau and its
 stream from one generator that :func:`_trial_streams` re-keys per trial, and
-draws that trial's values in the order of the one-trial code. Each experiment
-takes its kappas and their slack keys from :func:`_kappa_grid`.
+draws that trial's values in the order of the one-trial code: Gaussians
+as one row of normals (:func:`_block_normals`), which ``rand`` parses and
+turns into Haar bases, replaying a failed draw. Each experiment takes its
+kappas and their slack keys from :func:`_kappa_grid`.
 qepi and concavity compute a block as stacked (N, d, d) arrays: they
 validate, mix and take spectra and entropies of the whole block at once, and
 fill each column from those stacks.
@@ -100,9 +102,10 @@ from .measurement import check_complete, condition_all_stack
 from .rand import (
     RNG_ALGORITHM,
     KeyedStreams,
+    complex_gaussians,
     derived_indices,
     haar_unitaries,
-    haar_unitary,
+    normal_count,
     normalize_state_kind,
     state_columns,
     states_from_gaussians,
@@ -363,20 +366,6 @@ def _block_normals(cfg: TrialConfig, experiment: str, indices: range, size: int)
     return taus, normals
 
 
-def _normal_count(shapes) -> int:
-    """Standard normals that complex Gaussian matrices of `shapes` draw."""
-    return 2 * sum(rows * cols for rows, cols in shapes)
-
-
-def _complex_gaussians(normals: np.ndarray, shapes) -> list[np.ndarray]:
-    """The (N, rows, cols) complex Gaussian stacks of `shapes`, in order,
-    from the leading columns of (N, L) normals: each matrix takes its real,
-    then its imaginary parts, as rand.complex_gaussian draws them."""
-    ends = np.cumsum([0] + [2 * rows * cols for rows, cols in shapes]).tolist()
-    parts = [normals[:, lo:hi].reshape(-1, 2, *shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
-    return [x[:, 0] + 1j * x[:, 1] for x in parts]
-
-
 def _kron_pairs(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """np.kron of each matrix pair of two stacks with equal leading axes."""
     e1, e2 = u1.shape[-1], u2.shape[-1]
@@ -434,20 +423,17 @@ def _theorem_settings(cfg: TrialConfig, experiment: str, indices: range):
     """The settings of the trials `indices` of `experiment` (theorem or
     lemma), stacked: the taus, the validated (N, D, D) input state stacks and
     the (N, e_j, e_j) Haar basis stacks. Per trial, draw order tau, state 1,
-    state 2, basis 1, basis 2, each row bit for bit the trial's own draw. A
-    trial whose stacked Haar draw fails a check replays its stream past the
-    states and redraws both bases by haar_unitary, retries included."""
+    state 2, basis 1, basis 2, each row bit for bit the trial's own draw
+    (:func:`haar_unitaries` replays a row whose Haar draw fails a check)."""
     envs = (cfg.d_e1, cfg.d_e2)
     shapes = [(cfg.d * e, state_columns(cfg.d * e, cfg.state_kind, cfg.rank)) for e in envs]
-    shapes += [(e, e) for e in envs]
-    taus, normals = _block_normals(cfg, experiment, indices, _normal_count(shapes))
-    g1, g2, h1, h2 = _complex_gaussians(normals, shapes)
-    (rho1, _), (rho2, _) = states_from_gaussians(g1, cfg.state_kind), states_from_gaussians(g2, cfg.state_kind)
-    (u1, ok1), (u2, ok2) = haar_unitaries(h1), haar_unitaries(h2)
-    for row in np.flatnonzero(~(ok1 & ok2)):
-        ((_, gen),) = _trial_streams(cfg, experiment, indices[row : row + 1])
-        gen.standard_normal(_normal_count(shapes[:2]))  # the two states' Gaussians
-        u1[row], u2[row] = haar_unitary(cfg.d_e1, gen), haar_unitary(cfg.d_e2, gen)
+    start = normal_count(shapes)
+    taus, normals = _block_normals(cfg, experiment, indices, start + normal_count([(e, e) for e in envs]))
+    (rho1, _), (rho2, _) = (states_from_gaussians(g, cfg.state_kind) for g in complex_gaussians(normals, shapes))
+    # Row i replays from the stream of trial indices[i], just past its tau.
+    u1, u2 = haar_unitaries(
+        normals, start, envs, lambda row: next(_trial_streams(cfg, experiment, indices[row[0] :]))[1]
+    )
     return taus, rho1, rho2, u1, u2
 
 
@@ -592,9 +578,8 @@ def _lemma_block(cfg: TrialConfig, indices: range) -> TrialBlock:
 def _qepi_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     """qepi trials `indices`: per trial, draw order tau, state 1, state 2."""
     shapes = [(cfg.d, state_columns(cfg.d, cfg.state_kind, cfg.rank))] * 2
-    taus, normals = _block_normals(cfg, "qepi", indices, _normal_count(shapes))
-    g1, g2 = _complex_gaussians(normals, shapes)
-    (rho1, lam1), (rho2, lam2) = states_from_gaussians(g1, cfg.state_kind), states_from_gaussians(g2, cfg.state_kind)
+    taus, normals = _block_normals(cfg, "qepi", indices, normal_count(shapes))
+    (rho1, lam1), (rho2, lam2) = (states_from_gaussians(g, cfg.state_kind) for g in complex_gaussians(normals, shapes))
     tau_stack = np.array(taus, dtype=np.float64)
     _, lam_out = partial_swap_closed_stack(rho1, rho2, tau_stack)
     t = tau_stack[:, None]
@@ -639,7 +624,7 @@ def _conjecture_layout(cfg: TrialConfig):
     d, de = cfg.d, cfg.d_e1
     main = [(n, state_columns(n, cfg.state_kind, cfg.rank)) for n in ((d, d) if de == 1 else (d * d * de,))]
     control = [(d * e, state_columns(d * e, cfg.state_kind, cfg.rank)) for e in (cfg.d_e1, cfg.d_e2)]
-    return main, control, (_normal_count(main), 2 * (d * d * de) ** 2, _normal_count(control))
+    return main, control, (normal_count(main), normal_count([(d * d * de,) * 2]), normal_count(control))
 
 
 def _conditional_entropies(states: np.ndarray, spectra: np.ndarray, d: int) -> np.ndarray:
@@ -690,20 +675,19 @@ def _conjecture_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     main, control, (n_main, n_bump, n_control) = _conjecture_layout(cfg)
     taus, normals = _block_normals(cfg, "conjecture", indices, n_main + n_bump + n_control)
     tau = np.array(taus)
-    legs = [states_from_gaussians(g, cfg.state_kind)[0] for g in _complex_gaussians(normals, main)]
+    legs = [states_from_gaussians(g, cfg.state_kind)[0] for g in complex_gaussians(normals, main)]
     joint = legs[0] if len(legs) == 1 else make_density_stack(_kron_pairs(*legs))[0]
     slack = _joint_slacks(joint, tau, d)
 
     candidate = slack < threshold
-    (g,) = _complex_gaussians(normals[candidate, n_main : n_main + n_bump], [joint.shape[1:]])
+    (g,) = complex_gaussians(normals[candidate, n_main : n_main + n_bump], [joint.shape[1:]])
     eps = 1e-8
     perturbed, _ = make_density_stack((1.0 - eps) * joint[candidate] + eps * states_from_gaussians(g, "ginibre")[0])
     rechecked = iter(_joint_slacks(perturbed, tau[candidate], d).tolist())
 
     # Control arm: product-shaped inputs, conditioning on both environments.
     drawn = np.where(candidate[:, None], normals[:, n_main + n_bump :], normals[:, n_main : n_main + n_control])
-    g1, g2 = _complex_gaussians(drawn, control)
-    (rho1, lam1), (rho2, lam2) = states_from_gaussians(g1, cfg.state_kind), states_from_gaussians(g2, cfg.state_kind)
+    (rho1, lam1), (rho2, lam2) = (states_from_gaussians(g, cfg.state_kind) for g in complex_gaussians(drawn, control))
     s_out, s_1, s_2 = (
         _conditional_entropies(*pair, d)
         for pair in (partial_swap_global(rho1, rho2, tau, d), (rho1, lam1), (rho2, lam2))

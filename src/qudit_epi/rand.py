@@ -8,10 +8,13 @@ or in parallel without coordination. The one stream API is
 :class:`KeyedStreams`, which opens stream (master_seed, i), and
 :func:`derived_indices`, which mixes child indices into uint64 arrays of
 stream indices. ``tests/oracles.py`` holds the one-stream route they are
-tested against.
+tested against. Callers hand rows of normals here: this module owns their
+layout (:func:`complex_gaussians`), the Haar draw and its replay.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -87,36 +90,26 @@ def complex_gaussian(gen: np.random.Generator, rows: int, cols: int) -> np.ndarr
     return gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))
 
 
-def haar_unitary(d: int, gen: np.random.Generator) -> np.ndarray:
-    """Haar-distributed d x d unitary.
-
-    QR of a complex Ginibre matrix with the diagonal phase correction that
-    makes the distribution exactly Haar. Self-checks unitarity to 1e-12 and
-    resamples up to 3 times before giving up.
-    """
-    if d < 1:
-        raise QuditEpiError(f"unitary dimension must be >= 1, got {d}")
-    for _ in range(_HAAR_RETRIES):
-        q, r = np.linalg.qr(complex_gaussian(gen, d, d))
-        diag = np.diagonal(r)
-        mags = np.abs(diag)
-        if mags.min() == 0.0:
-            continue
-        u = q * (diag / mags)
-        if float(np.abs(u.conj().T @ u - np.eye(d)).max()) <= UNITARY_TOL:
-            return u
-    raise QuditEpiError(f"no unitary within {UNITARY_TOL:.0e} after {_HAAR_RETRIES} draws at d={d}")
+def normal_count(shapes) -> int:
+    """Standard normals that complex Gaussians of `shapes`, (rows, cols) pairs, take."""
+    return 2 * sum(rows * cols for rows, cols in shapes)
 
 
-def haar_unitaries(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`haar_unitary`'s first draw, with its checks, on each matrix of
-    an (..., e, e) stack of complex Gaussians, in one batched QR.
+def complex_gaussians(normals: np.ndarray, shapes) -> list[np.ndarray]:
+    """The (..., rows, cols) complex Gaussian stacks of `shapes`, in order,
+    from the leading columns of (..., L) standard normals: real parts, then
+    imaginary parts, as :func:`complex_gaussian` draws them."""
+    ends = np.cumsum([0] + [normal_count([shape]) for shape in shapes]).tolist()
+    lead = normals.shape[:-1]
+    parts = [normals[..., lo:hi].reshape(*lead, 2, *shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
+    return [x[..., 0, :, :] + 1j * x[..., 1, :, :] for x in parts]
 
-    Returns the unitaries and the (...) mask of rows that pass; a passing row
-    is bit for bit what haar_unitary returns when its first draw is that
-    row. A failing row is garbage: redraw it with haar_unitary from the
-    start of its stream, so that its retries replay.
-    """
+
+def _haar_checked(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q times the phases of R's diagonal, exactly Haar (Mezzadri, Notices
+    AMS 54, 592 (2007)), for each QR of an (..., e, e) Gaussian stack, and the
+    (...) mask of those with no zero on R's diagonal and |U†U - I| within
+    UNITARY_TOL; the rest are garbage."""
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     mags = np.abs(diag)
@@ -124,6 +117,38 @@ def haar_unitaries(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u = q * (diag / np.where(mags == 0.0, 1.0, mags))[..., None, :]
     residual = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(g.shape[-1])).max(axis=(-2, -1))
     return u, ok & (residual <= UNITARY_TOL)
+
+
+def haar_unitary(d: int, gen: np.random.Generator) -> np.ndarray:
+    """Haar-distributed d x d unitary: :func:`_haar_checked` of one draw,
+    redrawn while it fails, up to 3 draws in all."""
+    if d < 1:
+        raise QuditEpiError(f"unitary dimension must be >= 1, got {d}")
+    for _ in range(_HAAR_RETRIES):
+        u, ok = _haar_checked(complex_gaussian(gen, d, d))
+        if ok:
+            return u
+    raise QuditEpiError(f"no unitary within {UNITARY_TOL:.0e} after {_HAAR_RETRIES} draws at d={d}")
+
+
+def haar_unitaries(normals: np.ndarray, start: int, dims, reopen) -> list[np.ndarray]:
+    """One (..., e, e) Haar stack per e in `dims`, one batched QR each, from
+    the Gaussians each row of (..., L) normals holds from column `start` on.
+    A row that fails a check is replayed as haar_unitary retries: reopen(row)
+    gives the row's generator at its first normal (row an index tuple), the
+    replay skips `start` normals, draws every factor by haar_unitary and then
+    redraws in place the row's normals after the Haar block."""
+    shapes = [(e, e) for e in dims]
+    end = start + normal_count(shapes)
+    checked = [_haar_checked(g) for g in complex_gaussians(normals[..., start:end], shapes)]
+    unitaries = [u for u, _ in checked]
+    for row in map(tuple, np.argwhere(~np.all([ok for _, ok in checked], axis=0)).tolist()):
+        gen = reopen(row)
+        gen.standard_normal(start)
+        for u, e in zip(unitaries, dims):
+            u[row] = haar_unitary(e, gen)
+        gen.standard_normal(out=normals[row][end:])
+    return unitaries
 
 
 def state_columns(d: int, kind: str, rank: int | None) -> int:
@@ -135,7 +160,9 @@ def state_columns(d: int, kind: str, rank: int | None) -> int:
         return 1
     if kind == "ginibre":
         return d
-    if rank is None or not 1 <= int(rank) <= d:
+    if isinstance(rank, bool) or not isinstance(rank, numbers.Integral):
+        raise UsageError(f"rank must be an integer, got {rank!r}")
+    if not 1 <= rank <= d:
         raise QuditEpiError(f"rank must satisfy 1 <= rank <= {d}, got {rank}")
     return int(rank)
 
@@ -168,6 +195,6 @@ _STATE_KINDS = {"pure": "pure", "ginibre": "ginibre", "rank": "rank", "rank-k": 
 
 def normalize_state_kind(kind: str) -> str:
     """The sampler a state kind names: pure, ginibre, or rank for rank-k."""
-    if kind not in _STATE_KINDS:
+    if not isinstance(kind, str) or kind not in _STATE_KINDS:
         raise UsageError(f"unknown state kind {kind!r}; expected pure, ginibre or rank-k")
     return _STATE_KINDS[kind]

@@ -8,7 +8,8 @@ calls anything in this module.
 * Streams: :class:`RandomSource` opens one stream (master_seed,
   stream_index) as a new generator and derives a child stream by one index
   mix at a time; ``rand.KeyedStreams.at`` and ``rand.derived_indices`` are
-  held to it.
+  held to it. :func:`haar_unitary` draws one Haar unitary by its own QR and
+  checks; ``rand.haar_unitary`` and ``rand.haar_unitaries`` are held to it.
 * One-state kernels: :func:`eigenvalues_descending`, :func:`sample_state`
   and :func:`random_state`, :func:`partial_swap_closed` with its checks
   :func:`check_mixing` and :func:`_check_pair`, and the one-vector
@@ -56,11 +57,12 @@ from qudit_epi.errors import QuditEpiError, ValidationError
 from qudit_epi.harness import TrialBlock
 from qudit_epi.measurement import PROB_FLOOR, PROB_SUM_TOL, check_complete, condition_projective_all
 from qudit_epi.rand import (
+    _HAAR_RETRIES,
     _MASK64,
+    UNITARY_TOL,
     _philox_key,
     _splitmix64,
     complex_gaussian,
-    haar_unitary,
     normalize_state_kind,
     state_columns,
 )
@@ -90,6 +92,27 @@ class RandomSource(NamedTuple):
         for ix in indices:
             s = _splitmix64(s ^ (int(ix) & _MASK64))
         return RandomSource(self.master_seed, s)
+
+
+def haar_unitary(d: int, gen: np.random.Generator) -> np.ndarray:
+    """Haar-distributed d x d unitary.
+
+    QR of a complex Ginibre matrix with the diagonal phase correction that
+    makes the distribution exactly Haar. Self-checks unitarity to 1e-12 and
+    resamples up to 3 times before giving up.
+    """
+    if d < 1:
+        raise QuditEpiError(f"unitary dimension must be >= 1, got {d}")
+    for _ in range(_HAAR_RETRIES):
+        q, r = np.linalg.qr(complex_gaussian(gen, d, d))
+        diag = np.diagonal(r)
+        mags = np.abs(diag)
+        if mags.min() == 0.0:
+            continue
+        u = q * (diag / mags)
+        if float(np.abs(u.conj().T @ u - np.eye(d)).max()) <= UNITARY_TOL:
+            return u
+    raise QuditEpiError(f"no unitary within {UNITARY_TOL:.0e} after {_HAAR_RETRIES} draws at d={d}")
 
 
 # ------------------------------------------------------- one-state kernels

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qudit_epi import entropy, harness
+from qudit_epi import harness, rand
 from qudit_epi.entropy import kappa_bounds
 from qudit_epi.errors import ValidationError
 from qudit_epi.harness import (
@@ -410,27 +410,38 @@ def test_conjecture_blocks_match_one_trial_oracle(monkeypatch, joined, dims, kin
         assert 0 < sum(value is not None for value in expected.slacks["conjecture_perturbed"]) < cfg.trials
 
 
-@pytest.mark.parametrize("module", [harness, entropy], ids=["setting", "restart"])
-def test_theorem_haar_check_failure_redraws_by_the_scalar_route(monkeypatch, joined, module):
-    # Fails one row of the stacked Haar draw: of trial 5's bases, or of one
-    # climb's restart. The scalar route redraws it from the start of its
-    # stream; its first draw passes, so every value stays the same.
+def _failing_haar_check(rows, ndim, calls=None):
+    """rand._haar_checked failing the flattened `rows` of every stack of
+    `ndim` axes, with garbage unitaries there; other stacks, haar_unitary's
+    one-matrix draws among them, are checked as they are."""
+    real = rand._haar_checked
+
+    def checked(g):
+        u, ok = real(g)
+        if g.ndim != ndim:
+            return u, ok
+        if calls is not None:
+            calls.append(ok.shape)
+        u, ok = u.copy(), ok.copy()
+        u.reshape(-1, *u.shape[-2:])[rows] = np.nan  # a failing row is garbage
+        ok.reshape(-1)[rows] = False
+        return u, ok
+
+    return checked
+
+
+@pytest.mark.parametrize("ndim", [3, 5], ids=["setting", "restart"])
+def test_theorem_haar_check_failure_redraws_by_the_scalar_route(monkeypatch, joined, ndim):
+    # Fails one row of the batched Haar check: of trial 5's bases, on the
+    # settings' (N, e, e) stacks, or of one climb's restart, on the climb's
+    # (N, K, R - 1, e, e) stacks. The scalar route redraws it from the start
+    # of its stream; its first draw passes, so every value stays the same.
     # Redrawing the row's later draws (the second basis, the steps) is part
     # of it.
     cfg = TrialConfig(d=2, d_e1=2, d_e2=3, trials=12, seed=59)
     expected = joined(run_experiment("theorem", cfg))
-    real = module.haar_unitaries
     calls = []
-
-    def fails_one_row(g):
-        u, ok = real(g)
-        calls.append(ok.shape)
-        u, ok = u.copy(), ok.copy()
-        u.reshape(-1, *u.shape[-2:])[5] = np.nan  # a failing row is garbage
-        ok.reshape(-1)[5] = False
-        return u, ok
-
-    monkeypatch.setattr(module, "haar_unitaries", fails_one_row)
+    monkeypatch.setattr(rand, "_haar_checked", _failing_haar_check([5], ndim, calls))
     redrawn = joined(run_experiment("theorem", cfg))
     assert calls
     assert redrawn == expected
@@ -442,15 +453,7 @@ def test_lemma_haar_check_failure_redraws_from_the_lemma_stream(monkeypatch, joi
     # its bases from the start of the trial's lemma stream, so nothing changes.
     cfg = TrialConfig(d=2, d_e1=2, d_e2=3, trials=12, seed=59)
     expected = joined(run_experiment("lemma", cfg))
-    real = harness.haar_unitaries
-
-    def fails_row_five(g):
-        u, ok = real(g)
-        ok = ok.copy()
-        ok[5] = False
-        return u, ok
-
-    monkeypatch.setattr(harness, "haar_unitaries", fails_row_five)
+    monkeypatch.setattr(rand, "_haar_checked", _failing_haar_check([5], 3))
     redrawn = joined(run_experiment("lemma", cfg))
     assert redrawn == expected
     assert repr(redrawn) == repr(expected)
@@ -459,25 +462,15 @@ def test_lemma_haar_check_failure_redraws_from_the_lemma_stream(monkeypatch, joi
 @pytest.mark.parametrize("kind, rank", _KINDS[1:], ids=["pure", "rank-k:1", "rank-k:2"])
 @pytest.mark.parametrize("experiment", ["lemma", "theorem"])
 def test_haar_check_failure_replays_pure_and_rank_k_settings(monkeypatch, joined, experiment, kind, rank):
-    # Rows 0 and 5 of the stacked Haar draw fail their check. Their replay
-    # skips the two states' Gaussians, whose count depends on the state kind,
-    # and redraws both bases, so every value stays the same.
+    # Rows 0 and 5 of the settings' stacked Haar draws fail their check.
+    # Their replay skips the two states' Gaussians, whose count depends on
+    # the state kind, and redraws both bases, so every value stays the same.
     cfg = TrialConfig(d=2, d_e1=2, d_e2=3, state_kind=kind, rank=rank, trials=12, seed=59)
     expected = joined(run_experiment(experiment, cfg))
-    real = harness.haar_unitaries
     calls = []
-
-    def fails_rows_0_and_5(g):
-        u, ok = real(g)
-        calls.append(len(ok))
-        u, ok = u.copy(), ok.copy()
-        u[[0, 5]] = np.nan  # a failing row is garbage
-        ok[[0, 5]] = False
-        return u, ok
-
-    monkeypatch.setattr(harness, "haar_unitaries", fails_rows_0_and_5)
+    monkeypatch.setattr(rand, "_haar_checked", _failing_haar_check([0, 5], 3, calls))
     redrawn = joined(run_experiment(experiment, cfg))
-    assert calls == [12, 12]
+    assert calls == [(12,), (12,)]
     assert redrawn == expected
     assert repr(redrawn) == repr(expected)
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,6 +170,26 @@ def test_manifest_roundtrip():
         assert obj["config"]["tau"] == written
         assert obj["config"]["d"] == 3
         assert (obj["command"], obj["timestamp"]) == (m.command, m.timestamp)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", np.int64(5)),
+        ("exploratory_kappa", np.bool_(False)),
+        ("tolerance", np.float32(1e-9)),
+        ("kappa", np.float16(0.5)),
+    ],
+)
+def test_manifest_writes_numpy_scalars_as_python_values(field, value):
+    # validate_config accepts numpy scalars; the manifest line is the one of
+    # the same config holding the Python values they hold.
+    cfg = TrialConfig(d=3)._replace(**{field: value})
+    harness.validate_config(cfg, "qepi")
+    line = render_line(RunManifest(command="verify-qepi", config=cfg).to_object())
+    python = cfg._replace(**{field: value.item()})
+    assert type(value.item()) is not type(value)
+    assert line == render_line(RunManifest(command="verify-qepi", config=python).to_object())
 
 
 def test_dispatch_writes_jsonl(tmp_path, parse_jsonl):

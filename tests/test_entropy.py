@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qudit_epi import entropy as entropy_module
+from qudit_epi import rand
 from qudit_epi.entropy import (
     CLIMB_REFINE_STEPS,
     CLIMB_RESTARTS,
@@ -20,6 +22,7 @@ from qudit_epi.measurement import PROB_FLOOR, check_complete
 from qudit_epi.rand import haar_unitary
 from qudit_epi.states import make_density
 
+import oracles
 from oracles import (
     ConditionalOutcome,
     RandomSource,
@@ -282,23 +285,22 @@ def test_optimizer_deterministic(expected_power_objective):
 
 
 def test_climb_restart_retry_keeps_the_one_climb_draw_order(monkeypatch):
-    # Every stacked restart fails its check, and the scalar redraw retries
-    # once (its first draw is skipped as if it had failed), so the restart's
-    # steps must be drawn after the retry. An objective that favours restart 2
-    # and drops at every call makes each climb accept all of its steps: the
-    # factor returned is restart 2's Haar start times each of its step
-    # rotations, drawn in the one-climb order.
-    scalar = entropy_module.haar_unitary
+    # Every batched restart draw fails its check, and haar_unitary's first
+    # draw of each replayed restart fails too, so it retries once and the
+    # restart's steps must be drawn after the retry. An objective that
+    # favours restart 2 and drops at every call makes each climb accept all
+    # of its steps: the factor returned is restart 2's Haar start times each
+    # of its step rotations, drawn in the one-climb order.
+    real = rand._haar_checked
+    one_matrix_draws = itertools.count()
 
-    def garbage(g):
-        return np.full(g.shape, np.nan, dtype=complex), np.zeros(g.shape[:-2], dtype=bool)
+    def checked(g):
+        u, ok = real(g)
+        if g.ndim > 2:
+            return np.full(g.shape, np.nan, dtype=complex), np.zeros(g.shape[:-2], dtype=bool)
+        return u, ok & (next(one_matrix_draws) % 2 == 1)
 
-    def retries_once(e, gen):
-        gen.standard_normal(2 * e * e)
-        return scalar(e, gen)
-
-    monkeypatch.setattr(entropy_module, "haar_unitaries", garbage)
-    monkeypatch.setattr(entropy_module, "haar_unitary", retries_once)
+    monkeypatch.setattr(rand, "_haar_checked", checked)
     calls = iter(range(1 + CLIMB_REFINE_STEPS))
 
     def objective(factors):
@@ -306,8 +308,10 @@ def test_climb_restart_retry_keeps_the_one_climb_draw_order(monkeypatch):
 
     source = RandomSource(62)
     _, (found,) = climb_product_basis(objective, [np.eye(2, dtype=complex)], source.master_seed, source.stream_index)
+    assert next(one_matrix_draws) == 4  # two draws for each of restarts 1 and 2
     gen = source.derive(2).generator()
-    expected = retries_once(2, gen)
+    gen.standard_normal(2 * 2 * 2)  # the first draw, which failed
+    expected = oracles.haar_unitary(2, gen)
     for _ in range(CLIMB_REFINE_STEPS):
         g = gen.standard_normal((2, 2, 2))
         a = g[0] + 1j * g[1]

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -8,14 +9,17 @@ from qudit_epi.errors import QuditEpiError, UsageError
 from qudit_epi.rand import (
     KeyedStreams,
     complex_gaussian,
+    complex_gaussians,
     derived_indices,
     haar_unitaries,
     haar_unitary,
+    normal_count,
     normalize_state_kind,
     state_columns,
     states_from_gaussians,
 )
 
+import oracles
 from oracles import RandomSource, eigenvalues_descending, random_state, sample_state
 
 
@@ -90,42 +94,134 @@ def test_haar_columns_resolve_identity():
     assert np.abs(total - np.eye(4)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("e", [1, 2, 3, 4])
-def test_stacked_haar_rows_equal_haar_unitary(e):
-    streams = [RandomSource(19, i) for i in range(40)]
-    g = np.stack([complex_gaussian(s.generator(), e, e) for s in streams])
-    u, ok = haar_unitaries(g.reshape(4, 10, e, e))
-    assert ok.all()
-    for row, s in zip(u.reshape(40, e, e), streams):
-        expected = haar_unitary(e, s.generator())
-        assert np.array_equal(row, expected)
-        assert repr(row.tolist()) == repr(expected.tolist())  # signed zeros too
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+def test_haar_unitary_equals_the_reference(d):
+    # The batched check on one matrix draws what the one-matrix QR of
+    # tests/oracles.py draws, signed zeros too.
+    for i in range(300):
+        u = haar_unitary(d, RandomSource(12, i).generator())
+        expected = oracles.haar_unitary(d, RandomSource(12, i).generator())
+        assert repr(u.tolist()) == repr(expected.tolist())
+
+
+_SHAPES = [(2, 3), (1, 1), (4, 2), (3, 3), (1, 4)]
+
+
+def test_complex_gaussians_read_what_complex_gaussian_draws():
+    # Rows of normals over two leading axes, with a tail that no shape reads.
+    count = normal_count(_SHAPES)
+    assert count == 2 * (6 + 1 + 8 + 9 + 4)
+    streams = [RandomSource(22, i) for i in range(6)]
+    normals = np.stack([s.generator().standard_normal(count + 5) for s in streams]).reshape(2, 3, count + 5)
+    stacks = complex_gaussians(normals, _SHAPES)
+    assert [g.shape for g in stacks] == [(2, 3, *shape) for shape in _SHAPES]
+    for row, s in zip(np.ndindex(2, 3), streams):
+        gen = s.generator()
+        for g, shape in zip(stacks, _SHAPES):
+            assert np.array_equal(g[row], complex_gaussian(gen, *shape))
+
+
+def _haar_rows(seed, lead, start, dims, tail):
+    """(*lead, L) rows of normals, row i the first L of stream (seed, i):
+    `start` normals, the Haar block of `dims`, and `tail` normals."""
+    count = start + normal_count([(e, e) for e in dims]) + tail
+    rows = [RandomSource(seed, i).generator().standard_normal(count) for i in range(math.prod(lead))]
+    return np.stack(rows).reshape(*lead, count)
+
+
+def _reference_haar(source, start, dims, tail):
+    """The one-row draw: skip `start` normals, draw each factor by the
+    reference haar_unitary, then `tail` normals."""
+    gen = source.generator()
+    gen.standard_normal(start)
+    return [oracles.haar_unitary(e, gen) for e in dims], gen.standard_normal(tail)
+
+
+def _no_replay(row):
+    raise AssertionError(f"row {row} was replayed")
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (3,), (4,), (2, 3), (4, 1, 2)], ids=["1", "2", "3", "4", "2-3", "4-1-2"])
+def test_stacked_haar_rows_equal_haar_unitary(dims):
+    # One batched QR per factor gives each row what the reference draws from
+    # the row's stream after `start` normals; no row is replayed, and the
+    # tails stay as drawn.
+    lead, start, tail = (4, 10), 3, 5
+    normals = _haar_rows(19, lead, start, dims, tail)
+    drawn = normals.copy()
+    stacks = haar_unitaries(normals, start, dims, _no_replay)
+    assert [u.shape for u in stacks] == [(*lead, e, e) for e in dims]
+    assert np.array_equal(normals, drawn)
+    for i, row in enumerate(np.ndindex(lead)):
+        expected, _ = _reference_haar(RandomSource(19, i), start, dims, tail)
+        for u, want in zip(stacks, expected):
+            assert repr(u[row].tolist()) == repr(want.tolist())  # signed zeros too
 
 
 def test_stacked_haar_flags_rows_that_fail_the_checks():
     g = complex_gaussian(RandomSource(20).generator(), 3, 3)
     singular = g.copy()
     singular[:, 1] = 0.0  # R gets a zero diagonal entry
-    _, ok = haar_unitaries(np.stack([g, singular, g]))
+    _, ok = rand._haar_checked(np.stack([g, singular, g]))
     assert ok.tolist() == [True, False, True]
 
 
+def test_a_singular_row_is_replayed_from_its_stream():
+    # Real input, nothing patched: row (1, 0)'s Gaussian of the second
+    # factor has a zero column, so R's diagonal holds a 0 and the row fails.
+    # It is redrawn from its reopened stream after `start` normals, and its
+    # tail (here garbage) is redrawn after the Haar draws.
+    lead, start, dims, tail = (2, 3), 4, (2, 3), 6
+    normals = _haar_rows(23, lead, start, dims, tail)
+    column = np.zeros(normals.shape[-1], dtype=bool)
+    column[start + 8 : start + 8 + 18].reshape(2, 3, 3)[:, :, 1] = True  # both halves of column 1
+    normals[1, 0, column] = 0.0
+    normals[1, 0, -tail:] = np.nan
+    drawn = normals.copy()
+    reopened = []
+
+    def reopen(row):
+        reopened.append(row)
+        return RandomSource(23, np.ravel_multi_index(row, lead)).generator()
+
+    stacks = haar_unitaries(normals, start, dims, reopen)
+    assert reopened == [(1, 0)]
+    for i, row in enumerate(np.ndindex(lead)):
+        expected, expected_tail = _reference_haar(RandomSource(23, i), start, dims, tail)
+        for u, want in zip(stacks, expected):
+            assert np.array_equal(u[row], want)
+        if row == (1, 0):
+            assert np.array_equal(normals[row][-tail:], expected_tail)
+            assert np.array_equal(normals[row][:-tail], drawn[row][:-tail])
+        else:
+            assert np.array_equal(normals[row], drawn[row])
+
+
 def test_stacked_haar_applies_haar_unitarys_tolerance(monkeypatch):
-    # At a tolerance inside the spread of the residuals, a row passes exactly
-    # when haar_unitary keeps its first draw.
-    streams = [RandomSource(21, i) for i in range(40)]
-    g = np.stack([complex_gaussian(s.generator(), 3, 3) for s in streams])
-    u, _ = haar_unitaries(g)
-    residuals = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(3)).max(axis=(-2, -1))
-    monkeypatch.setattr(rand, "UNITARY_TOL", float(np.median(residuals)))
-    u, ok = haar_unitaries(g)
-    assert 0 < ok.sum() < len(ok)
-    for row, flag, s in zip(u, ok, streams):
+    # At a tolerance inside the spread of the residuals, a row passes the
+    # batched check exactly when the reference keeps its first draw, and a
+    # row that fails is replayed with the reference's retries, its tail
+    # redrawn after them. Streams whose reference gives up are left out.
+    start, tail = 2, 4
+    first = np.stack([_reference_haar(RandomSource(21, i), start, (3,), 0)[0][0] for i in range(60)])
+    residuals = np.abs(first.conj().swapaxes(-1, -2) @ first - np.eye(3)).max(axis=(-2, -1))
+    tol = float(np.median(residuals))
+    monkeypatch.setattr(rand, "UNITARY_TOL", tol)
+    monkeypatch.setattr(oracles, "UNITARY_TOL", tol)
+    kept, expected = [], []
+    for i in range(60):
         try:
-            kept_first = np.array_equal(row, haar_unitary(3, s.generator()))
+            expected.append(_reference_haar(RandomSource(21, i), start, (3,), tail))
         except QuditEpiError:  # no draw within the tolerance
-            kept_first = False
-        assert flag == kept_first
+            continue
+        kept.append(i)
+    normals = np.stack([RandomSource(21, i).generator().standard_normal(start + 18 + tail) for i in kept])
+    _, ok = rand._haar_checked(complex_gaussians(normals[:, start:], [(3, 3)])[0])
+    assert 0 < ok.sum() < len(ok)
+    (stack,) = haar_unitaries(normals, start, (3,), lambda row: RandomSource(21, kept[row[0]]).generator())
+    for u, tail_normals, (want, want_tail) in zip(stack, normals[:, -tail:], expected):
+        assert np.array_equal(u, want[0])
+        assert np.array_equal(tail_normals, want_tail)
 
 
 def test_pure_state_spectrum():
@@ -175,3 +271,24 @@ def test_state_kind_aliases():
     for kind in ("pure-haar", "mixed-ginibre", "mixed-rank-k", "Ginibre", " pure", "RANK-K", "thermal"):
         with pytest.raises(UsageError, match=r"^unknown state kind .*; expected pure, ginibre or rank-k$"):
             normalize_state_kind(kind)
+
+
+@pytest.mark.parametrize("kind", [["pure"], ("ginibre",), {"rank": 1}, None, 1, b"pure"])
+def test_a_state_kind_that_is_not_a_string_is_a_usage_error(kind):
+    # An unhashable kind is not a TypeError, and a bytes spelling names no sampler.
+    g = np.ones((1, 2, 1), dtype=complex)
+    for call in (lambda: normalize_state_kind(kind), lambda: states_from_gaussians(g, kind)):
+        with pytest.raises(UsageError, match=r"^unknown state kind .*; expected pure, ginibre or rank-k$"):
+            call()
+
+
+@pytest.mark.parametrize("rank", [1.5, 1.0, True, False, np.bool_(True), "1", None])
+def test_a_rank_that_is_not_an_integer_is_rejected(rank):
+    # A float is not truncated and a bool does not count as 0 or 1.
+    with pytest.raises(QuditEpiError, match="^rank must be an integer, got "):
+        state_columns(2, "rank", rank)
+
+
+def test_numpy_integer_ranks_are_integers():
+    assert state_columns(3, "rank-k", np.int64(2)) == 2
+    assert type(state_columns(3, "rank-k", np.uint8(3))) is int
