@@ -102,6 +102,7 @@ from .measurement import check_complete, condition_all_stack
 from .rand import (
     RNG_ALGORITHM,
     KeyedStreams,
+    check_integer,
     complex_gaussians,
     derived_indices,
     haar_unitaries,
@@ -224,9 +225,9 @@ def validate_config(cfg: TrialConfig, experiment: str) -> None:
     if experiment not in EXPERIMENTS:
         raise UsageError(f"unknown experiment {experiment!r}")
     for name in ("d", "d_e1", "d_e2", "trials", "seed"):
-        _check_integer(name, getattr(cfg, name))
+        check_integer(name, getattr(cfg, name))
     if cfg.rank is not None:
-        _check_integer("rank", cfg.rank)
+        check_integer("rank", cfg.rank)
     if cfg.tau is not None:
         _check_real("tau", cfg.tau)
     _check_real("tolerance", cfg.tolerance)
@@ -278,13 +279,6 @@ def validate_config(cfg: TrialConfig, experiment: str) -> None:
                 f"--kappa {cfg.kappa} exceeds the validity window 1/(ln d)^2 = {kappa1:.6g}; "
                 "pass --exploratory-kappa to scan it as a diagnostic"
             )
-
-
-def _check_integer(name: str, value) -> None:
-    """Reject a dimension, count or seed that is not an integer: a float
-    would fail inside the trials, and a bool would count as 0 or 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise UsageError(f"{name} must be an integer, got {value!r}")
 
 
 def _is_real(value) -> bool:
@@ -767,7 +761,7 @@ def run_experiment(experiment: str, cfg: TrialConfig, parallel: int = 1) -> Iter
     runs; a serial block runs only when the caller asks for it, so the caller
     holds only the blocks it keeps."""
     validate_config(cfg, experiment)
-    _check_integer("parallel", parallel)
+    check_integer("parallel", parallel)
     if parallel < 1:
         raise UsageError(f"--parallel must be >= 1, got {parallel}")
     workers = min(int(parallel), _usable_cpus())

@@ -151,6 +151,13 @@ def haar_unitaries(normals: np.ndarray, start: int, dims, reopen) -> list[np.nda
     return unitaries
 
 
+def check_integer(name: str, value) -> None:
+    """Reject a dimension, count, seed or rank that is not an integer: a
+    float would fail inside the trials, and a bool would count as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+
+
 def state_columns(d: int, kind: str, rank: int | None) -> int:
     """Columns of the d x cols complex Gaussian matrix one sampled state draws."""
     kind = normalize_state_kind(kind)
@@ -160,8 +167,7 @@ def state_columns(d: int, kind: str, rank: int | None) -> int:
         return 1
     if kind == "ginibre":
         return d
-    if isinstance(rank, bool) or not isinstance(rank, numbers.Integral):
-        raise UsageError(f"rank must be an integer, got {rank!r}")
+    check_integer("rank", rank)
     if not 1 <= rank <= d:
         raise QuditEpiError(f"rank must satisfy 1 <= rank <= {d}, got {rank}")
     return int(rank)

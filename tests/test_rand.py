@@ -199,27 +199,34 @@ def test_a_singular_row_is_replayed_from_its_stream():
 
 def test_stacked_haar_applies_haar_unitarys_tolerance(monkeypatch):
     # At a tolerance inside the spread of the residuals, a row passes the
-    # batched check exactly when the reference keeps its first draw, and a
-    # row that fails is replayed with the reference's retries, its tail
-    # redrawn after them. Streams whose reference gives up are left out.
-    start, tail = 2, 4
-    first = np.stack([_reference_haar(RandomSource(21, i), start, (3,), 0)[0][0] for i in range(60)])
+    # batched check exactly when the reference keeps its first draw, so a
+    # stream whose reference gives up fails it. A set that holds a give-up
+    # stream raises as the reference does; in a set without one, a failing
+    # row is replayed with the reference's retries, its tail redrawn after them.
+    start, tail, n = 2, 4, 60
+    normals = _haar_rows(21, (n,), start, (3,), tail)
+    (g,) = complex_gaussians(normals[:, start:], [(3, 3)])
+    first, _ = rand._haar_checked(g)
     residuals = np.abs(first.conj().swapaxes(-1, -2) @ first - np.eye(3)).max(axis=(-2, -1))
     tol = float(np.median(residuals))
     monkeypatch.setattr(rand, "UNITARY_TOL", tol)
     monkeypatch.setattr(oracles, "UNITARY_TOL", tol)
-    kept, expected = [], []
-    for i in range(60):
+    expected = []
+    for i in range(n):
         try:
             expected.append(_reference_haar(RandomSource(21, i), start, (3,), tail))
         except QuditEpiError:  # no draw within the tolerance
-            continue
-        kept.append(i)
-    normals = np.stack([RandomSource(21, i).generator().standard_normal(start + 18 + tail) for i in kept])
-    _, ok = rand._haar_checked(complex_gaussians(normals[:, start:], [(3, 3)])[0])
-    assert 0 < ok.sum() < len(ok)
-    (stack,) = haar_unitaries(normals, start, (3,), lambda row: RandomSource(21, kept[row[0]]).generator())
-    for u, tail_normals, (want, want_tail) in zip(stack, normals[:, -tail:], expected):
+            expected.append(None)
+    _, ok = rand._haar_checked(g)
+    assert ok.tolist() == [want is not None and np.array_equal(u, want[0][0]) for u, want in zip(first, expected)]
+    kept = [i for i, want in enumerate(expected) if want is not None]
+    assert len(kept) < n and 0 < ok[kept].sum() < len(kept)
+    with pytest.raises(QuditEpiError, match="^no unitary within "):
+        haar_unitaries(normals.copy(), start, (3,), lambda row: RandomSource(21, row[0]).generator())
+    rows = normals[kept]
+    (stack,) = haar_unitaries(rows, start, (3,), lambda row: RandomSource(21, kept[row[0]]).generator())
+    for u, tail_normals, i in zip(stack, rows[:, -tail:], kept):
+        want, want_tail = expected[i]
         assert np.array_equal(u, want[0])
         assert np.array_equal(tail_normals, want_tail)
 
