@@ -145,10 +145,6 @@ def _check_out(out: str) -> None:
         raise UsageError(f"cannot write {out!r}: not a file in an existing directory")
 
 
-def summary_to_object(summary: Summary) -> dict:
-    return {"type": "summary", **summary._asdict()}
-
-
 # A trial line's template holds this string where a scalar goes. The encoder
 # writes it as `"\u0000"`, and `:"\u0000"` occurs in a line only where a dict
 # value is this string: an unescaped `"` opens or closes a string, and one
@@ -237,7 +233,7 @@ def render_block(block: TrialBlock, with_experiment: bool) -> str:
 def emit(manifest: RunManifest, body: Iterable[str], summary: Summary, out: str) -> None:
     """Write the manifest line, the rendered trial lines `body` (strings of
     whole lines, see :func:`render_block`), then the summary line."""
-    parts = [render_line(manifest.to_object()), *body, render_line(summary_to_object(summary))]
+    parts = [render_line(manifest.to_object()), *body, render_line({"type": "summary", **summary._asdict()})]
     if out == "-":
         sys.stdout.writelines(parts)
         return
@@ -273,7 +269,9 @@ _COMMANDS = {
 
 def build_parser() -> _Parser:
     """One parser: the command is a positional choice, and every command
-    takes the same options, before or after it."""
+    takes the same options, before or after it, with TrialConfig's defaults
+    (--tau's "random" is its None)."""
+    cfg = TrialConfig()
     p = _Parser(
         prog="qudit-epi",
         description="Randomized checks of the partial-swap entropy power inequalities.",
@@ -281,14 +279,16 @@ def build_parser() -> _Parser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the commands below")
-    p.add_argument("--dim", type=int, default=2, help=f"qudit dimension d, 2..{MAX_DIM}")
-    p.add_argument("--env-dim1", type=int, default=2, help=f"first environment dimension, 1..{MAX_ENV_DIM}")
-    p.add_argument("--env-dim2", type=int, default=2, help=f"second environment dimension, 1..{MAX_ENV_DIM}")
-    p.add_argument("--trials", type=int, default=1000, help="number of randomized trials")
+    p.add_argument("--dim", type=int, default=cfg.d, help=f"qudit dimension d, 2..{MAX_DIM}")
+    p.add_argument("--env-dim1", type=int, default=cfg.d_e1, help=f"first environment dimension, 1..{MAX_ENV_DIM}")
+    p.add_argument("--env-dim2", type=int, default=cfg.d_e2, help=f"second environment dimension, 1..{MAX_ENV_DIM}")
+    p.add_argument("--trials", type=int, default=cfg.trials, help="number of randomized trials")
     p.add_argument("--tau", default="random", help="'random' or a fixed value in [0, 1]")
-    p.add_argument("--kappa", default="grid", help="'grid' (0, k1/2, k1), 'max' (k1) or a number")
-    p.add_argument("--seed", type=int, default=42, help="master seed in [0, 2^64) (fixed default, never time-derived)")
-    p.add_argument("--tol", type=float, default=1e-9, help="slack/residual tolerance")
+    p.add_argument("--kappa", default=cfg.kappa, help="'grid' (0, k1/2, k1), 'max' (k1) or a number")
+    p.add_argument(
+        "--seed", type=int, default=cfg.seed, help="master seed in [0, 2^64) (fixed default, never time-derived)"
+    )
+    p.add_argument("--tol", type=float, default=cfg.tolerance, help="slack/residual tolerance")
     p.add_argument("--out", default="-", help="output JSONL path, '-' for stdout")
     p.add_argument(
         "--parallel",
@@ -296,7 +296,7 @@ def build_parser() -> _Parser:
         default=_usable_cpus(),
         help="worker processes, >= 1 (default: the CPUs this process may run on)",
     )
-    p.add_argument("--state-kind", default="ginibre", help="ginibre | pure | rank-k:K")
+    p.add_argument("--state-kind", default=cfg.state_kind, help="ginibre | pure | rank-k:K")
     p.add_argument(
         "--exploratory-kappa",
         action="store_true",
@@ -305,22 +305,14 @@ def build_parser() -> _Parser:
     return p
 
 
-def _parse_tau(raw) -> float | None:
-    if raw == "random":
-        return None
+def _parse_number(flag: str, raw: str, words: dict):
+    """The value `words` gives the word `raw`, or else `raw` as a float."""
+    if raw in words:
+        return words[raw]
     try:
         return float(raw)
     except ValueError:
-        raise UsageError(f"--tau must be 'random' or a number, got {raw!r}") from None
-
-
-def _parse_kappa(raw):
-    if raw in ("grid", "max"):
-        return raw
-    try:
-        return float(raw)
-    except ValueError:
-        raise UsageError(f"--kappa must be 'grid', 'max' or a number, got {raw!r}") from None
+        raise UsageError(f"{flag} must be {', '.join(map(repr, words))} or a number, got {raw!r}") from None
 
 
 def _parse_state_kind(raw: str) -> tuple[str, int | None]:
@@ -338,8 +330,8 @@ def _config_from_args(args) -> TrialConfig:
         d=args.dim,
         d_e1=args.env_dim1,
         d_e2=args.env_dim2,
-        tau=_parse_tau(args.tau),
-        kappa=_parse_kappa(args.kappa),
+        tau=_parse_number("--tau", args.tau, {"random": None}),
+        kappa=_parse_number("--kappa", args.kappa, {"grid": "grid", "max": "max"}),
         state_kind=kind,
         rank=rank,
         trials=args.trials,

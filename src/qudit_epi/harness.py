@@ -15,8 +15,9 @@ Five experiment families:
 * conjecture -- counterexample search for the conditional-entropy version with
                 an arbitrary (possibly entangled) joint environment.
 
-Every trial derives all of its randomness from (seed, experiment base + trial
-index), so trials can run in any order or in parallel and replay exactly.
+Every trial derives all of its randomness from (seed, its stream key), the
+key from :func:`_stream_keys`, so trials can run in any order or in parallel
+and replay exactly.
 
 Every experiment is a block function `(cfg, indices) -> TrialBlock`
 (:data:`_TRIAL_FNS`), and a block travels as columns (:class:`TrialBlock`)
@@ -188,9 +189,9 @@ class TrialConfig(NamedTuple):
 class TrialBlock(NamedTuple):
     """The trials of one block as columns: row i is trial indices[i].
 
-    Each slack, residual and pass flag key maps to a column with one entry
-    per row; a row that lacks the key holds None there. Slacks and residuals
-    are floats. A negligible count of 0 means the trial skipped no outcome.
+    Each slack, residual and pass flag key maps to a float or bool column
+    with one entry per row; only soft slacks (:func:`_verdict`) hold None, in
+    rows without a value. A negligible count of 0 means no outcome was skipped.
     """
 
     experiment: str
@@ -316,17 +317,11 @@ def _kappa_grid(cfg: TrialConfig, prefix: str):
 def _verdict(cfg: TrialConfig, slacks: dict, residuals: dict, soft=frozenset()) -> dict[str, list]:
     """The pass flag columns of a block's slack and residual columns: each
     slack not in `soft` must be >= -tol and each residual <= tol, with
-    tol = --tol. Soft slacks are diagnostics. A row without a value (None)
-    gets no flag (None)."""
+    tol = --tol, so a NaN fails. Soft slacks are diagnostics."""
     tol = cfg.tolerance
-    low = -tol
-    flags = {
-        key: [None if value is None else value >= low for value in column]
-        for key, column in slacks.items()
-        if key not in soft
-    }
+    flags = {key: (np.asarray(column) >= -tol).tolist() for key, column in slacks.items() if key not in soft}
     for key, column in residuals.items():
-        flags[key] = [None if value is None else value <= tol for value in column]
+        flags[key] = (np.asarray(column) <= tol).tolist()
     return flags
 
 
@@ -338,14 +333,19 @@ def _draw_tau(cfg: TrialConfig, index: int, gen: np.random.Generator) -> float:
     return float(gen.random())
 
 
+def _stream_keys(experiment: str, indices: range) -> range:
+    """The stream key of each trial of `indices`: its experiment's base plus its index."""
+    base = _STREAM_BASE[experiment]
+    return range(base + indices.start, base + indices.stop, indices.step)
+
+
 def _trial_streams(cfg: TrialConfig, experiment: str, indices: range):
     """Per trial of `indices`, its tau and one generator re-keyed to the
     trial's stream, drawn past tau. The generator is shared: finish a
     trial's draws before taking the next."""
     streams = KeyedStreams(cfg.seed)
-    base = _STREAM_BASE[experiment]
-    for index in indices:
-        gen = streams.at(base + index)
+    for index, key in zip(indices, _stream_keys(experiment, indices)):
+        gen = streams.at(key)
         yield _draw_tau(cfg, index, gen), gen
 
 
@@ -491,7 +491,7 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
         starts = [u.repeat(len(searched), axis=1) for u in (u1, u2)]
         # Search c of trial i has the stream key of the trial's key with
         # searched[c] mixed in.
-        trial_streams = np.arange(indices.start, indices.stop, indices.step, dtype=np.uint64) + _STREAM_BASE["theorem"]
+        trial_streams = np.array(_stream_keys("theorem", indices), dtype=np.uint64)
         streams = derived_indices(trial_streams[:, None], np.array(searched, dtype=np.uint64))
         _, (found1, found2) = climb_product_basis(objective, starts, cfg.seed, streams)
         u1, u2 = np.concatenate([u1, found1], axis=1), np.concatenate([u2, found2], axis=1)
@@ -716,12 +716,11 @@ def _run_block(experiment: str, cfg: TrialConfig, indices: range) -> TrialBlock:
         return block(cfg, indices)
     except QuditEpiError:
         # Rerun trial by trial: the first failing trial raises, named.
-        for index in indices:
+        for index, key in zip(indices, _stream_keys(experiment, indices)):
             try:
                 block(cfg, range(index, index + 1))
             except QuditEpiError as exc:
-                key = (cfg.seed, _STREAM_BASE[experiment] + index)
-                raise type(exc)(f"{experiment} trial {index}, stream key {key}: {exc}") from exc
+                raise type(exc)(f"{experiment} trial {index}, stream key {(cfg.seed, key)}: {exc}") from exc
         raise
 
 

@@ -6,10 +6,11 @@ outcome j projects the environment onto column j. Conditioning contracts the
 joint state against the basis vectors directly (see
 :func:`condition_projective_all`), so the projectors are never formed.
 
-Each rule has one owner: :func:`check_complete` is the completeness check of
-one basis and of a stack, and :func:`condition_all_stack` the validated
-conditioning of stacks of states, the one route the experiments condition
-by; it returns the conditioned states and their spectra on the outcome grid.
+Each rule has one owner: :func:`completeness_residual` is max|U†U - I|,
+which :func:`check_complete` and ``rand``'s Haar check hold to their own
+tolerances, and :func:`condition_all_stack` the validated conditioning of
+stacks of states, the one route the experiments condition by; it returns
+the conditioned states and their spectra on the outcome grid.
 Its one-state oracle (``condition_all`` and ``condition_bilocal`` in
 ``tests/oracles.py``) is held to the same bits by the tests. Outcome
 totals are summed by the one sum rule, ``states.ordered_sum``.
@@ -29,16 +30,22 @@ PROB_SUM_TOL = 1e-9
 __all__ = [
     "PROB_FLOOR",
     "check_complete",
+    "completeness_residual",
     "condition_projective_all",
     "condition_all_stack",
 ]
+
+
+def completeness_residual(u: np.ndarray):
+    """max|U†U - I| of a matrix, or the (...) array of them of an (..., d, d) stack."""
+    return np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
 
 
 def check_complete(u: np.ndarray) -> None:
     """Completeness max|U†U - I| <= COMPLETENESS_TOL of a unitary or of each
     matrix of an (..., d, d) stack; the message names the first failing
     residual."""
-    residual = np.asarray(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1)))
+    residual = np.asarray(completeness_residual(u))
     bad = ~(residual <= COMPLETENESS_TOL)  # a NaN fails too
     if bad.any():
         raise ValidationError(f"max|U†U - I| = {residual[bad][0]:.3e} (> {COMPLETENESS_TOL:.1e})")

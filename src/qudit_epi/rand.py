@@ -19,6 +19,7 @@ import numbers
 import numpy as np
 
 from .errors import QuditEpiError, UsageError
+from .measurement import completeness_residual
 from .states import make_density_stack
 
 RNG_ALGORITHM = "philox4x64"
@@ -85,11 +86,6 @@ class KeyedStreams:
         return self._gen
 
 
-def complex_gaussian(gen: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Matrix of standard complex Gaussians (real and imaginary parts N(0,1))."""
-    return gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))
-
-
 def normal_count(shapes) -> int:
     """Standard normals that complex Gaussians of `shapes`, (rows, cols) pairs, take."""
     return 2 * sum(rows * cols for rows, cols in shapes)
@@ -98,7 +94,7 @@ def normal_count(shapes) -> int:
 def complex_gaussians(normals: np.ndarray, shapes) -> list[np.ndarray]:
     """The (..., rows, cols) complex Gaussian stacks of `shapes`, in order,
     from the leading columns of (..., L) standard normals: real parts, then
-    imaginary parts, as :func:`complex_gaussian` draws them."""
+    imaginary parts, each in row-major order."""
     ends = np.cumsum([0] + [normal_count([shape]) for shape in shapes]).tolist()
     lead = normals.shape[:-1]
     parts = [normals[..., lo:hi].reshape(*lead, 2, *shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
@@ -109,14 +105,13 @@ def _haar_checked(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Q times the phases of R's diagonal, exactly Haar (Mezzadri, Notices
     AMS 54, 592 (2007)), for each QR of an (..., e, e) Gaussian stack, and the
     (...) mask of those with no zero on R's diagonal and |U†U - I| within
-    UNITARY_TOL; the rest are garbage."""
+    UNITARY_TOL (:func:`completeness_residual`); the rest are garbage."""
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     mags = np.abs(diag)
     ok = mags.min(axis=-1) != 0.0
     u = q * (diag / np.where(mags == 0.0, 1.0, mags))[..., None, :]
-    residual = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(g.shape[-1])).max(axis=(-2, -1))
-    return u, ok & (residual <= UNITARY_TOL)
+    return u, ok & (completeness_residual(u) <= UNITARY_TOL)
 
 
 def haar_unitary(d: int, gen: np.random.Generator) -> np.ndarray:
@@ -125,7 +120,7 @@ def haar_unitary(d: int, gen: np.random.Generator) -> np.ndarray:
     if d < 1:
         raise QuditEpiError(f"unitary dimension must be >= 1, got {d}")
     for _ in range(_HAAR_RETRIES):
-        u, ok = _haar_checked(complex_gaussian(gen, d, d))
+        u, ok = _haar_checked(complex_gaussians(gen.standard_normal(normal_count([(d, d)])), [(d, d)])[0])
         if ok:
             return u
     raise QuditEpiError(f"no unitary within {UNITARY_TOL:.0e} after {_HAAR_RETRIES} draws at d={d}")

@@ -62,7 +62,6 @@ from qudit_epi.rand import (
     UNITARY_TOL,
     _philox_key,
     _splitmix64,
-    complex_gaussian,
     normalize_state_kind,
     state_columns,
 )
@@ -136,6 +135,12 @@ def eigenvalues_descending(rho: DensityMatrix) -> np.ndarray:
     vals = vals / total
     vals.setflags(write=False)
     return vals
+
+
+def complex_gaussian(gen: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Matrix of standard complex Gaussians: the real parts, then the
+    imaginary parts, each N(0, 1) in row-major order."""
+    return gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))
 
 
 def sample_state(gen: np.random.Generator, d: int, kind: str = "ginibre", rank: int | None = None) -> DensityMatrix:

@@ -536,6 +536,14 @@ def test_parallel_defaults_to_the_cpus_this_process_may_use(monkeypatch):
     assert build_parser().parse_args(["verify-qepi"]).parallel == 8
 
 
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_a_command_without_options_configures_the_default_trial_config(command):
+    # The options' defaults are TrialConfig's, value and type.
+    cfg = _config_from_args(build_parser().parse_args([command]))
+    assert cfg == TrialConfig()
+    assert [type(value) for value in cfg] == [type(value) for value in TrialConfig()]
+
+
 # -------------------------------------------------- the launch's fast exit
 
 

@@ -111,9 +111,15 @@ def test_every_definition_is_referenced(path):
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
-def test_version_matches_pyproject():
+def test_pyproject_reads_the_version_from_the_package():
+    # The version has one owner, qudit_epi._version; the build reads it there.
     import tomllib
 
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
-        assert tomllib.load(fh)["project"]["version"] == qudit_epi.__version__
+        config = tomllib.load(fh)
+    assert "version" not in config["project"] and config["project"]["dynamic"] == ["version"]
+    attr = config["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    assert attr == "qudit_epi._version.__version__"
+    module, name = attr.rsplit(".", 1)
+    assert getattr(importlib.import_module(module), name) == qudit_epi.__version__

@@ -253,26 +253,110 @@ _EXPLORATORY = {"kappa": 3.0, "exploratory_kappa": True}
 def test_hard_check_key_sets(experiment, cfg, expected):
     # Exactly these checks decide a trial's verdict; every other slack is a diagnostic.
     for i in range(5):
-        flags = _one(experiment, cfg, i).pass_flags
-        assert {key for key, column in flags.items() if column[0] is not None} == expected, i
+        assert set(_one(experiment, cfg, i).pass_flags) == expected, i
 
 
 def test_verdict_flags():
     # Flag columns of the slacks come first, then those of the residuals; a
-    # soft slack gets none; a value on the tolerance passes, a NaN fails and a
-    # row without a value (None) gets no flag.
+    # soft slack gets none, and only a soft slack may hold None; a value on
+    # the tolerance passes and a NaN fails.
     tol = 1e-9
-    slacks = {"s.hard": [-tol, None], "s.soft": [-1.0, -1.0], "s.nan": [math.nan, 0.0], "s.low": [-2 * tol, 1.0]}
-    residuals = {"r.edge": [tol, None], "r.nan": [math.nan, 0.0], "r.high": [2 * tol, -1.0]}
+    slacks = {"s.hard": [-tol, 0.0], "s.soft": [-1.0, None], "s.nan": [math.nan, 0.0], "s.low": [-2 * tol, 1.0]}
+    residuals = {"r.edge": [tol, 0.0], "r.nan": [math.nan, 0.0], "r.high": [2 * tol, -1.0]}
     flags = harness._verdict(TrialConfig(tolerance=tol), slacks, residuals, {"s.soft"})
     assert list(flags.items()) == [
-        ("s.hard", [True, None]),
+        ("s.hard", [True, True]),
         ("s.nan", [False, True]),
         ("s.low", [False, True]),
-        ("r.edge", [True, None]),
+        ("r.edge", [True, True]),
         ("r.nan", [False, True]),
         ("r.high", [False, True]),
     ]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.5, 5e-324])
+def test_verdict_gives_pythons_comparisons_at_the_float_edges(tol):
+    # Each flag is the bool that Python's float comparison gives: a NaN fails
+    # a slack and a residual, the infinities order as floats, -0.0 equals 0.0,
+    # and a value one ulp beyond the tolerance fails.
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, -tol, tol]
+    values += [math.nextafter(-tol, -math.inf), math.nextafter(tol, math.inf)]
+    flags = harness._verdict(TrialConfig(tolerance=tol), {"s": values}, {"r": values})
+    assert flags == {"s": [v >= -tol for v in values], "r": [v <= tol for v in values]}
+    assert {type(flag) for column in flags.values() for flag in column} == {bool}
+    assert flags["s"][:5] == [False, True, False, True, True]
+    assert flags["r"][:5] == [False, False, True, True, True]
+
+
+def _recorded_verdicts(monkeypatch) -> list:
+    """The (slacks, residuals, soft) of each _verdict call from now on."""
+    calls = []
+    real = harness._verdict
+
+    def recording(cfg, slacks, residuals, soft=frozenset()):
+        calls.append((slacks, residuals, soft))
+        return real(cfg, slacks, residuals, soft)
+
+    monkeypatch.setattr(harness, "_verdict", recording)
+    return calls
+
+
+def _flagged_columns(calls) -> list:
+    """The columns that the recorded _verdict calls flag: hard slacks and residuals."""
+    return [
+        column
+        for slacks, residuals, soft in calls
+        for column in [*(c for key, c in slacks.items() if key not in soft), *residuals.values()]
+    ]
+
+
+@pytest.mark.parametrize(
+    "experiment, cfg",
+    [
+        ("lemma", TrialConfig(d=2, d_e1=2, d_e2=3, trials=12, seed=3)),
+        ("theorem", TrialConfig(d=2, trials=6, seed=3)),
+        ("qepi", TrialConfig(d=3, trials=40, seed=3)),
+        ("concavity", TrialConfig(d=4, trials=40, seed=3)),
+        ("conjecture", TrialConfig(d=2, d_e1=1, trials=40, seed=3)),
+        ("conjecture", TrialConfig(d=2, d_e1=2, trials=40, seed=3)),
+    ],
+    ids=["lemma", "theorem", "qepi", "concavity", "conjecture-env1", "conjecture-env2"],
+)
+def test_only_soft_slack_columns_hold_none(monkeypatch, experiment, cfg):
+    # _verdict compares whole columns, so no column that it flags may hold a
+    # hole; the conjecture's perturbed slack, soft in every configuration, is
+    # the one column that does.
+    calls = _recorded_verdicts(monkeypatch)
+    blocks = list(run_experiment(experiment, cfg))
+    assert len(calls) == len(blocks)
+    assert not any(None in column for column in _flagged_columns(calls))
+    for block in blocks:
+        assert not any(None in column for column in block.pass_flags.values())
+        assert [key for key, column in block.slacks.items() if None in column] in ([], ["conjecture_perturbed"])
+    if experiment == "conjecture":
+        perturbed = [value for block in blocks for value in block.slacks["conjecture_perturbed"]]
+        assert None in perturbed
+        assert any(value is not None for value in perturbed) == (cfg.d_e1 == 2)
+
+
+@pytest.mark.parametrize("experiment", ["lemma", "theorem"])
+def test_negligible_outcomes_leave_no_hole_in_a_flagged_column(monkeypatch, zero, experiment):
+    # Environment 1 sits in |0><0| and the Haar pair's first basis is the
+    # computational one, so outcome 1 of the first environment is negligible.
+    real = harness._theorem_settings
+
+    def planted(cfg, experiment, indices):
+        taus, _, rho2, _, u2 = real(cfg, experiment, indices)
+        rho1 = np.stack([tensor(sample_state(RandomSource(index).generator(), cfg.d), zero).mat for index in indices])
+        return taus, rho1, rho2, np.stack([np.eye(2, dtype=complex)] * len(indices)), u2
+
+    monkeypatch.setattr(harness, "_theorem_settings", planted)
+    calls = _recorded_verdicts(monkeypatch)
+    (block,) = run_experiment(experiment, TrialConfig(d=2, trials=3, seed=5))
+    assert all(block.negligible)
+    flagged = _flagged_columns(calls)
+    assert flagged and not any(None in column for column in flagged)
+    assert not any(None in column for column in [*block.slacks.values(), *block.residuals.values()])
 
 
 def test_validate_config_rejects_out_of_envelope():
@@ -584,7 +668,8 @@ def test_summarize_empty_and_violations():
     (block,) = run_experiment("qepi", cfg, parallel=1)
     assert summarize([block]).violations == 0
     block.pass_flags["qepi_majorization"][0] = False
-    # `passed` is computed on construction: rebuild the block from its fields.
+    # The flags changed in place, and `passed`, computed on each access,
+    # reads them; a block rebuilt from the same fields counts the same.
     b = block
     rebuilt = TrialBlock(b.experiment, b.indices, b.taus, b.kappas, b.slacks, b.residuals, b.pass_flags, b.negligible)
     assert summarize([rebuilt]).violations == 1

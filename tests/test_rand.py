@@ -8,7 +8,6 @@ from qudit_epi import rand
 from qudit_epi.errors import QuditEpiError, UsageError
 from qudit_epi.rand import (
     KeyedStreams,
-    complex_gaussian,
     complex_gaussians,
     derived_indices,
     haar_unitaries,
@@ -20,7 +19,7 @@ from qudit_epi.rand import (
 )
 
 import oracles
-from oracles import RandomSource, eigenvalues_descending, random_state, sample_state
+from oracles import RandomSource, complex_gaussian, eigenvalues_descending, random_state, sample_state
 
 
 def test_streams_replay_exactly():
