@@ -3,10 +3,14 @@
 Output layout: line 1 is the manifest, one line per trial follows, and the
 last line is the summary. Trials reach :func:`dispatch` one block of columns
 at a time (``harness.run_experiment`` yields ``harness.TrialBlock``s); each
-block's lines are rendered into one string and the block is dropped before
-the next one runs, while ``summarize`` folds it. So a run holds its rendered
-output plus one block's columns. Nothing is written until every trial has
-run, so a failing run writes only its error. The manifest and summary lines
+block's lines are rendered into one string, appended to the spool (an
+anonymous temporary file, ``tempfile.TemporaryFile``) and flushed, and the
+block is dropped before the next one runs, while ``summarize`` folds it. So
+a run holds one block's columns and lines, whatever --trials is. Nothing is
+written until every trial has run, so a failing run writes only its error;
+then :func:`emit` copies the spool, a chunk at a time, between the manifest
+line and the summary line. The spool has no name: the system frees it when
+the run ends, killed or not. The manifest and summary lines
 go through :func:`render_line`, the stdlib JSON encoder. A trial line is a
 template that this encoder built once per row shape, filled with the row's
 scalars, each column formatted at once by json's rules
@@ -45,7 +49,9 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable
+import tempfile
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -87,6 +93,11 @@ def render_line(obj: dict) -> str:
 # -------------------------------------------------------------------- manifest
 
 
+# --tau's word for a tau drawn per trial, TrialConfig's tau=None: the
+# option's default, the word it parses to None and the manifest's tau of None.
+_RANDOM_TAU = "random"
+
+
 class RunManifest(NamedTuple):
     command: str
     config: TrialConfig
@@ -100,7 +111,7 @@ class RunManifest(NamedTuple):
         return {
             "type": "manifest",
             "command": self.command,
-            "config": {**config, "tau": config["tau"] if cfg.tau is not None else "random"},
+            "config": {**config, "tau": config["tau"] if cfg.tau is not None else _RANDOM_TAU},
             "version": meta["version"],
             "rng": meta["rng"],
             "log_base": meta["log_base"],
@@ -135,10 +146,13 @@ def _resolve_timestamp() -> str:
 
 
 def _check_out(out: str) -> None:
-    """Reject an empty --out path or one whose directory does not exist. The
-    file itself is only opened, and an existing one truncated, once every
-    trial has run."""
+    """Reject an empty --out path, one whose directory does not exist, and
+    '-' when the launch had stdout closed (sys.stdout is then None). The file
+    itself is only opened, and an existing one truncated, once every trial
+    has run."""
     if out == "-":
+        if sys.stdout is None:
+            raise UsageError("cannot write '-': stdout is closed")
         return
     directory = os.path.dirname(os.path.abspath(out))
     if not out or not os.path.isdir(directory) or os.path.isdir(out):
@@ -231,9 +245,13 @@ def render_block(block: TrialBlock, with_experiment: bool) -> str:
 
 
 def emit(manifest: RunManifest, body: Iterable[str], summary: Summary, out: str) -> None:
-    """Write the manifest line, the rendered trial lines `body` (strings of
-    whole lines, see :func:`render_block`), then the summary line."""
-    parts = [render_line(manifest.to_object()), *body, render_line({"type": "summary", **summary._asdict()})]
+    """Write the manifest line, the trial lines `body`, then the summary line.
+
+    `body` yields the text of the rendered trial lines (see
+    :func:`render_block`) in order, in chunks that need not end at a line
+    break. Each chunk is written as it comes, so emit holds one at a time."""
+    summary_line = render_line({"type": "summary", **summary._asdict()})
+    parts = chain((render_line(manifest.to_object()),), body, (summary_line,))
     if out == "-":
         sys.stdout.writelines(parts)
         return
@@ -242,6 +260,41 @@ def emit(manifest: RunManifest, body: Iterable[str], summary: Summary, out: str)
             fh.writelines(parts)
     except OSError as exc:
         raise QuditEpiError(f"cannot write {out!r}: {exc}") from exc
+
+
+# ----------------------------------------------------------------------- spool
+
+
+# Characters per read when emit copies the spool out.
+_SPOOL_CHUNK = 1 << 16
+
+
+def _open_spool():
+    """An anonymous temporary file for the trial lines."""
+    try:
+        return tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise QuditEpiError(f"cannot create the trial spool: {exc}") from exc
+
+
+def _spool_write(spool, text: str) -> None:
+    """Append `text` and flush it, so that no buffered text is left for a
+    forked pool worker to inherit."""
+    try:
+        spool.write(text)
+        spool.flush()
+    except OSError as exc:
+        raise QuditEpiError(f"cannot write the trial spool: {exc}") from exc
+
+
+def _spool_chunks(spool) -> Iterator[str]:
+    """The spool's text from its start, _SPOOL_CHUNK characters at a time."""
+    try:
+        spool.seek(0)
+        while chunk := spool.read(_SPOOL_CHUNK):
+            yield chunk
+    except OSError as exc:
+        raise QuditEpiError(f"cannot read the trial spool: {exc}") from exc
 
 
 # ------------------------------------------------------------------- arguments
@@ -283,7 +336,7 @@ def build_parser() -> _Parser:
     p.add_argument("--env-dim1", type=int, default=cfg.d_e1, help=f"first environment dimension, 1..{MAX_ENV_DIM}")
     p.add_argument("--env-dim2", type=int, default=cfg.d_e2, help=f"second environment dimension, 1..{MAX_ENV_DIM}")
     p.add_argument("--trials", type=int, default=cfg.trials, help="number of randomized trials")
-    p.add_argument("--tau", default="random", help="'random' or a fixed value in [0, 1]")
+    p.add_argument("--tau", default=_RANDOM_TAU, help=f"'{_RANDOM_TAU}' or a fixed value in [0, 1]")
     p.add_argument("--kappa", default=cfg.kappa, help="'grid' (0, k1/2, k1), 'max' (k1) or a number")
     p.add_argument(
         "--seed", type=int, default=cfg.seed, help="master seed in [0, 2^64) (fixed default, never time-derived)"
@@ -330,7 +383,7 @@ def _config_from_args(args) -> TrialConfig:
         d=args.dim,
         d_e1=args.env_dim1,
         d_e2=args.env_dim2,
-        tau=_parse_number("--tau", args.tau, {"random": None}),
+        tau=_parse_number("--tau", args.tau, {_RANDOM_TAU: None}),
         kappa=_parse_number("--kappa", args.kappa, {"grid": "grid", "max": "max"}),
         state_kind=kind,
         rank=rank,
@@ -352,20 +405,20 @@ def dispatch(argv=None) -> int:
         timestamp = _resolve_timestamp()
         _check_out(args.out)
 
-        body: list[str] = []
+        with _open_spool() as spool:
 
-        def blocks():
-            # Render each block as it arrives and hand it to the fold; the
-            # block is dropped before the next one runs.
-            for experiment in experiments:
-                for block in run_experiment(experiment, cfg, args.parallel):
-                    body.append(render_block(block, args.command == "all"))
-                    yield block
-                    del block
+            def blocks():
+                # Spool each block's lines as it arrives and hand the block
+                # to the fold; it is dropped before the next one runs.
+                for experiment in experiments:
+                    for block in run_experiment(experiment, cfg, args.parallel):
+                        _spool_write(spool, render_block(block, args.command == "all"))
+                        yield block
+                        del block
 
-        summary = summarize(blocks(), run_metadata(cfg))
-        manifest = RunManifest(command=args.command, config=cfg, timestamp=timestamp)
-        emit(manifest, body, summary, args.out)
+            summary = summarize(blocks(), run_metadata(cfg))
+            manifest = RunManifest(command=args.command, config=cfg, timestamp=timestamp)
+            emit(manifest, _spool_chunks(spool), summary, args.out)
         return 2 if summary.violations else 0
     except QuditEpiError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -768,9 +768,10 @@ def run_experiment(experiment: str, cfg: TrialConfig, parallel: int = 1) -> Iter
         workers = 1
     run = partial(_run_block, experiment, cfg)
     size = _block_size(experiment, cfg, workers)
-    blocks = [range(start, min(start + size, cfg.trials)) for start in range(0, cfg.trials, size)]
+    starts = range(0, cfg.trials, size)
+    blocks = (range(start, min(start + size, cfg.trials)) for start in starts)
     # A pool forks all of its workers at the first submit.
-    workers = min(workers, len(blocks))
+    workers = min(workers, len(starts))
     if workers == 1:
         yield from map(run, blocks)
         return

@@ -5,6 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,17 +258,99 @@ def test_bad_out_path_is_rejected_before_trial_zero(tmp_path, monkeypatch, capsy
 
 
 def test_existing_out_file_survives_a_failed_run(tmp_path, monkeypatch, capsys):
-    # The output file is written only after every trial has run.
+    # The output file is written only after every trial has run: a run that
+    # fails in its first block, or in its third once two are spooled (blocks
+    # of 7), leaves it as it was.
     out = tmp_path / "run.jsonl"
     out.write_text("earlier run\n")
+    monkeypatch.setitem(harness._BLOCK_SIZE, "qepi", 7)
+    real = harness._TRIAL_FNS["qepi"]
+    for failing in (0, 14):
+
+        def fails(cfg, indices):
+            if indices.start >= failing:
+                raise ValidationError("planted")
+            return real(cfg, indices)
+
+        monkeypatch.setitem(harness._TRIAL_FNS, "qepi", fails)
+        assert dispatch(["verify-qepi", "--trials", "30", "--parallel", "1", "--out", str(out)]) == 1
+        assert "planted" in capsys.readouterr().err
+        assert out.read_text() == "earlier run\n"
+
+
+@pytest.mark.parametrize("target", ["file", "-"])
+def test_a_spool_that_cannot_be_created_fails_the_run_before_trial_zero(tmp_path, monkeypatch, capsys, target):
+    def no_spool(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_spool)
+    monkeypatch.setitem(harness._TRIAL_FNS, "qepi", _never_called)
+    out = tmp_path / "run.jsonl"
+    out.write_bytes(b"earlier run\n")
+    argv = ["verify-qepi", "--dim", "2", "--trials", "3", "--out", str(out) if target == "file" else "-"]
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot create the trial spool: [Errno 28] No space left on device\n"
+    assert out.read_bytes() == b"earlier run\n"
+
+
+def test_peak_traced_memory_does_not_grow_with_trials(tmp_path):
+    # The trial lines go to the spool, not to a list: the Python heap of a
+    # run peaks at one block's columns and lines, so 4096 trials (8 blocks)
+    # peak where 1024 (2 blocks) do. Holding the lines grew it by about
+    # 0.8 MB. At --parallel 1, so the pool's window plays no part.
+    argv = ["verify-qepi", "--dim", "2", "--parallel", "1", "--out", str(tmp_path / "run.jsonl"), "--trials"]
+    assert dispatch([*argv, "600"]) == 0  # fills the caches a first run fills
+    peaks = []
+    for trials in ("1024", "4096"):
+        tracemalloc.start()
+        try:
+            assert dispatch([*argv, trials]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 200_000, peaks
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/<pid>/fd")
+def test_no_file_is_left_in_the_temp_directory(tmp_path, monkeypatch, capsys):
+    # The spool has no name: a passing, a failing and a killed run all leave
+    # the temporary directory as they found it.
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    argv = ["verify-qepi", "--dim", "2", "--parallel", "1", "--out", os.devnull, "--trials"]
+    assert dispatch([*argv, "600"]) == 0
 
     def fails(cfg, indices):
         raise ValidationError("planted")
 
     monkeypatch.setitem(harness._TRIAL_FNS, "qepi", fails)
-    assert dispatch(["verify-qepi", "--trials", "3", "--parallel", "1", "--out", str(out)]) == 1
+    assert dispatch([*argv, "600"]) == 1
     assert "planted" in capsys.readouterr().err
-    assert out.read_text() == "earlier run\n"
+    assert list(tmp.iterdir()) == []
+    launch = [sys.executable, "-m", "qudit_epi.cli", *argv, "10000000"]
+    proc = subprocess.Popen(launch, env={**os.environ, "TMPDIR": str(tmp)})
+    try:
+        fds = f"/proc/{proc.pid}/fd"
+        for _ in range(600):  # until the spool is open, at most a minute
+            links = []
+            for fd in os.listdir(fds):
+                try:
+                    links.append(os.readlink(os.path.join(fds, fd)))
+                except FileNotFoundError:
+                    pass
+            if any(link.startswith(str(tmp)) for link in links):
+                break
+            assert proc.poll() is None
+            time.sleep(0.1)
+        else:
+            pytest.fail("the run opened no spool")
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+    assert list(tmp.iterdir()) == []
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -453,12 +538,21 @@ def _peak_rss_kb(trials: int, workers: int) -> int:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
 def test_peak_memory_grows_by_less_than_0_8_kb_per_trial():
-    # A run holds its rendered output (about 0.28 KB per qepi-d3 trial) plus
-    # one block's columns, and at --parallel 2 the window of blocks the pool
-    # has not handed over; holding every record grows about 1.8 KB per trial.
+    # A run holds one block's columns and lines (the rest of the lines wait in
+    # the spool), and at --parallel 2 the window of blocks the pool has not
+    # handed over; holding every record grows about 1.8 KB per trial.
     for workers in (1, 2):
         small, large = _peak_rss_kb(2000, workers), _peak_rss_kb(20000, workers)
         assert (large - small) / 18000 < 0.8, (workers, small, large)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+def test_launched_peak_memory_does_not_grow_with_trials():
+    # The spool holds the trial lines: 40 000 trials peak within 0.5 MB of
+    # 4 000. Holding the rendered lines (about 0.27 KB per trial) made it
+    # about 9.7 MB more.
+    small, large = _peak_rss_kb(4000, 1), _peak_rss_kb(40000, 1)
+    assert large - small < 512, (small, large)
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -576,6 +670,15 @@ def test_launch_with_a_closed_standard_stream_writes_its_out_file(tmp_path, desc
     argv = [sys.executable, "-m", "qudit_epi.cli", "verify-qepi", "--trials", "2", "--out", str(out)]
     assert subprocess.run(argv, preexec_fn=lambda: os.close(descriptor)).returncode == 0
     assert out.read_text().count("\n") == 4
+
+
+def test_launch_with_stdout_closed_rejects_out_dash_before_trial_zero():
+    # sys.stdout is None: `--out -` is a usage error, not a traceback after
+    # the last trial.
+    argv = [sys.executable, "-m", "qudit_epi.cli", "verify-qepi", "--trials", "2", "--out", "-"]
+    proc = subprocess.run(argv, stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write '-': stdout is closed\n"
 
 
 def test_launch_leaves_no_process_behind():
