@@ -30,14 +30,15 @@ until exit; frozen, they are walked by no collection during the run, and
 in-process callers use, freezes nothing.
 
 When :func:`dispatch` returns, the run's output is complete: :func:`emit`
-has closed an --out file, and ``run_experiment`` has joined its pool
-workers before the last block was handed over. :func:`main` then flushes
-stdout and stderr and ends the process with ``os._exit``, skipping
-interpreter teardown, which would only free memory the kernel reclaims
-anyway: from the end of main to the reap by the parent, a theorem-d2 launch
-took about 7 ms with teardown and 2 ms without it (2-core VM, Python
-3.11). If the reader closed stdout, that flush fails and the exit code is 1;
-nothing is flushed after it, so nothing more is printed.
+has flushed stdout or closed an --out file, and ``run_experiment`` has
+joined its pool workers before the last block was handed over. A failed
+write, to a full disk or to a pipe its reader closed, raises inside
+:func:`dispatch`, the one place that catches errors. :func:`main` then
+flushes stderr and ends the process with ``os._exit``, skipping interpreter
+teardown, which would only free memory the kernel reclaims anyway: from the
+end of main to the reap by the parent, a theorem-d2 launch took about 7 ms
+with teardown and 2 ms without it (2-core VM, Python 3.11). Stdout is not
+flushed again, so a closed pipe prints nothing more.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ import math
 import os
 import sys
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
+from contextlib import nullcontext
+from functools import partial
 from itertools import chain
 from typing import NamedTuple
 
@@ -245,56 +248,21 @@ def render_block(block: TrialBlock, with_experiment: bool) -> str:
 
 
 def emit(manifest: RunManifest, body: Iterable[str], summary: Summary, out: str) -> None:
-    """Write the manifest line, the trial lines `body`, then the summary line.
+    """Write the manifest line, the trial lines `body`, then the summary line,
+    to the file `out` or, for '-', to stdout, and flush it.
 
     `body` yields the text of the rendered trial lines (see
     :func:`render_block`) in order, in chunks that need not end at a line
     break. Each chunk is written as it comes, so emit holds one at a time."""
     summary_line = render_line({"type": "summary", **summary._asdict()})
     parts = chain((render_line(manifest.to_object()),), body, (summary_line,))
-    if out == "-":
-        sys.stdout.writelines(parts)
-        return
-    try:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(parts)
-    except OSError as exc:
-        raise QuditEpiError(f"cannot write {out!r}: {exc}") from exc
-
-
-# ----------------------------------------------------------------------- spool
+    with nullcontext(sys.stdout) if out == "-" else open(out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(parts)
+        fh.flush()
 
 
 # Characters per read when emit copies the spool out.
 _SPOOL_CHUNK = 1 << 16
-
-
-def _open_spool():
-    """An anonymous temporary file for the trial lines."""
-    try:
-        return tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise QuditEpiError(f"cannot create the trial spool: {exc}") from exc
-
-
-def _spool_write(spool, text: str) -> None:
-    """Append `text` and flush it, so that no buffered text is left for a
-    forked pool worker to inherit."""
-    try:
-        spool.write(text)
-        spool.flush()
-    except OSError as exc:
-        raise QuditEpiError(f"cannot write the trial spool: {exc}") from exc
-
-
-def _spool_chunks(spool) -> Iterator[str]:
-    """The spool's text from its start, _SPOOL_CHUNK characters at a time."""
-    try:
-        spool.seek(0)
-        while chunk := spool.read(_SPOOL_CHUNK):
-            yield chunk
-    except OSError as exc:
-        raise QuditEpiError(f"cannot read the trial spool: {exc}") from exc
 
 
 # ------------------------------------------------------------------- arguments
@@ -395,7 +363,12 @@ def _config_from_args(args) -> TrialConfig:
 
 
 def dispatch(argv=None) -> int:
-    """Parse one command and its options, run it, write output, and return the exit code."""
+    """Parse one command and its options, run it, write output, and return the exit code.
+
+    The one place that catches a failure: a broken pipe returns 1 and prints
+    nothing; a QuditEpiError or any other OSError (of the spool or of the
+    output) prints one `error:` line to stderr, if the launch has one, and
+    returns 1."""
     try:
         args = build_parser().parse_args(argv)
         cfg = _config_from_args(args)
@@ -405,23 +378,31 @@ def dispatch(argv=None) -> int:
         timestamp = _resolve_timestamp()
         _check_out(args.out)
 
-        with _open_spool() as spool:
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
 
             def blocks():
                 # Spool each block's lines as it arrives and hand the block
-                # to the fold; it is dropped before the next one runs.
+                # to the fold; it is dropped before the next one runs. The
+                # flush leaves no buffered text for a forked pool worker to
+                # inherit.
                 for experiment in experiments:
                     for block in run_experiment(experiment, cfg, args.parallel):
-                        _spool_write(spool, render_block(block, args.command == "all"))
+                        spool.write(render_block(block, args.command == "all"))
+                        spool.flush()
                         yield block
                         del block
 
             summary = summarize(blocks(), run_metadata(cfg))
             manifest = RunManifest(command=args.command, config=cfg, timestamp=timestamp)
-            emit(manifest, _spool_chunks(spool), summary, args.out)
+            spool.seek(0)
+            emit(manifest, iter(partial(spool.read, _SPOOL_CHUNK), ""), summary, args.out)
         return 2 if summary.violations else 0
-    except QuditEpiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        # The reader closed stdout: nothing more is printed.
+        return 1
+    except (QuditEpiError, OSError) as exc:
+        if sys.stderr is not None:  # None if the launch had descriptor 2 closed
+            print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
@@ -430,15 +411,9 @@ def main() -> None:
     # and the launch ends without interpreter teardown (see the module
     # docstring).
     gc.freeze()
-    try:
-        code = dispatch()
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:  # None if the launch had that descriptor closed
-                stream.flush()
-    except BrokenPipeError:
-        # The reader closed stdout: exit with the I/O error code. Nothing is
-        # flushed after this point, so the closed pipe cannot raise again.
-        code = 1
+    code = dispatch()
+    if sys.stderr is not None:
+        sys.stderr.flush()
     os._exit(code)
 
 

@@ -131,9 +131,16 @@ _FORCED_TAUS = (0.0, 0.5, 1.0)
 # further to give each --parallel worker one.
 _BLOCK_SIZE = {"qepi": 512, "concavity": 512}
 
-# Most trials per block of lemma and conjecture. A pool block costs about
-# 0.7 ms of CPU to send and return, several d=2 lemma or conjecture trials,
-# so a block carries many trials.
+# Most trials per block of lemma and conjecture: it bounds a run's peak
+# memory. _BLOCK_BYTES sizes only a block's largest stacked array, and the
+# rest of the block grows with it several times over; without the cap a
+# small-dimension block holds every trial. Median ru_maxrss of 3 launches at
+# --parallel 1 (2-core VM, Python 3.11), with the cap and without it:
+# `verify-lemma --dim 3 --env-dim1 3 --env-dim2 3` 39.7 MB against 61 MB at
+# 400 trials and 70 MB at 4 000; `search-conjecture --dim 2 --trials 4000`
+# 37.7 against 64.8 MB. Uncapped, those runs take 12-27% less time. A block
+# of 32 d=2 trials still costs several times the 0.7 ms of CPU that a pool
+# block costs to send and return.
 _MAX_BLOCK = 32
 
 # Bytes of the largest stacked array of a theorem, lemma or conjecture block.

@@ -291,8 +291,22 @@ def test_a_spool_that_cannot_be_created_fails_the_run_before_trial_zero(tmp_path
     assert dispatch(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: cannot create the trial spool: [Errno 28] No space left on device\n"
+    assert captured.err == "error: [Errno 28] No space left on device\n"
     assert out.read_bytes() == b"earlier run\n"
+
+
+def test_an_out_file_that_cannot_be_opened_fails_with_one_error_line(tmp_path, capsys):
+    # `run.jsonl/` passes _check_out (its directory exists, and it is no
+    # directory) but cannot be opened: its last component is a file.
+    earlier = tmp_path / "run.jsonl"
+    earlier.write_bytes(b"earlier run\n")
+    out = f"{earlier}/"
+    assert dispatch(["verify-qepi", "--dim", "2", "--trials", "3", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert repr(out) in captured.err
+    assert earlier.read_bytes() == b"earlier run\n"
 
 
 def test_peak_traced_memory_does_not_grow_with_trials(tmp_path):
@@ -599,11 +613,12 @@ def test_options_may_come_before_the_command(monkeypatch, capsys):
 
 
 def test_main_freezes_the_import_time_heap():
-    # dispatch is replaced by a stub that reports what main left frozen.
+    # dispatch is replaced by a stub that reports what main left frozen. Like
+    # dispatch, it flushes what it writes: main flushes no stdout.
     code = (
         "import gc\n"
         "from qudit_epi import cli\n"
-        "cli.dispatch = lambda: print(gc.get_freeze_count()) or 0\n"
+        "cli.dispatch = lambda: print(gc.get_freeze_count(), flush=True) or 0\n"
         "cli.main()\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -620,6 +635,28 @@ def test_closed_stdout_exits_one_without_a_traceback():
     proc.stderr.close()
     assert proc.wait() == 1
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_exits_one_with_one_error_line():
+    # Every write to /dev/full fails with ENOSPC, in emit's writes or in its
+    # flush.
+    argv = [sys.executable, "-m", "qudit_epi.cli", "verify-qepi", "--trials", "2000", "--parallel", "1"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "No space left on device" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_launch_with_stderr_closed_writes_no_error_to_stdout():
+    # sys.stderr is None: the error line is dropped, not printed into the
+    # JSONL stream.
+    argv = [sys.executable, "-m", "qudit_epi.cli", "verify-qepi", "--dim", "9", "--out", "-"]
+    proc = subprocess.run(argv, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2))
+    assert proc.returncode == 1
+    assert proc.stdout == b""
 
 
 def test_parallel_defaults_to_the_cpus_this_process_may_use(monkeypatch):
