@@ -11,6 +11,11 @@ Importing the package runs no garbage collection: the collector is paused
 while its imports, numpy's included, build their tens of thousands of
 long-lived objects, which then join the oldest generation unwalked, and the
 caller's setting is restored.
+
+Nor does it import the basis search: :func:`climb_product_basis` is
+resolved from ``entropy`` on first access (the module ``__getattr__``), and
+``harness`` imports the conditioned experiments (``conditional``) with their
+first block, so a qepi or concavity run compiles neither module.
 """
 
 import gc
@@ -20,11 +25,11 @@ gc.disable()
 try:
     from ._version import __version__
     from .channels import partial_swap_global
-    from .entropy import climb_product_basis, kappa_bounds
     from .harness import (
         Summary,
         TrialBlock,
         TrialConfig,
+        kappa_bounds,
         run_experiment,
         summarize,
     )
@@ -38,6 +43,16 @@ finally:
         gc.unfreeze()
     if _collecting:
         gc.enable()
+
+
+
+def __getattr__(name: str):
+    if name == "climb_product_basis":
+        from .entropy import climb_product_basis
+
+        return climb_product_basis
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -21,7 +21,8 @@ runs are byte-identical.
 
 Exit codes: 0 all hard checks passed; 2 a hard violation or a re-verified
 conjecture candidate (a finding, not a crash); 1 usage, configuration or I/O
-error, a stdout closed by its reader included (no traceback is printed).
+error, a stdout closed by its reader and a --help that cannot be written
+included (no traceback is printed).
 
 :func:`main`, the launched entry point, calls ``gc.freeze()`` before
 :func:`dispatch`. The objects that importing numpy and this package made live
@@ -149,15 +150,17 @@ def _resolve_timestamp() -> str:
 
 
 def _check_out(out: str) -> None:
-    """Reject an empty --out path, one whose directory does not exist, and
-    '-' when the launch had stdout closed (sys.stdout is then None). The file
-    itself is only opened, and an existing one truncated, once every trial
-    has run."""
+    """Reject an empty --out path, one whose directory does not exist, one
+    that names a directory, and '-' when the launch had stdout closed
+    (sys.stdout is then None). The directory is the path up to its last
+    separator, unnormalized, as open() resolves it: `run.jsonl/` is rejected
+    whether or not run.jsonl exists. The file itself is only opened, and an
+    existing one truncated, once every trial has run."""
     if out == "-":
         if sys.stdout is None:
             raise UsageError("cannot write '-': stdout is closed")
         return
-    directory = os.path.dirname(os.path.abspath(out))
+    directory = os.path.dirname(out) or os.curdir
     if not out or not os.path.isdir(directory) or os.path.isdir(out):
         raise UsageError(f"cannot write {out!r}: not a file in an existing directory")
 
@@ -272,6 +275,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we reserve that
         self.print_usage(sys.stderr)
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        # argparse's own write drops an OSError, and its SystemExit leaves
+        # dispatch before stdout is flushed. Writing and flushing here makes
+        # a --help that cannot be written an error of dispatch's rule.
+        if file is None:
+            if sys.stdout is None:
+                raise UsageError("cannot write the help: stdout is closed")
+            file = sys.stdout
+        file.write(self.format_help())
+        file.flush()
 
 
 # Command: (help text, the experiments it runs).

@@ -1,73 +1,32 @@
-"""Majorization slacks and entropies of stacked spectra, the entropy-power
-window, and a hill climb over product measurement bases that searches for the
-measurement minimizing an objective, such as a conditional entropy power or
-an inequality's slack. The one-vector functionals are test oracles in
-``tests/oracles.py``.
+"""The basis search: a hill climb over product measurement bases that
+searches for the measurement minimizing an objective, such as a conditional
+entropy power or an inequality's slack. Only the conditioned experiments
+(``conditional``) search, so a qepi or concavity run never imports this
+module; the entropies of stacked spectra and the majorization slacks live in
+``states``, and the window edge :func:`kappa_bounds` in ``harness``.
 
 :func:`climb_product_basis` is the one climb: it advances a whole stack of
 searches in lockstep, so a caller with one search and the theorem's block of
 trials (every kappa and restart of each trial) share it. Its objective kernel,
 :func:`projective_entropy_power`, takes qubit spectra in closed form and
 calls an eigensolver only for larger conditioned blocks.
-
-Convention: natural logarithm everywhere. The entropy power of order kappa is
-exp(kappa * S) with S in nats, so the concavity window upper edge is
-1/(ln d)^2. The convention is recorded in run manifests.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .errors import QuditEpiError
 from .measurement import PROB_FLOOR, condition_projective_all
 from .rand import KeyedStreams, complex_gaussians, derived_indices, haar_unitaries, normal_count
-from .states import ordered_sum
+from .states import entropy_nats_rows
 
 # Budget of each climb_product_basis search.
 CLIMB_RESTARTS = 3
 CLIMB_REFINE_STEPS = 10
 CLIMB_STEP_SCALE = 0.2
 
-__all__ = [
-    "prefix_slack_rows",
-    "entropy_nats_rows",
-    "kappa_bounds",
-    "projective_entropy_power",
-    "climb_product_basis",
-]
-
-
-def prefix_slack_rows(dominating: np.ndarray, dominated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(min_k sum(dominating[:k]) - sum(dominated[:k]), total difference) of
-    each row pair of two (N, d) stacks of descending vectors, as two (N,)
-    arrays: dominated < dominating in the majorization order where the first
-    is nonnegative. Row i is bit for bit ``prefix_slack`` of ``tests/oracles.py``.
-    """
-    diff = np.cumsum(dominating, axis=1) - np.cumsum(dominated, axis=1)
-    return diff.min(axis=1), diff[:, -1]
-
-
-def entropy_nats_rows(p: np.ndarray) -> np.ndarray:
-    """-sum p ln p in nats of each row of an (..., d) stack with entries
-    p >= 0 (unvalidated), as a (...) array.
-
-    Zero entries add an exact 0.0 term instead of being dropped. The terms
-    add left to right (:func:`ordered_sum`), as ``entropy_nats`` of
-    ``tests/oracles.py`` adds them, so each value equals it bit for bit.
-    """
-    return -ordered_sum(p * np.log(np.where(p > 0.0, p, 1.0)))
-
-
-def kappa_bounds(d: int) -> float:
-    """1/(ln d)^2: the upper edge of the window of kappa in which the entropy
-    power exp(kappa * S) of a d-level state is concave, and the largest kappa
-    that the inequality checks assert."""
-    if d < 2:
-        raise QuditEpiError(f"need d >= 2, got {d}")
-    return 1.0 / math.log(d) ** 2
+__all__ = ["projective_entropy_power", "climb_product_basis"]
 
 
 def _normalized_spectra(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

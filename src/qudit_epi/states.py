@@ -1,4 +1,5 @@
-"""Validated density matrices in stacks, and their spectra.
+"""Validated density matrices in stacks, their spectra, and the entropies and
+majorization slacks of stacked spectra.
 
 Subsystem ordering convention: the leftmost tensor factor is always the
 slowest-varying index. A state documented as living on (X, E) stores X first;
@@ -13,7 +14,12 @@ oracles in ``tests/oracles.py``.
 :func:`ordered_sum` is the one summation rule of the package: of each
 spectrum's total before it is renormalized, of every sum over outcomes that
 a recorded slack or residual takes, and of each entropy's sum over a
-spectrum. Terms add left to right, in order.
+spectrum (:func:`entropy_nats_rows`). Terms add left to right, in order.
+
+Convention: natural logarithm everywhere. The entropy power of order kappa is
+exp(kappa * S) with S in nats, so the concavity window upper edge is
+1/(ln d)^2 (``harness.kappa_bounds``). The convention is recorded in run
+manifests.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ __all__ = [
     "make_density",
     "make_density_stack",
     "ordered_sum",
+    "entropy_nats_rows",
+    "prefix_slack_rows",
 ]
 
 
@@ -43,6 +51,27 @@ def ordered_sum(x: np.ndarray) -> np.ndarray:
     builtin sum compensates since Python 3.12, so either may differ in the
     last bit."""
     return reduce(np.add, np.moveaxis(x, -1, 0))
+
+
+def entropy_nats_rows(p: np.ndarray) -> np.ndarray:
+    """-sum p ln p in nats of each row of an (..., d) stack with entries
+    p >= 0 (unvalidated), as a (...) array.
+
+    Zero entries add an exact 0.0 term instead of being dropped. The terms
+    add left to right (:func:`ordered_sum`), as ``entropy_nats`` of
+    ``tests/oracles.py`` adds them, so each value equals it bit for bit.
+    """
+    return -ordered_sum(p * np.log(np.where(p > 0.0, p, 1.0)))
+
+
+def prefix_slack_rows(dominating: np.ndarray, dominated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(min_k sum(dominating[:k]) - sum(dominated[:k]), total difference) of
+    each row pair of two (N, d) stacks of descending vectors, as two (N,)
+    arrays: dominated < dominating in the majorization order where the first
+    is nonnegative. Row i is bit for bit ``prefix_slack`` of ``tests/oracles.py``.
+    """
+    diff = np.cumsum(dominating, axis=1) - np.cumsum(dominated, axis=1)
+    return diff.min(axis=1), diff[:, -1]
 
 
 class DensityMatrix:

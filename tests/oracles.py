@@ -18,7 +18,7 @@ calls anything in this module.
   :func:`entropy_power`, with their tolerances. Each stacked kernel
   (``states.make_density_stack`` and the spectra it returns,
   ``rand.states_from_gaussians``, ``channels.partial_swap_closed_stack``,
-  ``entropy.prefix_slack_rows`` and ``entropy.entropy_nats_rows``) is held
+  ``states.prefix_slack_rows`` and ``states.entropy_nats_rows``) is held
   to its one-state twin here, bit for bit where its docstring says so.
 * States: :class:`MultipartiteState` attaches subsystem dimensions to one
   validated state, and :func:`partial_trace` reduces it.

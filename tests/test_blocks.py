@@ -17,13 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qudit_epi import harness, rand
-from qudit_epi.entropy import kappa_bounds
+from qudit_epi import conditional, harness, rand
+from qudit_epi.conditional import _slack_objective
 from qudit_epi.errors import ValidationError
 from qudit_epi.harness import (
     TrialBlock,
     TrialConfig,
-    _slack_objective,
+    kappa_bounds,
     resolve_kappas,
     run_experiment,
     summarize,
@@ -185,7 +185,7 @@ def test_lemma_block_size_follows_the_byte_budget(monkeypatch, budget, dims, siz
     # 1 MiB holds 7 trials of the (Y, E1, E2) output at (6, 4, 4) (16 B x
     # 96^2 each) and 16 at (4, 4, 4); the cap of 32 binds at (2, 2, 2). A
     # budget below one trial still gives blocks of one.
-    monkeypatch.setattr(harness, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(conditional, "_BLOCK_BYTES", budget)
     d, e1, e2 = dims
     assert harness._block_size("lemma", TrialConfig(d=d, d_e1=e1, d_e2=e2, trials=1000), 1) == size
 
@@ -341,7 +341,7 @@ def test_lemma_blocks_skip_the_negligible_outcomes_the_oracle_skips(monkeypatch,
     def planted(index):
         return tensor(sample_state(RandomSource(index).generator(), cfg.d), zero)
 
-    real_setting, real_settings = oracles._bilocal_setting, harness._theorem_settings
+    real_setting, real_settings = oracles._bilocal_setting, conditional._theorem_settings
 
     def planted_setting(cfg, gen, index):
         tau, s1, s2, m1, m2 = real_setting(cfg, gen, index)
@@ -359,7 +359,7 @@ def test_lemma_blocks_skip_the_negligible_outcomes_the_oracle_skips(monkeypatch,
     monkeypatch.setattr(oracles, "_bilocal_setting", planted_setting)
     expected = joined(lemma_trial(cfg, index) for index in range(cfg.trials))
     assert expected.negligible == [3, 0] * 5
-    monkeypatch.setattr(harness, "_theorem_settings", planted_settings)
+    monkeypatch.setattr(conditional, "_theorem_settings", planted_settings)
     monkeypatch.setattr(harness, "_block_size", lambda *_: 4)
     blocks = joined(run_experiment("lemma", cfg))
     assert blocks == expected
@@ -481,7 +481,7 @@ def _assert_theorem_failure_names_its_trial(monkeypatch, step, message):
     cfg = TrialConfig(d=2, trials=20, seed=53)
     target = 9  # inside the one block of 20
     _, s1, *_ = _bilocal_setting(cfg, trial_source(cfg, "theorem", target).generator(), target)
-    real = getattr(harness, step)
+    real = getattr(conditional, step)
 
     def fails_on_target(*args):
         result = real(*args)
@@ -491,7 +491,7 @@ def _assert_theorem_failure_names_its_trial(monkeypatch, step, message):
                 raise ValidationError(message)
         return result
 
-    monkeypatch.setattr(harness, step, fails_on_target)
+    monkeypatch.setattr(conditional, step, fails_on_target)
     with pytest.raises(ValidationError) as err:
         list(run_experiment("theorem", cfg))
     key = (53, harness._STREAM_BASE["theorem"] + target)
@@ -512,13 +512,13 @@ def test_theorem_setting_failure_mid_block_names_its_trial(monkeypatch):
 
 
 def test_theorem_checks_completeness_of_the_found_bases(monkeypatch):
-    real = harness.climb_product_basis
+    real = conditional.climb_product_basis
 
     def off_unitary(*args):
         values, found = real(*args)
         return values, [1.001 * u for u in found]
 
-    monkeypatch.setattr(harness, "climb_product_basis", off_unitary)
+    monkeypatch.setattr(conditional, "climb_product_basis", off_unitary)
     with pytest.raises(ValidationError, match=r"^theorem trial 0, .*: max\|U†U - I\| = 2\.001e-03 \(> 1\.0e-10\)$"):
         list(run_experiment("theorem", TrialConfig(d=2, trials=3, seed=61)))
 

@@ -295,17 +295,17 @@ def test_a_spool_that_cannot_be_created_fails_the_run_before_trial_zero(tmp_path
     assert out.read_bytes() == b"earlier run\n"
 
 
-def test_an_out_file_that_cannot_be_opened_fails_with_one_error_line(tmp_path, capsys):
-    # `run.jsonl/` passes _check_out (its directory exists, and it is no
-    # directory) but cannot be opened: its last component is a file.
+def test_an_out_file_that_cannot_be_opened_fails_with_one_error_line(tmp_path, monkeypatch, capsys):
+    # `run.jsonl/` cannot be opened: the separator makes the file run.jsonl
+    # its directory. It is rejected before trial 0, and run.jsonl is kept.
+    monkeypatch.setitem(harness._TRIAL_FNS, "qepi", _never_called)
     earlier = tmp_path / "run.jsonl"
     earlier.write_bytes(b"earlier run\n")
-    out = f"{earlier}/"
-    assert dispatch(["verify-qepi", "--dim", "2", "--trials", "3", "--out", out]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert repr(out) in captured.err
+    for out in (f"{earlier}/", f"{earlier}/.", f"{tmp_path}/new.jsonl/"):
+        assert dispatch(["verify-qepi", "--dim", "2", "--trials", "3", "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out!r}: not a file in an existing directory\n"
     assert earlier.read_bytes() == b"earlier run\n"
 
 
@@ -589,6 +589,56 @@ def test_help_exits_zero_with_a_short_description():
     commands = ("verify-lemma", "verify-theorem", "verify-qepi", "concavity-scan", "search-conjecture", "all")
     assert all(command in proc.stdout for command in commands)
     assert ":func:" not in proc.stdout and "gc.freeze" not in proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_help_to_a_full_stdout_exits_one_with_one_error_line(monkeypatch, unbuffered):
+    # Buffered, the help fails in its flush; unbuffered, in its write.
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qudit_epi.cli", "--help"], stdout=full, stderr=subprocess.PIPE, text=True
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+
+def test_help_with_stdout_closed_exits_one_with_one_error_line():
+    # sys.stdout is None: argparse would drop the failed write and exit 0.
+    argv = [sys.executable, "-m", "qudit_epi.cli", "--help"]
+    proc = subprocess.run(argv, stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write the help: stdout is closed\n"
+
+
+def test_qepi_and_concavity_runs_import_no_basis_search():
+    # The conditioned experiments and the basis search are imported on first
+    # use: by a theorem run, or by the package attribute climb_product_basis.
+    code = (
+        "import contextlib, io, sys\n"
+        "import qudit_epi\n"
+        "from qudit_epi import cli\n"
+        "lazy = ('qudit_epi.entropy', 'qudit_epi.conditional')\n"
+        "def loaded():\n"
+        "    return [name in sys.modules for name in lazy]\n"
+        "seen = []\n"
+        "for command in ('verify-qepi', 'concavity-scan', 'verify-theorem'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.dispatch([command, '--trials', '3', '--parallel', '1']) == 0\n"
+        "    seen.append(loaded())\n"
+        "assert len(qudit_epi.__all__) == 9\n"
+        "from qudit_epi.entropy import climb_product_basis\n"
+        "assert qudit_epi.climb_product_basis is climb_product_basis\n"
+        "print(seen)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[[False, False], [False, False], [True, True]]\n"
+    # In an interpreter that has run nothing, the attribute imports it.
+    code = "import qudit_epi; print(qudit_epi.climb_product_basis.__module__)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout == "qudit_epi.entropy\n", proc.stderr
 
 
 def test_importing_the_cli_imports_no_dataclasses():

@@ -13,14 +13,13 @@ from qudit_epi.entropy import (
     CLIMB_RESTARTS,
     CLIMB_STEP_SCALE,
     climb_product_basis,
-    entropy_nats_rows,
-    kappa_bounds,
     projective_entropy_power,
 )
 from qudit_epi.errors import QuditEpiError, ValidationError
+from qudit_epi.harness import kappa_bounds
 from qudit_epi.measurement import PROB_FLOOR, check_complete
 from qudit_epi.rand import haar_unitary
-from qudit_epi.states import make_density
+from qudit_epi.states import entropy_nats_rows, make_density
 
 import oracles
 from oracles import (

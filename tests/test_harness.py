@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qudit_epi import harness
+from qudit_epi import conditional, harness
 from qudit_epi.cli import dispatch
+from qudit_epi.conditional import _slack_objective
 from qudit_epi.entropy import climb_product_basis
 from qudit_epi.errors import QuditEpiError, UsageError, ValidationError
 from qudit_epi.harness import (
@@ -17,7 +18,6 @@ from qudit_epi.harness import (
     Summary,
     TrialBlock,
     TrialConfig,
-    _slack_objective,
     resolve_kappas,
     run_experiment,
     summarize,
@@ -81,14 +81,14 @@ def test_lemma_counts_negligible_outcomes(monkeypatch, capsys, zero, parse_jsonl
     # Environment 1 sits in |0><0| and is measured in the computational basis,
     # so its outcome 1 has probability exactly 0: both grid pairs that use it
     # are skipped and counted as negligible.
-    real = harness._theorem_settings
+    real = conditional._theorem_settings
 
     def planted(cfg, experiment, indices):
         taus, _, rho2, _, u2 = real(cfg, experiment, indices)
         rho1 = np.stack([tensor(sample_state(RandomSource(index).generator(), cfg.d), zero).mat for index in indices])
         return taus, rho1, rho2, np.stack([np.eye(2, dtype=complex)] * len(indices)), u2
 
-    monkeypatch.setattr(harness, "_theorem_settings", planted)
+    monkeypatch.setattr(conditional, "_theorem_settings", planted)
     r = _one("lemma", TrialConfig(d=2, trials=1, seed=5), 3)
     assert r.passed == [True], r
     assert r.negligible == [2]
@@ -343,14 +343,14 @@ def test_only_soft_slack_columns_hold_none(monkeypatch, experiment, cfg):
 def test_negligible_outcomes_leave_no_hole_in_a_flagged_column(monkeypatch, zero, experiment):
     # Environment 1 sits in |0><0| and the Haar pair's first basis is the
     # computational one, so outcome 1 of the first environment is negligible.
-    real = harness._theorem_settings
+    real = conditional._theorem_settings
 
     def planted(cfg, experiment, indices):
         taus, _, rho2, _, u2 = real(cfg, experiment, indices)
         rho1 = np.stack([tensor(sample_state(RandomSource(index).generator(), cfg.d), zero).mat for index in indices])
         return taus, rho1, rho2, np.stack([np.eye(2, dtype=complex)] * len(indices)), u2
 
-    monkeypatch.setattr(harness, "_theorem_settings", planted)
+    monkeypatch.setattr(conditional, "_theorem_settings", planted)
     calls = _recorded_verdicts(monkeypatch)
     (block,) = run_experiment(experiment, TrialConfig(d=2, trials=3, seed=5))
     assert all(block.negligible)

@@ -1,7 +1,7 @@
 """The four hot kernels against naive in-test references.
 
 The addition rule lives in `channels`, projective conditioning in
-`measurement`, and the prefix slacks and Shannon entropy in `entropy`.
+`measurement`, and the prefix slacks and Shannon entropy in `states`.
 """
 
 import functools
@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from qudit_epi.channels import partial_swap_closed_stack
-from qudit_epi.entropy import entropy_nats_rows, prefix_slack_rows
 from qudit_epi.errors import ValidationError
 from qudit_epi.measurement import condition_projective_all
-from qudit_epi.states import make_density
+from qudit_epi.states import entropy_nats_rows, make_density, prefix_slack_rows
 
 from oracles import eigenvalues_descending, entropy_nats, partial_swap_closed, prefix_slack
 
