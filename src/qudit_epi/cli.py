@@ -10,14 +10,15 @@ a run holds one block's columns and lines, whatever --trials is. Nothing is
 written until every trial has run, so a failing run writes only its error;
 then :func:`emit` copies the spool, a chunk at a time, between the manifest
 line and the summary line. The spool has no name: the system frees it when
-the run ends, killed or not. The manifest and summary lines
-go through :func:`render_line`, the stdlib JSON encoder. A trial line is a
-template that this encoder built once per row shape, filled with the row's
-scalars, each column formatted at once by json's rules
-(:func:`render_block`), so it has the bytes ``render_line`` would write for
-the row's line object. Floats are serialized in their shortest round-trip repr
-(integral floats keep their ".0"), so files round-trip exactly and repeated
-runs are byte-identical.
+the run ends, killed or not. Every line has the bytes that
+:func:`render_line`, the stdlib JSON encoder, writes for its object. The
+trial lines of a uniform, finite block (a qepi or concavity block, or a
+lemma or theorem block that skips no outcome, with finite values) fill one
+template that this encoder built, each column formatted at once by
+``float.__repr__``; those of any other block, a conjecture block included,
+are encoded one by one (:func:`render_block`). Floats take their shortest
+round-trip repr (integral floats keep their ".0"), so files round-trip
+exactly and repeated runs are byte-identical.
 
 Exit codes: 0 all hard checks passed; 2 a hard violation or a re-verified
 conjecture candidate (a finding, not a crash); 1 usage, configuration or I/O
@@ -171,83 +172,58 @@ def _check_out(out: str) -> None:
 # that closes a string is followed by `:`, `,`, `}` or `]`, never by `\`.
 _HOLE = "\0"
 _HOLE_JSON = ":" + _ENCODER.encode(_HOLE)
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-def _json_float(value: float) -> str:
-    text = float.__repr__(value)
-    return _NONFINITE.get(text, text)
-
-
-def _json_floats(column: list) -> Iterable:
-    """The floats of `column` as the encoder writes them; None stays None."""
-    if None in column:
-        return [None if value is None else _json_float(value) for value in column]
-    if math.isfinite(sum(column)):  # else a NaN or an infinity, or an overflow
-        return map(float.__repr__, column)
-    return map(_json_float, column)
-
-
-def _line_template(block: TrialBlock, absent: tuple, with_experiment: bool) -> str:
-    """The trial line of a row of `block` as a %-format: the encoder's line
-    for the row with a `%s` for each scalar it holds. `absent` flags the
-    scalars of :func:`render_block`'s order that the row lacks."""
-    slack_keys = len(block.slacks)
+def _trial_object(block: TrialBlock, row: tuple, with_experiment: bool) -> dict:
+    """The line object of `row`, (index, tau, *slacks, *residuals, pass,
+    negligible) of `block`, without None values and a negligible count of 0."""
+    index, tau, *values, passed, negligible = row
     line: dict = {"type": "trial"}
     if with_experiment:
         line["experiment"] = block.experiment
     line |= {
-        "index": _HOLE,
-        "tau": _HOLE,
+        "index": index,
+        "tau": tau,
         "kappa": block.kappas,
-        "slacks": {key: _HOLE for key, gone in zip(block.slacks, absent[2:]) if not gone},
-        "residuals": {key: _HOLE for key, gone in zip(block.residuals, absent[2 + slack_keys :]) if not gone},
-        "pass": _HOLE,
+        "slacks": {key: v for key, v in zip(block.slacks, values) if v is not None},
+        "residuals": {key: v for key, v in zip(block.residuals, values[len(block.slacks) :]) if v is not None},
+        "pass": passed,
     }
-    if not absent[-1]:
-        line["negligible_outcomes"] = _HOLE
-    return render_line(line).replace("%", "%%").replace(_HOLE_JSON, ":%s")
+    if negligible:
+        line["negligible_outcomes"] = negligible
+    return line
 
 
 def render_block(block: TrialBlock, with_experiment: bool) -> str:
-    """The trial lines of `block`, joined into one string.
+    """The trial lines of `block`, joined into one string: row i's line is
+    what :func:`render_line` writes for its :func:`_trial_object`.
 
-    Row i's line is what :func:`render_line` writes for the object with the
-    keys type ("trial"), experiment (only `with_experiment`), index, tau,
-    kappa (the block's kappas), slacks and residuals (the keys the row holds
-    a value for), pass (all of the row's flags) and negligible_outcomes (only
-    a nonzero count). Each column is formatted at once. Rows of one shape
-    (the keys they hold, negligible outcomes or none) share one template that
-    the encoder built, and each line fills in its row's scalars: index, tau,
-    slacks, residuals, pass, negligible.
+    A uniform, finite block (every row holds every slack and residual and
+    counts no negligible outcome, and each float column has a finite sum)
+    fills one template that the encoder built from a row of holes, each
+    column formatted at once by ``float.__repr__``. Any other block is
+    written line by line by :func:`render_line`.
     """
-    negligible = [int.__repr__(count) if count else None for count in block.negligible]
     values = [*block.slacks.values(), *block.residuals.values()]
-    scalars = [
+    # A column whose sum is not finite holds a NaN or an infinity, or overflows.
+    uniform = (
+        not any(block.negligible)
+        and not any(None in column for column in values)
+        and all(math.isfinite(sum(column)) for column in (block.taus, *values))
+    )
+    if not uniform:
+        rows = zip(block.indices, block.taus, *values, block.passed, block.negligible)
+        return "".join([render_line(_trial_object(block, row, with_experiment)) for row in rows])
+    holes = (_HOLE,) * (len(values) + 3) + (0,)
+    template = render_line(_trial_object(block, holes, with_experiment))
+    template = template.replace("%", "%%").replace(_HOLE_JSON, ":%s")
+    scalars = zip(
         map(int.__repr__, block.indices),
-        _json_floats(block.taus),
-        *map(_json_floats, values),
+        *(map(float.__repr__, column) for column in (block.taus, *values)),
         map(_JSON_BOOL.__getitem__, block.passed),
-        negligible,
-    ]
-    uncounted = negligible.count(None)
-    if not any(None in column for column in values) and uncounted in (0, len(negligible)):
-        # Every row has the same shape.
-        counted = not uncounted
-        template = _line_template(block, (False,) * (len(scalars) - 1) + (not counted,), with_experiment)
-        return "".join(map(template.__mod__, zip(*(scalars if counted else scalars[:-1]))))
-    templates: dict = {}
-    lines = []
-    for row in zip(*scalars):
-        shape = tuple([value is None for value in row])
-        template = templates.get(shape)
-        if template is None:
-            template = templates[shape] = _line_template(block, shape, with_experiment)
-        # tuple() of a list has the exact size. Of a generator it is cut down
-        # from 10 items, and such tuples pile up in their size's free list.
-        lines.append(template % tuple([value for value in row if value is not None]))
-    return "".join(lines)
+    )
+    return "".join(map(template.__mod__, scalars))
 
 
 def emit(manifest: RunManifest, body: Iterable[str], summary: Summary, out: str) -> None:

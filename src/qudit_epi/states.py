@@ -7,8 +7,9 @@ slowest-varying index. A state documented as living on (X, E) stores X first;
 
 Validation tolerances are module constants. The package validates stacks by
 :func:`make_density_stack`, which hands back each state's spectrum sorted
-down, the one every caller reads; :func:`make_density` and
-:class:`DensityMatrix` validate and hold one state for the one-state test
+down, the one every caller reads. It owns the checks and their messages:
+:func:`make_density` is :func:`make_density_stack` on a stack of one, and
+:class:`DensityMatrix` holds the state it validates, for the one-state test
 oracles in ``tests/oracles.py``.
 
 :func:`ordered_sum` is the one summation rule of the package: of each
@@ -94,20 +95,13 @@ class DensityMatrix:
         return self.mat.shape[0]
 
     def eigenvalues_ascending(self) -> np.ndarray:
-        """Raw (unclipped) eigenvalues in ascending order, cached."""
+        """Raw (unclipped) eigenvalues in ascending order, computed on first use."""
         if self._eigs is None:
             self._eigs = _eigvalsh(self.mat)
         return self._eigs
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
-
-
-def _as_complex_square(entries) -> np.ndarray:
-    arr = np.array(entries, dtype=np.complex128, copy=True, order="C")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise QuditEpiError(f"expected a square matrix, got shape {arr.shape}")
-    return arr
 
 
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:
@@ -123,44 +117,32 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
 
 
 def make_density(entries) -> DensityMatrix:
-    """Validate a matrix as a density matrix.
-
-    The input is symmetrized as (m + m†)/2 before validation so representation
-    round-off is absorbed; a hermiticity, trace or positivity deviation not
-    within HERMITIAN_TOL, TRACE_TOL or POSITIVITY_TOL, a NaN included, is a
-    hard error naming the measured deviation. A NaN or infinite entry fails
-    the hermiticity check.
-    """
-    arr = _as_complex_square(entries)
-    herm_dev = float(np.abs(arr - arr.conj().T).max())
-    if not herm_dev <= HERMITIAN_TOL:
-        raise ValidationError(f"max|m - m†| = {herm_dev:.3e} exceeds tol {HERMITIAN_TOL:.1e}")
-    sym = (arr + arr.conj().T) / 2
-    trace_dev = abs(complex(np.trace(sym)) - 1.0)
-    if not trace_dev <= TRACE_TOL:
-        raise ValidationError(f"|Tr m - 1| = {trace_dev:.3e} exceeds tol {TRACE_TOL:.1e}")
-    eigs = _eigvalsh(sym)
-    if not eigs[0] >= -POSITIVITY_TOL:
-        raise ValidationError(f"smallest eigenvalue {eigs[0]:.6e} below -tol {-POSITIVITY_TOL:.1e}")
-    return DensityMatrix(sym, eigs)
+    """Validate one d x d matrix as a density matrix: :func:`make_density_stack`
+    on a stack of one, with its checks and messages. The state holds the
+    symmetrized matrix."""
+    arr = np.asarray(entries, dtype=np.complex128)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise QuditEpiError(f"expected a square matrix, got shape {arr.shape}")
+    sym, _ = make_density_stack(arr[None])
+    return DensityMatrix(sym[0])
 
 
 def make_density_stack(entries) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`make_density` on each matrix of an (N, d, d) stack, and the
-    spectrum of each.
+    """Validate each matrix m of an (N, d, d) stack as a density matrix.
 
-    Each check runs over the whole stack in make_density's order and with its
-    message: hermiticity, trace, then the smallest eigenvalue of (m + m†)/2.
+    The checks run over the whole stack in this order: hermiticity of m,
+    then the trace and the smallest eigenvalue of (m + m†)/2, which absorbs
+    representation round-off. A deviation not within HERMITIAN_TOL,
+    TRACE_TOL or POSITIVITY_TOL, a NaN included, is a hard error naming the
+    measured deviation; a NaN or infinite entry fails the hermiticity check.
     Each spectrum is then sorted down, its entries in [-POSITIVITY_TOL, 0)
     are clipped to zero and it is renormalized by its total, summed by
     :func:`ordered_sum`, provided that total is within SPECTRUM_SUM_TOL of
     one; a larger deviation is a hard error separating float noise from an
     invalid state. The first row failing a check raises.
-    Returns the symmetrized stack, row i bit for bit what make_density stores
-    for entries[i], and the (N, d) descending spectra, row i bit for bit what
-    ``eigenvalues_descending`` of ``tests/oracles.py`` returns for that state.
-    The arrays stay writable; the one-state oracles wrap a row in a
-    DensityMatrix to share it.
+    Returns the symmetrized stack and the (N, d) descending spectra, row i
+    bit for bit what ``eigenvalues_descending`` of ``tests/oracles.py``
+    returns for the state of entries[i]. The arrays stay writable.
     """
     arr = np.asarray(entries, dtype=np.complex128)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:

@@ -142,6 +142,12 @@ def test_render_block_equals_json_route_on_edge_values(rows_of):
         TrialBlock("qepi", range(7, 9), [1.0, 0.0], (0.0, -0.0), slacks, {}, {"a": [None, True]}, [3, 0]),
         TrialBlock("lemma", range(2**64 - 2, 2**64), [-0.0, math.inf], (), {}, {}, {}, [3, 2**40]),
         TrialBlock("concavity", range(0, 1), [0.0], (-0.0,), {"x": [1.0]}, {}, {}, [0]),
+        # Finite values whose column sum overflows, negligible counts on every
+        # row, and a NaN tau as the only non-finite value: each leaves the
+        # template route.
+        TrialBlock("qepi", range(2), [0.5, 1.0], (0.0,), {"s": [1e308, 1e308]}, {"r": [0.0, 0.0]}, {}, [0, 0]),
+        TrialBlock("theorem", range(4, 6), [0.5, 0.25], (0.0, 1.5), {"s": [1.0, -0.5]}, {}, {"a": [True] * 2}, [1, 7]),
+        TrialBlock("concavity", range(2), [math.nan, 0.5], (1.0,), {"x": [1.0, 2.0]}, {"r": [0.0, 1e-300]}, {}, [0, 0]),
     ]
     for block in blocks:
         for with_experiment in (False, True):
