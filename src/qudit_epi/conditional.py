@@ -27,12 +27,13 @@ grid. The theorem climbs every search of the block in lockstep
 conditions at the pairs found; the lemma checks every kept outcome pair of
 the block in one :func:`partial_swap_closed_stack` call.
 Either way every value equals what the trial alone computes, bit for bit, so
-no line depends on the block size or --parallel. conjecture stacks its two
-arms on the same parts: the drawn states (:func:`states_from_gaussians`), one
-:func:`partial_swap_joint_stack` call on the joint states, one
-:func:`partial_swap_global` call on the control arm's, and stacked
-conditional entropies of validated states. Every trial draws one fixed-length
-row, so a re-checked candidate's perturbation moves no other draw.
+no line depends on the block size or --parallel. :func:`_measured_slacks` owns
+the theorem's slack and ``states.mixture_majorization_rows`` the lemma's
+majorization. conjecture stacks its two arms on the same parts: the drawn
+states, one :func:`partial_swap_joint_stack` call on the joint states, one
+:func:`partial_swap_global` call on the control arm's, and stacked conditional
+entropies of validated states. Every trial draws one fixed-length row, so a
+re-checked candidate's perturbation moves no other draw.
 
 :func:`block_cap` bounds the trials of a block: at most as many as
 :data:`_BLOCK_BYTES` holds of the block's largest stacked array, and at most
@@ -60,7 +61,7 @@ from .rand import (
     state_columns,
     states_from_gaussians,
 )
-from .states import entropy_nats_rows, make_density_stack, ordered_sum, prefix_slack_rows
+from .states import entropy_nats_rows, make_density_stack, mixture_majorization_rows, ordered_sum
 
 # Most trials per block of lemma and conjecture: it bounds a run's peak
 # memory. _BLOCK_BYTES sizes only a block's largest stacked array, and the
@@ -93,7 +94,7 @@ def block_cap(experiment: str, cfg: TrialConfig) -> int:
     than _BLOCK_BYTES holds of the experiment's largest stacked array, and
     for lemma and conjecture no more than _MAX_BLOCK."""
     if experiment == "theorem":
-        searched = sum(1 for kappa, _ in harness.resolve_kappas(cfg) if kappa > 0.0)
+        searched = sum(1 for kappa in harness._kappa_grid(cfg, "theorem_measured")[0] if kappa > 0.0)
         per_trial = 16 * max(searched, 1) * CLIMB_RESTARTS * (cfg.d_e1 * cfg.d_e2) ** 3
         return max(1, _BLOCK_BYTES // per_trial)
     if experiment == "lemma":
@@ -201,12 +202,9 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     mixed in (:func:`derived_indices`). Every step is stacked: the setting
     draws, one :func:`partial_swap_global` call, one lockstep climb of every
     search, and one :func:`_condition_bilocal` call over every trial's Haar
-    and found pairs, with the one-trial route's checks. The slacks are array
-    arithmetic on the validated probabilities and spectra on the outcome
-    grid, with each entropy power taken by ``harness._entropy_powers`` and each
-    sum over outcomes by :func:`ordered_sum`, in the one-trial route's order;
-    prob_norm is the largest residual of the output's outcome totals over
-    the trial's pairs.
+    and found pairs, with the one-trial route's checks. The slacks are
+    :func:`_measured_slacks` at each kappa's pair; prob_norm is the largest
+    residual of the output's outcome totals over the trial's pairs.
     """
     kappas, keys, soft = harness._kappa_grid(cfg, "theorem_measured")
     searched = [t for t, kappa in enumerate(kappas) if kappa > 0.0]
@@ -232,23 +230,30 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     )
     # The pair that kappa t's slack reads.
     pairs = [1 + searched.index(t) if kappa > 0.0 else 0 for t, kappa in enumerate(kappas)]
-    kappa = np.array(kappas)[:, None]
-
-    def expectation(probs, skip, spectra):
-        # The probability-weighted entropy power over the outcomes not
-        # skipped, at each kappa's pair.
-        powers = harness._entropy_powers(kappa, entropy_nats_rows(spectra[:, pairs]))
-        return ordered_sum(np.where(skip[:, pairs], 0.0, probs[:, pairs] * powers))
-
     q12 = (q1[..., :, None] * q2[..., None, :]).reshape(neg.shape)
-    lhs = expectation(q12, skip.reshape(neg.shape), lam)
-    tau = np.array(taus)[:, None]
-    values = lhs - tau * expectation(q1, neg1, lam1) - (1.0 - tau) * expectation(q2, neg2, lam2)
+    grids = ((q12, skip.reshape(neg.shape), lam), (q1, neg1, lam1), (q2, neg2, lam2))
+    values = _measured_slacks(kappas, taus, *[[x[:, pairs] for x in grid] for grid in grids])
     slacks = dict(zip(keys, values.T.tolist()))
     residuals = {"prob_norm": prob_norms.max(axis=1).tolist()}
     skipped = neg[:, 0].sum(axis=1).tolist()  # at the Haar pair
     flags = harness._verdict(cfg, slacks, residuals, soft)
     return TrialBlock("theorem", indices, taus, kappas, slacks, residuals, flags, skipped)
+
+
+def _measured_slacks(kappas, taus, out, first, second) -> np.ndarray:
+    """The (B, K) per-measurement slacks at K kappas: the probability-weighted
+    entropy power of the conditioned outputs minus the tau-mixture of the
+    conditioned inputs', each over the outcomes not skipped. out, first and
+    second are (probabilities, skip mask, descending spectra) triples on a
+    (B, K, n) outcome grid, or a (B, 1, n) one that serves every kappa."""
+    kappa = np.array(kappas)[:, None]
+    # Each power is harness._entropy_powers' and each sum ordered_sum's.
+    e_out, e_first, e_second = (
+        ordered_sum(np.where(skip, 0.0, probs * harness._entropy_powers(kappa, entropy_nats_rows(spectra))))
+        for probs, skip, spectra in (out, first, second)
+    )
+    tau = np.array(taus)[:, None]
+    return e_out - tau * e_first - (1.0 - tau) * e_second
 
 
 def _lemma_block(cfg: TrialConfig, indices: range) -> TrialBlock:
@@ -283,9 +288,7 @@ def _lemma_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     g = j * e2 + k
     targets, _ = partial_swap_closed_stack(states1[i, j], states2[i, k], tau[i])
     distances = np.abs(states[i, g] - targets).max(axis=(1, 2)).tolist()
-    t = tau[i, None]
-    pair_slacks, totals = prefix_slack_rows(t * lam1[i, j] + (1.0 - t) * lam2[i, k], lam[i, g])
-    pair_slacks, totals = pair_slacks.tolist(), np.abs(totals).tolist()
+    pair_slacks, totals = (x.tolist() for x in mixture_majorization_rows(tau[i], lam1[i, j], lam2[i, k], lam[i, g]))
     factor = np.abs(q.reshape(b, e1, e2) - q1[:, :, None] * q2[:, None, :]).reshape(b, -1).tolist()
 
     slacks: dict[str, list] = {"lemma_majorization": []}

@@ -34,7 +34,8 @@ stream from one generator that :func:`_trial_streams` re-keys per trial, and
 draws that trial's values in the order of the one-trial code: Gaussians
 as one row of normals (:func:`_block_normals`), which ``rand`` parses and
 turns into Haar bases, replaying a failed draw. Each experiment takes its
-kappas and their slack keys from :func:`_kappa_grid`.
+kappas, slack keys and soft keys from :func:`_kappa_grid`, their one owner.
+qepi's slacks, residual and verdict are :func:`_qepi_checks`, on spectra.
 qepi and concavity compute a block as stacked (N, d, d) arrays: they
 validate, mix and take spectra and entropies of the whole block at once, and
 fill each column from those stacks. Every value equals what the trial alone
@@ -93,7 +94,7 @@ from .rand import (
     state_columns,
     states_from_gaussians,
 )
-from .states import entropy_nats_rows, make_density, prefix_slack_rows
+from .states import entropy_nats_rows, make_density, mixture_majorization_rows
 
 MAX_DIM = 6
 MAX_ENV_DIM = 4
@@ -240,10 +241,9 @@ def validate_config(cfg: TrialConfig, experiment: str) -> None:
                 f"--kappa {cfg.kappa} overflows: the largest entropy power d^kappa = "
                 f"{cfg.d}^{cfg.kappa} is not a finite float"
             )
-        if not resolve_kappas(cfg)[0][1] and not cfg.exploratory_kappa:
-            kappa1 = kappa_bounds(cfg.d)
+        if _kappa_grid(cfg, "kappa")[2] and not cfg.exploratory_kappa:
             raise UsageError(
-                f"--kappa {cfg.kappa} exceeds the validity window 1/(ln d)^2 = {kappa1:.6g}; "
+                f"--kappa {cfg.kappa} exceeds the validity window 1/(ln d)^2 = {kappa_bounds(cfg.d):.6g}; "
                 "pass --exploratory-kappa to scan it as a diagnostic"
             )
 
@@ -270,23 +270,14 @@ def kappa_bounds(d: int) -> float:
     return 1.0 / math.log(d) ** 2
 
 
-def resolve_kappas(cfg: TrialConfig) -> tuple[tuple[float, bool], ...]:
-    """The kappa grid as (value, hard) pairs; soft entries are diagnostics."""
-    kappa1 = kappa_bounds(cfg.d)
-    if cfg.kappa == "grid":
-        return ((0.0, True), (kappa1 / 2, True), (kappa1, True))
-    if cfg.kappa == "max":
-        return ((kappa1, True),)
-    value = float(cfg.kappa)
-    return ((value, value <= kappa1 * (1 + 1e-12)),)
-
-
 def _kappa_grid(cfg: TrialConfig, prefix: str):
-    """(kappa values, their slack keys `<prefix>.k<t>`, the soft keys: those
-    of the kappas outside the validity window) of one experiment."""
-    kappas = resolve_kappas(cfg)
+    """(kappa values, their slack keys `<prefix>.k<t>`, the soft keys) of one
+    experiment: "grid" is 0, k1/2, k1 and "max" is k1, k1 = kappa_bounds(d).
+    A kappa is soft, a diagnostic, where it exceeds k1 (1 + 1e-12)."""
+    kappa1 = kappa_bounds(cfg.d)
+    kappas = {"grid": (0.0, kappa1 / 2, kappa1), "max": (kappa1,)}.get(cfg.kappa) or (float(cfg.kappa),)
     keys = [f"{prefix}.k{t}" for t in range(len(kappas))]
-    return tuple(k for k, _ in kappas), keys, {key for key, (_, hard) in zip(keys, kappas) if not hard}
+    return kappas, keys, {key for key, kappa in zip(keys, kappas) if kappa > kappa1 * (1 + 1e-12)}
 
 
 def _verdict(cfg: TrialConfig, slacks: dict, residuals: dict, soft=frozenset()) -> dict[str, list]:
@@ -349,19 +340,23 @@ def _qepi_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     shapes = [(cfg.d, state_columns(cfg.d, cfg.state_kind, cfg.rank))] * 2
     taus, normals = _block_normals(cfg, "qepi", indices, normal_count(shapes))
     (rho1, lam1), (rho2, lam2) = (states_from_gaussians(g, cfg.state_kind) for g in complex_gaussians(normals, shapes))
+    _, lam_out = partial_swap_closed_stack(rho1, rho2, np.array(taus, dtype=np.float64))
+    return _qepi_checks(cfg, indices, taus, lam1, lam2, lam_out)
+
+
+def _qepi_checks(cfg: TrialConfig, indices: range, taus: list, lam1, lam2, lam_out) -> TrialBlock:
+    """The qepi block of trials `indices` from their taus and the (N, d)
+    descending spectra of their two inputs and their output."""
     tau_stack = np.array(taus, dtype=np.float64)
-    _, lam_out = partial_swap_closed_stack(rho1, rho2, tau_stack)
-    t = tau_stack[:, None]
-    maj_slacks, totals = prefix_slack_rows(t * lam1 + (1.0 - t) * lam2, lam_out)
+    maj_slacks, totals = mixture_majorization_rows(tau_stack, lam1, lam2, lam_out)
     kappas, keys, soft = _kappa_grid(cfg, "qepi")
     entropies = np.stack([entropy_nats_rows(lam) for lam in (lam1, lam2, lam_out)])
     p1, p2, p_out = _entropy_powers(np.array(kappas)[:, None], entropies[:, None])
     slacks = {"qepi_majorization": maj_slacks.tolist()}
     slacks.update(zip(keys, (p_out - tau_stack * p1 - (1.0 - tau_stack) * p2).tolist()))
-    residuals = {"major_total": np.abs(totals).tolist()}
-    return TrialBlock(
-        "qepi", indices, taus, kappas, slacks, residuals, _verdict(cfg, slacks, residuals, soft), [0] * len(taus)
-    )
+    residuals = {"major_total": totals.tolist()}
+    flags = _verdict(cfg, slacks, residuals, soft)
+    return TrialBlock("qepi", indices, taus, kappas, slacks, residuals, flags, [0] * len(taus))
 
 
 def _concavity_block(cfg: TrialConfig, indices: range) -> TrialBlock:

@@ -16,6 +16,8 @@ oracles in ``tests/oracles.py``.
 spectrum's total before it is renormalized, of every sum over outcomes that
 a recorded slack or residual takes, and of each entropy's sum over a
 spectrum (:func:`entropy_nats_rows`). Terms add left to right, in order.
+:func:`mixture_majorization_rows` owns the majorization check of the qepi
+and lemma blocks: the output spectrum against the tau-mixture of the inputs'.
 
 Convention: natural logarithm everywhere. The entropy power of order kappa is
 exp(kappa * S) with S in nats, so the concavity window upper edge is
@@ -43,6 +45,7 @@ __all__ = [
     "ordered_sum",
     "entropy_nats_rows",
     "prefix_slack_rows",
+    "mixture_majorization_rows",
 ]
 
 
@@ -73,6 +76,15 @@ def prefix_slack_rows(dominating: np.ndarray, dominated: np.ndarray) -> tuple[np
     """
     diff = np.cumsum(dominating, axis=1) - np.cumsum(dominated, axis=1)
     return diff.min(axis=1), diff[:, -1]
+
+
+def mixture_majorization_rows(tau, lam1: np.ndarray, lam2: np.ndarray, lam_out: np.ndarray):
+    """(prefix slacks, |total differences|) of :func:`prefix_slack_rows` of
+    tau lam1 + (1 - tau) lam2 against lam_out, row by row, for (N, d)
+    descending spectra and an (N,) tau."""
+    t = np.asarray(tau)[:, None]
+    slacks, totals = prefix_slack_rows(t * lam1 + (1.0 - t) * lam2, lam_out)
+    return slacks, np.abs(totals)
 
 
 class DensityMatrix:

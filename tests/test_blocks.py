@@ -24,7 +24,6 @@ from qudit_epi.harness import (
     TrialBlock,
     TrialConfig,
     kappa_bounds,
-    resolve_kappas,
     run_experiment,
     summarize,
 )
@@ -55,7 +54,7 @@ def _tau(cfg, index, gen):
 
 
 def _kappas(cfg):
-    return tuple(k for k, _ in resolve_kappas(cfg))
+    return harness._kappa_grid(cfg, "")[0]
 
 
 def reference_qepi(cfg, index):

@@ -1,17 +1,23 @@
-"""Positive controls: inputs that drop one hypothesis of the paper.
+"""Positive controls: inputs that drop one hypothesis of the paper; and a
+third route to the theorem's slack.
 
-Each control runs through the package's kernels, has a closed-form negative
-slack, and must count as a violation through ``harness._verdict`` and
-``summarize``; a twin that keeps the hypothesis must pass.
+Each control runs through the package's kernels and its check functions
+(``harness._qepi_checks``, ``conditional._measured_slacks`` and
+``states.mixture_majorization_rows``), has a closed-form negative slack, and
+must count as a violation through ``harness._verdict`` and ``summarize``; a
+twin that keeps the hypothesis must pass.
 """
 
 import math
 
 import numpy as np
+import pytest
 
-from qudit_epi.channels import partial_swap_joint_stack
-from qudit_epi.harness import TrialBlock, TrialConfig, _entropy_powers, _verdict, kappa_bounds, summarize
-from qudit_epi.states import entropy_nats_rows, prefix_slack_rows
+from qudit_epi.channels import partial_swap_global, partial_swap_joint_stack
+from qudit_epi.conditional import _condition_bilocal, _kron_pairs, _measured_slacks, _theorem_settings
+from qudit_epi.harness import TrialBlock, TrialConfig, _kappa_grid, _qepi_checks, _verdict, kappa_bounds, summarize
+from qudit_epi.measurement import check_complete, condition_all_stack
+from qudit_epi.states import mixture_majorization_rows
 
 TAUS = np.linspace(0.05, 0.95, 19)
 KAPPAS = tuple(np.linspace(0.0, kappa_bounds(2), 4)[1:].tolist())
@@ -37,34 +43,120 @@ def _product_twin(taus):
     return np.stack([np.diag(np.kron([t, 1 - t], [1 - t, t])) for t in taus]).astype(complex)
 
 
-def _qepi_block(joint, taus):
-    """The qepi slacks, residual and verdict of joint (X1, X2) inputs at
-    KAPPAS, computed as ``harness._qepi_block`` computes them from spectra."""
+def _qepi_blocks(joint, taus):
+    """The qepi block of joint (X1, X2) inputs at each of KAPPAS, by ``harness._qepi_checks``."""
     _, (lam_out, lam1, lam2) = partial_swap_joint_stack(joint, taus, 2)
-    t = taus[:, None]
-    majorization, totals = prefix_slack_rows(t * lam1 + (1.0 - t) * lam2, lam_out)
-    entropies = np.stack([entropy_nats_rows(lam) for lam in (lam1, lam2, lam_out)])
-    p1, p2, p_out = _entropy_powers(np.array(KAPPAS)[:, None], entropies[:, None])
-    slacks = {"qepi_majorization": majorization.tolist()}
-    slacks |= {f"qepi.k{k}": row for k, row in enumerate((p_out - taus * p1 - (1.0 - taus) * p2).tolist())}
-    residuals = {"major_total": np.abs(totals).tolist()}
-    flags = _verdict(TrialConfig(d=2), slacks, residuals)
-    return TrialBlock("qepi", range(len(taus)), taus.tolist(), KAPPAS, slacks, residuals, flags, [0] * len(taus))
+    trials = range(len(taus))
+    return [_qepi_checks(TrialConfig(d=2, kappa=k), trials, taus.tolist(), lam1, lam2, lam_out) for k in KAPPAS]
 
 
 def test_entangled_inputs_violate_qepi_at_the_closed_form():
-    block = _qepi_block(_entangled_inputs(TAUS), TAUS)
+    for kappa, block in zip(KAPPAS, _qepi_blocks(_entangled_inputs(TAUS), TAUS)):
+        for i, tau in enumerate(TAUS):
+            assert abs(block.slacks["qepi_majorization"][i] + min(tau, 1 - tau)) <= 1e-12
+            assert abs(block.slacks["qepi.k0"][i] - (1 - math.exp(kappa * _binary_entropy(tau)))) <= 1e-12
+        assert block.pass_flags["qepi.k0"] == block.passed == [False] * len(TAUS)
+        summary = summarize([block])
+        assert (summary.trials, summary.violations) == (len(TAUS), len(TAUS))
+        assert summary.max_residual <= 1e-12
+
+
+def test_product_twin_with_the_same_marginals_passes():
+    for block in _qepi_blocks(_product_twin(TAUS), TAUS):
+        assert block.passed == [True] * len(TAUS)
+        assert summarize([block]).violations == 0
+
+
+def _joint(rho1, rho2, d):
+    """rho1 (x) rho2 on (X1, X2, E1, E2), row by row, of (X1, E1) and (X2, E2) stacks."""
+    n, e1, e2 = len(rho1), rho1.shape[-1] // d, rho2.shape[-1] // d
+    joint = np.einsum("naebf,ncgdh->nacegbdfh", rho1.reshape(n, d, e1, d, e1), rho2.reshape(n, d, e2, d, e2))
+    return joint.reshape(n, d * d * e1 * e2, d * d * e1 * e2)
+
+
+def _entangled_basis(taus):
+    """Per tau, the E1E2 basis whose columns are conj(psi), conj(psi_perp),
+    |00> and |11>, with psi = sqrt(tau)|01> - i sqrt(1 - tau)|10> and
+    psi_perp = sqrt(1 - tau)|01> + i sqrt(tau)|10>."""
+    s, c = np.sqrt(taus), np.sqrt(1 - taus)
+    basis = np.zeros((len(taus), 4, 4), dtype=complex)
+    basis[:, 0, 2] = basis[:, 3, 3] = 1
+    basis[:, 1, 0], basis[:, 2, 0] = s, 1j * c
+    basis[:, 1, 1], basis[:, 2, 1] = c, -1j * s
+    return basis
+
+
+def _measured_block(basis):
+    """|Phi+> on (X1, E1) and on (X2, E2) through the partial swap at TAUS,
+    the output and both inputs conditioned on E1E2 in the columns of `basis`:
+    the theorem's slacks at KAPPAS and the per-trial smallest majorization
+    slack as a block through the verdict, and the (19, 4) majorization slacks
+    of the outcomes."""
+    check_complete(basis)
+    phi = np.broadcast_to(np.outer(np.eye(2), np.eye(2)).reshape(1, 4, 4) / 2, (len(TAUS), 4, 4)).astype(complex)
+    states, _ = partial_swap_joint_stack(_joint(phi, phi, 2), TAUS, 2)
+    probs, negligible, _, _, spectra = condition_all_stack(states.reshape(3, len(TAUS), 2, 4, 2, 4), basis)
+    measured = _measured_slacks(KAPPAS, TAUS, *zip(probs[:, :, None], negligible[:, :, None], spectra[:, :, None]))
+    lam_out, lam1, lam2 = spectra.reshape(3, -1, 2)
+    majorization, totals = mixture_majorization_rows(TAUS.repeat(4), lam1, lam2, lam_out)
+    majorization, totals = majorization.reshape(len(TAUS), 4), totals.reshape(len(TAUS), 4)
+    slacks = {f"theorem_measured.k{t}": column for t, column in enumerate(measured.T.tolist())}
+    slacks["lemma_majorization"] = majorization.min(axis=1).tolist()
+    residuals = {"major_total": totals.max(axis=1).tolist()}
+    flags = _verdict(TrialConfig(d=2), slacks, residuals)
+    trials = range(len(TAUS))
+    return TrialBlock("theorem", trials, TAUS.tolist(), KAPPAS, slacks, residuals, flags, [0] * len(TAUS)), majorization
+
+
+def test_joint_environment_measurement_violates_the_theorem_at_the_closed_form():
+    block, majorization = _measured_block(_entangled_basis(TAUS))
     for i, tau in enumerate(TAUS):
-        assert abs(block.slacks["qepi_majorization"][i] + min(tau, 1 - tau)) <= 1e-12
-        for k, kappa in enumerate(KAPPAS):
-            assert abs(block.slacks[f"qepi.k{k}"][i] - (1 - math.exp(kappa * _binary_entropy(tau)))) <= 1e-12
-    assert block.passed == [False] * len(TAUS)
+        m = min(tau, 1 - tau)
+        assert np.abs(majorization[i] - [-m, -m, 0.0, 0.0]).max() <= 1e-12
+        for t, kappa in enumerate(KAPPAS):
+            expected = (1 - math.exp(kappa * _binary_entropy(tau))) / 2
+            assert abs(block.slacks[f"theorem_measured.k{t}"][i] - expected) <= 1e-12
+    for key in block.slacks:
+        assert block.pass_flags[key] == [False] * len(TAUS)
     summary = summarize([block])
     assert (summary.trials, summary.violations) == (len(TAUS), len(TAUS))
     assert summary.max_residual <= 1e-12
 
 
-def test_product_twin_with_the_same_marginals_passes():
-    block = _qepi_block(_product_twin(TAUS), TAUS)
+def test_product_measurement_of_the_same_inputs_passes():
+    block, majorization = _measured_block(np.broadcast_to(np.eye(4, dtype=complex), (len(TAUS), 4, 4)))
+    # A prefix slack is at most the total difference: 0 where majorized.
+    assert np.abs(majorization).max() <= 1e-12
+    for i, tau in enumerate(TAUS):
+        for t, kappa in enumerate(KAPPAS):
+            expected = (math.exp(kappa * _binary_entropy(tau)) - 1) / 2
+            assert abs(block.slacks[f"theorem_measured.k{t}"][i] - expected) <= 1e-12
     assert block.passed == [True] * len(TAUS)
     assert summarize([block]).violations == 0
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 3), (2, 4, 4)])
+def test_joint_state_route_gives_the_theorems_slack(dims):
+    # The theorem's route: the global channel on the two inputs, conditioned
+    # at the Haar pair. The joint route: the channel on their (X1, X2, E1,
+    # E2) product, every state conditioned once on E1E2 at U1 (x) U2.
+    d, e1, e2 = dims
+    cfg = TrialConfig(d=d, d_e1=e1, d_e2=e2)
+    kappas = _kappa_grid(cfg, "theorem_measured")[0]
+    taus, rho1, rho2, u1, u2 = _theorem_settings(cfg, "theorem", range(200))
+    tau = np.array(taus)
+    out, _ = partial_swap_global(rho1, rho2, tau, d)
+    (q1, neg1, _, _, lam1), (q2, neg2, _, _, lam2), (_, neg, _, _, lam), skip = _condition_bilocal(
+        d, rho1, rho2, out, u1[:, None], u2[:, None]
+    )
+    q12 = (q1[..., :, None] * q2[..., None, :]).reshape(neg.shape)
+    theorem = _measured_slacks(kappas, taus, (q12, skip.reshape(neg.shape), lam), (q1, neg1, lam1), (q2, neg2, lam2))
+
+    states, _ = partial_swap_joint_stack(_joint(rho1, rho2, d), tau, d)
+    e = e1 * e2
+    probs, negligible, _, _, spectra = condition_all_stack(
+        states.reshape(3, len(taus), 1, d, e, d, e), _kron_pairs(u1, u2)[:, None]
+    )
+    joint = _measured_slacks(kappas, taus, *zip(probs, negligible, spectra))
+    assert joint.shape == theorem.shape == (len(taus), len(kappas))
+    assert np.abs(joint - theorem).max() <= 1e-13

@@ -18,7 +18,6 @@ from qudit_epi.harness import (
     Summary,
     TrialBlock,
     TrialConfig,
-    resolve_kappas,
     run_experiment,
     summarize,
     validate_config,
@@ -214,7 +213,7 @@ def test_exploratory_kappa_is_diagnostic_only():
     r = _one("concavity", cfg, 5)
     assert r.slacks["concavity.k0"][0] is not None
     assert "concavity.k0" not in r.pass_flags
-    assert resolve_kappas(cfg) == ((3.0, False),)
+    assert harness._kappa_grid(cfg, "concavity") == ((3.0,), ["concavity.k0"], {"concavity.k0"})
 
 
 def _kappa_keys(prefix):
