@@ -10,30 +10,25 @@
                 an arbitrary (possibly entangled) joint environment.
 
 They add environments, local measurements and the basis search of
-``entropy`` to the states, the closed-form channel and the spectra that qepi
-and concavity need, so ``harness`` imports this module on the first block or
-block size of one of them: a qepi or concavity run compiles neither this
-module nor ``entropy``. Each block function of :data:`BLOCK_FNS` follows
-the rules ``harness`` sets for every block function (the stream keys, the
-draw order of the one-trial code, the slack and residual columns and the one
-verdict rule) through the helpers it reads from that module.
+``entropy`` to what qepi and concavity need, so ``harness`` imports this
+module on the first block or block size of one of them. Each block function
+of :data:`BLOCK_FNS` follows the rules ``harness`` sets for every block
+function through the helpers it reads there, among them the slack
+(``harness._measured_slacks``) and its gap (``harness._mixture_gap``).
 
 theorem and lemma share the stacked setting draw (:func:`_theorem_settings`),
-the global channel (one :func:`partial_swap_global` call) and the validated
-conditioning of the two inputs and the output (:func:`_condition_bilocal`),
-which hands back states, spectra and skipped outcome pairs on the outcome
-grid. The theorem climbs every search of the block in lockstep
-(:func:`climb_product_basis`) over all their kappas and restarts and
-conditions at the pairs found; the lemma checks every kept outcome pair of
-the block in one :func:`partial_swap_closed_stack` call.
-Either way every value equals what the trial alone computes, bit for bit, so
-no line depends on the block size or --parallel. :func:`_measured_slacks` owns
-the theorem's slack and ``states.mixture_majorization_rows`` the lemma's
-majorization. conjecture stacks its two arms on the same parts: the drawn
-states, one :func:`partial_swap_joint_stack` call on the joint states, one
-:func:`partial_swap_global` call on the control arm's, and stacked conditional
-entropies of validated states. Every trial draws one fixed-length row, so a
-re-checked candidate's perturbation moves no other draw.
+the global channel and the validated conditioning of the two inputs and the
+output (:func:`_condition_bilocal`), which hands back states, spectra and
+skipped outcome pairs on the outcome grid. A bilocal measurement has one
+layout (:func:`_bilocal_layout`), which the climb's objective
+(:func:`_slack_objective`) and the conditioning read, and its outcome pairs
+one weight rule, q1 x q2 (:func:`_pair_weights`). The theorem climbs every
+search of the block in lockstep and conditions at the pairs found; the lemma
+checks every kept outcome pair of the block in one
+:func:`partial_swap_closed_stack` call and folds them on the outcome grid.
+Every value equals what the trial alone computes, bit for bit. conjecture
+stacks its two arms on the same parts, and every trial draws one
+fixed-length row, so a re-checked candidate's perturbation moves no other draw.
 
 :func:`block_cap` bounds the trials of a block: at most as many as
 :data:`_BLOCK_BYTES` holds of the block's largest stacked array, and at most
@@ -41,8 +36,6 @@ re-checked candidate's perturbation moves no other draw.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -61,7 +54,7 @@ from .rand import (
     state_columns,
     states_from_gaussians,
 )
-from .states import entropy_nats_rows, make_density_stack, mixture_majorization_rows, ordered_sum
+from .states import entropy_nats_rows, make_density_stack, mixture_majorization_rows
 
 # Most trials per block of lemma and conjecture: it bounds a run's peak
 # memory. _BLOCK_BYTES sizes only a block's largest stacked array, and the
@@ -108,29 +101,39 @@ def _kron_pairs(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return (u1[..., :, None, :, None] * u2[..., None, :, None, :]).reshape(*u1.shape[:-2], e1 * e2, e1 * e2)
 
 
-def _slack_objective(dims, rho1, rho2, joint, taus, kappas):
+def _pair_weights(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """q1_j q2_k at outcome j e2 + k of the (..., e1 e2) grid of product bases."""
+    return (q1[..., :, None] * q2[..., None, :]).reshape(*q1.shape[:-1], q1.shape[-1] * q2.shape[-1])
+
+
+def _bilocal_layout(d: int, rho1, rho2, joint, u1: np.ndarray, u2: np.ndarray):
+    """The (state, basis) pairs of a bilocal measurement: (rho1, u1), (rho2,
+    u2) and (joint, u1 (x) u2), whose outcome j e2 + k is the pair (j, k).
+    Each (B, D, D) state stack is reshaped to (B, 1, ..., d, e, d, e), with a
+    one per axis of the (B, ..., e, e) bases between B and the matrix axes."""
+    lead = (len(rho1),) + (1,) * (u1.ndim - 3)
+    pairs = ((rho1, u1), (rho2, u2), (joint, _kron_pairs(u1, u2)))
+    return [(rho.reshape(*lead, d, u.shape[-1], d, u.shape[-1]), u) for rho, u in pairs]
+
+
+def _slack_objective(d: int, rho1, rho2, joint, taus, kappas):
     """The per-measurement slack of B settings at K kappas as a function of
     the stacked factors (U1, U2), computed by :func:`projective_entropy_power`:
     the q1 x q2-weighted entropy power of the conditioned outputs minus the
     tau-mixture of the conditioned-input expectations. It is the objective
     the search climbs.
 
-    dims is (d, e1, e2); rho1, rho2 and joint are the (B, D, D) matrix stacks
-    of the inputs on (X, E1) and (X, E2) and of the output on (Y, E1, E2);
-    taus has shape (B,) and kappas (K,). The objective maps factor stacks of
-    shape (B, K, R, e_j, e_j), R pairs per setting and kappa, to the (B, K, R)
+    rho1, rho2 and joint are the (B, D, D) matrix stacks of the inputs on
+    (X, E1) and (X, E2) and of the output on (Y, E1, E2), X of dim d; taus
+    has shape (B,) and kappas (K,). The objective maps factor stacks of shape
+    (B, K, R, e_j, e_j), R pairs per setting and kappa, to the (B, K, R)
     slacks; each setting's states are broadcast over its climbs, not copied.
     Every value equals, bit for bit, what the setting, kappa and pair give
     alone: each probability-weighted sum is one vector dot product per climb,
-    summed in the order `q @ p` sums a single pair's.
+    summed in the order `q @ p` sums a single pair's. It shares the gap, the
+    layout and the weights with the recorded slack but keeps np.exp and these
+    dot products: they decide which steps the climb accepts, so the bases found.
     """
-    d, e1, e2 = dims
-    b = len(taus)
-    rho4s = (
-        rho1.reshape(b, 1, 1, d, e1, d, e1),
-        rho2.reshape(b, 1, 1, d, e2, d, e2),
-        joint.reshape(b, 1, 1, d, e1 * e2, d, e1 * e2),
-    )
     tau = np.asarray(taus, dtype=np.float64)[:, None, None]
     kappa = np.asarray(kappas, dtype=np.float64)[:, None]
 
@@ -138,10 +141,9 @@ def _slack_objective(dims, rho1, rho2, joint, taus, kappas):
         return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
     def slack(factors) -> np.ndarray:
-        u1, u2 = factors
-        (q1, p1), (q2, p2), (_, p_out) = projective_entropy_power(rho4s, (u1, u2, _kron_pairs(u1, u2)), kappa)
-        q12 = (q1[..., :, None] * q2[..., None, :]).reshape(p_out.shape)
-        return dot(q12, p_out) - tau * dot(q1, p1) - (1.0 - tau) * dot(q2, p2)
+        rho4s, bases = zip(*_bilocal_layout(d, rho1, rho2, joint, *factors))
+        (q1, p1), (q2, p2), (_, p_out) = projective_entropy_power(rho4s, bases, kappa)
+        return harness._mixture_gap(tau, dot(_pair_weights(q1, q2), p_out), dot(q1, p1), dot(q2, p2))
 
     return slack
 
@@ -165,22 +167,15 @@ def _theorem_settings(cfg: TrialConfig, experiment: str, indices: range):
 
 
 def _condition_bilocal(d: int, rho1, rho2, joint, u1: np.ndarray, u2: np.ndarray):
-    """The :func:`condition_all_stack` results of the (B, D, D) stacks of
-    inputs on (X, E1) and (X, E2) and of their output on (Y, E1, E2), at the
-    (B, ..., e_j, e_j) bases u1, u2 (each checked by :func:`check_complete`)
-    and u1 (x) u2, whose outcome j e2 + k is the pair (j, k); and the
-    (B, ..., e1, e2) mask of the pairs skipped, negligible for any of them.
-    """
+    """The :func:`condition_all_stack` results of the three pairs of
+    :func:`_bilocal_layout`, u1 and u2 each checked by :func:`check_complete`,
+    and the (B, ..., e1, e2) mask of the outcome pairs skipped, negligible for
+    any of the three states."""
     check_complete(u1)
     check_complete(u2)
-    e1, e2 = u1.shape[-1], u2.shape[-1]
-    lead = (len(rho1),) + (1,) * (u1.ndim - 3)
-    measured = [
-        condition_all_stack(rho.reshape(*lead, d, e, d, e), u)
-        for rho, e, u in ((rho1, e1, u1), (rho2, e2, u2), (joint, e1 * e2, _kron_pairs(u1, u2)))
-    ]
+    measured = [condition_all_stack(rho4, u) for rho4, u in _bilocal_layout(d, rho1, rho2, joint, u1, u2)]
     neg1, neg2, neg = (negligible for _, negligible, *_ in measured)
-    skip = neg.reshape(*neg.shape[:-1], e1, e2) | neg1[..., :, None] | neg2[..., None, :]
+    skip = neg.reshape(*neg.shape[:-1], u1.shape[-1], u2.shape[-1]) | neg1[..., :, None] | neg2[..., None, :]
     return (*measured, skip)
 
 
@@ -203,20 +198,19 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     draws, one :func:`partial_swap_global` call, one lockstep climb of every
     search, and one :func:`_condition_bilocal` call over every trial's Haar
     and found pairs, with the one-trial route's checks. The slacks are
-    :func:`_measured_slacks` at each kappa's pair; prob_norm is the largest
-    residual of the output's outcome totals over the trial's pairs.
+    ``harness._measured_slacks`` at each kappa's pair; prob_norm is the
+    largest residual of the output's outcome totals over the trial's pairs.
     """
     kappas, keys, soft = harness._kappa_grid(cfg, "theorem_measured")
     searched = [t for t, kappa in enumerate(kappas) if kappa > 0.0]
-    d, e1, e2 = dims = (cfg.d, cfg.d_e1, cfg.d_e2)
     taus, rho1, rho2, haar1, haar2 = _theorem_settings(cfg, "theorem", indices)
-    joint, _ = partial_swap_global(rho1, rho2, np.array(taus), d)
+    joint, _ = partial_swap_global(rho1, rho2, np.array(taus), cfg.d)
 
     # Pair 0 of a trial is its Haar pair, pair 1 + c the one its search for
     # kappa searched[c] finds.
     u1, u2 = haar1[:, None], haar2[:, None]
     if searched:
-        objective = _slack_objective(dims, rho1, rho2, joint, taus, [kappas[t] for t in searched])
+        objective = _slack_objective(cfg.d, rho1, rho2, joint, taus, [kappas[t] for t in searched])
         # Every search of a trial starts at its Haar pair.
         starts = [u.repeat(len(searched), axis=1) for u in (u1, u2)]
         # Search c of trial i has the stream key of the trial's key with
@@ -226,34 +220,17 @@ def _theorem_block(cfg: TrialConfig, indices: range) -> TrialBlock:
         _, (found1, found2) = climb_product_basis(objective, starts, cfg.seed, streams)
         u1, u2 = np.concatenate([u1, found1], axis=1), np.concatenate([u2, found2], axis=1)
     (q1, neg1, _, _, lam1), (q2, neg2, _, _, lam2), (_, neg, prob_norms, _, lam), skip = _condition_bilocal(
-        d, rho1, rho2, joint, u1, u2
+        cfg.d, rho1, rho2, joint, u1, u2
     )
     # The pair that kappa t's slack reads.
     pairs = [1 + searched.index(t) if kappa > 0.0 else 0 for t, kappa in enumerate(kappas)]
-    q12 = (q1[..., :, None] * q2[..., None, :]).reshape(neg.shape)
-    grids = ((q12, skip.reshape(neg.shape), lam), (q1, neg1, lam1), (q2, neg2, lam2))
-    values = _measured_slacks(kappas, taus, *[[x[:, pairs] for x in grid] for grid in grids])
+    grids = ((_pair_weights(q1, q2), skip.reshape(neg.shape), lam), (q1, neg1, lam1), (q2, neg2, lam2))
+    values = harness._measured_slacks(kappas, taus, *[[x[:, pairs] for x in grid] for grid in grids])
     slacks = dict(zip(keys, values.T.tolist()))
     residuals = {"prob_norm": prob_norms.max(axis=1).tolist()}
     skipped = neg[:, 0].sum(axis=1).tolist()  # at the Haar pair
     flags = harness._verdict(cfg, slacks, residuals, soft)
     return TrialBlock("theorem", indices, taus, kappas, slacks, residuals, flags, skipped)
-
-
-def _measured_slacks(kappas, taus, out, first, second) -> np.ndarray:
-    """The (B, K) per-measurement slacks at K kappas: the probability-weighted
-    entropy power of the conditioned outputs minus the tau-mixture of the
-    conditioned inputs', each over the outcomes not skipped. out, first and
-    second are (probabilities, skip mask, descending spectra) triples on a
-    (B, K, n) outcome grid, or a (B, 1, n) one that serves every kappa."""
-    kappa = np.array(kappas)[:, None]
-    # Each power is harness._entropy_powers' and each sum ordered_sum's.
-    e_out, e_first, e_second = (
-        ordered_sum(np.where(skip, 0.0, probs * harness._entropy_powers(kappa, entropy_nats_rows(spectra))))
-        for probs, skip, spectra in (out, first, second)
-    )
-    tau = np.array(taus)[:, None]
-    return e_out - tau * e_first - (1.0 - tau) * e_second
 
 
 def _lemma_block(cfg: TrialConfig, indices: range) -> TrialBlock:
@@ -270,39 +247,38 @@ def _lemma_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     :func:`partial_swap_global` call, one :func:`_condition_bilocal` call at
     the Haar pairs, and one :func:`partial_swap_closed_stack` call over the
     kept outcome pairs of every trial, read off the outcome grids. Each value
-    is what the trial computes alone, bit for bit: a trial's maxima and minima
-    fold over its outcome pairs in row-major order, and prob_norm is the
+    is what the trial computes alone, bit for bit: a trial's minimum or maximum
+    is taken over its (e1, e2) grid, skipped pairs filled with inf or 0.0
+    (every value is finite, no prefix slack is -0.0), and prob_norm is the
     residual of its output's outcome total that :func:`condition_all_stack`
     returns.
     """
-    d, e1, e2 = cfg.d, cfg.d_e1, cfg.d_e2
     taus, rho1, rho2, u1, u2 = _theorem_settings(cfg, "lemma", indices)
     tau = np.array(taus)
-    joint, _ = partial_swap_global(rho1, rho2, tau, d)
-    b = len(taus)
+    joint, _ = partial_swap_global(rho1, rho2, tau, cfg.d)
     (q1, _, _, states1, lam1), (q2, _, _, states2, lam2), (q, _, prob_norm, states, lam), skip = _condition_bilocal(
-        d, rho1, rho2, joint, u1, u2
+        cfg.d, rho1, rho2, joint, u1, u2
     )
     # Trial i's kept outcome pair (j, k) is the output's outcome g = j e2 + k.
-    i, j, k = np.nonzero(~skip)
-    g = j * e2 + k
+    i, j, k = kept = np.nonzero(~skip)
+    g = j * cfg.d_e2 + k
     targets, _ = partial_swap_closed_stack(states1[i, j], states2[i, k], tau[i])
-    distances = np.abs(states[i, g] - targets).max(axis=(1, 2)).tolist()
-    pair_slacks, totals = (x.tolist() for x in mixture_majorization_rows(tau[i], lam1[i, j], lam2[i, k], lam[i, g]))
-    factor = np.abs(q.reshape(b, e1, e2) - q1[:, :, None] * q2[:, None, :]).reshape(b, -1).tolist()
+    pair_slacks, totals = mixture_majorization_rows(tau[i], lam1[i, j], lam2[i, k], lam[i, g])
 
-    slacks: dict[str, list] = {"lemma_majorization": []}
-    residuals: dict[str, list] = {"lemma_identity": [], "major_total": [], "factorization": []}
-    negligible = skip.reshape(b, -1).sum(axis=1).tolist()
-    ends = np.cumsum([e1 * e2 - n for n in negligible]).tolist()
-    for start, end, trial_factor in zip([0, *ends], ends, factor):
-        slacks["lemma_majorization"].append(min([math.inf, *pair_slacks[start:end]]))
-        residuals["lemma_identity"].append(max([0.0, *distances[start:end]]))
-        residuals["major_total"].append(max([0.0, *totals[start:end]]))
-        residuals["factorization"].append(max([0.0, *trial_factor]))
-    residuals["prob_norm"] = prob_norm.tolist()
+    def fold(values, fill, pick):
+        grid = np.full(skip.shape, fill)
+        grid[kept] = values
+        return pick(grid, axis=(1, 2)).tolist()
+
+    slacks = {"lemma_majorization": fold(pair_slacks, np.inf, np.min)}
+    residuals = {
+        "lemma_identity": fold(np.abs(states[i, g] - targets).max(axis=(1, 2)), 0.0, np.max),
+        "major_total": fold(totals, 0.0, np.max),
+        "factorization": np.abs(q - _pair_weights(q1, q2)).max(axis=1).tolist(),
+        "prob_norm": prob_norm.tolist(),
+    }
     flags = harness._verdict(cfg, slacks, residuals)
-    return TrialBlock("lemma", indices, taus, (), slacks, residuals, flags, negligible)
+    return TrialBlock("lemma", indices, taus, (), slacks, residuals, flags, skip.sum(axis=(1, 2)).tolist())
 
 
 def _conjecture_layout(cfg: TrialConfig):
@@ -330,7 +306,7 @@ def _joint_slacks(joint: np.ndarray, tau: np.ndarray, d: int) -> np.ndarray:
     """S(Y|E) of the channel output minus the tau-mixture of S(X1|E) and
     S(X2|E), for each (X1, X2, E) state of a validated (N, D, D) stack."""
     s_out, s_1, s_2 = _conditional_entropies(*partial_swap_joint_stack(joint, tau, d), d)
-    return s_out - tau * s_1 - (1.0 - tau) * s_2
+    return harness._mixture_gap(tau, s_out, s_1, s_2)
 
 
 def _conjecture_block(cfg: TrialConfig, indices: range) -> TrialBlock:
@@ -387,7 +363,7 @@ def _conjecture_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     slacks = {
         "conjecture": slack.tolist(),
         "conjecture_perturbed": [next(rechecked) if c else None for c in candidate.tolist()],
-        "conjecture_control": (s_out - tau * s_1 - (1.0 - tau) * s_2).tolist(),
+        "conjecture_control": harness._mixture_gap(tau, s_out, s_1, s_2).tolist(),
     }
     reverified = [value is not None and value < threshold for value in slacks["conjecture_perturbed"]]
     # Only the trivial-environment slack is asserted; the rest are diagnostics.

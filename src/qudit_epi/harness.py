@@ -35,11 +35,13 @@ draws that trial's values in the order of the one-trial code: Gaussians
 as one row of normals (:func:`_block_normals`), which ``rand`` parses and
 turns into Haar bases, replaying a failed draw. Each experiment takes its
 kappas, slack keys and soft keys from :func:`_kappa_grid`, their one owner.
-qepi's slacks, residual and verdict are :func:`_qepi_checks`, on spectra.
-qepi and concavity compute a block as stacked (N, d, d) arrays: they
-validate, mix and take spectra and entropies of the whole block at once, and
-fill each column from those stacks. Every value equals what the trial alone
-computes, bit for bit, so no line depends on the block size or --parallel.
+Every entropy-power slack is :func:`_mixture_gap`: an output value minus the
+tau-mixture of the two inputs' (Audenaert, Datta and Ozols, J. Math. Phys.
+57, 052202 (2016)). :func:`_measured_slacks` is its form on outcome grids,
+the theorem's slack, and qepi's (:func:`_qepi_checks`) with one certain
+outcome per state. qepi and concavity (:func:`_concavity_checks`) compute a
+block as stacked arrays on spectra, each value what the trial alone computes,
+bit for bit, so no line depends on the block size or --parallel.
 
 The slack and residual columns are computed on a block's validated stacks
 and the spectra they come with, under two rules that keep each value bit for
@@ -94,7 +96,7 @@ from .rand import (
     state_columns,
     states_from_gaussians,
 )
-from .states import entropy_nats_rows, make_density, mixture_majorization_rows
+from .states import entropy_nats_rows, make_density, mixture_majorization_rows, ordered_sum
 
 MAX_DIM = 6
 MAX_ENV_DIM = 4
@@ -346,17 +348,34 @@ def _qepi_block(cfg: TrialConfig, indices: range) -> TrialBlock:
 
 def _qepi_checks(cfg: TrialConfig, indices: range, taus: list, lam1, lam2, lam_out) -> TrialBlock:
     """The qepi block of trials `indices` from their taus and the (N, d)
-    descending spectra of their two inputs and their output."""
-    tau_stack = np.array(taus, dtype=np.float64)
-    maj_slacks, totals = mixture_majorization_rows(tau_stack, lam1, lam2, lam_out)
+    descending spectra of their two inputs and their output. Its slacks are
+    the theorem's (:func:`_measured_slacks`) with one certain outcome per state."""
+    maj_slacks, totals = mixture_majorization_rows(taus, lam1, lam2, lam_out)
     kappas, keys, soft = _kappa_grid(cfg, "qepi")
-    entropies = np.stack([entropy_nats_rows(lam) for lam in (lam1, lam2, lam_out)])
-    p1, p2, p_out = _entropy_powers(np.array(kappas)[:, None], entropies[:, None])
-    slacks = {"qepi_majorization": maj_slacks.tolist()}
-    slacks.update(zip(keys, (p_out - tau_stack * p1 - (1.0 - tau_stack) * p2).tolist()))
+    values = _measured_slacks(kappas, taus, *[(1.0, False, lam[:, None, None]) for lam in (lam_out, lam1, lam2)])
+    slacks = {"qepi_majorization": maj_slacks.tolist(), **dict(zip(keys, values.T.tolist()))}
     residuals = {"major_total": totals.tolist()}
     flags = _verdict(cfg, slacks, residuals, soft)
     return TrialBlock("qepi", indices, taus, kappas, slacks, residuals, flags, [0] * len(taus))
+
+
+def _mixture_gap(tau, out, first, second):
+    """out minus the tau-mixture of first and second, elementwise: every entropy-power check's slack."""
+    return out - tau * first - (1.0 - tau) * second
+
+
+def _measured_slacks(kappas, taus, out, first, second) -> np.ndarray:
+    """The (B, K) per-measurement slacks at K kappas: the probability-weighted
+    entropy power of the conditioned outputs minus the tau-mixture of the
+    conditioned inputs', each over the outcomes not skipped. out, first and
+    second are (probabilities, skip mask, descending spectra) triples on a
+    (B, K, n) outcome grid, or a (B, 1, n) one that serves every kappa."""
+    kappa = np.array(kappas)[:, None]
+    e_out, e_first, e_second = (
+        ordered_sum(np.where(skip, 0.0, probs * _entropy_powers(kappa, entropy_nats_rows(spectra))))
+        for probs, skip, spectra in (out, first, second)
+    )
+    return _mixture_gap(np.array(taus)[:, None], e_out, e_first, e_second)
 
 
 def _concavity_block(cfg: TrialConfig, indices: range) -> TrialBlock:
@@ -368,15 +387,19 @@ def _concavity_block(cfg: TrialConfig, indices: range) -> TrialBlock:
         taus.append(tau)  # recorded only; concavity has no mixing step
         pq[row, 0] = gen.dirichlet(alpha)
         pq[row, 1] = gen.dirichlet(alpha)
-    p, q = pq[:, 0], pq[:, 1]
-    entropies = np.stack([entropy_nats_rows(v) for v in (p, q, (p + q) / 2)])
+    return _concavity_checks(cfg, indices, taus, pq[:, 0], pq[:, 1])
 
+
+def _concavity_checks(cfg: TrialConfig, indices: range, taus: list, p, q) -> TrialBlock:
+    """The concavity block of trials `indices` from their taus and (N, d)
+    distributions p and q. Its gap is not :func:`_mixture_gap` at tau = 1/2,
+    which differs in the last bit."""
+    entropies = np.stack([entropy_nats_rows(v) for v in (p, q, (p + q) / 2)])
     kappas, keys, soft = _kappa_grid(cfg, "concavity")
     p_p, p_q, p_mid = _entropy_powers(np.array(kappas)[:, None], entropies[:, None])
     slacks = dict(zip(keys, (p_mid - (p_p + p_q) / 2).tolist()))
-    return TrialBlock(
-        "concavity", indices, taus, kappas, slacks, {}, _verdict(cfg, slacks, {}, soft), [0] * len(taus)
-    )
+    flags = _verdict(cfg, slacks, {}, soft)
+    return TrialBlock("concavity", indices, taus, kappas, slacks, {}, flags, [0] * len(taus))
 
 
 def _conditioned(experiment: str, cfg: TrialConfig, indices: range) -> TrialBlock:

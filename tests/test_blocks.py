@@ -544,13 +544,13 @@ def test_stacked_slack_objective_matches_validated_slack(conditioned_pieces, see
         settings_.append((tau, s1, s2, _bilocal_channel(s1, s2, tau)))
     bases = [np.array([[[haar_unitary(e, gen) for _ in range(3)] for _ in kappas] for _ in taus]) for e in envs]
     stacked = _slack_objective(
-        (d, e1, e2), *(np.stack([s[i].state.mat for s in settings_]) for i in (1, 2, 3)), taus, kappas
+        d, *(np.stack([s[i].state.mat for s in settings_]) for i in (1, 2, 3)), taus, kappas
     )(bases)
     assert stacked.shape == (2, 2, 3)
     for b, (tau, s1, s2, joint) in enumerate(settings_):
         for k, kappa in enumerate(kappas):
             one = _slack_objective(
-                (d, e1, e2), *(s.state.mat[None] for s in (s1, s2, joint)), [tau], [kappa]
+                d, *(s.state.mat[None] for s in (s1, s2, joint)), [tau], [kappa]
             )
             for r in range(3):
                 u1, u2 = bases[0][b, k, r], bases[1][b, k, r]

@@ -1,11 +1,13 @@
-"""Positive controls: inputs that drop one hypothesis of the paper; and a
-third route to the theorem's slack.
+"""Positive controls: inputs that drop one hypothesis of the paper; a third
+route to the theorem's slack; and the theorem with trivial environments,
+which is qepi.
 
 Each control runs through the package's kernels and its check functions
-(``harness._qepi_checks``, ``conditional._measured_slacks`` and
-``states.mixture_majorization_rows``), has a closed-form negative slack, and
-must count as a violation through ``harness._verdict`` and ``summarize``; a
-twin that keeps the hypothesis must pass.
+(``harness._qepi_checks``, ``harness._measured_slacks``,
+``harness._concavity_checks`` and ``states.mixture_majorization_rows``), has
+a closed-form negative slack, and must count as a violation through
+``harness._verdict`` and ``summarize``; a twin that keeps the hypothesis must
+pass.
 """
 
 import math
@@ -13,11 +15,21 @@ import math
 import numpy as np
 import pytest
 
-from qudit_epi.channels import partial_swap_global, partial_swap_joint_stack
-from qudit_epi.conditional import _condition_bilocal, _kron_pairs, _measured_slacks, _theorem_settings
-from qudit_epi.harness import TrialBlock, TrialConfig, _kappa_grid, _qepi_checks, _verdict, kappa_bounds, summarize
+from qudit_epi.channels import partial_swap_closed_stack, partial_swap_global, partial_swap_joint_stack
+from qudit_epi.conditional import _condition_bilocal, _kron_pairs, _pair_weights, _theorem_settings
+from qudit_epi.harness import (
+    TrialBlock,
+    TrialConfig,
+    _concavity_checks,
+    _kappa_grid,
+    _measured_slacks,
+    _qepi_checks,
+    _verdict,
+    kappa_bounds,
+    summarize,
+)
 from qudit_epi.measurement import check_complete, condition_all_stack
-from qudit_epi.states import mixture_majorization_rows
+from qudit_epi.states import make_density_stack, mixture_majorization_rows
 
 TAUS = np.linspace(0.05, 0.95, 19)
 KAPPAS = tuple(np.linspace(0.0, kappa_bounds(2), 4)[1:].tolist())
@@ -160,3 +172,100 @@ def test_joint_state_route_gives_the_theorems_slack(dims):
     joint = _measured_slacks(kappas, taus, *zip(probs, negligible, spectra))
     assert joint.shape == theorem.shape == (len(taus), len(kappas))
     assert np.abs(joint - theorem).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+@pytest.mark.parametrize("kind", ["ginibre", "pure"])
+def test_the_theorem_with_trivial_environments_is_qepi(d, kind):
+    # With d_e1 = d_e2 = 1 every measurement has one certain outcome, so the
+    # theorem's route (the global channel, conditioning, _measured_slacks)
+    # and qepi's (the addition rule on the states, _qepi_checks) give one slack.
+    cfg = TrialConfig(d=d, d_e1=1, d_e2=1, state_kind=kind)
+    trials = range(200)
+    taus, rho1, rho2, u1, u2 = _theorem_settings(cfg, "theorem", trials)
+    tau = np.array(taus)
+    _, lam_out = partial_swap_closed_stack(rho1, rho2, tau)
+    qepi = _qepi_checks(cfg, trials, taus, make_density_stack(rho1)[1], make_density_stack(rho2)[1], lam_out)
+
+    out, _ = partial_swap_global(rho1, rho2, tau, d)
+    (q1, neg1, _, _, lam1), (q2, neg2, _, _, lam2), (_, neg, _, _, lam), skip = _condition_bilocal(
+        d, rho1, rho2, out, u1[:, None], u2[:, None]
+    )
+    grids = (_pair_weights(q1, q2), skip.reshape(neg.shape), lam), (q1, neg1, lam1), (q2, neg2, lam2)
+    theorem = _measured_slacks(qepi.kappas, taus, *grids)
+    assert theorem.shape == (len(taus), 3)
+    for t in range(3):
+        assert np.abs(np.array(qepi.slacks[f"qepi.k{t}"]) - theorem[:, t]).max() <= 1e-13
+
+
+def _var_log(p):
+    """Var_p(ln p) of a probability vector with no zero entry."""
+    logs = np.log(p)
+    return float(p @ logs**2 - (p @ logs) ** 2)
+
+
+def _concavity_extremal(d):
+    """(p, kappa*, v): p = (a, (1 - a)/(d - 1), ...) at the a in (1/d, 1) that
+    maximizes Var_p(ln p), found by golden-section search; kappa* = 1/Var, the
+    largest kappa at which exp(kappa H) is concave; and v = p (ln p - sum p ln p),
+    the direction along which its Hessian turns positive first above kappa*."""
+
+    def point(a):
+        return np.array([a] + [(1 - a) / (d - 1)] * (d - 1))
+
+    lo, hi = 1 / d, 1 - 1e-9
+    ratio = (math.sqrt(5) - 1) / 2
+    while hi - lo > 1e-12:
+        a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        lo, hi = (lo, b) if _var_log(point(a)) > _var_log(point(b)) else (a, hi)
+    p = point((lo + hi) / 2)
+    return p, 1 / _var_log(p), p * (np.log(p) - p @ np.log(p))
+
+
+def _concavity_pair_block(d, kappa, scale):
+    """(config, concavity block, eps) of the pair p +- eps v of
+    :func:`_concavity_extremal` at kappa, with eps = scale min(p)/max|v|."""
+    p, _, v = _concavity_extremal(d)
+    eps = scale * p.min() / np.abs(v).max()
+    cfg = TrialConfig(d=d, kappa=kappa, exploratory_kappa=kappa > kappa_bounds(d))
+    return cfg, _concavity_checks(cfg, range(1), [0.5], (p + eps * v)[None], (p - eps * v)[None]), eps
+
+
+_EXTREMAL = {2: (0.916778, 2.2767), 3: (0.876696, 1.3127), 4: (0.851495, 0.9770), 6: (0.819953, 0.6934)}
+
+
+@pytest.mark.parametrize("d", sorted(_EXTREMAL))
+def test_concavity_above_kappa_star_fails_at_the_extremal_pair(d):
+    p, kappa_star, v = _concavity_extremal(d)
+    a, expected_star = _EXTREMAL[d]
+    assert abs(p[0] - a) <= 1e-6 and abs(kappa_star - expected_star) <= 1e-4
+    assert abs(v.sum()) <= 1e-15  # v keeps p + eps v on the simplex
+    assert kappa_star > kappa_bounds(d)
+
+    kappa = 1.2 * kappa_star
+    cfg, block, _ = _concavity_pair_block(d, kappa, 1e-2)
+    (slack,) = block.slacks["concavity.k0"]
+    assert slack < 0
+    # Above the window the slack is a soft diagnostic: no flag, no violation.
+    assert block.pass_flags == {} and summarize([block]).violations == 0
+    # As a hard check it goes red.
+    hard = _verdict(cfg, block.slacks, {})
+    assert hard == {"concavity.k0": [False]}
+    assert summarize([block._replace(pass_flags=hard)]).violations == 1
+
+    # At the closed form: the second-order term of f = exp(kappa H) along v,
+    # f(p) - (f(p + eps v) + f(p - eps v))/2 = -eps^2 f''/2 + O(eps^4), with
+    # f'' = kappa f(p) (kappa (v . ln p)^2 - sum v^2/p).
+    _, block, eps = _concavity_pair_block(d, kappa, 1e-3)
+    f = math.exp(kappa * -(p @ np.log(p)))
+    second = kappa * f * (kappa * (v @ np.log(p)) ** 2 - (v**2 / p).sum())
+    (slack,) = block.slacks["concavity.k0"]
+    assert abs(slack / (-eps**2 * second / 2) - 1) <= 1e-6
+
+
+@pytest.mark.parametrize("d", sorted(_EXTREMAL))
+def test_concavity_in_the_window_passes_at_the_extremal_pair(d):
+    _, block, _ = _concavity_pair_block(d, kappa_bounds(d), 1e-2)
+    assert block.slacks["concavity.k0"][0] > 0
+    assert block.pass_flags == {"concavity.k0": [True]} and block.passed == [True]
+    assert summarize([block]).violations == 0

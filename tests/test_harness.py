@@ -109,7 +109,7 @@ def _one_setting_objective(joint, s1, s2, tau, kappa):
     """The stacked slack objective of one setting at one kappa: it maps factor
     stacks of shape (1, 1, R, e, e) to the (1, 1, R) slacks."""
     mats = (s.state.mat[None] for s in (s1, s2, joint))
-    return _slack_objective(joint.dims, *mats, [tau], [kappa])
+    return _slack_objective(joint.dims[0], *mats, [tau], [kappa])
 
 
 _SEARCHED = [(2, (2, 2)), (3, (2, 2)), (2, (2, 3)), (3, (2, 3)), (2, (1, 4)), (3, (1, 4))]
