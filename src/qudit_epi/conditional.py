@@ -22,9 +22,14 @@ output (:func:`_condition_bilocal`), which hands back states, spectra and
 skipped outcome pairs on the outcome grid. A bilocal measurement has one
 layout (:func:`_bilocal_layout`), which the climb's objective
 (:func:`_slack_objective`) and the conditioning read, and its outcome pairs
-one weight rule, q1 x q2 (:func:`_pair_weights`). The theorem climbs every
-search of the block in lockstep and conditions at the pairs found; the lemma
-checks every kept outcome pair of the block in one
+one weight rule, q1 x q2 (``entropy._pair_weights``). At d = 2 the
+objective scores each outcome pair from the two conditioned inputs by the
+lemma's identity and never reads the joint output; at d >= 3 it conditions
+the joint output, because scoring pairs from the inputs' d x d blocks (the
+addition rule, then eigvalsh) measured no faster there. The recorded slack
+always conditions the joint output of :func:`partial_swap_global`. The
+theorem climbs every search of the block in lockstep and conditions at the
+pairs found; the lemma checks every kept outcome pair of the block in one
 :func:`partial_swap_closed_stack` call and folds them on the outcome grid.
 Every value equals what the trial alone computes, bit for bit. conjecture
 stacks its two arms on the same parts, and every trial draws one
@@ -43,7 +48,7 @@ import numpy as np
 # binding, the one harness's own blocks call.
 from . import harness
 from .channels import partial_swap_closed_stack, partial_swap_global, partial_swap_joint_stack
-from .entropy import CLIMB_RESTARTS, climb_product_basis, projective_entropy_power
+from .entropy import CLIMB_RESTARTS, _pair_weights, climb_product_basis, projective_entropy_power
 from .harness import TrialBlock, TrialConfig
 from .measurement import check_complete, condition_all_stack
 from .rand import (
@@ -69,9 +74,12 @@ from .states import entropy_nats_rows, make_density_stack, mixture_majorization_
 _MAX_BLOCK = 32
 
 # Bytes of the largest stacked array of a theorem, lemma or conjecture block.
-# The theorem's is its climb's basis outcome pairs of the joint output, 16
-# bytes x K searched kappas x CLIMB_RESTARTS x (e1 e2)^3 per trial: 6 MiB
-# holds 16 trials at e1 = e2 = 4 with the grid's K = 2. The lemma's is the
+# The theorem's is a d >= 3 climb's basis outcome pairs of the joint output,
+# 16 bytes x K searched kappas x CLIMB_RESTARTS x (e1 e2)^3 per trial: 6 MiB
+# holds 16 trials at e1 = e2 = 4 with the grid's K = 2. A d = 2 climb scores
+# outcome pairs from the conditioned inputs and builds no such array, so the
+# rule over-bounds it; it is kept there so that block sizes, and the memory of
+# a block at large e, stay as they were. The lemma's is the
 # (Y, E1, E2) output, 16 bytes x (d e1 e2)^2 per trial: 6 MiB holds 42 trials
 # at the largest (6, 4, 4), so the lemma's _MAX_BLOCK binds first. The
 # conjecture's is its drawn normals, 8 bytes x the row of _conjecture_layout
@@ -101,33 +109,36 @@ def _kron_pairs(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return (u1[..., :, None, :, None] * u2[..., None, :, None, :]).reshape(*u1.shape[:-2], e1 * e2, e1 * e2)
 
 
-def _pair_weights(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """q1_j q2_k at outcome j e2 + k of the (..., e1 e2) grid of product bases."""
-    return (q1[..., :, None] * q2[..., None, :]).reshape(*q1.shape[:-1], q1.shape[-1] * q2.shape[-1])
-
-
 def _bilocal_layout(d: int, rho1, rho2, joint, u1: np.ndarray, u2: np.ndarray):
     """The (state, basis) pairs of a bilocal measurement: (rho1, u1), (rho2,
-    u2) and (joint, u1 (x) u2), whose outcome j e2 + k is the pair (j, k).
-    Each (B, D, D) state stack is reshaped to (B, 1, ..., d, e, d, e), with a
-    one per axis of the (B, ..., e, e) bases between B and the matrix axes."""
+    u2) and, unless joint is None, (joint, u1 (x) u2), whose outcome j e2 + k
+    is the pair (j, k). Each (B, D, D) state stack is reshaped to
+    (B, 1, ..., d, e, d, e), with a one per axis of the (B, ..., e, e) bases
+    between B and the matrix axes."""
     lead = (len(rho1),) + (1,) * (u1.ndim - 3)
-    pairs = ((rho1, u1), (rho2, u2), (joint, _kron_pairs(u1, u2)))
+    pairs = [(rho1, u1), (rho2, u2)] + ([] if joint is None else [(joint, _kron_pairs(u1, u2))])
     return [(rho.reshape(*lead, d, u.shape[-1], d, u.shape[-1]), u) for rho, u in pairs]
 
 
 def _slack_objective(d: int, rho1, rho2, joint, taus, kappas):
     """The per-measurement slack of B settings at K kappas as a function of
-    the stacked factors (U1, U2), computed by :func:`projective_entropy_power`:
-    the q1 x q2-weighted entropy power of the conditioned outputs minus the
-    tau-mixture of the conditioned-input expectations. It is the objective
-    the search climbs.
+    the stacked factors (U1, U2): the q1 x q2-weighted entropy power of the
+    conditioned outputs minus the tau-mixture of the conditioned-input
+    expectations. It is the objective the search climbs.
 
     rho1, rho2 and joint are the (B, D, D) matrix stacks of the inputs on
     (X, E1) and (X, E2) and of the output on (Y, E1, E2), X of dim d; taus
     has shape (B,) and kappas (K,). The objective maps factor stacks of shape
     (B, K, R, e_j, e_j), R pairs per setting and kappa, to the (B, K, R)
     slacks; each setting's states are broadcast over its climbs, not copied.
+
+    Both routes go through :func:`projective_entropy_power`. At d = 2 it gets
+    the two inputs and tau, and scores the output's outcome pairs from the
+    conditioned inputs by the lemma's identity, so joint is not read. At
+    d >= 3 it conditions joint on the (e1 e2)^2 outer products of the bases'
+    columns, because scoring pairs from the inputs' d x d blocks (the
+    addition rule, then eigvalsh) measured no faster there.
+
     Every value equals, bit for bit, what the setting, kappa and pair give
     alone: each probability-weighted sum is one vector dot product per climb,
     summed in the order `q @ p` sums a single pair's. It shares the gap, the
@@ -140,9 +151,11 @@ def _slack_objective(d: int, rho1, rho2, joint, taus, kappas):
     def dot(x, y):
         return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
+    output, swap = (None, tau) if d == 2 else (joint, None)
+
     def slack(factors) -> np.ndarray:
-        rho4s, bases = zip(*_bilocal_layout(d, rho1, rho2, joint, *factors))
-        (q1, p1), (q2, p2), (_, p_out) = projective_entropy_power(rho4s, bases, kappa)
+        rho4s, bases = zip(*_bilocal_layout(d, rho1, rho2, output, *factors))
+        (q1, p1), (q2, p2), (_, p_out) = projective_entropy_power(rho4s, bases, kappa, swap)
         return harness._mixture_gap(tau, dot(_pair_weights(q1, q2), p_out), dot(q1, p1), dot(q2, p2))
 
     return slack

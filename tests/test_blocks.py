@@ -28,6 +28,7 @@ from qudit_epi.harness import (
     summarize,
 )
 from qudit_epi.rand import haar_unitary
+from qudit_epi.states import make_density
 
 import oracles
 from oracles import (
@@ -529,20 +530,35 @@ def test_theorem_checks_completeness_of_the_found_bases(monkeypatch):
     envs=st.tuples(st.integers(1, 4), st.integers(1, 4)),
     taus=st.tuples(*[st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))] * 2),
     fractions=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    kind=st.sampled_from(["ginibre", "pure"]),
+    floored=st.booleans(),
 )
-def test_stacked_slack_objective_matches_validated_slack(conditioned_pieces, seed, d, envs, taus, fractions):
+def test_stacked_slack_objective_matches_validated_slack(
+    conditioned_pieces, seed, d, envs, taus, fractions, kind, floored
+):
     # Two settings x two kappas in the window x three random product bases,
     # scored in one stacked call: each value equals the one-climb evaluation
-    # bit for bit and the slack from validated conditioning to 1e-12.
+    # bit for bit and the slack from validated conditioning to 1e-12. The
+    # states are ginibre or rank-1 (pure). When floored, setting 0's first
+    # input is a product with the pure environment state u[:, 0] of the one
+    # basis u it is measured in, so its other outcomes sit at or below
+    # PROB_FLOOR.
     e1, e2 = envs
     kappas = [f * kappa_bounds(d) for f in fractions]
     gen = RandomSource(seed).generator()
     settings_ = []
     for tau in taus:
-        s1 = multipartite(sample_state(gen, d * e1), (d, e1))
-        s2 = multipartite(sample_state(gen, d * e2), (d, e2))
+        s1 = multipartite(sample_state(gen, d * e1, kind), (d, e1))
+        s2 = multipartite(sample_state(gen, d * e2, kind), (d, e2))
         settings_.append((tau, s1, s2, _bilocal_channel(s1, s2, tau)))
     bases = [np.array([[[haar_unitary(e, gen) for _ in range(3)] for _ in kappas] for _ in taus]) for e in envs]
+    if floored:
+        u = bases[0][0, 0, 0]
+        bases[0][0] = u
+        tau, _, s2, _ = settings_[0]
+        env = make_density(np.outer(u[:, 0], u[:, 0].conj()))
+        s1 = multipartite(tensor(sample_state(gen, d, kind), env), (d, e1))
+        settings_[0] = (tau, s1, s2, _bilocal_channel(s1, s2, tau))
     stacked = _slack_objective(
         d, *(np.stack([s[i].state.mat for s in settings_]) for i in (1, 2, 3)), taus, kappas
     )(bases)
@@ -556,5 +572,7 @@ def test_stacked_slack_objective_matches_validated_slack(conditioned_pieces, see
                 u1, u2 = bases[0][b, k, r], bases[1][b, k, r]
                 assert stacked[b, k, r] == one([u1[None, None, None], u2[None, None, None]])[0, 0, 0]
                 pair = projective_from_unitary(u1), projective_from_unitary(u2)
-                *pieces, _ = conditioned_pieces(joint, s1, s2, *pair)
-                assert stacked[b, k, r] == pytest.approx(_theorem_slack(tau, kappa, *pieces), abs=1e-12)
+                out1, *pieces, _ = conditioned_pieces(joint, s1, s2, *pair)
+                if floored and b == 0:
+                    assert all(o.negligible for o in out1[1:])
+                assert stacked[b, k, r] == pytest.approx(_theorem_slack(tau, kappa, out1, *pieces), abs=1e-12)

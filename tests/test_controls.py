@@ -161,8 +161,8 @@ def test_joint_state_route_gives_the_theorems_slack(dims):
     (q1, neg1, _, _, lam1), (q2, neg2, _, _, lam2), (_, neg, _, _, lam), skip = _condition_bilocal(
         d, rho1, rho2, out, u1[:, None], u2[:, None]
     )
-    q12 = (q1[..., :, None] * q2[..., None, :]).reshape(neg.shape)
-    theorem = _measured_slacks(kappas, taus, (q12, skip.reshape(neg.shape), lam), (q1, neg1, lam1), (q2, neg2, lam2))
+    grids = (_pair_weights(q1, q2), skip.reshape(neg.shape), lam), (q1, neg1, lam1), (q2, neg2, lam2)
+    theorem = _measured_slacks(kappas, taus, *grids)
 
     states, _ = partial_swap_joint_stack(_joint(rho1, rho2, d), tau, d)
     e = e1 * e2

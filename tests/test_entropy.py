@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qudit_epi import entropy as entropy_module
 from qudit_epi import rand
+from qudit_epi.channels import partial_swap_closed_stack
 from qudit_epi.entropy import (
     CLIMB_REFINE_STEPS,
     CLIMB_RESTARTS,
@@ -186,43 +187,81 @@ def test_projective_entropy_power_matches_validated_route():
         assert powers.tolist() == pytest.approx([entropy_power(o.state, 0.7) for o in outcomes], abs=1e-12)
 
 
+def _bloch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Traces and Bloch vectors (Tr sigma_i S) of a (..., 2, 2) Hermitian stack."""
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    return np.trace(blocks, axis1=-2, axis2=-1).real, np.einsum("...ab,iba->...i", blocks, paulis).real
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    shape=st.sampled_from(["ginibre", "rank-1", "maximally-mixed", "diagonal"]),
+    shape=st.sampled_from(["ginibre", "rank-1", "maximally-mixed", "diagonal", "rank-1 pair"]),
     scale=st.sampled_from([1.0, PROB_FLOOR * (1 - 1e-3), PROB_FLOOR * (1 + 1e-3)]),
     skewed=st.booleans(),
 )
 def test_qubit_spectra_match_eigvalsh(seed, shape, scale, skewed):
-    # The closed-form qubit branch against the trace and eigvalsh it replaces,
-    # on blocks of trace `scale`: at PROB_FLOOR * (1 -+ 1e-3) the outcome sits
-    # just either side of the floor. A skewed block is non-Hermitian by
-    # round-off (s01 != conj s10, complex diagonal), as a conditioned block is.
+    # The one qubit closed form, entropy._qubit_spectra on (q, |r|^2), against
+    # the trace and eigvalsh it replaces, on blocks of trace `scale`: at
+    # PROB_FLOOR * (1 -+ 1e-3) the outcome sits just either side of the floor.
+    # A skewed block is non-Hermitian by round-off (s01 != conj s10, complex
+    # diagonal), as a conditioned block is. A "rank-1 pair" block is the
+    # partial-swap output of rank-1 input blocks of traces `scale` and 1, whose
+    # (q, |r|^2) the climb's pair step takes from the inputs' Bloch vectors:
+    # there |r| -> q, the closed form's cancelling end (|r| = q at tau 0 or 1).
     gen = np.random.default_rng(seed)
-    g = gen.standard_normal((16, 2, 2)) + 1j * gen.standard_normal((16, 2, 2))
-    if shape == "rank-1":
-        g[..., 1] = 0.0
-    blocks = g @ g.conj().swapaxes(-1, -2)
+
+    def draw() -> np.ndarray:
+        g = gen.standard_normal((16, 2, 2)) + 1j * gen.standard_normal((16, 2, 2))
+        if shape.startswith("rank-1"):
+            g[..., 1] = 0.0
+        blocks = g @ g.conj().swapaxes(-1, -2)
+        return blocks / np.trace(blocks, axis1=-2, axis2=-1).real[..., None, None]
+
+    blocks = draw()
     if shape == "maximally-mixed":
-        blocks = np.eye(2) * np.trace(blocks, axis1=-2, axis2=-1)[..., None, None] / 2
+        blocks = np.broadcast_to(np.eye(2) / 2, blocks.shape)
     elif shape == "diagonal":
         blocks = blocks * np.eye(2)
-    blocks = blocks * (scale / np.trace(blocks, axis1=-2, axis2=-1).real)[..., None, None]
+        blocks = blocks / np.trace(blocks, axis1=-2, axis2=-1).real[..., None, None]
+    if shape == "rank-1 pair":
+        second, tau = draw(), np.concatenate([[0.0, 1.0], gen.uniform(size=14)])
+        inputs = scale * blocks, second
+        blocks = scale * partial_swap_closed_stack(blocks, second, tau)[0]
+        (q1, a), (q2, b) = (_bloch(x) for x in inputs)
+        r = tau[:, None] * q2[:, None] * a + (1.0 - tau[:, None]) * q1[:, None] * b
+        q, r = q1 * q2, r + np.sqrt(tau * (1.0 - tau))[:, None] * np.cross(a, b)
+    else:
+        blocks = scale * blocks
+        q, r = _bloch(blocks)
     if skewed:
         noise = gen.standard_normal((16, 2, 2)) + 1j * gen.standard_normal((16, 2, 2))
         blocks = blocks + 1e-16 * scale * noise
 
-    probs, kept, lam = entropy_module._normalized_spectra(blocks)
-    trace = np.trace(blocks, axis1=-2, axis2=-1).real
-    assert np.array_equal(probs, trace)
-    assert np.array_equal(kept, trace > PROB_FLOOR)
-    expected = np.linalg.eigvalsh(blocks / np.where(kept, trace, 1.0)[..., None, None])
+    kept, lam = entropy_module._qubit_spectra(q, (r**2).sum(axis=-1))
+    assert np.array_equal(kept, q > PROB_FLOOR)
+    expected = np.linalg.eigvalsh(blocks / np.where(kept, q, 1.0)[..., None, None])
     assert np.abs(lam - expected)[kept].max(initial=0.0) <= 1e-14
 
     kappa = kappa_bounds(2)
-    ((got_probs, powers),) = projective_entropy_power([blocks.reshape(16, 2, 1, 2, 1)], [np.ones((1, 1))], kappa)
+    if shape == "rank-1 pair":
+        # The pair step on the two input blocks, each measured in a trivial
+        # environment: the output's one outcome is the pair's.
+        *_, (probs, powers) = projective_entropy_power(
+            [x.reshape(16, 2, 1, 2, 1) for x in inputs], [np.ones((1, 1))] * 2, kappa, tau
+        )
+    else:
+        # Conditioned blocks: the trace bit for bit, and |r|^2 read from the
+        # diagonal and the lower triangle.
+        q = np.trace(blocks, axis1=-2, axis2=-1).real
+        probs, kept, lam = entropy_module._normalized_spectra(blocks)
+        assert np.array_equal(probs, q)
+        assert np.array_equal(kept, q > PROB_FLOOR)
+        expected = np.linalg.eigvalsh(blocks / np.where(kept, q, 1.0)[..., None, None])
+        assert np.abs(lam - expected)[kept].max(initial=0.0) <= 1e-14
+        ((probs, powers),) = projective_entropy_power([blocks.reshape(16, 2, 1, 2, 1)], [np.ones((1, 1))], kappa)
     entropies = entropy_nats_rows(np.clip(expected, 0.0, None))
-    assert np.array_equal(got_probs[:, 0], np.where(kept, trace, 0.0))
+    assert np.array_equal(probs[:, 0], np.where(kept, q, 0.0))
     assert np.abs(powers[:, 0] - np.where(kept, np.exp(kappa * entropies), 0.0)).max() <= 1e-12
 
 
