@@ -1,16 +1,16 @@
 """The partial-swap channel on stacks: the closed form on pairs of states and
-the kron-free forms on system-environment states.
+the kron-free form on pairs of system-environment states.
 
 On stacks of state pairs the channel is the qudit addition rule
 tau*r1 + (1-tau)*r2 - i sqrt(tau(1-tau)) [r1, r2]
 (:func:`partial_swap_closed_stack`). On two system-environment inputs it is
 :func:`partial_swap_global`, a stacked einsum on the two input factors that
-never forms their product. On joint (X1, X2, E) states, which need not be
-products, it is :func:`partial_swap_joint_stack`, the same four einsum terms
-on the joint stack. None of them forms the swap unitary. The one-pair closed
-form ``partial_swap_closed`` and the independent routes that check these
-(conjugation by the unitary, extended operators) are test oracles in
-``tests/oracles.py``; tests pin the agreement of every pair of routes.
+never forms their product. Neither forms the swap unitary. The one-pair
+closed form ``partial_swap_closed``, the same einsum terms on joint
+(X1, X2, E) states (``partial_swap_joint_stack``) and the independent routes
+that check these (conjugation by the unitary, extended operators) are test
+oracles in ``tests/oracles.py``; tests pin the agreement of every pair of
+routes.
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ import numpy as np
 from .errors import QuditEpiError, ValidationError
 from .states import make_density_stack
 
-__all__ = [
-    "partial_swap_closed_stack",
-    "partial_swap_joint_stack",
-    "partial_swap_global",
-]
+__all__ = ["partial_swap_closed_stack", "partial_swap_global"]
 
 
 def _check_mixing_stack(tau: np.ndarray) -> None:
@@ -51,48 +47,6 @@ def partial_swap_closed_stack(r1: np.ndarray, r2: np.ndarray, tau: np.ndarray) -
     out = t * r1 + (1.0 - t) * r2
     out = np.where(c != 0.0, out - 1j * c * (r1 @ r2 - r2 @ r1), out)
     return make_density_stack(out)
-
-
-def partial_swap_joint_stack(joint: np.ndarray, tau: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Partial swap on the system legs of a stack of joint (X1, X2, E)
-    states: row i mixes the two systems of joint[i] with tau[i].
-
-    joint is an (N, d*d*e, d*d*e) density stack, tau an (N,) array; the swap
-    unitary U = sqrt(tau) I + i sqrt(1-tau) W acts on (X1, X2), the identity
-    on E, and X2 is traced out. With c = sqrt(tau(1-tau)),
-
-        Tr_X2 U rho U+ = tau Tr_X2 rho + (1-tau) Tr_X2 W rho W
-                         + i c (Tr_X2 W rho - Tr_X2 rho W),
-
-    where Tr_X2 W rho W is the marginal Tr_X1 rho on (X2, E), and the last
-    two terms are sums over the traced index b of rho[b, a; ., b] and
-    rho[a, b; b, .]. Each term is one einsum on the joint stack, as
-    :func:`partial_swap_global` computes them on product factors; the
-    commutator term is skipped exactly at tau in {0, 1}.
-
-    Returns the validated (3, N, d*e, d*e) stack of the output on (Y, E) and
-    the marginals Tr_X2 rho on (X1, E) and Tr_X1 rho on (X2, E), and their
-    (3, N, d*e) descending spectra (see :func:`make_density_stack`).
-    """
-    n = len(tau)
-    e = joint.shape[-1] // (d * d)
-    if joint.shape != (n, d * d * e, d * d * e) or e < 1:
-        raise QuditEpiError(
-            f"expected an ({n}, {d}*{d}*e, {d}*{d}*e) joint stack for {n} mixing parameters, "
-            f"got shape {joint.shape}"
-        )
-    _check_mixing_stack(tau)
-    r = joint.reshape(n, d, d, e, d, d, e)  # [a, b, e, a', b', e']
-    # Output axes (a, e, c, f) of (Y, E) x (Y, E).
-    first = np.einsum("nabecbf->naecf", r)
-    second = np.einsum("nbaebcf->naecf", r)
-    t = tau.reshape(n, 1, 1, 1, 1)
-    out = t * first + (1.0 - t) * second
-    c = np.sqrt(t * (1.0 - t))
-    swapped = np.einsum("nbaecbf->naecf", r) - np.einsum("nabebcf->naecf", r)
-    out = np.where(c != 0.0, out + 1j * c * swapped, out)
-    states, spectra = make_density_stack(np.stack([out, first, second]).reshape(3 * n, d * e, d * e))
-    return states.reshape(3, n, d * e, d * e), spectra.reshape(3, n, d * e)
 
 
 def partial_swap_global(

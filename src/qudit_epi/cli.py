@@ -124,7 +124,6 @@ class RunManifest(NamedTuple):
             "conventions": {
                 "subsystem_order": "leftmost factor is the slowest-varying index",
                 "measurement_family": meta["measurement_family"],
-                "conjecture_channel": "swap unitary on (X1, X2) tensor identity on E, then trace X2",
             },
         }
 

@@ -6,8 +6,9 @@
 * theorem    -- conditional entropy power inequality, per-measurement form:
                 asserted at the slack's worst case that a hill climb over
                 product bases U1 (x) U2 finds, starting from the Haar pair.
-* conjecture -- counterexample search for the conditional-entropy version with
-                an arbitrary (possibly entangled) joint environment.
+* conjecture -- counterexample search for the two-environment
+                conditional-entropy version on product inputs
+                (X1, E1) (x) (X2, E2), asserted where E1 and E2 are trivial.
 
 They add environments, local measurements and the basis search of
 ``entropy`` to what qepi and concavity need, so ``harness`` imports this
@@ -32,12 +33,14 @@ theorem climbs every search of the block in lockstep and conditions at the
 pairs found; the lemma checks every kept outcome pair of the block in one
 :func:`partial_swap_closed_stack` call and folds them on the outcome grid.
 Every value equals what the trial alone computes, bit for bit. conjecture
-stacks its two arms on the same parts, and every trial draws one
-fixed-length row, so a re-checked candidate's perturbation moves no other draw.
+puts the drawn inputs, and a candidate's inputs moved toward their bumps,
+through the same global channel (:func:`_two_env_slacks`), and every trial
+draws one fixed-length row, bumps included, so no draw depends on whether a
+trial has a candidate.
 
-:func:`block_cap` bounds the trials of a block: at most as many as
-:data:`_BLOCK_BYTES` holds of the block's largest stacked array, and at most
-:data:`_MAX_BLOCK` of lemma or conjecture.
+:func:`block_cap` bounds the trials of a block: of the theorem, at most as
+many as :data:`_BLOCK_BYTES` holds of its largest stacked array; of lemma
+and conjecture, :data:`_MAX_BLOCK`.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import numpy as np
 # harness's helpers are read as attributes of the module, so each keeps one
 # binding, the one harness's own blocks call.
 from . import harness
-from .channels import partial_swap_closed_stack, partial_swap_global, partial_swap_joint_stack
+from .channels import partial_swap_closed_stack, partial_swap_global
 from .entropy import CLIMB_RESTARTS, _pair_weights, climb_product_basis, projective_entropy_power
 from .harness import TrialBlock, TrialConfig
 from .measurement import check_complete, condition_all_stack
@@ -62,45 +65,41 @@ from .rand import (
 from .states import entropy_nats_rows, make_density_stack, mixture_majorization_rows
 
 # Most trials per block of lemma and conjecture: it bounds a run's peak
-# memory. _BLOCK_BYTES sizes only a block's largest stacked array, and the
-# rest of the block grows with it several times over; without the cap a
-# small-dimension block holds every trial. Median ru_maxrss of 3 launches at
-# --parallel 1 (2-core VM, Python 3.11), with the cap and without it:
-# `verify-lemma --dim 3 --env-dim1 3 --env-dim2 3` 39.7 MB against 61 MB at
-# 400 trials and 70 MB at 4 000; `search-conjecture --dim 2 --trials 4000`
-# 37.7 against 64.8 MB. Uncapped, those runs take 12-27% less time. A block
-# of 32 d=2 trials still costs several times the 0.7 ms of CPU that a pool
-# block costs to send and return.
+# memory. Without it a small-dimension block holds every trial. Median
+# ru_maxrss of 3 launches at --parallel 1 (2-core VM, Python 3.11), with the
+# cap and without it: `verify-lemma --dim 3 --env-dim1 3 --env-dim2 3` 39.7 MB
+# against 61 MB at 400 trials and 70 MB at 4 000. Uncapped, such runs took
+# 12-27% less time when the cap was set. A block of 32 d=2 trials still costs
+# several times the 0.7 ms of CPU that a pool block costs to send and return.
 _MAX_BLOCK = 32
 
-# Bytes of the largest stacked array of a theorem, lemma or conjecture block.
-# The theorem's is a d >= 3 climb's basis outcome pairs of the joint output,
-# 16 bytes x K searched kappas x CLIMB_RESTARTS x (e1 e2)^3 per trial: 6 MiB
-# holds 16 trials at e1 = e2 = 4 with the grid's K = 2. A d = 2 climb scores
-# outcome pairs from the conditioned inputs and builds no such array, so the
-# rule over-bounds it; it is kept there so that block sizes, and the memory of
-# a block at large e, stay as they were. The lemma's is the
-# (Y, E1, E2) output, 16 bytes x (d e1 e2)^2 per trial: 6 MiB holds 42 trials
-# at the largest (6, 4, 4), so the lemma's _MAX_BLOCK binds first. The
-# conjecture's is its drawn normals, 8 bytes x the row of _conjecture_layout
-# per trial, which holds the 2 (d^2 e1)^2 of the bump: 6 MiB holds 9 ginibre
-# trials at d = 6, e1 = 4 (85 248 normals each).
+# Bytes of the largest stacked array of a theorem block: a d >= 3 climb's
+# basis outcome pairs of the joint output, 16 bytes x K searched kappas x
+# CLIMB_RESTARTS x (e1 e2)^3 per trial. 6 MiB holds 16 trials at
+# e1 = e2 = 4 with the grid's K = 2. A d = 2 climb scores outcome pairs from
+# the conditioned inputs and builds no such array, so the rule over-bounds
+# it; it is kept there so that block sizes, and the memory of a block at
+# large e, stay as they were. At d = 2, e1 = e2 = 2 it allows 1 024 trials
+# per block, and a block costs about 27 KB per trial: `verify-theorem --dim 2`
+# peaks at 38.7 MB at 50 trials and 64.3 MB at 1 000 (--parallel 1, 2-core
+# VM, Python 3.11).
 _BLOCK_BYTES = 6 * 2**20
 
 __all__ = ["BLOCK_FNS", "block_cap"]
 
 
 def block_cap(experiment: str, cfg: TrialConfig) -> int:
-    """Most trials per block of a lemma, theorem or conjecture run: no more
-    than _BLOCK_BYTES holds of the experiment's largest stacked array, and
-    for lemma and conjecture no more than _MAX_BLOCK."""
-    if experiment == "theorem":
-        searched = sum(1 for kappa in harness._kappa_grid(cfg, "theorem_measured")[0] if kappa > 0.0)
-        per_trial = 16 * max(searched, 1) * CLIMB_RESTARTS * (cfg.d_e1 * cfg.d_e2) ** 3
-        return max(1, _BLOCK_BYTES // per_trial)
-    if experiment == "lemma":
-        return min(_MAX_BLOCK, max(1, _BLOCK_BYTES // (16 * (cfg.d * cfg.d_e1 * cfg.d_e2) ** 2)))
-    return min(_MAX_BLOCK, max(1, _BLOCK_BYTES // (8 * sum(_conjecture_layout(cfg)[2]))))
+    """Most trials per block of a lemma, theorem or conjecture run: for the
+    theorem no more than _BLOCK_BYTES holds of its largest stacked array,
+    for lemma and conjecture _MAX_BLOCK. A lemma trial's largest array, its
+    (Y, E1, E2) output, is at most 16 bytes x 96^2 (6 MiB holds 42 trials),
+    and a conjecture trial draws at most 4 608 normals (36 KiB), so a byte
+    rule would never bind before _MAX_BLOCK."""
+    if experiment != "theorem":
+        return _MAX_BLOCK
+    searched = sum(1 for kappa in harness._kappa_grid(cfg, "theorem_measured")[0] if kappa > 0.0)
+    per_trial = 16 * max(searched, 1) * CLIMB_RESTARTS * (cfg.d_e1 * cfg.d_e2) ** 3
+    return max(1, _BLOCK_BYTES // per_trial)
 
 
 def _kron_pairs(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -294,18 +293,6 @@ def _lemma_block(cfg: TrialConfig, indices: range) -> TrialBlock:
     return TrialBlock("lemma", indices, taus, (), slacks, residuals, flags, skip.sum(axis=(1, 2)).tolist())
 
 
-def _conjecture_layout(cfg: TrialConfig):
-    """The draws of one conjecture trial after its tau: the (rows, cols)
-    Gaussian shapes of the main arm (the joint (X1, X2, E) state, or with a
-    trivial E its two legs) and of the control arm (states 1 and 2), and the
-    normal counts of the main arm, the ginibre bump on the joint state that a
-    re-checked candidate draws next, and the control arm."""
-    d, de = cfg.d, cfg.d_e1
-    main = [(n, state_columns(n, cfg.state_kind, cfg.rank)) for n in ((d, d) if de == 1 else (d * d * de,))]
-    control = [(d * e, state_columns(d * e, cfg.state_kind, cfg.rank)) for e in (cfg.d_e1, cfg.d_e2)]
-    return main, control, (normal_count(main), normal_count([(d * d * de,) * 2]), normal_count(control))
-
-
 def _conditional_entropies(states: np.ndarray, spectra: np.ndarray, d: int) -> np.ndarray:
     """S(XE) - S(E) in nats of each (X, E) state of a validated
     (..., d*e, d*e) stack with descending spectra `spectra`, X of dim d. Each
@@ -315,73 +302,57 @@ def _conditional_entropies(states: np.ndarray, spectra: np.ndarray, d: int) -> n
     return entropy_nats_rows(spectra) - entropy_nats_rows(env_spectra).reshape(states.shape[:-2])
 
 
-def _joint_slacks(joint: np.ndarray, tau: np.ndarray, d: int) -> np.ndarray:
-    """S(Y|E) of the channel output minus the tau-mixture of S(X1|E) and
-    S(X2|E), for each (X1, X2, E) state of a validated (N, D, D) stack."""
-    s_out, s_1, s_2 = _conditional_entropies(*partial_swap_joint_stack(joint, tau, d), d)
+def _two_env_slacks(first, second, tau: np.ndarray, d: int) -> np.ndarray:
+    """S(Y|E1E2) of the bilocal channel's output minus the tau-mixture of
+    S(X1|E1) and S(X2|E2), per row of two (states, spectra) pairs of
+    validated (X, E1) and (X, E2) stacks."""
+    s_out, s_1, s_2 = (
+        _conditional_entropies(*pair, d) for pair in (partial_swap_global(first[0], second[0], tau, d), first, second)
+    )
     return harness._mixture_gap(tau, s_out, s_1, s_2)
 
 
 def _conjecture_block(cfg: TrialConfig, indices: range) -> TrialBlock:
-    """Counterexample-search trials `indices` for the conditional-entropy
-    inequality.
+    """Counterexample-search trials `indices` for the two-environment
+    conditional-entropy inequality S(Y|E1E2) >= tau S(X1|E1) + (1-tau) S(X2|E2)
+    on product inputs (X1, E1) (x) (X2, E2), drawn as the theorem's are.
 
-    Main arm: a joint (X1, X2, E) state with E of dim --env-dim1, possibly
-    entangled with everything. A slack below -10*tol is only a finding after
-    it survives a 1e-8 state perturbation (recomputing it from re-symmetrized
-    input would change nothing: every validated state is exactly Hermitian,
-    so make_density returns it bit for bit). Findings are expected here: the
-    swap unitary can lower the entropy of correlated inputs (it can outright
-    disentangle them), so the any-state form of the inequality fails without
-    conditional independence. With a trivial environment the marginals must
-    be independent for the inequality to reduce to the proven unconditional
-    entropic one, so there the two system legs are drawn as a product and the
-    slack is asserted.
-    The control arm draws product-shaped (X1,E1) x (X2,E2) inputs and reports
-    (never asserts) the two-environment entropy version.
+    With trivial environments it is the proven entropic qepi, and its slack
+    is asserted. Otherwise the slack is a diagnostic, and one below -10*tol is
+    a candidate: it is a finding (the reverified_candidate flag) only if it
+    survives moving both inputs by 1e-8 toward ginibre states
+    (conjecture_perturbed, None in a trial with no candidate). Recomputing it
+    from re-symmetrized input would change nothing: every validated state is
+    exactly Hermitian, so make_density returns it bit for bit.
 
-    Per trial, draw order tau, the joint state (or its two legs), the
-    perturbation if a candidate is re-checked, state 1, state 2. Every trial
-    draws one row of normals long enough for the perturbation; a trial that
-    re-checks no candidate takes its control arm from where the perturbation
-    would start. Every step is stacked: the states, one
-    :func:`partial_swap_joint_stack` call for the main arm and one for the
-    candidates' perturbed states, and one :func:`partial_swap_global` call for
-    the control arm, each state validated as the one-trial route validates it.
+    Per trial, draw order tau, state 1, state 2, the bump of state 1, the
+    bump of state 2: every trial draws the bumps, so no draw depends on
+    whether it has a candidate. Every step is stacked: the states, one
+    :func:`partial_swap_global` call for the drawn inputs and one for the
+    candidates' perturbed ones, each state validated as the one-trial route
+    validates it.
     """
-    d = cfg.d
     threshold = -10.0 * cfg.tolerance
-    main, control, (n_main, n_bump, n_control) = _conjecture_layout(cfg)
-    taus, normals = harness._block_normals(cfg, "conjecture", indices, n_main + n_bump + n_control)
+    sides = [cfg.d * e for e in (cfg.d_e1, cfg.d_e2)]
+    shapes = [(n, state_columns(n, cfg.state_kind, cfg.rank)) for n in sides]
+    bumps = [(n, n) for n in sides]
+    start = normal_count(shapes)
+    taus, normals = harness._block_normals(cfg, "conjecture", indices, start + normal_count(bumps))
     tau = np.array(taus)
-    legs = [states_from_gaussians(g, cfg.state_kind)[0] for g in complex_gaussians(normals, main)]
-    joint = legs[0] if len(legs) == 1 else make_density_stack(_kron_pairs(*legs))[0]
-    slack = _joint_slacks(joint, tau, d)
+    drawn = [states_from_gaussians(g, cfg.state_kind) for g in complex_gaussians(normals, shapes)]
+    slack = _two_env_slacks(*drawn, tau, cfg.d)
 
     candidate = slack < threshold
-    (g,) = complex_gaussians(normals[candidate, n_main : n_main + n_bump], [joint.shape[1:]])
-    eps = 1e-8
-    perturbed, _ = make_density_stack((1.0 - eps) * joint[candidate] + eps * states_from_gaussians(g, "ginibre")[0])
-    rechecked = iter(_joint_slacks(perturbed, tau[candidate], d).tolist())
-
-    # Control arm: product-shaped inputs, conditioning on both environments.
-    drawn = np.where(candidate[:, None], normals[:, n_main + n_bump :], normals[:, n_main : n_main + n_control])
-    (rho1, lam1), (rho2, lam2) = (states_from_gaussians(g, cfg.state_kind) for g in complex_gaussians(drawn, control))
-    s_out, s_1, s_2 = (
-        _conditional_entropies(*pair, d)
-        for pair in (partial_swap_global(rho1, rho2, tau, d), (rho1, lam1), (rho2, lam2))
-    )
-
-    # A trial that re-checks no candidate holds None for conjecture_perturbed.
-    slacks = {
-        "conjecture": slack.tolist(),
-        "conjecture_perturbed": [next(rechecked) if c else None for c in candidate.tolist()],
-        "conjecture_control": harness._mixture_gap(tau, s_out, s_1, s_2).tolist(),
-    }
-    reverified = [value is not None and value < threshold for value in slacks["conjecture_perturbed"]]
-    # Only the trivial-environment slack is asserted; the rest are diagnostics.
-    soft = set(slacks) - ({"conjecture"} if cfg.d_e1 == 1 else set())
-    flags = {"reverified_candidate": [not r for r in reverified], **harness._verdict(cfg, slacks, {}, soft)}
+    perturbed = [
+        make_density_stack((1.0 - 1e-8) * rho[candidate] + 1e-8 * states_from_gaussians(g, "ginibre")[0])
+        for (rho, _), g in zip(drawn, complex_gaussians(normals[candidate, start:], bumps))
+    ]
+    rechecked = iter(_two_env_slacks(*perturbed, tau[candidate], cfg.d).tolist())
+    column = [next(rechecked) if c else None for c in candidate.tolist()]
+    slacks = {"conjecture": slack.tolist(), "conjecture_perturbed": column}
+    soft = set(slacks) - ({"conjecture"} if cfg.d_e1 == cfg.d_e2 == 1 else set())
+    flags = {"reverified_candidate": [v is None or not v < threshold for v in column]}
+    flags |= harness._verdict(cfg, slacks, {}, soft)
     return TrialBlock("conjecture", indices, taus, (), slacks, {}, flags, [0] * len(taus))
 
 

@@ -12,8 +12,9 @@ Five experiment families:
                 majorization it rests on.
 * concavity  -- midpoint concavity of exp(kappa * H) on the simplex inside
                 the proven window kappa <= 1/(ln d)^2 (:func:`kappa_bounds`).
-* conjecture -- counterexample search for the conditional-entropy version with
-                an arbitrary (possibly entangled) joint environment.
+* conjecture -- counterexample search for the two-environment
+                conditional-entropy version on product inputs
+                (X1, E1) (x) (X2, E2), asserted where E1 and E2 are trivial.
 
 This module computes the blocks of qepi and concavity, which need only
 states, the closed-form channel and spectra. The lemma, theorem and
@@ -228,7 +229,7 @@ def validate_config(cfg: TrialConfig, experiment: str) -> None:
         raise UsageError(f"state kind rank-k needs 1 <= K, got {cfg.rank}")
     if kind == "rank" and experiment != "concavity":
         # Smallest state sampled: qepi draws d x d states, the others draw
-        # (X, E1) and (X, E2) states (conjecture with d_e1 == 1 draws d x d).
+        # (X, E1) and (X, E2) states.
         smallest = cfg.d if experiment == "qepi" else cfg.d * min(cfg.d_e1, cfg.d_e2)
         if cfg.rank > smallest:
             raise UsageError(

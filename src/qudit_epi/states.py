@@ -54,7 +54,7 @@ def ordered_sum(x: np.ndarray) -> np.ndarray:
     Python loop adds the terms of each row. np.sum adds pairwise and the
     builtin sum compensates since Python 3.12, so either may differ in the
     last bit."""
-    return reduce(np.add, np.moveaxis(x, -1, 0))
+    return reduce(np.add, (x[..., i] for i in range(x.shape[-1])))
 
 
 def entropy_nats_rows(p: np.ndarray) -> np.ndarray:

@@ -24,10 +24,13 @@ calls anything in this module.
   validated state, and :func:`partial_trace` reduces it.
 * Channel: :func:`partial_swap_conjugation` (build U, conjugate, trace out)
   checks :func:`partial_swap_closed`; :func:`partial_swap_global_closed`
-  (extended operators) and the dense conjugation of the permuted product
-  (:func:`permute_subsystems`, :func:`partial_swap_joint`) check
+  (extended operators), the dense conjugation of the permuted product
+  (:func:`permute_subsystems`, :func:`partial_swap_joint`) and
+  :func:`partial_swap_joint_stack` on that product check
   ``channels.partial_swap_global``; :func:`partial_swap_joint` checks
-  ``channels.partial_swap_joint_stack``.
+  :func:`partial_swap_joint_stack`, the stacked channel on joint (X1, X2, E)
+  states, which need not be products, that the positive controls of
+  ``tests/test_controls.py`` run.
 * Conditioning: :class:`MeasurementSet`, :func:`condition_all`,
   :func:`condition_bilocal` and :func:`conditional_spectrum` are the
   validated one-state conditioning that ``measurement.condition_all_stack``
@@ -40,7 +43,8 @@ calls anything in this module.
   :func:`_theorem_slack` the theorem's slack from validated outcomes,
   :func:`_lemma_trial` one lemma trial by these routes, drawn by
   :func:`_bilocal_setting`, and :func:`_conjecture_trial` one conjecture
-  trial by the dense channel and per-state validation.
+  trial by sample_state draws, the bilocal channel and per-state
+  validation, its slack :func:`_two_env_slack`.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from qudit_epi import harness
-from qudit_epi.channels import partial_swap_global
+from qudit_epi.channels import _check_mixing_stack, partial_swap_global
 from qudit_epi.errors import QuditEpiError, ValidationError
 from qudit_epi.harness import TrialBlock
 from qudit_epi.measurement import PROB_FLOOR, PROB_SUM_TOL, check_complete, condition_projective_all
@@ -65,7 +69,7 @@ from qudit_epi.rand import (
     normalize_state_kind,
     state_columns,
 )
-from qudit_epi.states import POSITIVITY_TOL, SPECTRUM_SUM_TOL, DensityMatrix, make_density
+from qudit_epi.states import POSITIVITY_TOL, SPECTRUM_SUM_TOL, DensityMatrix, make_density, make_density_stack
 
 MAJORIZATION_TOL = 1e-9
 DISTRIBUTION_NEG_TOL = 1e-10
@@ -464,6 +468,48 @@ def partial_swap_joint(s: MultipartiteState, tau: float) -> MultipartiteState:
     return partial_trace(out, (0, *range(2, len(s.dims))))
 
 
+def partial_swap_joint_stack(joint: np.ndarray, tau: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Partial swap on the system legs of a stack of joint (X1, X2, E)
+    states: row i mixes the two systems of joint[i] with tau[i].
+
+    joint is an (N, d*d*e, d*d*e) density stack, tau an (N,) array; the swap
+    unitary U = sqrt(tau) I + i sqrt(1-tau) W acts on (X1, X2), the identity
+    on E, and X2 is traced out. With c = sqrt(tau(1-tau)),
+
+        Tr_X2 U rho U+ = tau Tr_X2 rho + (1-tau) Tr_X2 W rho W
+                         + i c (Tr_X2 W rho - Tr_X2 rho W),
+
+    where Tr_X2 W rho W is the marginal Tr_X1 rho on (X2, E), and the last
+    two terms are sums over the traced index b of rho[b, a; ., b] and
+    rho[a, b; b, .]. Each term is one einsum on the joint stack, as
+    :func:`partial_swap_global` computes them on product factors; the
+    commutator term is skipped exactly at tau in {0, 1}.
+
+    Returns the validated (3, N, d*e, d*e) stack of the output on (Y, E) and
+    the marginals Tr_X2 rho on (X1, E) and Tr_X1 rho on (X2, E), and their
+    (3, N, d*e) descending spectra (see :func:`make_density_stack`).
+    """
+    n = len(tau)
+    e = joint.shape[-1] // (d * d)
+    if joint.shape != (n, d * d * e, d * d * e) or e < 1:
+        raise QuditEpiError(
+            f"expected an ({n}, {d}*{d}*e, {d}*{d}*e) joint stack for {n} mixing parameters, "
+            f"got shape {joint.shape}"
+        )
+    _check_mixing_stack(tau)
+    r = joint.reshape(n, d, d, e, d, d, e)  # [a, b, e, a', b', e']
+    # Output axes (a, e, c, f) of (Y, E) x (Y, E).
+    first = np.einsum("nabecbf->naecf", r)
+    second = np.einsum("nbaebcf->naecf", r)
+    t = tau.reshape(n, 1, 1, 1, 1)
+    out = t * first + (1.0 - t) * second
+    c = np.sqrt(t * (1.0 - t))
+    swapped = np.einsum("nbaecbf->naecf", r) - np.einsum("nabebcf->naecf", r)
+    out = np.where(c != 0.0, out + 1j * c * swapped, out)
+    states, spectra = make_density_stack(np.stack([out, first, second]).reshape(3 * n, d * e, d * e))
+    return states.reshape(3, n, d * e, d * e), spectra.reshape(3, n, d * e)
+
+
 def _bilocal_channel(s1, s2, tau: float):
     """:func:`partial_swap_global` of one (X, E1), (X, E2) setting, as the
     (Y, E1, E2) state."""
@@ -616,19 +662,6 @@ def conditional_vn_entropy(s: MultipartiteState) -> float:
     return s_ab - s_b
 
 
-def _conjecture_slack(joint, tau: float) -> float:
-    """Entropy-conditional slack for a (X1, X2, E) state under the swap channel.
-
-    The channel is the swap unitary on (X1, X2) tensored with the identity on
-    E, followed by tracing out X2.
-    """
-    s_out = conditional_vn_entropy(partial_swap_joint(joint, tau))
-    s_1 = conditional_vn_entropy(partial_trace(joint, (0, 2)))
-    s_2 = conditional_vn_entropy(partial_trace(joint, (1, 2)))
-    return s_out - tau * s_1 - (1.0 - tau) * s_2
-
-
-
 def _theorem_slack(tau: float, kappa: float, out1, out2, grid) -> float:
     """The per-measurement slack from validated outcomes: the q1 x q2-weighted
     entropy power of the conditioned outputs minus the tau-mixture of the
@@ -717,48 +750,42 @@ def _lemma_trial(cfg, index):
     return TrialBlock("lemma", range(index, index + 1), [tau], (), slacks, residuals, flags, [negligible])
 
 
+def _two_env_slack(s1, s2, tau: float) -> float:
+    """S(Y|E1E2) of the bilocal channel's output on one (X, E1), (X, E2)
+    setting minus the tau-mixture of S(X1|E1) and S(X2|E2)."""
+    s_out = conditional_vn_entropy(as_bipartite(_bilocal_channel(s1, s2, tau), 1))
+    return s_out - tau * conditional_vn_entropy(s1) - (1.0 - tau) * conditional_vn_entropy(s2)
+
+
 def _conjecture_trial(cfg, index):
     """Conjecture trial `index` alone, as a block of one row, by the one-state
-    routes: its own generator, the dense joint channel and per-state
-    validation. Draw order: tau, the joint state (or its two legs), the
-    perturbation if a candidate is re-checked, state 1, state 2.
+    routes: its own generator, sample_state draws, the bilocal channel and
+    per-state validation. Draw order: tau, state 1, state 2, and, if its
+    slack is a candidate, below -10*tol, the ginibre bumps of state 1 and
+    state 2.
 
-    Main arm: a joint (X1, X2, E) state with E of dim --env-dim1, a product of
-    two system legs when E is trivial; its slack is re-checked after a 1e-8
-    perturbation toward a ginibre state when it is below -10*tol. Control
-    arm: product-shaped (X1, E1) x (X2, E2) inputs through the bilocal
-    channel, conditioning on both environments.
+    The slack is S(Y|E1E2) - tau S(X1|E1) - (1-tau) S(X2|E2) of the product
+    inputs; a candidate is re-checked with both inputs moved by 1e-8 toward
+    their bumps. The slack is asserted only with trivial environments.
     """
     gen = trial_source(cfg, "conjecture", index).generator()
     tau = harness._draw_tau(cfg, index, gen)
-    d, de = cfg.d, cfg.d_e1
     threshold = -10.0 * cfg.tolerance
-    if de == 1:
-        rho1 = sample_state(gen, d, cfg.state_kind, cfg.rank)
-        rho2 = sample_state(gen, d, cfg.state_kind, cfg.rank)
-        joint = multipartite(make_density(np.kron(rho1.mat, rho2.mat)), (d, d, 1))
-    else:
-        joint = multipartite(sample_state(gen, d * d * de, cfg.state_kind, cfg.rank), (d, d, de))
-    slack = _conjecture_slack(joint, tau)
+    envs = (cfg.d_e1, cfg.d_e2)
+    inputs = [multipartite(sample_state(gen, cfg.d * e, cfg.state_kind, cfg.rank), (cfg.d, e)) for e in envs]
+    slack = _two_env_slack(*inputs, tau)
 
     perturbed_slack = None
     if slack < threshold:
-        bump = sample_state(gen, d * d * de, "ginibre")
+        bumps = [sample_state(gen, s.dim, "ginibre") for s in inputs]
         eps = 1e-8
-        perturbed = multipartite(make_density((1.0 - eps) * joint.state.mat + eps * bump.mat), joint.dims)
-        perturbed_slack = _conjecture_slack(perturbed, tau)
+        moved = [
+            multipartite(make_density((1.0 - eps) * s.state.mat + eps * b.mat), s.dims) for s, b in zip(inputs, bumps)
+        ]
+        perturbed_slack = _two_env_slack(*moved, tau)
     reverified = perturbed_slack is not None and perturbed_slack < threshold
 
-    s1 = multipartite(sample_state(gen, d * cfg.d_e1, cfg.state_kind, cfg.rank), (d, cfg.d_e1))
-    s2 = multipartite(sample_state(gen, d * cfg.d_e2, cfg.state_kind, cfg.rank), (d, cfg.d_e2))
-    mixed = _bilocal_channel(s1, s2, tau)
-    control = (
-        conditional_vn_entropy(as_bipartite(mixed, 1))
-        - tau * conditional_vn_entropy(s1)
-        - (1.0 - tau) * conditional_vn_entropy(s2)
-    )
-
-    slacks = {"conjecture": [slack], "conjecture_perturbed": [perturbed_slack], "conjecture_control": [control]}
-    soft = set(slacks) - ({"conjecture"} if de == 1 else set())
+    slacks = {"conjecture": [slack], "conjecture_perturbed": [perturbed_slack]}
+    soft = set(slacks) - ({"conjecture"} if cfg.d_e1 == cfg.d_e2 == 1 else set())
     flags = {"reverified_candidate": [not reverified], **harness._verdict(cfg, slacks, {}, soft)}
     return TrialBlock("conjecture", range(index, index + 1), [tau], (), slacks, {}, flags, [0])

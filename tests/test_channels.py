@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qudit_epi.channels import partial_swap_closed_stack, partial_swap_global, partial_swap_joint_stack
+from qudit_epi.channels import partial_swap_closed_stack, partial_swap_global
 from qudit_epi.errors import QuditEpiError, ValidationError
 from qudit_epi.states import make_density
 
@@ -19,6 +19,7 @@ from oracles import (
     partial_swap_conjugation,
     partial_swap_global_closed,
     partial_swap_joint,
+    partial_swap_joint_stack,
     partial_swap_unitary,
     partial_trace,
     permute_subsystems,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qudit_epi import harness
+from qudit_epi import conditional, harness
 from qudit_epi.cli import (
     _COMMANDS,
     RunManifest,
@@ -157,9 +157,13 @@ def test_render_block_equals_json_route_on_edge_values(rows_of):
 def test_render_block_follows_shape_changes_mid_block(rows_of):
     # A conjecture row gains a conjecture_perturbed slack when it re-checks a
     # candidate; a lemma or theorem row carries negligible_outcomes only when
-    # some outcome was skipped. Each block interleaves both shapes.
+    # some outcome was skipped. Each block interleaves both shapes: the
+    # conjecture block gets re-checked candidates planted in rows 2 and 7.
     conjecture = harness._TRIAL_FNS["conjecture"](TrialConfig(d=2, d_e1=2, d_e2=2, seed=10), range(12))
-    assert conjecture.slacks["conjecture_perturbed"].count(None) not in (0, 12)
+    assert conjecture.slacks["conjecture_perturbed"] == [None] * 12
+    conjecture.slacks["conjecture_perturbed"][2] = -0.25
+    conjecture.slacks["conjecture_perturbed"][7] = 1e-3
+    conjecture.pass_flags["reverified_candidate"][2] = False
     lemma = harness._TRIAL_FNS["lemma"](TrialConfig(d=2, seed=10), range(3))
     theorem = harness._TRIAL_FNS["theorem"](TrialConfig(d=2, seed=10), range(4))
     assert not any(lemma.negligible) and not any(theorem.negligible)
@@ -376,8 +380,8 @@ def test_no_file_is_left_in_the_temp_directory(tmp_path, monkeypatch, capsys):
 def test_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     argv = ["all", "--dim", "2", "--trials", "10", "--seed", "7"]
-    assert dispatch(argv + ["--out", str(a)]) in (0, 2)
-    assert dispatch(argv + ["--out", str(b)]) in (0, 2)
+    assert dispatch(argv + ["--out", str(a)]) == 0
+    assert dispatch(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -405,15 +409,42 @@ def test_cli_module_entrypoint(tmp_path):
     assert out.exists()
 
 
-def test_conjecture_finding_exits_two(tmp_path, parse_jsonl):
-    # entangled environment: re-verified candidates are findings, exit code 2
+def _planted_conjecture_run(tmp_path, monkeypatch, parse_jsonl, perturbed_shift):
+    """search-conjecture with every drawn slack lowered by 10, below -10 tol,
+    so that every trial re-checks a candidate, and every perturbed slack
+    lowered by `perturbed_shift`: the exit code and the trial lines."""
+    real = conditional._two_env_slacks
+    calls = []
+
+    def planted(first, second, tau, d):
+        # A block scores its drawn inputs, then its candidates' perturbed ones.
+        calls.append(None)
+        return real(first, second, tau, d) - (10.0 if len(calls) % 2 else perturbed_shift)
+
+    monkeypatch.setattr(conditional, "_two_env_slacks", planted)
     out = tmp_path / "run.jsonl"
-    code = dispatch(
-        ["search-conjecture", "--dim", "2", "--env-dim1", "2", "--trials", "12", "--seed", "10", "--out", str(out)]
-    )
+    argv = ["search-conjecture", "--dim", "2", "--env-dim1", "2", "--trials", "12", "--seed", "10", "--parallel", "1"]
+    code = dispatch([*argv, "--out", str(out)])
+    return code, [line for line in parse_jsonl(out.read_text()) if line["type"] == "trial"]
+
+
+def test_conjecture_finding_exits_two(tmp_path, monkeypatch, parse_jsonl):
+    # A candidate whose perturbed slack stays below -10 tol is a finding:
+    # each row fails its reverified_candidate flag and the run exits 2.
+    code, trials = _planted_conjecture_run(tmp_path, monkeypatch, parse_jsonl, 10.0)
     assert code == 2
-    summary = parse_jsonl(out.read_text())[-1]
-    assert summary["violations"] > 0
+    assert len(trials) == 12
+    assert all(line["slacks"]["conjecture_perturbed"] < -1e-8 and not line["pass"] for line in trials)
+
+
+def test_conjecture_candidate_that_recovers_exits_zero(tmp_path, monkeypatch, parse_jsonl):
+    # A candidate whose perturbed slack is back above -10 tol is no finding,
+    # and with nontrivial environments the drawn slack is a diagnostic.
+    code, trials = _planted_conjecture_run(tmp_path, monkeypatch, parse_jsonl, 0.0)
+    assert code == 0
+    assert len(trials) == 12
+    assert all(line["slacks"]["conjecture"] < -1e-8 and line["pass"] for line in trials)
+    assert all(line["slacks"]["conjecture_perturbed"] >= -1e-8 for line in trials)
 
 
 def test_stdout_output(capsys, parse_jsonl):
@@ -452,8 +483,7 @@ def test_streamed_dispatch_equals_emit_of_run_experiment(tmp_path, monkeypatch, 
     # emit writes from the rows of run_experiment's blocks, each line
     # rendered by the json encoder, and the summary of one block per
     # experiment. Blocks of 7 split 30 qepi or concavity trials into
-    # 7 + 7 + 7 + 7 + 2; the conjecture's blocks mix rows with and without
-    # conjecture_perturbed.
+    # 7 + 7 + 7 + 7 + 2.
     monkeypatch.setitem(harness._BLOCK_SIZE, "qepi", 7)
     monkeypatch.setitem(harness._BLOCK_SIZE, "concavity", 7)
     monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
@@ -502,7 +532,7 @@ def test_all_streams_the_same_bytes_at_parallel_one_and_two(tmp_path, monkeypatc
     outputs = []
     for workers in ("1", "2"):
         out = tmp_path / f"all-{workers}.jsonl"
-        assert dispatch(["all", "--dim", "2", "--trials", "20", "--seed", "5", "--parallel", workers, "--out", str(out)]) in (0, 2)
+        assert dispatch(["all", "--dim", "2", "--trials", "20", "--seed", "5", "--parallel", workers, "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
 
@@ -737,10 +767,11 @@ def test_a_command_without_options_configures_the_default_trial_config(command):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_launched_out_file_holds_the_bytes_of_in_process_dispatch(tmp_path, monkeypatch, workers):
     # main ends the launch with os._exit: the --out file is closed, and the
-    # pool joined, before dispatch returns.
+    # pool joined, before dispatch returns. At --tol 1e-300 the round-off
+    # slacks fail the hard checks, so the launch exits 2.
     monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    argv = ["all", "--dim", "2", "--trials", "12", "--seed", "10", "--parallel", workers]
+    argv = ["all", "--dim", "2", "--trials", "12", "--seed", "10", "--tol", "1e-300", "--parallel", workers]
     launched, in_process = tmp_path / "launched.jsonl", tmp_path / "in-process.jsonl"
     proc = _run([*argv, "--out", str(launched)])
     assert proc.returncode == dispatch([*argv, "--out", str(in_process)]) == 2
@@ -779,7 +810,7 @@ def test_launch_leaves_no_process_behind():
     # process is reaped its session is empty.
     argv = [sys.executable, "-m", "qudit_epi.cli", "all", "--dim", "2", "--trials", "40", "--parallel", "2"]
     proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True)
-    assert proc.wait(timeout=120) in (0, 2)
+    assert proc.wait(timeout=120) == 0
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
 
@@ -820,7 +851,7 @@ def test_serial_dispatch_imports_no_process_pool():
         "import os, sys\n"
         "from qudit_epi.cli import dispatch\n"
         "code = dispatch(['all', '--dim', '2', '--trials', '4', '--parallel', '1', '--out', os.devnull])\n"
-        "sys.exit(code not in (0, 2) or any(m in sys.modules for m in ('concurrent.futures', 'multiprocessing')))\n"
+        "sys.exit(code != 0 or any(m in sys.modules for m in ('concurrent.futures', 'multiprocessing')))\n"
     )
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
@@ -850,7 +881,7 @@ def test_output_is_a_function_of_the_configuration(tmp_path_factory, experiment,
 
     def run(command, workers="1"):
         out = folder / "run.jsonl"
-        assert dispatch([command, *options, "--parallel", workers, "--out", str(out)]) in (0, 2)
+        assert dispatch([command, *options, "--parallel", workers, "--out", str(out)]) == 0
         return out.read_bytes()
 
     def trial_lines(output):

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from qudit_epi.channels import partial_swap_closed_stack, partial_swap_global, partial_swap_joint_stack
+from qudit_epi.channels import partial_swap_closed_stack, partial_swap_global
 from qudit_epi.conditional import _condition_bilocal, _kron_pairs, _pair_weights, _theorem_settings
 from qudit_epi.harness import (
     TrialBlock,
@@ -30,6 +30,8 @@ from qudit_epi.harness import (
 )
 from qudit_epi.measurement import check_complete, condition_all_stack
 from qudit_epi.states import make_density_stack, mixture_majorization_rows
+
+from oracles import partial_swap_joint_stack
 
 TAUS = np.linspace(0.05, 0.95, 19)
 KAPPAS = tuple(np.linspace(0.0, kappa_bounds(2), 4)[1:].tolist())

@@ -192,19 +192,23 @@ def test_conjecture_trivial_env_never_violates():
         r = _one("conjecture", cfg, i)
         assert r.passed == [True]
         assert r.slacks["conjecture"][0] >= -1e-9
-        assert r.slacks["conjecture_control"][0] is not None
+        assert r.slacks["conjecture_perturbed"] == [None]
 
 
 def test_conjecture_entangled_env_candidates_are_reverified():
-    cfg = TrialConfig(d=2, d_e1=2, d_e2=2, trials=1, seed=10)
+    # At --tol 1e-300 a slack below 0 by round-off is a candidate; its flag
+    # fails exactly when the perturbed slack stays below the threshold.
+    cfg = TrialConfig(d=2, d_e1=2, d_e2=2, trials=1, seed=10, tolerance=1e-300)
     seen_candidate = False
     for i in range(30):
         r = _one("conjecture", cfg, i)
         (perturbed,) = r.slacks["conjecture_perturbed"]
         if perturbed is not None:
             seen_candidate = True
+            assert r.slacks["conjecture"][0] < -10 * cfg.tolerance
             assert r.pass_flags["reverified_candidate"] == [perturbed >= -10 * cfg.tolerance]
-    # correlated sampling makes candidates common; the protocol must engage
+        else:
+            assert r.slacks["conjecture"][0] >= -10 * cfg.tolerance
     assert seen_candidate
 
 
@@ -232,7 +236,8 @@ _EXPLORATORY = {"kappa": 3.0, "exploratory_kappa": True}
         ("qepi", TrialConfig(d=3), {"qepi_majorization", "major_total"} | _kappa_keys("qepi")),
         ("concavity", TrialConfig(d=4), _kappa_keys("concavity")),
         ("conjecture", TrialConfig(d=2, d_e1=2), {"reverified_candidate"}),
-        ("conjecture", TrialConfig(d=2, d_e1=1), {"reverified_candidate", "conjecture"}),
+        ("conjecture", TrialConfig(d=2, d_e1=1, d_e2=1), {"reverified_candidate", "conjecture"}),
+        ("conjecture", TrialConfig(d=2, d_e1=1, d_e2=2), {"reverified_candidate"}),
         ("theorem", TrialConfig(d=2, **_EXPLORATORY), {"prob_norm"}),
         ("qepi", TrialConfig(d=2, **_EXPLORATORY), {"qepi_majorization", "major_total"}),
         ("concavity", TrialConfig(d=2, **_EXPLORATORY), set()),
@@ -244,6 +249,7 @@ _EXPLORATORY = {"kappa": 3.0, "exploratory_kappa": True}
         "concavity",
         "conjecture-env2",
         "conjecture-env1",
+        "conjecture-env12",
         "theorem-exploratory",
         "qepi-exploratory",
         "concavity-exploratory",
@@ -317,14 +323,15 @@ def _flagged_columns(calls) -> list:
         ("qepi", TrialConfig(d=3, trials=40, seed=3)),
         ("concavity", TrialConfig(d=4, trials=40, seed=3)),
         ("conjecture", TrialConfig(d=2, d_e1=1, trials=40, seed=3)),
-        ("conjecture", TrialConfig(d=2, d_e1=2, trials=40, seed=3)),
+        ("conjecture", TrialConfig(d=2, d_e1=2, trials=40, seed=3, tolerance=1e-300)),
     ],
     ids=["lemma", "theorem", "qepi", "concavity", "conjecture-env1", "conjecture-env2"],
 )
 def test_only_soft_slack_columns_hold_none(monkeypatch, experiment, cfg):
     # _verdict compares whole columns, so no column that it flags may hold a
     # hole; the conjecture's perturbed slack, soft in every configuration, is
-    # the one column that does.
+    # the one column that does. At --tol 1e-300 some round-off slacks are
+    # candidates, so the conjecture-env2 column holds values and holes.
     calls = _recorded_verdicts(monkeypatch)
     blocks = list(run_experiment(experiment, cfg))
     assert len(calls) == len(blocks)
@@ -782,7 +789,7 @@ def test_standalone_matches_all_stream_layout(tmp_path, parse_jsonl):
 
     def trial_lines(command):
         out = tmp_path / f"{command}.jsonl"
-        assert dispatch([command, *common, "--out", str(out)]) in (0, 2)
+        assert dispatch([command, *common, "--out", str(out)]) == 0
         return [ln for ln in parse_jsonl(out.read_text()) if ln["type"] == "trial"]
 
     combined = trial_lines("all")
